@@ -119,7 +119,14 @@ def check_density_matrix(rho, name: str = "rho") -> np.ndarray:
     return rho
 
 
-def _clamped_spectrum(rho, name: str = "rho") -> EigenDecomposition:
+def clamped_spectrum(rho, name: str = "rho") -> EigenDecomposition:
+    """Eigendecomposition of a state with round-off zeros snapped to 0.0.
+
+    This is the validate-and-decompose half of the matrix-level fidelity,
+    relative entropy and Chernoff overlap below; their spectra-level
+    ``*_kernel`` functions take its output, so a sweep can decompose each
+    state once and reuse it for every pair.
+    """
     # Round-off near rank-deficient states produces tiny eigenvalues of
     # either sign where the true value is zero.  Anything below ZERO_SNAP
     # becomes an exact zero before powers/logs are taken (a +1e-17 noise
@@ -134,46 +141,47 @@ def _clamped_spectrum(rho, name: str = "rho") -> EigenDecomposition:
     return EigenDecomposition(np.where(w < ZERO_SNAP, 0.0, w), dec.eigenvectors)
 
 
-def _check_same_dims(rho: np.ndarray, sigma: np.ndarray) -> None:
+def _square_pair(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
+    rho = _as_square(rho, "rho")
+    sigma = _as_square(sigma, "sigma")
     if rho.shape != sigma.shape:
         raise DimensionMismatchError(
             f"operands have different shapes {rho.shape} and {sigma.shape}"
         )
+    return rho, sigma
+
+
+def spectral_sqrt(dec: EigenDecomposition) -> np.ndarray:
+    """Matrix square root V diag(sqrt(w)) V† of a clamped decomposition."""
+    return (dec.eigenvectors * np.sqrt(dec.eigenvalues)) @ dec.eigenvectors.conj().T
+
+
+def bures_fidelity_kernel(rho: np.ndarray, sqrt_sigma: np.ndarray) -> float:
+    """Tr sqrt(sqrt_sigma rho sqrt_sigma), given sqrt(sigma) from ``spectral_sqrt``."""
+    inner = sqrt_sigma @ rho @ sqrt_sigma
+    w = clamped_spectrum(inner, "sqrt(sigma) rho sqrt(sigma)").eigenvalues
+    return float(np.sqrt(w).sum())
 
 
 def bures_fidelity_numeric(rho, sigma) -> float:
     """F(rho, sigma) = Tr sqrt(sqrt(sigma) rho sqrt(sigma)), from matrices."""
-    rho = _as_square(rho, "rho")
-    sigma = _as_square(sigma, "sigma")
-    _check_same_dims(rho, sigma)
-    ds = _clamped_spectrum(sigma, "sigma")
-    sqrt_sigma = (ds.eigenvectors * np.sqrt(ds.eigenvalues)) @ ds.eigenvectors.conj().T
-    inner = sqrt_sigma @ rho @ sqrt_sigma
-    w = _clamped_spectrum(inner, "sqrt(sigma) rho sqrt(sigma)").eigenvalues
-    return float(np.sqrt(w).sum())
+    rho, sigma = _square_pair(rho, sigma)
+    return bures_fidelity_kernel(rho, spectral_sqrt(clamped_spectrum(sigma, "sigma")))
 
 
 def trace_distance_numeric(rho, sigma) -> float:
     """D(rho, sigma) = half the sum of |eigenvalues| of rho - sigma."""
-    rho = _as_square(rho, "rho")
-    sigma = _as_square(sigma, "sigma")
-    _check_same_dims(rho, sigma)
+    rho, sigma = _square_pair(rho, sigma)
     w = eigh(rho - sigma).eigenvalues
     return float(0.5 * np.abs(w).sum())
 
 
-def relative_entropy_numeric(rho, sigma) -> float:
-    """Base-2 relative entropy Tr(rho log2 rho - rho log2 sigma).
+def relative_entropy_kernel(dr: EigenDecomposition, ds: EigenDecomposition) -> float:
+    """Base-2 relative entropy from the clamped decompositions of rho and sigma.
 
     Returns ``math.inf`` when the support of rho is not contained in the
     support of sigma (eigenvalues below SUPPORT_TOL count as zero).
     """
-    rho = _as_square(rho, "rho")
-    sigma = _as_square(sigma, "sigma")
-    _check_same_dims(rho, sigma)
-    dr = _clamped_spectrum(rho, "rho")
-    ds = _clamped_spectrum(sigma, "sigma")
-
     p = dr.eigenvalues
     plogp = float(np.sum(p[p > SUPPORT_TOL] * np.log2(p[p > SUPPORT_TOL])))
 
@@ -187,6 +195,18 @@ def relative_entropy_numeric(rho, sigma) -> float:
     live = ~null
     cross = float(np.sum(weights[live] * np.log2(q[live])))
     return plogp - cross
+
+
+def relative_entropy_numeric(rho, sigma) -> float:
+    """Base-2 relative entropy Tr(rho log2 rho - rho log2 sigma).
+
+    Returns ``math.inf`` when the support of rho is not contained in the
+    support of sigma (eigenvalues below SUPPORT_TOL count as zero).
+    """
+    rho, sigma = _square_pair(rho, sigma)
+    return relative_entropy_kernel(
+        clamped_spectrum(rho, "rho"), clamped_spectrum(sigma, "sigma")
+    )
 
 
 def golden_section_min(
@@ -224,21 +244,53 @@ _QCB_GRID_STEP = 0.005
 _QCB_GRID = np.arange(1, 200) * _QCB_GRID_STEP
 
 
+def _overlap(dr: EigenDecomposition, ds: EigenDecomposition) -> np.ndarray:
+    # |<r_i|s_j>|^2 between the eigenvectors of rho and of sigma
+    return np.abs(dr.eigenvectors.conj().T @ ds.eigenvectors) ** 2
+
+
+def _overlap_curve(p, overlap, q, s_values) -> np.ndarray:
+    s = np.asarray(s_values, dtype=float)
+    ps = p[:, None] ** s[None, :]       # (dim, ns)
+    qs = q[:, None] ** (1.0 - s[None, :])
+    return np.einsum("ik,ij,jk->k", ps, overlap, qs)
+
+
+def qcb_curve_kernel(
+    dr: EigenDecomposition, ds: EigenDecomposition, s_values
+) -> np.ndarray:
+    """Tr(rho^s sigma^(1-s)) for each s, from clamped decompositions."""
+    return _overlap_curve(dr.eigenvalues, _overlap(dr, ds), ds.eigenvalues, s_values)
+
+
 def qcb_curve(rho, sigma, s_values) -> np.ndarray:
     """Tr(rho^s sigma^(1-s)) for each s, via eigendecompositions.
 
     Matrix powers use the convention 0^s := 0 for s > 0.
     """
-    rho = _as_square(rho, "rho")
-    sigma = _as_square(sigma, "sigma")
-    _check_same_dims(rho, sigma)
-    dr = _clamped_spectrum(rho, "rho")
-    ds = _clamped_spectrum(sigma, "sigma")
-    overlap = np.abs(dr.eigenvectors.conj().T @ ds.eigenvectors) ** 2
-    s = np.asarray(s_values, dtype=float)
-    p = dr.eigenvalues[:, None] ** s[None, :]       # (dim, ns)
-    q = ds.eigenvalues[:, None] ** (1.0 - s[None, :])
-    return np.einsum("ik,ij,jk->k", p, overlap, q)
+    rho, sigma = _square_pair(rho, sigma)
+    return qcb_curve_kernel(
+        clamped_spectrum(rho, "rho"), clamped_spectrum(sigma, "sigma"), s_values
+    )
+
+
+def qcb_kernel(dr: EigenDecomposition, ds: EigenDecomposition) -> QcbNumeric:
+    """Minimise Tr(rho^s sigma^(1-s)) over (0, 1) from clamped decompositions.
+
+    The coarse grid (step 0.005) is evaluated in one vectorised pass; the
+    bracketing interval is then refined by golden section to width 1e-8.
+    """
+    overlap = _overlap(dr, ds)
+    p, q = dr.eigenvalues, ds.eigenvalues
+
+    def q_at(s: float) -> float:
+        return float((p**s) @ overlap @ (q ** (1.0 - s)))
+
+    k = int(np.argmin(_overlap_curve(p, overlap, q, _QCB_GRID)))
+    lo = max(_QCB_GRID[k] - _QCB_GRID_STEP, 1e-9)
+    hi = min(_QCB_GRID[k] + _QCB_GRID_STEP, 1.0 - 1e-9)
+    s_star = golden_section_min(q_at, lo, hi, tol=1e-8)
+    return QcbNumeric(q=q_at(s_star), s_star=s_star)
 
 
 def qcb_numeric(rho, sigma) -> QcbNumeric:
@@ -249,23 +301,8 @@ def qcb_numeric(rho, sigma) -> QcbNumeric:
     with mismatched support are out of scope here; this reports the
     open-interval infimum seen by the search.
     """
-    rho = _as_square(rho, "rho")
-    sigma = _as_square(sigma, "sigma")
-    _check_same_dims(rho, sigma)
-    dr = _clamped_spectrum(rho, "rho")
-    ds = _clamped_spectrum(sigma, "sigma")
-    overlap = np.abs(dr.eigenvectors.conj().T @ ds.eigenvectors) ** 2
-    p, q = dr.eigenvalues, ds.eigenvalues
-
-    def q_at(s: float) -> float:
-        return float((p**s) @ overlap @ (q ** (1.0 - s)))
-
-    coarse = np.array([q_at(s) for s in _QCB_GRID])
-    k = int(np.argmin(coarse))
-    lo = max(_QCB_GRID[k] - _QCB_GRID_STEP, 1e-9)
-    hi = min(_QCB_GRID[k] + _QCB_GRID_STEP, 1.0 - 1e-9)
-    s_star = golden_section_min(q_at, lo, hi, tol=1e-8)
-    return QcbNumeric(q=q_at(s_star), s_star=s_star)
+    rho, sigma = _square_pair(rho, sigma)
+    return qcb_kernel(clamped_spectrum(rho, "rho"), clamped_spectrum(sigma, "sigma"))
 
 
 def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:

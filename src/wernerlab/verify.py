@@ -68,6 +68,8 @@ def _map_ordered(fn, items):
 
 
 def _eta_grid(step: float, *, endpoints: bool = True) -> list[float]:
+    if not (math.isfinite(step) and step > 0.0):
+        raise InvalidParameterError(f"grid step must be finite and positive, got {step}")
     count = round(2.0 / step)
     if count < 1 or abs(count * step - 2.0) > 1e-9:
         raise InvalidParameterError(f"grid step {step} does not divide [-1, 1]")
@@ -77,6 +79,12 @@ def _eta_grid(step: float, *, endpoints: bool = True) -> list[float]:
 
 def _alpha_grid(d: int, points: int = 11) -> list[float]:
     return [d * i / (points - 1) for i in range(points)]
+
+
+def _werner_spectra(etas, d: int) -> dict[float, linalg.EigenDecomposition]:
+    # One eigendecomposition per state, from the explicit matrix (never from
+    # the closed-form spectra), shared by every pair of the sweep.
+    return {e: linalg.clamped_spectrum(states.werner_state(e, d)) for e in etas}
 
 
 def _collect(name, deltas, tol) -> CheckResult:
@@ -90,8 +98,9 @@ def check_fidelity_oracle(grid_step, dims, tol) -> CheckResult:
 
     def sweep(d):
         ws = {e: states.werner_state(e, d) for e in etas}
+        roots = {e: linalg.spectral_sqrt(linalg.clamped_spectrum(w)) for e, w in ws.items()}
         return [
-            abs(linalg.bures_fidelity_numeric(ws[a], ws[b]) - metrics.fidelity_werner(a, b))
+            abs(linalg.bures_fidelity_kernel(ws[a], roots[b]) - metrics.fidelity_werner(a, b))
             for a in etas
             for b in etas
         ]
@@ -119,11 +128,11 @@ def check_relative_entropy_oracle(grid_step, dims, tol) -> CheckResult:
     etas = _eta_grid(grid_step)
 
     def sweep(d):
-        ws = {e: states.werner_state(e, d) for e in etas}
+        decs = _werner_spectra(etas, d)
         out = []
         for a in etas:
             for b in etas:
-                numeric = linalg.relative_entropy_numeric(ws[a], ws[b])
+                numeric = linalg.relative_entropy_kernel(decs[a], decs[b])
                 closed = metrics.relative_entropy_werner(a, b)
                 if math.isinf(numeric) or math.isinf(closed):
                     out.append(0.0 if numeric == closed else math.inf)
@@ -139,13 +148,13 @@ def check_qcb_oracle(grid_step, dims, q_tol, s_tol) -> tuple[CheckResult, CheckR
     etas = _eta_grid(grid_step, endpoints=False)
 
     def sweep(d):
-        ws = {e: states.werner_state(e, d) for e in etas}
+        decs = _werner_spectra(etas, d)
         dq, ds = [], []
         for a in etas:
             for b in etas:
                 if a == b:
                     continue
-                numeric = linalg.qcb_numeric(ws[a], ws[b])
+                numeric = linalg.qcb_kernel(decs[a], decs[b])
                 closed = metrics.qcb_werner(a, b)
                 dq.append(abs(numeric.q - closed.q))
                 ds.append(abs(numeric.s_star - closed.s_star))
@@ -159,14 +168,14 @@ def check_qcb_oracle(grid_step, dims, q_tol, s_tol) -> tuple[CheckResult, CheckR
 
 def check_qcb_isotropic_oracle(dims, q_tol) -> CheckResult:
     def sweep(d):
-        alphas = _alpha_grid(d)
-        omegas = {a: states.isotropic_state(a, d) for a in alphas}
+        alphas = _alpha_grid(d)[1:-1]
+        decs = {a: linalg.clamped_spectrum(states.isotropic_state(a, d)) for a in alphas}
         out = []
         for a in alphas:
             for b in alphas:
-                if a == b or a in (0.0, float(d)) or b in (0.0, float(d)):
+                if a == b:
                     continue
-                numeric = linalg.qcb_numeric(omegas[a], omegas[b])
+                numeric = linalg.qcb_kernel(decs[a], decs[b])
                 closed = metrics.qcb_isotropic(a, b, d)
                 out.append(abs(numeric.q - closed.q))
         return out
@@ -202,7 +211,7 @@ def check_substitution_identity(grid_step, dims, tol) -> CheckResult:
     # flip-expectation one under alpha -> d(1 + eta)/2.
     deltas = []
     for d in dims:
-        alphas = [a for a in _alpha_grid(d, points=round(2.0 / grid_step) + 1)]
+        alphas = _alpha_grid(d, points=len(_eta_grid(grid_step)))
         for a in alphas:
             for b in alphas:
                 if a == b or a in (0.0, float(d)) or b in (0.0, float(d)):
@@ -304,8 +313,10 @@ def run_verification(
     tol_scale: float = 1.0,
 ) -> list[CheckResult]:
     """Run every cross-check; tolerances are multiplied by ``tol_scale``."""
-    if tol_scale <= 0.0:
-        raise InvalidParameterError(f"tolerance scale must be positive, got {tol_scale}")
+    if not (math.isfinite(tol_scale) and tol_scale > 0.0):
+        raise InvalidParameterError(
+            f"tolerance scale must be finite and positive, got {tol_scale}"
+        )
     iso_dims = tuple(d for d in dims if d <= 4) or (2,)
     results = [
         check_fidelity_oracle(grid_step, dims, 1e-9 * tol_scale),

@@ -162,6 +162,19 @@ class TestVerificationCommands:
     def test_verify_rejects_bad_dims(self, capsys):
         assert cli.main(["verify", "--dims", "nope"]) == 1
 
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--tol-scale", "inf", "tolerance scale must be finite and positive"),
+            ("--tol-scale", "nan", "tolerance scale must be finite and positive"),
+            ("--grid", "nan", "grid step must be finite and positive"),
+            ("--grid", "0", "grid step must be finite and positive"),
+        ],
+    )
+    def test_verify_rejects_gate_disabling_values(self, capsys, flag, value, message):
+        assert cli.main(["verify", flag, value]) == 1
+        assert message in capsys.readouterr().err
+
 
 class TestThreadCap:
     def test_explicit_cap(self, monkeypatch):

@@ -258,3 +258,56 @@ class TestGoldenSection:
     def test_requires_ordered_bracket(self):
         with pytest.raises(ValueError):
             linalg.golden_section_min(lambda x: x, 1.0, 0.0)
+
+
+def _kernel_cases():
+    # full-rank random states, then rank-deficient pure/edge states where
+    # ZERO_SNAP clamping decides which eigenvalues are exact zeros
+    cases = [
+        (rand_density(d * d, 100 + d), rand_density(d * d, 200 + d)) for d in (2, 3, 4)
+    ]
+    for d in (2, 3, 4):
+        cases.append((states.werner_state(1.0, d), states.werner_state(-1.0, d)))
+        cases.append((states.werner_state(-1.0, d), states.werner_state(0.3, d)))
+        cases.append((states.isotropic_state(0.0, d), states.isotropic_state(float(d), d)))
+        cases.append((states.isotropic_state(float(d), d), states.isotropic_state(1.0, d)))
+    return cases
+
+
+class TestSpectraKernels:
+    """Each matrix-level oracle equals its kernel on decompositions taken once."""
+
+    @pytest.mark.parametrize("rho,sigma", _kernel_cases())
+    def test_fidelity(self, rho, sigma):
+        root = linalg.spectral_sqrt(linalg.clamped_spectrum(sigma))
+        assert linalg.bures_fidelity_numeric(rho, sigma) == linalg.bures_fidelity_kernel(
+            rho, root
+        )
+
+    @pytest.mark.parametrize("rho,sigma", _kernel_cases())
+    def test_relative_entropy(self, rho, sigma):
+        dr, ds = linalg.clamped_spectrum(rho), linalg.clamped_spectrum(sigma)
+        assert linalg.relative_entropy_numeric(rho, sigma) == linalg.relative_entropy_kernel(
+            dr, ds
+        )
+
+    def test_relative_entropy_support_mismatch(self):
+        rho, sigma = states.werner_state(0.0, 3), states.werner_state(1.0, 3)
+        dr, ds = linalg.clamped_spectrum(rho), linalg.clamped_spectrum(sigma)
+        assert linalg.relative_entropy_kernel(dr, ds) == math.inf
+        assert linalg.relative_entropy_numeric(rho, sigma) == math.inf
+
+    @pytest.mark.parametrize("rho,sigma", _kernel_cases())
+    def test_qcb(self, rho, sigma):
+        dr, ds = linalg.clamped_spectrum(rho), linalg.clamped_spectrum(sigma)
+        assert linalg.qcb_numeric(rho, sigma) == linalg.qcb_kernel(dr, ds)
+
+    @pytest.mark.parametrize("rho,sigma", _kernel_cases())
+    def test_qcb_curve_is_the_coarse_pass(self, rho, sigma):
+        dr, ds = linalg.clamped_spectrum(rho), linalg.clamped_spectrum(sigma)
+        grid = np.arange(1, 200) * 0.005
+        curve = linalg.qcb_curve(rho, sigma, grid)
+        assert np.array_equal(curve, linalg.qcb_curve_kernel(dr, ds, grid))
+        # the refinement bracket is one coarse step either side of the curve's minimum
+        s_star = linalg.qcb_kernel(dr, ds).s_star
+        assert abs(s_star - grid[np.argmin(curve)]) <= 0.005

@@ -1,0 +1,46 @@
+from wernerlab import linalg, verify
+
+# points examined by each check of one default run_verification()
+DEFAULT_POINTS = {
+    "fidelity-oracle": 2205,
+    "trace-distance-oracle": 2205,
+    "relative-entropy-oracle": 2205,
+    "qcb-oracle-q": 1710,
+    "qcb-oracle-s": 1710,
+    "qcb-isotropic-oracle": 216,
+    "critical-point-identities": 1026,
+    "substitution-identity": 1026,
+    "teleport-simulation": 200,
+    "teleport-covariance": 40,
+    "helstrom-explicit": 12,
+    "estimation-saturation": 4,
+    "delta-s-sign": 722,
+    "sandwich-ordering": 8820,
+}
+
+
+def count_eigh(monkeypatch) -> list:
+    calls = []
+    real = linalg.eigh
+
+    def counting(a):
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(linalg, "eigh", counting)
+    return calls
+
+
+def test_qcb_sweep_decomposes_each_state_once(monkeypatch):
+    calls = count_eigh(monkeypatch)
+    q, s = verify.check_qcb_oracle(0.1, (3,), 1e-6, 1e-4)
+    assert q.points == s.points == 19 * 18
+    assert len(calls) == 19  # one per interior eta, not two per pair
+
+
+def test_default_run_point_counts(monkeypatch):
+    calls = count_eigh(monkeypatch)
+    results = verify.run_verification()
+    assert {r.name: r.points for r in results} == DEFAULT_POINTS
+    assert sum(r.points for r in results) == 22_101
+    assert len(calls) == 4994
