@@ -89,29 +89,30 @@ def one_minus_fidelity_squared(eta: float, zeta: float) -> float:
     return gap * gap / (2.0 * denom)
 
 
-def _binary_relent_bits(p: float, q: float) -> float:
-    # Relative entropy of biased coins (p, 1-p) || (q, 1-q) in bits,
-    # with 0 log 0 := 0 and support mismatch -> inf.
-    total = 0.0
-    for pi, qi in ((p, q), (1.0 - p, 1.0 - q)):
-        if pi <= 0.0:
-            continue
-        if qi <= 0.0:
-            return math.inf
-        total += pi * math.log2(pi / qi)
-    return total
-
-
 def relative_entropy_werner(eta: float, zeta: float) -> float:
     """Base-2 relative entropy between the size-two eigenvalue distributions:
 
         (1+eta)/2 log2[(1+eta)/(1+zeta)] + (1-eta)/2 log2[(1-eta)/(1-zeta)].
 
-    Returns ``math.inf`` when zeta = +/-1 and eta differs.
+    Returns ``math.inf`` when zeta = +/-1 and eta differs.  Each logarithm
+    is taken of the exact parameter difference (see ``_log_ratio``): the
+    rounded ratio carries an absolute error of one ulp, far above the
+    O((eta-zeta)^2) result for nearby parameters, and can turn the sum
+    negative.  For gaps of a few ulps the two first-order terms still cancel
+    below rounding, so the sum is clamped at 0 (Gibbs' inequality).
     """
     eta = _check_eta(eta)
     zeta = _check_eta(zeta)
-    return _binary_relent_bits((1.0 + eta) / 2.0, (1.0 + zeta) / 2.0)
+    gap = eta - zeta
+    total = 0.0
+    for num, den, diff in ((1.0 + eta, 1.0 + zeta, gap), (1.0 - eta, 1.0 - zeta, -gap)):
+        # 0 log 0 := 0; support mismatch -> inf
+        if num <= 0.0:
+            continue
+        if den <= 0.0:
+            return math.inf
+        total += 0.5 * num * _log_ratio(diff, num, den)
+    return max(total, 0.0) / math.log(2.0)
 
 
 def delta_s(eta: float, zeta: float) -> float:

@@ -49,6 +49,13 @@ class TestBounds:
         assert r.lower == pytest.approx(expected, abs=1e-15)
         assert_sandwich(r)
 
+    def test_nearby_pair_keeps_a_real_lower_bound(self):
+        # S rounded below zero here, and the square root of min(1 - F^2n, nS)
+        # raised a domain error
+        r = discrimination.bounds(0.0, -8.532053481063864e-13, 2, 1)
+        assert r.lower < 0.5
+        assert_sandwich(r)
+
     @given(etas, etas, st.integers(1, 20))
     @settings(max_examples=300, deadline=None)
     def test_sandwich_property(self, eta, zeta, n):

@@ -81,6 +81,17 @@ class TestRelativeEntropy:
     def test_rank_deficient_first_argument_is_finite(self):
         assert metrics.relative_entropy_werner(1.0, 0.0) == pytest.approx(1.0)
 
+    def test_resolves_tiny_gaps(self):
+        # second-order in the gap: (eta-zeta)^2 / (2 ln 2) at eta = 0; the
+        # ratio form rounded this to about -4e-17
+        zeta = -8.532053481063864e-13
+        got = metrics.relative_entropy_werner(0.0, zeta)
+        assert got == pytest.approx(zeta * zeta / (2.0 * math.log(2.0)), rel=1e-3)
+
+    @given(etas, etas)
+    def test_non_negative(self, eta, zeta):
+        assert metrics.relative_entropy_werner(eta, zeta) >= 0.0
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_matches_matrix_oracle(self, d):
         for eta, zeta in [(0.5, 0.0), (-0.3, 0.8), (0.9, 0.1)]:
