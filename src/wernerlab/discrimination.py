@@ -22,10 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import DimensionOverflowError, InvalidParameterError
 from .metrics import (
+    _check_copies,
+    _helstrom_rows,
     fidelity_werner,
-    helstrom_multicopy_werner,
     one_minus_fidelity_squared,
     qcb_isotropic,
     qcb_werner,
@@ -34,12 +35,18 @@ from .metrics import (
 from .states import _check_alpha, _check_dim, _check_eta
 
 __all__ = [
+    "ETA_GRID_CAP",
     "DiscriminationBounds",
     "IsotropicDiscrimination",
     "bounds",
     "bounds_isotropic",
     "curve_grid",
+    "eta_grid",
 ]
+
+# Most intervals an eta grid may have: 1e-300 passes the divides-[-1, 1]
+# test but asks for a 2e300-element list.
+ETA_GRID_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -73,32 +80,52 @@ class IsotropicDiscrimination:
 
 
 def bounds(eta: float, zeta: float, d: int, n: int) -> DiscriminationBounds:
-    """Assemble the full bound sandwich for one (eta, zeta, d, n)."""
+    """Assemble the full bound sandwich for one (eta, zeta, d, n): the
+    one-row case of :func:`curve_grid`."""
     eta = _check_eta(eta)
     zeta = _check_eta(zeta)
     d = _check_dim(d)
-    n = _check_n(n)
-    f = fidelity_werner(eta, zeta)
-    s = s_quantity(eta, zeta)
-    # 1 - F^2n evaluated through expm1/log1p of the stable 1 - F^2, so the
-    # lower bound stays comparable to the exact block error even when F
-    # rounds to 1.  min() picks the finite branch when S is the +inf
-    # sentinel; the 1 - F^2n branch never exceeds 1, so the root is real.
-    gap = one_minus_fidelity_squared(eta, zeta)
-    one_minus_f2n = 1.0 if gap >= 1.0 else -math.expm1(n * math.log1p(-gap))
-    m = min(one_minus_f2n, n * s)
-    lower = 0.5 * (1.0 - math.sqrt(m))
-    q = qcb_werner(eta, zeta).q
-    return DiscriminationBounds(
-        eta=eta,
-        zeta=zeta,
-        d=d,
-        n=n,
-        lower=lower,
-        qcb_upper=0.5 * q**n,
-        fid_upper=0.5 * f**n,
-        helstrom_block=helstrom_multicopy_werner(eta, zeta, d, n),
-    )
+    n = _check_copies(n)
+    return _sandwiches([eta], zeta, d, [n])[0]
+
+
+def _sandwiches(etas, zeta: float, d: int, n_list) -> list[DiscriminationBounds]:
+    # Rows ordered by (n, eta) for validated inputs.  F, S, 1 - F^2 and Q
+    # do not depend on n and are computed once per eta.
+    singles = [
+        (
+            eta,
+            fidelity_werner(eta, zeta),
+            s_quantity(eta, zeta),
+            one_minus_fidelity_squared(eta, zeta),
+            qcb_werner(eta, zeta).q,
+        )
+        for eta in etas
+    ]
+    rows = []
+    for n in n_list:
+        helstrom = _helstrom_rows(etas, zeta, d, n)
+        for (eta, f, s, gap, q), block in zip(singles, helstrom):
+            # 1 - F^2n evaluated through expm1/log1p of the stable 1 - F^2,
+            # so the lower bound stays comparable to the exact block error
+            # even when F rounds to 1.  min() picks the finite branch when S
+            # is the +inf sentinel; the 1 - F^2n branch never exceeds 1, so
+            # the root is real.
+            one_minus_f2n = 1.0 if gap >= 1.0 else -math.expm1(n * math.log1p(-gap))
+            m = min(one_minus_f2n, n * s)
+            rows.append(
+                DiscriminationBounds(
+                    eta=eta,
+                    zeta=zeta,
+                    d=d,
+                    n=n,
+                    lower=0.5 * (1.0 - math.sqrt(m)),
+                    qcb_upper=0.5 * q**n,
+                    fid_upper=0.5 * f**n,
+                    helstrom_block=block,
+                )
+            )
+    return rows
 
 
 def bounds_isotropic(alpha: float, beta: float, d: int, n: int) -> IsotropicDiscrimination:
@@ -117,6 +144,26 @@ def _check_n(n: int) -> int:
     return int(n)
 
 
+def eta_grid(step: float, *, endpoints: bool = True) -> list[float]:
+    """The grid eta = -1, -1 + step, ..., 1 (without the two ends when
+    ``endpoints`` is false).  The step must be finite, positive and divide
+    [-1, 1]; grids of more than ``ETA_GRID_CAP`` intervals are rejected
+    before any point is built."""
+    step = float(step)
+    if not (math.isfinite(step) and step > 0.0):
+        raise InvalidParameterError(f"grid step must be finite and positive, got {step}")
+    intervals = 2.0 / step
+    if intervals > ETA_GRID_CAP + 0.5:
+        raise DimensionOverflowError(
+            f"grid step {step} gives {intervals:.3g} intervals, above the cap of {ETA_GRID_CAP}"
+        )
+    count = round(intervals)
+    if count < 1 or abs(count * step - 2.0) > 1e-9:
+        raise InvalidParameterError(f"grid step {step} does not divide [-1, 1]")
+    values = [(2 * i - count) / count for i in range(count + 1)]
+    return values if endpoints else values[1:-1]
+
+
 def curve_grid(
     zeta: float, n_list: list[int], eta_step: float
 ) -> list[DiscriminationBounds]:
@@ -124,21 +171,11 @@ def curve_grid(
 
     The grid runs over eta = -1, -1 + step, ..., 1; rows are ordered by
     (n, eta).  All bound values are dimension-free, so rows are computed
-    at nominal d = 2.
+    at nominal d = 2.  Every input is validated before any row is
+    computed.
     """
     zeta = _check_eta(zeta)
     if not n_list:
         raise InvalidParameterError("need at least one copy count")
-    eta_step = float(eta_step)
-    if eta_step <= 0.0:
-        raise InvalidParameterError(f"grid step must be positive, got {eta_step}")
-    count = round(2.0 / eta_step)
-    if count < 1 or abs(count * eta_step - 2.0) > 1e-9:
-        raise InvalidParameterError(f"grid step {eta_step} does not divide [-1, 1]")
-    etas = [(2 * i - count) / count for i in range(count + 1)]
-    rows = []
-    for n in sorted(set(n_list)):
-        n = _check_n(n)
-        for eta in etas:
-            rows.append(bounds(eta, zeta, d=2, n=n))
-    return rows
+    n_values = sorted({_check_copies(n) for n in n_list})
+    return _sandwiches(eta_grid(eta_step), zeta, 2, n_values)

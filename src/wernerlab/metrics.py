@@ -297,12 +297,27 @@ HELSTROM_COPY_CAP = 1000
 _LOG_SPACE_THRESHOLD = 50
 
 
+def _check_copies(n: int) -> int:
+    """Validate a copy count for the exact block error: a positive integer
+    no larger than ``HELSTROM_COPY_CAP``."""
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise InvalidParameterError(f"copy count must be a positive integer, got {n!r}")
+    n = int(n)
+    if n > HELSTROM_COPY_CAP:
+        raise DimensionOverflowError(f"copy count {n} exceeds cap {HELSTROM_COPY_CAP}")
+    return n
+
+
+def _class_products(eta: float, d: int) -> tuple[float, float]:
+    # m+ a+ and m- a-: the per-copy weights of the two multiplicity classes
+    sym, anti = werner_spectrum(eta, d).classes
+    return sym[0] * sym[1], anti[0] * anti[1]
+
+
 def _class_weights(eta: float, d: int, n: int, log_space: bool) -> list[float]:
     # Weight of the k-th multiplicity class of the n-fold tensor power:
     # C(n, k) * (m+ a+)^k * (m- a-)^(n-k), for k = 0..n.
-    sym, anti = werner_spectrum(eta, d).classes
-    w_plus = sym[0] * sym[1]
-    w_minus = anti[0] * anti[1]
+    w_plus, w_minus = _class_products(eta, d)
     if not log_space:
         return [
             math.comb(n, k) * w_plus**k * w_minus ** (n - k) for k in range(n + 1)
@@ -323,6 +338,38 @@ def _class_weights(eta: float, d: int, n: int, log_space: bool) -> list[float]:
     return out
 
 
+def _helstrom_rows(etas, zeta: float, d: int, n: int) -> list[float]:
+    # Exact block error of every eta against one zeta at one validated copy
+    # count.  The log-binomial table and the zeta weights are built once.
+    # A log-space row with both class weights positive is one array
+    # expression with the operations of the scalar loop in _class_weights,
+    # in the same order (the k = 0 and k = n terms it skips are signed
+    # zeros here); math.exp and the left-to-right built-in sum keep its
+    # rounding, so the results are bit-identical to it.  Rows with a zero
+    # weight (eta = +/-1) and every row for n <= 50 run that loop itself.
+    log_space = n > _LOG_SPACE_THRESHOLD
+    if log_space:
+        k = np.arange(n + 1, dtype=float)
+        rest = n - k
+        lg_n = math.lgamma(n + 1)
+        log_binom = np.array(
+            [lg_n - math.lgamma(i + 1) - math.lgamma(n - i + 1) for i in range(n + 1)]
+        )
+
+    def weights(eta: float) -> np.ndarray:
+        w_plus, w_minus = _class_products(eta, d)
+        if log_space and w_plus > 0.0 and w_minus > 0.0:
+            log_terms = log_binom + k * math.log(w_plus) + rest * math.log(w_minus)
+            return np.array(list(map(math.exp, log_terms.tolist())))
+        return np.array(_class_weights(eta, d, n, log_space))
+
+    weights_zeta = weights(zeta)
+    return [
+        0.5 * (1.0 - 0.5 * sum(np.abs(weights(eta) - weights_zeta).tolist()))
+        for eta in etas
+    ]
+
+
 def helstrom_multicopy_werner(eta: float, zeta: float, d: int, n: int) -> float:
     """Exact minimum error probability for discriminating two equiprobable
     n-fold tensor powers of flip-expectation states.
@@ -339,15 +386,5 @@ def helstrom_multicopy_werner(eta: float, zeta: float, d: int, n: int) -> float:
     eta = _check_eta(eta)
     zeta = _check_eta(zeta)
     d = _check_dim(d)
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidParameterError(f"copy count must be a positive integer, got {n!r}")
-    n = int(n)
-    if n > HELSTROM_COPY_CAP:
-        raise DimensionOverflowError(f"copy count {n} exceeds cap {HELSTROM_COPY_CAP}")
-    log_space = n > _LOG_SPACE_THRESHOLD
-    weights_eta = _class_weights(eta, d, n, log_space)
-    weights_zeta = _class_weights(zeta, d, n, log_space)
-    distance = 0.5 * sum(
-        abs(we - wz) for we, wz in zip(weights_eta, weights_zeta)
-    )
-    return 0.5 * (1.0 - distance)
+    n = _check_copies(n)
+    return _helstrom_rows([eta], zeta, d, n)[0]

@@ -67,16 +67,6 @@ def _map_ordered(fn, items):
         return list(pool.map(fn, items))
 
 
-def _eta_grid(step: float, *, endpoints: bool = True) -> list[float]:
-    if not (math.isfinite(step) and step > 0.0):
-        raise InvalidParameterError(f"grid step must be finite and positive, got {step}")
-    count = round(2.0 / step)
-    if count < 1 or abs(count * step - 2.0) > 1e-9:
-        raise InvalidParameterError(f"grid step {step} does not divide [-1, 1]")
-    values = [(2 * i - count) / count for i in range(count + 1)]
-    return values if endpoints else values[1:-1]
-
-
 def _alpha_grid(d: int, points: int = 11) -> list[float]:
     return [d * i / (points - 1) for i in range(points)]
 
@@ -94,7 +84,7 @@ def _collect(name, deltas, tol) -> CheckResult:
 
 
 def check_fidelity_oracle(grid_step, dims, tol) -> CheckResult:
-    etas = _eta_grid(grid_step)
+    etas = discrimination.eta_grid(grid_step)
 
     def sweep(d):
         ws = {e: states.werner_state(e, d) for e in etas}
@@ -110,7 +100,7 @@ def check_fidelity_oracle(grid_step, dims, tol) -> CheckResult:
 
 
 def check_trace_distance_oracle(grid_step, dims, tol) -> CheckResult:
-    etas = _eta_grid(grid_step)
+    etas = discrimination.eta_grid(grid_step)
 
     def sweep(d):
         ws = {e: states.werner_state(e, d) for e in etas}
@@ -125,7 +115,7 @@ def check_trace_distance_oracle(grid_step, dims, tol) -> CheckResult:
 
 
 def check_relative_entropy_oracle(grid_step, dims, tol) -> CheckResult:
-    etas = _eta_grid(grid_step)
+    etas = discrimination.eta_grid(grid_step)
 
     def sweep(d):
         decs = _werner_spectra(etas, d)
@@ -145,7 +135,7 @@ def check_relative_entropy_oracle(grid_step, dims, tol) -> CheckResult:
 
 
 def check_qcb_oracle(grid_step, dims, q_tol, s_tol) -> tuple[CheckResult, CheckResult]:
-    etas = _eta_grid(grid_step, endpoints=False)
+    etas = discrimination.eta_grid(grid_step, endpoints=False)
 
     def sweep(d):
         decs = _werner_spectra(etas, d)
@@ -187,7 +177,7 @@ def check_qcb_isotropic_oracle(dims, q_tol) -> CheckResult:
 def check_critical_point_identities(grid_step, tol) -> CheckResult:
     # s_{a,b} + s_{b,a} = 1, interior containment, and local-minimum
     # bracketing Q(s +/- 1e-3) > Q(s), on every off-diagonal interior pair.
-    etas = _eta_grid(grid_step, endpoints=False)
+    etas = discrimination.eta_grid(grid_step, endpoints=False)
     deltas = []
     for a in etas:
         for b in etas:
@@ -211,7 +201,7 @@ def check_substitution_identity(grid_step, dims, tol) -> CheckResult:
     # flip-expectation one under alpha -> d(1 + eta)/2.
     deltas = []
     for d in dims:
-        alphas = _alpha_grid(d, points=len(_eta_grid(grid_step)))
+        alphas = _alpha_grid(d, points=len(discrimination.eta_grid(grid_step)))
         for a in alphas:
             for b in alphas:
                 if a == b or a in (0.0, float(d)) or b in (0.0, float(d)):
@@ -279,7 +269,7 @@ def check_estimation_saturation(seed, tol) -> CheckResult:
 
 def check_delta_s_sign(tol) -> CheckResult:
     # Directed-entropy asymmetry must be strictly negative for |eta| > |zeta|.
-    etas = _eta_grid(0.05, endpoints=False)
+    etas = discrimination.eta_grid(0.05, endpoints=False)
     deltas = []
     for a in etas:
         for b in etas:
@@ -289,20 +279,18 @@ def check_delta_s_sign(tol) -> CheckResult:
 
 
 def check_sandwich_ordering(grid_step, tol) -> CheckResult:
-    etas = _eta_grid(grid_step)
+    # One curve grid per zeta on the grid, n = 1..20.
     deltas = []
-    for n in range(1, 21):
-        for a in etas:
-            for b in etas:
-                r = discrimination.bounds(a, b, d=2, n=n)
-                violation = max(
-                    r.lower - r.helstrom_block,
-                    r.helstrom_block - r.qcb_upper,
-                    r.qcb_upper - r.fid_upper,
-                    -r.lower,
-                    r.fid_upper - 0.5,
-                )
-                deltas.append(max(0.0, violation))
+    for b in discrimination.eta_grid(grid_step):
+        for r in discrimination.curve_grid(b, range(1, 21), grid_step):
+            violation = max(
+                r.lower - r.helstrom_block,
+                r.helstrom_block - r.qcb_upper,
+                r.qcb_upper - r.fid_upper,
+                -r.lower,
+                r.fid_upper - 0.5,
+            )
+            deltas.append(max(0.0, violation))
     return _collect("sandwich-ordering", deltas, tol)
 
 

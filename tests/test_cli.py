@@ -135,6 +135,21 @@ class TestCurves:
     def test_bad_n_list(self, capsys):
         assert cli.main(["curves", "--zeta", "0", "--n", "1,x"]) == 1
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--step", "nan"], "grid step must be finite and positive"),
+            (["--step", "1e-300"], "above the cap"),
+            (["--n", "1,1000,1001"], "copy count 1001 exceeds cap 1000"),
+        ],
+    )
+    def test_rejects_bad_input_with_message(self, capsys, flags, message):
+        assert cli.main(["curves", "--zeta", "0", *flags]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
 
 class TestVerificationCommands:
     def test_teleport_check_passes(self, capsys):
@@ -169,6 +184,7 @@ class TestVerificationCommands:
             ("--tol-scale", "nan", "tolerance scale must be finite and positive"),
             ("--grid", "nan", "grid step must be finite and positive"),
             ("--grid", "0", "grid step must be finite and positive"),
+            ("--grid", "1e-300", "above the cap"),
         ],
     )
     def test_verify_rejects_gate_disabling_values(self, capsys, flag, value, message):

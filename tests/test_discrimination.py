@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wernerlab import discrimination, linalg, metrics, states
-from wernerlab.errors import InvalidParameterError
+from wernerlab.errors import DimensionOverflowError, InvalidParameterError
 
 etas = st.floats(-1.0, 1.0, allow_nan=False)
 # exact endpoints plus parameters bounded away from the last-ulp
@@ -130,6 +130,36 @@ class TestCurveGrid:
             discrimination.curve_grid(0.0, [1], 0.3)
         with pytest.raises(InvalidParameterError):
             discrimination.curve_grid(0.0, [], 0.1)
+        with pytest.raises(InvalidParameterError):
+            discrimination.curve_grid(0.0, [1], math.nan)
+
+    @pytest.mark.parametrize("step", [1e-300, 5e-324, 1.9e-5])
+    def test_rejects_oversized_grid(self, step):
+        # each would otherwise build a list of more than 1e5 points
+        with pytest.raises(DimensionOverflowError):
+            discrimination.eta_grid(step)
+
+    def test_grid_cap_itself_is_accepted(self):
+        step = 2.0 / discrimination.ETA_GRID_CAP
+        assert len(discrimination.eta_grid(step)) == discrimination.ETA_GRID_CAP + 1
+
+    @pytest.mark.parametrize(
+        "n_list,error", [([1, 1000, 1001], DimensionOverflowError), ([1, 0], InvalidParameterError)]
+    )
+    def test_checks_every_copy_count_first(self, monkeypatch, n_list, error):
+        def no_rows(*args):
+            raise AssertionError("a row was computed before validation finished")
+
+        monkeypatch.setattr(discrimination, "fidelity_werner", no_rows)
+        with pytest.raises(error):
+            discrimination.curve_grid(0.0, n_list, 0.1)
+
+    @pytest.mark.parametrize("zeta", [-1.0, 0.37, 1.0])
+    def test_rows_equal_one_row_bounds(self, zeta):
+        rows = discrimination.curve_grid(zeta, [1, 10, 50, 51, 100, 1000], 0.1)
+        assert len(rows) == 6 * 21
+        for r in rows:
+            assert r == discrimination.bounds(r.eta, zeta, 2, r.n)
 
 
 class TestIsotropicBounds:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -319,6 +320,63 @@ class TestHelstromMulticopy:
             assert metrics.helstrom_multicopy_werner(0.5, 0.2, 2, n) == pytest.approx(
                 direct(0.5, 0.2, n), abs=1e-12
             )
+
+    @pytest.mark.parametrize("n", [50, 51, 100, 1000])
+    def test_matches_high_precision_oracle(self, n):
+        # 60-digit evaluation of the same class sum, sharing no code with
+        # the module; covers both sides of the log-space switch and the
+        # rank-deficient endpoints in either slot
+        def oracle(eta, zeta):
+            with mpmath.workdps(60):
+                a = (1 + mpmath.mpf(eta)) / 2
+                b = (1 + mpmath.mpf(zeta)) / 2
+                total = mpmath.fsum(
+                    mpmath.binomial(n, k)
+                    * abs(a**k * (1 - a) ** (n - k) - b**k * (1 - b) ** (n - k))
+                    for k in range(n + 1)
+                )
+                return float((1 - total / 2) / 2)
+
+        pairs = [
+            (0.9, -0.9), (0.5, 0.2), (0.01, 0.0), (-0.999, 0.999), (0.37, 0.37),
+            (1.0, 0.0), (-1.0, 0.3), (0.5, 1.0), (0.2, -1.0), (1.0, -1.0), (-1.0, -1.0),
+        ]
+        for eta, zeta in pairs:
+            got = metrics.helstrom_multicopy_werner(eta, zeta, 2, n)
+            assert abs(got - oracle(eta, zeta)) <= 1e-11, (eta, zeta)
+
+    @pytest.mark.parametrize("n", [1, 7, 50, 51, 100, 1000])
+    def test_equals_per_class_loop(self, n):
+        # The per-class scalar loop the batched kernel replaced, kept as the
+        # reference: same operations in the same order, so equal bit for bit.
+        def weights(eta, d):
+            sym, anti = states.werner_spectrum(eta, d).classes
+            w_plus, w_minus = sym[0] * sym[1], anti[0] * anti[1]
+            if n <= 50:
+                return [math.comb(n, k) * w_plus**k * w_minus ** (n - k) for k in range(n + 1)]
+            out = []
+            for k in range(n + 1):
+                if (w_plus == 0.0 and k > 0) or (w_minus == 0.0 and k < n):
+                    out.append(0.0)
+                    continue
+                log_term = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                if k > 0:
+                    log_term += k * math.log(w_plus)
+                if n - k > 0:
+                    log_term += (n - k) * math.log(w_minus)
+                out.append(math.exp(log_term))
+            return out
+
+        points = [-1.0, -0.999, -0.37, 0.0, 1e-9, 0.37, 0.9, 1.0]
+        for d in (2, 5):
+            for eta in points:
+                for zeta in points:
+                    dist = 0.5 * sum(
+                        abs(a - b) for a, b in zip(weights(eta, d), weights(zeta, d))
+                    )
+                    expected = 0.5 * (1.0 - dist)
+                    got = metrics.helstrom_multicopy_werner(eta, zeta, d, n)
+                    assert got == expected, (eta, zeta, d)
 
     def test_extreme_parameters_large_n(self):
         assert metrics.helstrom_multicopy_werner(1.0, -1.0, 2, 100) == pytest.approx(

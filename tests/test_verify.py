@@ -1,4 +1,4 @@
-from wernerlab import linalg, verify
+from wernerlab import discrimination, linalg, verify
 
 # points examined by each check of one default run_verification()
 DEFAULT_POINTS = {
@@ -44,3 +44,26 @@ def test_default_run_point_counts(monkeypatch):
     assert {r.name: r.points for r in results} == DEFAULT_POINTS
     assert sum(r.points for r in results) == 22_101
     assert len(calls) == 4994
+
+
+def test_sandwich_ordering_matches_pairwise_sweep():
+    # the pairwise bounds() sweep that the per-zeta curve grids replaced;
+    # tol 0 counts every positive violation as a failure
+    etas = discrimination.eta_grid(0.2)
+    deltas = []
+    for n in range(1, 21):
+        for a in etas:
+            for b in etas:
+                r = discrimination.bounds(a, b, d=2, n=n)
+                violation = max(
+                    r.lower - r.helstrom_block,
+                    r.helstrom_block - r.qcb_upper,
+                    r.qcb_upper - r.fid_upper,
+                    -r.lower,
+                    r.fid_upper - 0.5,
+                )
+                deltas.append(max(0.0, violation))
+    result = verify.check_sandwich_ordering(0.2, 0.0)
+    assert result.points == len(deltas) == 20 * 11 * 11
+    assert result.failures == sum(1 for x in deltas if x > 0.0)
+    assert result.worst == max(deltas)
