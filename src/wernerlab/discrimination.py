@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DimensionOverflowError, InvalidParameterError
 from .metrics import (
     _check_copies,
@@ -32,7 +30,7 @@ from .metrics import (
     qcb_werner,
     s_quantity,
 )
-from .states import _check_alpha, _check_dim, _check_eta
+from .states import _check_alpha, _check_dim, _check_eta, _check_positive_int
 
 __all__ = [
     "ETA_GRID_CAP",
@@ -133,15 +131,9 @@ def bounds_isotropic(alpha: float, beta: float, d: int, n: int) -> IsotropicDisc
     d = _check_dim(d)
     alpha = _check_alpha(alpha, d)
     beta = _check_alpha(beta, d)
-    n = _check_n(n)
+    n = _check_positive_int(n, "use count")
     q = qcb_isotropic(alpha, beta, d).q
     return IsotropicDiscrimination(alpha=alpha, beta=beta, d=d, n=n, qcb_upper=0.5 * q**n)
-
-
-def _check_n(n: int) -> int:
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidParameterError(f"use count must be a positive integer, got {n!r}")
-    return int(n)
 
 
 def eta_grid(step: float, *, endpoints: bool = True) -> list[float]:

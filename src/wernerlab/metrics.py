@@ -23,7 +23,13 @@ from .errors import (
     InvalidParameterError,
     SupportMismatchError,
 )
-from .states import _check_alpha, _check_dim, _check_eta, werner_spectrum
+from .states import (
+    _check_alpha,
+    _check_dim,
+    _check_eta,
+    _check_positive_int,
+    werner_spectrum,
+)
 
 __all__ = [
     "QcbResult",
@@ -35,8 +41,6 @@ __all__ = [
     "werner_qs",
     "interior_critical_s",
     "qcb_werner",
-    "isotropic_qs",
-    "interior_critical_s_isotropic",
     "qcb_isotropic",
     "helstrom_multicopy_werner",
 ]
@@ -175,9 +179,7 @@ def werner_qs(eta: float, zeta: float, s: float) -> float:
     """
     eta = _check_eta(eta)
     zeta = _check_eta(zeta)
-    return _power_term((1.0 + zeta) / 2.0, 1.0 + eta, 1.0 + zeta, s) + _power_term(
-        (1.0 - zeta) / 2.0, 1.0 - eta, 1.0 - zeta, s
-    )
+    return _qs(1.0 + eta, 1.0 - eta, 1.0 + zeta, 1.0 - zeta, 2.0, s)
 
 
 def interior_critical_s(eta: float, zeta: float) -> float:
@@ -193,11 +195,7 @@ def interior_critical_s(eta: float, zeta: float) -> float:
         raise InvalidParameterError(
             "interior critical point requires distinct parameters strictly inside (-1, 1)"
         )
-    gap = eta - zeta
-    log_p = _log_ratio(gap, 1.0 + eta, 1.0 + zeta)
-    log_m = _log_ratio(-gap, 1.0 - eta, 1.0 - zeta)
-    numerator = math.log((zeta - 1.0) / (zeta + 1.0) * log_m / log_p)
-    return numerator / (log_p - log_m)
+    return _critical_s(1.0 + eta, 1.0 - eta, 1.0 + zeta, 1.0 - zeta, eta - zeta)
 
 
 def qcb_werner(eta: float, zeta: float) -> QcbResult:
@@ -217,57 +215,7 @@ def qcb_werner(eta: float, zeta: float) -> QcbResult:
     """
     eta = _check_eta(eta)
     zeta = _check_eta(zeta)
-    if abs(eta - zeta) <= DEGENERATE_TOL:
-        return QcbResult(q=1.0, s_star=0.5, s_kind="degenerate_half")
-    if eta == 1.0:
-        return QcbResult(q=(1.0 + zeta) / 2.0, s_star=0.0, s_kind="left_limit")
-    if eta == -1.0:
-        return QcbResult(q=(1.0 - zeta) / 2.0, s_star=0.0, s_kind="left_limit")
-    if zeta == 1.0:
-        return QcbResult(q=(1.0 + eta) / 2.0, s_star=1.0, s_kind="right_limit")
-    if zeta == -1.0:
-        return QcbResult(q=(1.0 - eta) / 2.0, s_star=1.0, s_kind="right_limit")
-    s = interior_critical_s(eta, zeta)
-    return QcbResult(q=werner_qs(eta, zeta, s), s_star=s, s_kind="interior")
-
-
-def isotropic_qs(alpha: float, beta: float, d: int, s: float) -> float:
-    """s-overlap of two entangled-expectation spectra:
-
-        Q_s = beta/d * (alpha/beta)^s + (d-beta)/d * [(d-alpha)/(d-beta)]^s.
-    """
-    d = _check_dim(d)
-    alpha = _check_alpha(alpha, d)
-    beta = _check_alpha(beta, d)
-    return _power_term(beta / d, alpha, beta, s) + _power_term(
-        (d - beta) / d, d - alpha, d - beta, s
-    )
-
-
-def interior_critical_s_isotropic(alpha: float, beta: float, d: int) -> float:
-    """Stationary point of isotropic_qs in (0, 1):
-
-        s = ln[ (beta-d)/beta * ln((d-alpha)/(d-beta)) / ln(alpha/beta) ]
-            / ln[ alpha (d-beta) / (beta (d-alpha)) ].
-
-    Unlike the flip-expectation case this depends on the dimension d.
-    """
-    d = _check_dim(d)
-    alpha = _check_alpha(alpha, d)
-    beta = _check_alpha(beta, d)
-    if (
-        alpha in (0.0, float(d))
-        or beta in (0.0, float(d))
-        or abs(alpha - beta) <= DEGENERATE_TOL * d
-    ):
-        raise InvalidParameterError(
-            "interior critical point requires distinct parameters strictly inside (0, d)"
-        )
-    gap = alpha - beta
-    log_p = _log_ratio(gap, alpha, beta)
-    log_m = _log_ratio(-gap, d - alpha, d - beta)
-    numerator = math.log((beta - d) / beta * log_m / log_p)
-    return numerator / (log_p - log_m)
+    return _qcb(1.0 + eta, 1.0 - eta, 1.0 + zeta, 1.0 - zeta, 2.0, eta - zeta)
 
 
 def qcb_isotropic(alpha: float, beta: float, d: int) -> QcbResult:
@@ -279,18 +227,42 @@ def qcb_isotropic(alpha: float, beta: float, d: int) -> QcbResult:
     d = _check_dim(d)
     alpha = _check_alpha(alpha, d)
     beta = _check_alpha(beta, d)
-    if abs(alpha - beta) <= DEGENERATE_TOL * d:
+    return _qcb(alpha, d - alpha, beta, d - beta, d, alpha - beta)
+
+
+# Both families are one two-class minimisation over a shared eigenbasis.
+# The core below takes the unnormalised class weights (a1, a2) of the first
+# state and (b1, b2) of the second, their common total t, and the exact gap
+# a1 - b1 (= b2 - a2).  The flip family passes (1+eta, 1-eta, 1+zeta,
+# 1-zeta, 2, eta-zeta), the entangled family (alpha, d-alpha, beta, d-beta,
+# d, alpha-beta).  Forming the weights from each family's own parameters,
+# rather than mapping alpha onto eta = 2 alpha/d - 1 first, keeps d - beta
+# exact near the endpoints.
+
+
+def _qs(a1: float, a2: float, b1: float, b2: float, t: float, s: float) -> float:
+    return _power_term(b1 / t, a1, b1, s) + _power_term(b2 / t, a2, b2, s)
+
+
+def _critical_s(a1: float, a2: float, b1: float, b2: float, gap: float) -> float:
+    log_p = _log_ratio(gap, a1, b1)
+    log_m = _log_ratio(-gap, a2, b2)
+    return math.log(-b2 / b1 * log_m / log_p) / (log_p - log_m)
+
+
+def _qcb(a1: float, a2: float, b1: float, b2: float, t: float, gap: float) -> QcbResult:
+    if abs(gap) <= DEGENERATE_TOL * t / 2.0:
         return QcbResult(q=1.0, s_star=0.5, s_kind="degenerate_half")
-    if alpha == float(d):
-        return QcbResult(q=beta / d, s_star=0.0, s_kind="left_limit")
-    if alpha == 0.0:
-        return QcbResult(q=(d - beta) / d, s_star=0.0, s_kind="left_limit")
-    if beta == float(d):
-        return QcbResult(q=alpha / d, s_star=1.0, s_kind="right_limit")
-    if beta == 0.0:
-        return QcbResult(q=(d - alpha) / d, s_star=1.0, s_kind="right_limit")
-    s = interior_critical_s_isotropic(alpha, beta, d)
-    return QcbResult(q=isotropic_qs(alpha, beta, d, s), s_star=s, s_kind="interior")
+    if a2 == 0.0:
+        return QcbResult(q=b1 / t, s_star=0.0, s_kind="left_limit")
+    if a1 == 0.0:
+        return QcbResult(q=b2 / t, s_star=0.0, s_kind="left_limit")
+    if b2 == 0.0:
+        return QcbResult(q=a1 / t, s_star=1.0, s_kind="right_limit")
+    if b1 == 0.0:
+        return QcbResult(q=a2 / t, s_star=1.0, s_kind="right_limit")
+    s = _critical_s(a1, a2, b1, b2, gap)
+    return QcbResult(q=_qs(a1, a2, b1, b2, t, s), s_star=s, s_kind="interior")
 
 
 HELSTROM_COPY_CAP = 1000
@@ -300,9 +272,7 @@ _LOG_SPACE_THRESHOLD = 50
 def _check_copies(n: int) -> int:
     """Validate a copy count for the exact block error: a positive integer
     no larger than ``HELSTROM_COPY_CAP``."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidParameterError(f"copy count must be a positive integer, got {n!r}")
-    n = int(n)
+    n = _check_positive_int(n, "copy count")
     if n > HELSTROM_COPY_CAP:
         raise DimensionOverflowError(f"copy count {n} exceeds cap {HELSTROM_COPY_CAP}")
     return n

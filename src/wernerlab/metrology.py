@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .metrics import fidelity_werner
-from .states import _check_eta
+from .states import _check_eta, _check_positive_int
 
 __all__ = [
     "EstimationReport",
@@ -35,7 +35,7 @@ def qfi_werner(eta: float, n: int = 1) -> float:
     there) rather than raising.
     """
     eta = _check_eta(eta)
-    n = _check_copies(n)
+    n = _check_positive_int(n, "probe count")
     if abs(eta) == 1.0:
         return math.inf
     # per-copy value first, so additivity in n holds exactly in floats
@@ -45,7 +45,7 @@ def qfi_werner(eta: float, n: int = 1) -> float:
 def qcrb_variance(eta: float, n: int = 1) -> float:
     """Variance floor (1 - eta^2)/n, the inverse Fisher information."""
     eta = _check_eta(eta)
-    n = _check_copies(n)
+    n = _check_positive_int(n, "probe count")
     return (1.0 - eta * eta) / n
 
 
@@ -65,12 +65,6 @@ def qfi_finite_difference(eta: float, delta: float) -> float:
             f"eta and eta + delta must stay inside [-1, 1], got {eta} and {eta + delta}"
         )
     return 8.0 * (1.0 - fidelity_werner(eta, eta + delta)) / (delta * delta)
-
-
-def _check_copies(n: int) -> int:
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidParameterError(f"probe count must be a positive integer, got {n!r}")
-    return int(n)
 
 
 @dataclass(frozen=True)
@@ -101,11 +95,8 @@ def simulate_estimation(eta: float, n: int, trials: int, seed: int) -> Estimatio
     eta = _check_eta(eta)
     if abs(eta) == 1.0:
         raise InvalidParameterError("simulation requires |eta| < 1")
-    n = _check_copies(n)
-    if not isinstance(trials, (int, np.integer)) or trials < 1:
-        raise InvalidParameterError(
-            f"trial count must be a positive integer, got {trials!r}"
-        )
+    n = _check_positive_int(n, "probe count")
+    trials = _check_positive_int(trials, "trial count")
     seed = int(seed)
 
     p = (1.0 + eta) / 2.0
@@ -122,7 +113,7 @@ def simulate_estimation(eta: float, n: int, trials: int, seed: int) -> Estimatio
         n=n,
         qfi=qfi_werner(eta, n),
         qcrb_variance=qcrb_variance(eta, n),
-        trials=int(trials),
+        trials=trials,
         empirical_mean=mean,
         empirical_variance=variance,
         seed=seed,

@@ -26,8 +26,6 @@ __all__ = [
     "werner_spectrum",
     "isotropic_state",
     "isotropic_spectrum",
-    "isotropic_from_p",
-    "isotropic_p_parameter",
     "HWChannel",
     "DepolarizingChannel",
     "choi_matrix",
@@ -38,6 +36,12 @@ def _check_dim(d: int) -> int:
     if not isinstance(d, (int, np.integer)) or d < 2:
         raise InvalidDimensionError(f"local dimension must be an integer >= 2, got {d!r}")
     return int(d)
+
+
+def _check_positive_int(value: int, what: str) -> int:
+    if not isinstance(value, (int, np.integer)) or value < 1:
+        raise InvalidParameterError(f"{what} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def _check_eta(eta: float) -> float:
@@ -63,11 +67,6 @@ class SpectrumPair:
     that multiplicity bookkeeping stays uniform at the parameter extremes."""
 
     classes: tuple[tuple[float, int], ...]
-
-    def expanded(self) -> np.ndarray:
-        """All eigenvalues with multiplicity, ascending."""
-        values = np.concatenate([np.full(m, v) for v, m in self.classes])
-        return np.sort(values)
 
 
 def flip_operator(d: int) -> np.ndarray:
@@ -139,28 +138,6 @@ def isotropic_spectrum(alpha: float, d: int) -> SpectrumPair:
     top = (alpha / d, 1)
     rest = ((d - alpha) / (d * (d * d - 1)), d * d - 1)
     return SpectrumPair(classes=(top, rest))
-
-
-def isotropic_p_parameter(alpha: float, d: int) -> float:
-    """Mixing-probability form of the expectation parameter:
-    p = d (d - alpha) / (d^2 - 1), ranging over [0, d^2/(d^2-1)]."""
-    d = _check_dim(d)
-    alpha = _check_alpha(alpha, d)
-    return d * (d - alpha) / (d * d - 1.0)
-
-
-def isotropic_from_p(p: float, d: int) -> np.ndarray:
-    """State in the mixing form p I/d^2 + (1 - p) |Phi><Phi|."""
-    d = _check_dim(d)
-    p = float(p)
-    if not 0.0 <= p <= d * d / (d * d - 1.0) + 1e-15:
-        raise InvalidParameterError(
-            f"mixing parameter must lie in [0, d^2/(d^2-1)], got {p}"
-        )
-    phi = max_entangled_ket(d)
-    return p * np.eye(d * d, dtype=complex) / (d * d) + (1.0 - p) * np.outer(
-        phi, phi.conj()
-    )
 
 
 def _check_input_dim(x: np.ndarray, d: int) -> np.ndarray:

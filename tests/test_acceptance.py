@@ -104,6 +104,14 @@ def test_criterion_03_critical_point_identities():
     )
 
 
+def _critical_s_isotropic(a, b, d):
+    # the dimension-dependent critical point of the entangled-expectation
+    # family, as the paper states it
+    return math.log(
+        (b - d) / b * math.log((d - a) / (d - b)) / math.log(a / b)
+    ) / math.log(a * (d - b) / (b * (d - a)))
+
+
 def test_criterion_04_substitution_identity():
     worst = 0.0
     for d in (2, 3, 4):
@@ -114,12 +122,11 @@ def test_criterion_04_substitution_identity():
                     continue
                 eta = (2.0 * a - d) / d
                 zeta = (2.0 * b - d) / d
+                reference = _critical_s_isotropic(a, b, d)
                 worst = max(
                     worst,
-                    abs(
-                        metrics.interior_critical_s_isotropic(a, b, d)
-                        - metrics.interior_critical_s(eta, zeta)
-                    ),
+                    abs(reference - metrics.interior_critical_s(eta, zeta)),
+                    abs(reference - metrics.qcb_isotropic(a, b, d).s_star),
                 )
     report(
         4,

@@ -3,8 +3,7 @@ import math
 
 import pytest
 
-from wernerlab import cli, verify
-from wernerlab.errors import InvalidParameterError
+from wernerlab import cli
 
 
 def run_json(capsys, argv):
@@ -160,6 +159,17 @@ class TestVerificationCommands:
         assert record["results"]["simulation_defect"] <= 1e-10
         assert record["results"]["covariance_defect"] <= 1e-10
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_teleport_check_rejects_non_positive_samples(self, capsys, samples):
+        code = cli.main(
+            ["teleport-check", "--d", "2", "--eta", "0.5", "--samples", samples]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "sample count must be a positive integer" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_verify_small_grid_passes(self, capsys):
         code = cli.main(["verify", "--grid", "0.5", "--dims", "2..3", "--seed", "11"])
         out = capsys.readouterr().out
@@ -173,6 +183,24 @@ class TestVerificationCommands:
         out = capsys.readouterr().out
         assert code == 2
         assert "FAIL" in out
+
+    def test_verify_fails_checks_that_examined_nothing(self, capsys):
+        # grid 1.0 leaves no off-diagonal interior pair to examine
+        code = cli.main(["verify", "--grid", "1.0", "--dims", "2..2"])
+        out = capsys.readouterr().out
+        assert code == 2
+        empty = [
+            "qcb-oracle-q",
+            "qcb-oracle-s",
+            "critical-point-identities",
+            "substitution-identity",
+        ]
+        assert out.splitlines()[-1] == "4 check(s) failed: " + ", ".join(empty)
+        for name in empty:
+            assert any(
+                line.startswith("FAIL " + name) and " 0 points" in line
+                for line in out.splitlines()
+            )
 
     def test_verify_rejects_bad_dims(self, capsys):
         assert cli.main(["verify", "--dims", "nope"]) == 1
@@ -190,27 +218,3 @@ class TestVerificationCommands:
     def test_verify_rejects_gate_disabling_values(self, capsys, flag, value, message):
         assert cli.main(["verify", flag, value]) == 1
         assert message in capsys.readouterr().err
-
-
-class TestThreadCap:
-    def test_explicit_cap(self, monkeypatch):
-        monkeypatch.setenv("WERNERLAB_THREADS", "3")
-        assert verify.max_workers() == 3
-
-    def test_zero_means_auto(self, monkeypatch):
-        monkeypatch.setenv("WERNERLAB_THREADS", "0")
-        assert verify.max_workers() >= 1
-
-    def test_unset_means_auto(self, monkeypatch):
-        monkeypatch.delenv("WERNERLAB_THREADS", raising=False)
-        assert verify.max_workers() >= 1
-
-    def test_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv("WERNERLAB_THREADS", "many")
-        with pytest.raises(InvalidParameterError):
-            verify.max_workers()
-
-    def test_single_threaded_verify_matches(self, monkeypatch, capsys):
-        monkeypatch.setenv("WERNERLAB_THREADS", "1")
-        code = cli.main(["verify", "--grid", "1.0", "--dims", "2..2"])
-        assert code == 0

@@ -258,18 +258,37 @@ class TestQcbIsotropic:
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_substitution_identity(self, d):
-        # the dimension-dependent critical point reduces to the
-        # dimension-free one under alpha -> d (1 + eta) / 2
+        # the entangled-expectation minimum reduces to the flip-expectation
+        # one under alpha -> d (1 + eta) / 2
         fracs = [i / 10 for i in range(1, 10)]
         for fa in fracs:
             for fb in fracs:
                 if fa == fb:
                     continue
                 alpha, beta = d * fa, d * fb
-                eta, zeta = (2 * alpha - d) / d, (2 * beta - d) / d
-                s_iso = metrics.interior_critical_s_isotropic(alpha, beta, d)
-                s_wer = metrics.interior_critical_s(eta, zeta)
-                assert s_iso == pytest.approx(s_wer, abs=1e-12)
+                iso = metrics.qcb_isotropic(alpha, beta, d)
+                wer = metrics.qcb_werner(2 * alpha / d - 1, 2 * beta / d - 1)
+                assert iso.s_kind == wer.s_kind == "interior"
+                assert iso.q == pytest.approx(wer.q, abs=1e-12)
+                assert iso.s_star == pytest.approx(wer.s_star, abs=1e-12)
+
+    def test_accurate_next_to_an_endpoint(self):
+        # beta within 1e-12 of d: mapping onto eta = 2 alpha/d - 1 first
+        # rounds d - beta to a few digits and misses q by about 1e-6
+        alpha, beta, d = 1.375, 5 - 1e-12, 5
+        got = metrics.qcb_isotropic(alpha, beta, d)
+        assert got.s_kind == "interior"
+        with mpmath.workdps(50):
+            a, b, dd = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(d)
+
+            def q_at(s):
+                return (a / dd) ** s * (b / dd) ** (1 - s) + (
+                    (dd - a) / dd
+                ) ** s * ((dd - b) / dd) ** (1 - s)
+
+            s_star = mpmath.findroot(lambda s: mpmath.diff(q_at, s), got.s_star)
+            expected = q_at(s_star)
+            assert abs(got.q - expected) <= 1e-12 * expected
 
 
 class TestHelstromMulticopy:

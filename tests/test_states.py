@@ -68,7 +68,8 @@ class TestWernerState:
 
     def test_eigh_matches_spectrum_classes(self):
         got = linalg.eigh(states.werner_state(0.4, 3)).eigenvalues
-        expected = states.werner_spectrum(0.4, 3).expanded()
+        values, mults = zip(*states.werner_spectrum(0.4, 3).classes)
+        expected = np.sort(np.repeat(values, mults))
         assert np.abs(got - expected).max() <= 1e-13
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
@@ -128,7 +129,8 @@ class TestIsotropicState:
 
     def test_spectrum_against_eigh(self):
         got = linalg.eigh(states.isotropic_state(1.0, 2)).eigenvalues
-        expected = states.isotropic_spectrum(1.0, 2).expanded()
+        values, mults = zip(*states.isotropic_spectrum(1.0, 2).classes)
+        expected = np.sort(np.repeat(values, mults))
         assert np.allclose(expected, [1 / 6, 1 / 6, 1 / 6, 0.5], atol=1e-15)
         assert np.abs(got - expected).max() <= 1e-13
 
@@ -141,12 +143,13 @@ class TestIsotropicState:
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_p_form_roundtrip(self, d):
+        # the mixing form p I/d^2 + (1 - p) |Phi><Phi| with
+        # p = d (d - alpha) / (d^2 - 1)
+        phi = states.max_entangled_ket(d)
         for alpha in (0.0, 0.4, 1.0, 1.8, float(d)):
-            if alpha > d:
-                continue
-            p = states.isotropic_p_parameter(alpha, d)
+            p = d * (d - alpha) / (d * d - 1.0)
+            via_p = p * np.eye(d * d) / (d * d) + (1.0 - p) * np.outer(phi, phi.conj())
             direct = states.isotropic_state(alpha, d)
-            via_p = states.isotropic_from_p(p, d)
             assert np.abs(direct - via_p).max() <= 1e-12
 
     def test_rejects_out_of_range(self):

@@ -43,7 +43,7 @@ def test_default_run_point_counts(monkeypatch):
     results = verify.run_verification()
     assert {r.name: r.points for r in results} == DEFAULT_POINTS
     assert sum(r.points for r in results) == 22_101
-    assert len(calls) == 4994
+    assert len(calls) == 5108
 
 
 def test_sandwich_ordering_matches_pairwise_sweep():
