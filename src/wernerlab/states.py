@@ -44,6 +44,12 @@ def _check_positive_int(value: int, what: str) -> int:
     return int(value)
 
 
+def _check_seed(seed: int) -> int:
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidParameterError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
+
+
 def _check_eta(eta: float) -> float:
     eta = float(eta)
     if not -1.0 <= eta <= 1.0:

@@ -274,6 +274,7 @@ def run_verification(
     tol_scale: float = 1.0,
 ) -> list[CheckResult]:
     """Run every cross-check; tolerances are multiplied by ``tol_scale``."""
+    seed = states._check_seed(seed)
     if not (math.isfinite(tol_scale) and tol_scale > 0.0):
         raise InvalidParameterError(
             f"tolerance scale must be finite and positive, got {tol_scale}"
@@ -300,6 +301,7 @@ def run_verification(
 def teleport_check(eta: float, d: int, seed: int, samples: int = 20) -> dict:
     """Worst simulation and covariance defects for one (eta, d)."""
     samples = states._check_positive_int(samples, "sample count")
+    seed = states._check_seed(seed)
     rng = np.random.default_rng(np.random.SeedSequence((seed, d)))
     resource = states.werner_state(eta, d)
     channel = states.HWChannel(eta, d)

@@ -103,6 +103,22 @@ class TestExitCodes:
     def test_qcb_missing_family_flags(self, capsys):
         assert cli.main(["qcb", "--isotropic", "--alpha", "1"]) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate", "sim", "--eta", "0.3", "--n", "100", "--seed", "-1"],
+            ["verify", "--seed", "-1"],
+            ["teleport-check", "--d", "2", "--eta", "0.5", "--seed", "-1"],
+        ],
+    )
+    def test_negative_seed_is_one(self, capsys, argv):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "seed must be a non-negative integer" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
 
 class TestCurves:
     def test_csv_to_file_and_byte_identical_roundtrip(self, tmp_path, capsys):
