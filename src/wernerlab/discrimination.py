@@ -102,7 +102,7 @@ def _sandwiches(etas, zeta: float, d: int, n_list) -> list[DiscriminationBounds]
     ]
     rows = []
     for n in n_list:
-        helstrom = _helstrom_rows(etas, zeta, d, n)
+        helstrom = _helstrom_rows(etas, zeta, n)
         for (eta, f, s, gap, q), block in zip(singles, helstrom):
             # 1 - F^2n evaluated through expm1/log1p of the stable 1 - F^2,
             # so the lower bound stays comparable to the exact block error

@@ -28,7 +28,6 @@ from .states import (
     _check_dim,
     _check_eta,
     _check_positive_int,
-    werner_spectrum,
 )
 
 __all__ = [
@@ -266,7 +265,8 @@ def _qcb(a1: float, a2: float, b1: float, b2: float, t: float, gap: float) -> Qc
 
 
 HELSTROM_COPY_CAP = 1000
-_LOG_SPACE_THRESHOLD = 50
+# Entries of one (eta, k) block of _helstrom_rows; bounds its working memory.
+_HELSTROM_BLOCK = 1 << 15
 
 
 def _check_copies(n: int) -> int:
@@ -278,83 +278,59 @@ def _check_copies(n: int) -> int:
     return n
 
 
-def _class_products(eta: float, d: int) -> tuple[float, float]:
-    # m+ a+ and m- a-: the per-copy weights of the two multiplicity classes
-    sym, anti = werner_spectrum(eta, d).classes
-    return sym[0] * sym[1], anti[0] * anti[1]
+def _helstrom_rows(etas, zeta: float, n: int) -> list[float]:
+    # helstrom_multicopy_werner for every eta against one zeta at one
+    # validated copy count, in log space.  The binomials are exact integers,
+    # each logged once, so the log table is right to an ulp (a float
+    # cumulative sum drifts by 1e-12 at n = 1000, lgamma differences by 2e-12).
+    # k log 0 is masked (to 0 at k = 0), so eta = +/-1 needs no branch.
+    binom, log_binom = 1, [0.0]
+    for i in range(1, n + 1):
+        binom = binom * (n + 1 - i) // i
+        log_binom.append(math.log(binom))
+    log_base = np.array(log_binom) - n * math.log(2.0)
+    k = np.arange(n + 1.0)
+    rest = n - k
 
+    def log_weights(column: np.ndarray) -> np.ndarray:
+        # log[C(n,k) ((1+eta)/2)^k ((1-eta)/2)^(n-k)], one row per eta
+        with np.errstate(divide="ignore", invalid="ignore"):
+            up = np.where(k > 0, k * np.log1p(column), 0.0)
+            down = np.where(rest > 0, rest * np.log1p(-column), 0.0)
+        return log_base + up + down
 
-def _class_weights(eta: float, d: int, n: int, log_space: bool) -> list[float]:
-    # Weight of the k-th multiplicity class of the n-fold tensor power:
-    # C(n, k) * (m+ a+)^k * (m- a-)^(n-k), for k = 0..n.
-    w_plus, w_minus = _class_products(eta, d)
-    if not log_space:
-        return [
-            math.comb(n, k) * w_plus**k * w_minus ** (n - k) for k in range(n + 1)
-        ]
-    out = []
-    for k in range(n + 1):
-        if (w_plus == 0.0 and k > 0) or (w_minus == 0.0 and k < n):
-            out.append(0.0)
-            continue
-        log_term = (
-            math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-        )
-        if k > 0:
-            log_term += k * math.log(w_plus)
-        if n - k > 0:
-            log_term += (n - k) * math.log(w_minus)
-        out.append(math.exp(log_term))
-    return out
-
-
-def _helstrom_rows(etas, zeta: float, d: int, n: int) -> list[float]:
-    # Exact block error of every eta against one zeta at one validated copy
-    # count.  The log-binomial table and the zeta weights are built once.
-    # A log-space row with both class weights positive is one array
-    # expression with the operations of the scalar loop in _class_weights,
-    # in the same order (the k = 0 and k = n terms it skips are signed
-    # zeros here); math.exp and the left-to-right built-in sum keep its
-    # rounding, so the results are bit-identical to it.  Rows with a zero
-    # weight (eta = +/-1) and every row for n <= 50 run that loop itself.
-    log_space = n > _LOG_SPACE_THRESHOLD
-    if log_space:
-        k = np.arange(n + 1, dtype=float)
-        rest = n - k
-        lg_n = math.lgamma(n + 1)
-        log_binom = np.array(
-            [lg_n - math.lgamma(i + 1) - math.lgamma(n - i + 1) for i in range(n + 1)]
-        )
-
-    def weights(eta: float) -> np.ndarray:
-        w_plus, w_minus = _class_products(eta, d)
-        if log_space and w_plus > 0.0 and w_minus > 0.0:
-            log_terms = log_binom + k * math.log(w_plus) + rest * math.log(w_minus)
-            return np.array(list(map(math.exp, log_terms.tolist())))
-        return np.array(_class_weights(eta, d, n, log_space))
-
-    weights_zeta = weights(zeta)
-    return [
-        0.5 * (1.0 - 0.5 * sum(np.abs(weights(eta) - weights_zeta).tolist()))
-        for eta in etas
-    ]
+    etas = np.asarray(etas, dtype=float)
+    log_zeta = log_weights(np.array([[zeta]]))
+    rows = np.empty(len(etas))
+    step = max(1, _HELSTROM_BLOCK // (n + 1))
+    for start in range(0, len(etas), step):
+        block = log_weights(etas[start : start + step, None])
+        rows[start : start + step] = 0.5 * np.exp(np.minimum(block, log_zeta)).sum(axis=1)
+    # The true sum of minima is at most 1, and exactly 1 for equal parameters;
+    # rounded weights can miss either by a few ulps per term.
+    rows = np.minimum(rows, 0.5)
+    rows[etas == zeta] = 0.5
+    return rows.tolist()
 
 
 def helstrom_multicopy_werner(eta: float, zeta: float, d: int, n: int) -> float:
     """Exact minimum error probability for discriminating two equiprobable
     n-fold tensor powers of flip-expectation states.
 
-    Both spectra live in one eigenbasis, so the trace distance reduces to a
-    combinatorial sum over the shared multiplicity classes:
+    Both spectra live in one eigenbasis, so the error reduces to a sum over
+    the shared multiplicity classes k = 0..n (Audenaert et al., PRL 98,
+    160501 (2007)):
 
-        p = (1 - 1/2 sum_k C(n,k) m+^k m-^(n-k)
-                 |a+(eta)^k a-(eta)^(n-k) - a+(zeta)^k a-(zeta)^(n-k)|) / 2.
+        p = 1/2 sum_k min(w_k(eta), w_k(zeta)),
+        w_k(eta) = C(n,k) ((1+eta)/2)^k ((1-eta)/2)^(n-k).
 
-    The value does not depend on d.  Products switch to log space above
-    n = 50; n beyond 1000 is rejected.
+    Unlike 1 - 1/2 sum_k |w_k(eta) - w_k(zeta)|, this sum cannot cancel, so
+    p is never negative and stays accurate in relative terms when tiny.  The
+    value does not depend on d; eta == zeta gives exactly 1/2, and n beyond
+    1000 is rejected.
     """
     eta = _check_eta(eta)
     zeta = _check_eta(zeta)
     d = _check_dim(d)
     n = _check_copies(n)
-    return _helstrom_rows([eta], zeta, d, n)[0]
+    return _helstrom_rows([eta], zeta, n)[0]

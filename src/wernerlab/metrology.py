@@ -182,7 +182,8 @@ def simulate_estimation(eta: float, n: int, trials: int, seed: int) -> Estimatio
     are computed in batch (``_substream_words``, ``_pcg64_state``) and loaded
     into one reused generator, drawing exactly what
     ``default_rng(SeedSequence((seed, i))).binomial(n, p)`` draws.  The seed
-    must be a non-negative integer and ``trials`` at most ``TRIAL_CAP``.
+    must be a non-negative integer, ``trials`` at most ``TRIAL_CAP`` and
+    ``n`` at most 2**63 - 1.
     """
     eta = _check_eta(eta)
     if abs(eta) == 1.0:
@@ -191,6 +192,8 @@ def simulate_estimation(eta: float, n: int, trials: int, seed: int) -> Estimatio
     trials = _check_positive_int(trials, "trial count")
     if trials > TRIAL_CAP:
         raise DimensionOverflowError(f"trial count {trials} exceeds cap {TRIAL_CAP}")
+    if n > np.iinfo(np.int64).max:  # numpy's binomial takes a C long
+        raise DimensionOverflowError(f"probe count {n} exceeds cap {np.iinfo(np.int64).max}")
     seed = _check_seed(seed)
 
     p = (1.0 + eta) / 2.0

@@ -13,9 +13,11 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    DimensionOverflowError,
     InvalidDimensionError,
     InvalidParameterError,
 )
+from .linalg import TENSOR_DIM_CAP
 
 __all__ = [
     "SpectrumPair",
@@ -36,6 +38,14 @@ def _check_dim(d: int) -> int:
     if not isinstance(d, (int, np.integer)) or d < 2:
         raise InvalidDimensionError(f"local dimension must be an integer >= 2, got {d!r}")
     return int(d)
+
+
+def _check_pair_dim(d: int) -> int:
+    # Two-qudit operators are d^2 x d^2: reject oversized ones before building.
+    d = _check_dim(d)
+    if d * d > TENSOR_DIM_CAP:
+        raise DimensionOverflowError(f"two-qudit dimension {d * d} exceeds cap {TENSOR_DIM_CAP}")
+    return d
 
 
 def _check_positive_int(value: int, what: str) -> int:
@@ -77,7 +87,7 @@ class SpectrumPair:
 
 def flip_operator(d: int) -> np.ndarray:
     """Flip (swap) operator F = sum_ij |ij><ji| on two qudits."""
-    d = _check_dim(d)
+    d = _check_pair_dim(d)
     f = np.zeros((d * d, d * d), dtype=complex)
     for i in range(d):
         for j in range(d):
@@ -95,7 +105,7 @@ def max_entangled_ket(d: int) -> np.ndarray:
 
 def max_entangled_operator(d: int) -> np.ndarray:
     """Unnormalised projector M = sum_ij |ii><jj| (= d |Phi><Phi|)."""
-    d = _check_dim(d)
+    d = _check_pair_dim(d)
     phi = max_entangled_ket(d)
     return d * np.outer(phi, phi.conj())
 
@@ -106,7 +116,7 @@ def werner_state(eta: float, d: int) -> np.ndarray:
     W = [(d - eta) I + (d eta - 1) F] / (d^3 - d).
     """
     eta = _check_eta(eta)
-    d = _check_dim(d)
+    d = _check_pair_dim(d)
     ident = np.eye(d * d, dtype=complex)
     return ((d - eta) * ident + (d * eta - 1.0) * flip_operator(d)) / (d**3 - d)
 
@@ -129,7 +139,7 @@ def isotropic_state(alpha: float, d: int) -> np.ndarray:
 
     Omega = [(d - alpha) I + (d alpha - 1) M] / (d^3 - d).
     """
-    d = _check_dim(d)
+    d = _check_pair_dim(d)
     alpha = _check_alpha(alpha, d)
     ident = np.eye(d * d, dtype=complex)
     return ((d - alpha) * ident + (d * alpha - 1.0) * max_entangled_operator(d)) / (
@@ -208,7 +218,7 @@ def choi_matrix(channel) -> np.ndarray:
     ``channel`` needs a local dimension attribute ``d`` and a linear
     ``apply(X)`` accepting arbitrary d x d matrices.
     """
-    d = _check_dim(channel.d)
+    d = _check_pair_dim(channel.d)
     chi = np.zeros((d * d, d * d), dtype=complex)
     basis_block = np.zeros((d, d), dtype=complex)
     for i in range(d):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, NotUnitaryError
-from .linalg import trace_distance_numeric
+from .linalg import tensor_product, trace_distance_numeric
 from .states import HWChannel, _check_dim
 
 __all__ = [
@@ -89,7 +89,7 @@ def teleport_outcomes(
             f"input {rho.shape} and resource {resource.shape} are incompatible"
         )
     # axes: (A, B, C | A', B', C') with A the input and (B, C) the resource
-    joint = np.kron(rho, resource).reshape(d, d, d, d, d, d)
+    joint = tensor_product(rho, resource).reshape(d, d, d, d, d, d)
     outcomes = []
     for a in range(d):
         for b in range(d):

@@ -275,6 +275,7 @@ def run_verification(
 ) -> list[CheckResult]:
     """Run every cross-check; tolerances are multiplied by ``tol_scale``."""
     seed = states._check_seed(seed)
+    dims = tuple(states._check_pair_dim(d) for d in dims)
     if not (math.isfinite(tol_scale) and tol_scale > 0.0):
         raise InvalidParameterError(
             f"tolerance scale must be finite and positive, got {tol_scale}"

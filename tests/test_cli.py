@@ -1,9 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from wernerlab import cli
+from wernerlab import cli, verify
 
 
 def run_json(capsys, argv):
@@ -116,6 +117,29 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert code == 1
         assert "seed must be a non-negative integer" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (
+                ["estimate", "sim", "--eta", "0.3", "--n", str(10**20), "--trials", "3"],
+                f"probe count {10**20} exceeds cap",
+            ),
+            (["teleport-check", "--d", "17", "--eta", "0.5"], "dimension 4913 exceeds cap 4096"),
+            (["verify", "--dims", "2..65"], "dimension 4225 exceeds cap 4096"),
+        ],
+    )
+    def test_oversized_input_is_one(self, monkeypatch, capsys, argv, message):
+        # rejected before any sweep or joint operator: make both unreachable
+        monkeypatch.setattr(verify, "check_fidelity_oracle", None)
+        monkeypatch.setattr(np, "kron", None)
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert message in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
 

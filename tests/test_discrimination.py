@@ -154,6 +154,15 @@ class TestCurveGrid:
         with pytest.raises(error):
             discrimination.curve_grid(0.0, n_list, 0.1)
 
+    def test_block_error_is_a_probability_below_the_chernoff_bound(self):
+        # The exact block error is never negative and never above Q^n/2, also
+        # where both are tiny or Q^n/2 underflows to 0; the relative slack
+        # covers rounding where the two are equal (eta or zeta = +/-1).
+        n_list = [*range(1, 21), 50, 51, 100, 200, 1000]
+        for zeta in discrimination.eta_grid(0.05):
+            for r in discrimination.curve_grid(zeta, n_list, 0.05):
+                assert 0.0 <= r.helstrom_block <= r.qcb_upper * (1 + 1e-11), r
+
     @pytest.mark.parametrize("zeta", [-1.0, 0.37, 1.0])
     def test_rows_equal_one_row_bounds(self, zeta):
         rows = discrimination.curve_grid(zeta, [1, 10, 50, 51, 100, 1000], 0.1)

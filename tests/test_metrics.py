@@ -1,4 +1,6 @@
+import functools
 import math
+import sys
 
 import mpmath
 import pytest
@@ -14,6 +16,29 @@ from wernerlab.errors import (
 
 etas = st.floats(-1.0, 1.0, allow_nan=False)
 inner_etas = st.floats(-0.99, 0.99, allow_nan=False)
+
+
+@functools.cache
+def mp_class_weights(eta, n):
+    # C(n, k) p^k (1 - p)^(n - k), p = (1 + eta)/2, at 60 digits
+    with mpmath.workdps(60):
+        p = (1 + mpmath.mpf(eta)) / 2
+        return tuple(mpmath.binomial(n, k) * p**k * (1 - p) ** (n - k) for k in range(n + 1))
+
+
+def mp_helstrom(w_eta, w_zeta):
+    # exact block error as half the summed class minima (Audenaert et al. 2007)
+    with mpmath.workdps(60):
+        return mpmath.fsum(map(min, w_eta, w_zeta)) / 2
+
+
+def assert_relative(got, exact, rel, where):
+    # below the normal range a double holds no relative precision
+    if exact < sys.float_info.min:
+        assert 0.0 <= got < sys.float_info.min, where
+    else:
+        assert abs(got - exact) <= rel * exact, where
+
 
 FID_HALF_ZERO = (math.sqrt(1.5) + math.sqrt(0.5)) / 2
 RELENT_HALF_ZERO = 0.75 * math.log2(1.5) + 0.25 * math.log2(0.5)
@@ -307,9 +332,7 @@ class TestHelstromMulticopy:
     @given(etas, st.integers(1, 40))
     @settings(max_examples=100)
     def test_indistinguishable_pair(self, eta, n):
-        assert metrics.helstrom_multicopy_werner(eta, eta, 3, n) == pytest.approx(
-            0.5, abs=1e-12
-        )
+        assert metrics.helstrom_multicopy_werner(eta, eta, 3, n) == 0.5
 
     def test_three_copies_against_explicit_matrices(self):
         eta, zeta = 0.5, 0.0
@@ -322,7 +345,8 @@ class TestHelstromMulticopy:
         assert got == pytest.approx(explicit, abs=1e-10)
 
     def test_log_space_matches_direct_products(self):
-        # module switches to log space above n = 50
+        # the trace-distance form with direct float products, at copy counts
+        # where it does not cancel
         def direct(eta, zeta, n):
             wp_e, wm_e = (1 + eta) / 2, (1 - eta) / 2
             wp_z, wm_z = (1 + zeta) / 2, (1 - zeta) / 2
@@ -342,60 +366,36 @@ class TestHelstromMulticopy:
 
     @pytest.mark.parametrize("n", [50, 51, 100, 1000])
     def test_matches_high_precision_oracle(self, n):
-        # 60-digit evaluation of the same class sum, sharing no code with
-        # the module; covers both sides of the log-space switch and the
-        # rank-deficient endpoints in either slot
-        def oracle(eta, zeta):
-            with mpmath.workdps(60):
-                a = (1 + mpmath.mpf(eta)) / 2
-                b = (1 + mpmath.mpf(zeta)) / 2
-                total = mpmath.fsum(
-                    mpmath.binomial(n, k)
-                    * abs(a**k * (1 - a) ** (n - k) - b**k * (1 - b) ** (n - k))
-                    for k in range(n + 1)
-                )
-                return float((1 - total / 2) / 2)
-
+        # 60-digit class sums sharing no code with the module; covers the
+        # rank-deficient endpoints in either slot.  The reference is the min
+        # form; the trace-distance form 1 - sum |w(eta) - w(zeta)|/2 itself
+        # cancels below about 1e-40 at 60 digits and is compared only above.
         pairs = [
             (0.9, -0.9), (0.5, 0.2), (0.01, 0.0), (-0.999, 0.999), (0.37, 0.37),
             (1.0, 0.0), (-1.0, 0.3), (0.5, 1.0), (0.2, -1.0), (1.0, -1.0), (-1.0, -1.0),
         ]
         for eta, zeta in pairs:
+            w_eta, w_zeta = mp_class_weights(eta, n), mp_class_weights(zeta, n)
+            exact = mp_helstrom(w_eta, w_zeta)
+            with mpmath.workdps(60):
+                dist = mpmath.fsum(abs(a - b) for a, b in zip(w_eta, w_zeta)) / 2
+                if exact > 1e-40:
+                    assert abs((1 - dist) / 2 - exact) <= 1e-18 * exact, (eta, zeta)
             got = metrics.helstrom_multicopy_werner(eta, zeta, 2, n)
-            assert abs(got - oracle(eta, zeta)) <= 1e-11, (eta, zeta)
+            assert_relative(got, exact, 3e-12, (eta, zeta))
 
     @pytest.mark.parametrize("n", [1, 7, 50, 51, 100, 1000])
     def test_equals_per_class_loop(self, n):
-        # The per-class scalar loop the batched kernel replaced, kept as the
-        # reference: same operations in the same order, so equal bit for bit.
-        def weights(eta, d):
-            sym, anti = states.werner_spectrum(eta, d).classes
-            w_plus, w_minus = sym[0] * sym[1], anti[0] * anti[1]
-            if n <= 50:
-                return [math.comb(n, k) * w_plus**k * w_minus ** (n - k) for k in range(n + 1)]
-            out = []
-            for k in range(n + 1):
-                if (w_plus == 0.0 and k > 0) or (w_minus == 0.0 and k < n):
-                    out.append(0.0)
-                    continue
-                log_term = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-                if k > 0:
-                    log_term += k * math.log(w_plus)
-                if n - k > 0:
-                    log_term += (n - k) * math.log(w_minus)
-                out.append(math.exp(log_term))
-            return out
-
+        # The per-class min sum at 60 digits is the reference, to 3e-12
+        # relative, from one copy to the cap, with the rank-deficient
+        # endpoints and nearby pairs, at d = 2 and 5 (the value is d-free).
         points = [-1.0, -0.999, -0.37, 0.0, 1e-9, 0.37, 0.9, 1.0]
-        for d in (2, 5):
-            for eta in points:
-                for zeta in points:
-                    dist = 0.5 * sum(
-                        abs(a - b) for a, b in zip(weights(eta, d), weights(zeta, d))
-                    )
-                    expected = 0.5 * (1.0 - dist)
+        for eta in points:
+            for zeta in points:
+                exact = mp_helstrom(mp_class_weights(eta, n), mp_class_weights(zeta, n))
+                for d in (2, 5):
                     got = metrics.helstrom_multicopy_werner(eta, zeta, d, n)
-                    assert got == expected, (eta, zeta, d)
+                    assert_relative(got, exact, 3e-12, (eta, zeta, d))
 
     def test_extreme_parameters_large_n(self):
         assert metrics.helstrom_multicopy_werner(1.0, -1.0, 2, 100) == pytest.approx(

@@ -189,6 +189,23 @@ class TestSimulateEstimation:
         with pytest.raises(DimensionOverflowError, match="exceeds cap"):
             metrology.simulate_estimation(0.5, 10, metrology.TRIAL_CAP + 1, seed=0)
 
+    def test_largest_int64_probe_count_is_accepted(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        monkeypatch.setattr(metrology, "_substream_words", reached)
+        with pytest.raises(Reached):
+            metrology.simulate_estimation(0.5, 2**63 - 1, 3, seed=0)
+
+    @pytest.mark.parametrize("n", [2**63, 10**20])
+    def test_probe_count_above_int64_is_rejected_up_front(self, monkeypatch, n):
+        monkeypatch.setattr(metrology, "_substream_words", None)  # never reached
+        with pytest.raises(DimensionOverflowError, match="probe count .* exceeds cap"):
+            metrology.simulate_estimation(0.5, n, 3, seed=0)
+
 
 class TestBatchSeeder:
     """numpy itself is the reference: if its seeding ever changes, these fail."""

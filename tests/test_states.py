@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from wernerlab import linalg, states
 from wernerlab.errors import (
     DimensionMismatchError,
+    DimensionOverflowError,
     InvalidDimensionError,
     InvalidParameterError,
 )
@@ -52,6 +53,24 @@ class TestOperators:
     def test_rejects_small_dimension(self):
         with pytest.raises(InvalidDimensionError):
             states.flip_operator(1)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            states.flip_operator,
+            states.max_entangled_operator,
+            lambda d: states.werner_state(0.5, d),
+            lambda d: states.isotropic_state(1.0, d),
+            lambda d: states.choi_matrix(states.HWChannel(0.5, d)),
+        ],
+        ids=["flip_operator", "max_entangled_operator", "werner_state", "isotropic_state", "choi"],
+    )
+    def test_rejects_oversized_dimension_before_allocating(self, monkeypatch, build):
+        # d = 65 gives 4225 > TENSOR_DIM_CAP rows; nothing may be built
+        monkeypatch.setattr(states.np, "eye", None)
+        monkeypatch.setattr(states.np, "zeros", None)
+        with pytest.raises(DimensionOverflowError, match="4225 exceeds cap 4096"):
+            build(65)
 
 
 class TestWernerState:

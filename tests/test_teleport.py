@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wernerlab import linalg, states, teleport
-from wernerlab.errors import DimensionMismatchError, NotUnitaryError
+from wernerlab.errors import DimensionMismatchError, DimensionOverflowError, NotUnitaryError
 
 
 def rand_density(dim, seed):
@@ -124,6 +124,12 @@ class TestTeleportChannel:
     def test_incompatible_shapes(self):
         with pytest.raises(DimensionMismatchError):
             teleport.teleport_channel(np.eye(9) / 9, np.eye(2) / 2)
+
+    def test_joint_operator_is_size_checked(self, monkeypatch):
+        # d = 17 needs a 4913 x 4913 joint operator, above TENSOR_DIM_CAP
+        monkeypatch.setattr(linalg.np, "kron", None)
+        with pytest.raises(DimensionOverflowError, match="4913 exceeds cap 4096"):
+            teleport.teleport_channel(np.eye(289) / 289, np.eye(17) / 17)
 
 
 class TestCovariance:

@@ -1,4 +1,7 @@
+import pytest
+
 from wernerlab import discrimination, linalg, verify
+from wernerlab.errors import DimensionOverflowError
 
 # points examined by each check of one default run_verification()
 DEFAULT_POINTS = {
@@ -73,3 +76,9 @@ def test_sandwich_ordering_matches_pairwise_sweep():
     assert result.points == len(deltas) == 20 * 11 * 11
     assert result.failures == sum(1 for x in deltas if x > 0.0)
     assert result.worst == max(deltas)
+
+
+def test_every_dimension_is_checked_before_the_first_sweep(monkeypatch):
+    monkeypatch.setattr(verify, "check_fidelity_oracle", None)  # never reached
+    with pytest.raises(DimensionOverflowError, match="4225 exceeds cap 4096"):
+        verify.run_verification(grid_step=0.5, dims=(2, 3, 65))
