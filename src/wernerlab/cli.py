@@ -18,7 +18,7 @@ import math
 import sys
 from dataclasses import asdict
 
-from . import __version__, discrimination, metrics, metrology, verify
+from . import __version__, discrimination, metrics, metrology, states, verify
 from .errors import WernerLabError
 
 SCHEMA_VERSION = "1"
@@ -190,10 +190,13 @@ def build_parser() -> _Parser:
 def _parse_dims(text: str) -> tuple[int, ...]:
     try:
         if ".." in text:
-            lo, hi = text.split("..")
-            dims = tuple(range(int(lo), int(hi) + 1))
+            lo, hi = (int(x) for x in text.split(".."))
+            # the ends are checked before the range is built
+            dims = tuple(range(lo, states._check_pair_dim(hi) + 1)) if 2 <= lo <= hi else ()
         else:
             dims = tuple(int(x) for x in text.split(","))
+    except WernerLabError:
+        raise
     except ValueError as exc:
         raise WernerLabError(f"cannot parse dimension range {text!r}") from exc
     if not dims or min(dims) < 2:

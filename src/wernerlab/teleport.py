@@ -18,19 +18,15 @@ real.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DimensionMismatchError, NotUnitaryError
-from .linalg import tensor_product, trace_distance_numeric
+from .errors import DimensionMismatchError, DimensionOverflowError, NotUnitaryError
+from .linalg import TENSOR_DIM_CAP, trace_distance_numeric
 from .states import HWChannel, _check_dim
 
 __all__ = [
-    "TeleportationOutcome",
     "weyl_unitary",
     "bell_basis",
-    "teleport_outcomes",
     "teleport_channel",
     "covariance_check",
 ]
@@ -62,24 +58,14 @@ def bell_basis(d: int) -> np.ndarray:
     return basis
 
 
-@dataclass(frozen=True)
-class TeleportationOutcome:
-    """One Bell-measurement branch: label, its probability, and the
-    normalised corrected output state."""
-
-    label: tuple[int, int]
-    probability: float
-    post_state: np.ndarray
-
-
-def teleport_outcomes(
-    resource, rho, *, conjugate_corrections: bool = True
-) -> list[TeleportationOutcome]:
-    """All d^2 measurement branches of the teleportation protocol.
+def teleport_channel(resource, rho, *, conjugate_corrections: bool = True) -> np.ndarray:
+    """Output state summed over all d^2 measurement branches.
 
     ``resource`` is a state on two qudits (d^2 x d^2), ``rho`` the input
-    on one qudit (d x d).  Measurement branches are explicit projector
-    sandwiches followed by a partial trace; nothing is sampled.
+    on one qudit (d x d).  Projecting the input and the first resource
+    half onto |Phi_ab> leaves the second half in the unnormalised state
+    Tr_1[(M (x) I) resource] with M = U_ab^dag rho U_ab / d; each branch is
+    corrected and the branches are summed.  Nothing is sampled.
     """
     resource = np.asarray(resource, dtype=complex)
     rho = np.asarray(rho, dtype=complex)
@@ -88,30 +74,20 @@ def teleport_outcomes(
         raise DimensionMismatchError(
             f"input {rho.shape} and resource {resource.shape} are incompatible"
         )
-    # axes: (A, B, C | A', B', C') with A the input and (B, C) the resource
-    joint = tensor_product(rho, resource).reshape(d, d, d, d, d, d)
-    outcomes = []
+    # nothing of size d^3 is built: the cap bounds the d^6 work per call
+    if d**3 > TENSOR_DIM_CAP:
+        raise DimensionOverflowError(
+            f"teleportation dimension {d**3} exceeds cap {TENSOR_DIM_CAP}"
+        )
+    r = resource.reshape(d, d, d, d)  # axes (B, C | B', C'), B measured
+    out = np.zeros((d, d), dtype=complex)
     for a in range(d):
         for b in range(d):
             u = weyl_unitary(a, b, d)
-            v = u / np.sqrt(d)  # Bell vector reshaped to (A, B)
-            branch = np.einsum("ij,ijcklx,kl->cx", v.conj(), joint, v)
+            branch = np.einsum("jl,jclx->cx", u.conj().T @ rho @ u / d, r)
             correction = u.conj() if conjugate_corrections else u
-            corrected = correction @ branch @ correction.conj().T
-            p = float(np.trace(corrected).real)
-            post = corrected / p if p > 1e-15 else np.eye(d, dtype=complex) / d
-            outcomes.append(
-                TeleportationOutcome(label=(a, b), probability=p, post_state=post)
-            )
-    return outcomes
-
-
-def teleport_channel(resource, rho, *, conjugate_corrections: bool = True) -> np.ndarray:
-    """Probability-weighted average output over all measurement branches."""
-    outcomes = teleport_outcomes(
-        resource, rho, conjugate_corrections=conjugate_corrections
-    )
-    return sum(o.probability * o.post_state for o in outcomes)
+            out += correction @ branch @ correction.conj().T
+    return out
 
 
 def covariance_check(channel: HWChannel, unitary, rho) -> float:

@@ -17,11 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import discrimination, linalg, metrics, metrology, states, teleport
-from .errors import InvalidParameterError
+from .errors import DimensionOverflowError, InvalidParameterError
 
 __all__ = ["CheckResult", "run_verification", "teleport_check", "max_workers"]
 
 TELEPORT_TOL = 1e-10
+# the teleport sweep keeps one defect per sample, so memory grows with the count
+TELEPORT_SAMPLE_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -187,30 +189,31 @@ def check_substitution_identity(grid_step, dims, tol) -> CheckResult:
     return _collect("substitution-identity", deltas, tol)
 
 
-def check_teleport_simulation(seed, tol, samples: int = 20) -> CheckResult:
-    deltas = []
+def _teleport_defects(eta, d, seed, samples) -> tuple[list[float], list[float]]:
+    # Per sample, from one stream: draw rho, then U; teleport rho over the
+    # channel's own state, and test covariance of the channel under U.
+    resource = states.werner_state(eta, d)
+    channel = states.HWChannel(eta, d)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, d)))
+    sim, cov = [], []
+    for _ in range(samples):
+        rho = linalg.random_density_matrix(d, rng)
+        u = linalg.random_unitary(d, rng)
+        out = teleport.teleport_channel(resource, rho)
+        sim.append(linalg.trace_distance_numeric(out, channel.apply(rho)))
+        cov.append(teleport.covariance_check(channel, u, rho))
+    return sim, cov
+
+
+def check_teleport(seed, tol) -> tuple[CheckResult, CheckResult]:
+    # Every eta at one d is checked on that d's seeded draws.
+    sim, cov = [], []
     for d in (2, 3):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, d)))
-        inputs = [linalg.random_density_matrix(d, rng) for _ in range(samples)]
         for eta in (-1.0, -0.5, 0.0, 0.5, 1.0):
-            resource = states.werner_state(eta, d)
-            channel = states.HWChannel(eta, d)
-            for rho in inputs:
-                out = teleport.teleport_channel(resource, rho)
-                deltas.append(linalg.trace_distance_numeric(out, channel.apply(rho)))
-    return _collect("teleport-simulation", deltas, tol)
-
-
-def check_teleport_covariance(seed, tol, samples: int = 20) -> CheckResult:
-    deltas = []
-    for d in (2, 3):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 100 + d)))
-        channel = states.HWChannel(0.7, d)
-        for _ in range(samples):
-            u = linalg.random_unitary(d, rng)
-            rho = linalg.random_density_matrix(d, rng)
-            deltas.append(teleport.covariance_check(channel, u, rho))
-    return _collect("teleport-covariance", deltas, tol)
+            s, c = _teleport_defects(eta, d, seed, 20)
+            sim.extend(s)
+            cov.extend(c)
+    return _collect("teleport-simulation", sim, tol), _collect("teleport-covariance", cov, tol)
 
 
 def check_helstrom_explicit(tol) -> CheckResult:
@@ -289,8 +292,7 @@ def run_verification(
         check_qcb_isotropic_oracle(iso_dims, 1e-6 * tol_scale),
         check_critical_point_identities(grid_step, 1e-12 * tol_scale),
         check_substitution_identity(grid_step, iso_dims, 1e-12 * tol_scale),
-        check_teleport_simulation(seed, TELEPORT_TOL * tol_scale),
-        check_teleport_covariance(seed, TELEPORT_TOL * tol_scale),
+        *check_teleport(seed, TELEPORT_TOL * tol_scale),
         check_helstrom_explicit(1e-10 * tol_scale),
         check_estimation_saturation(seed, 0.05 * tol_scale),
         check_delta_s_sign(0.0),
@@ -299,24 +301,16 @@ def run_verification(
     return results
 
 
-def teleport_check(eta: float, d: int, seed: int, samples: int = 20) -> dict:
+def teleport_check(eta: float, d: int, seed: int, samples: int) -> dict:
     """Worst simulation and covariance defects for one (eta, d)."""
     samples = states._check_positive_int(samples, "sample count")
+    if samples > TELEPORT_SAMPLE_CAP:
+        raise DimensionOverflowError(f"sample count {samples} exceeds cap {TELEPORT_SAMPLE_CAP}")
     seed = states._check_seed(seed)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, d)))
-    resource = states.werner_state(eta, d)
-    channel = states.HWChannel(eta, d)
-    sim_defect = 0.0
-    cov_defect = 0.0
-    for _ in range(samples):
-        rho = linalg.random_density_matrix(d, rng)
-        out = teleport.teleport_channel(resource, rho)
-        sim_defect = max(sim_defect, linalg.trace_distance_numeric(out, channel.apply(rho)))
-        u = linalg.random_unitary(d, rng)
-        cov_defect = max(cov_defect, teleport.covariance_check(channel, u, rho))
+    sim, cov = _teleport_defects(eta, d, seed, samples)
     return {
-        "simulation_defect": sim_defect,
-        "covariance_defect": cov_defect,
+        "simulation_defect": max(sim),
+        "covariance_defect": max(cov),
         "tolerance": TELEPORT_TOL,
         "samples": samples,
     }

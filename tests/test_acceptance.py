@@ -9,15 +9,13 @@ import inspect
 import math
 import time
 
-import numpy as np
 import pytest
 
-from wernerlab import cli, discrimination, linalg, metrics, metrology, states, teleport
+from wernerlab import cli, discrimination, linalg, metrics, metrology, states, verify
 
 SEED = 20260808
 
 ETA_GRID = [(2 * i - 20) / 20 for i in range(21)]          # -1.0 .. 1.0, step 0.1
-ETA_INNER = ETA_GRID[1:-1]                                  # endpoints excluded
 FINE_INNER = [(2 * i - 40) / 40 for i in range(1, 40)]      # -0.95 .. 0.95, step 0.05
 
 
@@ -29,78 +27,40 @@ def report(num, ok, detail):
 
 def test_criterion_01_fidelity_oracle_agreement():
     t0 = time.monotonic()
-    worst = 0.0
-    for d in range(2, 7):
-        ws = {e: states.werner_state(e, d) for e in ETA_GRID}
-        for a in ETA_GRID:
-            for b in ETA_GRID:
-                got = linalg.bures_fidelity_numeric(ws[a], ws[b])
-                worst = max(worst, abs(got - metrics.fidelity_werner(a, b)))
+    r = verify.check_fidelity_oracle(0.1, range(2, 7), 1e-9)
     elapsed = time.monotonic() - t0
     report(
         1,
-        worst <= 1e-9 and elapsed < 30.0,
+        r.passed and elapsed < 30.0,
         f"fidelity closed form vs matrix oracle, d=2..6, 21x21 grid: "
-        f"worst |diff| {worst:.3e} (tol 1e-9), {elapsed:.1f}s (limit 30s)",
+        f"worst |diff| {r.worst:.3e} (tol 1e-9), {elapsed:.1f}s (limit 30s)",
     )
 
 
 def test_criterion_02_qcb_oracle_agreement():
+    # the diagonal (q = 1) is covered by test_linalg's identical-states case
     t0 = time.monotonic()
-    worst_q = worst_s = 0.0
-    for d in range(2, 7):
-        ws = {e: states.werner_state(e, d) for e in ETA_INNER}
-        for a in ETA_INNER:
-            for b in ETA_INNER:
-                numeric = linalg.qcb_numeric(ws[a], ws[b])
-                closed = metrics.qcb_werner(a, b)
-                worst_q = max(worst_q, abs(numeric.q - closed.q))
-                if a != b:
-                    worst_s = max(worst_s, abs(numeric.s_star - closed.s_star))
-    worst_iso = 0.0
-    for d in (2, 3, 4):
-        alphas = [d * i / 10 for i in range(1, 10)]
-        oms = {a: states.isotropic_state(a, d) for a in alphas}
-        for a in alphas:
-            for b in alphas:
-                if a == b:
-                    continue
-                numeric = linalg.qcb_numeric(oms[a], oms[b])
-                closed = metrics.qcb_isotropic(a, b, d)
-                worst_iso = max(worst_iso, abs(numeric.q - closed.q))
+    q, s = verify.check_qcb_oracle(0.1, range(2, 7), 1e-6, 1e-4)
+    iso = verify.check_qcb_isotropic_oracle((2, 3, 4), 1e-6)
     elapsed = time.monotonic() - t0
     report(
         2,
-        worst_q <= 1e-6 and worst_s <= 1e-4 and worst_iso <= 1e-6 and elapsed < 120.0,
+        q.passed and s.passed and iso.passed and elapsed < 120.0,
         f"Chernoff closed form vs numeric search (endpoints analytic): "
-        f"worst |dq| {worst_q:.3e} (tol 1e-6), worst |ds| {worst_s:.3e} (tol 1e-4), "
-        f"isotropic worst |dq| {worst_iso:.3e}, {elapsed:.1f}s (limit 120s)",
+        f"worst |dq| {q.worst:.3e} (tol 1e-6), worst |ds| {s.worst:.3e} (tol 1e-4), "
+        f"isotropic worst |dq| {iso.worst:.3e}, {elapsed:.1f}s (limit 120s)",
     )
 
 
 def test_criterion_03_critical_point_identities():
-    worst_sum = 0.0
-    all_interior = True
-    all_bracketed = True
-    for a in ETA_INNER:
-        for b in ETA_INNER:
-            if a == b:
-                continue
-            s_ab = metrics.interior_critical_s(a, b)
-            s_ba = metrics.interior_critical_s(b, a)
-            worst_sum = max(worst_sum, abs(s_ab + s_ba - 1.0))
-            all_interior &= 0.0 < s_ab < 1.0
-            q0 = metrics.werner_qs(a, b, s_ab)
-            all_bracketed &= (
-                metrics.werner_qs(a, b, s_ab - 1e-3) > q0
-                and metrics.werner_qs(a, b, s_ab + 1e-3) > q0
-            )
+    # a containment or bracketing failure is an infinite defect in the check
+    r = verify.check_critical_point_identities(0.1, 1e-12)
     report(
         3,
-        worst_sum <= 1e-12 and all_interior and all_bracketed,
+        r.passed,
         f"critical-point identities on every interior grid point: "
-        f"worst |s_ab + s_ba - 1| {worst_sum:.3e} (tol 1e-12), "
-        f"containment {all_interior}, local-minimum bracketing {all_bracketed}",
+        f"worst |s_ab + s_ba - 1| {r.worst:.3e} (tol 1e-12), "
+        f"containment {r.passed}, local-minimum bracketing {r.passed}",
     )
 
 
@@ -169,31 +129,12 @@ def test_criterion_05_qcrb_reproduction():
 
 
 def test_criterion_06_channel_simulation_identity():
-    worst_sim = 0.0
-    for d in (2, 3):
-        rng = np.random.default_rng(np.random.SeedSequence((SEED, d)))
-        inputs = [linalg.random_density_matrix(d, rng) for _ in range(20)]
-        for eta in (-1.0, -0.5, 0.0, 0.5, 1.0):
-            resource = states.werner_state(eta, d)
-            channel = states.HWChannel(eta, d)
-            for rho in inputs:
-                out = teleport.teleport_channel(resource, rho)
-                worst_sim = max(
-                    worst_sim, linalg.trace_distance_numeric(out, channel.apply(rho))
-                )
-    worst_cov = 0.0
-    for d in (2, 3):
-        rng = np.random.default_rng(np.random.SeedSequence((SEED, 100 + d)))
-        channel = states.HWChannel(0.7, d)
-        for _ in range(20):
-            u = linalg.random_unitary(d, rng)
-            rho = linalg.random_density_matrix(d, rng)
-            worst_cov = max(worst_cov, teleport.covariance_check(channel, u, rho))
+    sim, cov = verify.check_teleport(SEED, 1e-10)
     report(
         6,
-        worst_sim <= 1e-10 and worst_cov <= 1e-10,
+        sim.passed and cov.passed,
         f"teleporting over the channel's own state reproduces it: worst trace "
-        f"distance {worst_sim:.3e}; covariance defect {worst_cov:.3e} (tol 1e-10)",
+        f"distance {sim.worst:.3e}; covariance defect {cov.worst:.3e} (tol 1e-10)",
     )
 
 

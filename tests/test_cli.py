@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from wernerlab import cli, verify
+from wernerlab.errors import DimensionOverflowError
 
 
 def run_json(capsys, argv):
@@ -130,12 +131,19 @@ class TestExitCodes:
             ),
             (["teleport-check", "--d", "17", "--eta", "0.5"], "dimension 4913 exceeds cap 4096"),
             (["verify", "--dims", "2..65"], "dimension 4225 exceeds cap 4096"),
+            (
+                ["teleport-check", "--d", "2", "--eta", "0.5", "--samples", "100001"],
+                "sample count 100001 exceeds cap 100000",
+            ),
+            (["verify", "--dims", "2..1000000000"], f"dimension {10**18} exceeds cap 4096"),
         ],
     )
     def test_oversized_input_is_one(self, monkeypatch, capsys, argv, message):
-        # rejected before any sweep or joint operator: make both unreachable
+        # rejected before any sweep, product or dimension range is built:
+        # make all three unreachable
         monkeypatch.setattr(verify, "check_fidelity_oracle", None)
         monkeypatch.setattr(np, "kron", None)
+        monkeypatch.setattr(cli, "range", None, raising=False)
         code = cli.main(argv)
         captured = capsys.readouterr()
         assert code == 1
@@ -210,6 +218,14 @@ class TestVerificationCommands:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    def test_teleport_check_rejects_bad_dimension(self, capsys):
+        code = cli.main(["teleport-check", "--d", "-1", "--eta", "0.5"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "local dimension must be an integer >= 2" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_verify_small_grid_passes(self, capsys):
         code = cli.main(["verify", "--grid", "0.5", "--dims", "2..3", "--seed", "11"])
         out = capsys.readouterr().out
@@ -244,6 +260,11 @@ class TestVerificationCommands:
 
     def test_verify_rejects_bad_dims(self, capsys):
         assert cli.main(["verify", "--dims", "nope"]) == 1
+
+    def test_dimension_range_is_checked_before_it_is_built(self, monkeypatch):
+        monkeypatch.setattr(cli, "range", None, raising=False)  # never reached
+        with pytest.raises(DimensionOverflowError, match=f"{10**18} exceeds cap 4096"):
+            cli._parse_dims("2..1000000000")
 
     @pytest.mark.parametrize(
         "flag,value,message",

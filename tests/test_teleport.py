@@ -101,14 +101,6 @@ class TestTeleportChannel:
         out = teleport.teleport_channel(resource, rho, conjugate_corrections=False)
         assert linalg.trace_distance_numeric(out, channel.apply(rho)) <= 1e-10
 
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_uniform_outcome_probabilities(self, d):
-        rho = rand_density(d, seed=31)
-        outcomes = teleport.teleport_outcomes(states.werner_state(0.4, d), rho)
-        probs = np.array([o.probability for o in outcomes])
-        assert np.abs(probs - 1.0 / (d * d)).max() <= 1e-10
-        assert probs.sum() == pytest.approx(1.0, abs=1e-10)
-
     def test_linear_in_the_input(self):
         d = 3
         resource = states.werner_state(-0.6, d)
@@ -126,10 +118,19 @@ class TestTeleportChannel:
             teleport.teleport_channel(np.eye(9) / 9, np.eye(2) / 2)
 
     def test_joint_operator_is_size_checked(self, monkeypatch):
-        # d = 17 needs a 4913 x 4913 joint operator, above TENSOR_DIM_CAP
+        # d = 17: d^3 = 4913 is above TENSOR_DIM_CAP, rejected before any work
         monkeypatch.setattr(linalg.np, "kron", None)
         with pytest.raises(DimensionOverflowError, match="4913 exceeds cap 4096"):
             teleport.teleport_channel(np.eye(289) / 289, np.eye(17) / 17)
+
+    def test_largest_dimension_builds_no_joint_operator(self, monkeypatch):
+        # d = 16, the largest the cap admits: each branch contracts the
+        # 256 x 256 resource, with no 4096 x 4096 input-resource product
+        monkeypatch.setattr(linalg.np, "kron", None)
+        rho = rand_density(16, seed=67)
+        out = teleport.teleport_channel(states.werner_state(0.5, 16), rho)
+        expected = states.HWChannel(0.5, 16).apply(rho)
+        assert linalg.trace_distance_numeric(out, expected) <= 1e-10
 
 
 class TestCovariance:

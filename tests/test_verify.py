@@ -14,7 +14,7 @@ DEFAULT_POINTS = {
     "critical-point-identities": 1026,
     "substitution-identity": 1026,
     "teleport-simulation": 200,
-    "teleport-covariance": 40,
+    "teleport-covariance": 200,
     "helstrom-explicit": 12,
     "estimation-saturation": 4,
     "delta-s-sign": 722,
@@ -45,8 +45,8 @@ def test_default_run_point_counts(monkeypatch):
     calls = count_eigh(monkeypatch)
     results = verify.run_verification()
     assert {r.name: r.points for r in results} == DEFAULT_POINTS
-    assert sum(r.points for r in results) == 22_101
-    assert len(calls) == 5108
+    assert sum(r.points for r in results) == 22_261
+    assert len(calls) == 5268
 
 
 def test_estimation_saturation_worst_is_pinned():
@@ -82,3 +82,9 @@ def test_every_dimension_is_checked_before_the_first_sweep(monkeypatch):
     monkeypatch.setattr(verify, "check_fidelity_oracle", None)  # never reached
     with pytest.raises(DimensionOverflowError, match="4225 exceeds cap 4096"):
         verify.run_verification(grid_step=0.5, dims=(2, 3, 65))
+
+
+def test_teleport_sample_count_is_capped_before_any_draw(monkeypatch):
+    monkeypatch.setattr(verify, "_teleport_defects", None)  # never reached
+    with pytest.raises(DimensionOverflowError, match="100001 exceeds cap 100000"):
+        verify.teleport_check(0.5, 2, 1, verify.TELEPORT_SAMPLE_CAP + 1)
