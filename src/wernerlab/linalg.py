@@ -176,6 +176,11 @@ def trace_distance_numeric(rho, sigma) -> float:
     return float(0.5 * np.abs(w).sum())
 
 
+def _overlap(dr: EigenDecomposition, ds: EigenDecomposition) -> np.ndarray:
+    # |<r_i|s_j>|^2 between the eigenvectors of rho and of sigma
+    return np.abs(dr.eigenvectors.conj().T @ ds.eigenvectors) ** 2
+
+
 def relative_entropy_kernel(dr: EigenDecomposition, ds: EigenDecomposition) -> float:
     """Base-2 relative entropy from the clamped decompositions of rho and sigma.
 
@@ -186,8 +191,7 @@ def relative_entropy_kernel(dr: EigenDecomposition, ds: EigenDecomposition) -> f
     plogp = float(np.sum(p[p > SUPPORT_TOL] * np.log2(p[p > SUPPORT_TOL])))
 
     # weight of rho on each eigenvector of sigma
-    overlap = np.abs(ds.eigenvectors.conj().T @ dr.eigenvectors) ** 2
-    weights = overlap @ p
+    weights = _overlap(ds, dr) @ p
     q = ds.eigenvalues
     null = q <= SUPPORT_TOL
     if np.any(weights[null] > SUPPORT_TOL):
@@ -210,27 +214,42 @@ def relative_entropy_numeric(rho, sigma) -> float:
 
 
 def golden_section_min(
-    f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-8
-) -> float:
-    """Golden-section search for the minimiser of a unimodal function.
+    f: Callable[[np.ndarray], np.ndarray], lo, hi, tol: float = 1e-8
+) -> np.ndarray:
+    """Golden-section search for the minimisers of unimodal functions, in lockstep.
 
-    Shrinks the bracket [lo, hi] until its width is at most ``tol`` and
-    returns the midpoint.  Deterministic for identical inputs.
+    ``lo`` and ``hi`` are bracket ends, scalars or arrays of one shape, and
+    ``f`` maps an array of abscissae (one per bracket) to the array of the
+    function values there.  Each bracket shrinks by the scalar update
+    sequence until its width is at most ``tol``; one that gets there first
+    is held while the others go on, so every result equals a search on its
+    bracket alone.  Returns the bracket midpoints.  Deterministic for
+    identical inputs.
     """
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    if not np.all(lo < hi):
+        raise ValueError(f"need lo < hi in every bracket, got [{lo}, {hi}]")
     c = hi - GOLDEN * (hi - lo)
     d = lo + GOLDEN * (hi - lo)
     fc, fd = f(c), f(d)
-    while hi - lo > tol:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - GOLDEN * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + GOLDEN * (hi - lo)
-            fd = f(d)
+    live = hi - lo > tol
+    while live.any():
+        # where f(c) < f(d) the bracket keeps [lo, d], elsewhere [c, hi]
+        left = fc < fd
+        shrink_hi = live & left
+        shrink_lo = live & ~left
+        hi = np.where(shrink_hi, d, hi)
+        lo = np.where(shrink_lo, c, lo)
+        x = np.where(left, hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo))
+        fx = f(x)
+        c, d, fc, fd = (
+            np.where(shrink_hi, x, np.where(shrink_lo, d, c)),
+            np.where(shrink_hi, c, np.where(shrink_lo, x, d)),
+            np.where(shrink_hi, fx, np.where(shrink_lo, fd, fc)),
+            np.where(shrink_hi, fc, np.where(shrink_lo, fx, fd)),
+        )
+        live = hi - lo > tol
     return 0.5 * (lo + hi)
 
 
@@ -242,11 +261,6 @@ class QcbNumeric(NamedTuple):
 # Coarse pass for the Chernoff overlap: 0.005, 0.010, ..., 0.995.
 _QCB_GRID_STEP = 0.005
 _QCB_GRID = np.arange(1, 200) * _QCB_GRID_STEP
-
-
-def _overlap(dr: EigenDecomposition, ds: EigenDecomposition) -> np.ndarray:
-    # |<r_i|s_j>|^2 between the eigenvectors of rho and of sigma
-    return np.abs(dr.eigenvectors.conj().T @ ds.eigenvectors) ** 2
 
 
 def _overlap_curve(p, overlap, q, s_values) -> np.ndarray:
@@ -274,23 +288,63 @@ def qcb_curve(rho, sigma, s_values) -> np.ndarray:
     )
 
 
+# Overlap entries (pairs x dim^2) refined together, so that the memory of a
+# batch does not grow with its pair count.
+_QCB_BLOCK = 2**16
+
+
+def qcb_kernels(drs, dss) -> QcbNumeric:
+    """Minimise Tr(rho^s sigma^(1-s)) over (0, 1) for every pair of clamped decompositions.
+
+    ``drs[i]`` and ``dss[i]`` decompose the i-th pair, and all states share
+    one dimension.  Each pair's coarse grid (step 0.005) is evaluated in one
+    vectorised pass; then the brackets of all pairs are refined together by
+    golden section to width 1e-8, a block of at most ``_QCB_BLOCK`` overlap
+    entries at a time.  Returns arrays ``q`` and ``s_star`` with one entry
+    per pair, each equal to a search on that pair alone.
+    """
+    drs, dss = list(drs), list(dss)
+    if len(drs) != len(dss):
+        raise DimensionMismatchError(f"{len(drs)} rho decompositions for {len(dss)} sigma")
+    q_min, s_star = np.empty(len(drs)), np.empty(len(drs))
+    if not drs:
+        return QcbNumeric(q=q_min, s_star=s_star)
+    dim = drs[0].eigenvalues.size
+    block = max(1, _QCB_BLOCK // (dim * dim))
+    # one buffer for every block, so two blocks' overlaps are never held at once
+    buffer = np.empty((min(block, len(drs)), dim, dim))
+    for start in range(0, len(drs), block):
+        pairs = list(zip(drs[start : start + block], dss[start : start + block]))
+        o = buffer[: len(pairs)]
+        k = np.empty(len(pairs), dtype=int)
+        for i, (dr, ds) in enumerate(pairs):
+            overlap = _overlap(dr, ds)
+            k[i] = np.argmin(_overlap_curve(dr.eigenvalues, overlap, ds.eigenvalues, _QCB_GRID))
+            o[i] = overlap
+        p = np.stack([dr.eigenvalues for dr, _ in pairs])
+        q = np.stack([ds.eigenvalues for _, ds in pairs])
+
+        def overlap_at(s: np.ndarray) -> np.ndarray:
+            ps = (p ** s[:, None])[:, None, :]
+            qs = (q ** (1.0 - s[:, None]))[:, :, None]
+            return np.matmul(np.matmul(ps, o), qs)[:, 0, 0]
+
+        lo = np.maximum(_QCB_GRID[k] - _QCB_GRID_STEP, 1e-9)
+        hi = np.minimum(_QCB_GRID[k] + _QCB_GRID_STEP, 1.0 - 1e-9)
+        s = golden_section_min(overlap_at, lo, hi, tol=1e-8)
+        q_min[start : start + len(pairs)] = overlap_at(s)
+        s_star[start : start + len(pairs)] = s
+    return QcbNumeric(q=q_min, s_star=s_star)
+
+
 def qcb_kernel(dr: EigenDecomposition, ds: EigenDecomposition) -> QcbNumeric:
     """Minimise Tr(rho^s sigma^(1-s)) over (0, 1) from clamped decompositions.
 
-    The coarse grid (step 0.005) is evaluated in one vectorised pass; the
-    bracketing interval is then refined by golden section to width 1e-8.
+    The one-pair call of :func:`qcb_kernels`: a coarse grid (step 0.005),
+    then golden-section refinement of the bracketing interval to width 1e-8.
     """
-    overlap = _overlap(dr, ds)
-    p, q = dr.eigenvalues, ds.eigenvalues
-
-    def q_at(s: float) -> float:
-        return float((p**s) @ overlap @ (q ** (1.0 - s)))
-
-    k = int(np.argmin(_overlap_curve(p, overlap, q, _QCB_GRID)))
-    lo = max(_QCB_GRID[k] - _QCB_GRID_STEP, 1e-9)
-    hi = min(_QCB_GRID[k] + _QCB_GRID_STEP, 1.0 - 1e-9)
-    s_star = golden_section_min(q_at, lo, hi, tol=1e-8)
-    return QcbNumeric(q=q_at(s_star), s_star=s_star)
+    r = qcb_kernels([dr], [ds])
+    return QcbNumeric(q=float(r.q[0]), s_star=float(r.s_star[0]))
 
 
 def qcb_numeric(rho, sigma) -> QcbNumeric:

@@ -113,18 +113,15 @@ def check_relative_entropy_oracle(grid_step, dims, tol) -> CheckResult:
 
 def check_qcb_oracle(grid_step, dims, q_tol, s_tol) -> tuple[CheckResult, CheckResult]:
     etas = discrimination.eta_grid(grid_step, endpoints=False)
-
+    pairs = [(a, b) for a in etas for b in etas if a != b]
     dq, ds = [], []
     for d in dims:
         decs = _werner_spectra(etas, d)
-        for a in etas:
-            for b in etas:
-                if a == b:
-                    continue
-                numeric = linalg.qcb_kernel(decs[a], decs[b])
-                closed = metrics.qcb_werner(a, b)
-                dq.append(abs(numeric.q - closed.q))
-                ds.append(abs(numeric.s_star - closed.s_star))
+        numeric = linalg.qcb_kernels([decs[a] for a, _ in pairs], [decs[b] for _, b in pairs])
+        for (a, b), q, s in zip(pairs, numeric.q.tolist(), numeric.s_star.tolist()):
+            closed = metrics.qcb_werner(a, b)
+            dq.append(abs(q - closed.q))
+            ds.append(abs(s - closed.s_star))
     return _collect("qcb-oracle-q", dq, q_tol), _collect("qcb-oracle-s", ds, s_tol)
 
 
@@ -133,13 +130,10 @@ def check_qcb_isotropic_oracle(dims, q_tol) -> CheckResult:
     for d in dims:
         alphas = _alpha_grid(d)[1:-1]
         decs = _isotropic_spectra(alphas, d)
-        for a in alphas:
-            for b in alphas:
-                if a == b:
-                    continue
-                numeric = linalg.qcb_kernel(decs[a], decs[b])
-                closed = metrics.qcb_isotropic(a, b, d)
-                deltas.append(abs(numeric.q - closed.q))
+        pairs = [(a, b) for a in alphas for b in alphas if a != b]
+        numeric = linalg.qcb_kernels([decs[a] for a, _ in pairs], [decs[b] for _, b in pairs])
+        for (a, b), q in zip(pairs, numeric.q.tolist()):
+            deltas.append(abs(q - metrics.qcb_isotropic(a, b, d).q))
     return _collect("qcb-isotropic-oracle", deltas, q_tol)
 
 

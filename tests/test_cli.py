@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wernerlab import cli, verify
 from wernerlab.errors import DimensionOverflowError
@@ -279,3 +283,66 @@ class TestVerificationCommands:
     def test_verify_rejects_gate_disabling_values(self, capsys, flag, value, message):
         assert cli.main(["verify", flag, value]) == 1
         assert message in capsys.readouterr().err
+
+
+# Float flag values at the edges of IEEE double: nan, infinities, negative
+# zero, the smallest subnormals, and one ulp either side of +1 and -1.
+FUZZ_VALUES = tuple(
+    repr(x)
+    for x in (
+        math.nan,
+        math.inf,
+        -math.inf,
+        -0.0,
+        5e-324,
+        -5e-324,
+        math.nextafter(1.0, 2.0),
+        math.nextafter(1.0, 0.0),
+        math.nextafter(-1.0, -2.0),
+        math.nextafter(-1.0, 0.0),
+    )
+)
+
+# Every float flag of the CLI, one per command line, the others valid.  The
+# "=" form keeps argparse from reading a value like "-inf" as a flag.
+FUZZ_COMMANDS = (
+    "fidelity --eta={} --zeta=0.5",
+    "fidelity --eta=0.5 --zeta={}",
+    "relent --eta={} --zeta=0.5",
+    "relent --eta=0.5 --zeta={}",
+    "qcb --eta={} --zeta=0.5",
+    "qcb --eta=0.5 --zeta={}",
+    "qcb --isotropic --alpha={} --beta=1 --d=2",
+    "qcb --isotropic --alpha=1 --beta={} --d=2",
+    "estimate --eta={} --n=100",
+    "estimate sim --eta={} --n=100 --trials=200 --seed=1",
+    "discriminate --eta={} --zeta=0.5",
+    "discriminate --eta=0.5 --zeta={}",
+    "curves --zeta={} --n=1,10 --step=0.5",
+    "curves --zeta=0 --n=1,10 --step={}",
+    "teleport-check --d=2 --eta={} --samples=2",
+    "verify --grid={} --dims=2..2",
+    "verify --grid=0.5 --dims=2..2 --tol-scale={}",
+)
+
+
+def run_captured(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(template=st.sampled_from(FUZZ_COMMANDS), value=st.sampled_from(FUZZ_VALUES))
+@settings(max_examples=30, deadline=None)
+def test_float_flags_exit_cleanly(template, value):
+    # any exception other than argparse's exit escapes and fails the test
+    argv = template.format(value).split()
+    code, out, err = run_captured(argv)
+    assert code in ((0, 1, 2) if argv[0] == "verify" else (0, 1))
+    if code == 1:
+        assert out == ""
+    assert "Traceback" not in err

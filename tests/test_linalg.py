@@ -259,6 +259,59 @@ class TestGoldenSection:
         with pytest.raises(ValueError):
             linalg.golden_section_min(lambda x: x, 1.0, 0.0)
 
+    def test_brackets_match_scalar_runs(self):
+        # widths from 1 down to 1e-7 take different iteration counts, and one
+        # bracket starts at or below tol, so some are held while others go on
+        lo = np.array([0.0, -3.0, 0.2, 0.5, 0.1])
+        hi = np.array([1.0, 2.0, 0.21, 0.5 + 1e-7, 0.1 + 1e-9])
+        centre = np.array([0.3, -2.9, 0.2, 0.7, 0.0])
+        got = linalg.golden_section_min(lambda x: (x - centre) ** 2, lo, hi, tol=1e-8)
+        for i in range(len(lo)):
+            f = lambda x, m=centre[i]: (x - m) ** 2
+            assert got[i] == _scalar_golden_section(f, lo[i], hi[i], 1e-8)
+            assert got[i] == linalg.golden_section_min(f, lo[i], hi[i], tol=1e-8)
+
+    def test_requires_every_bracket_ordered(self):
+        with pytest.raises(ValueError):
+            linalg.golden_section_min(lambda x: x, [0.0, 0.5, 0.0], [1.0, 0.5, 1.0])
+        with pytest.raises(ValueError):
+            linalg.golden_section_min(lambda x: x, [0.0, np.nan], [1.0, 1.0])
+
+
+def _scalar_golden_section(f, lo, hi, tol):
+    # Reference: the one-bracket search that golden_section_min runs on every
+    # bracket in lockstep.
+    c = hi - linalg.GOLDEN * (hi - lo)
+    d = lo + linalg.GOLDEN * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo > tol:
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - linalg.GOLDEN * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + linalg.GOLDEN * (hi - lo)
+            fd = f(d)
+    return 0.5 * (lo + hi)
+
+
+def _scalar_qcb(dr, ds):
+    # Reference: the one-pair Chernoff search, coarse grid then scalar golden
+    # section on Tr(rho^s sigma^(1-s)) evaluated one s at a time.
+    overlap = np.abs(dr.eigenvectors.conj().T @ ds.eigenvectors) ** 2
+    p, q = dr.eigenvalues, ds.eigenvalues
+
+    def q_at(s):
+        return float((p**s) @ overlap @ (q ** (1.0 - s)))
+
+    grid = np.arange(1, 200) * 0.005
+    k = int(np.argmin(linalg.qcb_curve_kernel(dr, ds, grid)))
+    lo = max(grid[k] - 0.005, 1e-9)
+    hi = min(grid[k] + 0.005, 1.0 - 1e-9)
+    s_star = _scalar_golden_section(q_at, lo, hi, 1e-8)
+    return q_at(s_star), s_star
+
 
 def _kernel_cases():
     # full-rank random states, then rank-deficient pure/edge states where
@@ -311,3 +364,68 @@ class TestSpectraKernels:
         # the refinement bracket is one coarse step either side of the curve's minimum
         s_star = linalg.qcb_kernel(dr, ds).s_star
         assert abs(s_star - grid[np.argmin(curve)]) <= 0.005
+
+
+def _nearly_pure(dim, seed):
+    # a random pure state whose other eigenvalues are round-off below ZERO_SNAP
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    v /= np.linalg.norm(v)
+    rho = (1.0 - 1e-14) * np.outer(v, v.conj()) + 1e-14 * np.eye(dim) / dim
+    return (rho + rho.conj().T) / 2.0
+
+
+def _batch(pairs):
+    drs = [linalg.clamped_spectrum(rho) for rho, _ in pairs]
+    dss = [linalg.clamped_spectrum(sigma) for _, sigma in pairs]
+    return drs, dss
+
+
+class TestQcbKernels:
+    """The batched Chernoff search equals the scalar search on every pair."""
+
+    @pytest.mark.parametrize("dim", [4, 9, 16])
+    def test_batch_equals_scalar_search(self, dim):
+        # one batch per dimension: the kernel cases, 30 random pairs (d^2 = 4
+        # and 9) and nearly-pure against maximally mixed both ways, whose
+        # brackets are clipped at 1e-9 and 1 - 1e-9 in a batch of unclipped
+        # ones (brackets of other widths are covered by TestGoldenSection)
+        pairs = [(r, s) for r, s in _kernel_cases() if r.shape[0] == dim]
+        if dim in (4, 9):
+            pairs += [(rand_density(dim, 1000 + i), rand_density(dim, 2000 + i)) for i in range(30)]
+        mixed = np.eye(dim) / dim
+        pairs += [(_nearly_pure(dim, dim), mixed), (mixed, _nearly_pure(dim, dim))]
+        drs, dss = _batch(pairs)
+        got = linalg.qcb_kernels(drs, dss)
+        expected = [_scalar_qcb(dr, ds) for dr, ds in zip(drs, dss)]
+        assert got.q.tolist() == [q for q, _ in expected]
+        assert got.s_star.tolist() == [s for _, s in expected]
+        # the clipped pairs reach the ends of the open interval
+        assert 0.0 < got.s_star[-2] < 1e-8
+        assert 1.0 - 1e-8 < got.s_star[-1] < 1.0
+
+    def test_batch_longer_than_a_block(self):
+        dim, n = 16, 17
+        decs = [linalg.clamped_spectrum(rand_density(dim, 3000 + i)) for i in range(n)]
+        drs = [decs[i] for i in range(n) for j in range(n) if i != j]
+        dss = [decs[j] for i in range(n) for j in range(n) if i != j]
+        assert len(drs) > linalg._QCB_BLOCK // (dim * dim)
+        got = linalg.qcb_kernels(drs, dss)
+        expected = [_scalar_qcb(dr, ds) for dr, ds in zip(drs, dss)]
+        assert got.q.tolist() == [q for q, _ in expected]
+        assert got.s_star.tolist() == [s for _, s in expected]
+
+    def test_empty_batch(self):
+        got = linalg.qcb_kernels([], [])
+        assert got.q.shape == got.s_star.shape == (0,)
+
+    def test_one_pair_call(self):
+        dr, ds = _batch([(rand_density(9, 41), rand_density(9, 42))])
+        got = linalg.qcb_kernel(dr[0], ds[0])
+        assert (got.q, got.s_star) == _scalar_qcb(dr[0], ds[0])
+        assert type(got.q) is float and type(got.s_star) is float
+
+    def test_mismatched_batches(self):
+        dr, ds = _batch([(rand_density(4, 1), rand_density(4, 2))])
+        with pytest.raises(DimensionMismatchError):
+            linalg.qcb_kernels(dr, ds + ds)

@@ -55,6 +55,21 @@ def test_estimation_saturation_worst_is_pinned():
     assert verify.check_estimation_saturation(20260808, 0.05).worst == 0.017154740947780578
 
 
+def test_qcb_oracle_worst_is_pinned():
+    # bit-identity guard on the Chernoff refinement: a change to the search
+    # that still passed its tolerances would move these values
+    q, s = verify.check_qcb_oracle(0.1, (2, 3, 4, 5, 6), 1e-6, 1e-4)
+    assert q.worst == float.fromhex("0x1.4p-50")
+    assert s.worst == float.fromhex("0x1.1cf05cce00000p-22")
+
+
+def test_qcb_checks_without_pairs_fail():
+    # grid 1.0 leaves no off-diagonal interior pair: an empty batch, 0 points
+    q, s = verify.check_qcb_oracle(1.0, (2,), 1e-6, 1e-4)
+    assert (q.points, s.points) == (0, 0)
+    assert not q.passed and not s.passed
+
+
 def test_sandwich_ordering_matches_pairwise_sweep():
     # the pairwise bounds() sweep that the per-zeta curve grids replaced;
     # tol 0 counts every positive violation as a failure
