@@ -289,8 +289,11 @@ def _cmd_curves(args) -> int:
         )
         payload = json.dumps(_jsonify(record), indent=2) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise WernerLabError(f"cannot write {args.out!r}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(payload)
     return 0

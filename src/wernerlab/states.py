@@ -7,6 +7,7 @@ partial transpose, and the teleportation simulator all rely on it.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +35,18 @@ __all__ = [
 ]
 
 
+def _check_double_range(value: int, what: str) -> None:
+    # Closed forms turn integers into floats; beyond a double that overflows.
+    if value > sys.float_info.max:
+        raise DimensionOverflowError(
+            f"{what} exceeds the range of a double ({sys.float_info.max:.6g})"
+        )
+
+
 def _check_dim(d: int) -> int:
     if not isinstance(d, (int, np.integer)) or d < 2:
         raise InvalidDimensionError(f"local dimension must be an integer >= 2, got {d!r}")
+    _check_double_range(d, "local dimension")
     return int(d)
 
 
@@ -51,6 +61,7 @@ def _check_pair_dim(d: int) -> int:
 def _check_positive_int(value: int, what: str) -> int:
     if not isinstance(value, (int, np.integer)) or value < 1:
         raise InvalidParameterError(f"{what} must be a positive integer, got {value!r}")
+    _check_double_range(value, what)
     return int(value)
 
 

@@ -140,6 +140,11 @@ class TestExitCodes:
                 "sample count 100001 exceeds cap 100000",
             ),
             (["verify", "--dims", "2..1000000000"], f"dimension {10**18} exceeds cap 4096"),
+            (["estimate", "--eta", "0.3", "--n", str(10**400)], "probe count exceeds the range"),
+            (
+                ["qcb", "--isotropic", "--alpha", "1", "--beta", "0.5", "--d", str(10**400)],
+                "local dimension exceeds the range",
+            ),
         ],
     )
     def test_oversized_input_is_one(self, monkeypatch, capsys, argv, message):
@@ -167,6 +172,19 @@ class TestCurves:
         rows = cli.parse_curves_csv(text)
         assert cli.format_curves_csv(rows) == text
         assert len(rows) == 2 * 21
+
+    @pytest.mark.parametrize(
+        "target,message", [("missing/x.csv", "No such file"), (".", "Is a directory")]
+    )
+    def test_unwritable_out_is_one(self, tmp_path, capsys, target, message):
+        out = tmp_path / target
+        code = cli.main(["curves", "--zeta", "0", "--n", "1", "--step", "0.5", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"cannot write {str(out)!r}: {message}" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "missing").exists()
 
     def test_header_and_sorting(self, capsys):
         code = cli.main(["curves", "--zeta", "0.5", "--n", "10,1", "--step", "0.5"])
@@ -336,13 +354,40 @@ def run_captured(argv) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-@given(template=st.sampled_from(FUZZ_COMMANDS), value=st.sampled_from(FUZZ_VALUES))
-@settings(max_examples=30, deadline=None)
-def test_float_flags_exit_cleanly(template, value):
+def assert_exits_cleanly(argv):
     # any exception other than argparse's exit escapes and fails the test
-    argv = template.format(value).split()
     code, out, err = run_captured(argv)
     assert code in ((0, 1, 2) if argv[0] == "verify" else (0, 1))
     if code == 1:
         assert out == ""
     assert "Traceback" not in err
+
+
+@given(template=st.sampled_from(FUZZ_COMMANDS), value=st.sampled_from(FUZZ_VALUES))
+@settings(max_examples=30, deadline=None)
+def test_float_flags_exit_cleanly(template, value):
+    assert_exits_cleanly(template.format(value).split())
+
+
+# Non-positive, one past int64, and beyond the range of a double.
+INT_FUZZ_VALUES = ("0", "-1", str(2**63), str(10**400))
+
+# Every integer flag of the commands that compute, one per command line.
+INT_FUZZ_COMMANDS = (
+    "estimate --eta=0.3 --n={}",
+    "estimate sim --eta=0.3 --n={} --trials=200 --seed=1",
+    "estimate sim --eta=0.3 --n=100 --trials={} --seed=1",
+    "estimate sim --eta=0.3 --n=100 --trials=200 --seed={}",
+    "discriminate --eta=0.3 --zeta=0.5 --n={}",
+    "discriminate --eta=0.3 --zeta=0.5 --d={}",
+    "qcb --isotropic --alpha=1 --beta=0.5 --d={}",
+    "teleport-check --d={} --eta=0.5 --samples=2",
+    "teleport-check --d=2 --eta=0.5 --samples={}",
+    "teleport-check --d=2 --eta=0.5 --samples=2 --seed={}",
+)
+
+
+@given(template=st.sampled_from(INT_FUZZ_COMMANDS), value=st.sampled_from(INT_FUZZ_VALUES))
+@settings(max_examples=20, deadline=None)
+def test_integer_flags_exit_cleanly(template, value):
+    assert_exits_cleanly(template.format(value).split())

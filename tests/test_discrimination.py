@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -181,6 +182,18 @@ class TestIsotropicBounds:
         )
         got = discrimination.bounds_isotropic(2.0, 1.0, 2, 5)
         assert got.qcb_upper == pytest.approx(0.5 * numeric.q**5, abs=1e-6)
+
+    def test_integers_beyond_a_double_are_rejected(self):
+        # q**n and d - alpha would raise OverflowError on such integers
+        with pytest.raises(DimensionOverflowError, match="use count exceeds the range of a double"):
+            discrimination.bounds_isotropic(1, 0.5, 2, 10**400)
+        with pytest.raises(DimensionOverflowError, match="local dimension exceeds the range"):
+            discrimination.bounds_isotropic(1, 0.5, 10**400, 2)
+
+    def test_largest_double_integers_are_accepted(self):
+        n = int(sys.float_info.max)
+        assert discrimination.bounds_isotropic(1, 0.5, 2, n).qcb_upper == 0.0
+        assert discrimination.bounds_isotropic(1, 1, n, n).qcb_upper == 0.5
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("n", [1, 5])

@@ -10,30 +10,30 @@ from wernerlab.errors import DimensionOverflowError, InvalidParameterError
 
 SEED = 20260808
 
-# single-word, edge and multi-word seeds; from 2**96 the entropy (seed words
-# plus the trial word) is longer than SeedSequence's pool of four
-SEEDS = [0, 1, 7, SEED, 2**31 - 1, 2**64 - 1, 2**32 + 5, 2**70 + 3, 2**96 + 7, 2**200 + 3]
+BLOCK = metrology._DRAW_BLOCK
 
 
-def per_trial_reference(eta, n, trials, seed):
-    """The per-trial loop that the batch seeder replaced: one generator
-    built from SeedSequence((seed, i)) for each trial."""
-    p = (1.0 + eta) / 2.0
-    estimates = np.empty(trials)
-    for i in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
-        k = rng.binomial(n, p)
-        estimates[i] = 2.0 * k / n - 1.0
-    return metrology.EstimationReport(
-        eta_true=eta,
-        n=n,
-        qfi=metrology.qfi_werner(eta, n),
-        qcrb_variance=metrology.qcrb_variance(eta, n),
-        trials=trials,
-        empirical_mean=float(estimates.mean()),
-        empirical_variance=float(estimates.var(ddof=1)) if trials > 1 else 0.0,
-        seed=seed,
-    )
+def assert_matches_default_rng(eta, n, trials, seed):
+    # the reference: the estimates of one size=trials draw from numpy's own
+    # stream for the seed
+    got = metrology.simulate_estimation(eta, n, trials, seed=seed)
+    k = np.random.default_rng(seed).binomial(n, (1.0 + eta) / 2.0, size=trials)
+    estimates = 2.0 * k / n - 1.0
+    assert got.empirical_mean == float(estimates.mean())
+    assert got.empirical_variance == (float(estimates.var(ddof=1)) if trials > 1 else 0.0)
+
+
+class Reached(Exception):
+    pass
+
+
+def stop_at_first_draw(monkeypatch):
+    # validation passed if the first binomial draw is reached; nothing is drawn
+    class FirstDraw:
+        def binomial(self, *args, **kwargs):
+            raise Reached
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: FirstDraw())
 
 
 class TestQfi:
@@ -173,60 +173,41 @@ class TestSimulateEstimation:
             metrology.simulate_estimation(0.5, 10, 10, seed=1.5)
 
     def test_trial_cap_is_accepted(self, monkeypatch):
-        # stop at the seeder: validation passed, and nothing is run
-        class Reached(Exception):
-            pass
-
-        def reached(*args):
-            raise Reached
-
-        monkeypatch.setattr(metrology, "_substream_words", reached)
+        stop_at_first_draw(monkeypatch)
         with pytest.raises(Reached):
             metrology.simulate_estimation(0.5, 10, metrology.TRIAL_CAP, seed=0)
 
     def test_trial_cap_plus_one_is_rejected_up_front(self, monkeypatch):
-        monkeypatch.setattr(metrology, "_substream_words", None)  # never reached
+        monkeypatch.setattr(np.random, "default_rng", None)  # never reached
         with pytest.raises(DimensionOverflowError, match="exceeds cap"):
             metrology.simulate_estimation(0.5, 10, metrology.TRIAL_CAP + 1, seed=0)
 
     def test_largest_int64_probe_count_is_accepted(self, monkeypatch):
-        class Reached(Exception):
-            pass
-
-        def reached(*args):
-            raise Reached
-
-        monkeypatch.setattr(metrology, "_substream_words", reached)
+        stop_at_first_draw(monkeypatch)
         with pytest.raises(Reached):
             metrology.simulate_estimation(0.5, 2**63 - 1, 3, seed=0)
 
     @pytest.mark.parametrize("n", [2**63, 10**20])
     def test_probe_count_above_int64_is_rejected_up_front(self, monkeypatch, n):
-        monkeypatch.setattr(metrology, "_substream_words", None)  # never reached
+        monkeypatch.setattr(np.random, "default_rng", None)  # never reached
         with pytest.raises(DimensionOverflowError, match="probe count .* exceeds cap"):
             metrology.simulate_estimation(0.5, n, 3, seed=0)
 
+    def test_probe_count_beyond_a_double_is_rejected_up_front(self, monkeypatch):
+        monkeypatch.setattr(np.random, "default_rng", None)  # never reached
+        with pytest.raises(DimensionOverflowError, match="range of a double"):
+            metrology.simulate_estimation(0.5, 10**400, 3, seed=0)
 
-class TestBatchSeeder:
-    """numpy itself is the reference: if its seeding ever changes, these fail."""
 
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_words_and_states_match_numpy(self, seed):
-        last = metrology.TRIAL_CAP - 1
-        for start, stop in ((0, 2), (2**16, 2**16 + 1), (last, last + 1)):
-            words = metrology._substream_words(seed, start, stop)
-            assert words.dtype == np.uint64 and words.shape == (stop - start, 4)
-            for i, row in enumerate(words, start):
-                sequence = np.random.SeedSequence((seed, i))
-                assert np.array_equal(row, sequence.generate_state(4, np.uint64))
-                assert metrology._pcg64_state(row.tolist()) == np.random.PCG64(sequence).state
+class TestSingleStream:
+    """numpy itself is the reference: trial i is the i-th draw of
+    default_rng(seed), whatever the block boundaries."""
 
-    @pytest.mark.parametrize("trials", [1, 2, 500, 10_000])
-    def test_draws_match_per_trial_loop(self, trials):
-        got = metrology.simulate_estimation(0.3, 1000, trials, seed=SEED)
-        assert got == per_trial_reference(0.3, 1000, trials, SEED)
+    @pytest.mark.parametrize("trials", [1, 2, 500, BLOCK, BLOCK + 1, 10_000])
+    def test_draws_match_default_rng(self, trials):
+        assert_matches_default_rng(0.3, 1000, trials, SEED)
 
     @pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 1, 2**200 + 3])
-    def test_draws_match_per_trial_loop_across_seed_widths(self, seed):
-        got = metrology.simulate_estimation(-0.6, 50, 300, seed=seed)
-        assert got == per_trial_reference(-0.6, 50, 300, seed)
+    def test_draws_match_default_rng_across_seed_widths(self, seed):
+        for trials in (1, 2, BLOCK + 1):
+            assert_matches_default_rng(-0.6, 50, trials, seed)

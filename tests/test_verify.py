@@ -50,9 +50,10 @@ def test_default_run_point_counts(monkeypatch):
 
 
 def test_estimation_saturation_worst_is_pinned():
-    # bit-identity guard on the seeded Monte-Carlo stream: a stream change
-    # that still passed statistically would move this value
-    assert verify.check_estimation_saturation(20260808, 0.05).worst == 0.017154740947780578
+    # bit-identity guard on the seeded Monte-Carlo stream (one default_rng
+    # per simulation): a stream change that still passed statistically would
+    # move this value, 2.4 standard errors of a 10,000-trial variance ratio
+    assert verify.check_estimation_saturation(20260808, 0.05).worst == 0.034551691809182605
 
 
 def test_qcb_oracle_worst_is_pinned():
