@@ -264,10 +264,11 @@ _QCB_GRID = np.arange(1, 200) * _QCB_GRID_STEP
 
 
 def _overlap_curve(p, overlap, q, s_values) -> np.ndarray:
-    s = np.asarray(s_values, dtype=float)
-    ps = p[:, None] ** s[None, :]       # (dim, ns)
-    qs = q[:, None] ** (1.0 - s[None, :])
-    return np.einsum("ik,ij,jk->k", ps, overlap, qs)
+    # Tr(rho^s sigma^(1-s)) at each s, over any leading (pair) axes of p, overlap, q
+    s = np.asarray(s_values, dtype=float)[:, None]
+    ps = p[..., None, :] ** s           # (..., ns, dim)
+    qs = q[..., None, :] ** (1.0 - s)
+    return (np.matmul(ps, overlap) * qs).sum(-1)
 
 
 def qcb_curve_kernel(
@@ -288,20 +289,22 @@ def qcb_curve(rho, sigma, s_values) -> np.ndarray:
     )
 
 
-# Overlap entries (pairs x dim^2) refined together, so that the memory of a
-# batch does not grow with its pair count.
-_QCB_BLOCK = 2**16
+# Overlap entries (pairs x dim^2) searched together, and coarse-curve entries
+# (pairs x grid x dim) per call, so that the memory of a batch does not grow
+# with its pair count; 2^16-entry curve chunks raised verify's peak RSS.
+_QCB_BLOCK, _QCB_CHUNK = 2**16, 2**14
 
 
 def qcb_kernels(drs, dss) -> QcbNumeric:
     """Minimise Tr(rho^s sigma^(1-s)) over (0, 1) for every pair of clamped decompositions.
 
     ``drs[i]`` and ``dss[i]`` decompose the i-th pair, and all states share
-    one dimension.  Each pair's coarse grid (step 0.005) is evaluated in one
-    vectorised pass; then the brackets of all pairs are refined together by
-    golden section to width 1e-8, a block of at most ``_QCB_BLOCK`` overlap
-    entries at a time.  Returns arrays ``q`` and ``s_star`` with one entry
-    per pair, each equal to a search on that pair alone.
+    one dimension.  A block of at most ``_QCB_BLOCK`` overlap entries is
+    searched at a time: its coarse grid (step 0.005) is evaluated on stacked
+    pairs, ``_QCB_CHUNK`` curve entries per call, then all its brackets are
+    refined together by golden section to width 1e-8.  Returns arrays ``q``
+    and ``s_star`` with one entry per pair, each equal to a search on that
+    pair alone.
     """
     drs, dss = list(drs), list(dss)
     if len(drs) != len(dss):
@@ -311,18 +314,20 @@ def qcb_kernels(drs, dss) -> QcbNumeric:
         return QcbNumeric(q=q_min, s_star=s_star)
     dim = drs[0].eigenvalues.size
     block = max(1, _QCB_BLOCK // (dim * dim))
+    chunk = max(1, _QCB_CHUNK // (_QCB_GRID.size * dim))
     # one buffer for every block, so two blocks' overlaps are never held at once
     buffer = np.empty((min(block, len(drs)), dim, dim))
     for start in range(0, len(drs), block):
         pairs = list(zip(drs[start : start + block], dss[start : start + block]))
         o = buffer[: len(pairs)]
-        k = np.empty(len(pairs), dtype=int)
         for i, (dr, ds) in enumerate(pairs):
-            overlap = _overlap(dr, ds)
-            k[i] = np.argmin(_overlap_curve(dr.eigenvalues, overlap, ds.eigenvalues, _QCB_GRID))
-            o[i] = overlap
+            o[i] = _overlap(dr, ds)
         p = np.stack([dr.eigenvalues for dr, _ in pairs])
         q = np.stack([ds.eigenvalues for _, ds in pairs])
+        k = np.empty(len(pairs), dtype=int)
+        for c in range(0, len(pairs), chunk):
+            at = slice(c, c + chunk)
+            k[at] = np.argmin(_overlap_curve(p[at], o[at], q[at], _QCB_GRID), axis=-1)
 
         def overlap_at(s: np.ndarray) -> np.ndarray:
             ps = (p ** s[:, None])[:, None, :]
@@ -338,11 +343,7 @@ def qcb_kernels(drs, dss) -> QcbNumeric:
 
 
 def qcb_kernel(dr: EigenDecomposition, ds: EigenDecomposition) -> QcbNumeric:
-    """Minimise Tr(rho^s sigma^(1-s)) over (0, 1) from clamped decompositions.
-
-    The one-pair call of :func:`qcb_kernels`: a coarse grid (step 0.005),
-    then golden-section refinement of the bracketing interval to width 1e-8.
-    """
+    """Minimise Tr(rho^s sigma^(1-s)) over (0, 1): the one-pair call of :func:`qcb_kernels`."""
     r = qcb_kernels([dr], [ds])
     return QcbNumeric(q=float(r.q[0]), s_star=float(r.s_star[0]))
 
@@ -350,10 +351,9 @@ def qcb_kernel(dr: EigenDecomposition, ds: EigenDecomposition) -> QcbNumeric:
 def qcb_numeric(rho, sigma) -> QcbNumeric:
     """Minimise Tr(rho^s sigma^(1-s)) over s in the open interval (0, 1).
 
-    Coarse grid (step 0.005) followed by golden-section refinement of the
-    bracketing interval down to width 1e-8.  Endpoint limits for states
-    with mismatched support are out of scope here; this reports the
-    open-interval infimum seen by the search.
+    The search of :func:`qcb_kernels` on the clamped decompositions.  Endpoint
+    limits for states with mismatched support are out of scope here; this
+    reports the open-interval infimum seen by the search.
     """
     rho, sigma = _square_pair(rho, sigma)
     return qcb_kernel(clamped_spectrum(rho, "rho"), clamped_spectrum(sigma, "sigma"))

@@ -232,7 +232,7 @@ def check_estimation_saturation(seed, tol) -> CheckResult:
     # |empirical variance * QFI - 1| per tested eta.
     deltas = []
     for eta in (0.0, 0.3, 0.6, -0.9):
-        report = metrology.simulate_estimation(eta, n=1000, trials=10_000, seed=seed)
+        report = metrology.simulate_estimation(eta, n=1000, trials=40_000, seed=seed)
         deltas.append(abs(report.empirical_variance * report.qfi - 1.0))
     return _collect("estimation-saturation", deltas, tol)
 

@@ -415,6 +415,36 @@ class TestQcbKernels:
         assert got.q.tolist() == [q for q, _ in expected]
         assert got.s_star.tolist() == [s for _, s in expected]
 
+    def test_batch_longer_than_a_coarse_chunk(self):
+        # d = 6 Werner pairs: two pairs fill a 2^14-entry coarse chunk at
+        # dim 36, so this batch's coarse pass takes 21 stacked calls
+        etas = [-0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75]
+        decs = {a: linalg.clamped_spectrum(states.werner_state(a, 6)) for a in etas}
+        drs = [decs[a] for a in etas for b in etas if a != b]
+        dss = [decs[b] for a in etas for b in etas if a != b]
+        assert len(drs) > 10 * (linalg._QCB_CHUNK // (199 * 36))
+        got = linalg.qcb_kernels(drs, dss)
+        expected = [_scalar_qcb(dr, ds) for dr, ds in zip(drs, dss)]
+        assert got.q.tolist() == [q for q, _ in expected]
+        assert got.s_star.tolist() == [s for _, s in expected]
+
+    @pytest.mark.parametrize("dim", [4, 9, 36])
+    def test_stacked_curves_equal_per_pair_curves(self, dim):
+        # the coarse pass's batched curve is row for row the one-pair curve
+        pairs = [(r, s) for r, s in _kernel_cases() if r.shape[0] == dim]
+        pairs += [(rand_density(dim, 4000 + i), rand_density(dim, 5000 + i)) for i in range(8)]
+        pairs += [(states.werner_state(0.3, 6), states.werner_state(-0.6, 6))] if dim == 36 else []
+        drs, dss = _batch(pairs)
+        grid = np.arange(1, 200) * 0.005
+        stacked = linalg._overlap_curve(
+            np.stack([dr.eigenvalues for dr in drs]),
+            np.stack([linalg._overlap(dr, ds) for dr, ds in zip(drs, dss)]),
+            np.stack([ds.eigenvalues for ds in dss]),
+            grid,
+        )
+        for row, dr, ds in zip(stacked, drs, dss):
+            assert np.array_equal(row, linalg.qcb_curve_kernel(dr, ds, grid))
+
     def test_empty_batch(self):
         got = linalg.qcb_kernels([], [])
         assert got.q.shape == got.s_star.shape == (0,)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from wernerlab import discrimination, linalg, verify
@@ -52,8 +54,8 @@ def test_default_run_point_counts(monkeypatch):
 def test_estimation_saturation_worst_is_pinned():
     # bit-identity guard on the seeded Monte-Carlo stream (one default_rng
     # per simulation): a stream change that still passed statistically would
-    # move this value, 2.4 standard errors of a 10,000-trial variance ratio
-    assert verify.check_estimation_saturation(20260808, 0.05).worst == 0.034551691809182605
+    # move this value, 1.3 standard errors of a 40,000-trial variance ratio
+    assert verify.check_estimation_saturation(20260808, 0.05).worst == 0.009367495297383677
 
 
 def test_qcb_oracle_worst_is_pinned():
@@ -62,6 +64,26 @@ def test_qcb_oracle_worst_is_pinned():
     q, s = verify.check_qcb_oracle(0.1, (2, 3, 4, 5, 6), 1e-6, 1e-4)
     assert q.worst == float.fromhex("0x1.4p-50")
     assert s.worst == float.fromhex("0x1.1cf05cce00000p-22")
+
+
+def test_substitution_identity_worst_is_pinned():
+    # bit-identity guard on the coarse Chernoff curve (qcb_curve_kernel) at
+    # the default grid and isotropic dims
+    result = verify.check_substitution_identity(0.1, (2, 3, 4), 1e-12)
+    assert result.worst == float.fromhex("0x1.1p-49")
+
+
+def test_qcb_oracle_memory_does_not_grow_with_the_coarse_pass():
+    # the coarse curves are evaluated in bounded chunks: the traced peak was
+    # 1.2 MB with per-pair curves, 1.4 MB with 2^14-entry chunks and 2.5 MB
+    # with 2^16-entry ones
+    tracemalloc.start()
+    try:
+        verify.check_qcb_oracle(0.1, (6,), 1e-6, 1e-4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_qcb_checks_without_pairs_fail():
