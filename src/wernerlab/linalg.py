@@ -4,7 +4,8 @@ Everything here works on explicit ``numpy`` arrays.  The matrix-level
 metrics (fidelity, trace distance, relative entropy, Chernoff overlap)
 are deliberately computed straight from eigendecompositions so that the
 closed-form formulas elsewhere in the package can be validated against
-an independent route.
+an independent route.  They also take stacks of matrices along leading axes,
+one float per member then coming back as a list; ``_blocks`` bounds a stack.
 """
 
 from __future__ import annotations
@@ -31,41 +32,67 @@ TENSOR_DIM_CAP = 4096
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+# Matrix entries (members x dim^2) of one stack handed to the kernels below,
+# so that a sweep's memory does not grow with its pair count.
+_STACK_ENTRIES = 2**16
+
+
+def _blocks(n: int, dim: int) -> list[slice]:
+    # consecutive slices of n stacked dim x dim matrices, each within the bound
+    step = max(1, _STACK_ENTRIES // (dim * dim))
+    return [slice(j, j + step) for j in range(0, n, step)]
+
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Spectral decomposition A = V diag(w) V† with ascending eigenvalues."""
+    """Spectral decomposition A = V diag(w) V† with ascending eigenvalues, per stack member."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
+    def __getitem__(self, at) -> "EigenDecomposition":
+        return EigenDecomposition(self.eigenvalues[at], self.eigenvectors[at])
 
-def _as_square(a, name: str = "matrix") -> np.ndarray:
+
+def _as_square(a, name: str = "matrix", stack: bool = False) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or (a.ndim > 2 and not stack) or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatchError(f"{name} must be square, got shape {a.shape}")
     return a
 
 
-def hermiticity_defect(a: np.ndarray) -> float:
-    """Largest entrywise deviation of ``a`` from its conjugate transpose."""
-    return float(np.abs(a - a.conj().T).max())
+def _dagger(a: np.ndarray) -> np.ndarray:
+    # conjugate transpose of each matrix of a stack (``.T`` reverses every axis)
+    return np.swapaxes(a.conj(), -1, -2)
+
+
+def _first(bad: np.ndarray) -> tuple[int, ...]:
+    # index of the first stack member where ``bad`` holds, () for one matrix
+    return tuple(int(k) for k in np.unravel_index(np.argmax(bad), np.shape(bad)))
+
+
+def hermiticity_defect(a: np.ndarray):
+    """Largest entrywise deviation of ``a`` from its conjugate transpose, per matrix of a stack."""
+    return np.abs(a - _dagger(a)).max(axis=(-2, -1))
 
 
 def eigh(a) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of a stack in one LAPACK call.
 
-    Raises NonHermitianError if the input deviates from Hermiticity by
-    more than ``HERMITIAN_TOL``.  Output is deterministic for identical
-    input (LAPACK on the symmetrised matrix), eigenvalues ascending.
+    Raises NonHermitianError, naming the first offending stack member, if
+    any deviates from Hermiticity by more than ``HERMITIAN_TOL``.  Output is
+    deterministic for identical input (LAPACK on the symmetrised matrix),
+    eigenvalues ascending; a member's equals its own call.
     """
-    a = _as_square(a)
-    if hermiticity_defect(a) > HERMITIAN_TOL:
+    a = _as_square(a, stack=True)
+    defect = hermiticity_defect(a)
+    if np.any(defect > HERMITIAN_TOL):
+        i = _first(defect > HERMITIAN_TOL)
         raise NonHermitianError(
-            f"matrix is not Hermitian within {HERMITIAN_TOL:g} "
-            f"(defect {hermiticity_defect(a):.3e})"
+            f"matrix{list(i) or ''} is not Hermitian within {HERMITIAN_TOL:g} "
+            f"(defect {defect[i]:.3e})"
         )
-    w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
+    w, v = np.linalg.eigh((a + _dagger(a)) / 2.0)
     return EigenDecomposition(eigenvalues=w, eigenvectors=v)
 
 
@@ -105,17 +132,10 @@ def check_density_matrix(rho, name: str = "rho") -> np.ndarray:
     PSD_FLOOR is rejected.
     """
     rho = _as_square(rho, name)
-    defect = hermiticity_defect(rho)
-    if defect > HERMITIAN_TOL:
-        raise NonHermitianError(f"{name}: Hermiticity defect {defect:.3e}")
+    clamped_spectrum(rho, name)  # the Hermiticity and positivity checks
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > TRACE_TOL:
         raise NotDensityMatrixError(f"{name}: trace {tr} differs from 1")
-    w = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
-    if w.min() < PSD_FLOOR:
-        raise NotDensityMatrixError(
-            f"{name}: minimum eigenvalue {w.min():.3e} below {PSD_FLOOR:g}"
-        )
     return rho
 
 
@@ -125,7 +145,7 @@ def clamped_spectrum(rho, name: str = "rho") -> EigenDecomposition:
     This is the validate-and-decompose half of the matrix-level fidelity,
     relative entropy and Chernoff overlap below; their spectra-level
     ``*_kernel`` functions take its output, so a sweep can decompose each
-    state once and reuse it for every pair.
+    state once and reuse it for every pair; errors name the first failing member.
     """
     # Round-off near rank-deficient states produces tiny eigenvalues of
     # either sign where the true value is zero.  Anything below ZERO_SNAP
@@ -133,18 +153,19 @@ def clamped_spectrum(rho, name: str = "rho") -> EigenDecomposition:
     # eigenvalue would otherwise contribute ~3e-9 under a square root);
     # negatives beyond PSD_FLOOR are rejected.
     dec = eigh(rho)
-    w = dec.eigenvalues
-    if w.min() < PSD_FLOOR:
+    w, low = dec.eigenvalues, dec.eigenvalues.min(-1)
+    if np.any(low < PSD_FLOOR):
+        i = _first(low < PSD_FLOOR)
         raise NotDensityMatrixError(
-            f"{name}: minimum eigenvalue {w.min():.3e} below {PSD_FLOOR:g}"
+            f"{name}{list(i) or ''}: minimum eigenvalue {low[i]:.3e} below {PSD_FLOOR:g}"
         )
     return EigenDecomposition(np.where(w < ZERO_SNAP, 0.0, w), dec.eigenvectors)
 
 
-def _square_pair(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
-    rho = _as_square(rho, "rho")
-    sigma = _as_square(sigma, "sigma")
-    if rho.shape != sigma.shape:
+def _square_pair(rho, sigma, stack: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    rho = _as_square(rho, "rho", stack)
+    sigma = _as_square(sigma, "sigma", stack)
+    if rho.shape[-1] != sigma.shape[-1]:
         raise DimensionMismatchError(
             f"operands have different shapes {rho.shape} and {sigma.shape}"
         )
@@ -153,14 +174,15 @@ def _square_pair(rho, sigma) -> tuple[np.ndarray, np.ndarray]:
 
 def spectral_sqrt(dec: EigenDecomposition) -> np.ndarray:
     """Matrix square root V diag(sqrt(w)) V† of a clamped decomposition."""
-    return (dec.eigenvectors * np.sqrt(dec.eigenvalues)) @ dec.eigenvectors.conj().T
+    v = dec.eigenvectors
+    return (v * np.sqrt(dec.eigenvalues)[..., None, :]) @ _dagger(v)
 
 
-def bures_fidelity_kernel(rho: np.ndarray, sqrt_sigma: np.ndarray) -> float:
+def bures_fidelity_kernel(rho: np.ndarray, sqrt_sigma: np.ndarray) -> float | list[float]:
     """Tr sqrt(sqrt_sigma rho sqrt_sigma), given sqrt(sigma) from ``spectral_sqrt``."""
     inner = sqrt_sigma @ rho @ sqrt_sigma
     w = clamped_spectrum(inner, "sqrt(sigma) rho sqrt(sigma)").eigenvalues
-    return float(np.sqrt(w).sum())
+    return np.sqrt(w).sum(-1).tolist()
 
 
 def bures_fidelity_numeric(rho, sigma) -> float:
@@ -169,36 +191,34 @@ def bures_fidelity_numeric(rho, sigma) -> float:
     return bures_fidelity_kernel(rho, spectral_sqrt(clamped_spectrum(sigma, "sigma")))
 
 
-def trace_distance_numeric(rho, sigma) -> float:
+def trace_distance_numeric(rho, sigma) -> float | list[float]:
     """D(rho, sigma) = half the sum of |eigenvalues| of rho - sigma."""
-    rho, sigma = _square_pair(rho, sigma)
+    rho, sigma = _square_pair(rho, sigma, stack=True)
     w = eigh(rho - sigma).eigenvalues
-    return float(0.5 * np.abs(w).sum())
+    return (0.5 * np.abs(w).sum(-1)).tolist()
 
 
 def _overlap(dr: EigenDecomposition, ds: EigenDecomposition) -> np.ndarray:
     # |<r_i|s_j>|^2 between the eigenvectors of rho and of sigma
-    return np.abs(dr.eigenvectors.conj().T @ ds.eigenvectors) ** 2
+    return np.abs(_dagger(dr.eigenvectors) @ ds.eigenvectors) ** 2
 
 
-def relative_entropy_kernel(dr: EigenDecomposition, ds: EigenDecomposition) -> float:
+def relative_entropy_kernel(dr: EigenDecomposition, ds: EigenDecomposition) -> float | list[float]:
     """Base-2 relative entropy from the clamped decompositions of rho and sigma.
 
     Returns ``math.inf`` when the support of rho is not contained in the
     support of sigma (eigenvalues below SUPPORT_TOL count as zero).
     """
-    p = dr.eigenvalues
-    plogp = float(np.sum(p[p > SUPPORT_TOL] * np.log2(p[p > SUPPORT_TOL])))
+    # sums over the live eigenvalues by where=: zero-filling would move the sums' last bits
+    p, q = dr.eigenvalues, ds.eigenvalues
+    p_live, q_live = p > SUPPORT_TOL, q > SUPPORT_TOL
+    plogp = np.sum(p * np.log2(np.where(p_live, p, 1.0)), axis=-1, where=p_live)
 
     # weight of rho on each eigenvector of sigma
-    weights = _overlap(ds, dr) @ p
-    q = ds.eigenvalues
-    null = q <= SUPPORT_TOL
-    if np.any(weights[null] > SUPPORT_TOL):
-        return math.inf
-    live = ~null
-    cross = float(np.sum(weights[live] * np.log2(q[live])))
-    return plogp - cross
+    weights = (_overlap(ds, dr) @ p[..., None])[..., 0]
+    escapes = np.any((weights > SUPPORT_TOL) & ~q_live, axis=-1)
+    cross = np.sum(weights * np.log2(np.where(q_live, q, 1.0)), axis=-1, where=q_live)
+    return np.where(escapes, math.inf, plogp - cross).tolist()
 
 
 def relative_entropy_numeric(rho, sigma) -> float:
@@ -274,32 +294,21 @@ def _overlap_curve(p, overlap, q, s_values) -> np.ndarray:
 def qcb_curve_kernel(
     dr: EigenDecomposition, ds: EigenDecomposition, s_values
 ) -> np.ndarray:
-    """Tr(rho^s sigma^(1-s)) for each s, from clamped decompositions."""
+    """Tr(rho^s sigma^(1-s)) per s (last axis) from clamped decompositions; 0^s := 0, s > 0."""
     return _overlap_curve(dr.eigenvalues, _overlap(dr, ds), ds.eigenvalues, s_values)
 
 
-def qcb_curve(rho, sigma, s_values) -> np.ndarray:
-    """Tr(rho^s sigma^(1-s)) for each s, via eigendecompositions.
-
-    Matrix powers use the convention 0^s := 0 for s > 0.
-    """
-    rho, sigma = _square_pair(rho, sigma)
-    return qcb_curve_kernel(
-        clamped_spectrum(rho, "rho"), clamped_spectrum(sigma, "sigma"), s_values
-    )
-
-
-# Overlap entries (pairs x dim^2) searched together, and coarse-curve entries
-# (pairs x grid x dim) per call, so that the memory of a batch does not grow
-# with its pair count; 2^16-entry curve chunks raised verify's peak RSS.
-_QCB_BLOCK, _QCB_CHUNK = 2**16, 2**14
+# Coarse-curve entries (pairs x grid x dim) per call, so that the memory of a
+# Chernoff block does not grow with its pair count; 2^16-entry curve chunks
+# raised verify's peak RSS.
+_QCB_CHUNK = 2**14
 
 
 def qcb_kernels(drs, dss) -> QcbNumeric:
     """Minimise Tr(rho^s sigma^(1-s)) over (0, 1) for every pair of clamped decompositions.
 
     ``drs[i]`` and ``dss[i]`` decompose the i-th pair, and all states share
-    one dimension.  A block of at most ``_QCB_BLOCK`` overlap entries is
+    one dimension.  A block of at most ``_STACK_ENTRIES`` overlap entries is
     searched at a time: its coarse grid (step 0.005) is evaluated on stacked
     pairs, ``_QCB_CHUNK`` curve entries per call, then all its brackets are
     refined together by golden section to width 1e-8.  Returns arrays ``q``
@@ -313,12 +322,12 @@ def qcb_kernels(drs, dss) -> QcbNumeric:
     if not drs:
         return QcbNumeric(q=q_min, s_star=s_star)
     dim = drs[0].eigenvalues.size
-    block = max(1, _QCB_BLOCK // (dim * dim))
+    blocks = _blocks(len(drs), dim)
     chunk = max(1, _QCB_CHUNK // (_QCB_GRID.size * dim))
     # one buffer for every block, so two blocks' overlaps are never held at once
-    buffer = np.empty((min(block, len(drs)), dim, dim))
-    for start in range(0, len(drs), block):
-        pairs = list(zip(drs[start : start + block], dss[start : start + block]))
+    buffer = np.empty((min(blocks[0].stop, len(drs)), dim, dim))
+    for at in blocks:
+        pairs = list(zip(drs[at], dss[at]))
         o = buffer[: len(pairs)]
         for i, (dr, ds) in enumerate(pairs):
             o[i] = _overlap(dr, ds)
@@ -326,8 +335,8 @@ def qcb_kernels(drs, dss) -> QcbNumeric:
         q = np.stack([ds.eigenvalues for _, ds in pairs])
         k = np.empty(len(pairs), dtype=int)
         for c in range(0, len(pairs), chunk):
-            at = slice(c, c + chunk)
-            k[at] = np.argmin(_overlap_curve(p[at], o[at], q[at], _QCB_GRID), axis=-1)
+            ck = slice(c, c + chunk)
+            k[ck] = np.argmin(_overlap_curve(p[ck], o[ck], q[ck], _QCB_GRID), axis=-1)
 
         def overlap_at(s: np.ndarray) -> np.ndarray:
             ps = (p ** s[:, None])[:, None, :]
@@ -337,8 +346,7 @@ def qcb_kernels(drs, dss) -> QcbNumeric:
         lo = np.maximum(_QCB_GRID[k] - _QCB_GRID_STEP, 1e-9)
         hi = np.minimum(_QCB_GRID[k] + _QCB_GRID_STEP, 1.0 - 1e-9)
         s = golden_section_min(overlap_at, lo, hi, tol=1e-8)
-        q_min[start : start + len(pairs)] = overlap_at(s)
-        s_star[start : start + len(pairs)] = s
+        q_min[at], s_star[at] = overlap_at(s), s
     return QcbNumeric(q=q_min, s_star=s_star)
 
 

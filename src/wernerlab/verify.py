@@ -6,7 +6,9 @@ how many points it examined; a check that examined no point does not pass.
 The CLI front end turns the results into an exit code; the checks
 themselves are plain functions so they can also be driven from tests or
 notebooks.  Sweeps run serially, one dimension after another, so the
-results come out in a fixed order.
+results come out in a fixed order.  Each state is decomposed once, and a
+pair sweep sets each rho against stacked blocks of sigma of at most 2^16
+matrix entries (``linalg._blocks``), so memory does not grow with the grid.
 """
 
 from __future__ import annotations
@@ -52,14 +54,24 @@ def _alpha_grid(d: int, points: int = 11) -> list[float]:
     return [d * i / (points - 1) for i in range(points)]
 
 
-def _werner_spectra(etas, d: int) -> dict[float, linalg.EigenDecomposition]:
-    # One eigendecomposition per state, from the explicit matrix (never from
-    # the closed-form spectra), shared by every pair of the sweep.
-    return {e: linalg.clamped_spectrum(states.werner_state(e, d)) for e in etas}
+def _stack(family, params, d: int) -> np.ndarray:
+    # the explicit states family(x, d), one stack member per parameter
+    return np.array([family(x, d) for x in params], dtype=complex).reshape(-1, d * d, d * d)
 
 
-def _isotropic_spectra(alphas, d: int) -> dict[float, linalg.EigenDecomposition]:
-    return {a: linalg.clamped_spectrum(states.isotropic_state(a, d)) for a in alphas}
+def _spectra(mats: np.ndarray) -> linalg.EigenDecomposition:
+    # One clamped decomposition per state, from the explicit matrices (never from
+    # the closed-form spectra), in bounded blocks; shared by every pair of the sweep.
+    dec = linalg.EigenDecomposition(np.empty(mats.shape[:-1]), np.empty_like(mats))
+    for at in linalg._blocks(len(mats), mats.shape[-1]):
+        block = linalg.clamped_spectrum(mats[at])
+        dec.eigenvalues[at], dec.eigenvectors[at] = block.eigenvalues, block.eigenvectors
+    return dec
+
+
+def _defects(numeric, closed) -> list[float]:
+    # |numeric - closed| per point, 0 where both are the same infinity
+    return [0.0 if x == y else abs(x - y) for x, y in zip(numeric, closed)]
 
 
 def _collect(name, deltas, tol) -> CheckResult:
@@ -72,13 +84,12 @@ def check_fidelity_oracle(grid_step, dims, tol) -> CheckResult:
     etas = discrimination.eta_grid(grid_step)
     deltas = []
     for d in dims:
-        ws = {e: states.werner_state(e, d) for e in etas}
-        roots = {e: linalg.spectral_sqrt(linalg.clamped_spectrum(w)) for e, w in ws.items()}
-        deltas.extend(
-            abs(linalg.bures_fidelity_kernel(ws[a], roots[b]) - metrics.fidelity_werner(a, b))
-            for a in etas
-            for b in etas
-        )
+        ws = _stack(states.werner_state, etas, d)
+        for at in linalg._blocks(len(etas), d * d):
+            roots = linalg.spectral_sqrt(linalg.clamped_spectrum(ws[at]))
+            for a, w in zip(etas, ws):
+                closed = [metrics.fidelity_werner(a, b) for b in etas[at]]
+                deltas.extend(_defects(linalg.bures_fidelity_kernel(w, roots), closed))
     return _collect("fidelity-oracle", deltas, tol)
 
 
@@ -86,12 +97,11 @@ def check_trace_distance_oracle(grid_step, dims, tol) -> CheckResult:
     etas = discrimination.eta_grid(grid_step)
     deltas = []
     for d in dims:
-        ws = {e: states.werner_state(e, d) for e in etas}
-        deltas.extend(
-            abs(linalg.trace_distance_numeric(ws[a], ws[b]) - abs(a - b) / 2.0)
-            for a in etas
-            for b in etas
-        )
+        ws = _stack(states.werner_state, etas, d)
+        for at in linalg._blocks(len(etas), d * d):
+            for a, w in zip(etas, ws):
+                closed = [abs(a - b) / 2.0 for b in etas[at]]
+                deltas.extend(_defects(linalg.trace_distance_numeric(w, ws[at]), closed))
     return _collect("trace-distance-oracle", deltas, tol)
 
 
@@ -99,27 +109,23 @@ def check_relative_entropy_oracle(grid_step, dims, tol) -> CheckResult:
     etas = discrimination.eta_grid(grid_step)
     deltas = []
     for d in dims:
-        decs = _werner_spectra(etas, d)
-        for a in etas:
-            for b in etas:
-                numeric = linalg.relative_entropy_kernel(decs[a], decs[b])
-                closed = metrics.relative_entropy_werner(a, b)
-                if math.isinf(numeric) or math.isinf(closed):
-                    deltas.append(0.0 if numeric == closed else math.inf)
-                else:
-                    deltas.append(abs(numeric - closed))
+        decs = _spectra(_stack(states.werner_state, etas, d))
+        for at in linalg._blocks(len(etas), d * d):
+            for i, a in enumerate(etas):
+                closed = [metrics.relative_entropy_werner(a, b) for b in etas[at]]
+                deltas.extend(_defects(linalg.relative_entropy_kernel(decs[i], decs[at]), closed))
     return _collect("relative-entropy-oracle", deltas, tol)
 
 
 def check_qcb_oracle(grid_step, dims, q_tol, s_tol) -> tuple[CheckResult, CheckResult]:
     etas = discrimination.eta_grid(grid_step, endpoints=False)
-    pairs = [(a, b) for a in etas for b in etas if a != b]
+    pairs = [(i, j) for i in range(len(etas)) for j in range(len(etas)) if i != j]
     dq, ds = [], []
     for d in dims:
-        decs = _werner_spectra(etas, d)
-        numeric = linalg.qcb_kernels([decs[a] for a, _ in pairs], [decs[b] for _, b in pairs])
-        for (a, b), q, s in zip(pairs, numeric.q.tolist(), numeric.s_star.tolist()):
-            closed = metrics.qcb_werner(a, b)
+        decs = _spectra(_stack(states.werner_state, etas, d))
+        numeric = linalg.qcb_kernels([decs[i] for i, _ in pairs], [decs[j] for _, j in pairs])
+        for (i, j), q, s in zip(pairs, numeric.q.tolist(), numeric.s_star.tolist()):
+            closed = metrics.qcb_werner(etas[i], etas[j])
             dq.append(abs(q - closed.q))
             ds.append(abs(s - closed.s_star))
     return _collect("qcb-oracle-q", dq, q_tol), _collect("qcb-oracle-s", ds, s_tol)
@@ -129,11 +135,11 @@ def check_qcb_isotropic_oracle(dims, q_tol) -> CheckResult:
     deltas = []
     for d in dims:
         alphas = _alpha_grid(d)[1:-1]
-        decs = _isotropic_spectra(alphas, d)
-        pairs = [(a, b) for a in alphas for b in alphas if a != b]
-        numeric = linalg.qcb_kernels([decs[a] for a, _ in pairs], [decs[b] for _, b in pairs])
-        for (a, b), q in zip(pairs, numeric.q.tolist()):
-            deltas.append(abs(q - metrics.qcb_isotropic(a, b, d).q))
+        decs = _spectra(_stack(states.isotropic_state, alphas, d))
+        pairs = [(i, j) for i in range(len(alphas)) for j in range(len(alphas)) if i != j]
+        numeric = linalg.qcb_kernels([decs[i] for i, _ in pairs], [decs[j] for _, j in pairs])
+        for (i, j), q in zip(pairs, numeric.q.tolist()):
+            deltas.append(abs(q - metrics.qcb_isotropic(alphas[i], alphas[j], d).q))
     return _collect("qcb-isotropic-oracle", deltas, q_tol)
 
 
@@ -168,18 +174,14 @@ def check_substitution_identity(grid_step, dims, tol) -> CheckResult:
     deltas = []
     for d in dims:
         alphas = _alpha_grid(d, points=len(discrimination.eta_grid(grid_step)))[1:-1]
-        iso = _isotropic_spectra(alphas, d)
-        wer = {
-            a: linalg.clamped_spectrum(states.werner_state(2.0 * a / d - 1.0, d))
-            for a in alphas
-        }
-        for a in alphas:
-            for b in alphas:
-                if a == b:
-                    continue
-                iso_q = linalg.qcb_curve_kernel(iso[a], iso[b], s_values)
-                wer_q = linalg.qcb_curve_kernel(wer[a], wer[b], s_values)
-                deltas.append(float(np.abs(iso_q - wer_q).max()))
+        iso = _spectra(_stack(states.isotropic_state, alphas, d))
+        wer = _spectra(_stack(states.werner_state, [2.0 * a / d - 1.0 for a in alphas], d))
+        for at in linalg._blocks(len(alphas), d * d):
+            for i in range(len(alphas)):
+                iso_q = linalg.qcb_curve_kernel(iso[i], iso[at], s_values)
+                wer_q = linalg.qcb_curve_kernel(wer[i], wer[at], s_values)
+                gaps = np.abs(iso_q - wer_q).max(-1).tolist()
+                deltas.extend(x for j, x in zip(range(len(alphas))[at], gaps) if j != i)
     return _collect("substitution-identity", deltas, tol)
 
 

@@ -229,7 +229,8 @@ class TestQcbNumeric:
         assert linalg.qcb_numeric(rho, rho).q == pytest.approx(1.0, abs=1e-12)
         # the whole overlap curve is flat at 1
         grid = np.arange(1, 200) * 0.005
-        assert np.abs(linalg.qcb_curve(rho, rho, grid) - 1.0).max() <= 1e-12
+        dec = linalg.clamped_spectrum(rho)
+        assert np.abs(linalg.qcb_curve_kernel(dec, dec, grid) - 1.0).max() <= 1e-12
 
     def test_antisymmetric_pair(self):
         got = linalg.qcb_numeric(
@@ -359,11 +360,128 @@ class TestSpectraKernels:
     def test_qcb_curve_is_the_coarse_pass(self, rho, sigma):
         dr, ds = linalg.clamped_spectrum(rho), linalg.clamped_spectrum(sigma)
         grid = np.arange(1, 200) * 0.005
-        curve = linalg.qcb_curve(rho, sigma, grid)
-        assert np.array_equal(curve, linalg.qcb_curve_kernel(dr, ds, grid))
+        curve = linalg.qcb_curve_kernel(dr, ds, grid)
         # the refinement bracket is one coarse step either side of the curve's minimum
         s_star = linalg.qcb_kernel(dr, ds).s_star
         assert abs(s_star - grid[np.argmin(curve)]) <= 0.005
+
+
+def _stack_cases(d):
+    # Werner, isotropic (rank-deficient at the ends) and random states at one d
+    werner = [states.werner_state(e, d) for e in (-1.0, -0.4, 0.0, 0.7, 1.0)]
+    isotropic = [states.isotropic_state(a, d) for a in (0.0, 0.5, float(d))]
+    return np.stack(werner + isotropic + [rand_density(d * d, 600 + i) for i in range(4)])
+
+
+def _scalar_relative_entropy(dr, ds):
+    # Reference: the one-pair relative entropy, summing the compacted live
+    # eigenvalues that the stacked kernel masks instead.
+    p, q = dr.eigenvalues, ds.eigenvalues
+    plogp = float(np.sum(p[p > linalg.SUPPORT_TOL] * np.log2(p[p > linalg.SUPPORT_TOL])))
+    weights = (np.abs(ds.eigenvectors.conj().T @ dr.eigenvectors) ** 2) @ p
+    null = q <= linalg.SUPPORT_TOL
+    if np.any(weights[null] > linalg.SUPPORT_TOL):
+        return math.inf
+    return plogp - float(np.sum(weights[~null] * np.log2(q[~null])))
+
+
+class TestStacks:
+    """Every stacked kernel equals its per-matrix calls, member for member."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_eigh_and_clamped_spectrum(self, d):
+        mats = _stack_cases(d)
+        dec, clamped = linalg.eigh(mats), linalg.clamped_spectrum(mats)
+        for i, m in enumerate(mats):
+            one, one_clamped = linalg.eigh(m), linalg.clamped_spectrum(m)
+            assert np.array_equal(dec.eigenvalues[i], one.eigenvalues)
+            assert np.array_equal(dec.eigenvectors[i], one.eigenvectors)
+            assert np.array_equal(clamped[i].eigenvalues, one_clamped.eigenvalues)
+            assert np.array_equal(clamped[i].eigenvectors, one_clamped.eigenvectors)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_pair_kernels(self, d):
+        mats = _stack_cases(d)
+        decs = linalg.clamped_spectrum(mats)
+        roots = linalg.spectral_sqrt(decs)
+        grid = np.array([0.25, 0.5, 0.75])
+        for i, rho in enumerate(mats):
+            fid = linalg.bures_fidelity_kernel(rho, roots)
+            assert fid == [linalg.bures_fidelity_numeric(rho, s) for s in mats]
+            dist = linalg.trace_distance_numeric(rho, mats)
+            assert dist == [linalg.trace_distance_numeric(rho, s) for s in mats]
+            rel = linalg.relative_entropy_kernel(decs[i], decs)
+            members = [decs[j] for j in range(len(mats))]
+            assert rel == [_scalar_relative_entropy(decs[i], ds) for ds in members]
+            assert rel == [linalg.relative_entropy_kernel(decs[i], ds) for ds in members]
+            curves = linalg.qcb_curve_kernel(decs[i], decs, grid)
+            for j, row in enumerate(curves):
+                assert np.array_equal(row, linalg.qcb_curve_kernel(decs[i], decs[j], grid))
+        # rank-deficient Werner ends: support mismatches come out infinite
+        assert math.inf in linalg.relative_entropy_kernel(decs[0], decs)
+
+    def test_stack_longer_than_a_block(self):
+        # 61 d = 6 Werner states span two 2^16-entry blocks
+        etas = np.linspace(-1.0, 1.0, 61)
+        mats = np.stack([states.werner_state(e, 6) for e in etas])
+        assert mats.size > linalg._STACK_ENTRIES
+        blocks = linalg._blocks(len(mats), 36)
+        assert len(blocks) == 2 and all(mats[at].size <= linalg._STACK_ENTRIES for at in blocks)
+        assert [i for at in blocks for i in range(len(mats))[at]] == list(range(len(mats)))
+        decs = linalg.clamped_spectrum(mats)
+        roots = linalg.spectral_sqrt(decs)
+        rho = mats[17]
+        assert linalg.bures_fidelity_kernel(rho, roots) == [
+            linalg.bures_fidelity_kernel(rho, linalg.spectral_sqrt(linalg.clamped_spectrum(m)))
+            for m in mats
+        ]
+        assert linalg.trace_distance_numeric(rho, mats) == [
+            linalg.trace_distance_numeric(rho, m) for m in mats
+        ]
+        assert linalg.relative_entropy_kernel(decs[17], decs) == [
+            linalg.relative_entropy_numeric(rho, m) for m in mats
+        ]
+
+    def test_scalar_calls_return_floats(self):
+        rho, sigma = rand_density(4, 1), rand_density(4, 2)
+        dr, ds = linalg.clamped_spectrum(rho), linalg.clamped_spectrum(sigma)
+        assert type(linalg.trace_distance_numeric(rho, sigma)) is float
+        assert type(linalg.relative_entropy_kernel(dr, ds)) is float
+        assert type(linalg.bures_fidelity_kernel(rho, linalg.spectral_sqrt(ds))) is float
+
+    def test_non_hermitian_member_is_named(self):
+        mats = _stack_cases(2)
+        mats[5, 0, 1] += 1e-6
+        with pytest.raises(NonHermitianError, match=r"matrix\[5\] is not Hermitian"):
+            linalg.eigh(mats)
+        with pytest.raises(NonHermitianError, match=r"matrix\[1, 1\] is not Hermitian"):
+            linalg.clamped_spectrum(mats.reshape(3, 4, 4, 4))
+
+    def test_member_below_the_psd_floor_is_named(self):
+        mats = _stack_cases(2)
+        mats[7] = np.diag([1.5, -0.5, 0.0, 0.0])
+        with pytest.raises(NotDensityMatrixError, match=r"rho\[7\]: minimum eigenvalue"):
+            linalg.clamped_spectrum(mats)
+        # the fidelity's inner matrices are validated member by member too:
+        # only the 7th root passes the non-state through
+        roots = np.zeros((12, 4, 4))
+        roots[7] = np.eye(4)
+        with pytest.raises(NotDensityMatrixError, match=r"sqrt\(sigma\) rho sqrt\(sigma\)\[7\]"):
+            linalg.bures_fidelity_kernel(mats[7], roots)
+
+    def test_single_matrix_messages_carry_no_index(self):
+        with pytest.raises(NonHermitianError, match=r"^matrix is not Hermitian"):
+            linalg.eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(NotDensityMatrixError, match=r"^sigma: minimum eigenvalue"):
+            linalg.clamped_spectrum(np.diag([1.5, -0.5]), "sigma")
+
+    def test_stacks_must_be_square(self):
+        with pytest.raises(DimensionMismatchError):
+            linalg.eigh(np.zeros((3, 4, 5)))
+        with pytest.raises(DimensionMismatchError):
+            linalg.trace_distance_numeric(np.eye(4) / 4, np.stack([np.eye(9) / 9] * 2))
+        with pytest.raises(DimensionMismatchError):
+            linalg.tensor_product(np.stack([np.eye(2)] * 2), np.eye(2))
 
 
 def _nearly_pure(dim, seed):
@@ -409,7 +527,7 @@ class TestQcbKernels:
         decs = [linalg.clamped_spectrum(rand_density(dim, 3000 + i)) for i in range(n)]
         drs = [decs[i] for i in range(n) for j in range(n) if i != j]
         dss = [decs[j] for i in range(n) for j in range(n) if i != j]
-        assert len(drs) > linalg._QCB_BLOCK // (dim * dim)
+        assert len(drs) > linalg._STACK_ENTRIES // (dim * dim)
         got = linalg.qcb_kernels(drs, dss)
         expected = [_scalar_qcb(dr, ds) for dr, ds in zip(drs, dss)]
         assert got.q.tolist() == [q for q, _ in expected]

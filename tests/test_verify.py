@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import pytest
@@ -25,11 +26,12 @@ DEFAULT_POINTS = {
 
 
 def count_eigh(monkeypatch) -> list:
+    # one entry per matrix decomposed: a stacked call adds one per member
     calls = []
     real = linalg.eigh
 
     def counting(a):
-        calls.append(a.shape)
+        calls.extend([a.shape[-2:]] * math.prod(a.shape[:-2]))
         return real(a)
 
     monkeypatch.setattr(linalg, "eigh", counting)
@@ -66,6 +68,22 @@ def test_qcb_oracle_worst_is_pinned():
     assert s.worst == float.fromhex("0x1.1cf05cce00000p-22")
 
 
+@pytest.mark.parametrize(
+    "check, worst",
+    [
+        (verify.check_fidelity_oracle, "0x1.4p-50"),
+        (verify.check_trace_distance_oracle, "0x1.8p-52"),
+        (verify.check_relative_entropy_oracle, "0x1.0p-47"),
+    ],
+)
+def test_pair_oracle_worst_is_pinned(check, worst):
+    # bit-identity guard on the stacked per-pair oracles at the default grid
+    # and dims: a change to their numerics that still passed would move these
+    result = check(0.1, (2, 3, 4, 5, 6), 1e-9)
+    assert result.points == 2205
+    assert result.worst == float.fromhex(worst)
+
+
 def test_substitution_identity_worst_is_pinned():
     # bit-identity guard on the coarse Chernoff curve (qcb_curve_kernel) at
     # the default grid and isotropic dims
@@ -84,6 +102,18 @@ def test_qcb_oracle_memory_does_not_grow_with_the_coarse_pass():
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
+
+
+def test_pair_oracle_memory_is_bounded_by_the_stack_blocks():
+    # 101 d = 6 states a row span three 2^16-entry stacks: the traced peak was
+    # 4.6 MB with per-pair calls and 15 MB with one stack per row
+    tracemalloc.start()
+    try:
+        verify.check_fidelity_oracle(0.02, (6,), 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9_200_000
 
 
 def test_qcb_checks_without_pairs_fail():
