@@ -27,24 +27,20 @@ from .metrics import (
 from .metrology import (
     EstimationReport,
     qcrb_variance,
-    qfi_finite_difference,
     qfi_werner,
     simulate_estimation,
 )
 from .states import (
     DepolarizingChannel,
     HWChannel,
-    SpectrumPair,
     choi_matrix,
     flip_operator,
-    isotropic_spectrum,
     isotropic_state,
     max_entangled_ket,
     max_entangled_operator,
-    werner_spectrum,
     werner_state,
 )
-from .teleport import bell_basis, covariance_check, teleport_channel, weyl_unitary
+from .teleport import covariance_check, teleport_channel, weyl_unitary
 
 __all__ = [
     "__version__",
@@ -70,21 +66,16 @@ __all__ = [
     "s_quantity",
     "EstimationReport",
     "qcrb_variance",
-    "qfi_finite_difference",
     "qfi_werner",
     "simulate_estimation",
     "DepolarizingChannel",
     "HWChannel",
-    "SpectrumPair",
     "choi_matrix",
     "flip_operator",
-    "isotropic_spectrum",
     "isotropic_state",
     "max_entangled_ket",
     "max_entangled_operator",
-    "werner_spectrum",
     "werner_state",
-    "bell_basis",
     "covariance_check",
     "teleport_channel",
     "weyl_unitary",

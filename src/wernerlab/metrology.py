@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionOverflowError, InvalidParameterError
-from .metrics import fidelity_werner
 from .states import _check_eta, _check_positive_int, _check_seed
 
 __all__ = [
@@ -24,7 +23,6 @@ __all__ = [
     "EstimationReport",
     "qfi_werner",
     "qcrb_variance",
-    "qfi_finite_difference",
     "simulate_estimation",
 ]
 
@@ -57,24 +55,6 @@ def qcrb_variance(eta: float, n: int = 1) -> float:
     eta = _check_eta(eta)
     n = _check_positive_int(n, "probe count")
     return (1.0 - eta * eta) / n
-
-
-def qfi_finite_difference(eta: float, delta: float) -> float:
-    """Single-probe Fisher information from the fidelity drop at offset delta:
-
-        8 [1 - F(eta, eta + delta)] / delta^2.
-
-    Converges to 1/(1 - eta^2) with O(delta) relative error.
-    """
-    eta = _check_eta(eta)
-    delta = float(delta)
-    if delta <= 0.0:
-        raise InvalidParameterError(f"probe offset must be positive, got {delta}")
-    if abs(eta) == 1.0 or abs(eta + delta) > 1.0:
-        raise InvalidParameterError(
-            f"eta and eta + delta must stay inside [-1, 1], got {eta} and {eta + delta}"
-        )
-    return 8.0 * (1.0 - fidelity_werner(eta, eta + delta)) / (delta * delta)
 
 
 @dataclass(frozen=True)

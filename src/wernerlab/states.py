@@ -1,4 +1,4 @@
-"""Two-qudit exchange-symmetric states, their spectra, and the matching channels.
+"""Two-qudit exchange-symmetric states and the matching channels.
 
 Basis convention: the computational product basis is ordered |ij> = i*d + j
 throughout the package.  The flip and maximally entangled operators, the
@@ -21,14 +21,11 @@ from .errors import (
 from .linalg import TENSOR_DIM_CAP
 
 __all__ = [
-    "SpectrumPair",
     "flip_operator",
     "max_entangled_ket",
     "max_entangled_operator",
     "werner_state",
-    "werner_spectrum",
     "isotropic_state",
-    "isotropic_spectrum",
     "HWChannel",
     "DepolarizingChannel",
     "choi_matrix",
@@ -87,15 +84,6 @@ def _check_alpha(alpha: float, d: int) -> float:
     return alpha
 
 
-@dataclass(frozen=True)
-class SpectrumPair:
-    """Eigenvalue classes (value, multiplicity) of a simultaneously
-    diagonalisable two-class family.  Zero-eigenvalue classes are kept so
-    that multiplicity bookkeeping stays uniform at the parameter extremes."""
-
-    classes: tuple[tuple[float, int], ...]
-
-
 def flip_operator(d: int) -> np.ndarray:
     """Flip (swap) operator F = sum_ij |ij><ji| on two qudits."""
     d = _check_pair_dim(d)
@@ -132,19 +120,6 @@ def werner_state(eta: float, d: int) -> np.ndarray:
     return ((d - eta) * ident + (d * eta - 1.0) * flip_operator(d)) / (d**3 - d)
 
 
-def werner_spectrum(eta: float, d: int) -> SpectrumPair:
-    """Eigenvalue classes of the flip-expectation state.
-
-    Symmetric class: (1 + eta) / [d(d+1)] with multiplicity d(d+1)/2;
-    antisymmetric class: (1 - eta) / [d(d-1)] with multiplicity d(d-1)/2.
-    """
-    eta = _check_eta(eta)
-    d = _check_dim(d)
-    sym = ((1.0 + eta) / (d * (d + 1)), d * (d + 1) // 2)
-    anti = ((1.0 - eta) / (d * (d - 1)), d * (d - 1) // 2)
-    return SpectrumPair(classes=(sym, anti))
-
-
 def isotropic_state(alpha: float, d: int) -> np.ndarray:
     """Two-qudit state with entangled-operator expectation alpha.
 
@@ -156,15 +131,6 @@ def isotropic_state(alpha: float, d: int) -> np.ndarray:
     return ((d - alpha) * ident + (d * alpha - 1.0) * max_entangled_operator(d)) / (
         d**3 - d
     )
-
-
-def isotropic_spectrum(alpha: float, d: int) -> SpectrumPair:
-    """Eigenvalue classes: (alpha/d, x1) and ((d - alpha)/[d(d^2-1)], x(d^2-1))."""
-    d = _check_dim(d)
-    alpha = _check_alpha(alpha, d)
-    top = (alpha / d, 1)
-    rest = ((d - alpha) / (d * (d * d - 1)), d * d - 1)
-    return SpectrumPair(classes=(top, rest))
 
 
 def _check_input_dim(x: np.ndarray, d: int) -> np.ndarray:

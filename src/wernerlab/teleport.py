@@ -26,7 +26,6 @@ from .states import HWChannel, _check_dim
 
 __all__ = [
     "weyl_unitary",
-    "bell_basis",
     "teleport_channel",
     "covariance_check",
 ]
@@ -43,19 +42,6 @@ def weyl_unitary(a: int, b: int, d: int) -> np.ndarray:
     for j in range(d):
         u[(j + a) % d, j] = omega ** (b * j)
     return u
-
-
-def bell_basis(d: int) -> np.ndarray:
-    """Orthonormal maximally entangled basis, one column per label (a, b).
-
-    Column a*d + b holds (U_ab (x) I)|Phi>.
-    """
-    d = _check_dim(d)
-    basis = np.zeros((d * d, d * d), dtype=complex)
-    for a in range(d):
-        for b in range(d):
-            basis[:, a * d + b] = weyl_unitary(a, b, d).reshape(-1) / np.sqrt(d)
-    return basis
 
 
 def teleport_channel(resource, rho, *, conjugate_corrections: bool = True) -> np.ndarray:

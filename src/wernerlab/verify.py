@@ -21,11 +21,13 @@ import numpy as np
 from . import discrimination, linalg, metrics, metrology, states, teleport
 from .errors import DimensionOverflowError, InvalidParameterError
 
-__all__ = ["CheckResult", "run_verification", "teleport_check", "max_workers"]
+__all__ = ["CheckResult", "run_verification", "teleport_check"]
 
 TELEPORT_TOL = 1e-10
 # the teleport sweep keeps one defect per sample, so memory grows with the count
 TELEPORT_SAMPLE_CAP = 100_000
+# Most (grid points)^2 x sum of d^4, the scale of the pair sweeps' states and pair lists
+VERIFY_WORK_CAP = 2**25
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,7 @@ class CheckResult:
 
 
 def max_workers() -> int:
-    """Worker count of the verification sweeps: they run serially, so 1."""
+    """Always 1: kept only for ``perfbench/run.py``'s metadata, until the benchmark-only refresh."""
     return 1
 
 
@@ -278,6 +280,11 @@ def run_verification(
     if not (math.isfinite(tol_scale) and tol_scale > 0.0):
         raise InvalidParameterError(
             f"tolerance scale must be finite and positive, got {tol_scale}"
+        )
+    work = len(discrimination.eta_grid(grid_step)) ** 2 * sum(d**4 for d in dims)
+    if work > VERIFY_WORK_CAP:
+        raise DimensionOverflowError(
+            f"verification work (grid points)^2 x sum d^4 = {work} exceeds cap {VERIFY_WORK_CAP}"
         )
     iso_dims = tuple(d for d in dims if d <= 4) or (2,)
     results = [

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wernerlab import cli, verify
+from wernerlab import cli, discrimination, verify
 from wernerlab.errors import DimensionOverflowError
 
 
@@ -145,12 +145,21 @@ class TestExitCodes:
                 ["qcb", "--isotropic", "--alpha", "1", "--beta", "0.5", "--d", str(10**400)],
                 "local dimension exceeds the range",
             ),
+            (["verify", "--dims", "64"], "sum d^4 = 7398752256 exceeds cap 33554432"),
+            (["verify", "--grid", "0.00002", "--dims", "2"], "exceeds cap 33554432"),
+            (
+                ["curves", "--zeta", "0", "--n", ",".join(map(str, range(1, 1001))),
+                 "--step", "0.00002"],
+                "100001 grid points x 1000 copy counts exceed the cap of 100001 rows",
+            ),
         ],
     )
     def test_oversized_input_is_one(self, monkeypatch, capsys, argv, message):
-        # rejected before any sweep, product or dimension range is built:
-        # make all three unreachable
+        # rejected before any sweep, state, curve row, product or dimension
+        # range is built: make all of them unreachable
         monkeypatch.setattr(verify, "check_fidelity_oracle", None)
+        monkeypatch.setattr(verify, "_stack", None)
+        monkeypatch.setattr(discrimination, "_sandwiches", None)
         monkeypatch.setattr(np, "kron", None)
         monkeypatch.setattr(cli, "range", None, raising=False)
         code = cli.main(argv)

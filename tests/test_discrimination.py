@@ -144,6 +144,21 @@ class TestCurveGrid:
         step = 2.0 / discrimination.ETA_GRID_CAP
         assert len(discrimination.eta_grid(step)) == discrimination.ETA_GRID_CAP + 1
 
+    def test_row_count_is_capped_before_any_row(self, monkeypatch):
+        monkeypatch.setattr(discrimination, "_sandwiches", None)  # never reached
+        step = 2.0 / discrimination.ETA_GRID_CAP
+        with pytest.raises(DimensionOverflowError, match="100001 grid points x 2 copy counts"):
+            discrimination.curve_grid(0.0, [1, 2], step)
+        with pytest.raises(DimensionOverflowError, match="exceed the cap of 100001 rows"):
+            discrimination.curve_grid(0.0, range(1, 1001), 0.00002)
+
+    @pytest.mark.parametrize("n_list,step", [([1], 2.0 / 100_000), ([1, 10, 100, 1000], 0.01)])
+    def test_row_cap_admits_the_finest_grid_and_the_benchmark(self, monkeypatch, n_list, step):
+        # count the rows asked for instead of computing them
+        monkeypatch.setattr(discrimination, "_sandwiches", lambda etas, z, d, ns: len(etas) * len(ns))
+        rows = discrimination.curve_grid(0.0, n_list, step)
+        assert rows == len(discrimination.eta_grid(step)) * len(n_list) <= discrimination.CURVE_ROW_CAP
+
     @pytest.mark.parametrize(
         "n_list,error", [([1, 1000, 1001], DimensionOverflowError), ([1, 0], InvalidParameterError)]
     )

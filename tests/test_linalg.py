@@ -79,8 +79,7 @@ class TestTensorProduct:
         # with multiplicities {9, 6, 1} at d = 2
         for eta in (0.5, 0.6):
             w = states.werner_state(eta, 2)
-            (ap, mp), (am, mm) = states.werner_spectrum(eta, 2).classes
-            assert (mp, mm) == (3, 1)
+            ap, am = (1.0 + eta) / 6, (1.0 - eta) / 2  # multiplicities 3 and 1
             expected = np.sort(
                 np.concatenate(
                     [np.full(9, ap * ap), np.full(6, ap * am), np.full(1, am * am)]
@@ -124,24 +123,25 @@ class TestPartialTranspose:
 
 
 class TestDensityMatrixValidation:
+    """The state checks that every matrix oracle runs, in ``clamped_spectrum``."""
+
     def test_accepts_valid(self):
-        linalg.check_density_matrix(rand_density(4, 3))
+        rho = rand_density(4, 3)
+        assert np.array_equal(linalg.clamped_spectrum(rho).eigenvalues, linalg.eigh(rho).eigenvalues)
 
     def test_rejects_non_hermitian(self):
         bad = np.array([[0.5, 0.5], [0.0, 0.5]])
         with pytest.raises(NonHermitianError):
-            linalg.check_density_matrix(bad)
-
-    def test_rejects_wrong_trace(self):
-        with pytest.raises(NotDensityMatrixError):
-            linalg.check_density_matrix(np.eye(2))
+            linalg.clamped_spectrum(bad)
 
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(NotDensityMatrixError):
-            linalg.check_density_matrix(np.diag([1.5, -0.5]))
+            linalg.clamped_spectrum(np.diag([1.5, -0.5]))
 
     def test_tolerates_clamp_range(self):
-        linalg.check_density_matrix(np.diag([1.0 + 5e-11, -5e-11]))
+        # an eigenvalue in [PSD_FLOOR, 0) is snapped to an exact zero
+        got = linalg.clamped_spectrum(np.diag([1.0 + 5e-11, -5e-11])).eigenvalues
+        assert got.tolist() == [0.0, 1.0 + 5e-11]
 
 
 class TestBuresFidelity:
@@ -354,7 +354,8 @@ class TestSpectraKernels:
     @pytest.mark.parametrize("rho,sigma", _kernel_cases())
     def test_qcb(self, rho, sigma):
         dr, ds = linalg.clamped_spectrum(rho), linalg.clamped_spectrum(sigma)
-        assert linalg.qcb_numeric(rho, sigma) == linalg.qcb_kernel(dr, ds)
+        r = linalg.qcb_kernels([dr], [ds])
+        assert linalg.qcb_numeric(rho, sigma) == (r.q[0], r.s_star[0])
 
     @pytest.mark.parametrize("rho,sigma", _kernel_cases())
     def test_qcb_curve_is_the_coarse_pass(self, rho, sigma):
@@ -362,7 +363,7 @@ class TestSpectraKernels:
         grid = np.arange(1, 200) * 0.005
         curve = linalg.qcb_curve_kernel(dr, ds, grid)
         # the refinement bracket is one coarse step either side of the curve's minimum
-        s_star = linalg.qcb_kernel(dr, ds).s_star
+        s_star = linalg.qcb_kernels([dr], [ds]).s_star[0]
         assert abs(s_star - grid[np.argmin(curve)]) <= 0.005
 
 
@@ -568,8 +569,9 @@ class TestQcbKernels:
         assert got.q.shape == got.s_star.shape == (0,)
 
     def test_one_pair_call(self):
-        dr, ds = _batch([(rand_density(9, 41), rand_density(9, 42))])
-        got = linalg.qcb_kernel(dr[0], ds[0])
+        rho, sigma = rand_density(9, 41), rand_density(9, 42)
+        dr, ds = _batch([(rho, sigma)])
+        got = linalg.qcb_numeric(rho, sigma)
         assert (got.q, got.s_star) == _scalar_qcb(dr[0], ds[0])
         assert type(got.q) is float and type(got.s_star) is float
 

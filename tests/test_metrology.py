@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wernerlab import metrology, states
+from wernerlab import linalg, metrology, states
 from wernerlab.errors import DimensionOverflowError, InvalidParameterError
 
 SEED = 20260808
@@ -67,36 +67,35 @@ class TestQfi:
             metrology.qfi_werner(0.0, 0)
 
 
+def _matrix_qfi(eta, delta, d=3):
+    # 8 [1 - F(eta, eta + delta)] / delta^2 with F from the explicit states,
+    # so no closed form is involved; O(delta) relative error
+    f = linalg.bures_fidelity_numeric(
+        states.werner_state(eta, d), states.werner_state(eta + delta, d)
+    )
+    return 8.0 * (1.0 - f) / (delta * delta)
+
+
 class TestFiniteDifference:
+    """qfi_werner against the fidelity drop of the explicit states."""
+
     def test_symmetric_point(self):
-        assert metrology.qfi_finite_difference(0.0, 1e-4) == pytest.approx(
-            1.0, rel=1e-3
-        )
+        assert _matrix_qfi(0.0, 1e-4) == pytest.approx(metrology.qfi_werner(0.0), rel=1e-3)
 
     def test_steep_point(self):
-        got = metrology.qfi_finite_difference(0.9, 1e-5)
-        assert got == pytest.approx(1.0 / (1.0 - 0.81), rel=1e-3)
+        got = _matrix_qfi(0.9, 1e-5)
+        assert got == pytest.approx(metrology.qfi_werner(0.9), rel=1e-3)
 
     @pytest.mark.parametrize("eta", [(2 * i - 18) / 20 for i in range(19)])
     def test_grid_relative_accuracy(self, eta):
-        got = metrology.qfi_finite_difference(eta, 1e-4)
-        assert got == pytest.approx(1.0 / (1.0 - eta * eta), rel=1e-3)
+        got = _matrix_qfi(eta, 1e-4)
+        assert got == pytest.approx(metrology.qfi_werner(eta), rel=1e-3)
 
     def test_halving_offset_halves_deviation(self):
         # first-order truncation term away from the symmetric point
-        dev = lambda delta: abs(
-            metrology.qfi_finite_difference(0.5, delta) * 0.75 - 1.0
-        )
+        dev = lambda delta: abs(_matrix_qfi(0.5, delta) * 0.75 - 1.0)
         ratio = dev(5e-4) / dev(1e-3)
         assert 0.4 <= ratio <= 0.6
-
-    def test_rejects_bad_offsets(self):
-        with pytest.raises(InvalidParameterError):
-            metrology.qfi_finite_difference(0.5, 0.0)
-        with pytest.raises(InvalidParameterError):
-            metrology.qfi_finite_difference(0.9999, 1e-2)
-        with pytest.raises(InvalidParameterError):
-            metrology.qfi_finite_difference(1.0, 1e-4)
 
 
 class TestSimulateEstimation:

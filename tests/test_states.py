@@ -86,15 +86,17 @@ class TestWernerState:
         assert np.trace(w @ states.flip_operator(3)).real == pytest.approx(0.3, abs=1e-12)
 
     def test_eigh_matches_spectrum_classes(self):
+        # (1 + eta)/(d(d+1)) x d(d+1)/2 and (1 - eta)/(d(d-1)) x d(d-1)/2
         got = linalg.eigh(states.werner_state(0.4, 3)).eigenvalues
-        values, mults = zip(*states.werner_spectrum(0.4, 3).classes)
-        expected = np.sort(np.repeat(values, mults))
+        expected = np.sort(np.repeat([1.4 / 12, 0.6 / 6], [6, 3]))
         assert np.abs(got - expected).max() <= 1e-13
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_density_matrix_invariants_on_grid(self, d):
         for eta in ETA_GRID:
-            linalg.check_density_matrix(states.werner_state(eta, d))
+            w = states.werner_state(eta, d)
+            linalg.clamped_spectrum(w)  # Hermitian, no eigenvalue below PSD_FLOOR
+            assert abs(np.trace(w) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_local_unitary_invariance(self, d):
@@ -118,13 +120,23 @@ class TestWernerState:
 
 
 class TestWernerSpectrum:
+    """The two eigenvalue classes of the explicit state, against eigh."""
+
+    @staticmethod
+    def _classes(eta, d):
+        sym = np.full(d * (d + 1) // 2, (1.0 + eta) / (d * (d + 1)))
+        anti = np.full(d * (d - 1) // 2, (1.0 - eta) / (d * (d - 1)))
+        return np.sort(np.concatenate([sym, anti]))
+
     def test_maximally_mixed_qubit_pair(self):
-        assert states.werner_spectrum(0.0, 2).classes == ((1 / 6, 3), (1 / 2, 1))
+        got = linalg.eigh(states.werner_state(0.0, 2)).eigenvalues
+        assert np.abs(got - [1 / 6, 1 / 6, 1 / 6, 1 / 2]).max() <= 1e-15
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_symmetric_projector_extreme(self, d):
-        classes = states.werner_spectrum(1.0, d).classes
-        assert classes == ((2 / (d * (d + 1)), d * (d + 1) // 2), (0.0, d * (d - 1) // 2))
+        got = linalg.eigh(states.werner_state(1.0, d)).eigenvalues
+        expected = np.repeat([0.0, 2 / (d * (d + 1))], [d * (d - 1) // 2, d * (d + 1) // 2])
+        assert np.abs(got - expected).max() <= 1e-13
 
     @given(
         st.floats(-1.0, 1.0, allow_nan=False),
@@ -132,11 +144,11 @@ class TestWernerSpectrum:
     )
     @settings(max_examples=80)
     def test_normalised(self, eta, d):
-        pair = states.werner_spectrum(eta, d)
-        total = sum(v * m for v, m in pair.classes)
-        assert total == pytest.approx(1.0, abs=1e-12)
-        assert sum(m for _, m in pair.classes) == d * d
-        assert all(v >= 0.0 for v, _ in pair.classes)
+        expected = self._classes(eta, d)
+        assert expected.sum() == pytest.approx(1.0, abs=1e-12)
+        assert expected.size == d * d and expected.min() >= 0.0
+        got = linalg.eigh(states.werner_state(eta, d)).eigenvalues
+        assert np.abs(got - expected).max() <= 1e-13
 
 
 class TestIsotropicState:
@@ -148,10 +160,8 @@ class TestIsotropicState:
 
     def test_spectrum_against_eigh(self):
         got = linalg.eigh(states.isotropic_state(1.0, 2)).eigenvalues
-        values, mults = zip(*states.isotropic_spectrum(1.0, 2).classes)
-        expected = np.sort(np.repeat(values, mults))
-        assert np.allclose(expected, [1 / 6, 1 / 6, 1 / 6, 0.5], atol=1e-15)
-        assert np.abs(got - expected).max() <= 1e-13
+        # alpha/d x 1 and (d - alpha)/(d(d^2 - 1)) x (d^2 - 1), at alpha = 1, d = 2
+        assert np.abs(got - [1 / 6, 1 / 6, 1 / 6, 0.5]).max() <= 1e-13
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_entangled_operator_expectation(self, d):

@@ -40,10 +40,18 @@ class TestWeylUnitaries:
                 assert np.abs(u.imag).max() <= 1e-15
 
 
+def _bell_vectors(d):
+    # (U_ab (x) I)|Phi> = vec(U_ab)/sqrt(d), one column per label at index a*d + b
+    us = [teleport.weyl_unitary(a, b, d) for a in range(d) for b in range(d)]
+    return np.stack([u.reshape(-1) for u in us], axis=1) / np.sqrt(d)
+
+
 class TestBellBasis:
+    """The Bell basis that teleport_channel measures in, from weyl_unitary."""
+
     def test_qubit_bell_states(self):
-        # columns ordered by label (a, b) = (shift, phase) at index a*2 + b
-        basis = teleport.bell_basis(2)
+        # labels (a, b) = (shift, phase)
+        basis = _bell_vectors(2)
         s = 1 / np.sqrt(2)
         assert np.allclose(basis[:, 0], [s, 0, 0, s])        # (|00> + |11>)/sqrt 2
         assert np.allclose(basis[:, 1], [s, 0, 0, -s])       # (|00> - |11>)/sqrt 2
@@ -52,15 +60,17 @@ class TestBellBasis:
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_orthonormal_and_complete(self, d):
-        basis = teleport.bell_basis(d)
-        gram = basis.conj().T @ basis
-        assert np.abs(gram - np.eye(d * d)).max() <= 1e-10
+        # Tr(U_ab^dag U_a'b') = d delta_(ab),(a'b')
+        us = [teleport.weyl_unitary(a, b, d) for a in range(d) for b in range(d)]
+        gram = np.array([[np.trace(u.conj().T @ v) for v in us] for u in us])
+        assert np.abs(gram - d * np.eye(d * d)).max() <= 1e-10
+        basis = _bell_vectors(d)
         completeness = basis @ basis.conj().T
         assert np.abs(completeness - np.eye(d * d)).max() <= 1e-10
 
     def test_each_vector_maximally_entangled(self):
         d = 3
-        basis = teleport.bell_basis(d)
+        basis = _bell_vectors(d)
         for k in range(d * d):
             v = basis[:, k].reshape(d, d)
             reduced = v @ v.conj().T  # trace over the second factor

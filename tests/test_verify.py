@@ -152,6 +152,14 @@ def test_every_dimension_is_checked_before_the_first_sweep(monkeypatch):
         verify.run_verification(grid_step=0.5, dims=(2, 3, 65))
 
 
+@pytest.mark.parametrize("grid_step,dims", [(0.1, (64,)), (0.00002, (2,)), (0.02, (6, 7))])
+def test_verify_work_is_bounded_before_the_first_sweep(monkeypatch, grid_step, dims):
+    # (grid points)^2 x sum d^4 above 2^25; no state is built
+    monkeypatch.setattr(verify, "_stack", None)
+    with pytest.raises(DimensionOverflowError, match=f"exceeds cap {verify.VERIFY_WORK_CAP}"):
+        verify.run_verification(grid_step=grid_step, dims=dims)
+
+
 def test_teleport_sample_count_is_capped_before_any_draw(monkeypatch):
     monkeypatch.setattr(verify, "_teleport_defects", None)  # never reached
     with pytest.raises(DimensionOverflowError, match="100001 exceeds cap 100000"):
