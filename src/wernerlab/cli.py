@@ -280,23 +280,33 @@ def _cmd_curves(args) -> int:
         raise WernerLabError(f"cannot parse copy counts {args.n!r}") from exc
     rows = discrimination.curve_grid(args.zeta, n_list, args.step)
     if args.format == "csv":
-        payload = format_curves_csv(rows)
+        chunks = [format_curves_csv(rows)]
     else:
-        record = _record(
-            "curves",
-            {"zeta": args.zeta, "n": n_list, "step": args.step},
-            {"rows": [asdict(r) for r in sorted(rows, key=lambda r: (r.n, r.eta))]},
-        )
-        payload = json.dumps(_jsonify(record), indent=2) + "\n"
+        params = {"zeta": args.zeta, "n": n_list, "step": args.step}
+        record = _record("curves", params, {"rows": []})
+        chunks = _curves_json(record, sorted(rows, key=lambda r: (r.n, r.eta)))
     if args.out:
         try:
             with open(args.out, "w") as fh:
-                fh.write(payload)
+                fh.writelines(chunks)
         except OSError as exc:
             raise WernerLabError(f"cannot write {args.out!r}: {exc.strerror or exc}") from exc
     else:
-        sys.stdout.write(payload)
+        sys.stdout.writelines(chunks)
     return 0
+
+
+def _curves_json(record: dict, rows):
+    # json.dumps(record, indent=2) + "\n" with ``rows`` (never empty: curve_grid
+    # needs a copy count) in place of the record's empty row list, one chunk per
+    # row, so no whole document is held
+    head, tail = json.dumps(_jsonify(record), indent=2).rsplit("[]", 1)
+    yield head
+    sep, indent = "[", "\n" + " " * 6  # a row sits at depth 3: results, rows, row
+    for r in rows:
+        yield sep + indent + json.dumps(_jsonify(asdict(r)), indent=2).replace("\n", indent)
+        sep = ","
+    yield "\n    ]" + tail + "\n"
 
 
 def _cmd_teleport_check(args) -> int:

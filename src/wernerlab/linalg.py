@@ -6,6 +6,7 @@ are deliberately computed straight from eigendecompositions so that the
 closed-form formulas elsewhere in the package can be validated against
 an independent route.  They also take stacks of matrices along leading axes,
 one float per member then coming back as a list; ``_blocks`` bounds a stack.
+Real input stays real, so real symmetric states run in real arithmetic.
 """
 
 from __future__ import annotations
@@ -54,7 +55,9 @@ class EigenDecomposition:
 
 
 def _as_square(a, name: str = "matrix", stack: bool = False) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
+    # real input stays real (float64), anything complex becomes complex128
+    a = np.asarray(a)
+    a = a.astype(np.result_type(a.dtype, float), copy=False)
     if a.ndim < 2 or (a.ndim > 2 and not stack) or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatchError(f"{name} must be square, got shape {a.shape}")
     return a
@@ -76,12 +79,15 @@ def hermiticity_defect(a: np.ndarray):
 
 
 def eigh(a) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix, or of a stack in one LAPACK call.
+    """Eigendecomposition of a Hermitian matrix, or of a stack in at most two LAPACK calls.
 
     Raises NonHermitianError, naming the first offending stack member, if
     any deviates from Hermiticity by more than ``HERMITIAN_TOL``.  Output is
     deterministic for identical input (LAPACK on the symmetrised matrix),
-    eigenvalues ascending; a member's equals its own call.
+    eigenvalues ascending; a member's equals its own call.  Each member whose
+    symmetrised imaginary part is exactly zero goes to the real symmetric
+    driver, the others to the complex one; an all-real input has real
+    eigenvectors.
     """
     a = _as_square(a, stack=True)
     defect = hermiticity_defect(a)
@@ -91,7 +97,15 @@ def eigh(a) -> EigenDecomposition:
             f"matrix{list(i) or ''} is not Hermitian within {HERMITIAN_TOL:g} "
             f"(defect {defect[i]:.3e})"
         )
-    w, v = np.linalg.eigh((a + _dagger(a)) / 2.0)
+    h = (a + _dagger(a)) / 2.0
+    real = ~np.any(h.imag, axis=(-2, -1)) if np.iscomplexobj(h) else np.True_
+    if real.all():
+        return EigenDecomposition(*np.linalg.eigh(h.real))
+    if not real.any():
+        return EigenDecomposition(*np.linalg.eigh(h))
+    w, v = np.empty(h.shape[:-1]), np.empty_like(h)
+    w[real], v[real] = np.linalg.eigh(h.real[real])
+    w[~real], v[~real] = np.linalg.eigh(h[~real])
     return EigenDecomposition(eigenvalues=w, eigenvectors=v)
 
 
@@ -267,83 +281,84 @@ _QCB_GRID_STEP = 0.005
 _QCB_GRID = np.arange(1, 200) * _QCB_GRID_STEP
 
 
-def _overlap_curve(p, overlap, q, s_values) -> np.ndarray:
-    # Tr(rho^s sigma^(1-s)) at each s, over any leading (pair) axes of p, overlap, q
-    s = np.asarray(s_values, dtype=float)[:, None]
-    ps = p[..., None, :] ** s           # (..., ns, dim)
-    qs = q[..., None, :] ** (1.0 - s)
-    return (np.matmul(ps, overlap) * qs).sum(-1)
+def _overlap_curve(ps, overlap, qs) -> np.ndarray:
+    # Tr(rho^s sigma^(1-s)) per row s of the power tables ps = p^s, qs = q^(1-s)
+    # (..., ns, dim), over any leading (pair) axes; qs broadcasts into the product
+    curve = np.matmul(ps, overlap)
+    curve *= qs
+    return curve.sum(-1)
 
 
 def qcb_curve_kernel(
     dr: EigenDecomposition, ds: EigenDecomposition, s_values
 ) -> np.ndarray:
     """Tr(rho^s sigma^(1-s)) per s (last axis) from clamped decompositions; 0^s := 0, s > 0."""
-    return _overlap_curve(dr.eigenvalues, _overlap(dr, ds), ds.eigenvalues, s_values)
+    s = np.asarray(s_values, dtype=float)[:, None]
+    ps, qs = dr.eigenvalues[..., None, :] ** s, ds.eigenvalues[..., None, :] ** (1.0 - s)
+    return _overlap_curve(ps, _overlap(dr, ds), qs)
 
 
-# Coarse-curve entries (pairs x grid x dim) per call, so that the memory of a
-# Chernoff block does not grow with its pair count; 2^16-entry curve chunks
-# raised verify's peak RSS.
-_QCB_CHUNK = 2**14
+def qcb_kernels(drs: EigenDecomposition, dss: EigenDecomposition) -> QcbNumeric:
+    """Minimise Tr(rho^s sigma^(1-s)) over (0, 1) for every (rho, sigma) of two stacks.
 
-
-def qcb_kernels(drs, dss) -> QcbNumeric:
-    """Minimise Tr(rho^s sigma^(1-s)) over (0, 1) for every pair of clamped decompositions.
-
-    ``drs[i]`` and ``dss[i]`` decompose the i-th pair, and all states share
-    one dimension.  A block of at most ``_STACK_ENTRIES`` overlap entries is
-    searched at a time: its coarse grid (step 0.005) is evaluated on stacked
-    pairs, ``_QCB_CHUNK`` curve entries per call, then all its brackets are
-    refined together by golden section to width 1e-8.  Returns arrays ``q``
-    and ``s_star`` with one entry per pair, each equal to a search on that
-    pair alone.
+    ``drs`` and ``dss`` are stacks of clamped decompositions (leading axis
+    the member) of one dimension.  The coarse grid (step 0.005) sets each rho
+    against blocks of sigma whose sigma^(1-s) tables hold at most
+    ``_STACK_ENTRIES`` entries, so each state's powers are taken once per
+    block.  The brackets are then refined by golden section to width 1e-8,
+    all pairs of a block of at most ``_STACK_ENTRIES`` overlap entries
+    together.  Returns arrays ``q`` and ``s_star`` of shape
+    (len(drs), len(dss)), each entry equal to a search on that pair alone.
     """
-    drs, dss = list(drs), list(dss)
-    if len(drs) != len(dss):
-        raise DimensionMismatchError(f"{len(drs)} rho decompositions for {len(dss)} sigma")
-    q_min, s_star = np.empty(len(drs)), np.empty(len(drs))
-    if not drs:
-        return QcbNumeric(q=q_min, s_star=s_star)
-    dim = drs[0].eigenvalues.size
-    blocks = _blocks(len(drs), dim)
-    chunk = max(1, _QCB_CHUNK // (_QCB_GRID.size * dim))
-    # one buffer for every block, so two blocks' overlaps are never held at once
-    buffer = np.empty((min(blocks[0].stop, len(drs)), dim, dim))
-    for at in blocks:
-        pairs = list(zip(drs[at], dss[at]))
-        o = buffer[: len(pairs)]
-        for i, (dr, ds) in enumerate(pairs):
-            o[i] = _overlap(dr, ds)
-        p = np.stack([dr.eigenvalues for dr, _ in pairs])
-        q = np.stack([ds.eigenvalues for _, ds in pairs])
-        k = np.empty(len(pairs), dtype=int)
-        for c in range(0, len(pairs), chunk):
-            ck = slice(c, c + chunk)
-            k[ck] = np.argmin(_overlap_curve(p[ck], o[ck], q[ck], _QCB_GRID), axis=-1)
+    (nr, dim), (nc, dim_s) = drs.eigenvalues.shape, dss.eigenvalues.shape
+    if dim_s != dim:
+        raise DimensionMismatchError(f"rho of dimension {dim}, sigma of {dim_s}")
+    s = _QCB_GRID[:, None]
+    k = np.empty((nr, nc), dtype=int)
+    step = max(1, _STACK_ENTRIES // (_QCB_GRID.size * dim))
+    for c in range(0, nc, step):
+        at = slice(c, c + step)
+        qs = dss.eigenvalues[at, None, :] ** (1.0 - s)
+        for i in range(nr):
+            curve = _overlap_curve(drs.eigenvalues[i] ** s, _overlap(drs[i], dss[at]), qs)
+            k[i, at] = np.argmin(curve, axis=-1)
 
-        def overlap_at(s: np.ndarray) -> np.ndarray:
-            ps = (p ** s[:, None])[:, None, :]
-            qs = (q ** (1.0 - s[:, None]))[:, :, None]
+    # pairs in row-major order, refined in blocks sharing one overlap buffer
+    n = nr * nc
+    q_min, s_star, k = np.empty(n), np.empty(n), k.reshape(n)
+    blocks = _blocks(n, dim)
+    buffer = np.empty((min(blocks[0].stop, n) if blocks else 0, dim, dim))
+    for at in blocks:
+        a, b = at.start, min(at.stop, n)
+        o = buffer[: b - a]
+        for i in range(a // nc, (b - 1) // nc + 1):
+            j0, j1 = max(a, i * nc), min(b, (i + 1) * nc)
+            o[j0 - a : j1 - a] = _overlap(drs[i], dss[j0 - i * nc : j1 - i * nc])
+        rows, cols = np.divmod(np.arange(a, b), nc)
+        p, q = drs.eigenvalues[rows], dss.eigenvalues[cols]
+
+        def overlap_at(x: np.ndarray) -> np.ndarray:
+            ps = (p ** x[:, None])[:, None, :]
+            qs = (q ** (1.0 - x[:, None]))[:, :, None]
             return np.matmul(np.matmul(ps, o), qs)[:, 0, 0]
 
-        lo = np.maximum(_QCB_GRID[k] - _QCB_GRID_STEP, 1e-9)
-        hi = np.minimum(_QCB_GRID[k] + _QCB_GRID_STEP, 1.0 - 1e-9)
-        s = golden_section_min(overlap_at, lo, hi, tol=1e-8)
-        q_min[at], s_star[at] = overlap_at(s), s
-    return QcbNumeric(q=q_min, s_star=s_star)
+        lo = np.maximum(_QCB_GRID[k[at]] - _QCB_GRID_STEP, 1e-9)
+        hi = np.minimum(_QCB_GRID[k[at]] + _QCB_GRID_STEP, 1.0 - 1e-9)
+        x = golden_section_min(overlap_at, lo, hi, tol=1e-8)
+        q_min[at], s_star[at] = overlap_at(x), x
+    return QcbNumeric(q=q_min.reshape(nr, nc), s_star=s_star.reshape(nr, nc))
 
 
 def qcb_numeric(rho, sigma) -> QcbNumeric:
     """Minimise Tr(rho^s sigma^(1-s)) over s in the open interval (0, 1).
 
-    The search of :func:`qcb_kernels` on the clamped decompositions.  Endpoint
-    limits for states with mismatched support are out of scope here; this
-    reports the open-interval infimum seen by the search.
+    The search of :func:`qcb_kernels` on one-member stacks of the clamped
+    decompositions.  Endpoint limits for states with mismatched support are
+    out of scope here; this reports the open-interval infimum seen by the search.
     """
     rho, sigma = _square_pair(rho, sigma)
-    r = qcb_kernels([clamped_spectrum(rho, "rho")], [clamped_spectrum(sigma, "sigma")])
-    return QcbNumeric(q=float(r.q[0]), s_star=float(r.s_star[0]))
+    r = qcb_kernels(clamped_spectrum(rho, "rho")[None], clamped_spectrum(sigma, "sigma")[None])
+    return QcbNumeric(q=float(r.q[0, 0]), s_star=float(r.s_star[0, 0]))
 
 
 def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -76,6 +76,18 @@ def teleport_channel(resource, rho, *, conjugate_corrections: bool = True) -> np
     return out
 
 
+def _covariance_pair(channel: HWChannel, unitary, rho) -> tuple[np.ndarray, np.ndarray]:
+    # (E(U rho U^dag), U* E(rho) (U*)^dag) after validating U
+    u = np.asarray(unitary, dtype=complex)
+    d = channel.d
+    if u.shape != (d, d):
+        raise DimensionMismatchError(f"unitary must be {d} x {d}, got {u.shape}")
+    if np.abs(u.conj().T @ u - np.eye(d)).max() > UNITARY_TOL:
+        raise NotUnitaryError(f"matrix is not unitary within {UNITARY_TOL:g}")
+    rho = np.asarray(rho, dtype=complex)
+    return channel.apply(u @ rho @ u.conj().T), u.conj() @ channel.apply(rho) @ u.T
+
+
 def covariance_check(channel: HWChannel, unitary, rho) -> float:
     """Trace-distance defect of the conjugation covariance
 
@@ -84,13 +96,4 @@ def covariance_check(channel: HWChannel, unitary, rho) -> float:
     Zero (up to round-off) for every unitary when E is a
     transpose-depolarizing channel.
     """
-    u = np.asarray(unitary, dtype=complex)
-    d = channel.d
-    if u.shape != (d, d):
-        raise DimensionMismatchError(f"unitary must be {d} x {d}, got {u.shape}")
-    if np.abs(u.conj().T @ u - np.eye(d)).max() > UNITARY_TOL:
-        raise NotUnitaryError(f"matrix is not unitary within {UNITARY_TOL:g}")
-    rho = np.asarray(rho, dtype=complex)
-    lhs = channel.apply(u @ rho @ u.conj().T)
-    rhs = u.conj() @ channel.apply(rho) @ u.T
-    return trace_distance_numeric(lhs, rhs)
+    return trace_distance_numeric(*_covariance_pair(channel, unitary, rho))

@@ -9,6 +9,8 @@ notebooks.  Sweeps run serially, one dimension after another, so the
 results come out in a fixed order.  Each state is decomposed once, and a
 pair sweep sets each rho against stacked blocks of sigma of at most 2^16
 matrix entries (``linalg._blocks``), so memory does not grow with the grid.
+Werner and isotropic stacks are real, so the oracles run in real arithmetic;
+a Chernoff sweep reads the off-diagonal entries of one ``qcb_kernels`` call.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ __all__ = ["CheckResult", "run_verification", "teleport_check"]
 
 TELEPORT_TOL = 1e-10
 # the teleport sweep keeps one defect per sample, so memory grows with the count
+# (its matrices are held one bounded stack block at a time)
 TELEPORT_SAMPLE_CAP = 100_000
 # Most (grid points)^2 x sum of d^4, the scale of the pair sweeps' states and pair lists
 VERIFY_WORK_CAP = 2**25
@@ -57,8 +60,10 @@ def _alpha_grid(d: int, points: int = 11) -> list[float]:
 
 
 def _stack(family, params, d: int) -> np.ndarray:
-    # the explicit states family(x, d), one stack member per parameter
-    return np.array([family(x, d) for x in params], dtype=complex).reshape(-1, d * d, d * d)
+    # the explicit states family(x, d), one stack member per parameter; real when
+    # every imaginary part is exactly zero, as for Werner and isotropic states
+    mats = np.array([family(x, d) for x in params], dtype=complex).reshape(-1, d * d, d * d)
+    return mats if mats.imag.any() else mats.real.copy()
 
 
 def _spectra(mats: np.ndarray) -> linalg.EigenDecomposition:
@@ -121,15 +126,15 @@ def check_relative_entropy_oracle(grid_step, dims, tol) -> CheckResult:
 
 def check_qcb_oracle(grid_step, dims, q_tol, s_tol) -> tuple[CheckResult, CheckResult]:
     etas = discrimination.eta_grid(grid_step, endpoints=False)
-    pairs = [(i, j) for i in range(len(etas)) for j in range(len(etas)) if i != j]
     dq, ds = [], []
     for d in dims:
         decs = _spectra(_stack(states.werner_state, etas, d))
-        numeric = linalg.qcb_kernels([decs[i] for i, _ in pairs], [decs[j] for _, j in pairs])
-        for (i, j), q, s in zip(pairs, numeric.q.tolist(), numeric.s_star.tolist()):
-            closed = metrics.qcb_werner(etas[i], etas[j])
-            dq.append(abs(q - closed.q))
-            ds.append(abs(s - closed.s_star))
+        numeric = linalg.qcb_kernels(decs, decs)
+        for i, j in np.ndindex(numeric.q.shape):
+            if i != j:
+                closed = metrics.qcb_werner(etas[i], etas[j])
+                dq.append(abs(float(numeric.q[i, j]) - closed.q))
+                ds.append(abs(float(numeric.s_star[i, j]) - closed.s_star))
     return _collect("qcb-oracle-q", dq, q_tol), _collect("qcb-oracle-s", ds, s_tol)
 
 
@@ -138,10 +143,11 @@ def check_qcb_isotropic_oracle(dims, q_tol) -> CheckResult:
     for d in dims:
         alphas = _alpha_grid(d)[1:-1]
         decs = _spectra(_stack(states.isotropic_state, alphas, d))
-        pairs = [(i, j) for i in range(len(alphas)) for j in range(len(alphas)) if i != j]
-        numeric = linalg.qcb_kernels([decs[i] for i, _ in pairs], [decs[j] for _, j in pairs])
-        for (i, j), q in zip(pairs, numeric.q.tolist()):
-            deltas.append(abs(q - metrics.qcb_isotropic(alphas[i], alphas[j], d).q))
+        q = linalg.qcb_kernels(decs, decs).q
+        for i, j in np.ndindex(q.shape):
+            if i != j:
+                closed = metrics.qcb_isotropic(alphas[i], alphas[j], d)
+                deltas.append(abs(float(q[i, j]) - closed.q))
     return _collect("qcb-isotropic-oracle", deltas, q_tol)
 
 
@@ -189,17 +195,23 @@ def check_substitution_identity(grid_step, dims, tol) -> CheckResult:
 
 def _teleport_defects(eta, d, seed, samples) -> tuple[list[float], list[float]]:
     # Per sample, from one stream: draw rho, then U; teleport rho over the
-    # channel's own state, and test covariance of the channel under U.
+    # channel's own state, and test covariance of the channel under U.  The
+    # matrix pairs of a block of draws go to stacked trace distances.
     resource = states.werner_state(eta, d)
     channel = states.HWChannel(eta, d)
     rng = np.random.default_rng(np.random.SeedSequence((seed, d)))
     sim, cov = [], []
-    for _ in range(samples):
-        rho = linalg.random_density_matrix(d, rng)
-        u = linalg.random_unitary(d, rng)
-        out = teleport.teleport_channel(resource, rho)
-        sim.append(linalg.trace_distance_numeric(out, channel.apply(rho)))
-        cov.append(teleport.covariance_check(channel, u, rho))
+    for at in linalg._blocks(samples, d):
+        # per draw: teleported and channel output, then the two covariance sides
+        block = np.empty((4, len(range(samples)[at]), d, d), dtype=complex)
+        for m in range(block.shape[1]):
+            rho = linalg.random_density_matrix(d, rng)
+            u = linalg.random_unitary(d, rng)
+            block[0, m] = teleport.teleport_channel(resource, rho)
+            block[1, m] = channel.apply(rho)
+            block[2, m], block[3, m] = teleport._covariance_pair(channel, u, rho)
+        sim.extend(linalg.trace_distance_numeric(block[0], block[1]))
+        cov.extend(linalg.trace_distance_numeric(block[2], block[3]))
     return sim, cov
 
 

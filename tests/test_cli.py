@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -209,6 +210,24 @@ class TestCurves:
         )
         assert code == 0
         assert len(record["results"]["rows"]) == 5
+
+    @pytest.mark.parametrize(
+        "zeta,n,step", [(0.0, [1], 0.5), (-0.3, [10, 1, 100], 0.25), (1.0, [2, 3], 0.1)]
+    )
+    def test_streamed_json_is_the_indented_record(self, tmp_path, capsys, zeta, n, step):
+        # the rows are written one at a time, byte for byte the document that
+        # json.dumps(record, indent=2) builds whole
+        rows = sorted(discrimination.curve_grid(zeta, n, step), key=lambda r: (r.n, r.eta))
+        record = cli._record(
+            "curves", {"zeta": zeta, "n": n, "step": step}, {"rows": [asdict(r) for r in rows]}
+        )
+        expected = json.dumps(cli._jsonify(record), indent=2) + "\n"
+        argv = ["curves", f"--zeta={zeta!r}", "--n", ",".join(map(str, n)), "--step", repr(step)]
+        assert cli.main(argv + ["--format", "json"]) == 0
+        assert capsys.readouterr().out == expected
+        out = tmp_path / "curves.json"
+        assert cli.main(argv + ["--format", "json", "--out", str(out)]) == 0
+        assert out.read_text() == expected
 
     def test_bad_n_list(self, capsys):
         assert cli.main(["curves", "--zeta", "0", "--n", "1,x"]) == 1

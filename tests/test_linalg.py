@@ -354,8 +354,9 @@ class TestSpectraKernels:
     @pytest.mark.parametrize("rho,sigma", _kernel_cases())
     def test_qcb(self, rho, sigma):
         dr, ds = linalg.clamped_spectrum(rho), linalg.clamped_spectrum(sigma)
-        r = linalg.qcb_kernels([dr], [ds])
-        assert linalg.qcb_numeric(rho, sigma) == (r.q[0], r.s_star[0])
+        r = linalg.qcb_kernels(dr[None], ds[None])
+        assert r.q.shape == r.s_star.shape == (1, 1)
+        assert linalg.qcb_numeric(rho, sigma) == (r.q[0, 0], r.s_star[0, 0])
 
     @pytest.mark.parametrize("rho,sigma", _kernel_cases())
     def test_qcb_curve_is_the_coarse_pass(self, rho, sigma):
@@ -363,7 +364,7 @@ class TestSpectraKernels:
         grid = np.arange(1, 200) * 0.005
         curve = linalg.qcb_curve_kernel(dr, ds, grid)
         # the refinement bracket is one coarse step either side of the curve's minimum
-        s_star = linalg.qcb_kernels([dr], [ds]).s_star[0]
+        s_star = linalg.qcb_kernels(dr[None], ds[None]).s_star[0, 0]
         assert abs(s_star - grid[np.argmin(curve)]) <= 0.005
 
 
@@ -450,6 +451,43 @@ class TestStacks:
         assert type(linalg.relative_entropy_kernel(dr, ds)) is float
         assert type(linalg.bures_fidelity_kernel(rho, linalg.spectral_sqrt(ds))) is float
 
+    def test_real_and_complex_members_take_their_own_driver(self, monkeypatch):
+        # exactly-real Werner states (complex dtype, zero imaginary parts),
+        # complex random states, and a Hermitian member whose off-diagonal
+        # imaginary parts are +-1e-300: that one is not exactly real
+        tiny = states.werner_state(0.4, 3)
+        tiny[0, 1] += 1e-300j
+        tiny[1, 0] -= 1e-300j
+        werner = [states.werner_state(e, 3) for e in (-1.0, 0.2, 1.0)]
+        mixed = [werner[0], rand_density(9, 701), tiny, werner[1], rand_density(9, 702), werner[2]]
+        mats = np.stack(mixed)
+        real_route = np.array([True, False, False, True, False, True])
+        drivers = []
+        lapack = np.linalg.eigh
+
+        def recording(a):
+            drivers.append((a.dtype, a.shape[:-2]))
+            return lapack(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        dec = linalg.eigh(mats)
+        assert len(drivers) == 2
+        assert set(drivers) == {(np.dtype(float), (3,)), (np.dtype(complex), (3,))}
+        for i, m in enumerate(mats):
+            drivers.clear()
+            one = linalg.eigh(m)
+            assert drivers == [(np.dtype(float if real_route[i] else complex), ())]
+            assert np.array_equal(dec.eigenvalues[i], one.eigenvalues)
+            assert np.array_equal(dec.eigenvectors[i], one.eigenvectors)
+        assert np.iscomplexobj(linalg.eigh(tiny).eigenvectors)
+        # an all-real stack has real eigenvectors, whatever its dtype
+        for stack in (np.stack(werner), np.stack(werner).real):
+            drivers.clear()
+            dec = linalg.eigh(stack)
+            assert drivers == [(np.dtype(float), (3,))]
+            assert dec.eigenvectors.dtype == np.dtype(float)
+            assert dec.eigenvalues.dtype == np.dtype(float)
+
     def test_non_hermitian_member_is_named(self):
         mats = _stack_cases(2)
         mats[5, 0, 1] += 1e-6
@@ -495,20 +533,31 @@ def _nearly_pure(dim, seed):
 
 
 def _batch(pairs):
-    drs = [linalg.clamped_spectrum(rho) for rho, _ in pairs]
-    dss = [linalg.clamped_spectrum(sigma) for _, sigma in pairs]
+    # the rho and the sigma of each pair, decomposed as two stacks
+    drs = linalg.clamped_spectrum(np.stack([rho for rho, _ in pairs]))
+    dss = linalg.clamped_spectrum(np.stack([sigma for _, sigma in pairs]))
     return drs, dss
 
 
+def _assert_cross_product_is_scalar(got, drs, dss):
+    # every (rho, sigma) of the two stacks, not only the matched pairs
+    nr, nc = len(drs.eigenvalues), len(dss.eigenvalues)
+    assert got.q.shape == got.s_star.shape == (nr, nc)
+    for i in range(nr):
+        expected = [_scalar_qcb(drs[i], dss[j]) for j in range(nc)]
+        assert got.q[i].tolist() == [q for q, _ in expected]
+        assert got.s_star[i].tolist() == [s for _, s in expected]
+
+
 class TestQcbKernels:
-    """The batched Chernoff search equals the scalar search on every pair."""
+    """The Chernoff search over two stacks equals the scalar search on every pair."""
 
     @pytest.mark.parametrize("dim", [4, 9, 16])
     def test_batch_equals_scalar_search(self, dim):
-        # one batch per dimension: the kernel cases, 30 random pairs (d^2 = 4
+        # two stacks per dimension: the kernel cases, 30 random pairs (d^2 = 4
         # and 9) and nearly-pure against maximally mixed both ways, whose
-        # brackets are clipped at 1e-9 and 1 - 1e-9 in a batch of unclipped
-        # ones (brackets of other widths are covered by TestGoldenSection)
+        # brackets are clipped at 1e-9 and 1 - 1e-9 among unclipped ones
+        # (brackets of other widths are covered by TestGoldenSection)
         pairs = [(r, s) for r, s in _kernel_cases() if r.shape[0] == dim]
         if dim in (4, 9):
             pairs += [(rand_density(dim, 1000 + i), rand_density(dim, 2000 + i)) for i in range(30)]
@@ -516,57 +565,66 @@ class TestQcbKernels:
         pairs += [(_nearly_pure(dim, dim), mixed), (mixed, _nearly_pure(dim, dim))]
         drs, dss = _batch(pairs)
         got = linalg.qcb_kernels(drs, dss)
-        expected = [_scalar_qcb(dr, ds) for dr, ds in zip(drs, dss)]
-        assert got.q.tolist() == [q for q, _ in expected]
-        assert got.s_star.tolist() == [s for _, s in expected]
+        _assert_cross_product_is_scalar(got, drs, dss)
         # the clipped pairs reach the ends of the open interval
-        assert 0.0 < got.s_star[-2] < 1e-8
-        assert 1.0 - 1e-8 < got.s_star[-1] < 1.0
+        assert 0.0 < got.s_star[-2, -2] < 1e-8
+        assert 1.0 - 1e-8 < got.s_star[-1, -1] < 1.0
 
     def test_batch_longer_than_a_block(self):
+        # 17 x 17 pairs of d^2 = 16 states span two refinement blocks
         dim, n = 16, 17
-        decs = [linalg.clamped_spectrum(rand_density(dim, 3000 + i)) for i in range(n)]
-        drs = [decs[i] for i in range(n) for j in range(n) if i != j]
-        dss = [decs[j] for i in range(n) for j in range(n) if i != j]
-        assert len(drs) > linalg._STACK_ENTRIES // (dim * dim)
-        got = linalg.qcb_kernels(drs, dss)
-        expected = [_scalar_qcb(dr, ds) for dr, ds in zip(drs, dss)]
-        assert got.q.tolist() == [q for q, _ in expected]
-        assert got.s_star.tolist() == [s for _, s in expected]
+        decs = linalg.clamped_spectrum(np.stack([rand_density(dim, 3000 + i) for i in range(n)]))
+        assert n * n > linalg._STACK_ENTRIES // (dim * dim)
+        _assert_cross_product_is_scalar(linalg.qcb_kernels(decs, decs), decs, decs)
 
     def test_batch_longer_than_a_coarse_chunk(self):
-        # d = 6 Werner pairs: two pairs fill a 2^14-entry coarse chunk at
-        # dim 36, so this batch's coarse pass takes 21 stacked calls
-        etas = [-0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75]
-        decs = {a: linalg.clamped_spectrum(states.werner_state(a, 6)) for a in etas}
-        drs = [decs[a] for a in etas for b in etas if a != b]
-        dss = [decs[b] for a in etas for b in etas if a != b]
-        assert len(drs) > 10 * (linalg._QCB_CHUNK // (199 * 36))
-        got = linalg.qcb_kernels(drs, dss)
-        expected = [_scalar_qcb(dr, ds) for dr, ds in zip(drs, dss)]
-        assert got.q.tolist() == [q for q, _ in expected]
-        assert got.s_star.tolist() == [s for _, s in expected]
+        # d = 6 Werner states: the sigma^(1-s) tables of nine states fill
+        # 2^16 entries at dim 36, so the coarse pass sets each rho against
+        # three blocks of sigma, and the 361 pairs take eight refinement blocks
+        etas = np.linspace(-0.9, 0.9, 19)
+        decs = linalg.clamped_spectrum(np.stack([states.werner_state(a, 6) for a in etas]))
+        assert len(etas) > 2 * (linalg._STACK_ENTRIES // (199 * 36))
+        _assert_cross_product_is_scalar(linalg.qcb_kernels(decs, decs), decs, decs)
+
+    def test_stacks_of_different_lengths(self):
+        rhos = [rand_density(9, 6000 + i) for i in range(3)]
+        sigmas = [states.werner_state(e, 3) for e in (-1.0, -0.2, 0.5, 1.0)]
+        drs = linalg.clamped_spectrum(np.stack(rhos))
+        dss = linalg.clamped_spectrum(np.stack(sigmas))
+        _assert_cross_product_is_scalar(linalg.qcb_kernels(drs, dss), drs, dss)
+        _assert_cross_product_is_scalar(linalg.qcb_kernels(dss, drs), dss, drs)
 
     @pytest.mark.parametrize("dim", [4, 9, 36])
     def test_stacked_curves_equal_per_pair_curves(self, dim):
-        # the coarse pass's batched curve is row for row the one-pair curve
+        # the coarse pass's batched curve, one rho's power table against a
+        # stack of sigma (and matched pairs stacked), is row for row the
+        # one-pair curve
         pairs = [(r, s) for r, s in _kernel_cases() if r.shape[0] == dim]
         pairs += [(rand_density(dim, 4000 + i), rand_density(dim, 5000 + i)) for i in range(8)]
         pairs += [(states.werner_state(0.3, 6), states.werner_state(-0.6, 6))] if dim == 36 else []
         drs, dss = _batch(pairs)
         grid = np.arange(1, 200) * 0.005
-        stacked = linalg._overlap_curve(
-            np.stack([dr.eigenvalues for dr in drs]),
-            np.stack([linalg._overlap(dr, ds) for dr, ds in zip(drs, dss)]),
-            np.stack([ds.eigenvalues for ds in dss]),
-            grid,
+        s = grid[:, None]
+        q_tables = dss.eigenvalues[:, None, :] ** (1.0 - s)
+        matched = linalg._overlap_curve(
+            drs.eigenvalues[:, None, :] ** s, linalg._overlap(drs, dss), q_tables
         )
-        for row, dr, ds in zip(stacked, drs, dss):
-            assert np.array_equal(row, linalg.qcb_curve_kernel(dr, ds, grid))
+        for i, row in enumerate(matched):
+            assert np.array_equal(row, linalg.qcb_curve_kernel(drs[i], dss[i], grid))
+        for i in range(len(pairs)):
+            against = linalg._overlap_curve(
+                drs.eigenvalues[i] ** s, linalg._overlap(drs[i], dss), q_tables
+            )
+            for j, row in enumerate(against):
+                assert np.array_equal(row, linalg.qcb_curve_kernel(drs[i], dss[j], grid))
 
     def test_empty_batch(self):
-        got = linalg.qcb_kernels([], [])
-        assert got.q.shape == got.s_star.shape == (0,)
+        empty = linalg.EigenDecomposition(np.empty((0, 4)), np.empty((0, 4, 4)))
+        got = linalg.qcb_kernels(empty, empty)
+        assert got.q.shape == got.s_star.shape == (0, 0)
+        one = linalg.clamped_spectrum(rand_density(4, 1))[None]
+        assert linalg.qcb_kernels(one, empty).q.shape == (1, 0)
+        assert linalg.qcb_kernels(empty, one).s_star.shape == (0, 1)
 
     def test_one_pair_call(self):
         rho, sigma = rand_density(9, 41), rand_density(9, 42)
@@ -576,6 +634,7 @@ class TestQcbKernels:
         assert type(got.q) is float and type(got.s_star) is float
 
     def test_mismatched_batches(self):
-        dr, ds = _batch([(rand_density(4, 1), rand_density(4, 2))])
+        dr, _ = _batch([(rand_density(4, 1), rand_density(4, 2))])
+        _, ds = _batch([(rand_density(9, 1), rand_density(9, 2))])
         with pytest.raises(DimensionMismatchError):
-            linalg.qcb_kernels(dr, ds + ds)
+            linalg.qcb_kernels(dr, ds)

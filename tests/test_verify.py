@@ -1,10 +1,11 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from wernerlab import discrimination, linalg, verify
-from wernerlab.errors import DimensionOverflowError
+from wernerlab import discrimination, linalg, states, teleport, verify
+from wernerlab.errors import DimensionOverflowError, NotUnitaryError
 
 # points examined by each check of one default run_verification()
 DEFAULT_POINTS = {
@@ -65,13 +66,13 @@ def test_qcb_oracle_worst_is_pinned():
     # that still passed its tolerances would move these values
     q, s = verify.check_qcb_oracle(0.1, (2, 3, 4, 5, 6), 1e-6, 1e-4)
     assert q.worst == float.fromhex("0x1.4p-50")
-    assert s.worst == float.fromhex("0x1.1cf05cce00000p-22")
+    assert s.worst == float.fromhex("0x1.010bebe600000p-22")
 
 
 @pytest.mark.parametrize(
     "check, worst",
     [
-        (verify.check_fidelity_oracle, "0x1.4p-50"),
+        (verify.check_fidelity_oracle, "0x1.cp-50"),
         (verify.check_trace_distance_oracle, "0x1.8p-52"),
         (verify.check_relative_entropy_oracle, "0x1.0p-47"),
     ],
@@ -88,13 +89,14 @@ def test_substitution_identity_worst_is_pinned():
     # bit-identity guard on the coarse Chernoff curve (qcb_curve_kernel) at
     # the default grid and isotropic dims
     result = verify.check_substitution_identity(0.1, (2, 3, 4), 1e-12)
-    assert result.worst == float.fromhex("0x1.1p-49")
+    assert result.worst == float.fromhex("0x1.ap-50")
 
 
 def test_qcb_oracle_memory_does_not_grow_with_the_coarse_pass():
     # the coarse curves are evaluated in bounded chunks: the traced peak was
     # 1.2 MB with per-pair curves, 1.4 MB with 2^14-entry chunks and 2.5 MB
-    # with 2^16-entry ones
+    # with 2^16-entry ones; 1.4 MB again with each rho set against 2^16-entry
+    # sigma^(1-s) tables
     tracemalloc.start()
     try:
         verify.check_qcb_oracle(0.1, (6,), 1e-6, 1e-4)
@@ -164,3 +166,45 @@ def test_teleport_sample_count_is_capped_before_any_draw(monkeypatch):
     monkeypatch.setattr(verify, "_teleport_defects", None)  # never reached
     with pytest.raises(DimensionOverflowError, match="100001 exceeds cap 100000"):
         verify.teleport_check(0.5, 2, 1, verify.TELEPORT_SAMPLE_CAP + 1)
+
+
+def test_teleport_defects_span_several_stacks(monkeypatch):
+    # seven d = 3 draws a stack: 23 samples take four stacked trace distances
+    # per defect kind, each member equal to the per-sample call on the same stream
+    d, eta, seed, samples = 3, 0.4, 5, 23
+    rng = np.random.default_rng(np.random.SeedSequence((seed, d)))
+    resource, channel = states.werner_state(eta, d), states.HWChannel(eta, d)
+    sim, cov = [], []
+    for _ in range(samples):
+        rho = linalg.random_density_matrix(d, rng)
+        u = linalg.random_unitary(d, rng)
+        out = teleport.teleport_channel(resource, rho)
+        sim.append(linalg.trace_distance_numeric(out, channel.apply(rho)))
+        cov.append(teleport.covariance_check(channel, u, rho))
+
+    monkeypatch.setattr(linalg, "_STACK_ENTRIES", 7 * d * d)
+    stacks = []
+    real = linalg.trace_distance_numeric
+
+    def counting(rho, sigma):
+        stacks.append(len(rho))
+        return real(rho, sigma)
+
+    monkeypatch.setattr(linalg, "trace_distance_numeric", counting)
+    assert verify._teleport_defects(eta, d, seed, samples) == (sim, cov)
+    assert stacks == [7, 7, 7, 7, 7, 7, 2, 2]
+
+
+def test_teleport_sweep_checks_every_unitary(monkeypatch):
+    # covariance_check's unitarity validation runs on every draw of the sweep
+    draws = []
+    real = linalg.random_unitary
+
+    def fifth_is_not_unitary(d, rng):
+        draws.append(d)
+        u = real(d, rng)
+        return 2.0 * u if len(draws) == 5 else u
+
+    monkeypatch.setattr(linalg, "random_unitary", fifth_is_not_unitary)
+    with pytest.raises(NotUnitaryError):
+        verify._teleport_defects(0.5, 2, 1, 8)
