@@ -16,7 +16,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
+from operator import attrgetter
 
 from . import __version__, discrimination, metrics, metrology, states, verify
 from .errors import WernerLabError
@@ -24,6 +25,7 @@ from .errors import WernerLabError
 SCHEMA_VERSION = "1"
 
 CURVES_COLUMNS = ("zeta", "n", "eta", "lower", "qcb_upper", "fid_upper", "helstrom_block")
+_curves_cells = attrgetter(*CURVES_COLUMNS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,13 +81,7 @@ def format_curves_csv(rows) -> str:
     (n, eta), floats as shortest round-trip decimals."""
     ordered = sorted(rows, key=lambda r: (r.n, r.eta))
     lines = [",".join(CURVES_COLUMNS)]
-    for r in ordered:
-        lines.append(
-            ",".join(
-                _cell(v)
-                for v in (r.zeta, r.n, r.eta, r.lower, r.qcb_upper, r.fid_upper, r.helstrom_block)
-            )
-        )
+    lines += [",".join(map(_cell, _curves_cells(r))) for r in ordered]
     return "\n".join(lines) + "\n"
 
 
@@ -299,12 +295,14 @@ def _cmd_curves(args) -> int:
 def _curves_json(record: dict, rows):
     # json.dumps(record, indent=2) + "\n" with ``rows`` (never empty: curve_grid
     # needs a copy count) in place of the record's empty row list, one chunk per
-    # row, so no whole document is held
+    # row (its fields in order, without asdict's deep copy), so no whole document is held
     head, tail = json.dumps(_jsonify(record), indent=2).rsplit("[]", 1)
     yield head
+    names = [f.name for f in fields(discrimination.DiscriminationBounds)]
     sep, indent = "[", "\n" + " " * 6  # a row sits at depth 3: results, rows, row
     for r in rows:
-        yield sep + indent + json.dumps(_jsonify(asdict(r)), indent=2).replace("\n", indent)
+        row = {k: getattr(r, k) for k in names}
+        yield sep + indent + json.dumps(_jsonify(row), indent=2).replace("\n", indent)
         sep = ","
     yield "\n    ]" + tail + "\n"
 

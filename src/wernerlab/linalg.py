@@ -7,13 +7,15 @@ closed-form formulas elsewhere in the package can be validated against
 an independent route.  They also take stacks of matrices along leading axes,
 one float per member then coming back as a list; ``_blocks`` bounds a stack.
 Real input stays real, so real symmetric states run in real arithmetic.
+The fidelity and trace distance take eigenvalues alone (``eigvalsh``); the
+Chernoff search is a bracketed Newton iteration on the overlap curve's slope.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,16 +32,14 @@ SUPPORT_TOL = 1e-12
 ZERO_SNAP = 1e-13
 TENSOR_DIM_CAP = 4096
 
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 # Matrix entries (members x dim^2) of one stack handed to the kernels below,
 # so that a sweep's memory does not grow with its pair count.
 _STACK_ENTRIES = 2**16
 
 
-def _blocks(n: int, dim: int) -> list[slice]:
-    # consecutive slices of n stacked dim x dim matrices, each within the bound
-    step = max(1, _STACK_ENTRIES // (dim * dim))
+def _blocks(n: int, dim: int, tables: int = 1) -> list[slice]:
+    # consecutive slices of n members of ``tables`` dim x dim matrices each, within the bound
+    step = max(1, _STACK_ENTRIES // (tables * dim * dim))
     return [slice(j, j + step) for j in range(0, n, step)]
 
 
@@ -78,6 +78,30 @@ def hermiticity_defect(a: np.ndarray):
     return np.abs(a - _dagger(a)).max(axis=(-2, -1))
 
 
+def _hermitian_spectrum(a, vectors: bool) -> tuple[np.ndarray, ...]:
+    # eigh's checks and drivers, with eigenvectors or (vectors=False) without
+    a = _as_square(a, stack=True)
+    defect = hermiticity_defect(a)
+    if np.any(defect > HERMITIAN_TOL):
+        i = _first(defect > HERMITIAN_TOL)
+        raise NonHermitianError(
+            f"matrix{list(i) or ''} is not Hermitian within {HERMITIAN_TOL:g} "
+            f"(defect {defect[i]:.3e})"
+        )
+    h = (a + _dagger(a)) / 2.0
+    solve = np.linalg.eigh if vectors else lambda m: (np.linalg.eigvalsh(m),)
+    real = ~np.any(h.imag, axis=(-2, -1)) if np.iscomplexobj(h) else np.True_
+    if real.all():
+        return solve(h.real)
+    if not real.any():
+        return solve(h)
+    parts = solve(h.real[real]), solve(h[~real])
+    out = tuple(np.empty(h.shape[:-2] + y.shape[1:], y.dtype) for y in parts[1])
+    for z, x, y in zip(out, *parts):
+        z[real], z[~real] = x, y
+    return out
+
+
 def eigh(a) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, or of a stack in at most two LAPACK calls.
 
@@ -89,24 +113,12 @@ def eigh(a) -> EigenDecomposition:
     driver, the others to the complex one; an all-real input has real
     eigenvectors.
     """
-    a = _as_square(a, stack=True)
-    defect = hermiticity_defect(a)
-    if np.any(defect > HERMITIAN_TOL):
-        i = _first(defect > HERMITIAN_TOL)
-        raise NonHermitianError(
-            f"matrix{list(i) or ''} is not Hermitian within {HERMITIAN_TOL:g} "
-            f"(defect {defect[i]:.3e})"
-        )
-    h = (a + _dagger(a)) / 2.0
-    real = ~np.any(h.imag, axis=(-2, -1)) if np.iscomplexobj(h) else np.True_
-    if real.all():
-        return EigenDecomposition(*np.linalg.eigh(h.real))
-    if not real.any():
-        return EigenDecomposition(*np.linalg.eigh(h))
-    w, v = np.empty(h.shape[:-1]), np.empty_like(h)
-    w[real], v[real] = np.linalg.eigh(h.real[real])
-    w[~real], v[~real] = np.linalg.eigh(h[~real])
-    return EigenDecomposition(eigenvalues=w, eigenvectors=v)
+    return EigenDecomposition(*_hermitian_spectrum(a, vectors=True))
+
+
+def eigvalsh(a) -> np.ndarray:
+    """Ascending eigenvalues alone (``np.linalg.eigvalsh``), with ``eigh``'s checks and drivers."""
+    return _hermitian_spectrum(a, vectors=False)[0]
 
 
 def tensor_product(a, b) -> np.ndarray:
@@ -145,19 +157,22 @@ def clamped_spectrum(rho, name: str = "rho") -> EigenDecomposition:
     ``*_kernel`` functions take its output, so a sweep can decompose each
     state once and reuse it for every pair; errors name the first failing member.
     """
-    # Round-off near rank-deficient states produces tiny eigenvalues of
-    # either sign where the true value is zero.  Anything below ZERO_SNAP
-    # becomes an exact zero before powers/logs are taken (a +1e-17 noise
-    # eigenvalue would otherwise contribute ~3e-9 under a square root);
-    # negatives beyond PSD_FLOOR are rejected.
     dec = eigh(rho)
-    w, low = dec.eigenvalues, dec.eigenvalues.min(-1)
+    return EigenDecomposition(_clamp(dec.eigenvalues, name), dec.eigenvectors)
+
+
+def _clamp(w: np.ndarray, name: str) -> np.ndarray:
+    # Round-off near rank-deficient states gives tiny eigenvalues of either sign
+    # where the true value is 0.  Those below ZERO_SNAP become exact zeros before
+    # powers or logs are taken (a +1e-17 one would add ~3e-9 under a square
+    # root); negatives beyond PSD_FLOOR are rejected.
+    low = w.min(-1)
     if np.any(low < PSD_FLOOR):
         i = _first(low < PSD_FLOOR)
         raise NotDensityMatrixError(
             f"{name}{list(i) or ''}: minimum eigenvalue {low[i]:.3e} below {PSD_FLOOR:g}"
         )
-    return EigenDecomposition(np.where(w < ZERO_SNAP, 0.0, w), dec.eigenvectors)
+    return np.where(w < ZERO_SNAP, 0.0, w)
 
 
 def _square_pair(rho, sigma, stack: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -178,8 +193,7 @@ def spectral_sqrt(dec: EigenDecomposition) -> np.ndarray:
 
 def bures_fidelity_kernel(rho: np.ndarray, sqrt_sigma: np.ndarray) -> float | list[float]:
     """Tr sqrt(sqrt_sigma rho sqrt_sigma), given sqrt(sigma) from ``spectral_sqrt``."""
-    inner = sqrt_sigma @ rho @ sqrt_sigma
-    w = clamped_spectrum(inner, "sqrt(sigma) rho sqrt(sigma)").eigenvalues
+    w = _clamp(eigvalsh(sqrt_sigma @ rho @ sqrt_sigma), "sqrt(sigma) rho sqrt(sigma)")
     return np.sqrt(w).sum(-1).tolist()
 
 
@@ -192,7 +206,7 @@ def bures_fidelity_numeric(rho, sigma) -> float:
 def trace_distance_numeric(rho, sigma) -> float | list[float]:
     """D(rho, sigma) = half the sum of |eigenvalues| of rho - sigma."""
     rho, sigma = _square_pair(rho, sigma, stack=True)
-    w = eigh(rho - sigma).eigenvalues
+    w = eigvalsh(rho - sigma)
     return (0.5 * np.abs(w).sum(-1)).tolist()
 
 
@@ -231,54 +245,13 @@ def relative_entropy_numeric(rho, sigma) -> float:
     )
 
 
-def golden_section_min(
-    f: Callable[[np.ndarray], np.ndarray], lo, hi, tol: float = 1e-8
-) -> np.ndarray:
-    """Golden-section search for the minimisers of unimodal functions, in lockstep.
-
-    ``lo`` and ``hi`` are bracket ends, scalars or arrays of one shape, and
-    ``f`` maps an array of abscissae (one per bracket) to the array of the
-    function values there.  Each bracket shrinks by the scalar update
-    sequence until its width is at most ``tol``; one that gets there first
-    is held while the others go on, so every result equals a search on its
-    bracket alone.  Returns the bracket midpoints.  Deterministic for
-    identical inputs.
-    """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if not np.all(lo < hi):
-        raise ValueError(f"need lo < hi in every bracket, got [{lo}, {hi}]")
-    c = hi - GOLDEN * (hi - lo)
-    d = lo + GOLDEN * (hi - lo)
-    fc, fd = f(c), f(d)
-    live = hi - lo > tol
-    while live.any():
-        # where f(c) < f(d) the bracket keeps [lo, d], elsewhere [c, hi]
-        left = fc < fd
-        shrink_hi = live & left
-        shrink_lo = live & ~left
-        hi = np.where(shrink_hi, d, hi)
-        lo = np.where(shrink_lo, c, lo)
-        x = np.where(left, hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo))
-        fx = f(x)
-        c, d, fc, fd = (
-            np.where(shrink_hi, x, np.where(shrink_lo, d, c)),
-            np.where(shrink_hi, c, np.where(shrink_lo, x, d)),
-            np.where(shrink_hi, fx, np.where(shrink_lo, fd, fc)),
-            np.where(shrink_hi, fc, np.where(shrink_lo, fx, fd)),
-        )
-        live = hi - lo > tol
-    return 0.5 * (lo + hi)
-
-
 class QcbNumeric(NamedTuple):
     q: float
     s_star: float
 
 
-# Coarse pass for the Chernoff overlap: 0.005, 0.010, ..., 0.995.
-_QCB_GRID_STEP = 0.005
-_QCB_GRID = np.arange(1, 200) * _QCB_GRID_STEP
+# The Chernoff search's bracket, its Newton stopping step and its iteration guard
+_QCB_LO, _QCB_HI, _QCB_STEP_TOL, _QCB_ITERATIONS = 1e-9, 1.0 - 1e-9, 1e-12, 100
 
 
 def _overlap_curve(ps, overlap, qs) -> np.ndarray:
@@ -298,63 +271,82 @@ def qcb_curve_kernel(
     return _overlap_curve(ps, _overlap(dr, ds), qs)
 
 
+def _overlap_derivatives(p, q, tables, s) -> np.ndarray:
+    # (f, f', f'') of f(s) = Tr(rho^s sigma^(1-s)) at the points s (pairs,
+    # points), from each pair's tables O, O*D and O*D^2 (pairs, 3, dim, dim)
+    ps = (p[:, None, :] ** s[..., None])[:, :, None, None, :]
+    qs = (q[:, None, :] ** (1.0 - s[..., None]))[:, :, None, :, None]
+    return np.moveaxis(np.matmul(np.matmul(ps, tables[:, None]), qs)[..., 0, 0], -1, 0)
+
+
 def qcb_kernels(drs: EigenDecomposition, dss: EigenDecomposition) -> QcbNumeric:
     """Minimise Tr(rho^s sigma^(1-s)) over (0, 1) for every (rho, sigma) of two stacks.
 
-    ``drs`` and ``dss`` are stacks of clamped decompositions (leading axis
-    the member) of one dimension.  The coarse grid (step 0.005) sets each rho
-    against blocks of sigma whose sigma^(1-s) tables hold at most
-    ``_STACK_ENTRIES`` entries, so each state's powers are taken once per
-    block.  The brackets are then refined by golden section to width 1e-8,
-    all pairs of a block of at most ``_STACK_ENTRIES`` overlap entries
-    together.  Returns arrays ``q`` and ``s_star`` of shape
-    (len(drs), len(dss)), each entry equal to a search on that pair alone.
+    ``drs`` and ``dss`` are stacks of clamped decompositions of one dimension.
+    f(s) = sum_ij O_ij p_i^s q_j^(1-s) is convex; with D_ij = ln p_i - ln q_j
+    (0 where p_i or q_j is 0), a pair's tables O, O*D and O*D^2 give f, f'
+    and f'' in one batched matmul.  An end of [1e-9, 1 - 1e-9] where f' keeps
+    its sign is returned as is; otherwise Newton's method on f' starts at 1/2,
+    narrows the bracket by the sign of f' and bisects where a step would leave
+    it, until a step is at most 1e-12 (and is taken) or f' is within its
+    round-off eps max|D| f (a flat curve, such as a state against itself,
+    stops at once); ``_QCB_ITERATIONS`` caps the steps.  The pairs of a block
+    of at most ``_STACK_ENTRIES`` table entries step in lockstep and a stopped
+    pair is held, so each entry equals its one-pair call.  Returns ``q`` and
+    ``s_star`` of shape (len(drs), len(dss)).
     """
     (nr, dim), (nc, dim_s) = drs.eigenvalues.shape, dss.eigenvalues.shape
     if dim_s != dim:
         raise DimensionMismatchError(f"rho of dimension {dim}, sigma of {dim_s}")
-    s = _QCB_GRID[:, None]
-    k = np.empty((nr, nc), dtype=int)
-    step = max(1, _STACK_ENTRIES // (_QCB_GRID.size * dim))
-    for c in range(0, nc, step):
-        at = slice(c, c + step)
-        qs = dss.eigenvalues[at, None, :] ** (1.0 - s)
-        for i in range(nr):
-            curve = _overlap_curve(drs.eigenvalues[i] ** s, _overlap(drs[i], dss[at]), qs)
-            k[i, at] = np.argmin(curve, axis=-1)
-
-    # pairs in row-major order, refined in blocks sharing one overlap buffer
     n = nr * nc
-    q_min, s_star, k = np.empty(n), np.empty(n), k.reshape(n)
-    blocks = _blocks(n, dim)
-    buffer = np.empty((min(blocks[0].stop, n) if blocks else 0, dim, dim))
-    for at in blocks:
-        a, b = at.start, min(at.stop, n)
-        o = buffer[: b - a]
-        for i in range(a // nc, (b - 1) // nc + 1):
-            j0, j1 = max(a, i * nc), min(b, (i + 1) * nc)
-            o[j0 - a : j1 - a] = _overlap(drs[i], dss[j0 - i * nc : j1 - i * nc])
-        rows, cols = np.divmod(np.arange(a, b), nc)
-        p, q = drs.eigenvalues[rows], dss.eigenvalues[cols]
-
-        def overlap_at(x: np.ndarray) -> np.ndarray:
-            ps = (p ** x[:, None])[:, None, :]
-            qs = (q ** (1.0 - x[:, None]))[:, :, None]
-            return np.matmul(np.matmul(ps, o), qs)[:, 0, 0]
-
-        lo = np.maximum(_QCB_GRID[k[at]] - _QCB_GRID_STEP, 1e-9)
-        hi = np.minimum(_QCB_GRID[k[at]] + _QCB_GRID_STEP, 1.0 - 1e-9)
-        x = golden_section_min(overlap_at, lo, hi, tol=1e-8)
-        q_min[at], s_star[at] = overlap_at(x), x
+    q_min, s_star = np.empty(n), np.empty(n)
+    for at in _blocks(n, dim, tables=3):
+        rows, cols = np.divmod(np.arange(at.start, min(at.stop, n)), nc)
+        m, p, q = len(rows), drs.eigenvalues[rows], dss.eigenvalues[cols]
+        lp, lq = (np.log(np.where(x > 0.0, x, 1.0)) for x in (p, q))
+        tables = np.empty((m, 3, dim, dim))
+        o, od, odd = tables[:, 0], tables[:, 1], tables[:, 2]
+        o[...] = _overlap(drs[rows], dss[cols])
+        # the O*D^2 slot holds D until the products below
+        np.subtract(lp[:, :, None], lq[:, None, :], out=odd)
+        odd[~((p > 0.0)[:, :, None] & (q > 0.0)[:, None, :])] = 0.0
+        # |f'| <= max|D| f bounds its terms, so its round-off is below eps max|D| f
+        noise = np.finfo(float).eps * np.abs(odd).max((-2, -1))
+        np.multiply(o, odd, out=od)
+        np.multiply(od, odd, out=odd)
+        # f, f', f'' at both ends and at 1/2; an end where f' does not change
+        # sign inside the bracket is the minimiser
+        lo, hi = np.full(m, _QCB_LO), np.full(m, _QCB_HI)
+        f, g, h = _overlap_derivatives(p, q, tables, np.stack([lo, hi, np.full(m, 0.5)], -1))
+        k = np.where(g[:, 0] >= 0.0, 0, np.where(g[:, 1] <= 0.0, 1, 2))
+        s = np.choose(k, (lo, hi, 0.5))
+        f, g, h = (x[np.arange(m), k] for x in (f, g, h))
+        held = k < 2
+        for _ in range(_QCB_ITERATIONS):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                x = s - g / h
+            # a Newton step of at most 1e-12 is the last: s takes it, and f,
+            # which it moves by far less than an ulp, is kept; an f' within
+            # its round-off counts as 0, and s stays
+            newton, flat = np.abs(g) <= _QCB_STEP_TOL * h, np.abs(g) <= noise * f
+            s, held = np.where(~held & newton & ~flat, x, s), held | newton | flat
+            if held.all():
+                break
+            lo, hi = np.where(g < 0.0, s, lo), np.where(g > 0.0, s, hi)
+            s = np.where(held, s, np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi)))
+            step = _overlap_derivatives(p, q, tables, s[:, None])[..., 0]
+            f, g, h = (np.where(held, old, new) for old, new in zip((f, g, h), step))
+        q_min[at], s_star[at] = f, s
     return QcbNumeric(q=q_min.reshape(nr, nc), s_star=s_star.reshape(nr, nc))
 
 
 def qcb_numeric(rho, sigma) -> QcbNumeric:
     """Minimise Tr(rho^s sigma^(1-s)) over s in the open interval (0, 1).
 
-    The search of :func:`qcb_kernels` on one-member stacks of the clamped
-    decompositions.  Endpoint limits for states with mismatched support are
-    out of scope here; this reports the open-interval infimum seen by the search.
+    The Newton search of :func:`qcb_kernels` on one-member stacks of the
+    clamped decompositions.  Endpoint limits for states with mismatched
+    support are out of scope here: where the infimum is such a limit, the
+    search stops at exactly 1e-9 or 1 - 1e-9.
     """
     rho, sigma = _square_pair(rho, sigma)
     r = qcb_kernels(clamped_spectrum(rho, "rho")[None], clamped_spectrum(sigma, "sigma")[None])

@@ -44,6 +44,13 @@ def weyl_unitary(a: int, b: int, d: int) -> np.ndarray:
     return u
 
 
+def _check_teleport_dim(d: int) -> int:
+    # nothing of size d^3 is built: the cap bounds the d^6 work per call
+    if d**3 > TENSOR_DIM_CAP:
+        raise DimensionOverflowError(f"teleportation dimension {d**3} exceeds cap {TENSOR_DIM_CAP}")
+    return d
+
+
 def teleport_channel(resource, rho, *, conjugate_corrections: bool = True) -> np.ndarray:
     """Output state summed over all d^2 measurement branches.
 
@@ -60,11 +67,7 @@ def teleport_channel(resource, rho, *, conjugate_corrections: bool = True) -> np
         raise DimensionMismatchError(
             f"input {rho.shape} and resource {resource.shape} are incompatible"
         )
-    # nothing of size d^3 is built: the cap bounds the d^6 work per call
-    if d**3 > TENSOR_DIM_CAP:
-        raise DimensionOverflowError(
-            f"teleportation dimension {d**3} exceeds cap {TENSOR_DIM_CAP}"
-        )
+    _check_teleport_dim(d)
     r = resource.reshape(d, d, d, d)  # axes (B, C | B', C'), B measured
     out = np.zeros((d, d), dtype=complex)
     for a in range(d):

@@ -10,7 +10,8 @@ results come out in a fixed order.  Each state is decomposed once, and a
 pair sweep sets each rho against stacked blocks of sigma of at most 2^16
 matrix entries (``linalg._blocks``), so memory does not grow with the grid.
 Werner and isotropic stacks are real, so the oracles run in real arithmetic;
-a Chernoff sweep reads the off-diagonal entries of one ``qcb_kernels`` call.
+the fidelity and trace-distance sweeps take eigenvalues only, and a Chernoff
+sweep reads the off-diagonal entries of one ``qcb_kernels`` Newton search.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ TELEPORT_TOL = 1e-10
 # the teleport sweep keeps one defect per sample, so memory grows with the count
 # (its matrices are held one bounded stack block at a time)
 TELEPORT_SAMPLE_CAP = 100_000
+# Most samples x d^6, a teleport sweep's time scale: it admits 17 draws at d = 16 (80 ms
+# each), and 73,242 at d = 4 take about 50 s on a 2-core host, as the 100,000 at d = 3 do
+TELEPORT_WORK_CAP = 300_000_000
 # Most (grid points)^2 x sum of d^4, the scale of the pair sweeps' states and pair lists
 VERIFY_WORK_CAP = 2**25
 
@@ -303,7 +307,7 @@ def run_verification(
         check_fidelity_oracle(grid_step, dims, 1e-9 * tol_scale),
         check_trace_distance_oracle(grid_step, dims, 1e-10 * tol_scale),
         check_relative_entropy_oracle(grid_step, dims, 1e-9 * tol_scale),
-        *check_qcb_oracle(grid_step, dims, 1e-6 * tol_scale, 1e-4 * tol_scale),
+        *check_qcb_oracle(grid_step, dims, 1e-6 * tol_scale, 1e-8 * tol_scale),
         check_qcb_isotropic_oracle(iso_dims, 1e-6 * tol_scale),
         check_critical_point_identities(grid_step, 1e-12 * tol_scale),
         check_substitution_identity(grid_step, iso_dims, 1e-12 * tol_scale),
@@ -321,6 +325,9 @@ def teleport_check(eta: float, d: int, seed: int, samples: int) -> dict:
     samples = states._check_positive_int(samples, "sample count")
     if samples > TELEPORT_SAMPLE_CAP:
         raise DimensionOverflowError(f"sample count {samples} exceeds cap {TELEPORT_SAMPLE_CAP}")
+    work = samples * teleport._check_teleport_dim(states._check_pair_dim(d)) ** 6
+    if work > TELEPORT_WORK_CAP:
+        raise DimensionOverflowError(f"samples x d^6 = {work} exceeds cap {TELEPORT_WORK_CAP}")
     seed = states._check_seed(seed)
     sim, cov = _teleport_defects(eta, d, seed, samples)
     return {

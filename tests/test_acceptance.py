@@ -40,14 +40,14 @@ def test_criterion_01_fidelity_oracle_agreement():
 def test_criterion_02_qcb_oracle_agreement():
     # the diagonal (q = 1) is covered by test_linalg's identical-states case
     t0 = time.monotonic()
-    q, s = verify.check_qcb_oracle(0.1, range(2, 7), 1e-6, 1e-4)
+    q, s = verify.check_qcb_oracle(0.1, range(2, 7), 1e-6, 1e-8)
     iso = verify.check_qcb_isotropic_oracle((2, 3, 4), 1e-6)
     elapsed = time.monotonic() - t0
     report(
         2,
         q.passed and s.passed and iso.passed and elapsed < 120.0,
         f"Chernoff closed form vs numeric search (endpoints analytic): "
-        f"worst |dq| {q.worst:.3e} (tol 1e-6), worst |ds| {s.worst:.3e} (tol 1e-4), "
+        f"worst |dq| {q.worst:.3e} (tol 1e-6), worst |ds| {s.worst:.3e} (tol 1e-8), "
         f"isotropic worst |dq| {iso.worst:.3e}, {elapsed:.1f}s (limit 120s)",
     )
 

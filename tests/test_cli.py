@@ -153,6 +153,10 @@ class TestExitCodes:
                  "--step", "0.00002"],
                 "100001 grid points x 1000 copy counts exceed the cap of 100001 rows",
             ),
+            (
+                ["teleport-check", "--d", "16", "--eta", "0.5", "--samples", "100000"],
+                "samples x d^6 = 1677721600000 exceeds cap 300000000",
+            ),
         ],
     )
     def test_oversized_input_is_one(self, monkeypatch, capsys, argv, message):

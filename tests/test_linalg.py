@@ -250,70 +250,6 @@ class TestQcbNumeric:
         assert abs(fwd.s_star + rev.s_star - 1.0) <= 1e-6
 
 
-class TestGoldenSection:
-    def test_quadratic(self):
-        assert linalg.golden_section_min(lambda x: (x - 0.3) ** 2, 0.0, 1.0) == pytest.approx(
-            0.3, abs=1e-7
-        )
-
-    def test_requires_ordered_bracket(self):
-        with pytest.raises(ValueError):
-            linalg.golden_section_min(lambda x: x, 1.0, 0.0)
-
-    def test_brackets_match_scalar_runs(self):
-        # widths from 1 down to 1e-7 take different iteration counts, and one
-        # bracket starts at or below tol, so some are held while others go on
-        lo = np.array([0.0, -3.0, 0.2, 0.5, 0.1])
-        hi = np.array([1.0, 2.0, 0.21, 0.5 + 1e-7, 0.1 + 1e-9])
-        centre = np.array([0.3, -2.9, 0.2, 0.7, 0.0])
-        got = linalg.golden_section_min(lambda x: (x - centre) ** 2, lo, hi, tol=1e-8)
-        for i in range(len(lo)):
-            f = lambda x, m=centre[i]: (x - m) ** 2
-            assert got[i] == _scalar_golden_section(f, lo[i], hi[i], 1e-8)
-            assert got[i] == linalg.golden_section_min(f, lo[i], hi[i], tol=1e-8)
-
-    def test_requires_every_bracket_ordered(self):
-        with pytest.raises(ValueError):
-            linalg.golden_section_min(lambda x: x, [0.0, 0.5, 0.0], [1.0, 0.5, 1.0])
-        with pytest.raises(ValueError):
-            linalg.golden_section_min(lambda x: x, [0.0, np.nan], [1.0, 1.0])
-
-
-def _scalar_golden_section(f, lo, hi, tol):
-    # Reference: the one-bracket search that golden_section_min runs on every
-    # bracket in lockstep.
-    c = hi - linalg.GOLDEN * (hi - lo)
-    d = lo + linalg.GOLDEN * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > tol:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - linalg.GOLDEN * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + linalg.GOLDEN * (hi - lo)
-            fd = f(d)
-    return 0.5 * (lo + hi)
-
-
-def _scalar_qcb(dr, ds):
-    # Reference: the one-pair Chernoff search, coarse grid then scalar golden
-    # section on Tr(rho^s sigma^(1-s)) evaluated one s at a time.
-    overlap = np.abs(dr.eigenvectors.conj().T @ ds.eigenvectors) ** 2
-    p, q = dr.eigenvalues, ds.eigenvalues
-
-    def q_at(s):
-        return float((p**s) @ overlap @ (q ** (1.0 - s)))
-
-    grid = np.arange(1, 200) * 0.005
-    k = int(np.argmin(linalg.qcb_curve_kernel(dr, ds, grid)))
-    lo = max(grid[k] - 0.005, 1e-9)
-    hi = min(grid[k] + 0.005, 1.0 - 1e-9)
-    s_star = _scalar_golden_section(q_at, lo, hi, 1e-8)
-    return q_at(s_star), s_star
-
-
 def _kernel_cases():
     # full-rank random states, then rank-deficient pure/edge states where
     # ZERO_SNAP clamping decides which eigenvalues are exact zeros
@@ -363,7 +299,8 @@ class TestSpectraKernels:
         dr, ds = linalg.clamped_spectrum(rho), linalg.clamped_spectrum(sigma)
         grid = np.arange(1, 200) * 0.005
         curve = linalg.qcb_curve_kernel(dr, ds, grid)
-        # the refinement bracket is one coarse step either side of the curve's minimum
+        # the curve is convex, so the searched minimiser lies within one grid
+        # step of the sampled curve's minimum
         s_star = linalg.qcb_kernels(dr[None], ds[None]).s_star[0, 0]
         assert abs(s_star - grid[np.argmin(curve)]) <= 0.005
 
@@ -479,6 +416,17 @@ class TestStacks:
             assert drivers == [(np.dtype(float if real_route[i] else complex), ())]
             assert np.array_equal(dec.eigenvalues[i], one.eigenvalues)
             assert np.array_equal(dec.eigenvectors[i], one.eigenvectors)
+        # the eigenvalue-only route splits the stack the same way
+        values_only = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: recording(a) and values_only(a))
+        drivers.clear()
+        w = linalg.eigvalsh(mats)
+        assert set(drivers) == {(np.dtype(float), (3,)), (np.dtype(complex), (3,))}
+        assert w.dtype == np.dtype(float)
+        for i, m in enumerate(mats):
+            drivers.clear()
+            assert np.array_equal(w[i], linalg.eigvalsh(m))
+            assert drivers == [(np.dtype(float if real_route[i] else complex), ())]
         assert np.iscomplexobj(linalg.eigh(tiny).eigenvectors)
         # an all-real stack has real eigenvectors, whatever its dtype
         for stack in (np.stack(werner), np.stack(werner).real):
@@ -495,6 +443,41 @@ class TestStacks:
             linalg.eigh(mats)
         with pytest.raises(NonHermitianError, match=r"matrix\[1, 1\] is not Hermitian"):
             linalg.clamped_spectrum(mats.reshape(3, 4, 4, 4))
+        # the eigenvalue-only kernels run the same check on their own stacks
+        with pytest.raises(NonHermitianError, match=r"matrix\[5\] is not Hermitian"):
+            linalg.eigvalsh(mats)
+        with pytest.raises(NonHermitianError, match=r"matrix\[5\] is not Hermitian"):
+            linalg.trace_distance_numeric(mats, np.zeros((12, 4, 4)))
+        with pytest.raises(NonHermitianError, match=r"matrix\[1, 1\] is not Hermitian"):
+            linalg.trace_distance_numeric(mats.reshape(3, 4, 4, 4), np.eye(4) / 4)
+        # a non-Hermitian root makes that member's inner matrix non-Hermitian
+        roots = np.stack([np.eye(4)] * 12)
+        roots[5, 0, 1] = 0.5
+        with pytest.raises(NonHermitianError, match=r"matrix\[5\] is not Hermitian"):
+            linalg.bures_fidelity_kernel(mats[0], roots)
+
+    def test_eigenvalue_route_keeps_the_psd_floor_and_zero_snap(self):
+        # eigenvalues in [PSD_FLOOR, ZERO_SNAP) of the fidelity's inner matrix
+        # become exact zeros, so no square root of round-off is summed
+        for tiny in (-5e-11, 1e-17):
+            assert linalg.bures_fidelity_kernel(np.diag([1.0, tiny]), np.eye(2)) == 1.0
+        with pytest.raises(NotDensityMatrixError, match=r"^sqrt\(sigma\) rho sqrt\(sigma\):"):
+            linalg.bures_fidelity_kernel(np.diag([1.5, -0.5]), np.eye(2))
+        # the trace distance takes the raw eigenvalues of the difference
+        assert linalg.trace_distance_numeric(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])) == 1.0
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_eigvalsh_is_eigh_without_vectors(self, d):
+        # symmetrised like eigh: a member within HERMITIAN_TOL of Hermitian
+        # gives the eigenvalues of its Hermitian part, close to eigh's
+        mats = _stack_cases(d).astype(complex)
+        mats[3, 0, 1] += 1e-13j
+        w = linalg.eigvalsh(mats)
+        assert np.abs(w - linalg.eigh(mats).eigenvalues).max() <= 1e-14
+        for i, m in enumerate(mats):
+            h = (m + m.conj().T) / 2
+            assert np.array_equal(w[i], linalg.eigvalsh(m))
+            assert np.array_equal(w[i], np.linalg.eigvalsh(h if h.imag.any() else h.real))
 
     def test_member_below_the_psd_floor_is_named(self):
         mats = _stack_cases(2)
@@ -539,25 +522,66 @@ def _batch(pairs):
     return drs, dss
 
 
-def _assert_cross_product_is_scalar(got, drs, dss):
-    # every (rho, sigma) of the two stacks, not only the matched pairs
+def _assert_cross_product_is_per_pair(got, drs, dss):
+    # every (rho, sigma) of the two stacks, not only the matched pairs, equals
+    # the search on that pair alone, bit for bit
     nr, nc = len(drs.eigenvalues), len(dss.eigenvalues)
     assert got.q.shape == got.s_star.shape == (nr, nc)
     for i in range(nr):
-        expected = [_scalar_qcb(drs[i], dss[j]) for j in range(nc)]
-        assert got.q[i].tolist() == [q for q, _ in expected]
-        assert got.s_star[i].tolist() == [s for _, s in expected]
+        expected = [linalg.qcb_kernels(drs[i][None], dss[j][None]) for j in range(nc)]
+        assert got.q[i].tolist() == [r.q[0, 0] for r in expected]
+        assert got.s_star[i].tolist() == [r.s_star[0, 0] for r in expected]
+
+
+def _rank_deficient(dim, rank, seed):
+    # a random state of the given rank
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    return (rho + rho.conj().T) / 2.0
+
+
+def _mp_qcb(dr, ds):
+    # Reference: the minimiser of Tr(rho^s sigma^(1-s)) on [1e-9, 1 - 1e-9]
+    # from the same decompositions, in 50-digit arithmetic: an end where the
+    # derivative does not change sign, else the derivative's root
+    import mpmath
+
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    overlap = np.abs(dr.eigenvectors.conj().T @ ds.eigenvectors) ** 2
+    terms = [
+        (mp.mpf(float(overlap[i, j])), mp.mpf(float(p)), mp.mpf(float(q)))
+        for i, p in enumerate(dr.eigenvalues)
+        for j, q in enumerate(ds.eigenvalues)
+        if p > 0.0 and q > 0.0
+    ]
+
+    def f(s):
+        return mp.fsum(o * p**s * q ** (1 - s) for o, p, q in terms)
+
+    def df(s):
+        return mp.fsum(o * mp.log(p / q) * p**s * q ** (1 - s) for o, p, q in terms)
+
+    lo, hi = mp.mpf(1e-9), mp.mpf(1.0 - 1e-9)
+    if df(lo) >= 0:
+        s = lo
+    elif df(hi) <= 0:
+        s = hi
+    else:
+        s = mp.findroot(df, (lo, hi), solver="anderson")
+    return float(f(s)), float(s)
 
 
 class TestQcbKernels:
-    """The Chernoff search over two stacks equals the scalar search on every pair."""
+    """The Chernoff search over two stacks equals the one-pair search on every pair."""
 
     @pytest.mark.parametrize("dim", [4, 9, 16])
     def test_batch_equals_scalar_search(self, dim):
         # two stacks per dimension: the kernel cases, 30 random pairs (d^2 = 4
         # and 9) and nearly-pure against maximally mixed both ways, whose
-        # brackets are clipped at 1e-9 and 1 - 1e-9 among unclipped ones
-        # (brackets of other widths are covered by TestGoldenSection)
+        # minimisers are the ends 1e-9 and 1 - 1e-9, among interior ones
         pairs = [(r, s) for r, s in _kernel_cases() if r.shape[0] == dim]
         if dim in (4, 9):
             pairs += [(rand_density(dim, 1000 + i), rand_density(dim, 2000 + i)) for i in range(30)]
@@ -565,40 +589,104 @@ class TestQcbKernels:
         pairs += [(_nearly_pure(dim, dim), mixed), (mixed, _nearly_pure(dim, dim))]
         drs, dss = _batch(pairs)
         got = linalg.qcb_kernels(drs, dss)
-        _assert_cross_product_is_scalar(got, drs, dss)
-        # the clipped pairs reach the ends of the open interval
-        assert 0.0 < got.s_star[-2, -2] < 1e-8
-        assert 1.0 - 1e-8 < got.s_star[-1, -1] < 1.0
+        _assert_cross_product_is_per_pair(got, drs, dss)
+        assert got.s_star[-2, -2] == 1e-9
+        assert got.s_star[-1, -1] == 1.0 - 1e-9
 
     def test_batch_longer_than_a_block(self):
-        # 17 x 17 pairs of d^2 = 16 states span two refinement blocks
+        # 17 x 17 pairs of d^2 = 16 states span four Newton blocks
         dim, n = 16, 17
         decs = linalg.clamped_spectrum(np.stack([rand_density(dim, 3000 + i) for i in range(n)]))
-        assert n * n > linalg._STACK_ENTRIES // (dim * dim)
-        _assert_cross_product_is_scalar(linalg.qcb_kernels(decs, decs), decs, decs)
+        assert len(linalg._blocks(n * n, dim, tables=3)) == 4
+        _assert_cross_product_is_per_pair(linalg.qcb_kernels(decs, decs), decs, decs)
 
     def test_batch_longer_than_a_coarse_chunk(self):
-        # d = 6 Werner states: the sigma^(1-s) tables of nine states fill
-        # 2^16 entries at dim 36, so the coarse pass sets each rho against
-        # three blocks of sigma, and the 361 pairs take eight refinement blocks
+        # the d = 6 Werner sweep: three 36 x 36 tables per pair hold 16 pairs
+        # in 2^16 entries, so the 361 pairs, the 19 identical ones among them,
+        # take 23 Newton blocks
         etas = np.linspace(-0.9, 0.9, 19)
         decs = linalg.clamped_spectrum(np.stack([states.werner_state(a, 6) for a in etas]))
-        assert len(etas) > 2 * (linalg._STACK_ENTRIES // (199 * 36))
-        _assert_cross_product_is_scalar(linalg.qcb_kernels(decs, decs), decs, decs)
+        assert len(linalg._blocks(len(etas) ** 2, 36, tables=3)) == 23
+        _assert_cross_product_is_per_pair(linalg.qcb_kernels(decs, decs), decs, decs)
 
     def test_stacks_of_different_lengths(self):
         rhos = [rand_density(9, 6000 + i) for i in range(3)]
         sigmas = [states.werner_state(e, 3) for e in (-1.0, -0.2, 0.5, 1.0)]
         drs = linalg.clamped_spectrum(np.stack(rhos))
         dss = linalg.clamped_spectrum(np.stack(sigmas))
-        _assert_cross_product_is_scalar(linalg.qcb_kernels(drs, dss), drs, dss)
-        _assert_cross_product_is_scalar(linalg.qcb_kernels(dss, drs), dss, drs)
+        _assert_cross_product_is_per_pair(linalg.qcb_kernels(drs, dss), drs, dss)
+        _assert_cross_product_is_per_pair(linalg.qcb_kernels(dss, drs), dss, drs)
+
+    def test_matches_a_50_digit_root(self):
+        # Werner pairs, random full-rank pairs and random rank-deficient pairs
+        # whose supports overlap: q and s* against the 50-digit root of the
+        # derivative of the same overlap curve
+        pairs = [
+            (states.werner_state(a, d), states.werner_state(b, d))
+            for d in (2, 3)
+            for a, b in ((0.3, -0.6), (0.9, 0.1), (-0.95, 0.5), (-0.2, -0.1))
+        ]
+        pairs += [(rand_density(dim, 7000 + dim), rand_density(dim, 7100 + dim)) for dim in (4, 9)]
+        pairs += [
+            (_rank_deficient(dim, r, 7200 + dim), _rank_deficient(dim, r + 1, 7300 + dim))
+            for dim, r in ((4, 2), (9, 5))
+        ]
+        for rho, sigma in pairs:
+            got = linalg.qcb_numeric(rho, sigma)
+            q, s_star = _mp_qcb(linalg.clamped_spectrum(rho), linalg.clamped_spectrum(sigma))
+            assert 1e-9 < s_star < 1.0 - 1e-9
+            assert abs(got.s_star - s_star) <= 1e-12
+            assert abs(got.q - q) <= 1e-14
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_mismatched_supports_end_at_the_bracket(self, d):
+        # the closed form's endpoint cases: a Werner state at eta = +-1, or the
+        # pure isotropic state, against a full-rank one falls towards s = 0,
+        # the reverse towards s = 1; orthogonal supports end at one of the two
+        deficient = [states.werner_state(1.0, d), states.werner_state(-1.0, d)]
+        deficient.append(states.isotropic_state(float(d), d))
+        full = [states.werner_state(z, d) for z in (-0.6, 0.0, 0.3, 0.9)]
+        full.append(states.isotropic_state(0.5, d))
+        low = linalg.qcb_kernels(*_batch([(r, s) for r in deficient for s in full]))
+        high = linalg.qcb_kernels(*_batch([(s, r) for r in deficient for s in full]))
+        assert np.all(np.diag(low.s_star) == 1e-9)
+        assert np.all(np.diag(high.s_star) == 1.0 - 1e-9)
+        orthogonal = _batch(
+            [
+                (states.werner_state(1.0, d), states.werner_state(-1.0, d)),
+                (states.isotropic_state(0.0, d), states.isotropic_state(float(d), d)),
+            ]
+        )
+        got = linalg.qcb_kernels(*orthogonal)
+        # the curve is round-off there, so which end it falls to is not fixed
+        assert set(np.diag(got.s_star).tolist()) <= {1e-9, 1.0 - 1e-9}
+        assert np.all(np.diag(got.q) < 1e-15)
+
+    def test_identical_states_stop_at_once(self, monkeypatch):
+        # f' of a state against itself is round-off only: the search stops at
+        # its first evaluation, with q = 1
+        evaluations = []
+        real = linalg._overlap_derivatives
+
+        def counting(*args):
+            evaluations.append(args[-1].shape)
+            return real(*args)
+
+        monkeypatch.setattr(linalg, "_overlap_derivatives", counting)
+        mats = [states.werner_state(e, d) for d in (2, 3, 4) for e in (-1.0, -0.3, 0.0, 0.5, 1.0)]
+        mats += [states.isotropic_state(a, d) for d in (2, 3) for a in (0.0, 0.7, float(d))]
+        mats += [rand_density(dim, 7600 + dim) for dim in (4, 9, 16)] + [np.eye(4) / 4]
+        for m in mats:
+            evaluations.clear()
+            got = linalg.qcb_numeric(m, m)
+            assert len(evaluations) == 1
+            assert abs(got.q - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("dim", [4, 9, 36])
     def test_stacked_curves_equal_per_pair_curves(self, dim):
-        # the coarse pass's batched curve, one rho's power table against a
-        # stack of sigma (and matched pairs stacked), is row for row the
-        # one-pair curve
+        # the batched curve, one rho's power table against a stack of sigma
+        # (as the substitution sweep calls it) and matched pairs stacked, is
+        # row for row the one-pair curve
         pairs = [(r, s) for r, s in _kernel_cases() if r.shape[0] == dim]
         pairs += [(rand_density(dim, 4000 + i), rand_density(dim, 5000 + i)) for i in range(8)]
         pairs += [(states.werner_state(0.3, 6), states.werner_state(-0.6, 6))] if dim == 36 else []
@@ -630,7 +718,10 @@ class TestQcbKernels:
         rho, sigma = rand_density(9, 41), rand_density(9, 42)
         dr, ds = _batch([(rho, sigma)])
         got = linalg.qcb_numeric(rho, sigma)
-        assert (got.q, got.s_star) == _scalar_qcb(dr[0], ds[0])
+        r = linalg.qcb_kernels(dr, ds)
+        assert (got.q, got.s_star) == (r.q[0, 0], r.s_star[0, 0])
+        q, s_star = _mp_qcb(dr[0], ds[0])
+        assert abs(got.q - q) <= 1e-14 and abs(got.s_star - s_star) <= 1e-12
         assert type(got.q) is float and type(got.s_star) is float
 
     def test_mismatched_batches(self):

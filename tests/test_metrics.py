@@ -223,7 +223,7 @@ class TestQcbWerner:
         )
         closed = metrics.qcb_werner(0.5, -0.5)
         assert closed.q == pytest.approx(numeric.q, abs=1e-7)
-        assert closed.s_star == pytest.approx(numeric.s_star, abs=1e-4)
+        assert closed.s_star == pytest.approx(numeric.s_star, abs=1e-12)
 
     @given(inner_etas, inner_etas)
     @settings(max_examples=300)
@@ -279,7 +279,7 @@ class TestQcbIsotropic:
         closed = metrics.qcb_isotropic(2.5, 0.7, 3)
         assert closed.s_kind == "interior"
         assert closed.q == pytest.approx(numeric.q, abs=1e-7)
-        assert closed.s_star == pytest.approx(numeric.s_star, abs=1e-4)
+        assert closed.s_star == pytest.approx(numeric.s_star, abs=1e-12)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_substitution_identity(self, d):

@@ -1,10 +1,11 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from wernerlab import discrimination, linalg, states, teleport, verify
+from wernerlab import discrimination, linalg, metrics, states, teleport, verify
 from wernerlab.errors import DimensionOverflowError, NotUnitaryError
 
 # points examined by each check of one default run_verification()
@@ -27,21 +28,23 @@ DEFAULT_POINTS = {
 
 
 def count_eigh(monkeypatch) -> list:
-    # one entry per matrix decomposed: a stacked call adds one per member
+    # one entry per matrix decomposed, with eigenvectors (eigh) or without
+    # (eigvalsh): a stacked call adds one per member
     calls = []
-    real = linalg.eigh
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(linalg, name)
 
-    def counting(a):
-        calls.extend([a.shape[-2:]] * math.prod(a.shape[:-2]))
-        return real(a)
+        def counting(a, real=real):
+            calls.extend([a.shape[-2:]] * math.prod(a.shape[:-2]))
+            return real(a)
 
-    monkeypatch.setattr(linalg, "eigh", counting)
+        monkeypatch.setattr(linalg, name, counting)
     return calls
 
 
 def test_qcb_sweep_decomposes_each_state_once(monkeypatch):
     calls = count_eigh(monkeypatch)
-    q, s = verify.check_qcb_oracle(0.1, (3,), 1e-6, 1e-4)
+    q, s = verify.check_qcb_oracle(0.1, (3,), 1e-6, 1e-8)
     assert q.points == s.points == 19 * 18
     assert len(calls) == 19  # one per interior eta, not two per pair
 
@@ -62,17 +65,33 @@ def test_estimation_saturation_worst_is_pinned():
 
 
 def test_qcb_oracle_worst_is_pinned():
-    # bit-identity guard on the Chernoff refinement: a change to the search
+    # bit-identity guard on the Chernoff search: a change to the search
     # that still passed its tolerances would move these values
-    q, s = verify.check_qcb_oracle(0.1, (2, 3, 4, 5, 6), 1e-6, 1e-4)
-    assert q.worst == float.fromhex("0x1.4p-50")
-    assert s.worst == float.fromhex("0x1.010bebe600000p-22")
+    q, s = verify.check_qcb_oracle(0.1, (2, 3, 4, 5, 6), 1e-6, 1e-8)
+    assert q.worst == float.fromhex("0x1.2p-50")
+    assert s.worst == float.fromhex("0x1.7c8p-45")
+
+
+def test_shifted_chernoff_minimiser_is_caught(monkeypatch):
+    # a closed-form s* off by 5e-5 fails qcb-oracle-s, and only the shift does
+    def run():
+        return {r.name: r for r in verify.run_verification(grid_step=0.2, dims=(2, 3))}
+
+    assert run()["qcb-oracle-s"].passed
+    exact = metrics.qcb_werner
+    monkeypatch.setattr(
+        metrics, "qcb_werner", lambda a, b: replace(exact(a, b), s_star=exact(a, b).s_star + 5e-5)
+    )
+    results = run()
+    assert not results["qcb-oracle-s"].passed
+    assert results["qcb-oracle-s"].failures == results["qcb-oracle-s"].points
+    assert results["qcb-oracle-q"].passed
 
 
 @pytest.mark.parametrize(
     "check, worst",
     [
-        (verify.check_fidelity_oracle, "0x1.cp-50"),
+        (verify.check_fidelity_oracle, "0x1.0p-49"),
         (verify.check_trace_distance_oracle, "0x1.8p-52"),
         (verify.check_relative_entropy_oracle, "0x1.0p-47"),
     ],
@@ -86,20 +105,22 @@ def test_pair_oracle_worst_is_pinned(check, worst):
 
 
 def test_substitution_identity_worst_is_pinned():
-    # bit-identity guard on the coarse Chernoff curve (qcb_curve_kernel) at
+    # bit-identity guard on the Chernoff overlap curve (qcb_curve_kernel) at
     # the default grid and isotropic dims
     result = verify.check_substitution_identity(0.1, (2, 3, 4), 1e-12)
     assert result.worst == float.fromhex("0x1.ap-50")
 
 
 def test_qcb_oracle_memory_does_not_grow_with_the_coarse_pass():
-    # the coarse curves are evaluated in bounded chunks: the traced peak was
-    # 1.2 MB with per-pair curves, 1.4 MB with 2^14-entry chunks and 2.5 MB
-    # with 2^16-entry ones; 1.4 MB again with each rho set against 2^16-entry
-    # sigma^(1-s) tables
+    # the search's tables are built in bounded blocks: the traced peak was
+    # 1.2 MB with per-pair coarse curves, 1.4 MB with 2^14-entry chunks and
+    # 2.5 MB with 2^16-entry ones; 1.4 MB again with each rho set against
+    # 2^16-entry sigma^(1-s) tables, and with the Newton search's three
+    # tables filled in place in blocks of 2^16 entries (1.9 MB when the
+    # tables were stacked from separate products)
     tracemalloc.start()
     try:
-        verify.check_qcb_oracle(0.1, (6,), 1e-6, 1e-4)
+        verify.check_qcb_oracle(0.1, (6,), 1e-6, 1e-8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -120,7 +141,7 @@ def test_pair_oracle_memory_is_bounded_by_the_stack_blocks():
 
 def test_qcb_checks_without_pairs_fail():
     # grid 1.0 leaves no off-diagonal interior pair: an empty batch, 0 points
-    q, s = verify.check_qcb_oracle(1.0, (2,), 1e-6, 1e-4)
+    q, s = verify.check_qcb_oracle(1.0, (2,), 1e-6, 1e-8)
     assert (q.points, s.points) == (0, 0)
     assert not q.passed and not s.passed
 
@@ -166,6 +187,21 @@ def test_teleport_sample_count_is_capped_before_any_draw(monkeypatch):
     monkeypatch.setattr(verify, "_teleport_defects", None)  # never reached
     with pytest.raises(DimensionOverflowError, match="100001 exceeds cap 100000"):
         verify.teleport_check(0.5, 2, 1, verify.TELEPORT_SAMPLE_CAP + 1)
+
+
+@pytest.mark.parametrize("d,samples", [(16, 18), (16, 100_000), (4, 73_243), (8, 1145)])
+def test_teleport_work_is_capped_before_any_draw(monkeypatch, d, samples):
+    # samples x d^6 above 3e8: a d = 16 draw takes about 80 ms
+    monkeypatch.setattr(verify, "_teleport_defects", None)  # never reached
+    with pytest.raises(DimensionOverflowError, match=f"exceeds cap {verify.TELEPORT_WORK_CAP}"):
+        verify.teleport_check(0.5, d, 1, samples)
+
+
+@pytest.mark.parametrize("d,samples", [(16, 17), (4, 73_242), (8, 1144), (3, 100_000)])
+def test_teleport_work_cap_admits(monkeypatch, d, samples):
+    # the largest counts admitted at d = 16, 4 and 8, and the sample cap at d = 3
+    monkeypatch.setattr(verify, "_teleport_defects", lambda eta, d, seed, n: ([0.0], [0.0]))
+    assert verify.teleport_check(0.5, d, 1, samples)["samples"] == samples
 
 
 def test_teleport_defects_span_several_stacks(monkeypatch):
