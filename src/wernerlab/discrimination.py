@@ -18,6 +18,7 @@ nominal d.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import DimensionOverflowError, InvalidParameterError
@@ -87,35 +88,35 @@ def bounds(eta: float, zeta: float, d: int, n: int) -> DiscriminationBounds:
     zeta = _check_eta(zeta)
     d = _check_dim(d)
     n = _check_copies(n)
-    return _sandwiches([eta], zeta, d, [n])[0]
+    return next(_sandwiches([eta], [zeta], d, [n]))
 
 
-def _sandwiches(etas, zeta: float, d: int, n_list) -> list[DiscriminationBounds]:
-    # Rows ordered by (n, eta) for validated inputs.  F, S, 1 - F^2 and Q
-    # do not depend on n and are computed once per eta.
-    singles = [
-        (
-            eta,
-            fidelity_werner(eta, zeta),
-            s_quantity(eta, zeta),
-            one_minus_fidelity_squared(eta, zeta),
-            qcb_werner(eta, zeta).q,
-        )
-        for eta in etas
-    ]
-    rows = []
-    for n in n_list:
-        helstrom = _helstrom_rows(etas, zeta, n)
-        for (eta, f, s, gap, q), block in zip(singles, helstrom):
-            # 1 - F^2n evaluated through expm1/log1p of the stable 1 - F^2,
-            # so the lower bound stays comparable to the exact block error
-            # even when F rounds to 1.  min() picks the finite branch when S
-            # is the +inf sentinel; the 1 - F^2n branch never exceeds 1, so
-            # the root is real.
-            one_minus_f2n = 1.0 if gap >= 1.0 else -math.expm1(n * math.log1p(-gap))
-            m = min(one_minus_f2n, n * s)
-            rows.append(
-                DiscriminationBounds(
+def _sandwiches(etas, zetas, d: int, n_list) -> Iterator[DiscriminationBounds]:
+    # Rows ordered by (zeta, n, eta) for validated inputs, made as they are
+    # read.  One Helstrom table per n holds every (zeta, eta); F, S, 1 - F^2
+    # and Q do not depend on n and are computed once per pair.
+    tables = [_helstrom_rows(etas, zetas, n) for n in n_list]
+    for i, zeta in enumerate(zetas):
+        singles = [
+            (
+                eta,
+                fidelity_werner(eta, zeta),
+                s_quantity(eta, zeta),
+                one_minus_fidelity_squared(eta, zeta),
+                qcb_werner(eta, zeta).q,
+            )
+            for eta in etas
+        ]
+        for n, table in zip(n_list, tables):
+            for (eta, f, s, gap, q), block in zip(singles, table[i].tolist()):
+                # 1 - F^2n evaluated through expm1/log1p of the stable 1 - F^2,
+                # so the lower bound stays comparable to the exact block error
+                # even when F rounds to 1.  min() picks the finite branch when S
+                # is the +inf sentinel; the 1 - F^2n branch never exceeds 1, so
+                # the root is real.
+                one_minus_f2n = 1.0 if gap >= 1.0 else -math.expm1(n * math.log1p(-gap))
+                m = min(one_minus_f2n, n * s)
+                yield DiscriminationBounds(
                     eta=eta,
                     zeta=zeta,
                     d=d,
@@ -125,8 +126,6 @@ def _sandwiches(etas, zeta: float, d: int, n_list) -> list[DiscriminationBounds]
                     fid_upper=0.5 * f**n,
                     helstrom_block=block,
                 )
-            )
-    return rows
 
 
 def bounds_isotropic(alpha: float, beta: float, d: int, n: int) -> IsotropicDiscrimination:
@@ -179,4 +178,4 @@ def curve_grid(
             f"{len(etas)} grid points x {len(n_values)} copy counts exceed the cap of "
             f"{CURVE_ROW_CAP} rows"
         )
-    return _sandwiches(etas, zeta, 2, n_values)
+    return list(_sandwiches(etas, [zeta], 2, n_values))

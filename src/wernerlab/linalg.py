@@ -353,16 +353,34 @@ def qcb_numeric(rho, sigma) -> QcbNumeric:
     return QcbNumeric(q=float(r.q[0, 0]), s_star=float(r.s_star[0, 0]))
 
 
-def random_density_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Full-rank random density matrix from a complex Gaussian square root."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = g @ g.conj().T
-    rho /= np.trace(rho).real
-    return (rho + rho.conj().T) / 2.0
+def _complex_gaussian(dim: int, rng) -> np.ndarray:
+    # real then imaginary parts: 2 dim x dim standard normals drawn from a Generator,
+    # or ones already drawn, shape (..., 2, dim, dim), one stack member per matrix
+    g = rng.normal(size=(2, dim, dim)) if isinstance(rng, np.random.Generator) else rng
+    g = np.asarray(g, dtype=float)
+    if g.shape[-3:] != (2, dim, dim):
+        raise DimensionMismatchError(f"need normals of shape (..., 2, {dim}, {dim}), got {g.shape}")
+    return g[..., 0, :, :] + 1j * g[..., 1, :, :]
 
 
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish random unitary via QR of a complex Gaussian matrix."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    qmat, r = np.linalg.qr(g)
-    return qmat * (np.diag(r) / np.abs(np.diag(r)))
+def random_density_matrix(dim: int, rng) -> np.ndarray:
+    """Full-rank random density matrix from a complex Gaussian square root.
+
+    ``rng`` is a Generator, or normals of shape (..., 2, dim, dim) already
+    drawn from one, for a stack of states; a Generator draws (2, dim, dim).
+    """
+    g = _complex_gaussian(dim, rng)
+    rho = g @ _dagger(g)
+    rho /= np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+    return (rho + _dagger(rho)) / 2.0
+
+
+def random_unitary(dim: int, rng) -> np.ndarray:
+    """Haar-ish random unitary via QR of a complex Gaussian matrix.
+
+    ``rng`` is a Generator, or normals of shape (..., 2, dim, dim) already
+    drawn from one, for a stack of unitaries; a Generator draws (2, dim, dim).
+    """
+    qmat, r = np.linalg.qr(_complex_gaussian(dim, rng))
+    phases = np.diagonal(r, axis1=-2, axis2=-1)
+    return qmat * (phases / np.abs(phases))[..., None, :]

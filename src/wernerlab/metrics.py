@@ -265,7 +265,7 @@ def _qcb(a1: float, a2: float, b1: float, b2: float, t: float, gap: float) -> Qc
 
 
 HELSTROM_COPY_CAP = 1000
-# Entries of one (eta, k) block of _helstrom_rows; bounds its working memory.
+# Entries of one (zeta, eta, k) block of _helstrom_rows; bounds its working memory.
 _HELSTROM_BLOCK = 1 << 15
 
 
@@ -278,12 +278,13 @@ def _check_copies(n: int) -> int:
     return n
 
 
-def _helstrom_rows(etas, zeta: float, n: int) -> list[float]:
-    # helstrom_multicopy_werner for every eta against one zeta at one
-    # validated copy count, in log space.  The binomials are exact integers,
-    # each logged once, so the log table is right to an ulp (a float
-    # cumulative sum drifts by 1e-12 at n = 1000, lgamma differences by 2e-12).
-    # k log 0 is masked (to 0 at k = 0), so eta = +/-1 needs no branch.
+def _helstrom_rows(etas, zetas, n: int) -> np.ndarray:
+    # helstrom_multicopy_werner for every eta against every zeta at one
+    # validated copy count, in log space, shape (len(zetas), len(etas)).  The
+    # binomials are exact integers, each logged once, so the log table is right
+    # to an ulp (a float cumulative sum drifts by 1e-12 at n = 1000, lgamma
+    # differences by 2e-12).  k log 0 is masked (to 0 at k = 0), so eta = +/-1
+    # needs no branch.
     binom, log_binom = 1, [0.0]
     for i in range(1, n + 1):
         binom = binom * (n + 1 - i) // i
@@ -299,18 +300,22 @@ def _helstrom_rows(etas, zeta: float, n: int) -> list[float]:
             down = np.where(rest > 0, rest * np.log1p(-column), 0.0)
         return log_base + up + down
 
-    etas = np.asarray(etas, dtype=float)
-    log_zeta = log_weights(np.array([[zeta]]))
-    rows = np.empty(len(etas))
+    etas, zetas = np.asarray(etas, dtype=float), np.asarray(zetas, dtype=float)
+    log_zetas = log_weights(zetas[:, None])[:, None, :]
+    rows = np.empty((len(zetas), len(etas)))
     step = max(1, _HELSTROM_BLOCK // (n + 1))
-    for start in range(0, len(etas), step):
-        block = log_weights(etas[start : start + step, None])
-        rows[start : start + step] = 0.5 * np.exp(np.minimum(block, log_zeta)).sum(axis=1)
+    for at in (slice(j, j + step) for j in range(0, len(etas), step)):
+        # each eta block's weights are logged once and set against every zeta,
+        # as many zetas at a time as keep the minima within the block bound
+        block = log_weights(etas[at, None])
+        z_step = max(1, _HELSTROM_BLOCK // block.size)
+        for z in (slice(j, j + z_step) for j in range(0, len(zetas), z_step)):
+            rows[z, at] = 0.5 * np.exp(np.minimum(block, log_zetas[z])).sum(axis=-1)
     # The true sum of minima is at most 1, and exactly 1 for equal parameters;
     # rounded weights can miss either by a few ulps per term.
     rows = np.minimum(rows, 0.5)
-    rows[etas == zeta] = 0.5
-    return rows.tolist()
+    rows[zetas[:, None] == etas] = 0.5
+    return rows
 
 
 def helstrom_multicopy_werner(eta: float, zeta: float, d: int, n: int) -> float:
@@ -333,4 +338,4 @@ def helstrom_multicopy_werner(eta: float, zeta: float, d: int, n: int) -> float:
     zeta = _check_eta(zeta)
     d = _check_dim(d)
     n = _check_copies(n)
-    return _helstrom_rows([eta], zeta, n)[0]
+    return float(_helstrom_rows([eta], [zeta], n)[0, 0])

@@ -134,12 +134,19 @@ def isotropic_state(alpha: float, d: int) -> np.ndarray:
 
 
 def _check_input_dim(x: np.ndarray, d: int) -> np.ndarray:
+    # d x d inputs, with any leading stack axes
     x = np.asarray(x, dtype=complex)
-    if x.shape != (d, d):
+    if x.shape[-2:] != (d, d):
         raise DimensionMismatchError(
             f"channel acts on {d} x {d} inputs, got shape {x.shape}"
         )
     return x
+
+
+def _trace_identity(x: np.ndarray, weight: float) -> np.ndarray:
+    # weight Tr(X) I per matrix of a stack
+    trace = np.trace(x, axis1=-2, axis2=-1)[..., None, None]
+    return weight * trace * np.eye(x.shape[-1], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -148,7 +155,8 @@ class HWChannel:
 
     apply() is the linear extension
         X -> [(d - eta) Tr(X) I + (d eta - 1) X^T] / (d^2 - 1),
-    which reduces to the usual channel action on unit-trace input.
+    which reduces to the usual channel action on unit-trace input; it maps
+    each matrix of a stack along leading axes.
     """
 
     eta: float
@@ -161,7 +169,7 @@ class HWChannel:
     def apply(self, x) -> np.ndarray:
         x = _check_input_dim(x, self.d)
         d, eta = self.d, self.eta
-        return ((d - eta) * np.trace(x) * np.eye(d, dtype=complex) + (d * eta - 1.0) * x.T) / (
+        return (_trace_identity(x, d - eta) + (d * eta - 1.0) * np.swapaxes(x, -1, -2)) / (
             d * d - 1.0
         )
 
@@ -171,7 +179,8 @@ class DepolarizingChannel:
     """Depolarizing channel with entangled-operator expectation alpha.
 
     apply() is the linear extension
-        X -> [(d - alpha) Tr(X) I + (d alpha - 1) X] / (d^2 - 1).
+        X -> [(d - alpha) Tr(X) I + (d alpha - 1) X] / (d^2 - 1),
+    per matrix of a stack along leading axes.
     """
 
     alpha: float
@@ -184,9 +193,7 @@ class DepolarizingChannel:
     def apply(self, x) -> np.ndarray:
         x = _check_input_dim(x, self.d)
         d, alpha = self.d, self.alpha
-        return (
-            (d - alpha) * np.trace(x) * np.eye(d, dtype=complex) + (d * alpha - 1.0) * x
-        ) / (d * d - 1.0)
+        return (_trace_identity(x, d - alpha) + (d * alpha - 1.0) * x) / (d * d - 1.0)
 
 
 def choi_matrix(channel) -> np.ndarray:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatchError, DimensionOverflowError, NotUnitaryError
-from .linalg import TENSOR_DIM_CAP, trace_distance_numeric
+from .linalg import TENSOR_DIM_CAP, _dagger, _first, trace_distance_numeric
 from .states import HWChannel, _check_dim
 
 __all__ = [
@@ -55,48 +55,53 @@ def teleport_channel(resource, rho, *, conjugate_corrections: bool = True) -> np
     """Output state summed over all d^2 measurement branches.
 
     ``resource`` is a state on two qudits (d^2 x d^2), ``rho`` the input
-    on one qudit (d x d).  Projecting the input and the first resource
-    half onto |Phi_ab> leaves the second half in the unnormalised state
-    Tr_1[(M (x) I) resource] with M = U_ab^dag rho U_ab / d; each branch is
-    corrected and the branches are summed.  Nothing is sampled.
+    on one qudit (d x d), or a stack of inputs along leading axes.
+    Projecting the input and the first resource half onto |Phi_ab> leaves
+    the second half in the unnormalised state Tr_1[(M (x) I) resource] with
+    M = U_ab^dag rho U_ab / d; each branch is corrected and the branches are
+    summed.  The d^2 unitaries are built once per call.  Nothing is sampled.
     """
     resource = np.asarray(resource, dtype=complex)
     rho = np.asarray(rho, dtype=complex)
-    d = rho.shape[0]
-    if rho.shape != (d, d) or resource.shape != (d * d, d * d):
+    d = rho.shape[-1]
+    if rho.shape[-2:] != (d, d) or resource.shape != (d * d, d * d):
         raise DimensionMismatchError(
             f"input {rho.shape} and resource {resource.shape} are incompatible"
         )
     _check_teleport_dim(d)
     r = resource.reshape(d, d, d, d)  # axes (B, C | B', C'), B measured
-    out = np.zeros((d, d), dtype=complex)
-    for a in range(d):
-        for b in range(d):
-            u = weyl_unitary(a, b, d)
-            branch = np.einsum("jl,jclx->cx", u.conj().T @ rho @ u / d, r)
-            correction = u.conj() if conjugate_corrections else u
-            out += correction @ branch @ correction.conj().T
+    out = np.zeros(rho.shape, dtype=complex)
+    for u in [weyl_unitary(a, b, d) for a in range(d) for b in range(d)]:
+        branch = np.einsum("...jl,jclx->...cx", u.conj().T @ rho @ u / d, r)
+        correction = u.conj() if conjugate_corrections else u
+        out += correction @ branch @ correction.conj().T
     return out
 
 
 def _covariance_pair(channel: HWChannel, unitary, rho) -> tuple[np.ndarray, np.ndarray]:
-    # (E(U rho U^dag), U* E(rho) (U*)^dag) after validating U
+    # (E(U rho U^dag), U* E(rho) (U*)^dag) per stack member, after validating
+    # every U; the error names the first non-unitary member, as eigh's does
     u = np.asarray(unitary, dtype=complex)
     d = channel.d
-    if u.shape != (d, d):
+    if u.shape[-2:] != (d, d):
         raise DimensionMismatchError(f"unitary must be {d} x {d}, got {u.shape}")
-    if np.abs(u.conj().T @ u - np.eye(d)).max() > UNITARY_TOL:
-        raise NotUnitaryError(f"matrix is not unitary within {UNITARY_TOL:g}")
+    bad = np.abs(_dagger(u) @ u - np.eye(d)).max(axis=(-2, -1)) > UNITARY_TOL
+    if np.any(bad):
+        raise NotUnitaryError(
+            f"matrix{list(_first(bad)) or ''} is not unitary within {UNITARY_TOL:g}"
+        )
     rho = np.asarray(rho, dtype=complex)
-    return channel.apply(u @ rho @ u.conj().T), u.conj() @ channel.apply(rho) @ u.T
+    u_star = u.conj()
+    return channel.apply(u @ rho @ _dagger(u)), u_star @ channel.apply(rho) @ _dagger(u_star)
 
 
-def covariance_check(channel: HWChannel, unitary, rho) -> float:
+def covariance_check(channel: HWChannel, unitary, rho) -> float | list[float]:
     """Trace-distance defect of the conjugation covariance
 
         E(U rho U^dag)  vs  U* E(rho) (U*)^dag.
 
     Zero (up to round-off) for every unitary when E is a
-    transpose-depolarizing channel.
+    transpose-depolarizing channel.  Stacks of unitaries and inputs along
+    leading axes give one defect per member, as a list.
     """
     return trace_distance_numeric(*_covariance_pair(channel, unitary, rho))

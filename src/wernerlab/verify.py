@@ -12,6 +12,10 @@ matrix entries (``linalg._blocks``), so memory does not grow with the grid.
 Werner and isotropic stacks are real, so the oracles run in real arithmetic;
 the fidelity and trace-distance sweeps take eigenvalues only, and a Chernoff
 sweep reads the off-diagonal entries of one ``qcb_kernels`` Newton search.
+The teleport sweep draws each bounded block of samples in one call and takes
+the block through the draws, the teleportation, the channel and the
+covariance test as one stack.  The sandwich sweep is one row generator over
+the whole grid, with one Helstrom table per copy count for every zeta.
 """
 
 from __future__ import annotations
@@ -30,8 +34,9 @@ TELEPORT_TOL = 1e-10
 # the teleport sweep keeps one defect per sample, so memory grows with the count
 # (its matrices are held one bounded stack block at a time)
 TELEPORT_SAMPLE_CAP = 100_000
-# Most samples x d^6, a teleport sweep's time scale: it admits 17 draws at d = 16 (80 ms
-# each), and 73,242 at d = 4 take about 50 s on a 2-core host, as the 100,000 at d = 3 do
+# Most samples x d^6, a teleport sweep's time scale: it admits 17 draws at d = 16 (80-100 ms
+# each), 1,144 at d = 8 (about 2 s) and 73,242 at d = 4 (about 7 s); at d = 3 the sample
+# cap binds first, and its 100,000 draws take about 5 s on a 2-core host
 TELEPORT_WORK_CAP = 300_000_000
 # Most (grid points)^2 x sum of d^4, the scale of the pair sweeps' states and pair lists
 VERIFY_WORK_CAP = 2**25
@@ -199,23 +204,20 @@ def check_substitution_identity(grid_step, dims, tol) -> CheckResult:
 
 def _teleport_defects(eta, d, seed, samples) -> tuple[list[float], list[float]]:
     # Per sample, from one stream: draw rho, then U; teleport rho over the
-    # channel's own state, and test covariance of the channel under U.  The
-    # matrix pairs of a block of draws go to stacked trace distances.
+    # channel's own state, and test covariance of the channel under U.  Each
+    # bounded block of draws is one stack through every step.
     resource = states.werner_state(eta, d)
     channel = states.HWChannel(eta, d)
     rng = np.random.default_rng(np.random.SeedSequence((seed, d)))
     sim, cov = [], []
     for at in linalg._blocks(samples, d):
-        # per draw: teleported and channel output, then the two covariance sides
-        block = np.empty((4, len(range(samples)[at]), d, d), dtype=complex)
-        for m in range(block.shape[1]):
-            rho = linalg.random_density_matrix(d, rng)
-            u = linalg.random_unitary(d, rng)
-            block[0, m] = teleport.teleport_channel(resource, rho)
-            block[1, m] = channel.apply(rho)
-            block[2, m], block[3, m] = teleport._covariance_pair(channel, u, rho)
-        sim.extend(linalg.trace_distance_numeric(block[0], block[1]))
-        cov.extend(linalg.trace_distance_numeric(block[2], block[3]))
+        # per draw, rho's two d x d Gaussians come first, then U's two
+        normals = rng.normal(size=(len(range(samples)[at]), 4, d, d))
+        rho = linalg.random_density_matrix(d, normals[:, :2])
+        u = linalg.random_unitary(d, normals[:, 2:])
+        teleported = teleport.teleport_channel(resource, rho)
+        sim.extend(linalg.trace_distance_numeric(teleported, channel.apply(rho)))
+        cov.extend(linalg.trace_distance_numeric(*teleport._covariance_pair(channel, u, rho)))
     return sim, cov
 
 
@@ -269,18 +271,19 @@ def check_delta_s_sign(tol) -> CheckResult:
 
 
 def check_sandwich_ordering(grid_step, tol) -> CheckResult:
-    # One curve grid per zeta on the grid, n = 1..20.
+    # Every (zeta, n, eta) of the grid, n = 1..20, from one sandwich sweep:
+    # one Helstrom table per copy count for all zetas, rows read as they are made.
+    etas = discrimination.eta_grid(grid_step)
     deltas = []
-    for b in discrimination.eta_grid(grid_step):
-        for r in discrimination.curve_grid(b, range(1, 21), grid_step):
-            violation = max(
-                r.lower - r.helstrom_block,
-                r.helstrom_block - r.qcb_upper,
-                r.qcb_upper - r.fid_upper,
-                -r.lower,
-                r.fid_upper - 0.5,
-            )
-            deltas.append(max(0.0, violation))
+    for r in discrimination._sandwiches(etas, etas, 2, range(1, 21)):
+        violation = max(
+            r.lower - r.helstrom_block,
+            r.helstrom_block - r.qcb_upper,
+            r.qcb_upper - r.fid_upper,
+            -r.lower,
+            r.fid_upper - 0.5,
+        )
+        deltas.append(max(0.0, violation))
     return _collect("sandwich-ordering", deltas, tol)
 
 

@@ -97,6 +97,12 @@ class TestBounds:
 
 
 class TestCurveGrid:
+    def test_multi_zeta_rows_are_the_curve_grids_in_turn(self):
+        # rows by (zeta, n, eta): one Helstrom table per n serves every zeta
+        etas = discrimination.eta_grid(0.25)
+        rows = list(discrimination._sandwiches(etas, etas, 2, [1, 3, 1000]))
+        assert rows == [r for z in etas for r in discrimination.curve_grid(z, [1, 3, 1000], 0.25)]
+
     def test_identical_point_is_half(self):
         rows = discrimination.curve_grid(0.0, [1], 0.1)
         at_zero = [r for r in rows if r.eta == 0.0]
@@ -155,9 +161,12 @@ class TestCurveGrid:
     @pytest.mark.parametrize("n_list,step", [([1], 2.0 / 100_000), ([1, 10, 100, 1000], 0.01)])
     def test_row_cap_admits_the_finest_grid_and_the_benchmark(self, monkeypatch, n_list, step):
         # count the rows asked for instead of computing them
-        monkeypatch.setattr(discrimination, "_sandwiches", lambda etas, z, d, ns: len(etas) * len(ns))
+        monkeypatch.setattr(
+            discrimination, "_sandwiches", lambda etas, zs, d, ns: iter(range(len(etas) * len(ns)))
+        )
         rows = discrimination.curve_grid(0.0, n_list, step)
-        assert rows == len(discrimination.eta_grid(step)) * len(n_list) <= discrimination.CURVE_ROW_CAP
+        assert len(rows) == len(discrimination.eta_grid(step)) * len(n_list)
+        assert len(rows) <= discrimination.CURVE_ROW_CAP
 
     @pytest.mark.parametrize(
         "n_list,error", [([1, 1000, 1001], DimensionOverflowError), ([1, 0], InvalidParameterError)]

@@ -381,6 +381,25 @@ class TestStacks:
             linalg.relative_entropy_numeric(rho, m) for m in mats
         ]
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_random_draws(self, d):
+        # a stack of drawn normals, one state and one unitary per member; a
+        # Generator draws the same (2, d, d) normals for each one-input call
+        normals = np.random.default_rng(d).normal(size=(6, 2, d, d))
+        rhos, us = linalg.random_density_matrix(d, normals), linalg.random_unitary(d, normals)
+        rng = np.random.default_rng(d)
+        for k in range(len(normals)):
+            assert np.array_equal(rhos[k], linalg.random_density_matrix(d, normals[k]))
+            assert np.array_equal(us[k], linalg.random_unitary(d, normals[k]))
+            drawn = linalg.random_density_matrix if k % 2 == 0 else linalg.random_unitary
+            assert np.array_equal(drawn(d, rng), (rhos if k % 2 == 0 else us)[k])
+        grid = linalg.random_unitary(d, normals.reshape(2, 3, 2, d, d))
+        assert np.array_equal(grid.reshape(us.shape), us)
+
+    def test_random_draws_check_the_normals_shape(self):
+        with pytest.raises(DimensionMismatchError, match=r"\(\.\.\., 2, 3, 3\)"):
+            linalg.random_unitary(3, np.zeros((4, 3, 3)))
+
     def test_scalar_calls_return_floats(self):
         rho, sigma = rand_density(4, 1), rand_density(4, 2)
         dr, ds = linalg.clamped_spectrum(rho), linalg.clamped_spectrum(sigma)

@@ -416,6 +416,33 @@ class TestHelstromMulticopy:
             metrics.helstrom_multicopy_werner(0.5, 0.0, 2, 0)
 
 
+class TestHelstromRows:
+    """The multi-zeta Helstrom table equals its one-zeta calls, bit for bit."""
+
+    # the 0.1 grid, and a zeta that is off it
+    ZETAS = [(2 * i - 20) / 20 for i in range(21)] + [0.123456789]
+
+    @pytest.mark.parametrize("n", [1, 2, 20, 1000])
+    def test_every_zeta_row_is_its_own_call(self, n):
+        etas = self.ZETAS[:-1]
+        table = metrics._helstrom_rows(etas, self.ZETAS, n)
+        assert table.shape == (len(self.ZETAS), len(etas))
+        for zeta, row in zip(self.ZETAS, table.tolist()):
+            assert row == metrics._helstrom_rows(etas, [zeta], n)[0].tolist()
+
+    @pytest.mark.parametrize("n", [1, 2, 20, 1000])
+    def test_eta_split_over_several_blocks(self, monkeypatch, n):
+        # four eta rows a block: 21 etas take six blocks, the last of one row,
+        # which four zetas at a time are set against
+        etas = self.ZETAS[:-1]
+        whole = metrics._helstrom_rows(etas, self.ZETAS, n).tolist()
+        monkeypatch.setattr(metrics, "_HELSTROM_BLOCK", 4 * (n + 1))
+        split = metrics._helstrom_rows(etas, self.ZETAS, n).tolist()
+        assert split == whole
+        off_grid = self.ZETAS[-1]
+        assert split[-1] == [metrics.helstrom_multicopy_werner(e, off_grid, 2, n) for e in etas]
+
+
 class TestDimensionIndependence:
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_oracles_agree_across_dimensions(self, d):

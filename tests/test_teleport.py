@@ -143,6 +143,44 @@ class TestTeleportChannel:
         assert linalg.trace_distance_numeric(out, expected) <= 1e-10
 
 
+class TestStacks:
+    """Every member of a stacked call equals its one-input call, bit for bit."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_teleport_channel_and_apply(self, d):
+        rng = np.random.default_rng(70 + d)
+        rhos = linalg.random_density_matrix(d, rng.normal(size=(2, 3, 2, d, d)))
+        resource, channel = states.werner_state(-0.3, d), states.HWChannel(-0.3, d)
+        plain = states.isotropic_state(0.8 * d, d)
+        out = teleport.teleport_channel(resource, rhos)
+        out_plain = teleport.teleport_channel(plain, rhos, conjugate_corrections=False)
+        depolarizing = states.DepolarizingChannel(0.8 * d, d)
+        applied, depolarized = channel.apply(rhos), depolarizing.apply(rhos)
+        assert out.shape == out_plain.shape == applied.shape == depolarized.shape == (2, 3, d, d)
+        for k in np.ndindex(2, 3):
+            assert np.array_equal(out[k], teleport.teleport_channel(resource, rhos[k]))
+            assert np.array_equal(
+                out_plain[k], teleport.teleport_channel(plain, rhos[k], conjugate_corrections=False)
+            )
+            assert np.array_equal(applied[k], channel.apply(rhos[k]))
+            assert np.array_equal(depolarized[k], depolarizing.apply(rhos[k]))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_covariance_pairs(self, d):
+        rng = np.random.default_rng(80 + d)
+        normals = rng.normal(size=(5, 2, d, d))
+        rhos, us = linalg.random_density_matrix(d, normals), linalg.random_unitary(d, normals[::-1])
+        channel = states.HWChannel(0.6, d)
+        defects = teleport.covariance_check(channel, us, rhos)
+        assert defects == [teleport.covariance_check(channel, u, rho) for u, rho in zip(us, rhos)]
+
+    def test_non_unitary_member_is_named(self):
+        us = np.stack([np.eye(2), teleport.weyl_unitary(1, 1, 2), 2.0 * np.eye(2)])
+        rho = rand_density(2, seed=65)
+        with pytest.raises(NotUnitaryError, match=r"matrix\[2\] is not unitary"):
+            teleport.covariance_check(states.HWChannel(0.0, 2), us, rho)
+
+
 class TestCovariance:
     def test_identity_unitary(self):
         rho = rand_density(3, seed=51)
@@ -164,5 +202,5 @@ class TestCovariance:
 
     def test_rejects_non_unitary(self):
         rho = rand_density(2, seed=61)
-        with pytest.raises(NotUnitaryError):
+        with pytest.raises(NotUnitaryError, match="^matrix is not unitary"):
             teleport.covariance_check(states.HWChannel(0.0, 2), np.ones((2, 2)), rho)

@@ -147,7 +147,7 @@ def test_qcb_checks_without_pairs_fail():
 
 
 def test_sandwich_ordering_matches_pairwise_sweep():
-    # the pairwise bounds() sweep that the per-zeta curve grids replaced;
+    # the pairwise bounds() sweep that the one sandwich sweep replaced;
     # tol 0 counts every positive violation as a failure
     etas = discrimination.eta_grid(0.2)
     deltas = []
@@ -205,42 +205,45 @@ def test_teleport_work_cap_admits(monkeypatch, d, samples):
 
 
 def test_teleport_defects_span_several_stacks(monkeypatch):
-    # seven d = 3 draws a stack: 23 samples take four stacked trace distances
-    # per defect kind, each member equal to the per-sample call on the same stream
-    d, eta, seed, samples = 3, 0.4, 5, 23
-    rng = np.random.default_rng(np.random.SeedSequence((seed, d)))
-    resource, channel = states.werner_state(eta, d), states.HWChannel(eta, d)
-    sim, cov = [], []
-    for _ in range(samples):
-        rho = linalg.random_density_matrix(d, rng)
-        u = linalg.random_unitary(d, rng)
-        out = teleport.teleport_channel(resource, rho)
-        sim.append(linalg.trace_distance_numeric(out, channel.apply(rho)))
-        cov.append(teleport.covariance_check(channel, u, rho))
-
-    monkeypatch.setattr(linalg, "_STACK_ENTRIES", 7 * d * d)
-    stacks = []
+    # seven draws a stack: 23 samples take four stacked trace distances per
+    # defect kind, each member equal to the per-sample call on the same stream
+    eta, seed, samples = 0.4, 5, 23
     real = linalg.trace_distance_numeric
+    for d in (2, 3, 5):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, d)))
+        resource, channel = states.werner_state(eta, d), states.HWChannel(eta, d)
+        sim, cov = [], []
+        for _ in range(samples):
+            rho = linalg.random_density_matrix(d, rng)
+            u = linalg.random_unitary(d, rng)
+            out = teleport.teleport_channel(resource, rho)
+            sim.append(real(out, channel.apply(rho)))
+            cov.append(teleport.covariance_check(channel, u, rho))
 
-    def counting(rho, sigma):
-        stacks.append(len(rho))
-        return real(rho, sigma)
+        monkeypatch.setattr(linalg, "_STACK_ENTRIES", 7 * d * d)
+        stacks = []
 
-    monkeypatch.setattr(linalg, "trace_distance_numeric", counting)
-    assert verify._teleport_defects(eta, d, seed, samples) == (sim, cov)
-    assert stacks == [7, 7, 7, 7, 7, 7, 2, 2]
+        def counting(rho, sigma):
+            stacks.append(len(rho))
+            return real(rho, sigma)
+
+        monkeypatch.setattr(linalg, "trace_distance_numeric", counting)
+        assert verify._teleport_defects(eta, d, seed, samples) == (sim, cov), d
+        assert stacks == [7, 7, 7, 7, 7, 7, 2, 2], d
+        monkeypatch.undo()
 
 
 def test_teleport_sweep_checks_every_unitary(monkeypatch):
-    # covariance_check's unitarity validation runs on every draw of the sweep
-    draws = []
+    # the unitarity validation covers every member of a block of draws, and
+    # the error names the first non-unitary one: the fifth draw, index 4
     real = linalg.random_unitary
 
-    def fifth_is_not_unitary(d, rng):
-        draws.append(d)
-        u = real(d, rng)
-        return 2.0 * u if len(draws) == 5 else u
+    def fifth_is_not_unitary(d, normals):
+        u = real(d, normals)
+        u[4] *= 2.0
+        return u
 
     monkeypatch.setattr(linalg, "random_unitary", fifth_is_not_unitary)
-    with pytest.raises(NotUnitaryError):
+    assert len(linalg._blocks(8, 2)) == 1
+    with pytest.raises(NotUnitaryError, match=r"^matrix\[4\] is not unitary"):
         verify._teleport_defects(0.5, 2, 1, 8)
