@@ -1,9 +1,12 @@
 """Command-line front end.
 
-Single computations emit a JSON record (schema version, echoed command and
-parameters, results); grid outputs are CSV.  ``--format`` overrides the
-default choice.  Infinite values are rendered as the literal string "inf"
-so every output stays parseable.
+Each single computation (fidelity, relent, qcb, estimate, discriminate)
+returns one record (schema version, echoed command and parameters,
+results, the results taken from the library's result type where it has
+one), and one writer emits it as JSON or as a one-row CSV.  The grid
+output of curves is CSV, in the columns of CURVES_COLUMNS.  ``--format``
+overrides the default choice.  Infinite values are rendered as the literal
+string "inf" so every output stays parseable.
 
 Exit codes: 0 on success, 1 on usage errors (bad flags or parameter
 values), 2 when a verification-style command finds defects above
@@ -65,48 +68,45 @@ def _record(command: str, parameters: dict, results: dict) -> dict:
     }
 
 
-def _emit_record(record: dict, fmt: str, out=None) -> None:
-    out = out or sys.stdout
+def _csv_line(cells) -> str:
+    return ",".join(map(_cell, cells)) + "\n"
+
+
+def _emit_record(record: dict, fmt: str) -> None:
     if fmt == "json":
-        out.write(json.dumps(_jsonify(record), indent=2) + "\n")
+        sys.stdout.write(json.dumps(_jsonify(record), indent=2) + "\n")
         return
     # one-row CSV: parameter columns then result columns
-    fields = {**record["parameters"], **record["results"]}
-    out.write(",".join(fields) + "\n")
-    out.write(",".join(_cell(v) for v in fields.values()) + "\n")
+    cells = {**record["parameters"], **record["results"]}
+    sys.stdout.write(_csv_line(cells) + _csv_line(cells.values()))
 
 
 def format_curves_csv(rows) -> str:
     """Canonical CSV for bound-sandwich grids: fixed header, rows sorted by
     (n, eta), floats as shortest round-trip decimals."""
     ordered = sorted(rows, key=lambda r: (r.n, r.eta))
-    lines = [",".join(CURVES_COLUMNS)]
-    lines += [",".join(map(_cell, _curves_cells(r))) for r in ordered]
-    return "\n".join(lines) + "\n"
+    return "".join([_csv_line(CURVES_COLUMNS), *(_csv_line(_curves_cells(r)) for r in ordered)])
 
 
 def parse_curves_csv(text: str) -> list[discrimination.DiscriminationBounds]:
     """Inverse of :func:`format_curves_csv` (nominal d = 2, matching
-    curve_grid)."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != ",".join(CURVES_COLUMNS):
-        raise WernerLabError("unrecognised curves CSV header")
+    curve_grid); a malformed line raises WernerLabError naming its number."""
+    (first, header), *lines = [
+        (i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()
+    ] or [(1, "")]
+    if header != ",".join(CURVES_COLUMNS):
+        raise WernerLabError(f"unrecognised curves CSV header on line {first}")
     rows = []
-    for ln in lines[1:]:
+    for i, ln in lines:
         cells = ln.split(",")
-        zeta, n, eta, lower, qcb_upper, fid_upper, helstrom_block = cells
-        rows.append(
-            discrimination.DiscriminationBounds(
-                eta=float(eta),
-                zeta=float(zeta),
-                d=2,
-                n=int(n),
-                lower=float(lower),
-                qcb_upper=float(qcb_upper),
-                fid_upper=float(fid_upper),
-                helstrom_block=float(helstrom_block),
-            )
-        )
+        if len(cells) != len(CURVES_COLUMNS):
+            raise WernerLabError(f"curves CSV line {i}: {len(cells)} cells, expected {len(CURVES_COLUMNS)}")
+        try:
+            # every cell is a float but the copy count
+            row = {k: (int if k == "n" else float)(v) for k, v in zip(CURVES_COLUMNS, cells)}
+        except ValueError as exc:
+            raise WernerLabError(f"curves CSV line {i}: {exc}") from None
+        rows.append(discrimination.DiscriminationBounds(d=2, **row))
     return rows
 
 
@@ -120,15 +120,14 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="wernerlab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"wernerlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("--eta", type=float, required=True)
+    pair.add_argument("--zeta", type=float, required=True)
 
-    p = sub.add_parser("fidelity", parents=[], help="closed-form fidelity between two flip expectations")
-    p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--zeta", type=float, required=True)
+    p = sub.add_parser("fidelity", parents=[pair], help="closed-form fidelity between two flip expectations")
     _add_format(p)
 
-    p = sub.add_parser("relent", help="closed-form relative entropy (bits)")
-    p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--zeta", type=float, required=True)
+    p = sub.add_parser("relent", parents=[pair], help="closed-form relative entropy (bits)")
     _add_format(p)
 
     p = sub.add_parser("qcb", help="Chernoff overlap minimum and minimiser")
@@ -145,12 +144,10 @@ def build_parser() -> _Parser:
     p.add_argument("--eta", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=20260808)
+    p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
     _add_format(p)
 
-    p = sub.add_parser("discriminate", help="error-probability bound sandwich")
-    p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--zeta", type=float, required=True)
+    p = sub.add_parser("discriminate", parents=[pair], help="error-probability bound sandwich")
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--n", type=int, default=1)
     _add_format(p)
@@ -165,14 +162,14 @@ def build_parser() -> _Parser:
     p = sub.add_parser("teleport-check", help="teleportation simulation and covariance defects")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--seed", type=int, default=20260808)
+    p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
     p.add_argument("--samples", type=int, default=20)
     _add_format(p)
 
     p = sub.add_parser("verify", help="run the full oracle cross-check suite")
     p.add_argument("--grid", type=float, default=0.1, help="eta grid step")
     p.add_argument("--dims", default="2..6", help="inclusive dimension range, e.g. 2..6")
-    p.add_argument("--seed", type=int, default=20260808)
+    p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
     p.add_argument(
         "--tol-scale",
         type=float,
@@ -200,78 +197,56 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     return dims
 
 
-def _cmd_fidelity(args) -> int:
+def _cmd_fidelity(args) -> dict:
     value = metrics.fidelity_werner(args.eta, args.zeta)
-    record = _record("fidelity", {"eta": args.eta, "zeta": args.zeta}, {"fidelity": value})
-    _emit_record(record, args.format)
-    return 0
+    return _record("fidelity", {"eta": args.eta, "zeta": args.zeta}, {"fidelity": value})
 
 
-def _cmd_relent(args) -> int:
+def _cmd_relent(args) -> dict:
     value = metrics.relative_entropy_werner(args.eta, args.zeta)
-    record = _record(
-        "relent", {"eta": args.eta, "zeta": args.zeta}, {"relative_entropy_bits": value}
-    )
-    _emit_record(record, args.format)
-    return 0
+    return _record("relent", {"eta": args.eta, "zeta": args.zeta}, {"relative_entropy_bits": value})
 
 
-def _cmd_qcb(args) -> int:
+def _cmd_qcb(args) -> dict:
     if args.isotropic:
-        if args.alpha is None or args.beta is None or args.d is None:
+        if None in (args.alpha, args.beta, args.d):
             raise WernerLabError("--isotropic requires --alpha, --beta and --d")
-        result = metrics.qcb_isotropic(args.alpha, args.beta, args.d)
         params = {"alpha": args.alpha, "beta": args.beta, "d": args.d}
+        result = metrics.qcb_isotropic(**params)
     else:
-        if args.eta is None or args.zeta is None:
+        if None in (args.eta, args.zeta):
             raise WernerLabError("qcb requires --eta and --zeta (or --isotropic)")
-        result = metrics.qcb_werner(args.eta, args.zeta)
         params = {"eta": args.eta, "zeta": args.zeta}
-    record = _record(
-        "qcb", params, {"q": result.q, "s_star": result.s_star, "s_kind": result.s_kind}
-    )
-    _emit_record(record, args.format)
-    return 0
+        result = metrics.qcb_werner(**params)
+    return _record("qcb", params, asdict(result))
 
 
-def _cmd_estimate(args) -> int:
+def _split_record(command: str, result, params) -> dict:
+    # the fields of a result type: those named in ``params`` are the parameters,
+    # the rest the results
+    results = asdict(result)
+    return _record(command, {k: results.pop(k) for k in params}, results)
+
+
+def _cmd_estimate(args) -> dict:
     if args.mode == "sim":
         report = metrology.simulate_estimation(args.eta, args.n, args.trials, args.seed)
-        results = asdict(report)
-        params = {k: results.pop(k) for k in ("eta_true", "n", "trials", "seed")}
-        record = _record("estimate sim", params, results)
-    else:
-        record = _record(
-            "estimate",
-            {"eta": args.eta, "n": args.n},
-            {
-                "qfi": metrology.qfi_werner(args.eta, args.n),
-                "qcrb_variance": metrology.qcrb_variance(args.eta, args.n),
-            },
-        )
-    _emit_record(record, args.format)
-    return 0
+        return _split_record("estimate sim", report, ("eta_true", "n", "trials", "seed"))
+    results = {
+        "qfi": metrology.qfi_werner(args.eta, args.n),
+        "qcrb_variance": metrology.qcrb_variance(args.eta, args.n),
+    }
+    return _record("estimate", {"eta": args.eta, "n": args.n}, results)
 
 
-def _cmd_discriminate(args) -> int:
-    r = discrimination.bounds(args.eta, args.zeta, args.d, args.n)
-    record = _record(
-        "discriminate",
-        {"eta": r.eta, "zeta": r.zeta, "d": r.d, "n": r.n},
-        {
-            "lower": r.lower,
-            "qcb_upper": r.qcb_upper,
-            "fid_upper": r.fid_upper,
-            "helstrom_block": r.helstrom_block,
-        },
-    )
-    _emit_record(record, args.format)
-    return 0
+def _cmd_discriminate(args) -> dict:
+    sandwich = discrimination.bounds(args.eta, args.zeta, args.d, args.n)
+    return _split_record("discriminate", sandwich, ("eta", "zeta", "d", "n"))
 
 
 def _cmd_curves(args) -> int:
     try:
-        n_list = [int(x) for x in str(args.n).split(",") if x.strip()]
+        n_list = [int(x) for x in args.n.split(",") if x.strip()]
     except ValueError as exc:
         raise WernerLabError(f"cannot parse copy counts {args.n!r}") from exc
     rows = discrimination.curve_grid(args.zeta, n_list, args.step)
@@ -280,7 +255,7 @@ def _cmd_curves(args) -> int:
     else:
         params = {"zeta": args.zeta, "n": n_list, "step": args.step}
         record = _record("curves", params, {"rows": []})
-        chunks = _curves_json(record, sorted(rows, key=lambda r: (r.n, r.eta)))
+        chunks = _curves_json(record, rows)
     if args.out:
         try:
             with open(args.out, "w") as fh:
@@ -309,12 +284,8 @@ def _curves_json(record: dict, rows):
 
 def _cmd_teleport_check(args) -> int:
     results = verify.teleport_check(args.eta, args.d, args.seed, args.samples)
-    record = _record(
-        "teleport-check",
-        {"d": args.d, "eta": args.eta, "seed": args.seed, "samples": args.samples},
-        results,
-    )
-    _emit_record(record, args.format)
+    params = {"d": args.d, "eta": args.eta, "seed": args.seed, "samples": args.samples}
+    _emit_record(_record("teleport-check", params, results), args.format)
     failed = (
         results["simulation_defect"] > results["tolerance"]
         or results["covariance_defect"] > results["tolerance"]
@@ -342,26 +313,29 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-_HANDLERS = {
+# the record commands return their record, which main writes
+_RECORDS = {
     "fidelity": _cmd_fidelity,
     "relent": _cmd_relent,
     "qcb": _cmd_qcb,
     "estimate": _cmd_estimate,
     "discriminate": _cmd_discriminate,
-    "curves": _cmd_curves,
-    "teleport-check": _cmd_teleport_check,
-    "verify": _cmd_verify,
 }
+# the others write their own output and return an exit status
+_COMMANDS = {"curves": _cmd_curves, "teleport-check": _cmd_teleport_check, "verify": _cmd_verify}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        if args.command in _COMMANDS:
+            return _COMMANDS[args.command](args)
+        record = _RECORDS[args.command](args)
     except WernerLabError as exc:
         print(f"wernerlab {args.command}: {exc}", file=sys.stderr)
         return 1
+    _emit_record(record, args.format)
+    return 0
 
 
 if __name__ == "__main__":

@@ -353,34 +353,34 @@ def qcb_numeric(rho, sigma) -> QcbNumeric:
     return QcbNumeric(q=float(r.q[0, 0]), s_star=float(r.s_star[0, 0]))
 
 
-def _complex_gaussian(dim: int, rng) -> np.ndarray:
-    # real then imaginary parts: 2 dim x dim standard normals drawn from a Generator,
-    # or ones already drawn, shape (..., 2, dim, dim), one stack member per matrix
-    g = rng.normal(size=(2, dim, dim)) if isinstance(rng, np.random.Generator) else rng
-    g = np.asarray(g, dtype=float)
+def _complex_gaussian(dim: int, normals) -> np.ndarray:
+    # real then imaginary parts: drawn standard normals of shape (..., 2, dim, dim),
+    # one stack member per matrix
+    g = np.asarray(normals, dtype=float)
     if g.shape[-3:] != (2, dim, dim):
         raise DimensionMismatchError(f"need normals of shape (..., 2, {dim}, {dim}), got {g.shape}")
     return g[..., 0, :, :] + 1j * g[..., 1, :, :]
 
 
-def random_density_matrix(dim: int, rng) -> np.ndarray:
+def random_density_matrix(dim: int, normals) -> np.ndarray:
     """Full-rank random density matrix from a complex Gaussian square root.
 
-    ``rng`` is a Generator, or normals of shape (..., 2, dim, dim) already
-    drawn from one, for a stack of states; a Generator draws (2, dim, dim).
+    ``normals`` are standard normals of shape (..., 2, dim, dim), drawn for
+    example by ``rng.normal(size=(2, dim, dim))``: the real and imaginary
+    parts of the root, one state per stack member.
     """
-    g = _complex_gaussian(dim, rng)
+    g = _complex_gaussian(dim, normals)
     rho = g @ _dagger(g)
     rho /= np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
     return (rho + _dagger(rho)) / 2.0
 
 
-def random_unitary(dim: int, rng) -> np.ndarray:
+def random_unitary(dim: int, normals) -> np.ndarray:
     """Haar-ish random unitary via QR of a complex Gaussian matrix.
 
-    ``rng`` is a Generator, or normals of shape (..., 2, dim, dim) already
-    drawn from one, for a stack of unitaries; a Generator draws (2, dim, dim).
+    ``normals`` are standard normals of shape (..., 2, dim, dim), as for
+    :func:`random_density_matrix`, one unitary per stack member.
     """
-    qmat, r = np.linalg.qr(_complex_gaussian(dim, rng))
+    qmat, r = np.linalg.qr(_complex_gaussian(dim, normals))
     phases = np.diagonal(r, axis1=-2, axis2=-1)
     return qmat * (phases / np.abs(phases))[..., None, :]

@@ -200,15 +200,9 @@ def choi_matrix(channel) -> np.ndarray:
     """State obtained by sending the second half of |Phi><Phi| through a channel.
 
     ``channel`` needs a local dimension attribute ``d`` and a linear
-    ``apply(X)`` accepting arbitrary d x d matrices.
+    ``apply(X)`` accepting stacks of arbitrary d x d matrices along leading
+    axes: it is applied once, to the d^2 matrix units |i><j|.
     """
     d = _check_pair_dim(channel.d)
-    chi = np.zeros((d * d, d * d), dtype=complex)
-    basis_block = np.zeros((d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            basis_block[:] = 0.0
-            basis_block[i, j] = 1.0
-            out = channel.apply(basis_block)
-            chi[i * d : (i + 1) * d, j * d : (j + 1) * d] = out
-    return chi / d
+    out = channel.apply(np.eye(d * d, dtype=complex).reshape(d, d, d, d))  # out[i, j] = E(|i><j|)
+    return out.transpose(0, 2, 1, 3).reshape(d * d, d * d) / d

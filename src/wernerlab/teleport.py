@@ -78,9 +78,16 @@ def teleport_channel(resource, rho, *, conjugate_corrections: bool = True) -> np
     return out
 
 
-def _covariance_pair(channel: HWChannel, unitary, rho) -> tuple[np.ndarray, np.ndarray]:
-    # (E(U rho U^dag), U* E(rho) (U*)^dag) per stack member, after validating
-    # every U; the error names the first non-unitary member, as eigh's does
+def covariance_check(channel: HWChannel, unitary, rho) -> float | list[float]:
+    """Trace-distance defect of the conjugation covariance
+
+        E(U rho U^dag)  vs  U* E(rho) (U*)^dag.
+
+    Zero (up to round-off) for every unitary when E is a
+    transpose-depolarizing channel.  Stacks of unitaries and inputs along
+    leading axes give one defect per member, as a list; every unitary is
+    validated, and the error names the first non-unitary member.
+    """
     u = np.asarray(unitary, dtype=complex)
     d = channel.d
     if u.shape[-2:] != (d, d):
@@ -92,16 +99,6 @@ def _covariance_pair(channel: HWChannel, unitary, rho) -> tuple[np.ndarray, np.n
         )
     rho = np.asarray(rho, dtype=complex)
     u_star = u.conj()
-    return channel.apply(u @ rho @ _dagger(u)), u_star @ channel.apply(rho) @ _dagger(u_star)
-
-
-def covariance_check(channel: HWChannel, unitary, rho) -> float | list[float]:
-    """Trace-distance defect of the conjugation covariance
-
-        E(U rho U^dag)  vs  U* E(rho) (U*)^dag.
-
-    Zero (up to round-off) for every unitary when E is a
-    transpose-depolarizing channel.  Stacks of unitaries and inputs along
-    leading axes give one defect per member, as a list.
-    """
-    return trace_distance_numeric(*_covariance_pair(channel, unitary, rho))
+    return trace_distance_numeric(
+        channel.apply(u @ rho @ _dagger(u)), u_star @ channel.apply(rho) @ _dagger(u_star)
+    )

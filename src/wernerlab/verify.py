@@ -28,7 +28,10 @@ import numpy as np
 from . import discrimination, linalg, metrics, metrology, states, teleport
 from .errors import DimensionOverflowError, InvalidParameterError
 
-__all__ = ["CheckResult", "run_verification", "teleport_check"]
+__all__ = ["DEFAULT_SEED", "CheckResult", "run_verification", "teleport_check"]
+
+# the seed of every seeded run (verify, teleport-check, estimate sim) unless one is given
+DEFAULT_SEED = 20260808
 
 TELEPORT_TOL = 1e-10
 # the teleport sweep keeps one defect per sample, so memory grows with the count
@@ -217,7 +220,7 @@ def _teleport_defects(eta, d, seed, samples) -> tuple[list[float], list[float]]:
         u = linalg.random_unitary(d, normals[:, 2:])
         teleported = teleport.teleport_channel(resource, rho)
         sim.extend(linalg.trace_distance_numeric(teleported, channel.apply(rho)))
-        cov.extend(linalg.trace_distance_numeric(*teleport._covariance_pair(channel, u, rho)))
+        cov.extend(teleport.covariance_check(channel, u, rho))
     return sim, cov
 
 
@@ -290,7 +293,7 @@ def check_sandwich_ordering(grid_step, tol) -> CheckResult:
 def run_verification(
     grid_step: float = 0.1,
     dims: tuple[int, ...] = (2, 3, 4, 5, 6),
-    seed: int = 20260808,
+    seed: int = DEFAULT_SEED,
     tol_scale: float = 1.0,
 ) -> list[CheckResult]:
     """Run every cross-check; tolerances are multiplied by ``tol_scale``."""

@@ -1,16 +1,17 @@
 import contextlib
+import inspect
 import io
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wernerlab import cli, discrimination, verify
-from wernerlab.errors import DimensionOverflowError
+from wernerlab import cli, discrimination, metrics, metrology, verify
+from wernerlab.errors import DimensionOverflowError, WernerLabError
 
 
 def run_json(capsys, argv):
@@ -90,6 +91,43 @@ class TestSingleComputations:
         again = json.loads(json.dumps(record))
         assert again == record
         assert again["results"]["fidelity"] == record["results"]["fidelity"]
+
+    @pytest.mark.parametrize(
+        "argv,result_type,params",
+        [
+            (["qcb", "--eta", "0.5", "--zeta", "-0.5"], metrics.QcbResult, ()),
+            (["qcb", "--isotropic", "--alpha", "2", "--beta", "1", "--d", "2"], metrics.QcbResult, ()),
+            (
+                ["discriminate", "--eta", "0.5", "--zeta", "0", "--d", "3", "--n", "10"],
+                discrimination.DiscriminationBounds,
+                ("eta", "zeta", "d", "n"),
+            ),
+            (
+                ["estimate", "sim", "--eta", "0.3", "--n", "100", "--trials", "50"],
+                metrology.EstimationReport,
+                ("eta_true", "n", "trials", "seed"),
+            ),
+        ],
+    )
+    def test_results_are_the_result_type_fields(self, capsys, argv, result_type, params):
+        # the record's results are its result type's fields, less the parameters
+        code, record = run_json(capsys, argv)
+        assert code == 0
+        names = [f.name for f in fields(result_type)]
+        assert list(record["results"]) == [k for k in names if k not in params]
+        if params:
+            assert list(record["parameters"]) == list(params)
+
+    def test_seed_defaults_are_the_one_constant(self):
+        parser = cli.build_parser()
+        for argv in (
+            ["estimate", "--eta", "0", "--n", "1"],
+            ["teleport-check", "--d", "2", "--eta", "0"],
+            ["verify"],
+        ):
+            assert parser.parse_args(argv).seed == verify.DEFAULT_SEED
+        seed = inspect.signature(verify.run_verification).parameters["seed"]
+        assert seed.default == verify.DEFAULT_SEED
 
 
 class TestExitCodes:
@@ -186,6 +224,31 @@ class TestCurves:
         rows = cli.parse_curves_csv(text)
         assert cli.format_curves_csv(rows) == text
         assert len(rows) == 2 * 21
+
+    @pytest.mark.parametrize("zeta,n,step", [(0.3, [1, 10, 100, 1000], 0.01), (-1.0, [3, 2], 0.25)])
+    def test_parse_inverts_format_on_rows(self, zeta, n, step):
+        rows = discrimination.curve_grid(zeta, n, step)
+        assert cli.parse_curves_csv(cli.format_curves_csv(rows)) == rows
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda lines: ["zeta,n,eta"] + lines[1:], "unrecognised curves CSV header on line 1"),
+            (lambda lines: lines[:3] + [lines[3].rsplit(",", 1)[0]], "line 4: 6 cells, expected 7"),
+            (lambda lines: lines[:2] + [lines[2] + ",0.1"], "line 3: 8 cells, expected 7"),
+            (lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0] + ",x"],
+             "line 3: could not convert string to float: 'x'"),
+            (lambda lines: [lines[0], "", lines[1].replace(",1,", ",1.5,", 1)],
+             "line 3: invalid literal for int() with base 10: '1.5'"),
+        ],
+        ids=["header", "short-row", "long-row", "non-numeric", "fractional-n"],
+    )
+    def test_malformed_csv_names_the_line(self, edit, message):
+        text = cli.format_curves_csv(discrimination.curve_grid(0.0, [1], 0.5))
+        bad = "\n".join(edit(text.splitlines())) + "\n"
+        with pytest.raises(WernerLabError) as exc:
+            cli.parse_curves_csv(bad)
+        assert message in str(exc.value)
 
     @pytest.mark.parametrize(
         "target,message", [("missing/x.csv", "No such file"), (".", "Is a directory")]

@@ -21,7 +21,7 @@ def rand_hermitian(dim, seed):
 
 
 def rand_density(dim, seed):
-    return linalg.random_density_matrix(dim, np.random.default_rng(seed))
+    return linalg.random_density_matrix(dim, np.random.default_rng(seed).normal(size=(2, dim, dim)))
 
 
 class TestEigh:
@@ -383,8 +383,8 @@ class TestStacks:
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_random_draws(self, d):
-        # a stack of drawn normals, one state and one unitary per member; a
-        # Generator draws the same (2, d, d) normals for each one-input call
+        # a stack of drawn normals, one state and one unitary per member; the
+        # same Generator's (2, d, d) draws give each one-input call the same normals
         normals = np.random.default_rng(d).normal(size=(6, 2, d, d))
         rhos, us = linalg.random_density_matrix(d, normals), linalg.random_unitary(d, normals)
         rng = np.random.default_rng(d)
@@ -392,7 +392,7 @@ class TestStacks:
             assert np.array_equal(rhos[k], linalg.random_density_matrix(d, normals[k]))
             assert np.array_equal(us[k], linalg.random_unitary(d, normals[k]))
             drawn = linalg.random_density_matrix if k % 2 == 0 else linalg.random_unitary
-            assert np.array_equal(drawn(d, rng), (rhos if k % 2 == 0 else us)[k])
+            assert np.array_equal(drawn(d, rng.normal(size=(2, d, d))), (rhos if k % 2 == 0 else us)[k])
         grid = linalg.random_unitary(d, normals.reshape(2, 3, 2, d, d))
         assert np.array_equal(grid.reshape(us.shape), us)
 

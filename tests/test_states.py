@@ -103,7 +103,7 @@ class TestWernerState:
         rng = np.random.default_rng(d)
         w = states.werner_state(0.6, d)
         for _ in range(5):
-            u = linalg.random_unitary(d, rng)
+            u = linalg.random_unitary(d, rng.normal(size=(2, d, d)))
             uu = linalg.tensor_product(u, u)
             assert np.abs(uu @ w @ uu.conj().T - w).max() <= 1e-10
 
@@ -188,7 +188,7 @@ class TestIsotropicState:
 
 class TestChannels:
     def test_extremal_channel(self):
-        rho = linalg.random_density_matrix(3, np.random.default_rng(0))
+        rho = linalg.random_density_matrix(3, np.random.default_rng(0).normal(size=(2, 3, 3)))
         got = states.HWChannel(-1.0, 3).apply(rho)
         assert np.abs(got - (np.eye(3) - rho.T) / 2).max() <= 1e-13
 
@@ -206,14 +206,14 @@ class TestChannels:
     def test_depolarizing_is_transposed_channel(self, alpha):
         # for alpha <= 1 the two families share parameters
         d = 3
-        rho = linalg.random_density_matrix(d, np.random.default_rng(4))
+        rho = linalg.random_density_matrix(d, np.random.default_rng(4).normal(size=(2, d, d)))
         via_transpose = states.HWChannel(alpha, d).apply(rho.T)
         direct = states.DepolarizingChannel(alpha, d).apply(rho)
         assert np.abs(direct - via_transpose).max() <= 1e-12
 
     def test_depolarizing_identity_extreme(self):
         d = 3
-        rho = linalg.random_density_matrix(d, np.random.default_rng(5))
+        rho = linalg.random_density_matrix(d, np.random.default_rng(5).normal(size=(2, d, d)))
         got = states.DepolarizingChannel(float(d), d).apply(rho)
         assert np.abs(got - rho).max() <= 1e-13
 
@@ -226,7 +226,7 @@ class TestChannels:
     @pytest.mark.parametrize("eta", [-1.0, -0.3, 0.0, 0.5, 1.0])
     def test_trace_preserving_and_positive(self, eta):
         d = 3
-        rho = linalg.random_density_matrix(d, np.random.default_rng(6))
+        rho = linalg.random_density_matrix(d, np.random.default_rng(6).normal(size=(2, d, d)))
         out = states.HWChannel(eta, d).apply(rho)
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
         assert linalg.eigh(out).eigenvalues.min() >= -1e-12
@@ -255,3 +255,20 @@ class TestChoiMatrix:
         phi = states.max_entangled_ket(d)
         got = states.choi_matrix(_IdentityChannel(d))
         assert np.abs(got - np.outer(phi, phi.conj())).max() <= 1e-13
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 8])
+    def test_stacked_apply_equals_the_per_unit_loop(self, d):
+        # one apply over the stack of matrix units |i><j|, bit for bit the
+        # block-by-block construction
+        for channel in (
+            states.HWChannel(0.37, d),
+            states.DepolarizingChannel(0.8 * d, d),
+            _IdentityChannel(d),
+        ):
+            chi = np.zeros((d * d, d * d), dtype=complex)
+            for i in range(d):
+                for j in range(d):
+                    unit = np.zeros((d, d), dtype=complex)
+                    unit[i, j] = 1.0
+                    chi[i * d : (i + 1) * d, j * d : (j + 1) * d] = channel.apply(unit)
+            assert np.array_equal(states.choi_matrix(channel), chi / d)

@@ -6,7 +6,7 @@ from wernerlab.errors import DimensionMismatchError, DimensionOverflowError, Not
 
 
 def rand_density(dim, seed):
-    return linalg.random_density_matrix(dim, np.random.default_rng(seed))
+    return linalg.random_density_matrix(dim, np.random.default_rng(seed).normal(size=(2, dim, dim)))
 
 
 def phi_projector(d):
@@ -98,7 +98,7 @@ class TestTeleportChannel:
         channel = states.HWChannel(eta, d)
         rng = np.random.default_rng(17)
         for _ in range(5):
-            rho = linalg.random_density_matrix(d, rng)
+            rho = linalg.random_density_matrix(d, rng.normal(size=(2, d, d)))
             out = teleport.teleport_channel(resource, rho)
             assert linalg.trace_distance_numeric(out, channel.apply(rho)) <= 1e-10
 
@@ -189,8 +189,8 @@ class TestCovariance:
 
     def test_random_unitary(self):
         rng = np.random.default_rng(53)
-        u = linalg.random_unitary(3, rng)
-        rho = linalg.random_density_matrix(3, rng)
+        u = linalg.random_unitary(3, rng.normal(size=(2, 3, 3)))
+        rho = linalg.random_density_matrix(3, rng.normal(size=(2, 3, 3)))
         defect = teleport.covariance_check(states.HWChannel(0.7, 3), u, rho)
         assert defect <= 1e-10
 

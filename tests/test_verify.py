@@ -214,8 +214,8 @@ def test_teleport_defects_span_several_stacks(monkeypatch):
         resource, channel = states.werner_state(eta, d), states.HWChannel(eta, d)
         sim, cov = [], []
         for _ in range(samples):
-            rho = linalg.random_density_matrix(d, rng)
-            u = linalg.random_unitary(d, rng)
+            rho = linalg.random_density_matrix(d, rng.normal(size=(2, d, d)))
+            u = linalg.random_unitary(d, rng.normal(size=(2, d, d)))
             out = teleport.teleport_channel(resource, rho)
             sim.append(real(out, channel.apply(rho)))
             cov.append(teleport.covariance_check(channel, u, rho))
@@ -228,6 +228,8 @@ def test_teleport_defects_span_several_stacks(monkeypatch):
             return real(rho, sigma)
 
         monkeypatch.setattr(linalg, "trace_distance_numeric", counting)
+        # the covariance defects come from covariance_check, which calls its own import
+        monkeypatch.setattr(teleport, "trace_distance_numeric", counting)
         assert verify._teleport_defects(eta, d, seed, samples) == (sim, cov), d
         assert stacks == [7, 7, 7, 7, 7, 7, 2, 2], d
         monkeypatch.undo()
