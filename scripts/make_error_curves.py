@@ -5,10 +5,10 @@ Writes one CSV per reference parameter (default 0 and 1/2), each holding
 the bound sandwich over the full eta grid for n = 1, 10 and 100 channel
 uses, by running ``wernerlab curves`` once per file.  The files feed
 external plotting; columns are zeta,n,eta,lower,qcb_upper,fid_upper,helstrom_block.
-A bad value exits 1 with the command's message.
+A bad value exits 1 with the command's message, and a usage error exits 1
+as in the CLI.
 """
 
-import argparse
 import pathlib
 import sys
 
@@ -20,7 +20,7 @@ def _floats(text):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = cli._Parser(description=__doc__)
     parser.add_argument("--zetas", type=_floats, default="0,0.5", help="comma-separated reference parameters")
     parser.add_argument("--n", default="1,10,100", help="comma-separated copy counts")
     parser.add_argument("--step", type=float, default=0.02)

@@ -5,13 +5,12 @@ For each eta, runs the symmetric-projector measurement experiment and
 prints the empirical variance next to the (1 - eta^2)/n floor.  The
 ratio column should sit near 1 for any eta and any probe count: the
 floor is saturated, and no strategy beats 1/n scaling.  A bad value
-exits 1 with a message.
+exits 1 with a message, and a usage error exits 1 as in the CLI.
 """
 
-import argparse
 import sys
 
-from wernerlab import metrology, verify
+from wernerlab import cli, metrology, verify
 from wernerlab.errors import WernerLabError
 
 
@@ -20,7 +19,7 @@ def _floats(text):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = cli._Parser(description=__doc__)
     parser.add_argument("--etas", type=_floats, default="-0.9,-0.5,0,0.3,0.6,0.9")
     parser.add_argument("--n", type=int, default=1000)
     parser.add_argument("--trials", type=int, default=10_000)

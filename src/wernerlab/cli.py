@@ -28,7 +28,6 @@ from .errors import WernerLabError
 SCHEMA_VERSION = "1"
 
 CURVES_COLUMNS = ("zeta", "n", "eta", "lower", "qcb_upper", "fid_upper", "helstrom_block")
-_curves_cells = attrgetter(*CURVES_COLUMNS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,14 +50,6 @@ def _jsonify(value):
     return value
 
 
-def _cell(value) -> str:
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return repr(value)
-    return str(value)
-
-
 def _record(command: str, parameters: dict, results: dict) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -69,7 +60,7 @@ def _record(command: str, parameters: dict, results: dict) -> dict:
 
 
 def _csv_line(cells) -> str:
-    return ",".join(map(_cell, cells)) + "\n"
+    return ",".join(map(str, cells)) + "\n"
 
 
 def _emit_record(record: dict, fmt: str) -> None:
@@ -81,11 +72,24 @@ def _emit_record(record: dict, fmt: str) -> None:
     sys.stdout.write(_csv_line(cells) + _csv_line(cells.values()))
 
 
+def _curves_cells(cols: discrimination.Sandwiches, param=lambda x: x):
+    # the cells of every row of a column grid, in CURVES_COLUMNS order, by (zeta,
+    # n, eta); ``param`` maps each zeta, n and eta once, not once per row
+    etas = list(map(param, cols.etas.tolist()))
+    for i, zeta in enumerate(map(param, cols.zetas.tolist())):
+        for j, n in enumerate(map(param, cols.n.tolist())):
+            bounds = (bound[i, j].tolist() for bound in cols[3:])
+            yield from zip([zeta] * len(etas), [n] * len(etas), etas, *bounds)
+
+
+def _curves_csv(cells) -> str:
+    return "".join([_csv_line(CURVES_COLUMNS), *map(_csv_line, cells)])
+
+
 def format_curves_csv(rows) -> str:
     """Canonical CSV for bound-sandwich grids: fixed header, rows sorted by
     (n, eta), floats as shortest round-trip decimals."""
-    ordered = sorted(rows, key=lambda r: (r.n, r.eta))
-    return "".join([_csv_line(CURVES_COLUMNS), *(_csv_line(_curves_cells(r)) for r in ordered)])
+    return _curves_csv(map(attrgetter(*CURVES_COLUMNS), sorted(rows, key=attrgetter("n", "eta"))))
 
 
 def parse_curves_csv(text: str) -> list[discrimination.DiscriminationBounds]:
@@ -249,13 +253,13 @@ def _cmd_curves(args) -> int:
         n_list = [int(x) for x in args.n.split(",") if x.strip()]
     except ValueError as exc:
         raise WernerLabError(f"cannot parse copy counts {args.n!r}") from exc
-    rows = discrimination.curve_grid(args.zeta, n_list, args.step)
+    cols = discrimination.curve_grid(args.zeta, n_list, args.step)
     if args.format == "csv":
-        chunks = [format_curves_csv(rows)]
+        chunks = [_curves_csv(_curves_cells(cols, str))]
     else:
         params = {"zeta": args.zeta, "n": n_list, "step": args.step}
         record = _record("curves", params, {"rows": []})
-        chunks = _curves_json(record, rows)
+        chunks = _curves_json(record, _curves_cells(cols))
     if args.out:
         try:
             with open(args.out, "w") as fh:
@@ -267,16 +271,16 @@ def _cmd_curves(args) -> int:
     return 0
 
 
-def _curves_json(record: dict, rows):
-    # json.dumps(record, indent=2) + "\n" with ``rows`` (never empty: curve_grid
-    # needs a copy count) in place of the record's empty row list, one chunk per
-    # row (its fields in order, without asdict's deep copy), so no whole document is held
+def _curves_json(record: dict, cells):
+    # json.dumps(record, indent=2) + "\n" with the rows of ``cells`` (never empty) in
+    # place of the record's empty row list, each with the fields of DiscriminationBounds
+    # in order (d = 2), one chunk per row, so no whole document is held
     head, tail = json.dumps(_jsonify(record), indent=2).rsplit("[]", 1)
     yield head
     names = [f.name for f in fields(discrimination.DiscriminationBounds)]
     sep, indent = "[", "\n" + " " * 6  # a row sits at depth 3: results, rows, row
-    for r in rows:
-        row = {k: getattr(r, k) for k in names}
+    for zeta, n, eta, *bounds in cells:
+        row = dict(zip(names, (eta, zeta, 2, n, *bounds)))
         yield sep + indent + json.dumps(_jsonify(row), indent=2).replace("\n", indent)
         sep = ","
     yield "\n    ]" + tail + "\n"
@@ -286,11 +290,8 @@ def _cmd_teleport_check(args) -> int:
     results = verify.teleport_check(args.eta, args.d, args.seed, args.samples)
     params = {"d": args.d, "eta": args.eta, "seed": args.seed, "samples": args.samples}
     _emit_record(_record("teleport-check", params, results), args.format)
-    failed = (
-        results["simulation_defect"] > results["tolerance"]
-        or results["covariance_defect"] > results["tolerance"]
-    )
-    return 2 if failed else 0
+    tol = results["tolerance"]
+    return 0 if results["simulation_defect"] <= tol and results["covariance_defect"] <= tol else 2
 
 
 def _cmd_verify(args) -> int:

@@ -18,8 +18,11 @@ nominal d.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Iterator
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DimensionOverflowError, InvalidParameterError
 from .metrics import (
@@ -38,6 +41,7 @@ __all__ = [
     "ETA_GRID_CAP",
     "DiscriminationBounds",
     "IsotropicDiscrimination",
+    "Sandwiches",
     "bounds",
     "bounds_isotropic",
     "curve_grid",
@@ -47,8 +51,15 @@ __all__ = [
 # Most intervals an eta grid may have: 1e-300 passes the divides-[-1, 1]
 # test but asks for a 2e300-element list.
 ETA_GRID_CAP = 100_000
-# Most rows a curve grid may have: the finest grid at one copy count (93 MB peak RSS as CSV).
+# Most rows a curve grid may have: the finest grid at one copy count (72 MB peak RSS as CSV).
 CURVE_ROW_CAP = ETA_GRID_CAP + 1
+# Most entries of one column of a sandwich block, past one zeta's worth
+_BLOCK_ENTRIES = 1 << 16
+# libm's pow, and 1 - F^2n from the stable 1 - F^2 through expm1/log1p (so the lower bound
+# stays comparable to the exact block error when F rounds to 1), entry by entry: numpy's SIMD
+# versions round some entries an ulp apart by memory layout, unlike a one-entry bounds()
+_pow = np.vectorize(pow, otypes=[float])
+_one_minus_f2n = np.vectorize(lambda g, n: 1.0 if g >= 1.0 else -math.expm1(n * math.log1p(-g)), otypes=[float])
 
 
 @dataclass(frozen=True)
@@ -69,6 +80,10 @@ class DiscriminationBounds:
     helstrom_block: float
 
 
+# Bound sandwiches as columns: zetas, n, etas, then DiscriminationBounds' four bounds as (zeta, n, eta)
+Sandwiches = namedtuple("Sandwiches", "zetas n etas lower qcb_upper fid_upper helstrom_block")
+
+
 @dataclass(frozen=True)
 class IsotropicDiscrimination:
     """Chernoff upper bound for a depolarizing-channel pair (no matching
@@ -83,49 +98,36 @@ class IsotropicDiscrimination:
 
 def bounds(eta: float, zeta: float, d: int, n: int) -> DiscriminationBounds:
     """Assemble the full bound sandwich for one (eta, zeta, d, n): the
-    one-row case of :func:`curve_grid`."""
+    one-entry case of :func:`curve_grid`."""
     eta = _check_eta(eta)
     zeta = _check_eta(zeta)
     d = _check_dim(d)
     n = _check_copies(n)
-    return next(_sandwiches([eta], [zeta], d, [n]))
+    cols = next(_sandwiches([eta], [zeta], [n]))
+    return DiscriminationBounds(eta, zeta, d, n, *(bound.item() for bound in cols[3:]))
 
 
-def _sandwiches(etas, zetas, d: int, n_list) -> Iterator[DiscriminationBounds]:
-    # Rows ordered by (zeta, n, eta) for validated inputs, made as they are
-    # read.  One Helstrom table per n holds every (zeta, eta); F, S, 1 - F^2
-    # and Q do not depend on n and are computed once per pair.
-    tables = [_helstrom_rows(etas, zetas, n) for n in n_list]
-    for i, zeta in enumerate(zetas):
+def _sandwiches(etas, zetas, n_list) -> Iterator[Sandwiches]:
+    # Blocks of zetas, in order, for validated inputs, each of at most about _BLOCK_ENTRIES
+    # entries a column (one zeta at least), so memory is flat in the grid.  F, S, 1 - F^2
+    # and Q are scalar closed forms, once per pair; the Helstrom tables come one per n.
+    etas, ns = list(etas), np.array(n_list)
+    n_col = ns[:, None]
+    step = max(1, _BLOCK_ENTRIES // (len(ns) * len(etas)))
+    for at in range(0, len(zetas), step):
+        zs = list(zetas[at : at + step])
         singles = [
-            (
-                eta,
-                fidelity_werner(eta, zeta),
-                s_quantity(eta, zeta),
-                one_minus_fidelity_squared(eta, zeta),
-                qcb_werner(eta, zeta).q,
-            )
-            for eta in etas
+            (fidelity_werner(eta, zeta), s_quantity(eta, zeta), qcb_werner(eta, zeta).q,
+             one_minus_fidelity_squared(eta, zeta))
+            for zeta in zs for eta in etas
         ]
-        for n, table in zip(n_list, tables):
-            for (eta, f, s, gap, q), block in zip(singles, table[i].tolist()):
-                # 1 - F^2n evaluated through expm1/log1p of the stable 1 - F^2,
-                # so the lower bound stays comparable to the exact block error
-                # even when F rounds to 1.  min() picks the finite branch when S
-                # is the +inf sentinel; the 1 - F^2n branch never exceeds 1, so
-                # the root is real.
-                one_minus_f2n = 1.0 if gap >= 1.0 else -math.expm1(n * math.log1p(-gap))
-                m = min(one_minus_f2n, n * s)
-                yield DiscriminationBounds(
-                    eta=eta,
-                    zeta=zeta,
-                    d=d,
-                    n=n,
-                    lower=0.5 * (1.0 - math.sqrt(m)),
-                    qcb_upper=0.5 * q**n,
-                    fid_upper=0.5 * f**n,
-                    helstrom_block=block,
-                )
+        f, s, q, gap = np.array(singles).T.reshape(4, len(zs), 1, len(etas))
+        # minimum() picks the finite branch when S is the +inf sentinel; the 1 - F^2n
+        # branch never exceeds 1, so the root is real
+        m = np.minimum(_one_minus_f2n(gap, n_col), n_col * s)
+        helstrom = np.stack([_helstrom_rows(etas, zs, n) for n in ns.tolist()], axis=1)
+        yield Sandwiches(np.array(zs), ns, np.array(etas), 0.5 * (1.0 - np.sqrt(m)),
+                         0.5 * _pow(q, n_col), 0.5 * _pow(f, n_col), helstrom)
 
 
 def bounds_isotropic(alpha: float, beta: float, d: int, n: int) -> IsotropicDiscrimination:
@@ -158,15 +160,13 @@ def eta_grid(step: float, *, endpoints: bool = True) -> list[float]:
     return values if endpoints else values[1:-1]
 
 
-def curve_grid(
-    zeta: float, n_list: list[int], eta_step: float
-) -> list[DiscriminationBounds]:
-    """Bound sandwiches over an eta grid, one block per copy count.
+def curve_grid(zeta: float, n_list: list[int], eta_step: float) -> Sandwiches:
+    """Bound sandwiches over an eta grid, as columns shaped (1, n, eta).
 
-    The grid runs over eta = -1, -1 + step, ..., 1; rows are ordered by
-    (n, eta).  All bound values are dimension-free, so rows are computed
-    at nominal d = 2.  Every input is validated, and the row count held to
-    ``CURVE_ROW_CAP``, before any row is computed.
+    The grid runs over eta = -1, -1 + step, ..., 1 and the copy counts are
+    sorted, so rows read in (n, eta) order; rows stand for nominal d = 2.
+    Every input is validated, and the row count held to ``CURVE_ROW_CAP``,
+    before any row is computed.
     """
     zeta = _check_eta(zeta)
     if not n_list:
@@ -178,4 +178,4 @@ def curve_grid(
             f"{len(etas)} grid points x {len(n_values)} copy counts exceed the cap of "
             f"{CURVE_ROW_CAP} rows"
         )
-    return list(_sandwiches(etas, [zeta], 2, n_values))
+    return next(_sandwiches(etas, [zeta], n_values))

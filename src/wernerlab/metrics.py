@@ -283,8 +283,7 @@ def _helstrom_rows(etas, zetas, n: int) -> np.ndarray:
     # validated copy count, in log space, shape (len(zetas), len(etas)).  The
     # binomials are exact integers, each logged once, so the log table is right
     # to an ulp (a float cumulative sum drifts by 1e-12 at n = 1000, lgamma
-    # differences by 2e-12).  k log 0 is masked (to 0 at k = 0), so eta = +/-1
-    # needs no branch.
+    # differences by 2e-12).  k log 0 is 0 at k = 0, as is (n - k) log 0 at k = n.
     binom, log_binom = 1, [0.0]
     for i in range(1, n + 1):
         binom = binom * (n + 1 - i) // i
@@ -296,8 +295,9 @@ def _helstrom_rows(etas, zetas, n: int) -> np.ndarray:
     def log_weights(column: np.ndarray) -> np.ndarray:
         # log[C(n,k) ((1+eta)/2)^k ((1-eta)/2)^(n-k)], one row per eta
         with np.errstate(divide="ignore", invalid="ignore"):
-            up = np.where(k > 0, k * np.log1p(column), 0.0)
-            down = np.where(rest > 0, rest * np.log1p(-column), 0.0)
+            up = k * np.log1p(column)
+            down = rest * np.log1p(-column)
+        up[..., 0] = down[..., -1] = 0.0
         return log_base + up + down
 
     etas, zetas = np.asarray(etas, dtype=float), np.asarray(zetas, dtype=float)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatchError, DimensionOverflowError, NotUnitaryError
-from .linalg import TENSOR_DIM_CAP, _dagger, _first, trace_distance_numeric
+from .linalg import TENSOR_DIM_CAP, _blocks, _dagger, _first, trace_distance_numeric
 from .states import HWChannel, _check_dim
 
 __all__ = [
@@ -69,13 +69,15 @@ def teleport_channel(resource, rho, *, conjugate_corrections: bool = True) -> np
             f"input {rho.shape} and resource {resource.shape} are incompatible"
         )
     _check_teleport_dim(d)
-    r = resource.reshape(d, d, d, d)  # axes (B, C | B', C'), B measured
-    out = np.zeros(rho.shape, dtype=complex)
-    for u in [weyl_unitary(a, b, d) for a in range(d) for b in range(d)]:
-        branch = np.einsum("...jl,jclx->...cx", u.conj().T @ rho @ u / d, r)
-        correction = u.conj() if conjugate_corrections else u
-        out += correction @ branch @ correction.conj().T
-    return out
+    # (B, C | B', C') as (B B') x (C C'), B measured: a block's branches are Ms as rows times r
+    r = resource.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    us = np.array([weyl_unitary(a, b, d) for a in range(d) for b in range(d)])
+    fix = us.conj() if conjugate_corrections else us
+    out = rho.reshape(-1, d, d).copy()
+    for at in _blocks(len(out), d, tables=d * d):
+        m = _dagger(us) @ out[at, None] @ us / d  # (inputs, branches, d, d)
+        out[at] = (fix @ (m.reshape(-1, d * d) @ r).reshape(m.shape) @ _dagger(fix)).sum(axis=1)
+    return out.reshape(rho.shape)
 
 
 def covariance_check(channel: HWChannel, unitary, rho) -> float | list[float]:

@@ -14,14 +14,15 @@ the fidelity and trace-distance sweeps take eigenvalues only, and a Chernoff
 sweep reads the off-diagonal entries of one ``qcb_kernels`` Newton search.
 The teleport sweep draws each bounded block of samples in one call and takes
 the block through the draws, the teleportation, the channel and the
-covariance test as one stack.  The sandwich sweep is one row generator over
-the whole grid, with one Helstrom table per copy count for every zeta.
+covariance test as one stack.  The sandwich sweep reduces the bound columns
+of one bounded block of zetas at a time, every copy count at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -37,9 +38,9 @@ TELEPORT_TOL = 1e-10
 # the teleport sweep keeps one defect per sample, so memory grows with the count
 # (its matrices are held one bounded stack block at a time)
 TELEPORT_SAMPLE_CAP = 100_000
-# Most samples x d^6, a teleport sweep's time scale: it admits 17 draws at d = 16 (80-100 ms
-# each), 1,144 at d = 8 (about 2 s) and 73,242 at d = 4 (about 7 s); at d = 3 the sample
-# cap binds first, and its 100,000 draws take about 5 s on a 2-core host
+# Most samples x d^6, a teleport sweep's time scale: it admits 17 draws at d = 16 (about
+# 8 ms each), 1,144 at d = 8 (0.35 s) and 73,242 at d = 4 (about 4 s); at d = 3 the sample
+# cap binds first, and its 100,000 draws take about 3.5 s on a 2-core host
 TELEPORT_WORK_CAP = 300_000_000
 # Most (grid points)^2 x sum of d^4, the scale of the pair sweeps' states and pair lists
 VERIFY_WORK_CAP = 2**25
@@ -93,10 +94,14 @@ def _defects(numeric, closed) -> list[float]:
     return [0.0 if x == y else abs(x - y) for x, y in zip(numeric, closed)]
 
 
-def _collect(name, deltas, tol) -> CheckResult:
-    worst = max(deltas) if deltas else 0.0
-    failures = sum(1 for x in deltas if not x <= tol)
-    return CheckResult(name=name, points=len(deltas), failures=failures, worst=worst, tol=tol)
+def _collect(name, blocks, tol) -> CheckResult:
+    # defects in blocks (lists or arrays), one at a time; a NaN fails and max() keeps it worst
+    points = failures = worst = 0
+    for deltas in map(np.asarray, blocks):
+        points += deltas.size
+        failures += int(np.count_nonzero(~(deltas <= tol)))
+        worst = np.max(deltas, initial=worst)
+    return CheckResult(name=name, points=points, failures=failures, worst=float(worst), tol=tol)
 
 
 def check_fidelity_oracle(grid_step, dims, tol) -> CheckResult:
@@ -109,7 +114,7 @@ def check_fidelity_oracle(grid_step, dims, tol) -> CheckResult:
             for a, w in zip(etas, ws):
                 closed = [metrics.fidelity_werner(a, b) for b in etas[at]]
                 deltas.extend(_defects(linalg.bures_fidelity_kernel(w, roots), closed))
-    return _collect("fidelity-oracle", deltas, tol)
+    return _collect("fidelity-oracle", [deltas], tol)
 
 
 def check_trace_distance_oracle(grid_step, dims, tol) -> CheckResult:
@@ -121,7 +126,7 @@ def check_trace_distance_oracle(grid_step, dims, tol) -> CheckResult:
             for a, w in zip(etas, ws):
                 closed = [abs(a - b) / 2.0 for b in etas[at]]
                 deltas.extend(_defects(linalg.trace_distance_numeric(w, ws[at]), closed))
-    return _collect("trace-distance-oracle", deltas, tol)
+    return _collect("trace-distance-oracle", [deltas], tol)
 
 
 def check_relative_entropy_oracle(grid_step, dims, tol) -> CheckResult:
@@ -133,7 +138,7 @@ def check_relative_entropy_oracle(grid_step, dims, tol) -> CheckResult:
             for i, a in enumerate(etas):
                 closed = [metrics.relative_entropy_werner(a, b) for b in etas[at]]
                 deltas.extend(_defects(linalg.relative_entropy_kernel(decs[i], decs[at]), closed))
-    return _collect("relative-entropy-oracle", deltas, tol)
+    return _collect("relative-entropy-oracle", [deltas], tol)
 
 
 def check_qcb_oracle(grid_step, dims, q_tol, s_tol) -> tuple[CheckResult, CheckResult]:
@@ -147,7 +152,7 @@ def check_qcb_oracle(grid_step, dims, q_tol, s_tol) -> tuple[CheckResult, CheckR
                 closed = metrics.qcb_werner(etas[i], etas[j])
                 dq.append(abs(float(numeric.q[i, j]) - closed.q))
                 ds.append(abs(float(numeric.s_star[i, j]) - closed.s_star))
-    return _collect("qcb-oracle-q", dq, q_tol), _collect("qcb-oracle-s", ds, s_tol)
+    return _collect("qcb-oracle-q", [dq], q_tol), _collect("qcb-oracle-s", [ds], s_tol)
 
 
 def check_qcb_isotropic_oracle(dims, q_tol) -> CheckResult:
@@ -160,7 +165,7 @@ def check_qcb_isotropic_oracle(dims, q_tol) -> CheckResult:
             if i != j:
                 closed = metrics.qcb_isotropic(alphas[i], alphas[j], d)
                 deltas.append(abs(float(q[i, j]) - closed.q))
-    return _collect("qcb-isotropic-oracle", deltas, q_tol)
+    return _collect("qcb-isotropic-oracle", [deltas], q_tol)
 
 
 def check_critical_point_identities(grid_step, tol) -> CheckResult:
@@ -182,7 +187,7 @@ def check_critical_point_identities(grid_step, tol) -> CheckResult:
                 and metrics.werner_qs(a, b, s_ab + 1e-3) > q0
             )
             deltas.append(0.0 if bracket_ok else math.inf)
-    return _collect("critical-point-identities", deltas, tol)
+    return _collect("critical-point-identities", [deltas], tol)
 
 
 def check_substitution_identity(grid_step, dims, tol) -> CheckResult:
@@ -202,7 +207,7 @@ def check_substitution_identity(grid_step, dims, tol) -> CheckResult:
                 wer_q = linalg.qcb_curve_kernel(wer[i], wer[at], s_values)
                 gaps = np.abs(iso_q - wer_q).max(-1).tolist()
                 deltas.extend(x for j, x in zip(range(len(alphas))[at], gaps) if j != i)
-    return _collect("substitution-identity", deltas, tol)
+    return _collect("substitution-identity", [deltas], tol)
 
 
 def _teleport_defects(eta, d, seed, samples) -> tuple[list[float], list[float]]:
@@ -225,13 +230,9 @@ def _teleport_defects(eta, d, seed, samples) -> tuple[list[float], list[float]]:
 
 
 def check_teleport(seed, tol) -> tuple[CheckResult, CheckResult]:
-    # Every eta at one d is checked on that d's seeded draws.
-    sim, cov = [], []
-    for d in (2, 3):
-        for eta in (-1.0, -0.5, 0.0, 0.5, 1.0):
-            s, c = _teleport_defects(eta, d, seed, 20)
-            sim.extend(s)
-            cov.extend(c)
+    # Every eta at one d is checked on that d's seeded draws, one block of defects each.
+    etas = (-1.0, -0.5, 0.0, 0.5, 1.0)
+    sim, cov = zip(*(_teleport_defects(eta, d, seed, 20) for d in (2, 3) for eta in etas))
     return _collect("teleport-simulation", sim, tol), _collect("teleport-covariance", cov, tol)
 
 
@@ -250,7 +251,7 @@ def check_helstrom_explicit(tol) -> CheckResult:
             if n < 3:
                 rho_n = linalg.tensor_product(rho_n, rho)
                 sigma_n = linalg.tensor_product(sigma_n, sigma)
-    return _collect("helstrom-explicit", deltas, tol)
+    return _collect("helstrom-explicit", [deltas], tol)
 
 
 def check_estimation_saturation(seed, tol) -> CheckResult:
@@ -259,7 +260,7 @@ def check_estimation_saturation(seed, tol) -> CheckResult:
     for eta in (0.0, 0.3, 0.6, -0.9):
         report = metrology.simulate_estimation(eta, n=1000, trials=40_000, seed=seed)
         deltas.append(abs(report.empirical_variance * report.qfi - 1.0))
-    return _collect("estimation-saturation", deltas, tol)
+    return _collect("estimation-saturation", [deltas], tol)
 
 
 def check_delta_s_sign(tol) -> CheckResult:
@@ -270,24 +271,20 @@ def check_delta_s_sign(tol) -> CheckResult:
         for b in etas:
             if abs(a) > abs(b):
                 deltas.append(0.0 if metrics.delta_s(a, b) < 0.0 else math.inf)
-    return _collect("delta-s-sign", deltas, tol)
+    return _collect("delta-s-sign", [deltas], tol)
 
 
 def check_sandwich_ordering(grid_step, tol) -> CheckResult:
-    # Every (zeta, n, eta) of the grid, n = 1..20, from one sandwich sweep:
-    # one Helstrom table per copy count for all zetas, rows read as they are made.
+    # Every (zeta, n, eta) of the grid, n = 1..20, from one column sweep reduced a
+    # block of zetas at a time: the largest breach of 0 <= lower <= helstrom_block
+    # <= qcb_upper <= fid_upper <= 1/2, or 0; maximum() keeps a NaN in any column.
     etas = discrimination.eta_grid(grid_step)
-    deltas = []
-    for r in discrimination._sandwiches(etas, etas, 2, range(1, 21)):
-        violation = max(
-            r.lower - r.helstrom_block,
-            r.helstrom_block - r.qcb_upper,
-            r.qcb_upper - r.fid_upper,
-            -r.lower,
-            r.fid_upper - 0.5,
-        )
-        deltas.append(max(0.0, violation))
-    return _collect("sandwich-ordering", deltas, tol)
+    chains = (
+        (0.0, c.lower, c.helstrom_block, c.qcb_upper, c.fid_upper, 0.5)
+        for c in discrimination._sandwiches(etas, etas, range(1, 21))
+    )
+    blocks = (reduce(np.maximum, map(np.subtract, chain, chain[1:]), 0.0) for chain in chains)
+    return _collect("sandwich-ordering", blocks, tol)
 
 
 def run_verification(
@@ -337,8 +334,8 @@ def teleport_check(eta: float, d: int, seed: int, samples: int) -> dict:
     seed = states._check_seed(seed)
     sim, cov = _teleport_defects(eta, d, seed, samples)
     return {
-        "simulation_defect": max(sim),
-        "covariance_defect": max(cov),
+        "simulation_defect": float(np.max(sim)),  # a NaN defect is the maximum
+        "covariance_defect": float(np.max(cov)),
         "tolerance": TELEPORT_TOL,
         "samples": samples,
     }

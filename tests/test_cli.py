@@ -226,8 +226,8 @@ class TestCurves:
         assert len(rows) == 2 * 21
 
     @pytest.mark.parametrize("zeta,n,step", [(0.3, [1, 10, 100, 1000], 0.01), (-1.0, [3, 2], 0.25)])
-    def test_parse_inverts_format_on_rows(self, zeta, n, step):
-        rows = discrimination.curve_grid(zeta, n, step)
+    def test_parse_inverts_format_on_rows(self, zeta, n, step, grid_rows):
+        rows = grid_rows(discrimination.curve_grid(zeta, n, step))
         assert cli.parse_curves_csv(cli.format_curves_csv(rows)) == rows
 
     @pytest.mark.parametrize(
@@ -243,8 +243,8 @@ class TestCurves:
         ],
         ids=["header", "short-row", "long-row", "non-numeric", "fractional-n"],
     )
-    def test_malformed_csv_names_the_line(self, edit, message):
-        text = cli.format_curves_csv(discrimination.curve_grid(0.0, [1], 0.5))
+    def test_malformed_csv_names_the_line(self, edit, message, grid_rows):
+        text = cli.format_curves_csv(grid_rows(discrimination.curve_grid(0.0, [1], 0.5)))
         bad = "\n".join(edit(text.splitlines())) + "\n"
         with pytest.raises(WernerLabError) as exc:
             cli.parse_curves_csv(bad)
@@ -281,10 +281,10 @@ class TestCurves:
     @pytest.mark.parametrize(
         "zeta,n,step", [(0.0, [1], 0.5), (-0.3, [10, 1, 100], 0.25), (1.0, [2, 3], 0.1)]
     )
-    def test_streamed_json_is_the_indented_record(self, tmp_path, capsys, zeta, n, step):
+    def test_streamed_json_is_the_indented_record(self, tmp_path, capsys, zeta, n, step, grid_rows):
         # the rows are written one at a time, byte for byte the document that
         # json.dumps(record, indent=2) builds whole
-        rows = sorted(discrimination.curve_grid(zeta, n, step), key=lambda r: (r.n, r.eta))
+        rows = sorted(grid_rows(discrimination.curve_grid(zeta, n, step)), key=lambda r: (r.n, r.eta))
         record = cli._record(
             "curves", {"zeta": zeta, "n": n, "step": step}, {"rows": [asdict(r) for r in rows]}
         )

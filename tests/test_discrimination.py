@@ -97,36 +97,42 @@ class TestBounds:
 
 
 class TestCurveGrid:
-    def test_multi_zeta_rows_are_the_curve_grids_in_turn(self):
-        # rows by (zeta, n, eta): one Helstrom table per n serves every zeta
+    def test_multi_zeta_rows_are_the_curve_grids_in_turn(self, monkeypatch, grid_rows):
+        # blocks of columns by (zeta, n, eta), two zetas a block here: each
+        # zeta's entries are its curve grid, bit for bit
         etas = discrimination.eta_grid(0.25)
-        rows = list(discrimination._sandwiches(etas, etas, 2, [1, 3, 1000]))
-        assert rows == [r for z in etas for r in discrimination.curve_grid(z, [1, 3, 1000], 0.25)]
+        monkeypatch.setattr(discrimination, "_BLOCK_ENTRIES", 2 * 3 * len(etas) + 1)
+        blocks = list(discrimination._sandwiches(etas, etas, [1, 3, 1000]))
+        assert [len(b.zetas) for b in blocks] == [2, 2, 2, 2, 1]
+        rows = [r for b in blocks for r in grid_rows(b)]
+        assert rows == [
+            r for z in etas for r in grid_rows(discrimination.curve_grid(z, [1, 3, 1000], 0.25))
+        ]
 
-    def test_identical_point_is_half(self):
-        rows = discrimination.curve_grid(0.0, [1], 0.1)
+    def test_identical_point_is_half(self, grid_rows):
+        rows = grid_rows(discrimination.curve_grid(0.0, [1], 0.1))
         at_zero = [r for r in rows if r.eta == 0.0]
         assert len(at_zero) == 1
         assert at_zero[0].lower == 0.5
         assert at_zero[0].fid_upper == 0.5
 
-    def test_row_count_and_ordering(self):
-        rows = discrimination.curve_grid(0.0, [10, 1], 0.1)
+    def test_row_count_and_ordering(self, grid_rows):
+        rows = grid_rows(discrimination.curve_grid(0.0, [10, 1], 0.1))
         assert len(rows) == 2 * 21
         keys = [(r.n, r.eta) for r in rows]
         assert keys == sorted(keys)
 
-    def test_separation_grows_away_from_reference(self):
+    def test_separation_grows_away_from_reference(self, grid_rows):
         rows = {
-            r.eta: r for r in discrimination.curve_grid(0.0, [100], 0.1) if r.n == 100
+            r.eta: r for r in grid_rows(discrimination.curve_grid(0.0, [100], 0.1)) if r.n == 100
         }
         assert rows[0.9].qcb_upper < rows[0.1].qcb_upper
         assert rows[0.9].lower < rows[0.1].lower
         assert rows[0.9].fid_upper < rows[0.1].fid_upper
 
-    def test_half_reference_peaks_at_half(self):
+    def test_half_reference_peaks_at_half(self, grid_rows):
         for n in (1, 10, 100):
-            rows = [r for r in discrimination.curve_grid(0.5, [n], 0.1) if r.n == n]
+            rows = [r for r in grid_rows(discrimination.curve_grid(0.5, [n], 0.1)) if r.n == n]
             peak = [r for r in rows if r.eta == 0.5]
             assert peak[0].lower == 0.5
             assert peak[0].qcb_upper == 0.5
@@ -162,11 +168,11 @@ class TestCurveGrid:
     def test_row_cap_admits_the_finest_grid_and_the_benchmark(self, monkeypatch, n_list, step):
         # count the rows asked for instead of computing them
         monkeypatch.setattr(
-            discrimination, "_sandwiches", lambda etas, zs, d, ns: iter(range(len(etas) * len(ns)))
+            discrimination, "_sandwiches", lambda etas, zs, ns: iter([len(etas) * len(ns)])
         )
         rows = discrimination.curve_grid(0.0, n_list, step)
-        assert len(rows) == len(discrimination.eta_grid(step)) * len(n_list)
-        assert len(rows) <= discrimination.CURVE_ROW_CAP
+        assert rows == len(discrimination.eta_grid(step)) * len(n_list)
+        assert rows <= discrimination.CURVE_ROW_CAP
 
     @pytest.mark.parametrize(
         "n_list,error", [([1, 1000, 1001], DimensionOverflowError), ([1, 0], InvalidParameterError)]
@@ -179,18 +185,18 @@ class TestCurveGrid:
         with pytest.raises(error):
             discrimination.curve_grid(0.0, n_list, 0.1)
 
-    def test_block_error_is_a_probability_below_the_chernoff_bound(self):
+    def test_block_error_is_a_probability_below_the_chernoff_bound(self, grid_rows):
         # The exact block error is never negative and never above Q^n/2, also
         # where both are tiny or Q^n/2 underflows to 0; the relative slack
         # covers rounding where the two are equal (eta or zeta = +/-1).
         n_list = [*range(1, 21), 50, 51, 100, 200, 1000]
         for zeta in discrimination.eta_grid(0.05):
-            for r in discrimination.curve_grid(zeta, n_list, 0.05):
+            for r in grid_rows(discrimination.curve_grid(zeta, n_list, 0.05)):
                 assert 0.0 <= r.helstrom_block <= r.qcb_upper * (1 + 1e-11), r
 
     @pytest.mark.parametrize("zeta", [-1.0, 0.37, 1.0])
-    def test_rows_equal_one_row_bounds(self, zeta):
-        rows = discrimination.curve_grid(zeta, [1, 10, 50, 51, 100, 1000], 0.1)
+    def test_rows_equal_one_row_bounds(self, zeta, grid_rows):
+        rows = grid_rows(discrimination.curve_grid(zeta, [1, 10, 50, 51, 100, 1000], 0.1))
         assert len(rows) == 6 * 21
         for r in rows:
             assert r == discrimination.bounds(r.eta, zeta, 2, r.n)

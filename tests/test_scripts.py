@@ -24,6 +24,9 @@ def run_script(name, *args, cwd):
         ("make_error_curves.py", ["--n", "1,x"], "cannot parse copy counts '1,x'"),
         ("run_estimation.py", ["--etas", "1.5"], "flip expectation must lie in [-1, 1], got 1.5"),
         ("run_estimation.py", ["--trials", "0"], "trial count must be a positive integer, got 0"),
+        ("make_error_curves.py", ["--zetas", "x"], "argument --zetas: invalid _floats value: 'x'"),
+        ("make_error_curves.py", ["--step", "x"], "argument --step: invalid float value: 'x'"),
+        ("run_estimation.py", ["--etas", "x"], "argument --etas: invalid _floats value: 'x'"),
     ],
 )
 def test_bad_value_exits_one_with_message(tmp_path, name, args, message):

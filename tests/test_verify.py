@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from dataclasses import replace
@@ -5,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wernerlab import discrimination, linalg, metrics, states, teleport, verify
+from wernerlab import cli, discrimination, linalg, metrics, states, teleport, verify
 from wernerlab.errors import DimensionOverflowError, NotUnitaryError
 
 # points examined by each check of one default run_verification()
@@ -167,6 +168,66 @@ def test_sandwich_ordering_matches_pairwise_sweep():
     assert result.points == len(deltas) == 20 * 11 * 11
     assert result.failures == sum(1 for x in deltas if x > 0.0)
     assert result.worst == max(deltas)
+
+
+_fidelity, _qcb = discrimination.fidelity_werner, discrimination.qcb_werner
+
+# closed forms broken a little, each with the worst sandwich-ordering defect it gives
+SANDWICH_MUTANTS = {
+    "fidelity-up": ("fidelity_werner", lambda a, b: _fidelity(a, b) * (1 + 1e-10), 1.0e-9),
+    "q-up": ("qcb_werner", lambda a, b: replace(_qcb(a, b), q=_qcb(a, b).q * (1 + 1e-7)), 1.0e-6),
+    "q-down": ("qcb_werner", lambda a, b: replace(_qcb(a, b), q=_qcb(a, b).q * (1 - 1e-7)), 1.0e-6),
+}
+
+
+@pytest.mark.parametrize("mutant", SANDWICH_MUTANTS)
+def test_sandwich_ordering_catches_broken_bounds(monkeypatch, mutant):
+    name, broken, worst = SANDWICH_MUTANTS[mutant]
+    monkeypatch.setattr(discrimination, name, broken)
+    results = verify.run_verification(grid_step=0.2, dims=(2, 3))
+    assert [r.name for r in results if not r.passed] == ["sandwich-ordering"]
+    assert results[-1].worst == pytest.approx(worst, rel=1e-5)
+
+
+def test_verify_fails_on_a_nan_bound(monkeypatch, capsys):
+    # a NaN fidelity at one pair: max() used to drop it, and verify passed
+    def nan_at_one_pair(eta, zeta):
+        return math.nan if (eta, zeta) == (0.2, -0.2) else _fidelity(eta, zeta)
+
+    monkeypatch.setattr(discrimination, "fidelity_werner", nan_at_one_pair)
+    assert cli.main(["verify", "--grid", "0.2", "--dims", "2..3"]) == 2
+    failed = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("FAIL")]
+    assert len(failed) == 1
+    assert failed[0].split()[1:] == ["sandwich-ordering", "2420", "points", "worst", "nan", "tol", "1.000e-10"]
+
+
+def test_teleport_check_fails_on_a_nan_defect(monkeypatch, capsys):
+    # max() over the defects used to drop a NaN behind a number, and the run passed
+    monkeypatch.setattr(verify, "_teleport_defects", lambda eta, d, seed, n: ([0.0, math.nan], [0.0, 0.0]))
+    assert cli.main(["teleport-check", "--d", "2", "--eta", "0.5", "--samples", "2"]) == 2
+    assert math.isnan(json.loads(capsys.readouterr().out)["results"]["simulation_defect"])
+
+
+def test_nan_defect_fails_and_is_the_worst():
+    result = verify._collect("x", [[0.0, math.nan], [2.0]], 1.0)
+    assert (result.points, result.failures) == (3, 2)
+    assert math.isnan(result.worst)
+
+
+def test_sandwich_ordering_memory_does_not_grow_with_the_zetas(monkeypatch):
+    # each block of zetas is reduced as it is made; with blocks of 2^12 entries
+    # a column (3 blocks at grid 0.1, 11 at 0.05) the traced peak read 0.45 and
+    # 0.39 MB, where the row sweep that kept every defect read 0.29 and 0.81 MB
+    monkeypatch.setattr(discrimination, "_BLOCK_ENTRIES", 2**12)
+    peaks = []
+    for grid_step in (0.1, 0.05):
+        tracemalloc.start()
+        try:
+            verify.check_sandwich_ordering(grid_step, 1e-10)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 def test_every_dimension_is_checked_before_the_first_sweep(monkeypatch):
