@@ -16,6 +16,7 @@ tolerance.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -184,6 +185,12 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    # built on the first main() call, not at import, then kept for the process
+    return build_parser()
+
+
 def _parse_dims(text: str) -> tuple[int, ...]:
     try:
         if ".." in text:
@@ -327,7 +334,7 @@ _COMMANDS = {"curves": _cmd_curves, "teleport-check": _cmd_teleport_check, "veri
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command in _COMMANDS:
             return _COMMANDS[args.command](args)

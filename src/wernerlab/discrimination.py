@@ -140,11 +140,11 @@ def bounds_isotropic(alpha: float, beta: float, d: int, n: int) -> IsotropicDisc
     return IsotropicDiscrimination(alpha=alpha, beta=beta, d=d, n=n, qcb_upper=0.5 * q**n)
 
 
-def eta_grid(step: float, *, endpoints: bool = True) -> list[float]:
-    """The grid eta = -1, -1 + step, ..., 1 (without the two ends when
-    ``endpoints`` is false).  The step must be finite, positive and divide
-    [-1, 1]; grids of more than ``ETA_GRID_CAP`` intervals are rejected
-    before any point is built."""
+def eta_grid(step: float) -> list[float]:
+    """The grid eta = -1, -1 + step, ..., 1 (slice ``[1:-1]`` for its interior).
+
+    The step must be finite, positive and divide [-1, 1]; grids of more than
+    ``ETA_GRID_CAP`` intervals are rejected before any point is built."""
     step = float(step)
     if not (math.isfinite(step) and step > 0.0):
         raise InvalidParameterError(f"grid step must be finite and positive, got {step}")
@@ -156,8 +156,7 @@ def eta_grid(step: float, *, endpoints: bool = True) -> list[float]:
     count = round(intervals)
     if count < 1 or abs(count * step - 2.0) > 1e-9:
         raise InvalidParameterError(f"grid step {step} does not divide [-1, 1]")
-    values = [(2 * i - count) / count for i in range(count + 1)]
-    return values if endpoints else values[1:-1]
+    return [(2 * i - count) / count for i in range(count + 1)]
 
 
 def curve_grid(zeta: float, n_list: list[int], eta_step: float) -> Sandwiches:

@@ -6,7 +6,8 @@ are deliberately computed straight from eigendecompositions so that the
 closed-form formulas elsewhere in the package can be validated against
 an independent route.  They also take stacks of matrices along leading axes,
 one float per member then coming back as a list; ``_blocks`` bounds a stack.
-Real input stays real, so real symmetric states run in real arithmetic.
+Real input stays real, so real symmetric states run in real arithmetic; a
+stack's dtype picks its one LAPACK driver.
 The fidelity and trace distance take eigenvalues alone (``eigvalsh``); the
 Chernoff search is a bracketed Newton iteration on the overlap curve's slope.
 """
@@ -79,7 +80,7 @@ def hermiticity_defect(a: np.ndarray):
 
 
 def _hermitian_spectrum(a, vectors: bool) -> tuple[np.ndarray, ...]:
-    # eigh's checks and drivers, with eigenvectors or (vectors=False) without
+    # eigh's checks and its one LAPACK call, with eigenvectors or (vectors=False) without
     a = _as_square(a, stack=True)
     defect = hermiticity_defect(a)
     if np.any(defect > HERMITIAN_TOL):
@@ -89,35 +90,26 @@ def _hermitian_spectrum(a, vectors: bool) -> tuple[np.ndarray, ...]:
             f"(defect {defect[i]:.3e})"
         )
     h = (a + _dagger(a)) / 2.0
-    solve = np.linalg.eigh if vectors else lambda m: (np.linalg.eigvalsh(m),)
-    real = ~np.any(h.imag, axis=(-2, -1)) if np.iscomplexobj(h) else np.True_
-    if real.all():
-        return solve(h.real)
-    if not real.any():
-        return solve(h)
-    parts = solve(h.real[real]), solve(h[~real])
-    out = tuple(np.empty(h.shape[:-2] + y.shape[1:], y.dtype) for y in parts[1])
-    for z, x, y in zip(out, *parts):
-        z[real], z[~real] = x, y
-    return out
+    return np.linalg.eigh(h) if vectors else (np.linalg.eigvalsh(h),)
 
 
 def eigh(a) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix, or of a stack in at most two LAPACK calls.
+    """Eigendecomposition of a Hermitian matrix, or of a stack in one LAPACK call.
 
     Raises NonHermitianError, naming the first offending stack member, if
     any deviates from Hermiticity by more than ``HERMITIAN_TOL``.  Output is
     deterministic for identical input (LAPACK on the symmetrised matrix),
-    eigenvalues ascending; a member's equals its own call.  Each member whose
-    symmetrised imaginary part is exactly zero goes to the real symmetric
-    driver, the others to the complex one; an all-real input has real
-    eigenvectors.
+    eigenvalues ascending.  The dtype picks the driver: a real (float64)
+    input goes to the real symmetric one and has real eigenvectors, a
+    complex input to the complex Hermitian one, even where its imaginary
+    parts are all zero.  A stack member's output equals its own call at the
+    stack's dtype.
     """
     return EigenDecomposition(*_hermitian_spectrum(a, vectors=True))
 
 
 def eigvalsh(a) -> np.ndarray:
-    """Ascending eigenvalues alone (``np.linalg.eigvalsh``), with ``eigh``'s checks and drivers."""
+    """Ascending eigenvalues alone (``np.linalg.eigvalsh``), with ``eigh``'s checks and driver."""
     return _hermitian_spectrum(a, vectors=False)[0]
 
 

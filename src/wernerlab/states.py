@@ -2,7 +2,9 @@
 
 Basis convention: the computational product basis is ordered |ij> = i*d + j
 throughout the package.  The flip and maximally entangled operators, the
-partial transpose, and the teleportation simulator all rely on it.
+partial transpose, and the teleportation simulator all rely on it.  The
+flip and maximally entangled operators and the Werner and isotropic states
+are real (float64) arrays.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ def _check_alpha(alpha: float, d: int) -> float:
 def flip_operator(d: int) -> np.ndarray:
     """Flip (swap) operator F = sum_ij |ij><ji| on two qudits."""
     d = _check_pair_dim(d)
-    f = np.zeros((d * d, d * d), dtype=complex)
+    f = np.zeros((d * d, d * d))
     for i in range(d):
         for j in range(d):
             f[i * d + j, j * d + i] = 1.0
@@ -97,7 +99,7 @@ def flip_operator(d: int) -> np.ndarray:
 def max_entangled_ket(d: int) -> np.ndarray:
     """Normalised maximally entangled vector d^(-1/2) sum_i |ii>."""
     d = _check_dim(d)
-    phi = np.zeros(d * d, dtype=complex)
+    phi = np.zeros(d * d)
     phi[np.arange(d) * d + np.arange(d)] = 1.0 / np.sqrt(d)
     return phi
 
@@ -106,7 +108,7 @@ def max_entangled_operator(d: int) -> np.ndarray:
     """Unnormalised projector M = sum_ij |ii><jj| (= d |Phi><Phi|)."""
     d = _check_pair_dim(d)
     phi = max_entangled_ket(d)
-    return d * np.outer(phi, phi.conj())
+    return d * np.outer(phi, phi)
 
 
 def werner_state(eta: float, d: int) -> np.ndarray:
@@ -116,8 +118,9 @@ def werner_state(eta: float, d: int) -> np.ndarray:
     """
     eta = _check_eta(eta)
     d = _check_pair_dim(d)
-    ident = np.eye(d * d, dtype=complex)
-    return ((d - eta) * ident + (d * eta - 1.0) * flip_operator(d)) / (d**3 - d)
+    # times 1 / (d^3 - d), not divided by it: numpy divides a complex array by a real
+    # number so, and the entries equal those of the formula in complex arithmetic
+    return ((d - eta) * np.eye(d * d) + (d * eta - 1.0) * flip_operator(d)) * (1.0 / (d**3 - d))
 
 
 def isotropic_state(alpha: float, d: int) -> np.ndarray:
@@ -127,10 +130,8 @@ def isotropic_state(alpha: float, d: int) -> np.ndarray:
     """
     d = _check_pair_dim(d)
     alpha = _check_alpha(alpha, d)
-    ident = np.eye(d * d, dtype=complex)
-    return ((d - alpha) * ident + (d * alpha - 1.0) * max_entangled_operator(d)) / (
-        d**3 - d
-    )
+    m = max_entangled_operator(d)
+    return ((d - alpha) * np.eye(d * d) + (d * alpha - 1.0) * m) * (1.0 / (d**3 - d))
 
 
 def _check_input_dim(x: np.ndarray, d: int) -> np.ndarray:

@@ -9,9 +9,12 @@ notebooks.  Sweeps run serially, one dimension after another, so the
 results come out in a fixed order.  Each state is decomposed once, and a
 pair sweep sets each rho against stacked blocks of sigma of at most 2^16
 matrix entries (``linalg._blocks``), so memory does not grow with the grid.
-Werner and isotropic stacks are real, so the oracles run in real arithmetic;
-the fidelity and trace-distance sweeps take eigenvalues only, and a Chernoff
-sweep reads the off-diagonal entries of one ``qcb_kernels`` Newton search.
+One Werner sweep per dimension builds the explicit states and their
+decomposition once and feeds the fidelity, trace-distance, relative-entropy
+and Chernoff oracles.  Werner and isotropic states are built real, so the
+oracles run in real arithmetic; the fidelity and trace-distance oracles take
+eigenvalues only, and a Chernoff oracle reads the off-diagonal entries of
+one ``qcb_kernels`` Newton search.
 The teleport sweep draws each bounded block of samples in one call and takes
 the block through the draws, the teleportation, the channel and the
 covariance test as one stack.  The sandwich sweep reduces the bound columns
@@ -73,10 +76,8 @@ def _alpha_grid(d: int, points: int = 11) -> list[float]:
 
 
 def _stack(family, params, d: int) -> np.ndarray:
-    # the explicit states family(x, d), one stack member per parameter; real when
-    # every imaginary part is exactly zero, as for Werner and isotropic states
-    mats = np.array([family(x, d) for x in params], dtype=complex).reshape(-1, d * d, d * d)
-    return mats if mats.imag.any() else mats.real.copy()
+    # the explicit states family(x, d), one stack member per parameter, in the family's dtype
+    return np.array([family(x, d) for x in params]).reshape(-1, d * d, d * d)
 
 
 def _spectra(mats: np.ndarray) -> linalg.EigenDecomposition:
@@ -104,55 +105,36 @@ def _collect(name, blocks, tol) -> CheckResult:
     return CheckResult(name=name, points=points, failures=failures, worst=float(worst), tol=tol)
 
 
-def check_fidelity_oracle(grid_step, dims, tol) -> CheckResult:
+def check_werner_oracles(grid_step, dims, tols) -> tuple[CheckResult, ...]:
+    # Per dimension, built when its turn comes: one explicit Werner stack, one clamped
+    # decomposition and its roots.  The fidelity, trace-distance and relative-entropy
+    # oracles take every pair; the Chernoff oracle, after the roots are freed, the
+    # interior pairs off the diagonal.  ``tols`` are those of the five results in turn.
     etas = discrimination.eta_grid(grid_step)
-    deltas = []
+    inner = etas[1:-1]
+    fid, dist, rel, dq, ds = [], [], [], [], []
     for d in dims:
         ws = _stack(states.werner_state, etas, d)
-        for at in linalg._blocks(len(etas), d * d):
-            roots = linalg.spectral_sqrt(linalg.clamped_spectrum(ws[at]))
-            for a, w in zip(etas, ws):
-                closed = [metrics.fidelity_werner(a, b) for b in etas[at]]
-                deltas.extend(_defects(linalg.bures_fidelity_kernel(w, roots), closed))
-    return _collect("fidelity-oracle", [deltas], tol)
-
-
-def check_trace_distance_oracle(grid_step, dims, tol) -> CheckResult:
-    etas = discrimination.eta_grid(grid_step)
-    deltas = []
-    for d in dims:
-        ws = _stack(states.werner_state, etas, d)
-        for at in linalg._blocks(len(etas), d * d):
-            for a, w in zip(etas, ws):
-                closed = [abs(a - b) / 2.0 for b in etas[at]]
-                deltas.extend(_defects(linalg.trace_distance_numeric(w, ws[at]), closed))
-    return _collect("trace-distance-oracle", [deltas], tol)
-
-
-def check_relative_entropy_oracle(grid_step, dims, tol) -> CheckResult:
-    etas = discrimination.eta_grid(grid_step)
-    deltas = []
-    for d in dims:
-        decs = _spectra(_stack(states.werner_state, etas, d))
+        decs = _spectra(ws)
+        roots = linalg.spectral_sqrt(decs)
         for at in linalg._blocks(len(etas), d * d):
             for i, a in enumerate(etas):
+                closed = [metrics.fidelity_werner(a, b) for b in etas[at]]
+                fid.extend(_defects(linalg.bures_fidelity_kernel(ws[i], roots[at]), closed))
+                closed = [abs(a - b) / 2.0 for b in etas[at]]
+                dist.extend(_defects(linalg.trace_distance_numeric(ws[i], ws[at]), closed))
                 closed = [metrics.relative_entropy_werner(a, b) for b in etas[at]]
-                deltas.extend(_defects(linalg.relative_entropy_kernel(decs[i], decs[at]), closed))
-    return _collect("relative-entropy-oracle", [deltas], tol)
-
-
-def check_qcb_oracle(grid_step, dims, q_tol, s_tol) -> tuple[CheckResult, CheckResult]:
-    etas = discrimination.eta_grid(grid_step, endpoints=False)
-    dq, ds = [], []
-    for d in dims:
-        decs = _spectra(_stack(states.werner_state, etas, d))
-        numeric = linalg.qcb_kernels(decs, decs)
+                rel.extend(_defects(linalg.relative_entropy_kernel(decs[i], decs[at]), closed))
+        del ws, roots
+        numeric = linalg.qcb_kernels(decs[1:-1], decs[1:-1])
         for i, j in np.ndindex(numeric.q.shape):
             if i != j:
-                closed = metrics.qcb_werner(etas[i], etas[j])
+                closed = metrics.qcb_werner(inner[i], inner[j])
                 dq.append(abs(float(numeric.q[i, j]) - closed.q))
                 ds.append(abs(float(numeric.s_star[i, j]) - closed.s_star))
-    return _collect("qcb-oracle-q", [dq], q_tol), _collect("qcb-oracle-s", [ds], s_tol)
+    names = ("fidelity-oracle", "trace-distance-oracle", "relative-entropy-oracle",
+             "qcb-oracle-q", "qcb-oracle-s")
+    return tuple(_collect(n, [x], t) for n, x, t in zip(names, (fid, dist, rel, dq, ds), tols))
 
 
 def check_qcb_isotropic_oracle(dims, q_tol) -> CheckResult:
@@ -171,7 +153,7 @@ def check_qcb_isotropic_oracle(dims, q_tol) -> CheckResult:
 def check_critical_point_identities(grid_step, tol) -> CheckResult:
     # s_{a,b} + s_{b,a} = 1, interior containment, and local-minimum
     # bracketing Q(s +/- 1e-3) > Q(s), on every off-diagonal interior pair.
-    etas = discrimination.eta_grid(grid_step, endpoints=False)
+    etas = discrimination.eta_grid(grid_step)[1:-1]
     deltas = []
     for a in etas:
         for b in etas:
@@ -265,7 +247,7 @@ def check_estimation_saturation(seed, tol) -> CheckResult:
 
 def check_delta_s_sign(tol) -> CheckResult:
     # Directed-entropy asymmetry must be strictly negative for |eta| > |zeta|.
-    etas = discrimination.eta_grid(0.05, endpoints=False)
+    etas = discrimination.eta_grid(0.05)[1:-1]
     deltas = []
     for a in etas:
         for b in etas:
@@ -306,11 +288,10 @@ def run_verification(
             f"verification work (grid points)^2 x sum d^4 = {work} exceeds cap {VERIFY_WORK_CAP}"
         )
     iso_dims = tuple(d for d in dims if d <= 4) or (2,)
-    results = [
-        check_fidelity_oracle(grid_step, dims, 1e-9 * tol_scale),
-        check_trace_distance_oracle(grid_step, dims, 1e-10 * tol_scale),
-        check_relative_entropy_oracle(grid_step, dims, 1e-9 * tol_scale),
-        *check_qcb_oracle(grid_step, dims, 1e-6 * tol_scale, 1e-8 * tol_scale),
+    # fidelity, trace distance, relative entropy, Chernoff q and s*
+    werner_tols = [tol * tol_scale for tol in (1e-9, 1e-10, 1e-9, 1e-6, 1e-8)]
+    return [
+        *check_werner_oracles(grid_step, dims, werner_tols),
         check_qcb_isotropic_oracle(iso_dims, 1e-6 * tol_scale),
         check_critical_point_identities(grid_step, 1e-12 * tol_scale),
         check_substitution_identity(grid_step, iso_dims, 1e-12 * tol_scale),
@@ -320,7 +301,6 @@ def run_verification(
         check_delta_s_sign(0.0),
         check_sandwich_ordering(grid_step, 1e-10 * tol_scale),
     ]
-    return results
 
 
 def teleport_check(eta: float, d: int, seed: int, samples: int) -> dict:

@@ -17,6 +17,8 @@ SEED = 20260808
 
 ETA_GRID = [(2 * i - 20) / 20 for i in range(21)]          # -1.0 .. 1.0, step 0.1
 FINE_INNER = [(2 * i - 40) / 40 for i in range(1, 40)]      # -0.95 .. 0.95, step 0.05
+# fidelity, trace distance, relative entropy, Chernoff q and s* of the Werner sweep
+WERNER_TOLS = (1e-9, 1e-10, 1e-9, 1e-6, 1e-8)
 
 
 def report(num, ok, detail):
@@ -27,7 +29,7 @@ def report(num, ok, detail):
 
 def test_criterion_01_fidelity_oracle_agreement():
     t0 = time.monotonic()
-    r = verify.check_fidelity_oracle(0.1, range(2, 7), 1e-9)
+    r = verify.check_werner_oracles(0.1, range(2, 7), WERNER_TOLS)[0]
     elapsed = time.monotonic() - t0
     report(
         1,
@@ -40,7 +42,7 @@ def test_criterion_01_fidelity_oracle_agreement():
 def test_criterion_02_qcb_oracle_agreement():
     # the diagonal (q = 1) is covered by test_linalg's identical-states case
     t0 = time.monotonic()
-    q, s = verify.check_qcb_oracle(0.1, range(2, 7), 1e-6, 1e-8)
+    q, s = verify.check_werner_oracles(0.1, range(2, 7), WERNER_TOLS)[3:]
     iso = verify.check_qcb_isotropic_oracle((2, 3, 4), 1e-6)
     elapsed = time.monotonic() - t0
     report(

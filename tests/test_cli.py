@@ -3,7 +3,11 @@ import inspect
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,15 +123,61 @@ class TestSingleComputations:
             assert list(record["parameters"]) == list(params)
 
     def test_seed_defaults_are_the_one_constant(self):
-        parser = cli.build_parser()
+        # the parser main() keeps for the process, read at its build
+        parser = cli._parser()
         for argv in (
             ["estimate", "--eta", "0", "--n", "1"],
             ["teleport-check", "--d", "2", "--eta", "0"],
             ["verify"],
         ):
             assert parser.parse_args(argv).seed == verify.DEFAULT_SEED
+        # every --seed option of every command, not only the three above
+        (commands,) = (a for a in parser._actions if a.dest == "command")
+        seeds = {
+            name: a.default
+            for name, sub in commands.choices.items()
+            for a in sub._actions
+            if "--seed" in a.option_strings
+        }
+        assert seeds == dict.fromkeys(("estimate", "teleport-check", "verify"), verify.DEFAULT_SEED)
         seed = inspect.signature(verify.run_verification).parameters["seed"]
         assert seed.default == verify.DEFAULT_SEED
+
+
+class TestParserIsBuiltOnce:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        # a fresh process: no parser yet, and each build counted
+        calls = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
+        cli._parser.cache_clear()
+        yield calls
+        cli._parser.cache_clear()
+
+    def test_import_builds_no_parser(self):
+        # the build falls in the first main() call, not in the import
+        code = "import wernerlab.cli as c; print(c._parser.cache_info().currsize)"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert out.stdout == "0\n", out.stderr
+
+    def test_two_calls_build_one_parser(self, builds, capsys):
+        assert builds == []
+        assert run_json(capsys, ["fidelity", "--eta", "0.5", "--zeta", "0"])[1]["command"] == "fidelity"
+        assert cli.main(["relent", "--eta", "0.5", "--zeta", "0", "--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "eta,zeta,relative_entropy_bits"
+        assert len(builds) == 1
+
+    def test_usage_error_does_not_touch_the_next_call(self, builds, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["discriminate", "--eta", "0.5", "--zeta", "x"])
+        assert exc.value.code == 1
+        assert "invalid float value: 'x'" in capsys.readouterr().err
+        code, record = run_json(capsys, ["discriminate", "--eta", "0.5", "--zeta", "0"])
+        assert code == 0
+        assert record["parameters"] == {"eta": 0.5, "zeta": 0.0, "d": 2, "n": 1}
+        assert len(builds) == 1
 
 
 class TestExitCodes:
@@ -200,7 +250,7 @@ class TestExitCodes:
     def test_oversized_input_is_one(self, monkeypatch, capsys, argv, message):
         # rejected before any sweep, state, curve row, product or dimension
         # range is built: make all of them unreachable
-        monkeypatch.setattr(verify, "check_fidelity_oracle", None)
+        monkeypatch.setattr(verify, "check_werner_oracles", None)
         monkeypatch.setattr(verify, "_stack", None)
         monkeypatch.setattr(discrimination, "_sandwiches", None)
         monkeypatch.setattr(np, "kron", None)

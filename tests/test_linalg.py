@@ -407,53 +407,33 @@ class TestStacks:
         assert type(linalg.relative_entropy_kernel(dr, ds)) is float
         assert type(linalg.bures_fidelity_kernel(rho, linalg.spectral_sqrt(ds))) is float
 
-    def test_real_and_complex_members_take_their_own_driver(self, monkeypatch):
-        # exactly-real Werner states (complex dtype, zero imaginary parts),
-        # complex random states, and a Hermitian member whose off-diagonal
-        # imaginary parts are +-1e-300: that one is not exactly real
-        tiny = states.werner_state(0.4, 3)
-        tiny[0, 1] += 1e-300j
-        tiny[1, 0] -= 1e-300j
-        werner = [states.werner_state(e, 3) for e in (-1.0, 0.2, 1.0)]
-        mixed = [werner[0], rand_density(9, 701), tiny, werner[1], rand_density(9, 702), werner[2]]
-        mats = np.stack(mixed)
-        real_route = np.array([True, False, False, True, False, True])
+    def test_one_lapack_call_per_stack(self, monkeypatch):
+        # numpy picks the driver from the stack's dtype: a real stack takes the real
+        # symmetric one, a complex-typed stack the complex Hermitian one, also where
+        # every imaginary part is zero; each member equals its own call
+        werner = np.stack([states.werner_state(e, 3) for e in (-1.0, 0.2, 1.0)])
+        mixed = np.stack([werner[0], rand_density(9, 701), werner[1], rand_density(9, 702)])
+        stacks = [(werner, float), (werner.astype(complex), complex), (mixed, complex)]
         drivers = []
-        lapack = np.linalg.eigh
-
-        def recording(a):
-            drivers.append((a.dtype, a.shape[:-2]))
-            return lapack(a)
-
-        monkeypatch.setattr(np.linalg, "eigh", recording)
-        dec = linalg.eigh(mats)
-        assert len(drivers) == 2
-        assert set(drivers) == {(np.dtype(float), (3,)), (np.dtype(complex), (3,))}
-        for i, m in enumerate(mats):
+        for name in ("eigh", "eigvalsh"):
+            lapack = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda a, f=lapack: drivers.append(a.dtype) or f(a))
+        for stack, dtype in stacks:
             drivers.clear()
-            one = linalg.eigh(m)
-            assert drivers == [(np.dtype(float if real_route[i] else complex), ())]
-            assert np.array_equal(dec.eigenvalues[i], one.eigenvalues)
-            assert np.array_equal(dec.eigenvectors[i], one.eigenvectors)
-        # the eigenvalue-only route splits the stack the same way
-        values_only = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: recording(a) and values_only(a))
-        drivers.clear()
-        w = linalg.eigvalsh(mats)
-        assert set(drivers) == {(np.dtype(float), (3,)), (np.dtype(complex), (3,))}
-        assert w.dtype == np.dtype(float)
-        for i, m in enumerate(mats):
-            drivers.clear()
-            assert np.array_equal(w[i], linalg.eigvalsh(m))
-            assert drivers == [(np.dtype(float if real_route[i] else complex), ())]
-        assert np.iscomplexobj(linalg.eigh(tiny).eigenvectors)
-        # an all-real stack has real eigenvectors, whatever its dtype
-        for stack in (np.stack(werner), np.stack(werner).real):
-            drivers.clear()
-            dec = linalg.eigh(stack)
-            assert drivers == [(np.dtype(float), (3,))]
-            assert dec.eigenvectors.dtype == np.dtype(float)
-            assert dec.eigenvalues.dtype == np.dtype(float)
+            dec, w = linalg.eigh(stack), linalg.eigvalsh(stack)
+            assert drivers == [np.dtype(dtype)] * 2
+            assert dec.eigenvectors.dtype == np.dtype(dtype)
+            assert dec.eigenvalues.dtype == w.dtype == np.dtype(float)
+            for i, m in enumerate(stack):
+                drivers.clear()
+                one = linalg.eigh(m)
+                assert np.array_equal(dec.eigenvalues[i], one.eigenvalues)
+                assert np.array_equal(dec.eigenvectors[i], one.eigenvectors)
+                assert np.array_equal(w[i], linalg.eigvalsh(m))
+                assert drivers == [np.dtype(dtype)] * 2
+        # the complex driver on a real-valued stack finds the same spectrum
+        by_complex = linalg.eigh(werner.astype(complex)).eigenvalues
+        assert np.abs(by_complex - linalg.eigh(werner).eigenvalues).max() < 1e-15
 
     def test_non_hermitian_member_is_named(self):
         mats = _stack_cases(2)
@@ -496,7 +476,7 @@ class TestStacks:
         for i, m in enumerate(mats):
             h = (m + m.conj().T) / 2
             assert np.array_equal(w[i], linalg.eigvalsh(m))
-            assert np.array_equal(w[i], np.linalg.eigvalsh(h if h.imag.any() else h.real))
+            assert np.array_equal(w[i], np.linalg.eigvalsh(h))
 
     def test_member_below_the_psd_floor_is_named(self):
         mats = _stack_cases(2)

@@ -73,6 +73,42 @@ class TestOperators:
             build(65)
 
 
+def _complex_operators(d):
+    # the flip and maximally entangled operators and ket, built in complex arithmetic
+    f = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            f[i * d + j, j * d + i] = 1.0
+    phi = np.zeros(d * d, dtype=complex)
+    phi[np.arange(d) * d + np.arange(d)] = 1.0 / np.sqrt(d)
+    return f, phi, d * np.outer(phi, phi.conj())
+
+
+def _same_bits(real, formula):
+    # a float64 array whose entries are, bit for bit, the real parts of an
+    # exactly real complex array
+    assert real.dtype == np.dtype(float)
+    assert not formula.imag.any()
+    return real.shape == formula.shape and real.tobytes() == formula.real.tobytes()
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_builders_are_real_and_equal_the_complex_formulas(d):
+    # every state of the 0.01 grid, Werner at eta and isotropic at alpha = d(1 + eta)/2
+    f, phi, m = _complex_operators(d)
+    ident = np.eye(d * d, dtype=complex)
+    assert _same_bits(states.flip_operator(d), f)
+    assert _same_bits(states.max_entangled_ket(d), phi)
+    assert _same_bits(states.max_entangled_operator(d), m)
+    for i in range(201):
+        eta = (2 * i - 200) / 200
+        alpha = d * (1.0 + eta) / 2.0
+        werner = ((d - eta) * ident + (d * eta - 1.0) * f) / (d**3 - d)
+        isotropic = ((d - alpha) * ident + (d * alpha - 1.0) * m) / (d**3 - d)
+        assert _same_bits(states.werner_state(eta, d), werner), eta
+        assert _same_bits(states.isotropic_state(alpha, d), isotropic), alpha
+
+
 class TestWernerState:
     def test_singlet_at_minus_one(self):
         w = states.werner_state(-1.0, 2)

@@ -28,11 +28,21 @@ DEFAULT_POINTS = {
 }
 
 
-def count_eigh(monkeypatch) -> list:
+# the default tolerances of check_werner_oracles' five results, as run_verification sets them
+WERNER_TOLS = (1e-9, 1e-10, 1e-9, 1e-6, 1e-8)
+
+
+@pytest.fixture(scope="module")
+def default_werner_oracles():
+    # one Werner sweep at the default grid and dims, shared by the pinned-value tests
+    return verify.check_werner_oracles(0.1, (2, 3, 4, 5, 6), WERNER_TOLS)
+
+
+def count_eigh(monkeypatch, names=("eigh", "eigvalsh")) -> list:
     # one entry per matrix decomposed, with eigenvectors (eigh) or without
     # (eigvalsh): a stacked call adds one per member
     calls = []
-    for name in ("eigh", "eigvalsh"):
+    for name in names:
         real = getattr(linalg, name)
 
         def counting(a, real=real):
@@ -44,10 +54,13 @@ def count_eigh(monkeypatch) -> list:
 
 
 def test_qcb_sweep_decomposes_each_state_once(monkeypatch):
-    calls = count_eigh(monkeypatch)
-    q, s = verify.check_qcb_oracle(0.1, (3,), 1e-6, 1e-8)
+    # the four Werner oracles share one decomposition per eta (the Chernoff
+    # oracle takes the 19 interior ones), not one per oracle or two per pair
+    calls = count_eigh(monkeypatch, ("eigh",))
+    *pairs, q, s = verify.check_werner_oracles(0.1, (3,), WERNER_TOLS)
+    assert [r.points for r in pairs] == [21 * 21] * 3
     assert q.points == s.points == 19 * 18
-    assert len(calls) == 19  # one per interior eta, not two per pair
+    assert len(calls) == 21
 
 
 def test_default_run_point_counts(monkeypatch):
@@ -55,7 +68,22 @@ def test_default_run_point_counts(monkeypatch):
     results = verify.run_verification()
     assert {r.name: r.points for r in results} == DEFAULT_POINTS
     assert sum(r.points for r in results) == 22_261
-    assert len(calls) == 5268
+    assert [r.tol for r in results[:5]] == list(WERNER_TOLS)
+    assert len(calls) == 5068
+
+
+def test_default_run_counted_work(monkeypatch):
+    # the Werner states built and the LAPACK eigendecompositions (with eigenvectors)
+    # of one default run: one Werner sweep per dimension and one stacked call per
+    # stack block (the four Werner oracles built 485 states and made 24 calls
+    # when each built and decomposed its own)
+    built, lapack = [], []
+    werner, eigh = states.werner_state, np.linalg.eigh
+    monkeypatch.setattr(states, "werner_state", lambda *a: built.append(a) or werner(*a))
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: lapack.append(a.shape) or eigh(a))
+    verify.run_verification()
+    assert len(built) == 180
+    assert len(lapack) == 14
 
 
 def test_estimation_saturation_worst_is_pinned():
@@ -65,10 +93,11 @@ def test_estimation_saturation_worst_is_pinned():
     assert verify.check_estimation_saturation(20260808, 0.05).worst == 0.009367495297383677
 
 
-def test_qcb_oracle_worst_is_pinned():
+def test_qcb_oracle_worst_is_pinned(default_werner_oracles):
     # bit-identity guard on the Chernoff search: a change to the search
     # that still passed its tolerances would move these values
-    q, s = verify.check_qcb_oracle(0.1, (2, 3, 4, 5, 6), 1e-6, 1e-8)
+    q, s = default_werner_oracles[3:]
+    assert q.points == s.points == 1710
     assert q.worst == float.fromhex("0x1.2p-50")
     assert s.worst == float.fromhex("0x1.7c8p-45")
 
@@ -89,20 +118,15 @@ def test_shifted_chernoff_minimiser_is_caught(monkeypatch):
     assert results["qcb-oracle-q"].passed
 
 
-@pytest.mark.parametrize(
-    "check, worst",
-    [
-        (verify.check_fidelity_oracle, "0x1.0p-49"),
-        (verify.check_trace_distance_oracle, "0x1.8p-52"),
-        (verify.check_relative_entropy_oracle, "0x1.0p-47"),
-    ],
-)
-def test_pair_oracle_worst_is_pinned(check, worst):
+def test_pair_oracle_worst_is_pinned(default_werner_oracles):
     # bit-identity guard on the stacked per-pair oracles at the default grid
     # and dims: a change to their numerics that still passed would move these
-    result = check(0.1, (2, 3, 4, 5, 6), 1e-9)
-    assert result.points == 2205
-    assert result.worst == float.fromhex(worst)
+    fidelity, distance, entropy = default_werner_oracles[:3]
+    assert [r.name for r in default_werner_oracles] == list(DEFAULT_POINTS)[:5]
+    assert fidelity.points == distance.points == entropy.points == 2205
+    assert fidelity.worst == float.fromhex("0x1.0p-49")
+    assert distance.worst == float.fromhex("0x1.8p-52")
+    assert entropy.worst == float.fromhex("0x1.0p-47")
 
 
 def test_substitution_identity_worst_is_pinned():
@@ -118,10 +142,11 @@ def test_qcb_oracle_memory_does_not_grow_with_the_coarse_pass():
     # 2.5 MB with 2^16-entry ones; 1.4 MB again with each rho set against
     # 2^16-entry sigma^(1-s) tables, and with the Newton search's three
     # tables filled in place in blocks of 2^16 entries (1.9 MB when the
-    # tables were stacked from separate products)
+    # tables were stacked from separate products); 1.5 MB for the one Werner
+    # sweep of all four oracles, whose roots are freed before the search
     tracemalloc.start()
     try:
-        verify.check_qcb_oracle(0.1, (6,), 1e-6, 1e-8)
+        verify.check_werner_oracles(0.1, (6,), WERNER_TOLS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -129,11 +154,12 @@ def test_qcb_oracle_memory_does_not_grow_with_the_coarse_pass():
 
 
 def test_pair_oracle_memory_is_bounded_by_the_stack_blocks():
-    # 101 d = 6 states a row span three 2^16-entry stacks: the traced peak was
-    # 4.6 MB with per-pair calls and 15 MB with one stack per row
+    # 101 d = 6 states a row span three 2^16-entry stacks: the fidelity sweep
+    # alone read 4.6 MB with per-pair calls and 15 MB with one stack per row;
+    # the one Werner sweep of all four oracles reads 5.6 MB
     tracemalloc.start()
     try:
-        verify.check_fidelity_oracle(0.02, (6,), 1e-9)
+        verify.check_werner_oracles(0.02, (6,), WERNER_TOLS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -141,10 +167,12 @@ def test_pair_oracle_memory_is_bounded_by_the_stack_blocks():
 
 
 def test_qcb_checks_without_pairs_fail():
-    # grid 1.0 leaves no off-diagonal interior pair: an empty batch, 0 points
-    q, s = verify.check_qcb_oracle(1.0, (2,), 1e-6, 1e-8)
+    # grid 1.0 leaves no off-diagonal interior pair: an empty batch, 0 points,
+    # while the pair oracles of the same sweep examine every pair of the grid
+    *pairs, q, s = verify.check_werner_oracles(1.0, (2,), WERNER_TOLS)
     assert (q.points, s.points) == (0, 0)
     assert not q.passed and not s.passed
+    assert all(r.points == 9 and r.passed for r in pairs)
 
 
 def test_sandwich_ordering_matches_pairwise_sweep():
@@ -231,7 +259,7 @@ def test_sandwich_ordering_memory_does_not_grow_with_the_zetas(monkeypatch):
 
 
 def test_every_dimension_is_checked_before_the_first_sweep(monkeypatch):
-    monkeypatch.setattr(verify, "check_fidelity_oracle", None)  # never reached
+    monkeypatch.setattr(verify, "check_werner_oracles", None)  # never reached
     with pytest.raises(DimensionOverflowError, match="4225 exceeds cap 4096"):
         verify.run_verification(grid_step=0.5, dims=(2, 3, 65))
 
