@@ -118,15 +118,24 @@ def test_shifted_chernoff_minimiser_is_caught(monkeypatch):
     assert results["qcb-oracle-q"].passed
 
 
-def test_pair_oracle_worst_is_pinned(default_werner_oracles):
+# the ids keep the names of the per-pair check functions the Werner sweep replaced
+@pytest.mark.parametrize(
+    "name, worst",
+    [
+        pytest.param("fidelity-oracle", "0x1.0p-49", id="check_fidelity_oracle-0x1.0p-49"),
+        pytest.param("trace-distance-oracle", "0x1.8p-52", id="check_trace_distance_oracle-0x1.8p-52"),
+        pytest.param(
+            "relative-entropy-oracle", "0x1.0p-47", id="check_relative_entropy_oracle-0x1.0p-47"
+        ),
+    ],
+)
+def test_pair_oracle_worst_is_pinned(default_werner_oracles, name, worst):
     # bit-identity guard on the stacked per-pair oracles at the default grid
     # and dims: a change to their numerics that still passed would move these
-    fidelity, distance, entropy = default_werner_oracles[:3]
     assert [r.name for r in default_werner_oracles] == list(DEFAULT_POINTS)[:5]
-    assert fidelity.points == distance.points == entropy.points == 2205
-    assert fidelity.worst == float.fromhex("0x1.0p-49")
-    assert distance.worst == float.fromhex("0x1.8p-52")
-    assert entropy.worst == float.fromhex("0x1.0p-47")
+    result = {r.name: r for r in default_werner_oracles}[name]
+    assert result.points == 2205
+    assert result.worst == float.fromhex(worst)
 
 
 def test_substitution_identity_worst_is_pinned():
