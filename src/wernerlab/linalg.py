@@ -203,8 +203,11 @@ def trace_distance_numeric(rho, sigma) -> float | list[float]:
 
 
 def _overlap(dr: EigenDecomposition, ds: EigenDecomposition) -> np.ndarray:
-    # |<r_i|s_j>|^2 between the eigenvectors of rho and of sigma
-    return np.abs(_dagger(dr.eigenvectors) @ ds.eigenvectors) ** 2
+    # |<r_i|s_j>|^2 between the eigenvectors of rho and of sigma; one below dim eps^2
+    # is round-off between orthogonal eigenvectors, and is set to exactly 0
+    o = np.abs(_dagger(dr.eigenvectors) @ ds.eigenvectors) ** 2
+    o *= o >= o.shape[-1] * np.finfo(float).eps ** 2
+    return o
 
 
 def relative_entropy_kernel(dr: EigenDecomposition, ds: EigenDecomposition) -> float | list[float]:

@@ -18,17 +18,8 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import (
-    DimensionOverflowError,
-    InvalidParameterError,
-    SupportMismatchError,
-)
-from .states import (
-    _check_alpha,
-    _check_dim,
-    _check_eta,
-    _check_positive_int,
-)
+from .errors import DimensionOverflowError, SupportMismatchError
+from .states import _check_alpha, _check_dim, _check_eta, _check_positive_int
 
 __all__ = [
     "QcbResult",
@@ -38,7 +29,6 @@ __all__ = [
     "delta_s",
     "s_quantity",
     "werner_qs",
-    "interior_critical_s",
     "qcb_werner",
     "qcb_isotropic",
     "helstrom_multicopy_werner",
@@ -179,22 +169,6 @@ def werner_qs(eta: float, zeta: float, s: float) -> float:
     eta = _check_eta(eta)
     zeta = _check_eta(zeta)
     return _qs(1.0 + eta, 1.0 - eta, 1.0 + zeta, 1.0 - zeta, 2.0, s)
-
-
-def interior_critical_s(eta: float, zeta: float) -> float:
-    """Stationary point of werner_qs in (0, 1) for non-degenerate parameters:
-
-        s = ln[ (zeta-1)/(zeta+1) * ln M / ln P ] / ln(P / M),
-
-    with P = (1+eta)/(1+zeta) and M = (1-eta)/(1-zeta).
-    """
-    eta = _check_eta(eta)
-    zeta = _check_eta(zeta)
-    if abs(eta) == 1.0 or abs(zeta) == 1.0 or abs(eta - zeta) <= DEGENERATE_TOL:
-        raise InvalidParameterError(
-            "interior critical point requires distinct parameters strictly inside (-1, 1)"
-        )
-    return _critical_s(1.0 + eta, 1.0 - eta, 1.0 + zeta, 1.0 - zeta, eta - zeta)
 
 
 def qcb_werner(eta: float, zeta: float) -> QcbResult:

@@ -86,14 +86,15 @@ def _check_alpha(alpha: float, d: int) -> float:
     return alpha
 
 
+def _permuted_identity(d: int, axes: tuple[int, ...]) -> np.ndarray:
+    # the two-qudit identity sum |ij><ij| as a (d, d, d, d) table over (i, j, k, l) of
+    # |ij><kl|, its axes permuted: an exact 0/1 matrix
+    return np.eye(d * d).reshape(d, d, d, d).transpose(axes).reshape(d * d, d * d)
+
+
 def flip_operator(d: int) -> np.ndarray:
     """Flip (swap) operator F = sum_ij |ij><ji| on two qudits."""
-    d = _check_pair_dim(d)
-    f = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            f[i * d + j, j * d + i] = 1.0
-    return f
+    return _permuted_identity(_check_pair_dim(d), (0, 1, 3, 2))
 
 
 def max_entangled_ket(d: int) -> np.ndarray:
@@ -105,10 +106,8 @@ def max_entangled_ket(d: int) -> np.ndarray:
 
 
 def max_entangled_operator(d: int) -> np.ndarray:
-    """Unnormalised projector M = sum_ij |ii><jj| (= d |Phi><Phi|)."""
-    d = _check_pair_dim(d)
-    phi = max_entangled_ket(d)
-    return d * np.outer(phi, phi)
+    """Unnormalised projector M = sum_ij |ii><jj| (= d |Phi><Phi|), exactly 0/1."""
+    return _permuted_identity(_check_pair_dim(d), (0, 2, 1, 3))
 
 
 def werner_state(eta: float, d: int) -> np.ndarray:

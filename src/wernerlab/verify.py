@@ -13,8 +13,9 @@ One Werner sweep per dimension builds the explicit states and their
 decomposition once and feeds the fidelity, trace-distance, relative-entropy
 and Chernoff oracles.  Werner and isotropic states are built real, so the
 oracles run in real arithmetic; the fidelity and trace-distance oracles take
-eigenvalues only, and a Chernoff oracle reads the off-diagonal entries of
-one ``qcb_kernels`` Newton search.
+eigenvalues only.  The Chernoff oracles of both families go through one
+comparison (``_chernoff_defects``): the off-diagonal entries of one
+``qcb_kernels`` Newton search against the closed form's q and s*.
 The teleport sweep draws each bounded block of samples in one call and takes
 the block through the draws, the teleportation, the channel and the
 covariance test as one stack.  The sandwich sweep reduces the bound columns
@@ -105,6 +106,17 @@ def _collect(name, blocks, tol) -> CheckResult:
     return CheckResult(name=name, points=points, failures=failures, worst=float(worst), tol=tol)
 
 
+def _chernoff_defects(decs, params, closed_form) -> tuple[list[float], list[float]]:
+    # |numeric - closed| of q and of s* on every off-diagonal pair of one Newton search
+    # over the stack, row by row; ``closed_form(a, b)`` gives the pair's QcbResult
+    numeric = linalg.qcb_kernels(decs, decs)
+    off = ~np.eye(len(params), dtype=bool)
+    closed = [closed_form(params[i], params[j]) for i, j in zip(*np.nonzero(off))]
+    dq = np.abs(numeric.q[off] - np.array([c.q for c in closed], dtype=float))
+    ds = np.abs(numeric.s_star[off] - np.array([c.s_star for c in closed], dtype=float))
+    return dq.tolist(), ds.tolist()
+
+
 def check_werner_oracles(grid_step, dims, tols) -> tuple[CheckResult, ...]:
     # Per dimension, built when its turn comes: one explicit Werner stack, one clamped
     # decomposition and its roots.  The fidelity, trace-distance and relative-entropy
@@ -126,49 +138,43 @@ def check_werner_oracles(grid_step, dims, tols) -> tuple[CheckResult, ...]:
                 closed = [metrics.relative_entropy_werner(a, b) for b in etas[at]]
                 rel.extend(_defects(linalg.relative_entropy_kernel(decs[i], decs[at]), closed))
         del ws, roots
-        numeric = linalg.qcb_kernels(decs[1:-1], decs[1:-1])
-        for i, j in np.ndindex(numeric.q.shape):
-            if i != j:
-                closed = metrics.qcb_werner(inner[i], inner[j])
-                dq.append(abs(float(numeric.q[i, j]) - closed.q))
-                ds.append(abs(float(numeric.s_star[i, j]) - closed.s_star))
+        q_defects, s_defects = _chernoff_defects(decs[1:-1], inner, metrics.qcb_werner)
+        dq.extend(q_defects)
+        ds.extend(s_defects)
     names = ("fidelity-oracle", "trace-distance-oracle", "relative-entropy-oracle",
              "qcb-oracle-q", "qcb-oracle-s")
     return tuple(_collect(n, [x], t) for n, x, t in zip(names, (fid, dist, rel, dq, ds), tols))
 
 
-def check_qcb_isotropic_oracle(dims, q_tol) -> CheckResult:
-    deltas = []
+def check_qcb_isotropic_oracle(dims, tols) -> tuple[CheckResult, CheckResult]:
+    # the Chernoff q and s* of every off-diagonal interior isotropic pair; ``tols`` are
+    # those of the two results in turn
+    dq, ds = [], []
     for d in dims:
         alphas = _alpha_grid(d)[1:-1]
         decs = _spectra(_stack(states.isotropic_state, alphas, d))
-        q = linalg.qcb_kernels(decs, decs).q
-        for i, j in np.ndindex(q.shape):
-            if i != j:
-                closed = metrics.qcb_isotropic(alphas[i], alphas[j], d)
-                deltas.append(abs(float(q[i, j]) - closed.q))
-    return _collect("qcb-isotropic-oracle", [deltas], q_tol)
+        q_defects, s_defects = _chernoff_defects(
+            decs, alphas, lambda a, b: metrics.qcb_isotropic(a, b, d)
+        )
+        dq.extend(q_defects)
+        ds.extend(s_defects)
+    names = ("qcb-isotropic-oracle", "qcb-isotropic-oracle-s")
+    return tuple(_collect(n, [x], t) for n, x, t in zip(names, (dq, ds), tols))
 
 
 def check_critical_point_identities(grid_step, tol) -> CheckResult:
-    # s_{a,b} + s_{b,a} = 1, interior containment, and local-minimum
-    # bracketing Q(s +/- 1e-3) > Q(s), on every off-diagonal interior pair.
+    # On every off-diagonal interior pair, from one qcb_werner call per ordered pair:
+    # s_ab + s_ba = 1, an interior minimiser 0 < s_ab < 1, and local-minimum
+    # bracketing Q(s_ab +/- 1e-3) > q.
     etas = discrimination.eta_grid(grid_step)[1:-1]
+    qcb = {(a, b): metrics.qcb_werner(a, b) for a in etas for b in etas if a != b}
     deltas = []
-    for a in etas:
-        for b in etas:
-            if a == b:
-                continue
-            s_ab = metrics.interior_critical_s(a, b)
-            s_ba = metrics.interior_critical_s(b, a)
-            deltas.append(abs(s_ab + s_ba - 1.0))
-            deltas.append(0.0 if 0.0 < s_ab < 1.0 else math.inf)
-            q0 = metrics.werner_qs(a, b, s_ab)
-            bracket_ok = (
-                metrics.werner_qs(a, b, s_ab - 1e-3) > q0
-                and metrics.werner_qs(a, b, s_ab + 1e-3) > q0
-            )
-            deltas.append(0.0 if bracket_ok else math.inf)
+    for (a, b), ab in qcb.items():
+        deltas.append(abs(ab.s_star + qcb[b, a].s_star - 1.0))
+        interior = ab.s_kind == "interior" and 0.0 < ab.s_star < 1.0
+        deltas.append(0.0 if interior else math.inf)
+        bracket_ok = all(metrics.werner_qs(a, b, ab.s_star + h) > ab.q for h in (-1e-3, 1e-3))
+        deltas.append(0.0 if bracket_ok else math.inf)
     return _collect("critical-point-identities", [deltas], tol)
 
 
@@ -288,11 +294,12 @@ def run_verification(
             f"verification work (grid points)^2 x sum d^4 = {work} exceeds cap {VERIFY_WORK_CAP}"
         )
     iso_dims = tuple(d for d in dims if d <= 4) or (2,)
-    # fidelity, trace distance, relative entropy, Chernoff q and s*
-    werner_tols = [tol * tol_scale for tol in (1e-9, 1e-10, 1e-9, 1e-6, 1e-8)]
+    # Chernoff q and s*, of both families; fidelity, trace distance, relative entropy
+    chernoff_tols = [tol * tol_scale for tol in (1e-6, 1e-8)]
+    werner_tols = [tol * tol_scale for tol in (1e-9, 1e-10, 1e-9)] + chernoff_tols
     return [
         *check_werner_oracles(grid_step, dims, werner_tols),
-        check_qcb_isotropic_oracle(iso_dims, 1e-6 * tol_scale),
+        *check_qcb_isotropic_oracle(iso_dims, chernoff_tols),
         check_critical_point_identities(grid_step, 1e-12 * tol_scale),
         check_substitution_identity(grid_step, iso_dims, 1e-12 * tol_scale),
         *check_teleport(seed, TELEPORT_TOL * tol_scale),

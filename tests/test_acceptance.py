@@ -43,14 +43,15 @@ def test_criterion_02_qcb_oracle_agreement():
     # the diagonal (q = 1) is covered by test_linalg's identical-states case
     t0 = time.monotonic()
     q, s = verify.check_werner_oracles(0.1, range(2, 7), WERNER_TOLS)[3:]
-    iso = verify.check_qcb_isotropic_oracle((2, 3, 4), 1e-6)
+    iso_q, iso_s = verify.check_qcb_isotropic_oracle((2, 3, 4), WERNER_TOLS[3:])
     elapsed = time.monotonic() - t0
     report(
         2,
-        q.passed and s.passed and iso.passed and elapsed < 120.0,
+        q.passed and s.passed and iso_q.passed and iso_s.passed and elapsed < 120.0,
         f"Chernoff closed form vs numeric search (endpoints analytic): "
         f"worst |dq| {q.worst:.3e} (tol 1e-6), worst |ds| {s.worst:.3e} (tol 1e-8), "
-        f"isotropic worst |dq| {iso.worst:.3e}, {elapsed:.1f}s (limit 120s)",
+        f"isotropic worst |dq| {iso_q.worst:.3e}, |ds| {iso_s.worst:.3e}, "
+        f"{elapsed:.1f}s (limit 120s)",
     )
 
 
@@ -87,7 +88,7 @@ def test_criterion_04_substitution_identity():
                 reference = _critical_s_isotropic(a, b, d)
                 worst = max(
                     worst,
-                    abs(reference - metrics.interior_critical_s(eta, zeta)),
+                    abs(reference - metrics.qcb_werner(eta, zeta).s_star),
                     abs(reference - metrics.qcb_isotropic(a, b, d).s_star),
                 )
     report(

@@ -637,11 +637,12 @@ class TestQcbKernels:
             assert abs(got.s_star - s_star) <= 1e-12
             assert abs(got.q - q) <= 1e-14
 
-    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
     def test_mismatched_supports_end_at_the_bracket(self, d):
         # the closed form's endpoint cases: a Werner state at eta = +-1, or the
         # pure isotropic state, against a full-rank one falls towards s = 0,
-        # the reverse towards s = 1; orthogonal supports end at one of the two
+        # the reverse towards s = 1; orthogonal supports have an overlap table
+        # of exact zeros, so the curve is 0 and the search stops at s = 1e-9
         deficient = [states.werner_state(1.0, d), states.werner_state(-1.0, d)]
         deficient.append(states.isotropic_state(float(d), d))
         full = [states.werner_state(z, d) for z in (-0.6, 0.0, 0.3, 0.9)]
@@ -657,9 +658,8 @@ class TestQcbKernels:
             ]
         )
         got = linalg.qcb_kernels(*orthogonal)
-        # the curve is round-off there, so which end it falls to is not fixed
-        assert set(np.diag(got.s_star).tolist()) <= {1e-9, 1.0 - 1e-9}
-        assert np.all(np.diag(got.q) < 1e-15)
+        assert np.diag(got.s_star).tolist() == [1e-9, 1e-9]
+        assert np.diag(got.q).tolist() == [0.0, 0.0]
 
     def test_identical_states_stop_at_once(self, monkeypatch):
         # f' of a state against itself is round-off only: the search stops at

@@ -232,8 +232,9 @@ class TestQcbWerner:
         # so the 1e-12 assertion needs the parameters separated
         if abs(eta - zeta) <= 1e-3:
             return
-        s_ab = metrics.interior_critical_s(eta, zeta)
-        s_ba = metrics.interior_critical_s(zeta, eta)
+        ab = metrics.qcb_werner(eta, zeta)
+        s_ab, s_ba = ab.s_star, metrics.qcb_werner(zeta, eta).s_star
+        assert ab.s_kind == "interior"
         assert 0.0 < s_ab < 1.0
         assert s_ab + s_ba == pytest.approx(1.0, abs=1e-12)
         # bracketing: the critical point is a strict local minimum

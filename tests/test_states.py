@@ -41,14 +41,15 @@ class TestOperators:
         f = states.flip_operator(d)
         m = states.max_entangled_operator(d)
         assert np.abs(f @ f - np.eye(d * d)).max() <= 1e-13
-        assert np.abs(m @ m - d * m).max() <= 1e-12
+        assert np.array_equal(m @ m, d * m)
         assert linalg.hermiticity_defect(f) <= 1e-14
         assert linalg.hermiticity_defect(m) <= 1e-14
 
-    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("d", range(2, 17))
     def test_flip_partial_transpose(self, d):
+        # both are exact 0/1 matrices, so they agree bit for bit
         got = linalg.partial_transpose(states.flip_operator(d), d)
-        assert np.abs(got - states.max_entangled_operator(d)).max() <= 1e-13
+        assert np.array_equal(got, states.max_entangled_operator(d))
 
     def test_rejects_small_dimension(self):
         with pytest.raises(InvalidDimensionError):
@@ -74,14 +75,17 @@ class TestOperators:
 
 
 def _complex_operators(d):
-    # the flip and maximally entangled operators and ket, built in complex arithmetic
+    # the flip and maximally entangled operators and ket, built in complex arithmetic;
+    # F and M entry by entry, exactly 0/1
     f = np.zeros((d * d, d * d), dtype=complex)
+    m = np.zeros((d * d, d * d), dtype=complex)
     for i in range(d):
         for j in range(d):
             f[i * d + j, j * d + i] = 1.0
+            m[i * d + i, j * d + j] = 1.0
     phi = np.zeros(d * d, dtype=complex)
     phi[np.arange(d) * d + np.arange(d)] = 1.0 / np.sqrt(d)
-    return f, phi, d * np.outer(phi, phi.conj())
+    return f, phi, m
 
 
 def _same_bits(real, formula):

@@ -17,6 +17,7 @@ DEFAULT_POINTS = {
     "qcb-oracle-q": 1710,
     "qcb-oracle-s": 1710,
     "qcb-isotropic-oracle": 216,
+    "qcb-isotropic-oracle-s": 216,
     "critical-point-identities": 1026,
     "substitution-identity": 1026,
     "teleport-simulation": 200,
@@ -67,7 +68,7 @@ def test_default_run_point_counts(monkeypatch):
     calls = count_eigh(monkeypatch)
     results = verify.run_verification()
     assert {r.name: r.points for r in results} == DEFAULT_POINTS
-    assert sum(r.points for r in results) == 22_261
+    assert sum(r.points for r in results) == 22_477
     assert [r.tol for r in results[:5]] == list(WERNER_TOLS)
     assert len(calls) == 5068
 
@@ -116,6 +117,26 @@ def test_shifted_chernoff_minimiser_is_caught(monkeypatch):
     assert not results["qcb-oracle-s"].passed
     assert results["qcb-oracle-s"].failures == results["qcb-oracle-s"].points
     assert results["qcb-oracle-q"].passed
+
+
+def test_shifted_isotropic_chernoff_minimiser_is_caught(monkeypatch):
+    # the isotropic closed form's s* off by 5e-5 fails qcb-isotropic-oracle-s on every
+    # point, while its q still passes qcb-isotropic-oracle
+    def run():
+        return {r.name: r for r in verify.run_verification(grid_step=0.2, dims=(2, 3))}
+
+    assert run()["qcb-isotropic-oracle-s"].passed
+    exact = metrics.qcb_isotropic
+    monkeypatch.setattr(
+        metrics,
+        "qcb_isotropic",
+        lambda a, b, d: replace(exact(a, b, d), s_star=exact(a, b, d).s_star + 5e-5),
+    )
+    results = run()
+    shifted = results["qcb-isotropic-oracle-s"]
+    assert shifted.points == 144
+    assert shifted.failures == shifted.points
+    assert results["qcb-isotropic-oracle"].passed
 
 
 # the ids keep the names of the per-pair check functions the Werner sweep replaced
