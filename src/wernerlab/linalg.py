@@ -5,7 +5,8 @@ metrics (fidelity, trace distance, relative entropy, Chernoff overlap)
 are deliberately computed straight from eigendecompositions so that the
 closed-form formulas elsewhere in the package can be validated against
 an independent route.  They also take stacks of matrices along leading axes,
-one float per member then coming back as a list; ``_blocks`` bounds a stack.
+two stacks matched member against member, one float per member then coming
+back as a list (the Chernoff search returns arrays); ``_blocks`` bounds a stack.
 Real input stays real, so real symmetric states run in real arithmetic; a
 stack's dtype picks its one LAPACK driver.
 The fidelity and trace distance take eigenvalues alone (``eigvalsh``); the
@@ -249,21 +250,14 @@ class QcbNumeric(NamedTuple):
 _QCB_LO, _QCB_HI, _QCB_STEP_TOL, _QCB_ITERATIONS = 1e-9, 1.0 - 1e-9, 1e-12, 100
 
 
-def _overlap_curve(ps, overlap, qs) -> np.ndarray:
-    # Tr(rho^s sigma^(1-s)) per row s of the power tables ps = p^s, qs = q^(1-s)
-    # (..., ns, dim), over any leading (pair) axes; qs broadcasts into the product
-    curve = np.matmul(ps, overlap)
-    curve *= qs
-    return curve.sum(-1)
+def qcb_curve_kernel(dr: EigenDecomposition, ds: EigenDecomposition, s_values) -> np.ndarray:
+    """Tr(rho^s sigma^(1-s)) per s (last axis) from clamped decompositions; 0^s := 0, s > 0.
 
-
-def qcb_curve_kernel(
-    dr: EigenDecomposition, ds: EigenDecomposition, s_values
-) -> np.ndarray:
-    """Tr(rho^s sigma^(1-s)) per s (last axis) from clamped decompositions; 0^s := 0, s > 0."""
+    Two stacks are matched, member k of one against member k of the other."""
     s = np.asarray(s_values, dtype=float)[:, None]
-    ps, qs = dr.eigenvalues[..., None, :] ** s, ds.eigenvalues[..., None, :] ** (1.0 - s)
-    return _overlap_curve(ps, _overlap(dr, ds), qs)
+    curve = np.matmul(dr.eigenvalues[..., None, :] ** s, _overlap(dr, ds))
+    curve *= ds.eigenvalues[..., None, :] ** (1.0 - s)
+    return curve.sum(-1)
 
 
 def _overlap_derivatives(p, q, tables, s) -> np.ndarray:
@@ -275,9 +269,10 @@ def _overlap_derivatives(p, q, tables, s) -> np.ndarray:
 
 
 def qcb_kernels(drs: EigenDecomposition, dss: EigenDecomposition) -> QcbNumeric:
-    """Minimise Tr(rho^s sigma^(1-s)) over (0, 1) for every (rho, sigma) of two stacks.
+    """Minimise Tr(rho^s sigma^(1-s)) over (0, 1) for each matched pair of two stacks.
 
-    ``drs`` and ``dss`` are stacks of clamped decompositions of one dimension.
+    ``drs`` and ``dss`` are equal-length stacks of clamped decompositions of
+    one dimension; member k of one is compared with member k of the other.
     f(s) = sum_ij O_ij p_i^s q_j^(1-s) is convex; with D_ij = ln p_i - ln q_j
     (0 where p_i or q_j is 0), a pair's tables O, O*D and O*D^2 give f, f'
     and f'' in one batched matmul.  An end of [1e-9, 1 - 1e-9] where f' keeps
@@ -285,54 +280,49 @@ def qcb_kernels(drs: EigenDecomposition, dss: EigenDecomposition) -> QcbNumeric:
     narrows the bracket by the sign of f' and bisects where a step would leave
     it, until a step is at most 1e-12 (and is taken) or f' is within its
     round-off eps max|D| f (a flat curve, such as a state against itself,
-    stops at once); ``_QCB_ITERATIONS`` caps the steps.  The pairs of a block
-    of at most ``_STACK_ENTRIES`` table entries step in lockstep and a stopped
-    pair is held, so each entry equals its one-pair call.  Returns ``q`` and
-    ``s_star`` of shape (len(drs), len(dss)).
+    stops at once); ``_QCB_ITERATIONS`` caps the steps.  The pairs step in
+    lockstep, a stopped pair held, so each member equals its one-pair call.
+    Memory is three dim x dim tables a pair, linear in the stacks (a caller
+    bounds them with ``_blocks(n, dim, tables=3)``).  Returns 1-D q and s_star.
     """
-    (nr, dim), (nc, dim_s) = drs.eigenvalues.shape, dss.eigenvalues.shape
-    if dim_s != dim:
-        raise DimensionMismatchError(f"rho of dimension {dim}, sigma of {dim_s}")
-    n = nr * nc
-    q_min, s_star = np.empty(n), np.empty(n)
-    for at in _blocks(n, dim, tables=3):
-        rows, cols = np.divmod(np.arange(at.start, min(at.stop, n)), nc)
-        m, p, q = len(rows), drs.eigenvalues[rows], dss.eigenvalues[cols]
-        lp, lq = (np.log(np.where(x > 0.0, x, 1.0)) for x in (p, q))
-        tables = np.empty((m, 3, dim, dim))
-        o, od, odd = tables[:, 0], tables[:, 1], tables[:, 2]
-        o[...] = _overlap(drs[rows], dss[cols])
-        # the O*D^2 slot holds D until the products below
-        np.subtract(lp[:, :, None], lq[:, None, :], out=odd)
-        odd[~((p > 0.0)[:, :, None] & (q > 0.0)[:, None, :])] = 0.0
-        # |f'| <= max|D| f bounds its terms, so its round-off is below eps max|D| f
-        noise = np.finfo(float).eps * np.abs(odd).max((-2, -1))
-        np.multiply(o, odd, out=od)
-        np.multiply(od, odd, out=odd)
-        # f, f', f'' at both ends and at 1/2; an end where f' does not change
-        # sign inside the bracket is the minimiser
-        lo, hi = np.full(m, _QCB_LO), np.full(m, _QCB_HI)
-        f, g, h = _overlap_derivatives(p, q, tables, np.stack([lo, hi, np.full(m, 0.5)], -1))
-        k = np.where(g[:, 0] >= 0.0, 0, np.where(g[:, 1] <= 0.0, 1, 2))
-        s = np.choose(k, (lo, hi, 0.5))
-        f, g, h = (x[np.arange(m), k] for x in (f, g, h))
-        held = k < 2
-        for _ in range(_QCB_ITERATIONS):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                x = s - g / h
-            # a Newton step of at most 1e-12 is the last: s takes it, and f,
-            # which it moves by far less than an ulp, is kept; an f' within
-            # its round-off counts as 0, and s stays
-            newton, flat = np.abs(g) <= _QCB_STEP_TOL * h, np.abs(g) <= noise * f
-            s, held = np.where(~held & newton & ~flat, x, s), held | newton | flat
-            if held.all():
-                break
-            lo, hi = np.where(g < 0.0, s, lo), np.where(g > 0.0, s, hi)
-            s = np.where(held, s, np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi)))
-            step = _overlap_derivatives(p, q, tables, s[:, None])[..., 0]
-            f, g, h = (np.where(held, old, new) for old, new in zip((f, g, h), step))
-        q_min[at], s_star[at] = f, s
-    return QcbNumeric(q=q_min.reshape(nr, nc), s_star=s_star.reshape(nr, nc))
+    (m, dim), (m_s, dim_s) = drs.eigenvalues.shape, dss.eigenvalues.shape
+    if (m_s, dim_s) != (m, dim):
+        raise DimensionMismatchError(f"{m} rho of dimension {dim} against {m_s} sigma of {dim_s}")
+    p, q = drs.eigenvalues, dss.eigenvalues
+    lp, lq = (np.log(np.where(x > 0.0, x, 1.0)) for x in (p, q))
+    tables = np.empty((m, 3, dim, dim))
+    o, od, odd = tables[:, 0], tables[:, 1], tables[:, 2]
+    o[...] = _overlap(drs, dss)
+    # the O*D^2 slot holds D until the products below
+    np.subtract(lp[:, :, None], lq[:, None, :], out=odd)
+    odd[~((p > 0.0)[:, :, None] & (q > 0.0)[:, None, :])] = 0.0
+    # |f'| <= max|D| f bounds its terms, so its round-off is below eps max|D| f
+    noise = np.finfo(float).eps * np.abs(odd).max((-2, -1))
+    np.multiply(o, odd, out=od)
+    np.multiply(od, odd, out=odd)
+    # f, f', f'' at both ends and at 1/2; an end where f' does not change
+    # sign inside the bracket is the minimiser
+    lo, hi = np.full(m, _QCB_LO), np.full(m, _QCB_HI)
+    f, g, h = _overlap_derivatives(p, q, tables, np.stack([lo, hi, np.full(m, 0.5)], -1))
+    k = np.where(g[:, 0] >= 0.0, 0, np.where(g[:, 1] <= 0.0, 1, 2))
+    s = np.choose(k, (lo, hi, 0.5))
+    f, g, h = (x[np.arange(m), k] for x in (f, g, h))
+    held = k < 2
+    for _ in range(_QCB_ITERATIONS):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = s - g / h
+        # a Newton step of at most 1e-12 is the last: s takes it, and f,
+        # which it moves by far less than an ulp, is kept; an f' within
+        # its round-off counts as 0, and s stays
+        newton, flat = np.abs(g) <= _QCB_STEP_TOL * h, np.abs(g) <= noise * f
+        s, held = np.where(~held & newton & ~flat, x, s), held | newton | flat
+        if held.all():
+            break
+        lo, hi = np.where(g < 0.0, s, lo), np.where(g > 0.0, s, hi)
+        s = np.where(held, s, np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi)))
+        step = _overlap_derivatives(p, q, tables, s[:, None])[..., 0]
+        f, g, h = (np.where(held, old, new) for old, new in zip((f, g, h), step))
+    return QcbNumeric(q=f, s_star=s)
 
 
 def qcb_numeric(rho, sigma) -> QcbNumeric:
@@ -345,7 +335,7 @@ def qcb_numeric(rho, sigma) -> QcbNumeric:
     """
     rho, sigma = _square_pair(rho, sigma)
     r = qcb_kernels(clamped_spectrum(rho, "rho")[None], clamped_spectrum(sigma, "sigma")[None])
-    return QcbNumeric(q=float(r.q[0, 0]), s_star=float(r.s_star[0, 0]))
+    return QcbNumeric(q=float(r.q[0]), s_star=float(r.s_star[0]))
 
 
 def _complex_gaussian(dim: int, normals) -> np.ndarray:

@@ -3,23 +3,20 @@
 Each check sweeps a parameter grid, compares an analytic quantity with an
 independently computed reference, and reports the worst defect seen and
 how many points it examined; a check that examined no point does not pass.
-The CLI front end turns the results into an exit code; the checks
-themselves are plain functions so they can also be driven from tests or
-notebooks.  Sweeps run serially, one dimension after another, so the
-results come out in a fixed order.  Each state is decomposed once, and a
-pair sweep sets each rho against stacked blocks of sigma of at most 2^16
-matrix entries (``linalg._blocks``), so memory does not grow with the grid.
-One Werner sweep per dimension builds the explicit states and their
-decomposition once and feeds the fidelity, trace-distance, relative-entropy
-and Chernoff oracles.  Werner and isotropic states are built real, so the
-oracles run in real arithmetic; the fidelity and trace-distance oracles take
-eigenvalues only.  The Chernoff oracles of both families go through one
-comparison (``_chernoff_defects``): the off-diagonal entries of one
-``qcb_kernels`` Newton search against the closed form's q and s*.
-The teleport sweep draws each bounded block of samples in one call and takes
-the block through the draws, the teleportation, the channel and the
-covariance test as one stack.  The sandwich sweep reduces the bound columns
-of one bounded block of zetas at a time, every copy count at once.
+The checks are plain functions, run serially one dimension after another
+so the results come out in a fixed order; the CLI turns them into an exit
+code.  Each state is decomposed once.  Every pair sweep runs through one
+pair engine, ``_pairs``: matched (rows, cols) index blocks of the ordered
+pairs (off the diagonal where asked) within ``linalg._blocks``, at which
+each pair kernel takes two stacks member against member, so memory does
+not grow with the grid.  The closed forms are dimension-free, so each is
+tabulated once per grid (the isotropic Chernoff form once per d) and read
+at [rows, cols].  One Werner sweep per dimension builds the explicit states,
+real, and their decomposition once for the fidelity, trace-distance,
+relative-entropy and Chernoff oracles; the Chernoff oracles of both
+families share ``_chernoff_defects``.  The teleport sweep takes each bounded
+block of draws through teleportation, channel and covariance test as one
+stack; the sandwich sweep reduces the bound columns a block of zetas at a time.
 """
 
 from __future__ import annotations
@@ -27,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
+from operator import attrgetter
 
 import numpy as np
 
@@ -48,6 +46,8 @@ TELEPORT_SAMPLE_CAP = 100_000
 TELEPORT_WORK_CAP = 300_000_000
 # Most (grid points)^2 x sum of d^4, the scale of the pair sweeps' states and pair lists
 VERIFY_WORK_CAP = 2**25
+
+_q_and_s = attrgetter("q", "s_star")
 
 
 @dataclass(frozen=True)
@@ -91,9 +91,28 @@ def _spectra(mats: np.ndarray) -> linalg.EigenDecomposition:
     return dec
 
 
-def _defects(numeric, closed) -> list[float]:
-    # |numeric - closed| per point, 0 where both are the same infinity
-    return [0.0 if x == y else abs(x - y) for x, y in zip(numeric, closed)]
+def _pairs(n: int, dim: int, diagonal: bool = True):
+    # every ordered pair (i, j) of n members row by row, i != j unless ``diagonal``, as
+    # index arrays (rows, cols) in blocks of three dim x dim tables a pair (linalg._blocks)
+    width = n if diagonal else n - 1
+    total = n * width
+    for at in linalg._blocks(total, dim, tables=3):
+        rows, cols = np.divmod(np.arange(*at.indices(total)), width)
+        if not diagonal:
+            cols += cols >= rows
+        yield rows, cols
+
+
+def _table(closed_form, params) -> np.ndarray:
+    # closed_form(a, b) at every ordered pair of params, once each: an (n, n) array, or
+    # (n, n, k) of a k-tuple (empty without params, which give no pair to read it at)
+    return np.array([[closed_form(a, b) for b in params] for a in params], dtype=float)
+
+
+def _defects(numeric, closed) -> np.ndarray:
+    # |numeric - closed| per point, 0 where both are the same infinity; a NaN stays NaN
+    with np.errstate(invalid="ignore"):
+        return np.where(np.equal(numeric, closed), 0.0, np.abs(np.subtract(numeric, closed)))
 
 
 def _collect(name, blocks, tol) -> CheckResult:
@@ -106,60 +125,50 @@ def _collect(name, blocks, tol) -> CheckResult:
     return CheckResult(name=name, points=points, failures=failures, worst=float(worst), tol=tol)
 
 
-def _chernoff_defects(decs, params, closed_form) -> tuple[list[float], list[float]]:
-    # |numeric - closed| of q and of s* on every off-diagonal pair of one Newton search
-    # over the stack, row by row; ``closed_form(a, b)`` gives the pair's QcbResult
-    numeric = linalg.qcb_kernels(decs, decs)
-    off = ~np.eye(len(params), dtype=bool)
-    closed = [closed_form(params[i], params[j]) for i, j in zip(*np.nonzero(off))]
-    dq = np.abs(numeric.q[off] - np.array([c.q for c in closed], dtype=float))
-    ds = np.abs(numeric.s_star[off] - np.array([c.s_star for c in closed], dtype=float))
-    return dq.tolist(), ds.tolist()
+def _chernoff_defects(decs, closed, dq, ds) -> None:
+    # appends |numeric - closed| of q to dq and of s* to ds per block of off-diagonal
+    # pairs of the stack; ``closed`` is the (n, n, 2) table of the closed form's q and s*
+    for i, j in _pairs(len(decs.eigenvalues), decs.eigenvalues.shape[-1], diagonal=False):
+        numeric = linalg.qcb_kernels(decs[i], decs[j])
+        dq.append(_defects(numeric.q, closed[i, j, 0]))
+        ds.append(_defects(numeric.s_star, closed[i, j, 1]))
 
 
 def check_werner_oracles(grid_step, dims, tols) -> tuple[CheckResult, ...]:
-    # Per dimension, built when its turn comes: one explicit Werner stack, one clamped
+    # Closed forms tabulated once; per dimension: one explicit Werner stack, one clamped
     # decomposition and its roots.  The fidelity, trace-distance and relative-entropy
     # oracles take every pair; the Chernoff oracle, after the roots are freed, the
     # interior pairs off the diagonal.  ``tols`` are those of the five results in turn.
     etas = discrimination.eta_grid(grid_step)
-    inner = etas[1:-1]
+    fid_closed = _table(metrics.fidelity_werner, etas)
+    dist_closed = _table(lambda a, b: abs(a - b) / 2.0, etas)
+    rel_closed = _table(metrics.relative_entropy_werner, etas)
+    chernoff = _table(lambda a, b: _q_and_s(metrics.qcb_werner(a, b)), etas[1:-1])
     fid, dist, rel, dq, ds = [], [], [], [], []
     for d in dims:
         ws = _stack(states.werner_state, etas, d)
         decs = _spectra(ws)
         roots = linalg.spectral_sqrt(decs)
-        for at in linalg._blocks(len(etas), d * d):
-            for i, a in enumerate(etas):
-                closed = [metrics.fidelity_werner(a, b) for b in etas[at]]
-                fid.extend(_defects(linalg.bures_fidelity_kernel(ws[i], roots[at]), closed))
-                closed = [abs(a - b) / 2.0 for b in etas[at]]
-                dist.extend(_defects(linalg.trace_distance_numeric(ws[i], ws[at]), closed))
-                closed = [metrics.relative_entropy_werner(a, b) for b in etas[at]]
-                rel.extend(_defects(linalg.relative_entropy_kernel(decs[i], decs[at]), closed))
+        for i, j in _pairs(len(etas), d * d):
+            fid.append(_defects(linalg.bures_fidelity_kernel(ws[i], roots[j]), fid_closed[i, j]))
+            dist.append(_defects(linalg.trace_distance_numeric(ws[i], ws[j]), dist_closed[i, j]))
+            rel.append(_defects(linalg.relative_entropy_kernel(decs[i], decs[j]), rel_closed[i, j]))
         del ws, roots
-        q_defects, s_defects = _chernoff_defects(decs[1:-1], inner, metrics.qcb_werner)
-        dq.extend(q_defects)
-        ds.extend(s_defects)
+        _chernoff_defects(decs[1:-1], chernoff, dq, ds)
     names = ("fidelity-oracle", "trace-distance-oracle", "relative-entropy-oracle",
              "qcb-oracle-q", "qcb-oracle-s")
-    return tuple(_collect(n, [x], t) for n, x, t in zip(names, (fid, dist, rel, dq, ds), tols))
+    return tuple(_collect(n, x, t) for n, x, t in zip(names, (fid, dist, rel, dq, ds), tols))
 
 
 def check_qcb_isotropic_oracle(dims, tols) -> tuple[CheckResult, CheckResult]:
-    # the Chernoff q and s* of every off-diagonal interior isotropic pair; ``tols`` are
-    # those of the two results in turn
+    # the Chernoff q and s* of every off-diagonal interior isotropic pair, at ``tols`` in turn
     dq, ds = [], []
     for d in dims:
         alphas = _alpha_grid(d)[1:-1]
-        decs = _spectra(_stack(states.isotropic_state, alphas, d))
-        q_defects, s_defects = _chernoff_defects(
-            decs, alphas, lambda a, b: metrics.qcb_isotropic(a, b, d)
-        )
-        dq.extend(q_defects)
-        ds.extend(s_defects)
+        closed = _table(lambda a, b: _q_and_s(metrics.qcb_isotropic(a, b, d)), alphas)
+        _chernoff_defects(_spectra(_stack(states.isotropic_state, alphas, d)), closed, dq, ds)
     names = ("qcb-isotropic-oracle", "qcb-isotropic-oracle-s")
-    return tuple(_collect(n, [x], t) for n, x, t in zip(names, (dq, ds), tols))
+    return tuple(_collect(n, x, t) for n, x, t in zip(names, (dq, ds), tols))
 
 
 def check_critical_point_identities(grid_step, tol) -> CheckResult:
@@ -189,13 +198,11 @@ def check_substitution_identity(grid_step, dims, tol) -> CheckResult:
         alphas = _alpha_grid(d, points=len(discrimination.eta_grid(grid_step)))[1:-1]
         iso = _spectra(_stack(states.isotropic_state, alphas, d))
         wer = _spectra(_stack(states.werner_state, [2.0 * a / d - 1.0 for a in alphas], d))
-        for at in linalg._blocks(len(alphas), d * d):
-            for i in range(len(alphas)):
-                iso_q = linalg.qcb_curve_kernel(iso[i], iso[at], s_values)
-                wer_q = linalg.qcb_curve_kernel(wer[i], wer[at], s_values)
-                gaps = np.abs(iso_q - wer_q).max(-1).tolist()
-                deltas.extend(x for j, x in zip(range(len(alphas))[at], gaps) if j != i)
-    return _collect("substitution-identity", [deltas], tol)
+        for i, j in _pairs(len(alphas), d * d, diagonal=False):
+            iso_q = linalg.qcb_curve_kernel(iso[i], iso[j], s_values)
+            wer_q = linalg.qcb_curve_kernel(wer[i], wer[j], s_values)
+            deltas.append(np.abs(iso_q - wer_q).max(-1))
+    return _collect("substitution-identity", deltas, tol)
 
 
 def _teleport_defects(eta, d, seed, samples) -> tuple[list[float], list[float]]:
@@ -284,6 +291,8 @@ def run_verification(
     """Run every cross-check; tolerances are multiplied by ``tol_scale``."""
     seed = states._check_seed(seed)
     dims = tuple(states._check_pair_dim(d) for d in dims)
+    if len(set(dims)) < len(dims):
+        raise InvalidParameterError(f"dimensions {list(dims)} repeat a dimension")
     if not (math.isfinite(tol_scale) and tol_scale > 0.0):
         raise InvalidParameterError(
             f"tolerance scale must be finite and positive, got {tol_scale}"

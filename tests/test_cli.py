@@ -428,6 +428,14 @@ class TestVerificationCommands:
     def test_verify_rejects_bad_dims(self, capsys):
         assert cli.main(["verify", "--dims", "nope"]) == 1
 
+    def test_verify_rejects_a_repeated_dimension(self, monkeypatch, capsys):
+        # d = 2 twice would sweep it twice and count 50 fidelity points for 25 pairs
+        monkeypatch.setattr(verify, "check_werner_oracles", None)  # never reached
+        assert cli.main(["verify", "--grid", "0.5", "--dims", "2,2"]) == 1
+        captured = capsys.readouterr()
+        assert "dimensions [2, 2] repeat a dimension" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
     def test_dimension_range_is_checked_before_it_is_built(self, monkeypatch):
         monkeypatch.setattr(cli, "range", None, raising=False)  # never reached
         with pytest.raises(DimensionOverflowError, match=f"{10**18} exceeds cap 4096"):

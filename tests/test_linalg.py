@@ -291,8 +291,8 @@ class TestSpectraKernels:
     def test_qcb(self, rho, sigma):
         dr, ds = linalg.clamped_spectrum(rho), linalg.clamped_spectrum(sigma)
         r = linalg.qcb_kernels(dr[None], ds[None])
-        assert r.q.shape == r.s_star.shape == (1, 1)
-        assert linalg.qcb_numeric(rho, sigma) == (r.q[0, 0], r.s_star[0, 0])
+        assert r.q.shape == r.s_star.shape == (1,)
+        assert linalg.qcb_numeric(rho, sigma) == (r.q[0], r.s_star[0])
 
     @pytest.mark.parametrize("rho,sigma", _kernel_cases())
     def test_qcb_curve_is_the_coarse_pass(self, rho, sigma):
@@ -301,7 +301,7 @@ class TestSpectraKernels:
         curve = linalg.qcb_curve_kernel(dr, ds, grid)
         # the curve is convex, so the searched minimiser lies within one grid
         # step of the sampled curve's minimum
-        s_star = linalg.qcb_kernels(dr[None], ds[None]).s_star[0, 0]
+        s_star = linalg.qcb_kernels(dr[None], ds[None]).s_star[0]
         assert abs(s_star - grid[np.argmin(curve)]) <= 0.005
 
 
@@ -521,15 +521,29 @@ def _batch(pairs):
     return drs, dss
 
 
-def _assert_cross_product_is_per_pair(got, drs, dss):
+def _cross(drs, dss):
+    # every (rho, sigma) of the two stacks, row by row, as two matched stacks
+    # taken at explicit index arrays
+    nr, nc = len(drs.eigenvalues), len(dss.eigenvalues)
+    rows, cols = np.divmod(np.arange(nr * nc), nc)
+    return drs[rows], dss[cols]
+
+
+def _assert_matched_pairs_are_per_pair(got, drs, dss):
+    # member k of the matched search equals the search on (rho_k, sigma_k)
+    # alone, bit for bit
+    n = len(drs.eigenvalues)
+    assert got.q.shape == got.s_star.shape == (n,)
+    expected = [linalg.qcb_kernels(drs[k][None], dss[k][None]) for k in range(n)]
+    assert got.q.tolist() == [r.q[0] for r in expected]
+    assert got.s_star.tolist() == [r.s_star[0] for r in expected]
+
+
+def _assert_cross_product_is_per_pair(drs, dss):
     # every (rho, sigma) of the two stacks, not only the matched pairs, equals
     # the search on that pair alone, bit for bit
-    nr, nc = len(drs.eigenvalues), len(dss.eigenvalues)
-    assert got.q.shape == got.s_star.shape == (nr, nc)
-    for i in range(nr):
-        expected = [linalg.qcb_kernels(drs[i][None], dss[j][None]) for j in range(nc)]
-        assert got.q[i].tolist() == [r.q[0, 0] for r in expected]
-        assert got.s_star[i].tolist() == [r.s_star[0, 0] for r in expected]
+    pairs = _cross(drs, dss)
+    _assert_matched_pairs_are_per_pair(linalg.qcb_kernels(*pairs), *pairs)
 
 
 def _rank_deficient(dim, rank, seed):
@@ -574,7 +588,7 @@ def _mp_qcb(dr, ds):
 
 
 class TestQcbKernels:
-    """The Chernoff search over two stacks equals the one-pair search on every pair."""
+    """The Chernoff search over two matched stacks equals the one-pair search on every pair."""
 
     @pytest.mark.parametrize("dim", [4, 9, 16])
     def test_batch_equals_scalar_search(self, dim):
@@ -588,33 +602,35 @@ class TestQcbKernels:
         pairs += [(_nearly_pure(dim, dim), mixed), (mixed, _nearly_pure(dim, dim))]
         drs, dss = _batch(pairs)
         got = linalg.qcb_kernels(drs, dss)
-        _assert_cross_product_is_per_pair(got, drs, dss)
-        assert got.s_star[-2, -2] == 1e-9
-        assert got.s_star[-1, -1] == 1.0 - 1e-9
-
-    def test_batch_longer_than_a_block(self):
-        # 17 x 17 pairs of d^2 = 16 states span four Newton blocks
-        dim, n = 16, 17
-        decs = linalg.clamped_spectrum(np.stack([rand_density(dim, 3000 + i) for i in range(n)]))
-        assert len(linalg._blocks(n * n, dim, tables=3)) == 4
-        _assert_cross_product_is_per_pair(linalg.qcb_kernels(decs, decs), decs, decs)
+        _assert_matched_pairs_are_per_pair(got, drs, dss)
+        _assert_cross_product_is_per_pair(drs, dss)
+        assert got.s_star[-2] == 1e-9
+        assert got.s_star[-1] == 1.0 - 1e-9
 
     def test_batch_longer_than_a_coarse_chunk(self):
-        # the d = 6 Werner sweep: three 36 x 36 tables per pair hold 16 pairs
-        # in 2^16 entries, so the 361 pairs, the 19 identical ones among them,
-        # take 23 Newton blocks
+        # the d = 6 Werner sweep's 361 ordered pairs, the 19 identical ones
+        # among them, in one matched call
         etas = np.linspace(-0.9, 0.9, 19)
         decs = linalg.clamped_spectrum(np.stack([states.werner_state(a, 6) for a in etas]))
-        assert len(linalg._blocks(len(etas) ** 2, 36, tables=3)) == 23
-        _assert_cross_product_is_per_pair(linalg.qcb_kernels(decs, decs), decs, decs)
+        _assert_cross_product_is_per_pair(decs, decs)
 
     def test_stacks_of_different_lengths(self):
+        # the cross product of 3 rho and 4 sigma, both ways, taken as matched stacks
         rhos = [rand_density(9, 6000 + i) for i in range(3)]
         sigmas = [states.werner_state(e, 3) for e in (-1.0, -0.2, 0.5, 1.0)]
         drs = linalg.clamped_spectrum(np.stack(rhos))
         dss = linalg.clamped_spectrum(np.stack(sigmas))
-        _assert_cross_product_is_per_pair(linalg.qcb_kernels(drs, dss), drs, dss)
-        _assert_cross_product_is_per_pair(linalg.qcb_kernels(dss, drs), dss, drs)
+        _assert_cross_product_is_per_pair(drs, dss)
+        _assert_cross_product_is_per_pair(dss, drs)
+
+    def test_unequal_stack_lengths_are_rejected(self):
+        # member k is set against member k, so the lengths must agree
+        drs = linalg.clamped_spectrum(np.stack([rand_density(9, 6000 + i) for i in range(3)]))
+        dss = linalg.clamped_spectrum(np.stack([rand_density(9, 6100 + i) for i in range(4)]))
+        with pytest.raises(DimensionMismatchError, match="3 rho of dimension 9 against 4 sigma"):
+            linalg.qcb_kernels(drs, dss)
+        with pytest.raises(DimensionMismatchError, match="1 rho of dimension 9 against 0 sigma"):
+            linalg.qcb_kernels(drs[:1], drs[:0])
 
     def test_matches_a_50_digit_root(self):
         # Werner pairs, random full-rank pairs and random rank-deficient pairs
@@ -649,8 +665,8 @@ class TestQcbKernels:
         full.append(states.isotropic_state(0.5, d))
         low = linalg.qcb_kernels(*_batch([(r, s) for r in deficient for s in full]))
         high = linalg.qcb_kernels(*_batch([(s, r) for r in deficient for s in full]))
-        assert np.all(np.diag(low.s_star) == 1e-9)
-        assert np.all(np.diag(high.s_star) == 1.0 - 1e-9)
+        assert np.all(low.s_star == 1e-9)
+        assert np.all(high.s_star == 1.0 - 1e-9)
         orthogonal = _batch(
             [
                 (states.werner_state(1.0, d), states.werner_state(-1.0, d)),
@@ -658,8 +674,8 @@ class TestQcbKernels:
             ]
         )
         got = linalg.qcb_kernels(*orthogonal)
-        assert np.diag(got.s_star).tolist() == [1e-9, 1e-9]
-        assert np.diag(got.q).tolist() == [0.0, 0.0]
+        assert got.s_star.tolist() == [1e-9, 1e-9]
+        assert got.q.tolist() == [0.0, 0.0]
 
     def test_identical_states_stop_at_once(self, monkeypatch):
         # f' of a state against itself is round-off only: the search stops at
@@ -683,42 +699,30 @@ class TestQcbKernels:
 
     @pytest.mark.parametrize("dim", [4, 9, 36])
     def test_stacked_curves_equal_per_pair_curves(self, dim):
-        # the batched curve, one rho's power table against a stack of sigma
-        # (as the substitution sweep calls it) and matched pairs stacked, is
-        # row for row the one-pair curve
+        # the curve on matched stacks (as the substitution sweep calls it), of the
+        # pairs themselves and of their cross product, is row for row the
+        # one-pair curve
         pairs = [(r, s) for r, s in _kernel_cases() if r.shape[0] == dim]
         pairs += [(rand_density(dim, 4000 + i), rand_density(dim, 5000 + i)) for i in range(8)]
         pairs += [(states.werner_state(0.3, 6), states.werner_state(-0.6, 6))] if dim == 36 else []
-        drs, dss = _batch(pairs)
         grid = np.arange(1, 200) * 0.005
-        s = grid[:, None]
-        q_tables = dss.eigenvalues[:, None, :] ** (1.0 - s)
-        matched = linalg._overlap_curve(
-            drs.eigenvalues[:, None, :] ** s, linalg._overlap(drs, dss), q_tables
-        )
-        for i, row in enumerate(matched):
-            assert np.array_equal(row, linalg.qcb_curve_kernel(drs[i], dss[i], grid))
-        for i in range(len(pairs)):
-            against = linalg._overlap_curve(
-                drs.eigenvalues[i] ** s, linalg._overlap(drs[i], dss), q_tables
-            )
-            for j, row in enumerate(against):
-                assert np.array_equal(row, linalg.qcb_curve_kernel(drs[i], dss[j], grid))
+        for drs, dss in (_batch(pairs), _cross(*_batch(pairs))):
+            matched = linalg.qcb_curve_kernel(drs, dss, grid)
+            assert matched.shape == (len(drs.eigenvalues), len(grid))
+            for k, row in enumerate(matched):
+                assert np.array_equal(row, linalg.qcb_curve_kernel(drs[k], dss[k], grid))
 
     def test_empty_batch(self):
         empty = linalg.EigenDecomposition(np.empty((0, 4)), np.empty((0, 4, 4)))
         got = linalg.qcb_kernels(empty, empty)
-        assert got.q.shape == got.s_star.shape == (0, 0)
-        one = linalg.clamped_spectrum(rand_density(4, 1))[None]
-        assert linalg.qcb_kernels(one, empty).q.shape == (1, 0)
-        assert linalg.qcb_kernels(empty, one).s_star.shape == (0, 1)
+        assert got.q.shape == got.s_star.shape == (0,)
 
     def test_one_pair_call(self):
         rho, sigma = rand_density(9, 41), rand_density(9, 42)
         dr, ds = _batch([(rho, sigma)])
         got = linalg.qcb_numeric(rho, sigma)
         r = linalg.qcb_kernels(dr, ds)
-        assert (got.q, got.s_star) == (r.q[0, 0], r.s_star[0, 0])
+        assert (got.q, got.s_star) == (r.q[0], r.s_star[0])
         q, s_star = _mp_qcb(dr[0], ds[0])
         assert abs(got.q - q) <= 1e-14 and abs(got.s_star - s_star) <= 1e-12
         assert type(got.q) is float and type(got.s_star) is float

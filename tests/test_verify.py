@@ -205,6 +205,102 @@ def test_qcb_checks_without_pairs_fail():
     assert all(r.points == 9 and r.passed for r in pairs)
 
 
+@pytest.mark.parametrize("dim", [4, 16, 36])
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 17, 21, 101])
+def test_pairs_yield_every_ordered_pair_once_in_bounded_blocks(n, dim):
+    # row by row; diagonal=False drops exactly the n pairs (i, i), so n = 0
+    # and n = 1 leave none; every block holds at most _STACK_ENTRIES entries of
+    # three dim x dim tables a pair
+    every = [(i, j) for i in range(n) for j in range(n)]
+    for diagonal, expected in ((True, every), (False, [(i, j) for i, j in every if i != j])):
+        blocks = list(verify._pairs(n, dim, diagonal))
+        got = [(int(i), int(j)) for rows, cols in blocks for i, j in zip(rows, cols)]
+        assert got == expected
+        assert all(len(rows) * 3 * dim * dim <= linalg._STACK_ENTRIES for rows, _ in blocks)
+    assert len(every) - len(expected) == n
+
+
+def test_pair_blocks_of_the_sweeps():
+    # 17 x 17 pairs of d^2 = 16 states span four blocks; the d = 6 Chernoff
+    # sweep's 19 x 19 pairs, 23, and its 342 off-diagonal ones, 22
+    assert len(list(verify._pairs(17, 16))) == 4
+    assert len(list(verify._pairs(19, 36))) == 23
+    assert len(list(verify._pairs(19, 36, diagonal=False))) == 22
+
+
+def test_werner_sweep_does_not_depend_on_the_block_size(monkeypatch):
+    # five pairs a block at d = 3 (1,215 entries) give the default blocks' results, bit for bit
+    expected = verify.check_werner_oracles(0.1, (3,), WERNER_TOLS)
+    monkeypatch.setattr(linalg, "_STACK_ENTRIES", 5 * 3 * 81)
+    assert len(list(verify._pairs(21, 9))) == 89
+    got = verify.check_werner_oracles(0.1, (3,), WERNER_TOLS)
+    assert got == expected
+    assert [r.worst.hex() for r in got] == [r.worst.hex() for r in expected]
+
+
+def test_closed_forms_are_tabulated_once_per_grid(monkeypatch):
+    # each dimension-free closed form is taken once per ordered pair of the grid
+    # (21 x 21, the Chernoff one 19 x 19), not once per pair and dimension
+    calls = {name: 0 for name in ("fidelity_werner", "relative_entropy_werner", "qcb_werner")}
+    for name in calls:
+        real = getattr(metrics, name)
+
+        def counting(a, b, name=name, real=real):
+            calls[name] += 1
+            return real(a, b)
+
+        monkeypatch.setattr(metrics, name, counting)
+    results = verify.check_werner_oracles(0.1, (2, 3, 4, 5, 6), WERNER_TOLS)
+    assert [r.points for r in results] == list(DEFAULT_POINTS.values())[:5]
+    assert calls == {"fidelity_werner": 441, "relative_entropy_werner": 441, "qcb_werner": 361}
+
+
+_werner_fidelity, _werner_relent, _werner_qcb = (
+    metrics.fidelity_werner, metrics.relative_entropy_werner, metrics.qcb_werner
+)
+
+# closed forms that verify reads through metrics, broken a little: each with the
+# one Werner-sweep result it fails and that result's failures at grid 0.2, d = 2, 3
+TABLE_MUTANTS = {
+    "fidelity": (
+        "fidelity_werner", lambda a, b: _werner_fidelity(a, b) * (1 + 1e-8), "fidelity-oracle", 238, 242
+    ),
+    "relative-entropy": (
+        "relative_entropy_werner",
+        lambda a, b: _werner_relent(a, b) * (1 + 1e-7),
+        "relative-entropy-oracle",
+        180,
+        242,
+    ),
+    "chernoff-q": (
+        "qcb_werner",
+        lambda a, b: replace(_werner_qcb(a, b), q=_werner_qcb(a, b).q * (1 + 1e-3)),
+        "qcb-oracle-q",
+        144,
+        144,
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", TABLE_MUTANTS)
+def test_closed_form_tables_catch_broken_closed_forms(monkeypatch, mutant):
+    name, broken, check, failures, points = TABLE_MUTANTS[mutant]
+    monkeypatch.setattr(metrics, name, broken)
+    results = verify.check_werner_oracles(0.2, (2, 3), WERNER_TOLS)
+    assert [r.name for r in results if not r.passed] == [check]
+    failed = {r.name: r for r in results}[check]
+    assert (failed.failures, failed.points) == (failures, points)
+
+
+def test_defects_are_zero_at_matching_infinities_and_nan_fails():
+    closed = np.array([math.inf, -math.inf, math.inf, 1.0, 1.5])
+    got = verify._defects([math.inf, math.inf, 1.0, math.nan, 2.0], closed)
+    assert got[:3].tolist() == [0.0, math.inf, math.inf]
+    assert math.isnan(got[3]) and got[4] == 0.5
+    result = verify._collect("x", [got], 1.0)
+    assert (result.points, result.failures) == (5, 3)
+
+
 def test_sandwich_ordering_matches_pairwise_sweep():
     # the pairwise bounds() sweep that the one sandwich sweep replaced;
     # tol 0 counts every positive violation as a failure
