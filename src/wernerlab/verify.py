@@ -11,12 +11,15 @@ pairs (off the diagonal where asked) within ``linalg._blocks``, at which
 each pair kernel takes two stacks member against member, so memory does
 not grow with the grid.  The closed forms are dimension-free, so each is
 tabulated once per grid (the isotropic Chernoff form once per d) and read
-at [rows, cols].  One Werner sweep per dimension builds the explicit states,
-real, and their decomposition once for the fidelity, trace-distance,
-relative-entropy and Chernoff oracles; the Chernoff oracles of both
-families share ``_chernoff_defects``.  The teleport sweep takes each bounded
-block of draws through teleportation, channel and covariance test as one
-stack; the sandwich sweep reduces the bound columns a block of zetas at a time.
+at [rows, cols].  One Werner sweep builds the explicit states, real, and
+their decomposition once per dimension for the fidelity, trace-distance,
+relative-entropy and Chernoff oracles and, at the isotropic dimensions (those
+requested up to 4, or else the smallest requested), the substitution
+identity; the critical-point identities read its one Chernoff table.  The
+Chernoff oracles of both families share ``_chernoff_defects``.  The teleport
+sweep takes each bounded block of draws through teleportation, channel and
+covariance test as one stack; the sandwich sweep reduces the bound columns a
+block of zetas at a time.
 """
 
 from __future__ import annotations
@@ -72,10 +75,6 @@ def max_workers() -> int:
     return 1
 
 
-def _alpha_grid(d: int, points: int = 11) -> list[float]:
-    return [d * i / (points - 1) for i in range(points)]
-
-
 def _stack(family, params, d: int) -> np.ndarray:
     # the explicit states family(x, d), one stack member per parameter, in the family's dtype
     return np.array([family(x, d) for x in params]).reshape(-1, d * d, d * d)
@@ -103,10 +102,11 @@ def _pairs(n: int, dim: int, diagonal: bool = True):
         yield rows, cols
 
 
-def _table(closed_form, params) -> np.ndarray:
+def _table(closed_form, params, *width) -> np.ndarray:
     # closed_form(a, b) at every ordered pair of params, once each: an (n, n) array, or
-    # (n, n, k) of a k-tuple (empty without params, which give no pair to read it at)
-    return np.array([[closed_form(a, b) for b in params] for a in params], dtype=float)
+    # (n, n, k) of a k-tuple given its width k (also without params)
+    table = [[closed_form(a, b) for b in params] for a in params]
+    return np.array(table, dtype=float).reshape(len(params), len(params), *width)
 
 
 def _defects(numeric, closed) -> np.ndarray:
@@ -127,24 +127,37 @@ def _collect(name, blocks, tol) -> CheckResult:
 
 def _chernoff_defects(decs, closed, dq, ds) -> None:
     # appends |numeric - closed| of q to dq and of s* to ds per block of off-diagonal
-    # pairs of the stack; ``closed`` is the (n, n, 2) table of the closed form's q and s*
+    # pairs of the stack; ``closed`` is the (n, n, k) table whose first columns are q and s*
     for i, j in _pairs(len(decs.eigenvalues), decs.eigenvalues.shape[-1], diagonal=False):
         numeric = linalg.qcb_kernels(decs[i], decs[j])
         dq.append(_defects(numeric.q, closed[i, j, 0]))
         ds.append(_defects(numeric.s_star, closed[i, j, 1]))
 
 
-def check_werner_oracles(grid_step, dims, tols) -> tuple[CheckResult, ...]:
+def _werner_chernoff(a, b) -> tuple:
+    # q and s* of qcb_werner, then 1 or 0 for each identity of its minimiser: an interior
+    # critical point 0 < s* < 1, and local-minimum bracketing Q(s* +/- 1e-3) > q
+    r = metrics.qcb_werner(a, b)
+    interior = r.s_kind == "interior" and 0.0 < r.s_star < 1.0
+    bracket = all(metrics.werner_qs(a, b, r.s_star + h) > r.q for h in (-1e-3, 1e-3))
+    return r.q, r.s_star, interior, bracket
+
+
+def check_werner_oracles(grid_step, dims, iso_dims, tols) -> tuple[CheckResult, ...]:
     # Closed forms tabulated once; per dimension: one explicit Werner stack, one clamped
     # decomposition and its roots.  The fidelity, trace-distance and relative-entropy
     # oracles take every pair; the Chernoff oracle, after the roots are freed, the
-    # interior pairs off the diagonal.  ``tols`` are those of the five results in turn.
+    # interior pairs off the diagonal.  At each of ``iso_dims``, the substitution
+    # identity (the premise of the shared Chernoff core in metrics) compares their
+    # s-overlap curves with those of the isotropic states at alpha = d(1 + eta)/2, on
+    # the matrices alone; the critical-point identities read the Chernoff table off
+    # the diagonal.  ``tols`` are those of the seven results in turn.
     etas = discrimination.eta_grid(grid_step)
     fid_closed = _table(metrics.fidelity_werner, etas)
     dist_closed = _table(lambda a, b: abs(a - b) / 2.0, etas)
     rel_closed = _table(metrics.relative_entropy_werner, etas)
-    chernoff = _table(lambda a, b: _q_and_s(metrics.qcb_werner(a, b)), etas[1:-1])
-    fid, dist, rel, dq, ds = [], [], [], [], []
+    chernoff = _table(_werner_chernoff, etas[1:-1], 4)
+    fid, dist, rel, dq, ds, sub = [], [], [], [], [], []
     for d in dims:
         ws = _stack(states.werner_state, etas, d)
         decs = _spectra(ws)
@@ -154,55 +167,33 @@ def check_werner_oracles(grid_step, dims, tols) -> tuple[CheckResult, ...]:
             dist.append(_defects(linalg.trace_distance_numeric(ws[i], ws[j]), dist_closed[i, j]))
             rel.append(_defects(linalg.relative_entropy_kernel(decs[i], decs[j]), rel_closed[i, j]))
         del ws, roots
-        _chernoff_defects(decs[1:-1], chernoff, dq, ds)
+        inner = decs[1:-1]
+        _chernoff_defects(inner, chernoff, dq, ds)
+        if d in iso_dims:
+            iso = _spectra(_stack(states.isotropic_state, [d * (1 + e) / 2 for e in etas[1:-1]], d))
+            for i, j in _pairs(len(etas) - 2, d * d, diagonal=False):
+                iso_q = linalg.qcb_curve_kernel(iso[i], iso[j], (0.25, 0.5, 0.75))
+                wer_q = linalg.qcb_curve_kernel(inner[i], inner[j], (0.25, 0.5, 0.75))
+                sub.append(np.abs(iso_q - wer_q).max(-1))
+    s = chernoff[..., 1]
+    off = ~np.eye(len(s), dtype=bool)
+    critical = [np.abs(s + s.T - 1.0)[off], np.where(chernoff[off][:, 2:], 0.0, math.inf)]
     names = ("fidelity-oracle", "trace-distance-oracle", "relative-entropy-oracle",
-             "qcb-oracle-q", "qcb-oracle-s")
-    return tuple(_collect(n, x, t) for n, x, t in zip(names, (fid, dist, rel, dq, ds), tols))
+             "qcb-oracle-q", "qcb-oracle-s", "critical-point-identities", "substitution-identity")
+    blocks = (fid, dist, rel, dq, ds, critical, sub)
+    return tuple(_collect(n, x, t) for n, x, t in zip(names, blocks, tols))
 
 
 def check_qcb_isotropic_oracle(dims, tols) -> tuple[CheckResult, CheckResult]:
-    # the Chernoff q and s* of every off-diagonal interior isotropic pair, at ``tols`` in turn
+    # the Chernoff q and s* of every off-diagonal pair at alpha = d i/10, i = 1..9, at
+    # ``tols`` in turn
     dq, ds = [], []
     for d in dims:
-        alphas = _alpha_grid(d)[1:-1]
-        closed = _table(lambda a, b: _q_and_s(metrics.qcb_isotropic(a, b, d)), alphas)
+        alphas = [d * i / 10 for i in range(1, 10)]
+        closed = _table(lambda a, b: _q_and_s(metrics.qcb_isotropic(a, b, d)), alphas, 2)
         _chernoff_defects(_spectra(_stack(states.isotropic_state, alphas, d)), closed, dq, ds)
     names = ("qcb-isotropic-oracle", "qcb-isotropic-oracle-s")
     return tuple(_collect(n, x, t) for n, x, t in zip(names, (dq, ds), tols))
-
-
-def check_critical_point_identities(grid_step, tol) -> CheckResult:
-    # On every off-diagonal interior pair, from one qcb_werner call per ordered pair:
-    # s_ab + s_ba = 1, an interior minimiser 0 < s_ab < 1, and local-minimum
-    # bracketing Q(s_ab +/- 1e-3) > q.
-    etas = discrimination.eta_grid(grid_step)[1:-1]
-    qcb = {(a, b): metrics.qcb_werner(a, b) for a in etas for b in etas if a != b}
-    deltas = []
-    for (a, b), ab in qcb.items():
-        deltas.append(abs(ab.s_star + qcb[b, a].s_star - 1.0))
-        interior = ab.s_kind == "interior" and 0.0 < ab.s_star < 1.0
-        deltas.append(0.0 if interior else math.inf)
-        bracket_ok = all(metrics.werner_qs(a, b, ab.s_star + h) > ab.q for h in (-1e-3, 1e-3))
-        deltas.append(0.0 if bracket_ok else math.inf)
-    return _collect("critical-point-identities", [deltas], tol)
-
-
-def check_substitution_identity(grid_step, dims, tol) -> CheckResult:
-    # The premise of the shared Chernoff core in metrics: the entangled pair
-    # (alpha, beta) and the flip pair under alpha -> d(1 + eta)/2 have the
-    # same s-overlap curve.  Compared on the explicit matrices, with no
-    # closed form involved; one point per off-diagonal interior pair.
-    s_values = (0.25, 0.5, 0.75)
-    deltas = []
-    for d in dims:
-        alphas = _alpha_grid(d, points=len(discrimination.eta_grid(grid_step)))[1:-1]
-        iso = _spectra(_stack(states.isotropic_state, alphas, d))
-        wer = _spectra(_stack(states.werner_state, [2.0 * a / d - 1.0 for a in alphas], d))
-        for i, j in _pairs(len(alphas), d * d, diagonal=False):
-            iso_q = linalg.qcb_curve_kernel(iso[i], iso[j], s_values)
-            wer_q = linalg.qcb_curve_kernel(wer[i], wer[j], s_values)
-            deltas.append(np.abs(iso_q - wer_q).max(-1))
-    return _collect("substitution-identity", deltas, tol)
 
 
 def _teleport_defects(eta, d, seed, samples) -> tuple[list[float], list[float]]:
@@ -291,6 +282,8 @@ def run_verification(
     """Run every cross-check; tolerances are multiplied by ``tol_scale``."""
     seed = states._check_seed(seed)
     dims = tuple(states._check_pair_dim(d) for d in dims)
+    if not dims:
+        raise InvalidParameterError("no dimension to verify")
     if len(set(dims)) < len(dims):
         raise InvalidParameterError(f"dimensions {list(dims)} repeat a dimension")
     if not (math.isfinite(tol_scale) and tol_scale > 0.0):
@@ -302,15 +295,20 @@ def run_verification(
         raise DimensionOverflowError(
             f"verification work (grid points)^2 x sum d^4 = {work} exceeds cap {VERIFY_WORK_CAP}"
         )
-    iso_dims = tuple(d for d in dims if d <= 4) or (2,)
-    # Chernoff q and s*, of both families; fidelity, trace distance, relative entropy
+    # the isotropic checks run at the dims up to 4, or else the smallest: the substitution
+    # identity reads the Werner sweep at each
+    iso_dims = tuple(d for d in dims if d <= 4) or (min(dims),)
+    # Chernoff q and s*, of both families; fidelity, trace distance, relative entropy;
+    # the critical-point and substitution identities
     chernoff_tols = [tol * tol_scale for tol in (1e-6, 1e-8)]
     werner_tols = [tol * tol_scale for tol in (1e-9, 1e-10, 1e-9)] + chernoff_tols
+    werner_tols += [1e-12 * tol_scale] * 2
+    *werner, critical, substitution = check_werner_oracles(grid_step, dims, iso_dims, werner_tols)
     return [
-        *check_werner_oracles(grid_step, dims, werner_tols),
+        *werner,
         *check_qcb_isotropic_oracle(iso_dims, chernoff_tols),
-        check_critical_point_identities(grid_step, 1e-12 * tol_scale),
-        check_substitution_identity(grid_step, iso_dims, 1e-12 * tol_scale),
+        critical,
+        substitution,
         *check_teleport(seed, TELEPORT_TOL * tol_scale),
         check_helstrom_explicit(1e-10 * tol_scale),
         check_estimation_saturation(seed, 0.05 * tol_scale),

@@ -17,8 +17,9 @@ SEED = 20260808
 
 ETA_GRID = [(2 * i - 20) / 20 for i in range(21)]          # -1.0 .. 1.0, step 0.1
 FINE_INNER = [(2 * i - 40) / 40 for i in range(1, 40)]      # -0.95 .. 0.95, step 0.05
-# fidelity, trace distance, relative entropy, Chernoff q and s* of the Werner sweep
-WERNER_TOLS = (1e-9, 1e-10, 1e-9, 1e-6, 1e-8)
+# fidelity, trace distance, relative entropy, Chernoff q and s*, and the critical-point
+# and substitution identities of the Werner sweep
+WERNER_TOLS = (1e-9, 1e-10, 1e-9, 1e-6, 1e-8, 1e-12, 1e-12)
 
 
 def report(num, ok, detail):
@@ -29,7 +30,7 @@ def report(num, ok, detail):
 
 def test_criterion_01_fidelity_oracle_agreement():
     t0 = time.monotonic()
-    r = verify.check_werner_oracles(0.1, range(2, 7), WERNER_TOLS)[0]
+    r = verify.check_werner_oracles(0.1, range(2, 7), (2, 3, 4), WERNER_TOLS)[0]
     elapsed = time.monotonic() - t0
     report(
         1,
@@ -42,8 +43,8 @@ def test_criterion_01_fidelity_oracle_agreement():
 def test_criterion_02_qcb_oracle_agreement():
     # the diagonal (q = 1) is covered by test_linalg's identical-states case
     t0 = time.monotonic()
-    q, s = verify.check_werner_oracles(0.1, range(2, 7), WERNER_TOLS)[3:]
-    iso_q, iso_s = verify.check_qcb_isotropic_oracle((2, 3, 4), WERNER_TOLS[3:])
+    q, s = verify.check_werner_oracles(0.1, range(2, 7), (2, 3, 4), WERNER_TOLS)[3:5]
+    iso_q, iso_s = verify.check_qcb_isotropic_oracle((2, 3, 4), WERNER_TOLS[3:5])
     elapsed = time.monotonic() - t0
     report(
         2,
@@ -57,7 +58,8 @@ def test_criterion_02_qcb_oracle_agreement():
 
 def test_criterion_03_critical_point_identities():
     # a containment or bracketing failure is an infinite defect in the check
-    r = verify.check_critical_point_identities(0.1, 1e-12)
+    results = verify.check_werner_oracles(0.1, range(2, 7), (2, 3, 4), WERNER_TOLS)
+    r = {r.name: r for r in results}["critical-point-identities"]
     report(
         3,
         r.passed,

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from wernerlab import cli, discrimination, linalg, metrics, states, teleport, verify
-from wernerlab.errors import DimensionOverflowError, NotUnitaryError
+from wernerlab.errors import DimensionOverflowError, InvalidParameterError, NotUnitaryError
 
 # points examined by each check of one default run_verification()
 DEFAULT_POINTS = {
@@ -29,14 +29,17 @@ DEFAULT_POINTS = {
 }
 
 
-# the default tolerances of check_werner_oracles' five results, as run_verification sets them
-WERNER_TOLS = (1e-9, 1e-10, 1e-9, 1e-6, 1e-8)
+# the default tolerances of check_werner_oracles' seven results, as run_verification sets them
+WERNER_TOLS = (1e-9, 1e-10, 1e-9, 1e-6, 1e-8, 1e-12, 1e-12)
+# the names of its seven results: the first five checks of a run, then the two identities
+WERNER_NAMES = list(DEFAULT_POINTS)[:5] + list(DEFAULT_POINTS)[7:9]
 
 
 @pytest.fixture(scope="module")
 def default_werner_oracles():
-    # one Werner sweep at the default grid and dims, shared by the pinned-value tests
-    return verify.check_werner_oracles(0.1, (2, 3, 4, 5, 6), WERNER_TOLS)
+    # one Werner sweep at the default grid, dims and isotropic dims, shared by the
+    # pinned-value tests
+    return verify.check_werner_oracles(0.1, (2, 3, 4, 5, 6), (2, 3, 4), WERNER_TOLS)
 
 
 def count_eigh(monkeypatch, names=("eigh", "eigvalsh")) -> list:
@@ -56,12 +59,15 @@ def count_eigh(monkeypatch, names=("eigh", "eigvalsh")) -> list:
 
 def test_qcb_sweep_decomposes_each_state_once(monkeypatch):
     # the four Werner oracles share one decomposition per eta (the Chernoff
-    # oracle takes the 19 interior ones), not one per oracle or two per pair
+    # oracle takes the 19 interior ones), not one per oracle or two per pair;
+    # the substitution identity reads the same 19 and decomposes only its
+    # isotropic states
     calls = count_eigh(monkeypatch, ("eigh",))
-    *pairs, q, s = verify.check_werner_oracles(0.1, (3,), WERNER_TOLS)
+    *pairs, q, s, critical, sub = verify.check_werner_oracles(0.1, (3,), (3,), WERNER_TOLS)
     assert [r.points for r in pairs] == [21 * 21] * 3
-    assert q.points == s.points == 19 * 18
-    assert len(calls) == 21
+    assert q.points == s.points == sub.points == 19 * 18
+    assert critical.points == 3 * 19 * 18
+    assert len(calls) == 21 + 19
 
 
 def test_default_run_point_counts(monkeypatch):
@@ -69,22 +75,23 @@ def test_default_run_point_counts(monkeypatch):
     results = verify.run_verification()
     assert {r.name: r.points for r in results} == DEFAULT_POINTS
     assert sum(r.points for r in results) == 22_477
-    assert [r.tol for r in results[:5]] == list(WERNER_TOLS)
-    assert len(calls) == 5068
+    assert [r.tol for r in results[:5] + results[7:9]] == list(WERNER_TOLS)
+    assert len(calls) == 5011
 
 
 def test_default_run_counted_work(monkeypatch):
     # the Werner states built and the LAPACK eigendecompositions (with eigenvectors)
     # of one default run: one Werner sweep per dimension and one stacked call per
     # stack block (the four Werner oracles built 485 states and made 24 calls
-    # when each built and decomposed its own)
+    # when each built and decomposed its own; 180 and 14 while the substitution
+    # identity built its own Werner stack)
     built, lapack = [], []
     werner, eigh = states.werner_state, np.linalg.eigh
     monkeypatch.setattr(states, "werner_state", lambda *a: built.append(a) or werner(*a))
     monkeypatch.setattr(np.linalg, "eigh", lambda a: lapack.append(a.shape) or eigh(a))
     verify.run_verification()
-    assert len(built) == 180
-    assert len(lapack) == 14
+    assert len(built) == 123
+    assert len(lapack) == 11
 
 
 def test_estimation_saturation_worst_is_pinned():
@@ -97,7 +104,7 @@ def test_estimation_saturation_worst_is_pinned():
 def test_qcb_oracle_worst_is_pinned(default_werner_oracles):
     # bit-identity guard on the Chernoff search: a change to the search
     # that still passed its tolerances would move these values
-    q, s = default_werner_oracles[3:]
+    q, s = default_werner_oracles[3:5]
     assert q.points == s.points == 1710
     assert q.worst == float.fromhex("0x1.2p-50")
     assert s.worst == float.fromhex("0x1.7c8p-45")
@@ -153,16 +160,17 @@ def test_shifted_isotropic_chernoff_minimiser_is_caught(monkeypatch):
 def test_pair_oracle_worst_is_pinned(default_werner_oracles, name, worst):
     # bit-identity guard on the stacked per-pair oracles at the default grid
     # and dims: a change to their numerics that still passed would move these
-    assert [r.name for r in default_werner_oracles] == list(DEFAULT_POINTS)[:5]
+    assert [r.name for r in default_werner_oracles] == WERNER_NAMES
     result = {r.name: r for r in default_werner_oracles}[name]
     assert result.points == 2205
     assert result.worst == float.fromhex(worst)
 
 
-def test_substitution_identity_worst_is_pinned():
+def test_substitution_identity_worst_is_pinned(default_werner_oracles):
     # bit-identity guard on the Chernoff overlap curve (qcb_curve_kernel) at
     # the default grid and isotropic dims
-    result = verify.check_substitution_identity(0.1, (2, 3, 4), 1e-12)
+    result = {r.name: r for r in default_werner_oracles}["substitution-identity"]
+    assert result.points == DEFAULT_POINTS["substitution-identity"]
     assert result.worst == float.fromhex("0x1.ap-50")
 
 
@@ -173,10 +181,11 @@ def test_qcb_oracle_memory_does_not_grow_with_the_coarse_pass():
     # 2^16-entry sigma^(1-s) tables, and with the Newton search's three
     # tables filled in place in blocks of 2^16 entries (1.9 MB when the
     # tables were stacked from separate products); 1.5 MB for the one Werner
-    # sweep of all four oracles, whose roots are freed before the search
+    # sweep of all four oracles, whose roots are freed before the search, with
+    # or without the substitution identity
     tracemalloc.start()
     try:
-        verify.check_werner_oracles(0.1, (6,), WERNER_TOLS)
+        verify.check_werner_oracles(0.1, (6,), (6,), WERNER_TOLS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -186,10 +195,11 @@ def test_qcb_oracle_memory_does_not_grow_with_the_coarse_pass():
 def test_pair_oracle_memory_is_bounded_by_the_stack_blocks():
     # 101 d = 6 states a row span three 2^16-entry stacks: the fidelity sweep
     # alone read 4.6 MB with per-pair calls and 15 MB with one stack per row;
-    # the one Werner sweep of all four oracles reads 5.6 MB
+    # the one Werner sweep of all four oracles reads 5.3 MB, and 6.2 MB with the
+    # substitution identity's 99 isotropic states
     tracemalloc.start()
     try:
-        verify.check_werner_oracles(0.02, (6,), WERNER_TOLS)
+        verify.check_werner_oracles(0.02, (6,), (6,), WERNER_TOLS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -199,9 +209,9 @@ def test_pair_oracle_memory_is_bounded_by_the_stack_blocks():
 def test_qcb_checks_without_pairs_fail():
     # grid 1.0 leaves no off-diagonal interior pair: an empty batch, 0 points,
     # while the pair oracles of the same sweep examine every pair of the grid
-    *pairs, q, s = verify.check_werner_oracles(1.0, (2,), WERNER_TOLS)
-    assert (q.points, s.points) == (0, 0)
-    assert not q.passed and not s.passed
+    *pairs, q, s, critical, sub = verify.check_werner_oracles(1.0, (2,), (2,), WERNER_TOLS)
+    assert [r.points for r in (q, s, critical, sub)] == [0] * 4
+    assert not any(r.passed for r in (q, s, critical, sub))
     assert all(r.points == 9 and r.passed for r in pairs)
 
 
@@ -230,17 +240,19 @@ def test_pair_blocks_of_the_sweeps():
 
 def test_werner_sweep_does_not_depend_on_the_block_size(monkeypatch):
     # five pairs a block at d = 3 (1,215 entries) give the default blocks' results, bit for bit
-    expected = verify.check_werner_oracles(0.1, (3,), WERNER_TOLS)
+    expected = verify.check_werner_oracles(0.1, (3,), (3,), WERNER_TOLS)
     monkeypatch.setattr(linalg, "_STACK_ENTRIES", 5 * 3 * 81)
     assert len(list(verify._pairs(21, 9))) == 89
-    got = verify.check_werner_oracles(0.1, (3,), WERNER_TOLS)
+    got = verify.check_werner_oracles(0.1, (3,), (3,), WERNER_TOLS)
     assert got == expected
     assert [r.worst.hex() for r in got] == [r.worst.hex() for r in expected]
 
 
 def test_closed_forms_are_tabulated_once_per_grid(monkeypatch):
     # each dimension-free closed form is taken once per ordered pair of the grid
-    # (21 x 21, the Chernoff one 19 x 19), not once per pair and dimension
+    # (21 x 21, the Chernoff one 19 x 19), not once per pair and dimension; a whole
+    # run takes qcb_werner from that one table (703 calls while the critical-point
+    # identities made their own)
     calls = {name: 0 for name in ("fidelity_werner", "relative_entropy_werner", "qcb_werner")}
     for name in calls:
         real = getattr(metrics, name)
@@ -250,9 +262,12 @@ def test_closed_forms_are_tabulated_once_per_grid(monkeypatch):
             return real(a, b)
 
         monkeypatch.setattr(metrics, name, counting)
-    results = verify.check_werner_oracles(0.1, (2, 3, 4, 5, 6), WERNER_TOLS)
-    assert [r.points for r in results] == list(DEFAULT_POINTS.values())[:5]
+    results = verify.check_werner_oracles(0.1, (2, 3, 4, 5, 6), (2, 3, 4), WERNER_TOLS)
+    assert [r.points for r in results] == [DEFAULT_POINTS[name] for name in WERNER_NAMES]
     assert calls == {"fidelity_werner": 441, "relative_entropy_werner": 441, "qcb_werner": 361}
+    calls["qcb_werner"] = 0
+    verify.run_verification()
+    assert calls["qcb_werner"] == 361
 
 
 _werner_fidelity, _werner_relent, _werner_qcb = (
@@ -260,22 +275,27 @@ _werner_fidelity, _werner_relent, _werner_qcb = (
 )
 
 # closed forms that verify reads through metrics, broken a little: each with the
-# one Werner-sweep result it fails and that result's failures at grid 0.2, d = 2, 3
+# Werner-sweep results it fails, and the first one's failures and points at grid 0.2,
+# d = 2, 3
 TABLE_MUTANTS = {
     "fidelity": (
-        "fidelity_werner", lambda a, b: _werner_fidelity(a, b) * (1 + 1e-8), "fidelity-oracle", 238, 242
+        "fidelity_werner",
+        lambda a, b: _werner_fidelity(a, b) * (1 + 1e-8),
+        ["fidelity-oracle"],
+        238,
+        242,
     ),
     "relative-entropy": (
         "relative_entropy_werner",
         lambda a, b: _werner_relent(a, b) * (1 + 1e-7),
-        "relative-entropy-oracle",
+        ["relative-entropy-oracle"],
         180,
         242,
     ),
     "chernoff-q": (
         "qcb_werner",
         lambda a, b: replace(_werner_qcb(a, b), q=_werner_qcb(a, b).q * (1 + 1e-3)),
-        "qcb-oracle-q",
+        ["qcb-oracle-q", "critical-point-identities"],
         144,
         144,
     ),
@@ -284,12 +304,54 @@ TABLE_MUTANTS = {
 
 @pytest.mark.parametrize("mutant", TABLE_MUTANTS)
 def test_closed_form_tables_catch_broken_closed_forms(monkeypatch, mutant):
-    name, broken, check, failures, points = TABLE_MUTANTS[mutant]
+    name, broken, checks, failures, points = TABLE_MUTANTS[mutant]
     monkeypatch.setattr(metrics, name, broken)
-    results = verify.check_werner_oracles(0.2, (2, 3), WERNER_TOLS)
-    assert [r.name for r in results if not r.passed] == [check]
-    failed = {r.name: r for r in results}[check]
+    results = verify.check_werner_oracles(0.2, (2, 3), (2, 3), WERNER_TOLS)
+    assert [r.name for r in results if not r.passed] == checks
+    failed = {r.name: r for r in results}[checks[0]]
     assert (failed.failures, failed.points) == (failures, points)
+
+
+def _upper_s_shifted(a, b):
+    # s* off by 1e-9 on the pairs a < b only: within qcb-oracle-s's 1e-8, but
+    # s_ab + s_ba - 1 = 1e-9 on every off-diagonal pair
+    r = _werner_qcb(a, b)
+    return replace(r, s_star=r.s_star + 1e-9) if a < b else r
+
+
+# the Chernoff minimiser's identities broken, each at grid 0.2, d = 2, 3: every
+# one fails critical-point-identities and no other check
+CRITICAL_MUTANTS = {
+    "left-limit": ("qcb_werner", lambda a, b: replace(_werner_qcb(a, b), s_kind="left_limit")),
+    "upper-s-shifted": ("qcb_werner", _upper_s_shifted),
+    "nan-overlap": ("werner_qs", lambda a, b, s: math.nan),
+}
+
+
+@pytest.mark.parametrize("mutant", CRITICAL_MUTANTS)
+def test_critical_point_identities_catch_a_broken_minimiser(monkeypatch, mutant):
+    name, broken = CRITICAL_MUTANTS[mutant]
+    monkeypatch.setattr(metrics, name, broken)
+    results = verify.run_verification(grid_step=0.2, dims=(2, 3))
+    assert [r.name for r in results if not r.passed] == ["critical-point-identities"]
+
+
+def test_isotropic_checks_fall_back_to_the_smallest_dimension(monkeypatch):
+    # no requested dim up to 4: the isotropic checks and the substitution identity run
+    # at d = 5, the Werner sweep's own dimension, and build isotropic states there only
+    built = []
+    isotropic = states.isotropic_state
+    monkeypatch.setattr(states, "isotropic_state", lambda a, d: built.append(d) or isotropic(a, d))
+    results = {r.name: r for r in verify.run_verification(grid_step=0.5, dims=(5,))}
+    assert set(built) == {5}
+    for name in ("qcb-isotropic-oracle", "qcb-isotropic-oracle-s", "substitution-identity"):
+        assert results[name].points > 0 and results[name].passed
+
+
+def test_empty_dims_are_rejected_before_any_sweep(monkeypatch):
+    monkeypatch.setattr(verify, "check_werner_oracles", None)  # never reached
+    with pytest.raises(InvalidParameterError, match="no dimension to verify"):
+        verify.run_verification(dims=())
 
 
 def test_defects_are_zero_at_matching_infinities_and_nan_fails():
