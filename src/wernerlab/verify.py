@@ -1,25 +1,26 @@
 """Cross-validation suite: every closed form against its matrix-level oracle.
 
 Each check sweeps a parameter grid, compares an analytic quantity with an
-independently computed reference, and reports the worst defect seen and
-how many points it examined; a check that examined no point does not pass.
-The checks are plain functions, run serially one dimension after another
-so the results come out in a fixed order; the CLI turns them into an exit
-code.  Each state is decomposed once.  Every pair sweep runs through one
-pair engine, ``_pairs``: matched (rows, cols) index blocks of the ordered
-pairs (off the diagonal where asked) within ``linalg._blocks``, at which
-each pair kernel takes two stacks member against member, so memory does
-not grow with the grid.  The closed forms are dimension-free, so each is
-tabulated once per grid (the isotropic Chernoff form once per d) and read
-at [rows, cols].  One Werner sweep builds the explicit states, real, and
-their decomposition once per dimension for the fidelity, trace-distance,
-relative-entropy and Chernoff oracles and, at the isotropic dimensions (those
-requested up to 4, or else the smallest requested), the substitution
-identity; the critical-point identities read its one Chernoff table.  The
-Chernoff oracles of both families share ``_chernoff_defects``.  The teleport
-sweep takes each bounded block of draws through teleportation, channel and
-covariance test as one stack; the sandwich sweep reduces the bound columns a
-block of zetas at a time.
+independently computed reference, and reports the worst defect seen and how
+many points it examined; a check that examined no point does not pass.  The
+17 checks are plain functions, run serially one dimension after another so the
+results come out in a fixed order; the CLI turns them into an exit code.  Each
+state is decomposed once.  Every pair sweep runs through one triangle pair
+engine, ``_pairs``: matched (rows, cols) index blocks of the pairs i <= j
+(i < j where asked) within ``linalg._blocks``, at which each pair kernel takes
+two stacks member against member, so memory does not grow with the grid.  The
+oracles fill (n, n) tables, mirrored where symmetric (F, D, the Chernoff q,
+and s* as 1 - s*), each compared whole with its closed form, tabulated once
+per grid (the isotropic Chernoff form once per d): every ordered pair is still
+checked.  One Werner sweep builds the explicit states, real, and their
+decomposition once per dimension for the fidelity, trace-distance,
+relative-entropy and Chernoff oracles, the lower bound's inputs S and 1 - F^2
+and, at the isotropic dimensions (those requested up to 4, or else the
+smallest requested), the substitution identity; the critical-point identities
+read its one Chernoff table.  The Chernoff oracles of both families share
+``_chernoff_defects``.  The teleport sweep takes each bounded block of draws
+through teleportation, channel and covariance test as one stack; the sandwich
+sweep reduces the bound columns a block of zetas at a time.
 """
 
 from __future__ import annotations
@@ -91,15 +92,16 @@ def _spectra(mats: np.ndarray) -> linalg.EigenDecomposition:
 
 
 def _pairs(n: int, dim: int, diagonal: bool = True):
-    # every ordered pair (i, j) of n members row by row, i != j unless ``diagonal``, as
-    # index arrays (rows, cols) in blocks of three dim x dim tables a pair (linalg._blocks)
-    width = n if diagonal else n - 1
-    total = n * width
+    # every unordered pair i <= j (i < j unless ``diagonal``) of n members row by row, as
+    # index arrays (rows, cols) in blocks of three dim x dim tables a pair (linalg._blocks),
+    # each block found from its flat range by the row starts alone
+    first = np.arange(n) + (not diagonal)
+    lengths = n - first
+    starts, total = np.cumsum(lengths) - lengths, int(lengths.sum())
     for at in linalg._blocks(total, dim, tables=3):
-        rows, cols = np.divmod(np.arange(*at.indices(total)), width)
-        if not diagonal:
-            cols += cols >= rows
-        yield rows, cols
+        k = np.arange(*at.indices(total))
+        rows = np.searchsorted(starts, k, side="right") - 1
+        yield rows, k - starts[rows] + first[rows]
 
 
 def _table(closed_form, params, *width) -> np.ndarray:
@@ -126,12 +128,17 @@ def _collect(name, blocks, tol) -> CheckResult:
 
 
 def _chernoff_defects(decs, closed, dq, ds) -> None:
-    # appends |numeric - closed| of q to dq and of s* to ds per block of off-diagonal
-    # pairs of the stack; ``closed`` is the (n, n, k) table whose first columns are q and s*
-    for i, j in _pairs(len(decs.eigenvalues), decs.eigenvalues.shape[-1], diagonal=False):
-        numeric = linalg.qcb_kernels(decs[i], decs[j])
-        dq.append(_defects(numeric.q, closed[i, j, 0]))
-        ds.append(_defects(numeric.s_star, closed[i, j, 1]))
+    # appends |numeric - closed| of q to dq and of s* to ds at every off-diagonal pair of the
+    # stack, searched once per unordered pair: q(b, a) = q(a, b), s*(b, a) = 1 - s*(a, b);
+    # ``closed`` is the (n, n, k) table whose first columns are q and s*
+    n = len(decs.eigenvalues)
+    numeric = np.empty((2, n, n))
+    for i, j in _pairs(n, decs.eigenvalues.shape[-1], diagonal=False):
+        q, s = linalg.qcb_kernels(decs[i], decs[j])
+        numeric[:, i, j], numeric[:, j, i] = (q, s), (q, 1.0 - s)
+    off = ~np.eye(n, dtype=bool)
+    dq.append(_defects(numeric[0], closed[..., 0])[off])
+    ds.append(_defects(numeric[1], closed[..., 1])[off])
 
 
 def _werner_chernoff(a, b) -> tuple:
@@ -145,43 +152,52 @@ def _werner_chernoff(a, b) -> tuple:
 
 def check_werner_oracles(grid_step, dims, iso_dims, tols) -> tuple[CheckResult, ...]:
     # Closed forms tabulated once; per dimension: one explicit Werner stack, one clamped
-    # decomposition and its roots.  The fidelity, trace-distance and relative-entropy
-    # oracles take every pair; the Chernoff oracle, after the roots are freed, the
-    # interior pairs off the diagonal.  At each of ``iso_dims``, the substitution
-    # identity (the premise of the shared Chernoff core in metrics) compares their
-    # s-overlap curves with those of the isotropic states at alpha = d(1 + eta)/2, on
-    # the matrices alone; the critical-point identities read the Chernoff table off
-    # the diagonal.  ``tols`` are those of the seven results in turn.
+    # decomposition and its roots, and (n, n) oracle tables each compared whole with its
+    # closed-form table: F and D once per unordered pair, mirrored; R both ways; and from
+    # them the lower bound's inputs ln(sqrt 2) min(R, R^T) and 1 - F^2.  The Chernoff
+    # oracle, after the roots are freed, takes the interior pairs off the diagonal.  At each
+    # of ``iso_dims``, the substitution identity (the premise of the shared Chernoff core in
+    # metrics) compares their s-overlap curves with those of the isotropic states at
+    # alpha = d(1 + eta)/2, on the matrices alone; the critical-point identities read the
+    # Chernoff table off the diagonal.  ``tols`` are those of the nine results in turn.
     etas = discrimination.eta_grid(grid_step)
-    fid_closed = _table(metrics.fidelity_werner, etas)
-    dist_closed = _table(lambda a, b: abs(a - b) / 2.0, etas)
-    rel_closed = _table(metrics.relative_entropy_werner, etas)
+    forms = (metrics.fidelity_werner, lambda a, b: abs(a - b) / 2.0,
+             metrics.relative_entropy_werner, metrics.s_quantity,
+             metrics.one_minus_fidelity_squared)
+    closed = [_table(form, etas) for form in forms]
     chernoff = _table(_werner_chernoff, etas[1:-1], 4)
-    fid, dist, rel, dq, ds, sub = [], [], [], [], [], []
+    tabled, dq, ds, sub = [[] for _ in closed], [], [], []
     for d in dims:
         ws = _stack(states.werner_state, etas, d)
         decs = _spectra(ws)
         roots = linalg.spectral_sqrt(decs)
+        fid, dist, rel = np.empty((3, len(etas), len(etas)))
         for i, j in _pairs(len(etas), d * d):
-            fid.append(_defects(linalg.bures_fidelity_kernel(ws[i], roots[j]), fid_closed[i, j]))
-            dist.append(_defects(linalg.trace_distance_numeric(ws[i], ws[j]), dist_closed[i, j]))
-            rel.append(_defects(linalg.relative_entropy_kernel(decs[i], decs[j]), rel_closed[i, j]))
+            fid[i, j] = fid[j, i] = linalg.bures_fidelity_kernel(ws[i], roots[j])
+            dist[i, j] = dist[j, i] = linalg.trace_distance_numeric(ws[i], ws[j])
+            rel[i, j] = linalg.relative_entropy_kernel(decs[i], decs[j])
+            rel[j, i] = linalg.relative_entropy_kernel(decs[j], decs[i])
         del ws, roots
+        numeric = (fid, dist, rel, metrics.LN_SQRT2 * np.minimum(rel, rel.T), 1.0 - fid * fid)
+        for defects, got, table in zip(tabled, numeric, closed):
+            defects.append(_defects(got, table))
         inner = decs[1:-1]
         _chernoff_defects(inner, chernoff, dq, ds)
         if d in iso_dims:
             iso = _spectra(_stack(states.isotropic_state, [d * (1 + e) / 2 for e in etas[1:-1]], d))
             for i, j in _pairs(len(etas) - 2, d * d, diagonal=False):
-                iso_q = linalg.qcb_curve_kernel(iso[i], iso[j], (0.25, 0.5, 0.75))
-                wer_q = linalg.qcb_curve_kernel(inner[i], inner[j], (0.25, 0.5, 0.75))
-                sub.append(np.abs(iso_q - wer_q).max(-1))
+                for r, c in ((i, j), (j, i)):
+                    iso_q = linalg.qcb_curve_kernel(iso[r], iso[c], (0.25, 0.5, 0.75))
+                    wer_q = linalg.qcb_curve_kernel(inner[r], inner[c], (0.25, 0.5, 0.75))
+                    sub.append(np.abs(iso_q - wer_q).max(-1))
     s = chernoff[..., 1]
     off = ~np.eye(len(s), dtype=bool)
     critical = [np.abs(s + s.T - 1.0)[off], np.where(chernoff[off][:, 2:], 0.0, math.inf)]
     names = ("fidelity-oracle", "trace-distance-oracle", "relative-entropy-oracle",
-             "qcb-oracle-q", "qcb-oracle-s", "critical-point-identities", "substitution-identity")
-    blocks = (fid, dist, rel, dq, ds, critical, sub)
-    return tuple(_collect(n, x, t) for n, x, t in zip(names, blocks, tols))
+             "qcb-oracle-q", "qcb-oracle-s", "critical-point-identities", "substitution-identity",
+             "s-quantity-oracle", "fidelity-gap-oracle")
+    blocks = (*tabled[:3], dq, ds, critical, sub, *tabled[3:])
+    return tuple(_collect(name, x, t) for name, x, t in zip(names, blocks, tols))
 
 
 def check_qcb_isotropic_oracle(dims, tols) -> tuple[CheckResult, CheckResult]:
@@ -299,16 +315,15 @@ def run_verification(
     # identity reads the Werner sweep at each
     iso_dims = tuple(d for d in dims if d <= 4) or (min(dims),)
     # Chernoff q and s*, of both families; fidelity, trace distance, relative entropy;
-    # the critical-point and substitution identities
+    # the critical-point and substitution identities and the lower bound's two inputs
     chernoff_tols = [tol * tol_scale for tol in (1e-6, 1e-8)]
     werner_tols = [tol * tol_scale for tol in (1e-9, 1e-10, 1e-9)] + chernoff_tols
-    werner_tols += [1e-12 * tol_scale] * 2
-    *werner, critical, substitution = check_werner_oracles(grid_step, dims, iso_dims, werner_tols)
+    werner_tols += [1e-12 * tol_scale] * 4
+    werner = check_werner_oracles(grid_step, dims, iso_dims, werner_tols)
     return [
-        *werner,
+        *werner[:5],
         *check_qcb_isotropic_oracle(iso_dims, chernoff_tols),
-        critical,
-        substitution,
+        *werner[5:],
         *check_teleport(seed, TELEPORT_TOL * tol_scale),
         check_helstrom_explicit(1e-10 * tol_scale),
         check_estimation_saturation(seed, 0.05 * tol_scale),

@@ -20,6 +20,8 @@ DEFAULT_POINTS = {
     "qcb-isotropic-oracle-s": 216,
     "critical-point-identities": 1026,
     "substitution-identity": 1026,
+    "s-quantity-oracle": 2205,
+    "fidelity-gap-oracle": 2205,
     "teleport-simulation": 200,
     "teleport-covariance": 200,
     "helstrom-explicit": 12,
@@ -29,10 +31,11 @@ DEFAULT_POINTS = {
 }
 
 
-# the default tolerances of check_werner_oracles' seven results, as run_verification sets them
-WERNER_TOLS = (1e-9, 1e-10, 1e-9, 1e-6, 1e-8, 1e-12, 1e-12)
-# the names of its seven results: the first five checks of a run, then the two identities
-WERNER_NAMES = list(DEFAULT_POINTS)[:5] + list(DEFAULT_POINTS)[7:9]
+# the default tolerances of check_werner_oracles' nine results, as run_verification sets them
+WERNER_TOLS = (1e-9, 1e-10, 1e-9, 1e-6, 1e-8, 1e-12, 1e-12, 1e-12, 1e-12)
+# the names of its nine results: the first five checks of a run, then the two identities
+# and the lower bound's two inputs
+WERNER_NAMES = list(DEFAULT_POINTS)[:5] + list(DEFAULT_POINTS)[7:11]
 
 
 @pytest.fixture(scope="module")
@@ -63,20 +66,24 @@ def test_qcb_sweep_decomposes_each_state_once(monkeypatch):
     # the substitution identity reads the same 19 and decomposes only its
     # isotropic states
     calls = count_eigh(monkeypatch, ("eigh",))
-    *pairs, q, s, critical, sub = verify.check_werner_oracles(0.1, (3,), (3,), WERNER_TOLS)
-    assert [r.points for r in pairs] == [21 * 21] * 3
+    *pairs, q, s, critical, sub, s_quantity, gap = verify.check_werner_oracles(
+        0.1, (3,), (3,), WERNER_TOLS
+    )
+    assert [r.points for r in (*pairs, s_quantity, gap)] == [21 * 21] * 5
     assert q.points == s.points == sub.points == 19 * 18
     assert critical.points == 3 * 19 * 18
     assert len(calls) == 21 + 19
 
 
 def test_default_run_point_counts(monkeypatch):
+    # the fidelity and trace distance take one eigvalsh a unordered pair, 5 x 231 each
+    # (5,011 decompositions while each took every ordered pair, 5 x 441)
     calls = count_eigh(monkeypatch)
     results = verify.run_verification()
     assert {r.name: r.points for r in results} == DEFAULT_POINTS
-    assert sum(r.points for r in results) == 22_477
-    assert [r.tol for r in results[:5] + results[7:9]] == list(WERNER_TOLS)
-    assert len(calls) == 5011
+    assert sum(r.points for r in results) == 26_887
+    assert [r.tol for r in results[:5] + results[7:11]] == list(WERNER_TOLS)
+    assert len(calls) == 2911
 
 
 def test_default_run_counted_work(monkeypatch):
@@ -103,11 +110,12 @@ def test_estimation_saturation_worst_is_pinned():
 
 def test_qcb_oracle_worst_is_pinned(default_werner_oracles):
     # bit-identity guard on the Chernoff search: a change to the search
-    # that still passed its tolerances would move these values
+    # that still passed its tolerances would move these values (s* was
+    # 0x1.7c8p-45 while the search also ran on (b, a), not 1 - s*(a, b))
     q, s = default_werner_oracles[3:5]
     assert q.points == s.points == 1710
     assert q.worst == float.fromhex("0x1.2p-50")
-    assert s.worst == float.fromhex("0x1.7c8p-45")
+    assert s.worst == float.fromhex("0x1.85p-45")
 
 
 def test_shifted_chernoff_minimiser_is_caught(monkeypatch):
@@ -209,51 +217,102 @@ def test_pair_oracle_memory_is_bounded_by_the_stack_blocks():
 def test_qcb_checks_without_pairs_fail():
     # grid 1.0 leaves no off-diagonal interior pair: an empty batch, 0 points,
     # while the pair oracles of the same sweep examine every pair of the grid
-    *pairs, q, s, critical, sub = verify.check_werner_oracles(1.0, (2,), (2,), WERNER_TOLS)
+    fid, dist, rel, q, s, critical, sub, *inputs = verify.check_werner_oracles(
+        1.0, (2,), (2,), WERNER_TOLS
+    )
     assert [r.points for r in (q, s, critical, sub)] == [0] * 4
     assert not any(r.passed for r in (q, s, critical, sub))
-    assert all(r.points == 9 and r.passed for r in pairs)
+    assert all(r.points == 9 and r.passed for r in (fid, dist, rel, *inputs))
+
+
+def _triangle(blocks) -> list[tuple[int, int]]:
+    return [(int(i), int(j)) for rows, cols in blocks for i, j in zip(rows, cols)]
 
 
 @pytest.mark.parametrize("dim", [4, 16, 36])
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 17, 21, 101])
 def test_pairs_yield_every_ordered_pair_once_in_bounded_blocks(n, dim):
-    # row by row; diagonal=False drops exactly the n pairs (i, i), so n = 0
-    # and n = 1 leave none; every block holds at most _STACK_ENTRIES entries of
-    # three dim x dim tables a pair
+    # the triangle i <= j row by row, each unordered pair once, and with its mirror
+    # (j, i) every ordered pair once; diagonal=False drops exactly the n pairs (i, i),
+    # so n = 0 and n = 1 leave none; every block holds at most _STACK_ENTRIES entries
+    # of three dim x dim tables a pair
     every = [(i, j) for i in range(n) for j in range(n)]
-    for diagonal, expected in ((True, every), (False, [(i, j) for i, j in every if i != j])):
+    for diagonal in (True, False):
+        triangle = [(i, j) for i, j in every if i < j or (diagonal and i == j)]
         blocks = list(verify._pairs(n, dim, diagonal))
-        got = [(int(i), int(j)) for rows, cols in blocks for i, j in zip(rows, cols)]
-        assert got == expected
+        got = _triangle(blocks)
+        assert got == triangle
+        mirrored = got + [(j, i) for i, j in got if i != j]
+        assert sorted(mirrored) == [(i, j) for i, j in every if diagonal or i != j]
         assert all(len(rows) * 3 * dim * dim <= linalg._STACK_ENTRIES for rows, _ in blocks)
-    assert len(every) - len(expected) == n
+    assert len(_triangle(verify._pairs(n, dim))) - len(got) == n
+
+
+@pytest.mark.parametrize("diagonal, mid_row", [(True, 13), (False, 12)])
+def test_pair_blocks_start_mid_row(diagonal, mid_row):
+    # the CI run at grid 0.01, d = 2: 201 states, whose triangle of 20,301 pairs (20,100
+    # off the diagonal) spans 15 blocks of at most 1,365, each found from its flat range;
+    # all but the first one or two start mid-row, and none exceeds _STACK_ENTRIES
+    blocks = list(verify._pairs(201, 4, diagonal))
+    assert len(blocks) == 15
+    assert sum(cols[0] != rows[0] + (not diagonal) for rows, cols in blocks) == mid_row
+    assert all(len(rows) * 3 * 16 <= linalg._STACK_ENTRIES for rows, _ in blocks)
+    got = _triangle(blocks)
+    assert len(got) == len(set(got)) == 201 * (201 + 1 - 2 * (not diagonal)) // 2
+    assert all(i < j or (diagonal and i == j) for i, j in got)
 
 
 def test_pair_blocks_of_the_sweeps():
-    # 17 x 17 pairs of d^2 = 16 states span four blocks; the d = 6 Chernoff
-    # sweep's 19 x 19 pairs, 23, and its 342 off-diagonal ones, 22
-    assert len(list(verify._pairs(17, 16))) == 4
-    assert len(list(verify._pairs(19, 36))) == 23
-    assert len(list(verify._pairs(19, 36, diagonal=False))) == 22
+    # the 17 x 18 / 2 pairs i <= j of d^2 = 16 states span two blocks; the d = 6
+    # sweep's 190 pairs of 19 states, 12, and the Chernoff sweep's 171 off the
+    # diagonal, 11 (4, 23 and 22 blocks while every ordered pair was taken)
+    assert len(list(verify._pairs(17, 16))) == 2
+    assert len(list(verify._pairs(19, 36))) == 12
+    assert len(list(verify._pairs(19, 36, diagonal=False))) == 11
 
 
 def test_werner_sweep_does_not_depend_on_the_block_size(monkeypatch):
-    # five pairs a block at d = 3 (1,215 entries) give the default blocks' results, bit for bit
+    # five pairs a block at d = 3 (1,215 entries), most blocks starting mid-row, give the
+    # default blocks' results, bit for bit
     expected = verify.check_werner_oracles(0.1, (3,), (3,), WERNER_TOLS)
     monkeypatch.setattr(linalg, "_STACK_ENTRIES", 5 * 3 * 81)
-    assert len(list(verify._pairs(21, 9))) == 89
+    assert len(list(verify._pairs(21, 9))) == 47
     got = verify.check_werner_oracles(0.1, (3,), (3,), WERNER_TOLS)
     assert got == expected
     assert [r.worst.hex() for r in got] == [r.worst.hex() for r in expected]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_mirrored_oracles_are_symmetric_to_round_off(d):
+    # the kernels on every ordered pair of grid 0.2, in both orders: the sweep takes F, D
+    # and the Chernoff q and s* once per unordered pair and mirrors them, which hides at
+    # most this much (measured: at most 9e-16 here, and on the default grid and dims
+    # 1.2e-15 for F, D and q and 7.8e-15 for s* + s*^T - 1)
+    etas = discrimination.eta_grid(0.2)
+    ws = verify._stack(states.werner_state, etas, d)
+    decs = verify._spectra(ws)
+    n, m = len(etas), len(etas) - 2
+    i, j = (x.ravel() for x in np.indices((n, n)))
+    fid = np.reshape(linalg.bures_fidelity_kernel(ws[i], linalg.spectral_sqrt(decs)[j]), (n, n))
+    dist = np.reshape(linalg.trace_distance_numeric(ws[i], ws[j]), (n, n))
+    i, j = (x.ravel() for x in np.indices((m, m)))
+    q, s = (np.reshape(x, (m, m)) for x in linalg.qcb_kernels(decs[1:-1][i], decs[1:-1][j]))
+    assert np.abs(fid - fid.T).max() <= 1e-13
+    assert np.abs(dist - dist.T).max() <= 1e-13
+    assert np.abs(q - q.T).max() <= 1e-13
+    off = ~np.eye(m, dtype=bool)
+    assert np.abs(s + s.T - 1.0)[off].max() <= 1e-12
 
 
 def test_closed_forms_are_tabulated_once_per_grid(monkeypatch):
     # each dimension-free closed form is taken once per ordered pair of the grid
     # (21 x 21, the Chernoff one 19 x 19), not once per pair and dimension; a whole
     # run takes qcb_werner from that one table (703 calls while the critical-point
-    # identities made their own)
-    calls = {name: 0 for name in ("fidelity_werner", "relative_entropy_werner", "qcb_werner")}
+    # identities made their own); s_quantity's table takes relative_entropy_werner
+    # once more per pair
+    names = ("fidelity_werner", "relative_entropy_werner", "qcb_werner", "s_quantity",
+             "one_minus_fidelity_squared")
+    calls = dict.fromkeys(names, 0)
     for name in calls:
         real = getattr(metrics, name)
 
@@ -264,7 +323,13 @@ def test_closed_forms_are_tabulated_once_per_grid(monkeypatch):
         monkeypatch.setattr(metrics, name, counting)
     results = verify.check_werner_oracles(0.1, (2, 3, 4, 5, 6), (2, 3, 4), WERNER_TOLS)
     assert [r.points for r in results] == [DEFAULT_POINTS[name] for name in WERNER_NAMES]
-    assert calls == {"fidelity_werner": 441, "relative_entropy_werner": 441, "qcb_werner": 361}
+    assert calls == {
+        "fidelity_werner": 441,
+        "relative_entropy_werner": 882,
+        "qcb_werner": 361,
+        "s_quantity": 441,
+        "one_minus_fidelity_squared": 441,
+    }
     calls["qcb_werner"] = 0
     verify.run_verification()
     assert calls["qcb_werner"] == 361
@@ -273,10 +338,19 @@ def test_closed_forms_are_tabulated_once_per_grid(monkeypatch):
 _werner_fidelity, _werner_relent, _werner_qcb = (
     metrics.fidelity_werner, metrics.relative_entropy_werner, metrics.qcb_werner
 )
+_s_quantity, _fidelity_gap = metrics.s_quantity, metrics.one_minus_fidelity_squared
+
+
+def _lower_s_shifted(a, b):
+    # s* off by 5e-5 on the pairs a > b only, which the sweep reads from the mirror
+    # 1 - s*(b, a) of its search
+    r = _werner_qcb(a, b)
+    return replace(r, s_star=r.s_star + 5e-5) if a > b else r
+
 
 # closed forms that verify reads through metrics, broken a little: each with the
 # Werner-sweep results it fails, and the first one's failures and points at grid 0.2,
-# d = 2, 3
+# d = 2, 3; the one-sided ones break only one side of the mirrored oracle tables
 TABLE_MUTANTS = {
     "fidelity": (
         "fidelity_werner",
@@ -285,12 +359,42 @@ TABLE_MUTANTS = {
         238,
         242,
     ),
+    "fidelity-upper-only": (
+        "fidelity_werner",
+        lambda a, b: _werner_fidelity(a, b) * (1 + 1e-8) if a < b else _werner_fidelity(a, b),
+        ["fidelity-oracle"],
+        108,
+        242,
+    ),
+    # s_quantity reads relative_entropy_werner too
     "relative-entropy": (
         "relative_entropy_werner",
         lambda a, b: _werner_relent(a, b) * (1 + 1e-7),
-        ["relative-entropy-oracle"],
+        ["relative-entropy-oracle", "s-quantity-oracle"],
         180,
         242,
+    ),
+    "s-quantity": (
+        "s_quantity",
+        lambda a, b: _s_quantity(a, b) * (1 + 1e-9),
+        ["s-quantity-oracle"],
+        216,
+        242,
+    ),
+    "fidelity-gap": (
+        "one_minus_fidelity_squared",
+        lambda a, b: _fidelity_gap(a, b) * (1 + 1e-9),
+        ["fidelity-gap-oracle"],
+        220,
+        242,
+    ),
+    # exactly half the off-diagonal pairs, and s_ab + s_ba = 1 broken on each
+    "chernoff-s-lower-only": (
+        "qcb_werner",
+        _lower_s_shifted,
+        ["qcb-oracle-s", "critical-point-identities"],
+        72,
+        144,
     ),
     "chernoff-q": (
         "qcb_werner",
