@@ -217,16 +217,31 @@ def relative_entropy_kernel(dr: EigenDecomposition, ds: EigenDecomposition) -> f
     Returns ``math.inf`` when the support of rho is not contained in the
     support of sigma (eigenvalues below SUPPORT_TOL count as zero).
     """
-    # sums over the live eigenvalues by where=: zero-filling would move the sums' last bits
-    p, q = dr.eigenvalues, ds.eigenvalues
+    return _relative_entropy(dr.eigenvalues, ds.eigenvalues, _overlap(ds, dr)).tolist()
+
+
+def _relative_entropy(p, q, overlap) -> np.ndarray:
+    # the kernel from the spectra p of rho and q of sigma and overlap[..., j, i] =
+    # |<s_j|r_i>|^2; sums over the live eigenvalues by where=: zero-filling would move
+    # the sums' last bits
     p_live, q_live = p > SUPPORT_TOL, q > SUPPORT_TOL
     plogp = np.sum(p * np.log2(np.where(p_live, p, 1.0)), axis=-1, where=p_live)
 
     # weight of rho on each eigenvector of sigma
-    weights = (_overlap(ds, dr) @ p[..., None])[..., 0]
+    weights = (overlap @ p[..., None])[..., 0]
     escapes = np.any((weights > SUPPORT_TOL) & ~q_live, axis=-1)
     cross = np.sum(weights * np.log2(np.where(q_live, q, 1.0)), axis=-1, where=q_live)
-    return np.where(escapes, math.inf, plogp - cross).tolist()
+    return np.where(escapes, math.inf, plogp - cross)
+
+
+def _relative_entropies(
+    dr: EigenDecomposition, ds: EigenDecomposition
+) -> tuple[np.ndarray, np.ndarray]:
+    # the kernel both ways, (rho || sigma) and (sigma || rho), from one overlap: the
+    # reversed overlap is its transpose
+    o = _overlap(ds, dr)
+    return (_relative_entropy(dr.eigenvalues, ds.eigenvalues, o),
+            _relative_entropy(ds.eigenvalues, dr.eigenvalues, np.swapaxes(o, -1, -2)))
 
 
 def relative_entropy_numeric(rho, sigma) -> float:

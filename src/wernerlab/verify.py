@@ -3,24 +3,29 @@
 Each check sweeps a parameter grid, compares an analytic quantity with an
 independently computed reference, and reports the worst defect seen and how
 many points it examined; a check that examined no point does not pass.  The
-17 checks are plain functions, run serially one dimension after another so the
-results come out in a fixed order; the CLI turns them into an exit code.  Each
-state is decomposed once.  Every pair sweep runs through one triangle pair
-engine, ``_pairs``: matched (rows, cols) index blocks of the pairs i <= j
-(i < j where asked) within ``linalg._blocks``, at which each pair kernel takes
-two stacks member against member, so memory does not grow with the grid.  The
-oracles fill (n, n) tables, mirrored where symmetric (F, D, the Chernoff q,
-and s* as 1 - s*), each compared whole with its closed form, tabulated once
-per grid (the isotropic Chernoff form once per d): every ordered pair is still
-checked.  One Werner sweep builds the explicit states, real, and their
-decomposition once per dimension for the fidelity, trace-distance,
-relative-entropy and Chernoff oracles, the lower bound's inputs S and 1 - F^2
-and, at the isotropic dimensions (those requested up to 4, or else the
-smallest requested), the substitution identity; the critical-point identities
-read its one Chernoff table.  The Chernoff oracles of both families share
-``_chernoff_defects``.  The teleport sweep takes each bounded block of draws
-through teleportation, channel and covariance test as one stack; the sandwich
-sweep reduces the bound columns a block of zetas at a time.
+18 checks are plain functions, run serially one dimension after another so the
+results come out in a fixed order; the CLI turns them into an exit code.  Every
+pair sweep runs through one triangle pair engine, ``_pairs``: matched (rows,
+cols) index blocks of the pairs i <= j (i < j where asked) within
+``linalg._blocks``, at which each pair kernel takes two stacks member against
+member, so memory does not grow with the grid.  The oracles fill (n, n)
+tables, mirrored where symmetric (F, D, the Chernoff q, and s* as 1 - s*),
+each compared whole with its closed form, tabulated once per grid (the
+isotropic Chernoff form once per d): every ordered pair is still checked.
+One Werner sweep builds the explicit states, real, once per dimension, and
+rotates them into the eigenbasis of the explicit flip F, with which a Werner
+state commutes; ``flip-sector-residual`` gates what the rotation leaves off
+the two sectors' diagonal blocks.  Each state is decomposed once per flip
+sector; the fidelity, trace-distance and relative-entropy oracles (and from
+them the lower bound's inputs S and 1 - F^2) add the general dense kernels'
+values over the two sectors.  The Chernoff oracle and, at the isotropic
+dimensions (those requested up to 4, or else the smallest requested), the
+substitution identity read whole decompositions assembled from the sectors';
+the critical-point identities read its one Chernoff table.  The Chernoff
+oracles of both families share ``_chernoff_defects``.  The teleport sweep takes
+each bounded block of draws through teleportation, channel and covariance test
+as one stack; the sandwich sweep reduces the bound columns a block of zetas at
+a time.
 """
 
 from __future__ import annotations
@@ -150,38 +155,74 @@ def _werner_chernoff(a, b) -> tuple:
     return r.q, r.s_star, interior, bracket
 
 
+def _flip_sectors(d: int) -> tuple[np.ndarray, int]:
+    # the eigenbasis u of the explicit flip F, ascending, so its antisymmetric sector
+    # (F = -1) comes first, and that sector's size, counted from the signs of F's spectrum
+    flip = linalg.eigh(states.flip_operator(d))
+    return flip.eigenvectors, int(np.count_nonzero(flip.eigenvalues < 0.0))
+
+
+def _sector_tables(block: np.ndarray, decs) -> np.ndarray:
+    # (3, n, n) tables of F, D and R on one flip sector of the rotated states: F and D
+    # once per unordered pair, mirrored; R both ways from one overlap
+    n = len(block)
+    fid, dist, rel = tables = np.empty((3, n, n))
+    roots = linalg.spectral_sqrt(decs)
+    for i, j in _pairs(n, block.shape[-1]):
+        fid[i, j] = fid[j, i] = linalg.bures_fidelity_kernel(block[i], roots[j])
+        dist[i, j] = dist[j, i] = linalg.trace_distance_numeric(block[i], block[j])
+        rel[i, j], rel[j, i] = linalg._relative_entropies(decs[i], decs[j])
+    return tables
+
+
+def _block_diagonal(lo, hi) -> linalg.EigenDecomposition:
+    # each state's whole decomposition, in the flip eigenbasis, from those of its two
+    # sectors: eigenvalues sorted ascending (stably), block-diagonal eigenvectors whose
+    # columns follow them
+    w = np.concatenate([lo.eigenvalues, hi.eigenvalues], -1)
+    (n, m), a = w.shape, lo.eigenvalues.shape[-1]
+    v = np.zeros((n, m, m))
+    v[:, :a, :a], v[:, a:, a:] = lo.eigenvectors, hi.eigenvectors
+    order = np.argsort(w, axis=-1, kind="stable")
+    return linalg.EigenDecomposition(
+        np.take_along_axis(w, order, -1), np.take_along_axis(v, order[:, None, :], -1)
+    )
+
+
 def check_werner_oracles(grid_step, dims, iso_dims, tols) -> tuple[CheckResult, ...]:
-    # Closed forms tabulated once; per dimension: one explicit Werner stack, one clamped
-    # decomposition and its roots, and (n, n) oracle tables each compared whole with its
-    # closed-form table: F and D once per unordered pair, mirrored; R both ways; and from
-    # them the lower bound's inputs ln(sqrt 2) min(R, R^T) and 1 - F^2.  The Chernoff
-    # oracle, after the roots are freed, takes the interior pairs off the diagonal.  At each
-    # of ``iso_dims``, the substitution identity (the premise of the shared Chernoff core in
-    # metrics) compares their s-overlap curves with those of the isotropic states at
-    # alpha = d(1 + eta)/2, on the matrices alone; the critical-point identities read the
-    # Chernoff table off the diagonal.  ``tols`` are those of the nine results in turn.
+    # Closed forms tabulated once; per dimension: one explicit Werner stack, rotated into
+    # the eigenbasis of the explicit flip F, with which a Werner state commutes; its
+    # largest off-sector entry per state is gated, and each sector's block is decomposed
+    # once.  The (n, n) oracle tables add the sectors' F, D and R (an inf in either
+    # stays inf), each compared whole with its closed-form table, and from them the lower
+    # bound's inputs ln(sqrt 2) min(R, R^T) and 1 - F^2.  The Chernoff oracle takes the
+    # interior pairs off the diagonal, on decompositions assembled from the sectors'.  At
+    # each of ``iso_dims``, the substitution identity (the premise of the shared Chernoff
+    # core in metrics) compares their s-overlap curves with those of the isotropic states
+    # at alpha = d(1 + eta)/2, on the matrices alone (an overlap does not see the common
+    # rotation); the critical-point identities read the Chernoff table off the diagonal.
+    # ``tols`` are those of the ten results in turn.
     etas = discrimination.eta_grid(grid_step)
     forms = (metrics.fidelity_werner, lambda a, b: abs(a - b) / 2.0,
              metrics.relative_entropy_werner, metrics.s_quantity,
              metrics.one_minus_fidelity_squared)
     closed = [_table(form, etas) for form in forms]
     chernoff = _table(_werner_chernoff, etas[1:-1], 4)
-    tabled, dq, ds, sub = [[] for _ in closed], [], [], []
+    tabled, dq, ds, sub, residual = [[] for _ in closed], [], [], [], []
     for d in dims:
-        ws = _stack(states.werner_state, etas, d)
-        decs = _spectra(ws)
-        roots = linalg.spectral_sqrt(decs)
-        fid, dist, rel = np.empty((3, len(etas), len(etas)))
-        for i, j in _pairs(len(etas), d * d):
-            fid[i, j] = fid[j, i] = linalg.bures_fidelity_kernel(ws[i], roots[j])
-            dist[i, j] = dist[j, i] = linalg.trace_distance_numeric(ws[i], ws[j])
-            rel[i, j] = linalg.relative_entropy_kernel(decs[i], decs[j])
-            rel[j, i] = linalg.relative_entropy_kernel(decs[j], decs[i])
-        del ws, roots
+        u, a = _flip_sectors(d)
+        rot = u.T @ _stack(states.werner_state, etas, d) @ u
+        corners = (np.abs(x).max((-2, -1), initial=0.0) for x in (rot[:, :a, a:], rot[:, a:, :a]))
+        residual.append(np.maximum(*corners))
+        blocks = rot[:, :a, :a], rot[:, a:, a:]
+        sectors = [_spectra(block) for block in blocks]
+        fid, dist, rel = sum(map(_sector_tables, blocks, sectors))
+        del rot, blocks
         numeric = (fid, dist, rel, metrics.LN_SQRT2 * np.minimum(rel, rel.T), 1.0 - fid * fid)
         for defects, got, table in zip(tabled, numeric, closed):
             defects.append(_defects(got, table))
-        inner = decs[1:-1]
+        inner = _block_diagonal(*(x[1:-1] for x in sectors))
+        del sectors
         _chernoff_defects(inner, chernoff, dq, ds)
         if d in iso_dims:
             iso = _spectra(_stack(states.isotropic_state, [d * (1 + e) / 2 for e in etas[1:-1]], d))
@@ -195,9 +236,9 @@ def check_werner_oracles(grid_step, dims, iso_dims, tols) -> tuple[CheckResult, 
     critical = [np.abs(s + s.T - 1.0)[off], np.where(chernoff[off][:, 2:], 0.0, math.inf)]
     names = ("fidelity-oracle", "trace-distance-oracle", "relative-entropy-oracle",
              "qcb-oracle-q", "qcb-oracle-s", "critical-point-identities", "substitution-identity",
-             "s-quantity-oracle", "fidelity-gap-oracle")
-    blocks = (*tabled[:3], dq, ds, critical, sub, *tabled[3:])
-    return tuple(_collect(name, x, t) for name, x, t in zip(names, blocks, tols))
+             "s-quantity-oracle", "fidelity-gap-oracle", "flip-sector-residual")
+    results = (*tabled[:3], dq, ds, critical, sub, *tabled[3:], residual)
+    return tuple(_collect(name, x, t) for name, x, t in zip(names, results, tols, strict=True))
 
 
 def check_qcb_isotropic_oracle(dims, tols) -> tuple[CheckResult, CheckResult]:
@@ -315,10 +356,11 @@ def run_verification(
     # identity reads the Werner sweep at each
     iso_dims = tuple(d for d in dims if d <= 4) or (min(dims),)
     # Chernoff q and s*, of both families; fidelity, trace distance, relative entropy;
-    # the critical-point and substitution identities and the lower bound's two inputs
+    # the critical-point and substitution identities, the lower bound's two inputs and
+    # the Werner states' off-sector residual
     chernoff_tols = [tol * tol_scale for tol in (1e-6, 1e-8)]
     werner_tols = [tol * tol_scale for tol in (1e-9, 1e-10, 1e-9)] + chernoff_tols
-    werner_tols += [1e-12 * tol_scale] * 4
+    werner_tols += [1e-12 * tol_scale] * 5
     werner = check_werner_oracles(grid_step, dims, iso_dims, werner_tols)
     return [
         *werner[:5],

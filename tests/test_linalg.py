@@ -359,6 +359,20 @@ class TestStacks:
         # rank-deficient Werner ends: support mismatches come out infinite
         assert math.inf in linalg.relative_entropy_kernel(decs[0], decs)
 
+    @pytest.mark.parametrize("d", [2, 3, 6])
+    def test_relative_entropy_both_ways_from_one_overlap(self, d):
+        # the forward direction is the kernel bit for bit; the reverse one reads the
+        # transposed overlap, whose products BLAS may sum in another order, so it is the
+        # kernel's (sigma || rho) to round-off, with the same infinite entries
+        decs = linalg.clamped_spectrum(_stack_cases(d))
+        i, j = (x.ravel() for x in np.indices((len(decs.eigenvalues),) * 2))
+        forward, backward = linalg._relative_entropies(decs[i], decs[j])
+        assert forward.tolist() == linalg.relative_entropy_kernel(decs[i], decs[j])
+        reverse = np.array(linalg.relative_entropy_kernel(decs[j], decs[i]))
+        finite = np.isfinite(reverse)
+        assert np.array_equal(np.isinf(backward), ~finite) and not finite.all()
+        assert np.abs(backward[finite] - reverse[finite]).max() <= 1e-14
+
     def test_stack_longer_than_a_block(self):
         # 61 d = 6 Werner states span two 2^16-entry blocks
         etas = np.linspace(-1.0, 1.0, 61)

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,7 @@ DEFAULT_POINTS = {
     "substitution-identity": 1026,
     "s-quantity-oracle": 2205,
     "fidelity-gap-oracle": 2205,
+    "flip-sector-residual": 105,
     "teleport-simulation": 200,
     "teleport-covariance": 200,
     "helstrom-explicit": 12,
@@ -31,11 +33,11 @@ DEFAULT_POINTS = {
 }
 
 
-# the default tolerances of check_werner_oracles' nine results, as run_verification sets them
-WERNER_TOLS = (1e-9, 1e-10, 1e-9, 1e-6, 1e-8, 1e-12, 1e-12, 1e-12, 1e-12)
-# the names of its nine results: the first five checks of a run, then the two identities
-# and the lower bound's two inputs
-WERNER_NAMES = list(DEFAULT_POINTS)[:5] + list(DEFAULT_POINTS)[7:11]
+# the default tolerances of check_werner_oracles' ten results, as run_verification sets them
+WERNER_TOLS = (1e-9, 1e-10, 1e-9, 1e-6, 1e-8, 1e-12, 1e-12, 1e-12, 1e-12, 1e-12)
+# the names of its ten results: the first five checks of a run, then the two identities,
+# the lower bound's two inputs and the off-sector residual
+WERNER_NAMES = list(DEFAULT_POINTS)[:5] + list(DEFAULT_POINTS)[7:12]
 
 
 @pytest.fixture(scope="module")
@@ -61,44 +63,110 @@ def count_eigh(monkeypatch, names=("eigh", "eigvalsh")) -> list:
 
 
 def test_qcb_sweep_decomposes_each_state_once(monkeypatch):
-    # the four Werner oracles share one decomposition per eta (the Chernoff
-    # oracle takes the 19 interior ones), not one per oracle or two per pair;
-    # the substitution identity reads the same 19 and decomposes only its
-    # isotropic states
+    # the four Werner oracles share one decomposition per eta and flip sector, the
+    # 3 x 3 antisymmetric and 6 x 6 symmetric blocks (the Chernoff oracle assembles
+    # the 19 interior ones from them), not one per oracle or two per pair; beside
+    # those, the flip itself is decomposed once, and the substitution identity reads
+    # the same 19 and decomposes only its isotropic states (21 + 19 decompositions,
+    # all 9 x 9, when each whole state was decomposed once)
     calls = count_eigh(monkeypatch, ("eigh",))
-    *pairs, q, s, critical, sub, s_quantity, gap = verify.check_werner_oracles(
+    *pairs, q, s, critical, sub, s_quantity, gap, residual = verify.check_werner_oracles(
         0.1, (3,), (3,), WERNER_TOLS
     )
     assert [r.points for r in (*pairs, s_quantity, gap)] == [21 * 21] * 5
     assert q.points == s.points == sub.points == 19 * 18
     assert critical.points == 3 * 19 * 18
-    assert len(calls) == 21 + 19
+    assert residual.points == 21
+    assert Counter(calls) == {(3, 3): 21, (6, 6): 21, (9, 9): 1 + 19}
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+def test_flip_sectors_are_counted_from_the_spectrum(d):
+    # the antisymmetric sector of F, counted from the signs of its eigenvalues, is
+    # d(d - 1)/2 and comes first; the basis is orthogonal and diagonalises F
+    u, a = verify._flip_sectors(d)
+    assert a == d * (d - 1) // 2
+    assert np.abs(u.T @ u - np.eye(d * d)).max() < 1e-14
+    signs = np.diag(u.T @ states.flip_operator(d) @ u)
+    assert np.allclose(signs, [-1.0] * a + [1.0] * (d * d - a), rtol=0, atol=1e-14)
+
+
+def test_werner_pair_kernels_decompose_only_sector_blocks(monkeypatch):
+    # at d = 6, no pair kernel of the Werner sweep decomposes a matrix above 21 x 21:
+    # F and D take one eigvalsh a unordered pair in each sector (231 pairs of 21
+    # states); the 36 x 36 ones are the flip and the 19 isotropic states
+    eigvalsh = count_eigh(monkeypatch, ("eigvalsh",))
+    eigh = count_eigh(monkeypatch, ("eigh",))
+    verify.check_werner_oracles(0.1, (6,), (6,), WERNER_TOLS)
+    assert Counter(eigvalsh) == {(15, 15): 2 * 231, (21, 21): 2 * 231}
+    assert Counter(eigh) == {(15, 15): 21, (21, 21): 21, (36, 36): 1 + 19}
+
+
+@pytest.mark.parametrize("d", [2, 3, 6])
+def test_sector_decompositions_assemble_the_whole_state(d):
+    # the block-diagonal assembly of the two sectors' decompositions has ascending
+    # eigenvalues, those of the whole state to round-off, orthogonal eigenvectors, and
+    # rebuilds the rotated state
+    etas = discrimination.eta_grid(0.2)
+    u, a = verify._flip_sectors(d)
+    rot = u.T @ verify._stack(states.werner_state, etas, d) @ u
+    whole = verify._block_diagonal(verify._spectra(rot[:, :a, :a]), verify._spectra(rot[:, a:, a:]))
+    w, v = whole.eigenvalues, whole.eigenvectors
+    assert np.all(np.diff(w, axis=-1) >= 0.0)
+    assert np.abs(w - verify._spectra(rot).eigenvalues).max() <= 1e-15
+    assert np.abs(np.swapaxes(v, -1, -2) @ v - np.eye(d * d)).max() <= 1e-14
+    assert np.abs((v * w[:, None, :]) @ np.swapaxes(v, -1, -2) - rot).max() <= 1e-15
+
+
+def _sector_coupled(eta, d):
+    # the Werner state plus 1e-9 (|00><a| + |a><00|), |a> = (|01> - |10>)/sqrt 2: a real
+    # symmetric term that F turns into its negative, so it couples the two sectors alone
+    p = np.zeros((d * d, d * d))
+    p[0, 1], p[0, d] = 2**-0.5, -(2**-0.5)
+    return _werner_state(eta, d) + 1e-9 * (p + p.T)
+
+
+_werner_state = states.werner_state
+
+
+def test_off_sector_mass_fails_the_residual_alone(monkeypatch):
+    # the sector oracles cannot see a coupling of the sectors, so it fails the residual
+    # gate on every state at grid 0.2, d = 2, 3, and no other check of the run
+    monkeypatch.setattr(states, "werner_state", _sector_coupled)
+    results = {r.name: r for r in verify.run_verification(grid_step=0.2, dims=(2, 3))}
+    assert [name for name, r in results.items() if not r.passed] == ["flip-sector-residual"]
+    residual = results["flip-sector-residual"]
+    assert residual.failures == residual.points == 2 * 11
+    assert residual.worst == pytest.approx(1e-9, rel=1e-6)
 
 
 def test_default_run_point_counts(monkeypatch):
-    # the fidelity and trace distance take one eigvalsh a unordered pair, 5 x 231 each
-    # (5,011 decompositions while each took every ordered pair, 5 x 441)
+    # the fidelity and trace distance take one eigvalsh a unordered pair and flip
+    # sector, 5 x 231 x 2 each, and each Werner state is decomposed once per sector,
+    # 5 x 21 x 2, beside the five flips: 5,331 smaller matrices (2,911 while each whole
+    # state and pair was decomposed, 5,011 while each ordered pair was)
     calls = count_eigh(monkeypatch)
     results = verify.run_verification()
     assert {r.name: r.points for r in results} == DEFAULT_POINTS
-    assert sum(r.points for r in results) == 26_887
-    assert [r.tol for r in results[:5] + results[7:11]] == list(WERNER_TOLS)
-    assert len(calls) == 2911
+    assert sum(r.points for r in results) == 26_992
+    assert [r.tol for r in results[:5] + results[7:12]] == list(WERNER_TOLS)
+    assert len(calls) == 5331
 
 
 def test_default_run_counted_work(monkeypatch):
     # the Werner states built and the LAPACK eigendecompositions (with eigenvectors)
-    # of one default run: one Werner sweep per dimension and one stacked call per
-    # stack block (the four Werner oracles built 485 states and made 24 calls
-    # when each built and decomposed its own; 180 and 14 while the substitution
-    # identity built its own Werner stack)
+    # of one default run: one Werner sweep per dimension, with the flip and one stacked
+    # call per flip sector and stack block (the four Werner oracles built 485 states and
+    # made 24 calls when each built and decomposed its own; 180 and 14 while the
+    # substitution identity built its own Werner stack; 123 and 11 while each whole
+    # Werner stack was decomposed)
     built, lapack = [], []
     werner, eigh = states.werner_state, np.linalg.eigh
     monkeypatch.setattr(states, "werner_state", lambda *a: built.append(a) or werner(*a))
     monkeypatch.setattr(np.linalg, "eigh", lambda a: lapack.append(a.shape) or eigh(a))
     verify.run_verification()
     assert len(built) == 123
-    assert len(lapack) == 11
+    assert len(lapack) == 21
 
 
 def test_estimation_saturation_worst_is_pinned():
@@ -111,11 +179,12 @@ def test_estimation_saturation_worst_is_pinned():
 def test_qcb_oracle_worst_is_pinned(default_werner_oracles):
     # bit-identity guard on the Chernoff search: a change to the search
     # that still passed its tolerances would move these values (s* was
-    # 0x1.7c8p-45 while the search also ran on (b, a), not 1 - s*(a, b))
+    # 0x1.7c8p-45 while the search also ran on (b, a), not 1 - s*(a, b); q and s*
+    # were 0x1.2p-50 and 0x1.85p-45 while it read whole-state decompositions)
     q, s = default_werner_oracles[3:5]
     assert q.points == s.points == 1710
-    assert q.worst == float.fromhex("0x1.2p-50")
-    assert s.worst == float.fromhex("0x1.85p-45")
+    assert q.worst == float.fromhex("0x1.cp-51")
+    assert s.worst == float.fromhex("0x1.73p-45")
 
 
 def test_shifted_chernoff_minimiser_is_caught(monkeypatch):
@@ -154,14 +223,16 @@ def test_shifted_isotropic_chernoff_minimiser_is_caught(monkeypatch):
     assert results["qcb-isotropic-oracle"].passed
 
 
-# the ids keep the names of the per-pair check functions the Werner sweep replaced
+# the ids keep the names of the per-pair check functions the Werner sweep replaced; the
+# fidelity and relative entropy read 0x1.0p-49 and 0x1.0p-47 on whole states, not on
+# their flip sectors
 @pytest.mark.parametrize(
     "name, worst",
     [
-        pytest.param("fidelity-oracle", "0x1.0p-49", id="check_fidelity_oracle-0x1.0p-49"),
+        pytest.param("fidelity-oracle", "0x1.4p-51", id="check_fidelity_oracle-0x1.4p-51"),
         pytest.param("trace-distance-oracle", "0x1.8p-52", id="check_trace_distance_oracle-0x1.8p-52"),
         pytest.param(
-            "relative-entropy-oracle", "0x1.0p-47", id="check_relative_entropy_oracle-0x1.0p-47"
+            "relative-entropy-oracle", "0x1.cp-48", id="check_relative_entropy_oracle-0x1.cp-48"
         ),
     ],
 )
@@ -176,10 +247,10 @@ def test_pair_oracle_worst_is_pinned(default_werner_oracles, name, worst):
 
 def test_substitution_identity_worst_is_pinned(default_werner_oracles):
     # bit-identity guard on the Chernoff overlap curve (qcb_curve_kernel) at
-    # the default grid and isotropic dims
+    # the default grid and isotropic dims (0x1.ap-50 on whole-state decompositions)
     result = {r.name: r for r in default_werner_oracles}["substitution-identity"]
     assert result.points == DEFAULT_POINTS["substitution-identity"]
-    assert result.worst == float.fromhex("0x1.ap-50")
+    assert result.worst == float.fromhex("0x1.6p-50")
 
 
 def test_qcb_oracle_memory_does_not_grow_with_the_coarse_pass():
@@ -217,12 +288,13 @@ def test_pair_oracle_memory_is_bounded_by_the_stack_blocks():
 def test_qcb_checks_without_pairs_fail():
     # grid 1.0 leaves no off-diagonal interior pair: an empty batch, 0 points,
     # while the pair oracles of the same sweep examine every pair of the grid
-    fid, dist, rel, q, s, critical, sub, *inputs = verify.check_werner_oracles(
+    fid, dist, rel, q, s, critical, sub, *inputs, residual = verify.check_werner_oracles(
         1.0, (2,), (2,), WERNER_TOLS
     )
     assert [r.points for r in (q, s, critical, sub)] == [0] * 4
     assert not any(r.passed for r in (q, s, critical, sub))
     assert all(r.points == 9 and r.passed for r in (fid, dist, rel, *inputs))
+    assert residual.points == 3 and residual.passed
 
 
 def _triangle(blocks) -> list[tuple[int, int]]:
