@@ -55,11 +55,13 @@ ETA_GRID_CAP = 100_000
 CURVE_ROW_CAP = ETA_GRID_CAP + 1
 # Most entries of one column of a sandwich block, past one zeta's worth
 _BLOCK_ENTRIES = 1 << 16
-# libm's pow, and 1 - F^2n from the stable 1 - F^2 through expm1/log1p (so the lower bound
-# stays comparable to the exact block error when F rounds to 1), entry by entry: numpy's SIMD
-# versions round some entries an ulp apart by memory layout, unlike a one-entry bounds()
+# libm's pow, log1p and expm1 entry by entry: numpy's SIMD versions round some entries an
+# ulp apart by memory layout, unlike a one-entry bounds()
 _pow = np.vectorize(pow, otypes=[float])
-_one_minus_f2n = np.vectorize(lambda g, n: 1.0 if g >= 1.0 else -math.expm1(n * math.log1p(-g)), otypes=[float])
+# log F^2 = log1p(-(1 - F^2)) from the stable 1 - F^2, once per pair (-inf where F = 0),
+# and 1 - F^2n = -expm1(n log F^2) per entry, broadcast inside the one vectorized call
+_log_f2 = np.vectorize(lambda g: -math.inf if g >= 1.0 else math.log1p(-g), otypes=[float])
+_one_minus_f2n = np.vectorize(lambda log_f2, n: -math.expm1(n * log_f2), otypes=[float])
 
 
 @dataclass(frozen=True)
@@ -122,9 +124,10 @@ def _sandwiches(etas, zetas, n_list) -> Iterator[Sandwiches]:
             for zeta in zs for eta in etas
         ]
         f, s, q, gap = np.array(singles).T.reshape(4, len(zs), 1, len(etas))
-        # minimum() picks the finite branch when S is the +inf sentinel; the 1 - F^2n
-        # branch never exceeds 1, so the root is real
-        m = np.minimum(_one_minus_f2n(gap, n_col), n_col * s)
+        # 1 - F^2n from the stable 1 - F^2 keeps the lower bound comparable to the exact
+        # block error when F rounds to 1; minimum() picks the finite branch when S is the
+        # +inf sentinel; the 1 - F^2n branch never exceeds 1, so the root is real
+        m = np.minimum(_one_minus_f2n(_log_f2(gap), n_col), n_col * s)
         helstrom = np.stack([_helstrom_rows(etas, zs, n) for n in ns.tolist()], axis=1)
         yield Sandwiches(np.array(zs), ns, np.array(etas), 0.5 * (1.0 - np.sqrt(m)),
                          0.5 * _pow(q, n_col), 0.5 * _pow(f, n_col), helstrom)

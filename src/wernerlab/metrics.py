@@ -241,6 +241,10 @@ def _qcb(a1: float, a2: float, b1: float, b2: float, t: float, gap: float) -> Qc
 HELSTROM_COPY_CAP = 1000
 # Entries of one (zeta, eta, k) block of _helstrom_rows; bounds its working memory.
 _HELSTROM_BLOCK = 1 << 15
+# exp is exactly +0.0 below -745.1332 in float64, so class weights logged at or below this
+# floor are set to 0 without calling exp: numpy's SIMD exp takes a slow path on every
+# vector that holds an underflowing lane, and at n = 1000 up to three quarters do.
+_EXP_FLOOR = -750.0
 
 
 def _check_copies(n: int) -> int:
@@ -252,17 +256,22 @@ def _check_copies(n: int) -> int:
     return n
 
 
+def _log_binomials(n: int) -> np.ndarray:
+    # log C(n, k), k = 0..n, each from the exact integer, so the table is right to an ulp
+    # (a float cumulative sum drifts by 1e-12 at n = 1000, lgamma differences by 2e-12);
+    # the integers are built up to k = n/2 and mirrored, C(n, k) = C(n, n - k)
+    binom, logs = 1, [0.0]
+    for i in range(1, n // 2 + 1):
+        binom = binom * (n + 1 - i) // i
+        logs.append(math.log(binom))
+    return np.array(logs + logs[(n - 1) // 2 :: -1])
+
+
 def _helstrom_rows(etas, zetas, n: int) -> np.ndarray:
     # helstrom_multicopy_werner for every eta against every zeta at one
-    # validated copy count, in log space, shape (len(zetas), len(etas)).  The
-    # binomials are exact integers, each logged once, so the log table is right
-    # to an ulp (a float cumulative sum drifts by 1e-12 at n = 1000, lgamma
-    # differences by 2e-12).  k log 0 is 0 at k = 0, as is (n - k) log 0 at k = n.
-    binom, log_binom = 1, [0.0]
-    for i in range(1, n + 1):
-        binom = binom * (n + 1 - i) // i
-        log_binom.append(math.log(binom))
-    log_base = np.array(log_binom) - n * math.log(2.0)
+    # validated copy count, in log space, shape (len(zetas), len(etas)).  k log 0 is
+    # 0 at k = 0, as is (n - k) log 0 at k = n.
+    log_base = _log_binomials(n) - n * math.log(2.0)
     k = np.arange(n + 1.0)
     rest = n - k
 
@@ -272,7 +281,7 @@ def _helstrom_rows(etas, zetas, n: int) -> np.ndarray:
             up = k * np.log1p(column)
             down = rest * np.log1p(-column)
         up[..., 0] = down[..., -1] = 0.0
-        return log_base + up + down
+        return np.add(np.add(log_base, up, out=up), down, out=up)
 
     etas, zetas = np.asarray(etas, dtype=float), np.asarray(zetas, dtype=float)
     log_zetas = log_weights(zetas[:, None])[:, None, :]
@@ -284,7 +293,12 @@ def _helstrom_rows(etas, zetas, n: int) -> np.ndarray:
         block = log_weights(etas[at, None])
         z_step = max(1, _HELSTROM_BLOCK // block.size)
         for z in (slice(j, j + z_step) for j in range(0, len(zetas), z_step)):
-            rows[z, at] = 0.5 * np.exp(np.minimum(block, log_zetas[z])).sum(axis=-1)
+            terms = np.minimum(block, log_zetas[z])
+            # a NaN is not below the floor, so it goes through exp
+            under = terms <= _EXP_FLOOR
+            np.exp(terms, out=terms, where=~under)
+            terms[under] = 0.0
+            rows[z, at] = 0.5 * terms.sum(axis=-1)
     # The true sum of minima is at most 1, and exactly 1 for equal parameters;
     # rounded weights can miss either by a few ulps per term.
     rows = np.minimum(rows, 0.5)

@@ -3,7 +3,7 @@
 Each check sweeps a parameter grid, compares an analytic quantity with an
 independently computed reference, and reports the worst defect seen and how
 many points it examined; a check that examined no point does not pass.  The
-18 checks are plain functions, run serially one dimension after another so the
+19 checks are plain functions, run serially one dimension after another so the
 results come out in a fixed order; the CLI turns them into an exit code.  Every
 pair sweep runs through one triangle pair engine, ``_pairs``: matched (rows,
 cols) index blocks of the pairs i <= j (i < j where asked) within
@@ -17,15 +17,16 @@ rotates them into the eigenbasis of the explicit flip F, with which a Werner
 state commutes; ``flip-sector-residual`` gates what the rotation leaves off
 the two sectors' diagonal blocks.  Each state is decomposed once per flip
 sector; the fidelity, trace-distance and relative-entropy oracles (and from
-them the lower bound's inputs S and 1 - F^2) add the general dense kernels'
-values over the two sectors.  The Chernoff oracle and, at the isotropic
-dimensions (those requested up to 4, or else the smallest requested), the
-substitution identity read whole decompositions assembled from the sectors';
-the critical-point identities read its one Chernoff table.  The Chernoff
-oracles of both families share ``_chernoff_defects``.  The teleport sweep takes
-each bounded block of draws through teleportation, channel and covariance test
-as one stack; the sandwich sweep reduces the bound columns a block of zetas at
-a time.
+them the lower bound's inputs S and 1 - F^2, and the entropy asymmetry
+R - R^T that ``delta-s-oracle`` compares with ``delta_s``) add the general
+dense kernels' values over the two sectors.  The Chernoff oracle and, at the
+isotropic dimensions (those requested up to 4, or else the smallest
+requested), the substitution identity read whole decompositions assembled
+from the sectors'; the critical-point identities read its one Chernoff table.  The Chernoff
+oracles of both families share ``_chernoff_defects``.  The teleport sweep draws
+each dimension's samples once and takes each bounded block of them through the
+teleportation, channel and covariance test of every eta as one stack; the
+sandwich sweep reduces the bound columns a block of zetas at a time.
 """
 
 from __future__ import annotations
@@ -201,14 +202,17 @@ def check_werner_oracles(grid_step, dims, iso_dims, tols) -> tuple[CheckResult, 
     # core in metrics) compares their s-overlap curves with those of the isotropic states
     # at alpha = d(1 + eta)/2, on the matrices alone (an overlap does not see the common
     # rotation); the critical-point identities read the Chernoff table off the diagonal.
-    # ``tols`` are those of the ten results in turn.
+    # The entropy asymmetry R - R^T of the oracle table is compared with delta_s at the
+    # interior pairs, sliced before subtracting (inf - inf at +/-1 is NaN).  ``tols`` are
+    # those of the eleven results in turn.
     etas = discrimination.eta_grid(grid_step)
     forms = (metrics.fidelity_werner, lambda a, b: abs(a - b) / 2.0,
              metrics.relative_entropy_werner, metrics.s_quantity,
              metrics.one_minus_fidelity_squared)
     closed = [_table(form, etas) for form in forms]
     chernoff = _table(_werner_chernoff, etas[1:-1], 4)
-    tabled, dq, ds, sub, residual = [[] for _ in closed], [], [], [], []
+    asymmetry = _table(metrics.delta_s, etas[1:-1])
+    tabled, dq, ds, sub, residual, asym = [[] for _ in closed], [], [], [], [], []
     for d in dims:
         u, a = _flip_sectors(d)
         rot = u.T @ _stack(states.werner_state, etas, d) @ u
@@ -221,6 +225,8 @@ def check_werner_oracles(grid_step, dims, iso_dims, tols) -> tuple[CheckResult, 
         numeric = (fid, dist, rel, metrics.LN_SQRT2 * np.minimum(rel, rel.T), 1.0 - fid * fid)
         for defects, got, table in zip(tabled, numeric, closed):
             defects.append(_defects(got, table))
+        inner_rel = rel[1:-1, 1:-1]
+        asym.append(_defects(inner_rel - inner_rel.T, asymmetry))
         inner = _block_diagonal(*(x[1:-1] for x in sectors))
         del sectors
         _chernoff_defects(inner, chernoff, dq, ds)
@@ -236,8 +242,8 @@ def check_werner_oracles(grid_step, dims, iso_dims, tols) -> tuple[CheckResult, 
     critical = [np.abs(s + s.T - 1.0)[off], np.where(chernoff[off][:, 2:], 0.0, math.inf)]
     names = ("fidelity-oracle", "trace-distance-oracle", "relative-entropy-oracle",
              "qcb-oracle-q", "qcb-oracle-s", "critical-point-identities", "substitution-identity",
-             "s-quantity-oracle", "fidelity-gap-oracle", "flip-sector-residual")
-    results = (*tabled[:3], dq, ds, critical, sub, *tabled[3:], residual)
+             "s-quantity-oracle", "fidelity-gap-oracle", "flip-sector-residual", "delta-s-oracle")
+    results = (*tabled[:3], dq, ds, critical, sub, *tabled[3:], residual, asym)
     return tuple(_collect(name, x, t) for name, x, t in zip(names, results, tols, strict=True))
 
 
@@ -253,29 +259,31 @@ def check_qcb_isotropic_oracle(dims, tols) -> tuple[CheckResult, CheckResult]:
     return tuple(_collect(n, x, t) for n, x, t in zip(names, (dq, ds), tols))
 
 
-def _teleport_defects(eta, d, seed, samples) -> tuple[list[float], list[float]]:
-    # Per sample, from one stream: draw rho, then U; teleport rho over the
-    # channel's own state, and test covariance of the channel under U.  Each
-    # bounded block of draws is one stack through every step.
-    resource = states.werner_state(eta, d)
-    channel = states.HWChannel(eta, d)
+def _teleport_defects(etas, d, seed, samples) -> list[tuple[list[float], list[float]]]:
+    # Per sample, from one stream: draw rho, then U; for each eta, teleport rho over
+    # that channel's own state, and test covariance of the channel under U.  Each
+    # bounded block of draws is drawn once and taken as one stack through every
+    # step of every eta.  One (simulation, covariance) pair of defect lists per eta.
+    channels = [(states.werner_state(eta, d), states.HWChannel(eta, d)) for eta in etas]
     rng = np.random.default_rng(np.random.SeedSequence((seed, d)))
-    sim, cov = [], []
+    defects = [([], []) for _ in channels]
     for at in linalg._blocks(samples, d):
         # per draw, rho's two d x d Gaussians come first, then U's two
         normals = rng.normal(size=(len(range(samples)[at]), 4, d, d))
         rho = linalg.random_density_matrix(d, normals[:, :2])
         u = linalg.random_unitary(d, normals[:, 2:])
-        teleported = teleport.teleport_channel(resource, rho)
-        sim.extend(linalg.trace_distance_numeric(teleported, channel.apply(rho)))
-        cov.extend(teleport.covariance_check(channel, u, rho))
-    return sim, cov
+        for (resource, channel), (sim, cov) in zip(channels, defects):
+            teleported = teleport.teleport_channel(resource, rho)
+            sim.extend(linalg.trace_distance_numeric(teleported, channel.apply(rho)))
+            cov.extend(teleport.covariance_check(channel, u, rho))
+    return defects
 
 
 def check_teleport(seed, tol) -> tuple[CheckResult, CheckResult]:
-    # Every eta at one d is checked on that d's seeded draws, one block of defects each.
+    # Every eta at one d is checked on that d's seeded draws, drawn once, one block of
+    # defects each.
     etas = (-1.0, -0.5, 0.0, 0.5, 1.0)
-    sim, cov = zip(*(_teleport_defects(eta, d, seed, 20) for d in (2, 3) for eta in etas))
+    sim, cov = zip(*(pair for d in (2, 3) for pair in _teleport_defects(etas, d, seed, 20)))
     return _collect("teleport-simulation", sim, tol), _collect("teleport-covariance", cov, tol)
 
 
@@ -356,11 +364,11 @@ def run_verification(
     # identity reads the Werner sweep at each
     iso_dims = tuple(d for d in dims if d <= 4) or (min(dims),)
     # Chernoff q and s*, of both families; fidelity, trace distance, relative entropy;
-    # the critical-point and substitution identities, the lower bound's two inputs and
-    # the Werner states' off-sector residual
+    # the critical-point and substitution identities, the lower bound's two inputs, the
+    # Werner states' off-sector residual and the entropy asymmetry
     chernoff_tols = [tol * tol_scale for tol in (1e-6, 1e-8)]
     werner_tols = [tol * tol_scale for tol in (1e-9, 1e-10, 1e-9)] + chernoff_tols
-    werner_tols += [1e-12 * tol_scale] * 5
+    werner_tols += [1e-12 * tol_scale] * 6
     werner = check_werner_oracles(grid_step, dims, iso_dims, werner_tols)
     return [
         *werner[:5],
@@ -383,7 +391,7 @@ def teleport_check(eta: float, d: int, seed: int, samples: int) -> dict:
     if work > TELEPORT_WORK_CAP:
         raise DimensionOverflowError(f"samples x d^6 = {work} exceeds cap {TELEPORT_WORK_CAP}")
     seed = states._check_seed(seed)
-    sim, cov = _teleport_defects(eta, d, seed, samples)
+    [(sim, cov)] = _teleport_defects([eta], d, seed, samples)
     return {
         "simulation_defect": float(np.max(sim)),  # a NaN defect is the maximum
         "covariance_defect": float(np.max(cov)),

@@ -18,9 +18,9 @@ SEED = 20260808
 ETA_GRID = [(2 * i - 20) / 20 for i in range(21)]          # -1.0 .. 1.0, step 0.1
 FINE_INNER = [(2 * i - 40) / 40 for i in range(1, 40)]      # -0.95 .. 0.95, step 0.05
 # fidelity, trace distance, relative entropy, Chernoff q and s*, the critical-point
-# and substitution identities, the lower bound's two inputs and the off-sector residual,
-# of the Werner sweep
-WERNER_TOLS = (1e-9, 1e-10, 1e-9, 1e-6, 1e-8, 1e-12, 1e-12, 1e-12, 1e-12, 1e-12)
+# and substitution identities, the lower bound's two inputs, the off-sector residual and
+# the entropy asymmetry, of the Werner sweep
+WERNER_TOLS = (1e-9, 1e-10, 1e-9, 1e-6, 1e-8, 1e-12, 1e-12, 1e-12, 1e-12, 1e-12, 1e-12)
 
 
 def report(num, ok, detail):

@@ -426,11 +426,12 @@ class TestVerificationCommands:
             )
 
     def test_verify_without_an_interior_fails_cleanly(self, capsys):
-        # grid 2.0 is eta = -1, 1 alone: an empty Chernoff table, and exit 2, not a traceback
+        # grid 2.0 is eta = -1, 1 alone: empty Chernoff and entropy-asymmetry tables, and
+        # exit 2, not a traceback
         code = cli.main(["verify", "--grid", "2.0", "--dims", "2..2"])
         captured = capsys.readouterr()
         assert code == 2
-        assert captured.out.splitlines()[-1].startswith("4 check(s) failed: ")
+        assert captured.out.splitlines()[-1].startswith("5 check(s) failed: ")
         assert "Traceback" not in captured.err
 
     def test_verify_rejects_bad_dims(self, capsys):

@@ -202,6 +202,18 @@ class TestCurveGrid:
             assert r == discrimination.bounds(r.eta, zeta, 2, r.n)
 
 
+    @pytest.mark.parametrize("zeta", [-1.0, -0.3, 0.96, 1.0 - 1e-12, 1.0])
+    def test_lower_bound_is_libm_entry_by_entry(self, zeta, grid_rows):
+        # log F^2 taken once per pair and n log F^2 through expm1 per entry give the
+        # one-call libm formula 1 - F^2n = -expm1(n log1p(-(1 - F^2))) bit for bit,
+        # and 1 where F = 0
+        for r in grid_rows(discrimination.curve_grid(zeta, [1, 2, 7, 100, 1000], 0.05)):
+            g = metrics.one_minus_fidelity_squared(r.eta, zeta)
+            f2n = 1.0 if g >= 1.0 else -math.expm1(r.n * math.log1p(-g))
+            m = min(f2n, r.n * metrics.s_quantity(r.eta, zeta))
+            assert r.lower == 0.5 * (1.0 - math.sqrt(m)), r
+
+
 class TestIsotropicBounds:
     def test_identical_channels(self):
         assert discrimination.bounds_isotropic(1.3, 1.3, 2, 4).qcb_upper == 0.5

@@ -3,6 +3,7 @@ import math
 import sys
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -442,6 +443,75 @@ class TestHelstromRows:
         assert split == whole
         off_grid = self.ZETAS[-1]
         assert split[-1] == [metrics.helstrom_multicopy_werner(e, off_grid, 2, n) for e in etas]
+
+
+def full_log_binomials(n):
+    # log C(n, k) for every k = 0..n from the full integer recurrence, unmirrored
+    binom, logs = 1, [0.0]
+    for i in range(1, n + 1):
+        binom = binom * (n + 1 - i) // i
+        logs.append(math.log(binom))
+    return logs
+
+
+def unmasked_rows(etas, zetas, n):
+    # the block error table as summed before exact-zero terms were skipped: the full
+    # binomial table, and every class minimum through plain np.exp, one zeta at a time
+    k = np.arange(n + 1.0)
+    log_base = np.array(full_log_binomials(n)) - n * math.log(2.0)
+
+    def log_weights(column):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            up, down = k * np.log1p(column), (n - k) * np.log1p(-column)
+        up[..., 0] = down[..., -1] = 0.0
+        return log_base + up + down
+
+    etas, zetas = np.asarray(etas, dtype=float), np.asarray(zetas, dtype=float)
+    block = log_weights(etas[:, None])
+    rows = np.array([0.5 * np.exp(np.minimum(block, log_weights(z))).sum(axis=-1) for z in zetas])
+    rows = np.minimum(rows, 0.5)
+    rows[zetas[:, None] == etas] = 0.5
+    return rows
+
+
+class TestHelstromSkipsExactZeros:
+    """Class minima logged at or below the floor are set to 0 without exp, and the
+    binomial table is mirrored: the block error stays the unmasked sum, bit for bit."""
+
+    EDGES = [-1.0, -(1 - 1e-12), 1 - 1e-12, 1.0]
+    # the 0.05 grid with the points one 1e-12 inside +/-1
+    ETAS = sorted(set((2 * i - 40) / 40 for i in range(41)) | set(EDGES))
+    # beside the edges, zetas whose pairs with the grid give tiny and subnormal block
+    # errors at n = 999 and above
+    ZETAS = EDGES + [-0.99, -0.95, -0.3, 0.0, 0.123456789, 0.6, 0.96]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 20, 999, 1000, 5000])
+    def test_rows_equal_the_unmasked_sum(self, n):
+        # n = 5000 is above the public cap: the kernel itself takes any validated n
+        got = metrics._helstrom_rows(self.ETAS, self.ZETAS, n)
+        assert got.tobytes() == unmasked_rows(self.ETAS, self.ZETAS, n).tobytes()
+        if n >= 999:
+            positive = got[got > 0.0]
+            assert positive.min() < sys.float_info.min  # subnormal block errors
+            assert np.count_nonzero(positive < 1e-300) > 1
+
+    @pytest.mark.parametrize("n", [*range(1, 65), 999, 1000])
+    def test_mirrored_binomials_equal_the_full_recurrence(self, n):
+        assert metrics._log_binomials(n).tolist() == full_log_binomials(n)
+
+    def test_exp_is_exactly_zero_below_the_floor(self):
+        # the premise of skipping: float64 exp underflows to +0.0 below -745.1332
+        sweep = np.linspace(-1e5, metrics._EXP_FLOOR, 1_000_001)
+        below = np.nextafter(metrics._EXP_FLOOR, -np.inf)
+        assert sweep[-1] == metrics._EXP_FLOOR
+        for x in (sweep, np.array([below, metrics._EXP_FLOOR, -np.inf])):
+            values = np.exp(x)
+            assert np.all(values == 0.0) and not np.any(np.signbit(values))
+
+    def test_a_nan_weight_goes_through_exp(self):
+        rows = metrics._helstrom_rows([math.nan, 0.5], [0.3], 1000)
+        assert math.isnan(rows[0, 0])
+        assert rows[0, 1] == unmasked_rows([0.5], [0.3], 1000)[0, 0]
 
 
 class TestDimensionIndependence:

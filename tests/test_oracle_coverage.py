@@ -21,8 +21,7 @@ COVERAGE = {
     "metrics.fidelity_werner": ("fidelity-oracle",),
     "metrics.one_minus_fidelity_squared": ("fidelity-gap-oracle",),
     "metrics.relative_entropy_werner": ("relative-entropy-oracle", "s-quantity-oracle"),
-    "metrics.delta_s": "R(eta||zeta) - R(zeta||eta) by its own formula: delta-s-sign checks "
-    "its sign only, and no check compares its value with the relative-entropy table",
+    "metrics.delta_s": ("delta-s-oracle",),
     "metrics.s_quantity": ("s-quantity-oracle",),
     "metrics.werner_qs": "Q_s at any s: its core _qs gives qcb_werner's q, which qcb-oracle-q "
     "checks, but werner_qs itself is read only by critical-point-identities, closed form "

@@ -24,6 +24,7 @@ DEFAULT_POINTS = {
     "s-quantity-oracle": 2205,
     "fidelity-gap-oracle": 2205,
     "flip-sector-residual": 105,
+    "delta-s-oracle": 1805,
     "teleport-simulation": 200,
     "teleport-covariance": 200,
     "helstrom-explicit": 12,
@@ -33,11 +34,11 @@ DEFAULT_POINTS = {
 }
 
 
-# the default tolerances of check_werner_oracles' ten results, as run_verification sets them
-WERNER_TOLS = (1e-9, 1e-10, 1e-9, 1e-6, 1e-8, 1e-12, 1e-12, 1e-12, 1e-12, 1e-12)
-# the names of its ten results: the first five checks of a run, then the two identities,
-# the lower bound's two inputs and the off-sector residual
-WERNER_NAMES = list(DEFAULT_POINTS)[:5] + list(DEFAULT_POINTS)[7:12]
+# the default tolerances of check_werner_oracles' eleven results, as run_verification sets them
+WERNER_TOLS = (1e-9, 1e-10, 1e-9, 1e-6, 1e-8, 1e-12, 1e-12, 1e-12, 1e-12, 1e-12, 1e-12)
+# the names of its eleven results: the first five checks of a run, then the two identities,
+# the lower bound's two inputs, the off-sector residual and the entropy asymmetry
+WERNER_NAMES = list(DEFAULT_POINTS)[:5] + list(DEFAULT_POINTS)[7:13]
 
 
 @pytest.fixture(scope="module")
@@ -70,13 +71,14 @@ def test_qcb_sweep_decomposes_each_state_once(monkeypatch):
     # the same 19 and decomposes only its isotropic states (21 + 19 decompositions,
     # all 9 x 9, when each whole state was decomposed once)
     calls = count_eigh(monkeypatch, ("eigh",))
-    *pairs, q, s, critical, sub, s_quantity, gap, residual = verify.check_werner_oracles(
+    *pairs, q, s, critical, sub, s_quantity, gap, residual, asym = verify.check_werner_oracles(
         0.1, (3,), (3,), WERNER_TOLS
     )
     assert [r.points for r in (*pairs, s_quantity, gap)] == [21 * 21] * 5
     assert q.points == s.points == sub.points == 19 * 18
     assert critical.points == 3 * 19 * 18
     assert residual.points == 21
+    assert asym.points == 19 * 19
     assert Counter(calls) == {(3, 3): 21, (6, 6): 21, (9, 9): 1 + 19}
 
 
@@ -140,6 +142,26 @@ def test_off_sector_mass_fails_the_residual_alone(monkeypatch):
     assert residual.worst == pytest.approx(1e-9, rel=1e-6)
 
 
+def test_scaled_entropy_asymmetry_fails_its_oracle_alone(monkeypatch):
+    # delta_s off by a factor 1 + 1e-9 keeps its sign, so delta-s-sign passes; the
+    # oracle's R - R^T catches it on 60 of the 81 interior pairs a dimension at grid 0.2
+    # (it passes the diagonal and the pairs (eta, -eta), where delta_s is 0, and the four
+    # pairs of 0 with +/-0.2, where |delta_s| is 4e-4)
+    exact = metrics.delta_s
+    monkeypatch.setattr(metrics, "delta_s", lambda a, b: exact(a, b) * (1 + 1e-9))
+    results = verify.run_verification(grid_step=0.2, dims=(2, 3))
+    assert [r.name for r in results if not r.passed] == ["delta-s-oracle"]
+    failed = results[[r.name for r in results].index("delta-s-oracle")]
+    assert (failed.failures, failed.points) == (120, 2 * 81)
+
+
+def test_entropy_asymmetry_oracle_worst_is_pinned(default_werner_oracles):
+    # bit-identity guard on R - R^T of the sector-summed relative-entropy table
+    result = {r.name: r for r in default_werner_oracles}["delta-s-oracle"]
+    assert result.points == DEFAULT_POINTS["delta-s-oracle"] == 5 * 19 * 19
+    assert result.worst == float.fromhex("0x1.cp-48")
+
+
 def test_default_run_point_counts(monkeypatch):
     # the fidelity and trace distance take one eigvalsh a unordered pair and flip
     # sector, 5 x 231 x 2 each, and each Werner state is decomposed once per sector,
@@ -148,8 +170,8 @@ def test_default_run_point_counts(monkeypatch):
     calls = count_eigh(monkeypatch)
     results = verify.run_verification()
     assert {r.name: r.points for r in results} == DEFAULT_POINTS
-    assert sum(r.points for r in results) == 26_992
-    assert [r.tol for r in results[:5] + results[7:12]] == list(WERNER_TOLS)
+    assert sum(r.points for r in results) == 28_797
+    assert [r.tol for r in results[:5] + results[7:13]] == list(WERNER_TOLS)
     assert len(calls) == 5331
 
 
@@ -288,13 +310,15 @@ def test_pair_oracle_memory_is_bounded_by_the_stack_blocks():
 def test_qcb_checks_without_pairs_fail():
     # grid 1.0 leaves no off-diagonal interior pair: an empty batch, 0 points,
     # while the pair oracles of the same sweep examine every pair of the grid
-    fid, dist, rel, q, s, critical, sub, *inputs, residual = verify.check_werner_oracles(
+    fid, dist, rel, q, s, critical, sub, *inputs, residual, asym = verify.check_werner_oracles(
         1.0, (2,), (2,), WERNER_TOLS
     )
     assert [r.points for r in (q, s, critical, sub)] == [0] * 4
     assert not any(r.passed for r in (q, s, critical, sub))
     assert all(r.points == 9 and r.passed for r in (fid, dist, rel, *inputs))
     assert residual.points == 3 and residual.passed
+    # the one interior point, eta = 0, against itself
+    assert asym.points == 1 and asym.passed
 
 
 def _triangle(blocks) -> list[tuple[int, int]]:
@@ -381,9 +405,9 @@ def test_closed_forms_are_tabulated_once_per_grid(monkeypatch):
     # (21 x 21, the Chernoff one 19 x 19), not once per pair and dimension; a whole
     # run takes qcb_werner from that one table (703 calls while the critical-point
     # identities made their own); s_quantity's table takes relative_entropy_werner
-    # once more per pair
+    # once more per pair, and delta_s is tabulated on the interior, 19 x 19
     names = ("fidelity_werner", "relative_entropy_werner", "qcb_werner", "s_quantity",
-             "one_minus_fidelity_squared")
+             "one_minus_fidelity_squared", "delta_s")
     calls = dict.fromkeys(names, 0)
     for name in calls:
         real = getattr(metrics, name)
@@ -401,6 +425,7 @@ def test_closed_forms_are_tabulated_once_per_grid(monkeypatch):
         "qcb_werner": 361,
         "s_quantity": 441,
         "one_minus_fidelity_squared": 441,
+        "delta_s": 361,
     }
     calls["qcb_werner"] = 0
     verify.run_verification()
@@ -595,7 +620,9 @@ def test_verify_fails_on_a_nan_bound(monkeypatch, capsys):
 
 def test_teleport_check_fails_on_a_nan_defect(monkeypatch, capsys):
     # max() over the defects used to drop a NaN behind a number, and the run passed
-    monkeypatch.setattr(verify, "_teleport_defects", lambda eta, d, seed, n: ([0.0, math.nan], [0.0, 0.0]))
+    monkeypatch.setattr(
+        verify, "_teleport_defects", lambda etas, d, seed, n: [([0.0, math.nan], [0.0, 0.0])]
+    )
     assert cli.main(["teleport-check", "--d", "2", "--eta", "0.5", "--samples", "2"]) == 2
     assert math.isnan(json.loads(capsys.readouterr().out)["results"]["simulation_defect"])
 
@@ -653,7 +680,7 @@ def test_teleport_work_is_capped_before_any_draw(monkeypatch, d, samples):
 @pytest.mark.parametrize("d,samples", [(16, 17), (4, 73_242), (8, 1144), (3, 100_000)])
 def test_teleport_work_cap_admits(monkeypatch, d, samples):
     # the largest counts admitted at d = 16, 4 and 8, and the sample cap at d = 3
-    monkeypatch.setattr(verify, "_teleport_defects", lambda eta, d, seed, n: ([0.0], [0.0]))
+    monkeypatch.setattr(verify, "_teleport_defects", lambda etas, d, seed, n: [([0.0], [0.0])])
     assert verify.teleport_check(0.5, d, 1, samples)["samples"] == samples
 
 
@@ -683,9 +710,24 @@ def test_teleport_defects_span_several_stacks(monkeypatch):
         monkeypatch.setattr(linalg, "trace_distance_numeric", counting)
         # the covariance defects come from covariance_check, which calls its own import
         monkeypatch.setattr(teleport, "trace_distance_numeric", counting)
-        assert verify._teleport_defects(eta, d, seed, samples) == (sim, cov), d
+        assert verify._teleport_defects([eta], d, seed, samples) == [(sim, cov)], d
         assert stacks == [7, 7, 7, 7, 7, 7, 2, 2], d
         monkeypatch.undo()
+
+
+def test_teleport_check_draws_each_dimension_once(monkeypatch):
+    # the five etas at one d share that d's 20 draws, one stack block: each eta's
+    # defects equal its own sweep's, which draws the same stream alone
+    etas, seed = (-1.0, -0.5, 0.0, 0.5, 1.0), 9
+    for d in (2, 3):
+        shared = verify._teleport_defects(etas, d, seed, 20)
+        assert shared == [verify._teleport_defects([eta], d, seed, 20)[0] for eta in etas]
+    drawn = []
+    real = linalg.random_density_matrix
+    monkeypatch.setattr(linalg, "random_density_matrix", lambda d, g: drawn.append(len(g)) or real(d, g))
+    sim, cov = verify.check_teleport(seed, verify.TELEPORT_TOL)
+    assert drawn == [20, 20]
+    assert sim.points == cov.points == 2 * 5 * 20
 
 
 def test_teleport_sweep_checks_every_unitary(monkeypatch):
@@ -701,4 +743,4 @@ def test_teleport_sweep_checks_every_unitary(monkeypatch):
     monkeypatch.setattr(linalg, "random_unitary", fifth_is_not_unitary)
     assert len(linalg._blocks(8, 2)) == 1
     with pytest.raises(NotUnitaryError, match=r"^matrix\[4\] is not unitary"):
-        verify._teleport_defects(0.5, 2, 1, 8)
+        verify._teleport_defects([0.5], 2, 1, 8)
