@@ -60,8 +60,10 @@ def _record(command: str, parameters: dict, results: dict) -> dict:
     }
 
 
-def _csv_line(cells) -> str:
-    return ",".join(map(str, cells)) + "\n"
+def _csv(rows, width: int) -> str:
+    # the one CSV writer: each row a tuple of ``width`` cells, written by one
+    # "%s,...,%s\n" template, so every cell is its str() (a float's repr)
+    return "".join(map((",".join(["%s"] * width) + "\n").__mod__, rows))
 
 
 def _emit_record(record: dict, fmt: str) -> None:
@@ -70,7 +72,7 @@ def _emit_record(record: dict, fmt: str) -> None:
         return
     # one-row CSV: parameter columns then result columns
     cells = {**record["parameters"], **record["results"]}
-    sys.stdout.write(_csv_line(cells) + _csv_line(cells.values()))
+    sys.stdout.write(_csv([tuple(cells), tuple(cells.values())], len(cells)))
 
 
 def _curves_cells(cols: discrimination.Sandwiches, param=lambda x: x):
@@ -84,7 +86,7 @@ def _curves_cells(cols: discrimination.Sandwiches, param=lambda x: x):
 
 
 def _curves_csv(cells) -> str:
-    return "".join([_csv_line(CURVES_COLUMNS), *map(_csv_line, cells)])
+    return _csv([CURVES_COLUMNS, *cells], len(CURVES_COLUMNS))
 
 
 def format_curves_csv(rows) -> str:

@@ -28,6 +28,7 @@ from .errors import DimensionOverflowError, InvalidParameterError
 from .metrics import (
     _check_copies,
     _helstrom_rows,
+    _log_binomials,
     fidelity_werner,
     one_minus_fidelity_squared,
     qcb_isotropic,
@@ -55,13 +56,6 @@ ETA_GRID_CAP = 100_000
 CURVE_ROW_CAP = ETA_GRID_CAP + 1
 # Most entries of one column of a sandwich block, past one zeta's worth
 _BLOCK_ENTRIES = 1 << 16
-# libm's pow, log1p and expm1 entry by entry: numpy's SIMD versions round some entries an
-# ulp apart by memory layout, unlike a one-entry bounds()
-_pow = np.vectorize(pow, otypes=[float])
-# log F^2 = log1p(-(1 - F^2)) from the stable 1 - F^2, once per pair (-inf where F = 0),
-# and 1 - F^2n = -expm1(n log F^2) per entry, broadcast inside the one vectorized call
-_log_f2 = np.vectorize(lambda g: -math.inf if g >= 1.0 else math.log1p(-g), otypes=[float])
-_one_minus_f2n = np.vectorize(lambda log_f2, n: -math.expm1(n * log_f2), otypes=[float])
 
 
 @dataclass(frozen=True)
@@ -109,12 +103,23 @@ def bounds(eta: float, zeta: float, d: int, n: int) -> DiscriminationBounds:
     return DiscriminationBounds(eta, zeta, d, n, *(bound.item() for bound in cols[3:]))
 
 
+def _libm(func, *args) -> np.ndarray:
+    # func from libm entry by entry over the broadcast arguments, mapped over flat lists of
+    # Python numbers: numpy's SIMD pow, log1p and expm1 round some entries an ulp apart by
+    # memory layout, unlike a one-entry bounds()
+    args = np.broadcast_arrays(*args)
+    flat = map(func, *(a.ravel().tolist() for a in args))
+    return np.fromiter(flat, float, args[0].size).reshape(args[0].shape)
+
+
 def _sandwiches(etas, zetas, n_list) -> Iterator[Sandwiches]:
     # Blocks of zetas, in order, for validated inputs, each of at most about _BLOCK_ENTRIES
     # entries a column (one zeta at least), so memory is flat in the grid.  F, S, 1 - F^2
-    # and Q are scalar closed forms, once per pair; the Helstrom tables come one per n.
+    # and Q are scalar closed forms, once per pair; the Helstrom tables come one per n,
+    # from log-binomial tables built once per call.
     etas, ns = list(etas), np.array(n_list)
     n_col = ns[:, None]
+    binomials = [(n, _log_binomials(n)) for n in ns.tolist()]
     step = max(1, _BLOCK_ENTRIES // (len(ns) * len(etas)))
     for at in range(0, len(zetas), step):
         zs = list(zetas[at : at + step])
@@ -124,13 +129,16 @@ def _sandwiches(etas, zetas, n_list) -> Iterator[Sandwiches]:
             for zeta in zs for eta in etas
         ]
         f, s, q, gap = np.array(singles).T.reshape(4, len(zs), 1, len(etas))
-        # 1 - F^2n from the stable 1 - F^2 keeps the lower bound comparable to the exact
-        # block error when F rounds to 1; minimum() picks the finite branch when S is the
-        # +inf sentinel; the 1 - F^2n branch never exceeds 1, so the root is real
-        m = np.minimum(_one_minus_f2n(_log_f2(gap), n_col), n_col * s)
-        helstrom = np.stack([_helstrom_rows(etas, zs, n) for n in ns.tolist()], axis=1)
+        # log F^2 = log1p(-(1 - F^2)) from the stable 1 - F^2, once per pair (-inf where
+        # F = 0), and 1 - F^2n = -expm1(n log F^2) per entry: it keeps the lower bound
+        # comparable to the exact block error when F rounds to 1; minimum() picks the
+        # finite branch when S is the +inf sentinel; the 1 - F^2n branch never exceeds 1,
+        # so the root is real
+        log_f2 = np.array([-math.inf if g >= 1.0 else math.log1p(-g) for g in gap.ravel().tolist()])
+        m = np.minimum(-_libm(math.expm1, n_col * log_f2.reshape(gap.shape)), n_col * s)
+        helstrom = np.stack([_helstrom_rows(etas, zs, n, b) for n, b in binomials], axis=1)
         yield Sandwiches(np.array(zs), ns, np.array(etas), 0.5 * (1.0 - np.sqrt(m)),
-                         0.5 * _pow(q, n_col), 0.5 * _pow(f, n_col), helstrom)
+                         0.5 * _libm(pow, q, n_col), 0.5 * _libm(pow, f, n_col), helstrom)
 
 
 def bounds_isotropic(alpha: float, beta: float, d: int, n: int) -> IsotropicDiscrimination:

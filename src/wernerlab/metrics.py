@@ -239,7 +239,8 @@ def _qcb(a1: float, a2: float, b1: float, b2: float, t: float, gap: float) -> Qc
 
 
 HELSTROM_COPY_CAP = 1000
-# Entries of one (zeta, eta, k) block of _helstrom_rows; bounds its working memory.
+# Entries of one (zeta, eta, k) block of _helstrom_rows; sizes the working buffers each call
+# allocates once and reuses for every block, so it bounds the call's working memory.
 _HELSTROM_BLOCK = 1 << 15
 # exp is exactly +0.0 below -745.1332 in float64, so class weights logged at or below this
 # floor are set to 0 without calling exp: numpy's SIMD exp takes a slow path on every
@@ -267,37 +268,52 @@ def _log_binomials(n: int) -> np.ndarray:
     return np.array(logs + logs[(n - 1) // 2 :: -1])
 
 
-def _helstrom_rows(etas, zetas, n: int) -> np.ndarray:
+def _helstrom_rows(etas, zetas, n: int, log_binomials=None) -> np.ndarray:
     # helstrom_multicopy_werner for every eta against every zeta at one
     # validated copy count, in log space, shape (len(zetas), len(etas)).  k log 0 is
-    # 0 at k = 0, as is (n - k) log 0 at k = n.
-    log_base = _log_binomials(n) - n * math.log(2.0)
+    # 0 at k = 0, as is (n - k) log 0 at k = n.  A caller holding _log_binomials(n)
+    # passes it in.
+    if log_binomials is None:
+        log_binomials = _log_binomials(n)
+    log_base = log_binomials - n * math.log(2.0)
     k = np.arange(n + 1.0)
     rest = n - k
 
-    def log_weights(column: np.ndarray) -> np.ndarray:
-        # log[C(n,k) ((1+eta)/2)^k ((1-eta)/2)^(n-k)], one row per eta
+    def log_weights(column, up=None, down=None):
+        # log[C(n,k) ((1+eta)/2)^k ((1-eta)/2)^(n-k)], one row per eta, into ``up``
         with np.errstate(divide="ignore", invalid="ignore"):
-            up = k * np.log1p(column)
-            down = rest * np.log1p(-column)
+            up = np.multiply(k, np.log1p(column), out=up)
+            down = np.multiply(rest, np.log1p(-column), out=down)
         up[..., 0] = down[..., -1] = 0.0
         return np.add(np.add(log_base, up, out=up), down, out=up)
+
+    def lead(buf, *shape):
+        # the leading entries of a flat buffer, shaped as one block: a contiguous view
+        return buf[: math.prod(shape)].reshape(shape)
 
     etas, zetas = np.asarray(etas, dtype=float), np.asarray(zetas, dtype=float)
     log_zetas = log_weights(zetas[:, None])[:, None, :]
     rows = np.empty((len(zetas), len(etas)))
+    # an eta block holds at most ``step`` etas and a (zeta, eta) block at most ``step``
+    # pairs: the buffers are allocated once, for the largest block, and every block is a
+    # view of them
     step = max(1, _HELSTROM_BLOCK // (n + 1))
+    up, down = np.empty((2, min(step, len(etas)), n + 1))
+    minima = np.empty(min(step, len(zetas) * len(etas)) * (n + 1))
+    under, keep = np.empty((2, minima.size), dtype=bool)
     for at in (slice(j, j + step) for j in range(0, len(etas), step)):
         # each eta block's weights are logged once and set against every zeta,
         # as many zetas at a time as keep the minima within the block bound
-        block = log_weights(etas[at, None])
+        column = etas[at, None]
+        block = log_weights(column, up[: len(column)], down[: len(column)])
         z_step = max(1, _HELSTROM_BLOCK // block.size)
         for z in (slice(j, j + z_step) for j in range(0, len(zetas), z_step)):
-            terms = np.minimum(block, log_zetas[z])
+            shape = (len(zetas[z]), *block.shape)
+            terms = np.minimum(block, log_zetas[z], out=lead(minima, *shape))
             # a NaN is not below the floor, so it goes through exp
-            under = terms <= _EXP_FLOOR
-            np.exp(terms, out=terms, where=~under)
-            terms[under] = 0.0
+            floor = np.less_equal(terms, _EXP_FLOOR, out=lead(under, *shape))
+            np.exp(terms, out=terms, where=np.logical_not(floor, out=lead(keep, *shape)))
+            np.copyto(terms, 0.0, where=floor)
             rows[z, at] = 0.5 * terms.sum(axis=-1)
     # The true sum of minima is at most 1, and exactly 1 for equal parameters;
     # rounded weights can miss either by a few ulps per term.

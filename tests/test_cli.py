@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import inspect
 import io
 import json
@@ -363,6 +364,72 @@ class TestCurves:
         assert message in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+
+def joined(rows) -> str:
+    # the CSV lines of a row template's writer as a join of each cell's str()
+    return "".join(",".join(map(str, cells)) + "\n" for cells in rows)
+
+
+def _has_avx512() -> bool:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__
+    return __cpu_features__.get("AVX512_SKX", False)
+
+
+class TestCsvWriter:
+    """One row template writes every CSV line, each cell as its str()."""
+
+    CURVES = ["curves", "--zeta", "0.3", "--n", "1,10,100,1000", "--step", "0.01"]
+
+    @pytest.mark.skipif(
+        not _has_avx512(),
+        reason="the Helstrom column holds numpy's AVX-512 exp and log1p, which other SIMD "
+        "targets may round an ulp apart",
+    )
+    def test_curves_bytes_are_pinned(self, capsys):
+        # the 804-row benchmark grid, as written before the row template replaced a
+        # join of str() cells
+        assert cli.main(self.CURVES) == 0
+        out = capsys.readouterr().out.encode()
+        assert (
+            hashlib.sha256(out).hexdigest()
+            == "045e7f2f925ac23e2d3513d200b241a004c42aba5d50a7cb54f32573f0b47f03"
+        )
+
+    def test_curves_lines_are_the_joined_cells(self, capsys):
+        assert cli.main(self.CURVES) == 0
+        cols = discrimination.curve_grid(0.3, [1, 10, 100, 1000], 0.01)
+        expected = joined([cli.CURVES_COLUMNS, *cli._curves_cells(cols)])
+        assert capsys.readouterr().out == expected
+
+    def test_record_cells_are_their_str(self, capsys):
+        cells = {"inf": math.inf, "neg_inf": -math.inf, "neg_zero": -0.0, "tiny": 5e-324,
+                 "flag": True, "s_kind": "right_limit", "count": 10_000, "big": 10**20,
+                 "numpy": np.float64(0.1), "nan": math.nan}
+        names = list(cells)
+        record = cli._record("x", {k: cells[k] for k in names[:3]}, {k: cells[k] for k in names[3:]})
+        cli._emit_record(record, "csv")
+        assert capsys.readouterr().out == joined([cells, cells.values()])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["qcb", "--eta", "1", "--zeta", "0.2"],
+            ["qcb", "--isotropic", "--alpha", "0.5", "--beta", "2", "--d", "3"],
+            ["relent", "--eta", "0.2", "--zeta", "1"],
+            ["discriminate", "--eta", "1", "--zeta", "-1", "--n", "1000"],
+            ["estimate", "sim", "--eta", "0.3", "--n", "10", "--trials", "50"],
+        ],
+    )
+    def test_command_records(self, capsys, argv):
+        args = cli._parser().parse_args(argv)
+        record = cli._RECORDS[args.command](args)
+        cells = {**record["parameters"], **record["results"]}
+        assert cli.main(argv + ["--format", "csv"]) == 0
+        assert capsys.readouterr().out == joined([cells, cells.values()])
 
 
 class TestVerificationCommands:

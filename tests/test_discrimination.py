@@ -109,6 +109,20 @@ class TestCurveGrid:
             r for z in etas for r in grid_rows(discrimination.curve_grid(z, [1, 3, 1000], 0.25))
         ]
 
+    def test_log_binomials_are_built_once_per_call(self, monkeypatch):
+        # once per copy count, not once per block of zetas
+        built = []
+
+        def log_binomials(n):
+            built.append(n)
+            return metrics._log_binomials(n)
+
+        etas = discrimination.eta_grid(0.25)
+        monkeypatch.setattr(discrimination, "_BLOCK_ENTRIES", 2 * 3 * len(etas) + 1)
+        monkeypatch.setattr(discrimination, "_log_binomials", log_binomials)
+        assert len(list(discrimination._sandwiches(etas, etas, [1, 3, 1000]))) == 5
+        assert built == [1, 3, 1000]
+
     def test_identical_point_is_half(self, grid_rows):
         rows = grid_rows(discrimination.curve_grid(0.0, [1], 0.1))
         at_zero = [r for r in rows if r.eta == 0.0]

@@ -444,6 +444,26 @@ class TestHelstromRows:
         off_grid = self.ZETAS[-1]
         assert split[-1] == [metrics.helstrom_multicopy_werner(e, off_grid, 2, n) for e in etas]
 
+    @pytest.mark.parametrize("n", [1, 7, 1000])
+    def test_buffers_are_reused_across_blocks(self, monkeypatch, n):
+        # three eta rows a block: a NaN and the 21 grid points take eight eta blocks, the
+        # NaN in the first, the last of one row; the full blocks meet one zeta at a time,
+        # the last three, so its 22 zetas end in a block of one, shorter than the buffers
+        etas = [math.nan, *self.ZETAS[:-1]]
+        monkeypatch.setattr(metrics, "_HELSTROM_BLOCK", 3 * (n + 1))
+        table = metrics._helstrom_rows(etas, self.ZETAS, n)
+        assert np.isnan(table[:, 0]).all() and not np.isnan(table[:, 1:]).any()
+        assert table.tobytes() == unmasked_rows(etas, self.ZETAS, n).tobytes()
+        for zeta, row in zip(self.ZETAS, table):
+            assert row.tobytes() == metrics._helstrom_rows(etas, [zeta], n)[0].tobytes()
+        for eta, column in zip(etas, table.T):
+            assert column.tobytes() == metrics._helstrom_rows([eta], self.ZETAS, n)[:, 0].tobytes()
+
+    def test_passed_log_binomials_are_the_built_ones(self):
+        etas = self.ZETAS[:-1]
+        given = metrics._helstrom_rows(etas, self.ZETAS, 1000, metrics._log_binomials(1000))
+        assert given.tobytes() == metrics._helstrom_rows(etas, self.ZETAS, 1000).tobytes()
+
 
 def full_log_binomials(n):
     # log C(n, k) for every k = 0..n from the full integer recurrence, unmirrored
