@@ -181,7 +181,8 @@ def build_parser() -> _Parser:
         "--tol-scale",
         type=float,
         default=1.0,
-        help="multiply every tolerance (e.g. 1e-9 as a negative control)",
+        help="multiply every tolerance by this scale in (0, 1], which only tightens "
+        "(e.g. 1e-9 as a negative control)",
     )
 
     return parser

@@ -211,15 +211,6 @@ def _overlap(dr: EigenDecomposition, ds: EigenDecomposition) -> np.ndarray:
     return o
 
 
-def relative_entropy_kernel(dr: EigenDecomposition, ds: EigenDecomposition) -> float | list[float]:
-    """Base-2 relative entropy from the clamped decompositions of rho and sigma.
-
-    Returns ``math.inf`` when the support of rho is not contained in the
-    support of sigma (eigenvalues below SUPPORT_TOL count as zero).
-    """
-    return _relative_entropy(dr.eigenvalues, ds.eigenvalues, _overlap(ds, dr)).tolist()
-
-
 def _relative_entropy(p, q, overlap) -> np.ndarray:
     # the kernel from the spectra p of rho and q of sigma and overlap[..., j, i] =
     # |<s_j|r_i>|^2; sums over the live eigenvalues by where=: zero-filling would move
@@ -251,9 +242,8 @@ def relative_entropy_numeric(rho, sigma) -> float:
     support of sigma (eigenvalues below SUPPORT_TOL count as zero).
     """
     rho, sigma = _square_pair(rho, sigma)
-    return relative_entropy_kernel(
-        clamped_spectrum(rho, "rho"), clamped_spectrum(sigma, "sigma")
-    )
+    dr, ds = clamped_spectrum(rho, "rho"), clamped_spectrum(sigma, "sigma")
+    return _relative_entropy(dr.eigenvalues, ds.eigenvalues, _overlap(ds, dr)).tolist()
 
 
 class QcbNumeric(NamedTuple):

@@ -1,32 +1,17 @@
 """Cross-validation suite: every closed form against its matrix-level oracle.
 
-Each check sweeps a parameter grid, compares an analytic quantity with an
-independently computed reference, and reports the worst defect seen and how
-many points it examined; a check that examined no point does not pass.  The
-19 checks are plain functions, run serially one dimension after another so the
-results come out in a fixed order; the CLI turns them into an exit code.  Every
-pair sweep runs through one triangle pair engine, ``_pairs``: matched (rows,
-cols) index blocks of the pairs i <= j (i < j where asked) within
-``linalg._blocks``, at which each pair kernel takes two stacks member against
-member, so memory does not grow with the grid.  The oracles fill (n, n)
-tables, mirrored where symmetric (F, D, the Chernoff q, and s* as 1 - s*),
-each compared whole with its closed form, tabulated once per grid (the
-isotropic Chernoff form once per d): every ordered pair is still checked.
-One Werner sweep builds the explicit states, real, once per dimension, and
-rotates them into the eigenbasis of the explicit flip F, with which a Werner
-state commutes; ``flip-sector-residual`` gates what the rotation leaves off
-the two sectors' diagonal blocks.  Each state is decomposed once per flip
-sector; the fidelity, trace-distance and relative-entropy oracles (and from
-them the lower bound's inputs S and 1 - F^2, and the entropy asymmetry
-R - R^T that ``delta-s-oracle`` compares with ``delta_s``) add the general
-dense kernels' values over the two sectors.  The Chernoff oracle and, at the
-isotropic dimensions (those requested up to 4, or else the smallest
-requested), the substitution identity read whole decompositions assembled
-from the sectors'; the critical-point identities read its one Chernoff table.  The Chernoff
-oracles of both families share ``_chernoff_defects``.  The teleport sweep draws
-each dimension's samples once and takes each bounded block of them through the
-teleportation, channel and covariance test of every eta as one stack; the
-sandwich sweep reduces the bound columns a block of zetas at a time.
+``CHECKS`` lists the 20 checks in the printed order, each with its base
+tolerance, which a run scales by one ``tol_scale`` of at most 1.  Each check
+sweeps a parameter grid, compares an analytic quantity with an independently
+computed reference, and reports the worst defect seen and how many points it
+examined; a check that examined no point does not pass.  Every pair sweep takes
+its pairs from one triangle engine, ``_pairs``: bounded (rows, cols) index
+blocks of the pairs i <= j, so memory does not grow with the grid.  One Werner
+sweep a dimension rotates the explicit states into the eigenbasis of the
+explicit flip F, decomposes each flip sector once, and adds the sectors' dense
+kernel values into (n, n) oracle tables, mirrored where symmetric, each compared
+whole with its closed form tabulated once per grid; the Chernoff search and the
+overlap curves read whole decompositions assembled from the sectors'.
 """
 
 from __future__ import annotations
@@ -41,7 +26,7 @@ import numpy as np
 from . import discrimination, linalg, metrics, metrology, states, teleport
 from .errors import DimensionOverflowError, InvalidParameterError
 
-__all__ = ["DEFAULT_SEED", "CheckResult", "run_verification", "teleport_check"]
+__all__ = ["CHECKS", "DEFAULT_SEED", "CheckResult", "run_verification", "teleport_check"]
 
 # the seed of every seeded run (verify, teleport-check, estimate sim) unless one is given
 DEFAULT_SEED = 20260808
@@ -56,6 +41,33 @@ TELEPORT_SAMPLE_CAP = 100_000
 TELEPORT_WORK_CAP = 300_000_000
 # Most (grid points)^2 x sum of d^4, the scale of the pair sweeps' states and pair lists
 VERIFY_WORK_CAP = 2**25
+
+# every check of a run, in the printed order, with its base tolerance
+CHECKS = {
+    "fidelity-oracle": 1e-9,
+    "trace-distance-oracle": 1e-10,
+    "relative-entropy-oracle": 1e-9,
+    "qcb-oracle-q": 1e-6,
+    "qcb-oracle-s": 1e-8,
+    "qcb-isotropic-oracle": 1e-6,
+    "qcb-isotropic-oracle-s": 1e-8,
+    "critical-point-identities": 1e-12,
+    "substitution-identity": 1e-12,
+    "qs-oracle": 1e-12,
+    "s-quantity-oracle": 1e-12,
+    "fidelity-gap-oracle": 1e-12,
+    "flip-sector-residual": 1e-12,
+    "delta-s-oracle": 1e-12,
+    "teleport-simulation": TELEPORT_TOL,
+    "teleport-covariance": TELEPORT_TOL,
+    "helstrom-explicit": 1e-10,
+    "estimation-saturation": 0.05,
+    "delta-s-sign": 0.0,
+    "sandwich-ordering": 1e-10,
+}
+
+# the s at which the overlap curves are sampled
+_CURVE_S = (0.25, 0.5, 0.75)
 
 _q_and_s = attrgetter("q", "s_star")
 
@@ -123,8 +135,10 @@ def _defects(numeric, closed) -> np.ndarray:
         return np.where(np.equal(numeric, closed), 0.0, np.abs(np.subtract(numeric, closed)))
 
 
-def _collect(name, blocks, tol) -> CheckResult:
-    # defects in blocks (lists or arrays), one at a time; a NaN fails and max() keeps it worst
+def _collect(name, blocks, tol_scale) -> CheckResult:
+    # defects in blocks (lists or arrays), one at a time, gated at name's tolerance times
+    # tol_scale; a NaN fails and max() keeps it worst
+    tol = CHECKS[name] * tol_scale
     points = failures = worst = 0
     for deltas in map(np.asarray, blocks):
         points += deltas.size
@@ -190,29 +204,32 @@ def _block_diagonal(lo, hi) -> linalg.EigenDecomposition:
     )
 
 
-def check_werner_oracles(grid_step, dims, iso_dims, tols) -> tuple[CheckResult, ...]:
-    # Closed forms tabulated once; per dimension: one explicit Werner stack, rotated into
-    # the eigenbasis of the explicit flip F, with which a Werner state commutes; its
-    # largest off-sector entry per state is gated, and each sector's block is decomposed
-    # once.  The (n, n) oracle tables add the sectors' F, D and R (an inf in either
-    # stays inf), each compared whole with its closed-form table, and from them the lower
-    # bound's inputs ln(sqrt 2) min(R, R^T) and 1 - F^2.  The Chernoff oracle takes the
-    # interior pairs off the diagonal, on decompositions assembled from the sectors'.  At
-    # each of ``iso_dims``, the substitution identity (the premise of the shared Chernoff
-    # core in metrics) compares their s-overlap curves with those of the isotropic states
-    # at alpha = d(1 + eta)/2, on the matrices alone (an overlap does not see the common
-    # rotation); the critical-point identities read the Chernoff table off the diagonal.
-    # The entropy asymmetry R - R^T of the oracle table is compared with delta_s at the
-    # interior pairs, sliced before subtracting (inf - inf at +/-1 is NaN).  ``tols`` are
-    # those of the eleven results in turn.
+def check_werner_oracles(grid_step, dims, iso_dims, tol_scale=1.0) -> tuple[CheckResult, ...]:
+    # Closed forms tabulated once; per dimension, one explicit Werner stack rotated into
+    # the eigenbasis of the explicit flip F, with which a Werner state commutes: its
+    # off-sector entries are gated, each sector's block is decomposed once, and the (n, n)
+    # pair tables add the sectors' F, D and R (an inf in either stays inf).  The Chernoff
+    # search, and at each of ``iso_dims`` the s-overlap curves (against werner_qs, and
+    # against isotropic states at alpha = d(1 + eta)/2: the substitution identity, the
+    # premise of the shared Chernoff core in metrics), read the interior decompositions
+    # assembled from the sectors'.  R - R^T is compared with delta_s on the interior,
+    # sliced before subtracting (inf - inf at +/-1 is NaN).  Results in the CHECKS order.
     etas = discrimination.eta_grid(grid_step)
-    forms = (metrics.fidelity_werner, lambda a, b: abs(a - b) / 2.0,
-             metrics.relative_entropy_werner, metrics.s_quantity,
-             metrics.one_minus_fidelity_squared)
-    closed = [_table(form, etas) for form in forms]
+    pair_tables = {  # each pair table's closed form, and its oracle from (F, D, R) = (f, t, r)
+        "fidelity-oracle": (metrics.fidelity_werner, lambda f, t, r: f),
+        "trace-distance-oracle": (lambda a, b: abs(a - b) / 2.0, lambda f, t, r: t),
+        "relative-entropy-oracle": (metrics.relative_entropy_werner, lambda f, t, r: r),
+        "s-quantity-oracle": (
+            metrics.s_quantity, lambda f, t, r: metrics.LN_SQRT2 * np.minimum(r, r.T)
+        ),
+        "fidelity-gap-oracle": (metrics.one_minus_fidelity_squared, lambda f, t, r: 1.0 - f * f),
+    }
+    closed = {name: _table(form, etas) for name, (form, _) in pair_tables.items()}
     chernoff = _table(_werner_chernoff, etas[1:-1], 4)
     asymmetry = _table(metrics.delta_s, etas[1:-1])
-    tabled, dq, ds, sub, residual, asym = [[] for _ in closed], [], [], [], [], []
+    overlaps = _table(lambda a, b: [metrics.werner_qs(a, b, s) for s in _CURVE_S], etas[1:-1], 3)
+    found = {name: [] for name in closed}
+    dq, ds, sub, qs, residual, asym = [], [], [], [], [], []
     for d in dims:
         u, a = _flip_sectors(d)
         rot = u.T @ _stack(states.werner_state, etas, d) @ u
@@ -222,9 +239,8 @@ def check_werner_oracles(grid_step, dims, iso_dims, tols) -> tuple[CheckResult, 
         sectors = [_spectra(block) for block in blocks]
         fid, dist, rel = sum(map(_sector_tables, blocks, sectors))
         del rot, blocks
-        numeric = (fid, dist, rel, metrics.LN_SQRT2 * np.minimum(rel, rel.T), 1.0 - fid * fid)
-        for defects, got, table in zip(tabled, numeric, closed):
-            defects.append(_defects(got, table))
+        for name, (_, oracle) in pair_tables.items():
+            found[name].append(_defects(oracle(fid, dist, rel), closed[name]))
         inner_rel = rel[1:-1, 1:-1]
         asym.append(_defects(inner_rel - inner_rel.T, asymmetry))
         inner = _block_diagonal(*(x[1:-1] for x in sectors))
@@ -234,29 +250,29 @@ def check_werner_oracles(grid_step, dims, iso_dims, tols) -> tuple[CheckResult, 
             iso = _spectra(_stack(states.isotropic_state, [d * (1 + e) / 2 for e in etas[1:-1]], d))
             for i, j in _pairs(len(etas) - 2, d * d, diagonal=False):
                 for r, c in ((i, j), (j, i)):
-                    iso_q = linalg.qcb_curve_kernel(iso[r], iso[c], (0.25, 0.5, 0.75))
-                    wer_q = linalg.qcb_curve_kernel(inner[r], inner[c], (0.25, 0.5, 0.75))
+                    iso_q = linalg.qcb_curve_kernel(iso[r], iso[c], _CURVE_S)
+                    wer_q = linalg.qcb_curve_kernel(inner[r], inner[c], _CURVE_S)
                     sub.append(np.abs(iso_q - wer_q).max(-1))
+                    qs.append(_defects(wer_q, overlaps[r, c]))
     s = chernoff[..., 1]
     off = ~np.eye(len(s), dtype=bool)
     critical = [np.abs(s + s.T - 1.0)[off], np.where(chernoff[off][:, 2:], 0.0, math.inf)]
-    names = ("fidelity-oracle", "trace-distance-oracle", "relative-entropy-oracle",
-             "qcb-oracle-q", "qcb-oracle-s", "critical-point-identities", "substitution-identity",
-             "s-quantity-oracle", "fidelity-gap-oracle", "flip-sector-residual", "delta-s-oracle")
-    results = (*tabled[:3], dq, ds, critical, sub, *tabled[3:], residual, asym)
-    return tuple(_collect(name, x, t) for name, x, t in zip(names, results, tols, strict=True))
+    found.update({"qcb-oracle-q": dq, "qcb-oracle-s": ds, "critical-point-identities": critical,
+                  "substitution-identity": sub, "qs-oracle": qs,
+                  "flip-sector-residual": residual, "delta-s-oracle": asym})
+    results = {name: _collect(name, blocks, tol_scale) for name, blocks in found.items()}
+    return tuple(results[name] for name in CHECKS if name in results)
 
 
-def check_qcb_isotropic_oracle(dims, tols) -> tuple[CheckResult, CheckResult]:
-    # the Chernoff q and s* of every off-diagonal pair at alpha = d i/10, i = 1..9, at
-    # ``tols`` in turn
+def check_qcb_isotropic_oracle(dims, tol_scale=1.0) -> tuple[CheckResult, CheckResult]:
+    # the Chernoff q and s* of every off-diagonal pair at alpha = d i/10, i = 1..9
     dq, ds = [], []
     for d in dims:
         alphas = [d * i / 10 for i in range(1, 10)]
         closed = _table(lambda a, b: _q_and_s(metrics.qcb_isotropic(a, b, d)), alphas, 2)
         _chernoff_defects(_spectra(_stack(states.isotropic_state, alphas, d)), closed, dq, ds)
-    names = ("qcb-isotropic-oracle", "qcb-isotropic-oracle-s")
-    return tuple(_collect(n, x, t) for n, x, t in zip(names, (dq, ds), tols))
+    return (_collect("qcb-isotropic-oracle", dq, tol_scale),
+            _collect("qcb-isotropic-oracle-s", ds, tol_scale))
 
 
 def _teleport_defects(etas, d, seed, samples) -> list[tuple[list[float], list[float]]]:
@@ -279,15 +295,16 @@ def _teleport_defects(etas, d, seed, samples) -> list[tuple[list[float], list[fl
     return defects
 
 
-def check_teleport(seed, tol) -> tuple[CheckResult, CheckResult]:
+def check_teleport(seed, tol_scale=1.0) -> tuple[CheckResult, CheckResult]:
     # Every eta at one d is checked on that d's seeded draws, drawn once, one block of
     # defects each.
     etas = (-1.0, -0.5, 0.0, 0.5, 1.0)
     sim, cov = zip(*(pair for d in (2, 3) for pair in _teleport_defects(etas, d, seed, 20)))
-    return _collect("teleport-simulation", sim, tol), _collect("teleport-covariance", cov, tol)
+    return (_collect("teleport-simulation", sim, tol_scale),
+            _collect("teleport-covariance", cov, tol_scale))
 
 
-def check_helstrom_explicit(tol) -> CheckResult:
+def check_helstrom_explicit(tol_scale=1.0) -> CheckResult:
     # n-copy exact error from explicit tensor-power matrices (d = 2).
     deltas = []
     pairs = [(0.5, 0.0), (0.8, 0.2), (-0.4, 0.3), (1.0, 0.0)]
@@ -302,19 +319,19 @@ def check_helstrom_explicit(tol) -> CheckResult:
             if n < 3:
                 rho_n = linalg.tensor_product(rho_n, rho)
                 sigma_n = linalg.tensor_product(sigma_n, sigma)
-    return _collect("helstrom-explicit", [deltas], tol)
+    return _collect("helstrom-explicit", [deltas], tol_scale)
 
 
-def check_estimation_saturation(seed, tol) -> CheckResult:
+def check_estimation_saturation(seed, tol_scale=1.0) -> CheckResult:
     # |empirical variance * QFI - 1| per tested eta.
     deltas = []
     for eta in (0.0, 0.3, 0.6, -0.9):
         report = metrology.simulate_estimation(eta, n=1000, trials=40_000, seed=seed)
         deltas.append(abs(report.empirical_variance * report.qfi - 1.0))
-    return _collect("estimation-saturation", [deltas], tol)
+    return _collect("estimation-saturation", [deltas], tol_scale)
 
 
-def check_delta_s_sign(tol) -> CheckResult:
+def check_delta_s_sign(tol_scale=1.0) -> CheckResult:
     # Directed-entropy asymmetry must be strictly negative for |eta| > |zeta|.
     etas = discrimination.eta_grid(0.05)[1:-1]
     deltas = []
@@ -322,10 +339,10 @@ def check_delta_s_sign(tol) -> CheckResult:
         for b in etas:
             if abs(a) > abs(b):
                 deltas.append(0.0 if metrics.delta_s(a, b) < 0.0 else math.inf)
-    return _collect("delta-s-sign", [deltas], tol)
+    return _collect("delta-s-sign", [deltas], tol_scale)
 
 
-def check_sandwich_ordering(grid_step, tol) -> CheckResult:
+def check_sandwich_ordering(grid_step, tol_scale=1.0) -> CheckResult:
     # Every (zeta, n, eta) of the grid, n = 1..20, from one column sweep reduced a
     # block of zetas at a time: the largest breach of 0 <= lower <= helstrom_block
     # <= qcb_upper <= fid_upper <= 1/2, or 0; maximum() keeps a NaN in any column.
@@ -335,7 +352,7 @@ def check_sandwich_ordering(grid_step, tol) -> CheckResult:
         for c in discrimination._sandwiches(etas, etas, range(1, 21))
     )
     blocks = (reduce(np.maximum, map(np.subtract, chain, chain[1:]), 0.0) for chain in chains)
-    return _collect("sandwich-ordering", blocks, tol)
+    return _collect("sandwich-ordering", blocks, tol_scale)
 
 
 def run_verification(
@@ -344,16 +361,17 @@ def run_verification(
     seed: int = DEFAULT_SEED,
     tol_scale: float = 1.0,
 ) -> list[CheckResult]:
-    """Run every cross-check; tolerances are multiplied by ``tol_scale``."""
+    """Run every check of CHECKS, in its order, each tolerance times ``tol_scale`` in (0, 1]."""
     seed = states._check_seed(seed)
     dims = tuple(states._check_pair_dim(d) for d in dims)
     if not dims:
         raise InvalidParameterError("no dimension to verify")
     if len(set(dims)) < len(dims):
         raise InvalidParameterError(f"dimensions {list(dims)} repeat a dimension")
-    if not (math.isfinite(tol_scale) and tol_scale > 0.0):
+    if not 0.0 < tol_scale <= 1.0:
         raise InvalidParameterError(
-            f"tolerance scale must be finite and positive, got {tol_scale}"
+            f"tolerance scale must be finite and positive, and at most 1 so that it only "
+            f"tightens the gates, got {tol_scale}"
         )
     work = len(discrimination.eta_grid(grid_step)) ** 2 * sum(d**4 for d in dims)
     if work > VERIFY_WORK_CAP:
@@ -361,25 +379,19 @@ def run_verification(
             f"verification work (grid points)^2 x sum d^4 = {work} exceeds cap {VERIFY_WORK_CAP}"
         )
     # the isotropic checks run at the dims up to 4, or else the smallest: the substitution
-    # identity reads the Werner sweep at each
+    # identity and the Q_s oracle read the Werner sweep at each
     iso_dims = tuple(d for d in dims if d <= 4) or (min(dims),)
-    # Chernoff q and s*, of both families; fidelity, trace distance, relative entropy;
-    # the critical-point and substitution identities, the lower bound's two inputs, the
-    # Werner states' off-sector residual and the entropy asymmetry
-    chernoff_tols = [tol * tol_scale for tol in (1e-6, 1e-8)]
-    werner_tols = [tol * tol_scale for tol in (1e-9, 1e-10, 1e-9)] + chernoff_tols
-    werner_tols += [1e-12 * tol_scale] * 6
-    werner = check_werner_oracles(grid_step, dims, iso_dims, werner_tols)
-    return [
-        *werner[:5],
-        *check_qcb_isotropic_oracle(iso_dims, chernoff_tols),
-        *werner[5:],
-        *check_teleport(seed, TELEPORT_TOL * tol_scale),
-        check_helstrom_explicit(1e-10 * tol_scale),
-        check_estimation_saturation(seed, 0.05 * tol_scale),
-        check_delta_s_sign(0.0),
-        check_sandwich_ordering(grid_step, 1e-10 * tol_scale),
-    ]
+    results = (
+        *check_werner_oracles(grid_step, dims, iso_dims, tol_scale),
+        *check_qcb_isotropic_oracle(iso_dims, tol_scale),
+        *check_teleport(seed, tol_scale),
+        check_helstrom_explicit(tol_scale),
+        check_estimation_saturation(seed, tol_scale),
+        check_delta_s_sign(tol_scale),
+        check_sandwich_ordering(grid_step, tol_scale),
+    )
+    by_name = {r.name: r for r in results}
+    return [by_name[name] for name in CHECKS]
 
 
 def teleport_check(eta: float, d: int, seed: int, samples: int) -> dict:

@@ -17,10 +17,6 @@ SEED = 20260808
 
 ETA_GRID = [(2 * i - 20) / 20 for i in range(21)]          # -1.0 .. 1.0, step 0.1
 FINE_INNER = [(2 * i - 40) / 40 for i in range(1, 40)]      # -0.95 .. 0.95, step 0.05
-# fidelity, trace distance, relative entropy, Chernoff q and s*, the critical-point
-# and substitution identities, the lower bound's two inputs, the off-sector residual and
-# the entropy asymmetry, of the Werner sweep
-WERNER_TOLS = (1e-9, 1e-10, 1e-9, 1e-6, 1e-8, 1e-12, 1e-12, 1e-12, 1e-12, 1e-12, 1e-12)
 
 
 def report(num, ok, detail):
@@ -29,13 +25,18 @@ def report(num, ok, detail):
     assert ok, f"criterion {num} failed: {detail}"
 
 
+def werner_sweep() -> dict:
+    # the Werner sweep's results at the default grid and dims, by name
+    return {r.name: r for r in verify.check_werner_oracles(0.1, range(2, 7), (2, 3, 4))}
+
+
 def test_criterion_01_fidelity_oracle_agreement():
     t0 = time.monotonic()
-    r = verify.check_werner_oracles(0.1, range(2, 7), (2, 3, 4), WERNER_TOLS)[0]
+    r = werner_sweep()["fidelity-oracle"]
     elapsed = time.monotonic() - t0
     report(
         1,
-        r.passed and elapsed < 30.0,
+        r.passed and r.tol == 1e-9 and elapsed < 30.0,
         f"fidelity closed form vs matrix oracle, d=2..6, 21x21 grid: "
         f"worst |diff| {r.worst:.3e} (tol 1e-9), {elapsed:.1f}s (limit 30s)",
     )
@@ -44,12 +45,15 @@ def test_criterion_01_fidelity_oracle_agreement():
 def test_criterion_02_qcb_oracle_agreement():
     # the diagonal (q = 1) is covered by test_linalg's identical-states case
     t0 = time.monotonic()
-    q, s = verify.check_werner_oracles(0.1, range(2, 7), (2, 3, 4), WERNER_TOLS)[3:5]
-    iso_q, iso_s = verify.check_qcb_isotropic_oracle((2, 3, 4), WERNER_TOLS[3:5])
+    results = werner_sweep()
+    results.update((r.name, r) for r in verify.check_qcb_isotropic_oracle((2, 3, 4)))
     elapsed = time.monotonic() - t0
+    q, s = results["qcb-oracle-q"], results["qcb-oracle-s"]
+    iso_q, iso_s = results["qcb-isotropic-oracle"], results["qcb-isotropic-oracle-s"]
+    tols = (q.tol, s.tol, iso_q.tol, iso_s.tol) == (1e-6, 1e-8, 1e-6, 1e-8)
     report(
         2,
-        q.passed and s.passed and iso_q.passed and iso_s.passed and elapsed < 120.0,
+        q.passed and s.passed and iso_q.passed and iso_s.passed and tols and elapsed < 120.0,
         f"Chernoff closed form vs numeric search (endpoints analytic): "
         f"worst |dq| {q.worst:.3e} (tol 1e-6), worst |ds| {s.worst:.3e} (tol 1e-8), "
         f"isotropic worst |dq| {iso_q.worst:.3e}, |ds| {iso_s.worst:.3e}, "
@@ -59,11 +63,10 @@ def test_criterion_02_qcb_oracle_agreement():
 
 def test_criterion_03_critical_point_identities():
     # a containment or bracketing failure is an infinite defect in the check
-    results = verify.check_werner_oracles(0.1, range(2, 7), (2, 3, 4), WERNER_TOLS)
-    r = {r.name: r for r in results}["critical-point-identities"]
+    r = werner_sweep()["critical-point-identities"]
     report(
         3,
-        r.passed,
+        r.passed and r.tol == 1e-12,
         f"critical-point identities on every interior grid point: "
         f"worst |s_ab + s_ba - 1| {r.worst:.3e} (tol 1e-12), "
         f"containment {r.passed}, local-minimum bracketing {r.passed}",
@@ -139,10 +142,11 @@ def test_criterion_05_qcrb_reproduction():
 
 
 def test_criterion_06_channel_simulation_identity():
-    sim, cov = verify.check_teleport(SEED, 1e-10)
+    results = {r.name: r for r in verify.check_teleport(SEED)}
+    sim, cov = results["teleport-simulation"], results["teleport-covariance"]
     report(
         6,
-        sim.passed and cov.passed,
+        sim.passed and cov.passed and sim.tol == cov.tol == 1e-10,
         f"teleporting over the channel's own state reproduces it: worst trace "
         f"distance {sim.worst:.3e}; covariance defect {cov.worst:.3e} (tol 1e-10)",
     )

@@ -484,8 +484,9 @@ class TestVerificationCommands:
             "qcb-oracle-s",
             "critical-point-identities",
             "substitution-identity",
+            "qs-oracle",
         ]
-        assert out.splitlines()[-1] == "4 check(s) failed: " + ", ".join(empty)
+        assert out.splitlines()[-1] == "5 check(s) failed: " + ", ".join(empty)
         for name in empty:
             assert any(
                 line.startswith("FAIL " + name) and " 0 points" in line
@@ -493,12 +494,12 @@ class TestVerificationCommands:
             )
 
     def test_verify_without_an_interior_fails_cleanly(self, capsys):
-        # grid 2.0 is eta = -1, 1 alone: empty Chernoff and entropy-asymmetry tables, and
-        # exit 2, not a traceback
+        # grid 2.0 is eta = -1, 1 alone: empty Chernoff, overlap-curve and
+        # entropy-asymmetry tables, and exit 2, not a traceback
         code = cli.main(["verify", "--grid", "2.0", "--dims", "2..2"])
         captured = capsys.readouterr()
         assert code == 2
-        assert captured.out.splitlines()[-1].startswith("5 check(s) failed: ")
+        assert captured.out.splitlines()[-1].startswith("6 check(s) failed: ")
         assert "Traceback" not in captured.err
 
     def test_verify_rejects_bad_dims(self, capsys):
@@ -522,6 +523,8 @@ class TestVerificationCommands:
         [
             ("--tol-scale", "inf", "tolerance scale must be finite and positive"),
             ("--tol-scale", "nan", "tolerance scale must be finite and positive"),
+            ("--tol-scale", "1e300", "at most 1 so that it only tightens the gates"),
+            ("--tol-scale", "2", "at most 1 so that it only tightens the gates"),
             ("--grid", "nan", "grid step must be finite and positive"),
             ("--grid", "0", "grid step must be finite and positive"),
             ("--grid", "1e-300", "above the cap"),

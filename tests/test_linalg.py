@@ -277,14 +277,12 @@ class TestSpectraKernels:
     @pytest.mark.parametrize("rho,sigma", _kernel_cases())
     def test_relative_entropy(self, rho, sigma):
         dr, ds = linalg.clamped_spectrum(rho), linalg.clamped_spectrum(sigma)
-        assert linalg.relative_entropy_numeric(rho, sigma) == linalg.relative_entropy_kernel(
-            dr, ds
-        )
+        assert linalg.relative_entropy_numeric(rho, sigma) == linalg._relative_entropies(dr, ds)[0]
 
     def test_relative_entropy_support_mismatch(self):
         rho, sigma = states.werner_state(0.0, 3), states.werner_state(1.0, 3)
         dr, ds = linalg.clamped_spectrum(rho), linalg.clamped_spectrum(sigma)
-        assert linalg.relative_entropy_kernel(dr, ds) == math.inf
+        assert linalg._relative_entropies(dr, ds)[0] == math.inf
         assert linalg.relative_entropy_numeric(rho, sigma) == math.inf
 
     @pytest.mark.parametrize("rho,sigma", _kernel_cases())
@@ -349,26 +347,27 @@ class TestStacks:
             assert fid == [linalg.bures_fidelity_numeric(rho, s) for s in mats]
             dist = linalg.trace_distance_numeric(rho, mats)
             assert dist == [linalg.trace_distance_numeric(rho, s) for s in mats]
-            rel = linalg.relative_entropy_kernel(decs[i], decs)
+            rel = linalg._relative_entropies(decs[i], decs)[0].tolist()
             members = [decs[j] for j in range(len(mats))]
             assert rel == [_scalar_relative_entropy(decs[i], ds) for ds in members]
-            assert rel == [linalg.relative_entropy_kernel(decs[i], ds) for ds in members]
+            assert rel == [linalg._relative_entropies(decs[i], ds)[0].tolist() for ds in members]
             curves = linalg.qcb_curve_kernel(decs[i], decs, grid)
             for j, row in enumerate(curves):
                 assert np.array_equal(row, linalg.qcb_curve_kernel(decs[i], decs[j], grid))
         # rank-deficient Werner ends: support mismatches come out infinite
-        assert math.inf in linalg.relative_entropy_kernel(decs[0], decs)
+        assert math.inf in linalg._relative_entropies(decs[0], decs)[0]
 
     @pytest.mark.parametrize("d", [2, 3, 6])
     def test_relative_entropy_both_ways_from_one_overlap(self, d):
-        # the forward direction is the kernel bit for bit; the reverse one reads the
-        # transposed overlap, whose products BLAS may sum in another order, so it is the
-        # kernel's (sigma || rho) to round-off, with the same infinite entries
-        decs = linalg.clamped_spectrum(_stack_cases(d))
-        i, j = (x.ravel() for x in np.indices((len(decs.eigenvalues),) * 2))
+        # the forward direction is the one-pair oracle bit for bit; the reverse one reads
+        # the transposed overlap, whose products BLAS may sum in another order, so it is
+        # the oracle's (sigma || rho) to round-off, with the same infinite entries
+        mats = _stack_cases(d)
+        decs = linalg.clamped_spectrum(mats)
+        i, j = (x.ravel() for x in np.indices((len(mats),) * 2))
         forward, backward = linalg._relative_entropies(decs[i], decs[j])
-        assert forward.tolist() == linalg.relative_entropy_kernel(decs[i], decs[j])
-        reverse = np.array(linalg.relative_entropy_kernel(decs[j], decs[i]))
+        assert forward.tolist() == list(map(linalg.relative_entropy_numeric, mats[i], mats[j]))
+        reverse = np.array(list(map(linalg.relative_entropy_numeric, mats[j], mats[i])))
         finite = np.isfinite(reverse)
         assert np.array_equal(np.isinf(backward), ~finite) and not finite.all()
         assert np.abs(backward[finite] - reverse[finite]).max() <= 1e-14
@@ -391,7 +390,7 @@ class TestStacks:
         assert linalg.trace_distance_numeric(rho, mats) == [
             linalg.trace_distance_numeric(rho, m) for m in mats
         ]
-        assert linalg.relative_entropy_kernel(decs[17], decs) == [
+        assert linalg._relative_entropies(decs[17], decs)[0].tolist() == [
             linalg.relative_entropy_numeric(rho, m) for m in mats
         ]
 
@@ -418,7 +417,7 @@ class TestStacks:
         rho, sigma = rand_density(4, 1), rand_density(4, 2)
         dr, ds = linalg.clamped_spectrum(rho), linalg.clamped_spectrum(sigma)
         assert type(linalg.trace_distance_numeric(rho, sigma)) is float
-        assert type(linalg.relative_entropy_kernel(dr, ds)) is float
+        assert type(linalg.relative_entropy_numeric(rho, sigma)) is float
         assert type(linalg.bures_fidelity_kernel(rho, linalg.spectral_sqrt(ds))) is float
 
     def test_one_lapack_call_per_stack(self, monkeypatch):

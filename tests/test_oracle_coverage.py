@@ -23,9 +23,7 @@ COVERAGE = {
     "metrics.relative_entropy_werner": ("relative-entropy-oracle", "s-quantity-oracle"),
     "metrics.delta_s": ("delta-s-oracle",),
     "metrics.s_quantity": ("s-quantity-oracle",),
-    "metrics.werner_qs": "Q_s at any s: its core _qs gives qcb_werner's q, which qcb-oracle-q "
-    "checks, but werner_qs itself is read only by critical-point-identities, closed form "
-    "against closed form",
+    "metrics.werner_qs": ("qs-oracle",),
     "metrics.qcb_werner": ("qcb-oracle-q", "qcb-oracle-s"),
     "metrics.qcb_isotropic": ("qcb-isotropic-oracle", "qcb-isotropic-oracle-s"),
     "metrics.helstrom_multicopy_werner": ("helstrom-explicit",),

@@ -21,6 +21,7 @@ DEFAULT_POINTS = {
     "qcb-isotropic-oracle-s": 216,
     "critical-point-identities": 1026,
     "substitution-identity": 1026,
+    "qs-oracle": 3078,
     "s-quantity-oracle": 2205,
     "fidelity-gap-oracle": 2205,
     "flip-sector-residual": 105,
@@ -34,18 +35,60 @@ DEFAULT_POINTS = {
 }
 
 
-# the default tolerances of check_werner_oracles' eleven results, as run_verification sets them
-WERNER_TOLS = (1e-9, 1e-10, 1e-9, 1e-6, 1e-8, 1e-12, 1e-12, 1e-12, 1e-12, 1e-12, 1e-12)
-# the names of its eleven results: the first five checks of a run, then the two identities,
-# the lower bound's two inputs, the off-sector residual and the entropy asymmetry
-WERNER_NAMES = list(DEFAULT_POINTS)[:5] + list(DEFAULT_POINTS)[7:13]
+# the Werner sweep's five tables of every ordered pair of the grid
+PAIR_TABLES = ("fidelity-oracle", "trace-distance-oracle", "relative-entropy-oracle",
+               "s-quantity-oracle", "fidelity-gap-oracle")
+
+
+def test_the_check_table_is_pinned():
+    # every check's name, printed place and base tolerance, written out, so that a
+    # loosened or moved row fails here; the point counts above follow the same order
+    assert list(verify.CHECKS.items()) == [
+        ("fidelity-oracle", 1e-9),
+        ("trace-distance-oracle", 1e-10),
+        ("relative-entropy-oracle", 1e-9),
+        ("qcb-oracle-q", 1e-6),
+        ("qcb-oracle-s", 1e-8),
+        ("qcb-isotropic-oracle", 1e-6),
+        ("qcb-isotropic-oracle-s", 1e-8),
+        ("critical-point-identities", 1e-12),
+        ("substitution-identity", 1e-12),
+        ("qs-oracle", 1e-12),
+        ("s-quantity-oracle", 1e-12),
+        ("fidelity-gap-oracle", 1e-12),
+        ("flip-sector-residual", 1e-12),
+        ("delta-s-oracle", 1e-12),
+        ("teleport-simulation", 1e-10),
+        ("teleport-covariance", 1e-10),
+        ("helstrom-explicit", 1e-10),
+        ("estimation-saturation", 0.05),
+        ("delta-s-sign", 0.0),
+        ("sandwich-ordering", 1e-10),
+    ]
+    assert list(DEFAULT_POINTS) == list(verify.CHECKS)
+
+
+@pytest.mark.parametrize("unmatched", ["row-without-a-check", "result-without-a-row"])
+def test_results_and_table_rows_match_one_to_one(monkeypatch, unmatched):
+    # a table row that no check produces, or a result whose name the table lacks, fails
+    # the run loudly instead of dropping out of the report
+    if unmatched == "row-without-a-check":
+        monkeypatch.setitem(verify.CHECKS, "x", 1.0)
+    else:
+        monkeypatch.delitem(verify.CHECKS, "qs-oracle")
+    with pytest.raises(KeyError):
+        verify.run_verification(grid_step=0.5, dims=(2,))
+
+
+def by_name(results) -> dict:
+    return {r.name: r for r in results}
 
 
 @pytest.fixture(scope="module")
 def default_werner_oracles():
-    # one Werner sweep at the default grid, dims and isotropic dims, shared by the
-    # pinned-value tests
-    return verify.check_werner_oracles(0.1, (2, 3, 4, 5, 6), (2, 3, 4), WERNER_TOLS)
+    # one Werner sweep at the default grid, dims and isotropic dims, by name, shared by
+    # the pinned-value tests
+    return by_name(verify.check_werner_oracles(0.1, (2, 3, 4, 5, 6), (2, 3, 4)))
 
 
 def count_eigh(monkeypatch, names=("eigh", "eigvalsh")) -> list:
@@ -71,14 +114,15 @@ def test_qcb_sweep_decomposes_each_state_once(monkeypatch):
     # the same 19 and decomposes only its isotropic states (21 + 19 decompositions,
     # all 9 x 9, when each whole state was decomposed once)
     calls = count_eigh(monkeypatch, ("eigh",))
-    *pairs, q, s, critical, sub, s_quantity, gap, residual, asym = verify.check_werner_oracles(
-        0.1, (3,), (3,), WERNER_TOLS
-    )
-    assert [r.points for r in (*pairs, s_quantity, gap)] == [21 * 21] * 5
-    assert q.points == s.points == sub.points == 19 * 18
-    assert critical.points == 3 * 19 * 18
-    assert residual.points == 21
-    assert asym.points == 19 * 19
+    points = {r.name: r.points for r in verify.check_werner_oracles(0.1, (3,), (3,))}
+    assert points == {
+        **dict.fromkeys(PAIR_TABLES, 21 * 21),
+        **dict.fromkeys(("qcb-oracle-q", "qcb-oracle-s", "substitution-identity"), 19 * 18),
+        "critical-point-identities": 3 * 19 * 18,
+        "qs-oracle": 3 * 19 * 18,
+        "flip-sector-residual": 21,
+        "delta-s-oracle": 19 * 19,
+    }
     assert Counter(calls) == {(3, 3): 21, (6, 6): 21, (9, 9): 1 + 19}
 
 
@@ -99,7 +143,7 @@ def test_werner_pair_kernels_decompose_only_sector_blocks(monkeypatch):
     # states); the 36 x 36 ones are the flip and the 19 isotropic states
     eigvalsh = count_eigh(monkeypatch, ("eigvalsh",))
     eigh = count_eigh(monkeypatch, ("eigh",))
-    verify.check_werner_oracles(0.1, (6,), (6,), WERNER_TOLS)
+    verify.check_werner_oracles(0.1, (6,), (6,))
     assert Counter(eigvalsh) == {(15, 15): 2 * 231, (21, 21): 2 * 231}
     assert Counter(eigh) == {(15, 15): 21, (21, 21): 21, (36, 36): 1 + 19}
 
@@ -151,13 +195,13 @@ def test_scaled_entropy_asymmetry_fails_its_oracle_alone(monkeypatch):
     monkeypatch.setattr(metrics, "delta_s", lambda a, b: exact(a, b) * (1 + 1e-9))
     results = verify.run_verification(grid_step=0.2, dims=(2, 3))
     assert [r.name for r in results if not r.passed] == ["delta-s-oracle"]
-    failed = results[[r.name for r in results].index("delta-s-oracle")]
+    failed = by_name(results)["delta-s-oracle"]
     assert (failed.failures, failed.points) == (120, 2 * 81)
 
 
 def test_entropy_asymmetry_oracle_worst_is_pinned(default_werner_oracles):
     # bit-identity guard on R - R^T of the sector-summed relative-entropy table
-    result = {r.name: r for r in default_werner_oracles}["delta-s-oracle"]
+    result = default_werner_oracles["delta-s-oracle"]
     assert result.points == DEFAULT_POINTS["delta-s-oracle"] == 5 * 19 * 19
     assert result.worst == float.fromhex("0x1.cp-48")
 
@@ -166,12 +210,15 @@ def test_default_run_point_counts(monkeypatch):
     # the fidelity and trace distance take one eigvalsh a unordered pair and flip
     # sector, 5 x 231 x 2 each, and each Werner state is decomposed once per sector,
     # 5 x 21 x 2, beside the five flips: 5,331 smaller matrices (2,911 while each whole
-    # state and pair was decomposed, 5,011 while each ordered pair was)
+    # state and pair was decomposed, 5,011 while each ordered pair was); the results
+    # come in the table's order at its tolerances, 31,875 points (28,797 before the
+    # Q_s oracle's 3,078, which decomposes nothing)
     calls = count_eigh(monkeypatch)
     results = verify.run_verification()
-    assert {r.name: r.points for r in results} == DEFAULT_POINTS
-    assert sum(r.points for r in results) == 28_797
-    assert [r.tol for r in results[:5] + results[7:13]] == list(WERNER_TOLS)
+    assert [(r.name, r.points, r.tol) for r in results] == [
+        (name, DEFAULT_POINTS[name], tol) for name, tol in verify.CHECKS.items()
+    ]
+    assert sum(r.points for r in results) == 31_875
     assert len(calls) == 5331
 
 
@@ -195,7 +242,7 @@ def test_estimation_saturation_worst_is_pinned():
     # bit-identity guard on the seeded Monte-Carlo stream (one default_rng
     # per simulation): a stream change that still passed statistically would
     # move this value, 1.3 standard errors of a 40,000-trial variance ratio
-    assert verify.check_estimation_saturation(20260808, 0.05).worst == 0.009367495297383677
+    assert verify.check_estimation_saturation(20260808).worst == 0.009367495297383677
 
 
 def test_qcb_oracle_worst_is_pinned(default_werner_oracles):
@@ -203,7 +250,7 @@ def test_qcb_oracle_worst_is_pinned(default_werner_oracles):
     # that still passed its tolerances would move these values (s* was
     # 0x1.7c8p-45 while the search also ran on (b, a), not 1 - s*(a, b); q and s*
     # were 0x1.2p-50 and 0x1.85p-45 while it read whole-state decompositions)
-    q, s = default_werner_oracles[3:5]
+    q, s = default_werner_oracles["qcb-oracle-q"], default_werner_oracles["qcb-oracle-s"]
     assert q.points == s.points == 1710
     assert q.worst == float.fromhex("0x1.cp-51")
     assert s.worst == float.fromhex("0x1.73p-45")
@@ -260,9 +307,11 @@ def test_shifted_isotropic_chernoff_minimiser_is_caught(monkeypatch):
 )
 def test_pair_oracle_worst_is_pinned(default_werner_oracles, name, worst):
     # bit-identity guard on the stacked per-pair oracles at the default grid
-    # and dims: a change to their numerics that still passed would move these
-    assert [r.name for r in default_werner_oracles] == WERNER_NAMES
-    result = {r.name: r for r in default_werner_oracles}[name]
+    # and dims: a change to their numerics that still passed would move these; the
+    # sweep's twelve results come in the table's order
+    names = list(default_werner_oracles)
+    assert len(names) == 12 and names == [n for n in verify.CHECKS if n in names]
+    result = default_werner_oracles[name]
     assert result.points == 2205
     assert result.worst == float.fromhex(worst)
 
@@ -270,9 +319,17 @@ def test_pair_oracle_worst_is_pinned(default_werner_oracles, name, worst):
 def test_substitution_identity_worst_is_pinned(default_werner_oracles):
     # bit-identity guard on the Chernoff overlap curve (qcb_curve_kernel) at
     # the default grid and isotropic dims (0x1.ap-50 on whole-state decompositions)
-    result = {r.name: r for r in default_werner_oracles}["substitution-identity"]
+    result = default_werner_oracles["substitution-identity"]
     assert result.points == DEFAULT_POINTS["substitution-identity"]
     assert result.worst == float.fromhex("0x1.6p-50")
+
+
+def test_qs_oracle_worst_is_pinned(default_werner_oracles):
+    # bit-identity guard on the Werner overlap curves against werner_qs at s = 0.25,
+    # 0.5 and 0.75, on the substitution identity's 1,026 ordered pairs
+    result = default_werner_oracles["qs-oracle"]
+    assert result.points == DEFAULT_POINTS["qs-oracle"] == 3 * 1026
+    assert result.worst == float.fromhex("0x1.8p-51")
 
 
 def test_qcb_oracle_memory_does_not_grow_with_the_coarse_pass():
@@ -286,7 +343,7 @@ def test_qcb_oracle_memory_does_not_grow_with_the_coarse_pass():
     # or without the substitution identity
     tracemalloc.start()
     try:
-        verify.check_werner_oracles(0.1, (6,), (6,), WERNER_TOLS)
+        verify.check_werner_oracles(0.1, (6,), (6,))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -300,7 +357,7 @@ def test_pair_oracle_memory_is_bounded_by_the_stack_blocks():
     # substitution identity's 99 isotropic states
     tracemalloc.start()
     try:
-        verify.check_werner_oracles(0.02, (6,), (6,), WERNER_TOLS)
+        verify.check_werner_oracles(0.02, (6,), (6,))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -310,12 +367,12 @@ def test_pair_oracle_memory_is_bounded_by_the_stack_blocks():
 def test_qcb_checks_without_pairs_fail():
     # grid 1.0 leaves no off-diagonal interior pair: an empty batch, 0 points,
     # while the pair oracles of the same sweep examine every pair of the grid
-    fid, dist, rel, q, s, critical, sub, *inputs, residual, asym = verify.check_werner_oracles(
-        1.0, (2,), (2,), WERNER_TOLS
-    )
-    assert [r.points for r in (q, s, critical, sub)] == [0] * 4
-    assert not any(r.passed for r in (q, s, critical, sub))
-    assert all(r.points == 9 and r.passed for r in (fid, dist, rel, *inputs))
+    results = by_name(verify.check_werner_oracles(1.0, (2,), (2,)))
+    empty = ("qcb-oracle-q", "qcb-oracle-s", "critical-point-identities",
+             "substitution-identity", "qs-oracle")
+    assert all(results[name].points == 0 and not results[name].passed for name in empty)
+    assert all(results[name].points == 9 and results[name].passed for name in PAIR_TABLES)
+    residual, asym = results["flip-sector-residual"], results["delta-s-oracle"]
     assert residual.points == 3 and residual.passed
     # the one interior point, eta = 0, against itself
     assert asym.points == 1 and asym.passed
@@ -370,10 +427,10 @@ def test_pair_blocks_of_the_sweeps():
 def test_werner_sweep_does_not_depend_on_the_block_size(monkeypatch):
     # five pairs a block at d = 3 (1,215 entries), most blocks starting mid-row, give the
     # default blocks' results, bit for bit
-    expected = verify.check_werner_oracles(0.1, (3,), (3,), WERNER_TOLS)
+    expected = verify.check_werner_oracles(0.1, (3,), (3,))
     monkeypatch.setattr(linalg, "_STACK_ENTRIES", 5 * 3 * 81)
     assert len(list(verify._pairs(21, 9))) == 47
-    got = verify.check_werner_oracles(0.1, (3,), (3,), WERNER_TOLS)
+    got = verify.check_werner_oracles(0.1, (3,), (3,))
     assert got == expected
     assert [r.worst.hex() for r in got] == [r.worst.hex() for r in expected]
 
@@ -417,8 +474,9 @@ def test_closed_forms_are_tabulated_once_per_grid(monkeypatch):
             return real(a, b)
 
         monkeypatch.setattr(metrics, name, counting)
-    results = verify.check_werner_oracles(0.1, (2, 3, 4, 5, 6), (2, 3, 4), WERNER_TOLS)
-    assert [r.points for r in results] == [DEFAULT_POINTS[name] for name in WERNER_NAMES]
+    results = verify.check_werner_oracles(0.1, (2, 3, 4, 5, 6), (2, 3, 4))
+    assert len(results) == 12
+    assert all(r.points == DEFAULT_POINTS[r.name] for r in results)
     assert calls == {
         "fidelity_werner": 441,
         "relative_entropy_werner": 882,
@@ -436,6 +494,7 @@ _werner_fidelity, _werner_relent, _werner_qcb = (
     metrics.fidelity_werner, metrics.relative_entropy_werner, metrics.qcb_werner
 )
 _s_quantity, _fidelity_gap = metrics.s_quantity, metrics.one_minus_fidelity_squared
+_werner_qs = metrics.werner_qs
 
 
 def _lower_s_shifted(a, b):
@@ -500,6 +559,15 @@ TABLE_MUTANTS = {
         144,
         144,
     ),
+    # every ordered interior pair at s = 0.25, 0.5 and 0.75; the minimiser's bracket
+    # holds, so critical-point-identities passes
+    "overlap-curve": (
+        "werner_qs",
+        lambda a, b, s: _werner_qs(a, b, s) * (1 + 1e-9),
+        ["qs-oracle"],
+        432,
+        432,
+    ),
 }
 
 
@@ -507,9 +575,9 @@ TABLE_MUTANTS = {
 def test_closed_form_tables_catch_broken_closed_forms(monkeypatch, mutant):
     name, broken, checks, failures, points = TABLE_MUTANTS[mutant]
     monkeypatch.setattr(metrics, name, broken)
-    results = verify.check_werner_oracles(0.2, (2, 3), (2, 3), WERNER_TOLS)
+    results = verify.check_werner_oracles(0.2, (2, 3), (2, 3))
     assert [r.name for r in results if not r.passed] == checks
-    failed = {r.name: r for r in results}[checks[0]]
+    failed = by_name(results)[checks[0]]
     assert (failed.failures, failed.points) == (failures, points)
 
 
@@ -521,20 +589,21 @@ def _upper_s_shifted(a, b):
 
 
 # the Chernoff minimiser's identities broken, each at grid 0.2, d = 2, 3: every
-# one fails critical-point-identities and no other check
+# one fails critical-point-identities, and only the NaN overlap fails another check,
+# the Q_s oracle
 CRITICAL_MUTANTS = {
-    "left-limit": ("qcb_werner", lambda a, b: replace(_werner_qcb(a, b), s_kind="left_limit")),
-    "upper-s-shifted": ("qcb_werner", _upper_s_shifted),
-    "nan-overlap": ("werner_qs", lambda a, b, s: math.nan),
+    "left-limit": ("qcb_werner", lambda a, b: replace(_werner_qcb(a, b), s_kind="left_limit"), []),
+    "upper-s-shifted": ("qcb_werner", _upper_s_shifted, []),
+    "nan-overlap": ("werner_qs", lambda a, b, s: math.nan, ["qs-oracle"]),
 }
 
 
 @pytest.mark.parametrize("mutant", CRITICAL_MUTANTS)
 def test_critical_point_identities_catch_a_broken_minimiser(monkeypatch, mutant):
-    name, broken = CRITICAL_MUTANTS[mutant]
+    name, broken, others = CRITICAL_MUTANTS[mutant]
     monkeypatch.setattr(metrics, name, broken)
     results = verify.run_verification(grid_step=0.2, dims=(2, 3))
-    assert [r.name for r in results if not r.passed] == ["critical-point-identities"]
+    assert [r.name for r in results if not r.passed] == ["critical-point-identities", *others]
 
 
 def test_isotropic_checks_fall_back_to_the_smallest_dimension(monkeypatch):
@@ -543,9 +612,10 @@ def test_isotropic_checks_fall_back_to_the_smallest_dimension(monkeypatch):
     built = []
     isotropic = states.isotropic_state
     monkeypatch.setattr(states, "isotropic_state", lambda a, d: built.append(d) or isotropic(a, d))
-    results = {r.name: r for r in verify.run_verification(grid_step=0.5, dims=(5,))}
+    results = by_name(verify.run_verification(grid_step=0.5, dims=(5,)))
     assert set(built) == {5}
-    for name in ("qcb-isotropic-oracle", "qcb-isotropic-oracle-s", "substitution-identity"):
+    for name in ("qcb-isotropic-oracle", "qcb-isotropic-oracle-s", "substitution-identity",
+                 "qs-oracle"):
         assert results[name].points > 0 and results[name].passed
 
 
@@ -555,11 +625,12 @@ def test_empty_dims_are_rejected_before_any_sweep(monkeypatch):
         verify.run_verification(dims=())
 
 
-def test_defects_are_zero_at_matching_infinities_and_nan_fails():
+def test_defects_are_zero_at_matching_infinities_and_nan_fails(monkeypatch):
     closed = np.array([math.inf, -math.inf, math.inf, 1.0, 1.5])
     got = verify._defects([math.inf, math.inf, 1.0, math.nan, 2.0], closed)
     assert got[:3].tolist() == [0.0, math.inf, math.inf]
     assert math.isnan(got[3]) and got[4] == 0.5
+    monkeypatch.setitem(verify.CHECKS, "x", 1.0)
     result = verify._collect("x", [got], 1.0)
     assert (result.points, result.failures) == (5, 3)
 
@@ -581,7 +652,7 @@ def test_sandwich_ordering_matches_pairwise_sweep():
                     r.fid_upper - 0.5,
                 )
                 deltas.append(max(0.0, violation))
-    result = verify.check_sandwich_ordering(0.2, 0.0)
+    result = verify.check_sandwich_ordering(0.2, tol_scale=0.0)
     assert result.points == len(deltas) == 20 * 11 * 11
     assert result.failures == sum(1 for x in deltas if x > 0.0)
     assert result.worst == max(deltas)
@@ -603,7 +674,7 @@ def test_sandwich_ordering_catches_broken_bounds(monkeypatch, mutant):
     monkeypatch.setattr(discrimination, name, broken)
     results = verify.run_verification(grid_step=0.2, dims=(2, 3))
     assert [r.name for r in results if not r.passed] == ["sandwich-ordering"]
-    assert results[-1].worst == pytest.approx(worst, rel=1e-5)
+    assert by_name(results)["sandwich-ordering"].worst == pytest.approx(worst, rel=1e-5)
 
 
 def test_verify_fails_on_a_nan_bound(monkeypatch, capsys):
@@ -627,7 +698,8 @@ def test_teleport_check_fails_on_a_nan_defect(monkeypatch, capsys):
     assert math.isnan(json.loads(capsys.readouterr().out)["results"]["simulation_defect"])
 
 
-def test_nan_defect_fails_and_is_the_worst():
+def test_nan_defect_fails_and_is_the_worst(monkeypatch):
+    monkeypatch.setitem(verify.CHECKS, "x", 1.0)
     result = verify._collect("x", [[0.0, math.nan], [2.0]], 1.0)
     assert (result.points, result.failures) == (3, 2)
     assert math.isnan(result.worst)
@@ -642,7 +714,7 @@ def test_sandwich_ordering_memory_does_not_grow_with_the_zetas(monkeypatch):
     for grid_step in (0.1, 0.05):
         tracemalloc.start()
         try:
-            verify.check_sandwich_ordering(grid_step, 1e-10)
+            verify.check_sandwich_ordering(grid_step)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -725,9 +797,11 @@ def test_teleport_check_draws_each_dimension_once(monkeypatch):
     drawn = []
     real = linalg.random_density_matrix
     monkeypatch.setattr(linalg, "random_density_matrix", lambda d, g: drawn.append(len(g)) or real(d, g))
-    sim, cov = verify.check_teleport(seed, verify.TELEPORT_TOL)
+    results = verify.check_teleport(seed)
     assert drawn == [20, 20]
-    assert sim.points == cov.points == 2 * 5 * 20
+    assert {r.name: r.points for r in results} == {
+        "teleport-simulation": 2 * 5 * 20, "teleport-covariance": 2 * 5 * 20
+    }
 
 
 def test_teleport_sweep_checks_every_unitary(monkeypatch):
