@@ -27,13 +27,13 @@ import numpy as np
 from .errors import DimensionOverflowError, InvalidParameterError
 from .metrics import (
     _check_copies,
+    _fidelity,
     _helstrom_rows,
     _log_binomials,
-    fidelity_werner,
-    one_minus_fidelity_squared,
+    _one_minus_f2,
+    _qcb,
+    _s_quantity,
     qcb_isotropic,
-    qcb_werner,
-    s_quantity,
 )
 from .states import _check_alpha, _check_dim, _check_eta, _check_positive_int
 
@@ -113,10 +113,11 @@ def _libm(func, *args) -> np.ndarray:
 
 
 def _sandwiches(etas, zetas, n_list) -> Iterator[Sandwiches]:
-    # Blocks of zetas, in order, for validated inputs, each of at most about _BLOCK_ENTRIES
-    # entries a column (one zeta at least), so memory is flat in the grid.  F, S, 1 - F^2
-    # and Q are scalar closed forms, once per pair; the Helstrom tables come one per n,
-    # from log-binomial tables built once per call.
+    # Blocks of zetas, in order, each of at most about _BLOCK_ENTRIES entries a column (one
+    # zeta at least), so memory is flat in the grid.  The etas and zetas are validated
+    # Python floats, so F, S, 1 - F^2 and Q come from the unvalidated cores in metrics, once
+    # per pair, and no validator runs here; the Helstrom tables come one per n, from
+    # log-binomial tables built once per call.
     etas, ns = list(etas), np.array(n_list)
     n_col = ns[:, None]
     binomials = [(n, _log_binomials(n)) for n in ns.tolist()]
@@ -124,8 +125,9 @@ def _sandwiches(etas, zetas, n_list) -> Iterator[Sandwiches]:
     for at in range(0, len(zetas), step):
         zs = list(zetas[at : at + step])
         singles = [
-            (fidelity_werner(eta, zeta), s_quantity(eta, zeta), qcb_werner(eta, zeta).q,
-             one_minus_fidelity_squared(eta, zeta))
+            (_fidelity(eta, zeta), _s_quantity(eta, zeta),
+             _qcb(1.0 + eta, 1.0 - eta, 1.0 + zeta, 1.0 - zeta, 2.0, eta - zeta)[0],
+             _one_minus_f2(eta, zeta))
             for zeta in zs for eta in etas
         ]
         f, s, q, gap = np.array(singles).T.reshape(4, len(zs), 1, len(etas))

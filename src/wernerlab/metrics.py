@@ -4,6 +4,8 @@ All quantities in this module are parameter-in/number-out: they depend on
 the flip expectations (eta, zeta) or entangled-operator expectations
 (alpha, beta) alone, never on explicit matrices.  The matrix-level
 counterparts in :mod:`wernerlab.linalg` serve as independent cross-checks.
+Each public closed form validates its parameters and then calls a private
+core, which callers holding validated floats call directly.
 
 Infinity is a first-class sentinel here (``math.inf``): it propagates
 through min/comparisons instead of raising, so downstream bound assembly
@@ -56,8 +58,10 @@ class QcbResult:
 
 def fidelity_werner(eta: float, zeta: float) -> float:
     """sqrt((1+eta)(1+zeta))/2 + sqrt((1-eta)(1-zeta))/2, clamped to [0, 1]."""
-    eta = _check_eta(eta)
-    zeta = _check_eta(zeta)
+    return _fidelity(_check_eta(eta), _check_eta(zeta))
+
+
+def _fidelity(eta: float, zeta: float) -> float:
     f = 0.5 * math.sqrt((1.0 + eta) * (1.0 + zeta)) + 0.5 * math.sqrt(
         (1.0 - eta) * (1.0 - zeta)
     )
@@ -73,8 +77,10 @@ def one_minus_fidelity_squared(eta: float, zeta: float) -> float:
     epsilon once F rounds to 1; this stays accurate for arbitrarily close
     parameters.
     """
-    eta = _check_eta(eta)
-    zeta = _check_eta(zeta)
+    return _one_minus_f2(_check_eta(eta), _check_eta(zeta))
+
+
+def _one_minus_f2(eta: float, zeta: float) -> float:
     if eta == zeta:
         return 0.0
     gap = eta - zeta
@@ -94,8 +100,10 @@ def relative_entropy_werner(eta: float, zeta: float) -> float:
     negative.  For gaps of a few ulps the two first-order terms still cancel
     below rounding, so the sum is clamped at 0 (Gibbs' inequality).
     """
-    eta = _check_eta(eta)
-    zeta = _check_eta(zeta)
+    return _relative_entropy(_check_eta(eta), _check_eta(zeta))
+
+
+def _relative_entropy(eta: float, zeta: float) -> float:
     gap = eta - zeta
     total = 0.0
     for num, den, diff in ((1.0 + eta, 1.0 + zeta, gap), (1.0 - eta, 1.0 - zeta, -gap)):
@@ -135,11 +143,13 @@ def s_quantity(eta: float, zeta: float) -> float:
     The branch with the larger |parameter| in the first slot is the smaller
     one, so this is computed piecewise on |eta| >= |zeta|.
     """
-    eta = _check_eta(eta)
-    zeta = _check_eta(zeta)
+    return _s_quantity(_check_eta(eta), _check_eta(zeta))
+
+
+def _s_quantity(eta: float, zeta: float) -> float:
     if abs(eta) >= abs(zeta):
-        return LN_SQRT2 * relative_entropy_werner(eta, zeta)
-    return LN_SQRT2 * relative_entropy_werner(zeta, eta)
+        return LN_SQRT2 * _relative_entropy(eta, zeta)
+    return LN_SQRT2 * _relative_entropy(zeta, eta)
 
 
 def _log_ratio(gap: float, num: float, den: float) -> float:
@@ -188,7 +198,7 @@ def qcb_werner(eta: float, zeta: float) -> QcbResult:
     """
     eta = _check_eta(eta)
     zeta = _check_eta(zeta)
-    return _qcb(1.0 + eta, 1.0 - eta, 1.0 + zeta, 1.0 - zeta, 2.0, eta - zeta)
+    return QcbResult(*_qcb(1.0 + eta, 1.0 - eta, 1.0 + zeta, 1.0 - zeta, 2.0, eta - zeta))
 
 
 def qcb_isotropic(alpha: float, beta: float, d: int) -> QcbResult:
@@ -200,7 +210,7 @@ def qcb_isotropic(alpha: float, beta: float, d: int) -> QcbResult:
     d = _check_dim(d)
     alpha = _check_alpha(alpha, d)
     beta = _check_alpha(beta, d)
-    return _qcb(alpha, d - alpha, beta, d - beta, d, alpha - beta)
+    return QcbResult(*_qcb(alpha, d - alpha, beta, d - beta, d, alpha - beta))
 
 
 # Both families are one two-class minimisation over a shared eigenbasis.
@@ -223,19 +233,20 @@ def _critical_s(a1: float, a2: float, b1: float, b2: float, gap: float) -> float
     return math.log(-b2 / b1 * log_m / log_p) / (log_p - log_m)
 
 
-def _qcb(a1: float, a2: float, b1: float, b2: float, t: float, gap: float) -> QcbResult:
+def _qcb(a1: float, a2: float, b1: float, b2: float, t: float, gap: float) -> tuple:
+    # QcbResult's fields (q, s_star, s_kind) as a plain tuple
     if abs(gap) <= DEGENERATE_TOL * t / 2.0:
-        return QcbResult(q=1.0, s_star=0.5, s_kind="degenerate_half")
+        return 1.0, 0.5, "degenerate_half"
     if a2 == 0.0:
-        return QcbResult(q=b1 / t, s_star=0.0, s_kind="left_limit")
+        return b1 / t, 0.0, "left_limit"
     if a1 == 0.0:
-        return QcbResult(q=b2 / t, s_star=0.0, s_kind="left_limit")
+        return b2 / t, 0.0, "left_limit"
     if b2 == 0.0:
-        return QcbResult(q=a1 / t, s_star=1.0, s_kind="right_limit")
+        return a1 / t, 1.0, "right_limit"
     if b1 == 0.0:
-        return QcbResult(q=a2 / t, s_star=1.0, s_kind="right_limit")
+        return a2 / t, 1.0, "right_limit"
     s = _critical_s(a1, a2, b1, b2, gap)
-    return QcbResult(q=_qs(a1, a2, b1, b2, t, s), s_star=s, s_kind="interior")
+    return _qs(a1, a2, b1, b2, t, s), s, "interior"
 
 
 HELSTROM_COPY_CAP = 1000

@@ -70,20 +70,22 @@ def _check_seed(seed: int) -> int:
     return int(seed)
 
 
+def _check_in(value, lo: int, hi: int, what: str) -> float:
+    try:
+        value = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidParameterError(f"{what} must be a number, got {value!r}") from None
+    if not lo <= value <= hi:
+        raise InvalidParameterError(f"{what} must lie in [{lo}, {hi}], got {value}")
+    return value
+
+
 def _check_eta(eta: float) -> float:
-    eta = float(eta)
-    if not -1.0 <= eta <= 1.0:
-        raise InvalidParameterError(f"flip expectation must lie in [-1, 1], got {eta}")
-    return eta
+    return _check_in(eta, -1, 1, "flip expectation")
 
 
 def _check_alpha(alpha: float, d: int) -> float:
-    alpha = float(alpha)
-    if not 0.0 <= alpha <= d:
-        raise InvalidParameterError(
-            f"entangled-operator expectation must lie in [0, {d}], got {alpha}"
-        )
-    return alpha
+    return _check_in(alpha, 0, d, "entangled-operator expectation")
 
 
 def _permuted_identity(d: int, axes: tuple[int, ...]) -> np.ndarray:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wernerlab import discrimination, linalg, metrics, states
+from wernerlab import discrimination, linalg, metrics, states, verify
 from wernerlab.errors import DimensionOverflowError, InvalidParameterError
 
 etas = st.floats(-1.0, 1.0, allow_nan=False)
@@ -195,7 +195,7 @@ class TestCurveGrid:
         def no_rows(*args):
             raise AssertionError("a row was computed before validation finished")
 
-        monkeypatch.setattr(discrimination, "fidelity_werner", no_rows)
+        monkeypatch.setattr(discrimination, "_fidelity", no_rows)
         with pytest.raises(error):
             discrimination.curve_grid(0.0, n_list, 0.1)
 
@@ -226,6 +226,26 @@ class TestCurveGrid:
             f2n = 1.0 if g >= 1.0 else -math.expm1(r.n * math.log1p(-g))
             m = min(f2n, r.n * metrics.s_quantity(r.eta, zeta))
             assert r.lower == 0.5 * (1.0 - math.sqrt(m)), r
+
+
+@pytest.mark.parametrize(
+    "run,checks",
+    [
+        (lambda: discrimination.curve_grid(0.3, [1, 10, 100, 1000], 0.01), 1),
+        (lambda: verify.check_sandwich_ordering(0.1), 0),
+        (lambda: discrimination.bounds(0.5, -0.2, 2, 10), 2),
+    ],
+    ids=["curve-grid", "sandwich-ordering", "bounds"],
+)
+def test_parameters_are_validated_once_per_grid(monkeypatch, run, checks):
+    # each eta and zeta is validated where it enters (a grid from eta_grid needs none),
+    # and the per-pair closed forms of the sandwich sweep validate nothing
+    calls = []
+    real = states._check_eta
+    for module in (states, metrics, discrimination):
+        monkeypatch.setattr(module, "_check_eta", lambda eta: calls.append(eta) or real(eta))
+    run()
+    assert len(calls) == checks
 
 
 class TestIsotropicBounds:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wernerlab import linalg, metrics, states
+from wernerlab import discrimination, linalg, metrics, states
 from wernerlab.errors import (
     DimensionOverflowError,
     InvalidParameterError,
@@ -253,6 +253,65 @@ class TestQcbWerner:
         q = metrics.qcb_werner(eta, zeta).q
         assert q == pytest.approx(metrics.qcb_werner(zeta, eta).q, abs=1e-12)
         assert f * f - 1e-12 <= q <= f + 1e-12
+
+
+# each public pair closed form and the unvalidated core it calls
+CORES = {
+    "fidelity_werner": metrics._fidelity,
+    "one_minus_fidelity_squared": metrics._one_minus_f2,
+    "relative_entropy_werner": metrics._relative_entropy,
+    "s_quantity": metrics._s_quantity,
+}
+
+
+def _probe_pairs():
+    # every ordered pair of the 0.05 grid and of +/-(1 - 1e-12), equal parameters
+    # included, and each probe against the point 1e-13 above it, both ways round
+    probes = [*discrimination.eta_grid(0.05), 1 - 1e-12, -(1 - 1e-12)]
+    near = [(x, x + 1e-13) for x in probes if x + 1e-13 <= 1.0]
+    return [(a, b) for a in probes for b in probes] + near + [(b, a) for a, b in near]
+
+
+PROBE_PAIRS = _probe_pairs()
+
+
+def _bits(*values):
+    # floats by their exact bits (so -0.0 differs from 0.0), anything else as it is
+    return tuple(v.hex() if isinstance(v, float) else v for v in values)
+
+
+class TestWrappersCallTheirCores:
+    @pytest.mark.parametrize("name", CORES)
+    def test_wrapper_equals_core_bit_for_bit(self, name):
+        wrapper, core = getattr(metrics, name), CORES[name]
+        for a, b in PROBE_PAIRS:
+            assert _bits(wrapper(a, b)) == _bits(core(a, b)), (a, b)
+
+    def test_chernoff_results_are_the_core_tuples(self):
+        for a, b in PROBE_PAIRS:
+            r = metrics.qcb_werner(a, b)
+            core = metrics._qcb(1.0 + a, 1.0 - a, 1.0 + b, 1.0 - b, 2.0, a - b)
+            assert _bits(r.q, r.s_star, r.s_kind) == _bits(*core), (a, b)
+        for d in (2, 3, 7):
+            for alpha, beta in ((d * (1 + a) / 2, d * (1 + b) / 2) for a, b in PROBE_PAIRS):
+                r = metrics.qcb_isotropic(alpha, beta, d)
+                core = metrics._qcb(alpha, d - alpha, beta, d - beta, d, alpha - beta)
+                assert _bits(r.q, r.s_star, r.s_kind) == _bits(*core), (alpha, beta, d)
+
+    # a bad flip expectation, and its counterpart for the isotropic family at d = 2,
+    # whose parameters lie in [0, 2]
+    @pytest.mark.parametrize("bad,iso_bad", [(math.nan, math.nan), (1.5, 3.5), (-1.5, -1.5),
+                                             ("x", "x")])
+    def test_every_wrapper_rejects_a_bad_parameter(self, bad, iso_bad):
+        calls = [
+            *(lambda f=getattr(metrics, name): f(bad, 0.3) for name in [*CORES, "qcb_werner"]),
+            *(lambda f=getattr(metrics, name): f(0.3, bad) for name in [*CORES, "qcb_werner"]),
+            lambda: metrics.qcb_isotropic(iso_bad, 1.0, 2),
+            lambda: metrics.qcb_isotropic(1.0, iso_bad, 2),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidParameterError):
+                call()
 
 
 class TestQcbIsotropic:

@@ -461,8 +461,8 @@ def test_closed_forms_are_tabulated_once_per_grid(monkeypatch):
     # each dimension-free closed form is taken once per ordered pair of the grid
     # (21 x 21, the Chernoff one 19 x 19), not once per pair and dimension; a whole
     # run takes qcb_werner from that one table (703 calls while the critical-point
-    # identities made their own); s_quantity's table takes relative_entropy_werner
-    # once more per pair, and delta_s is tabulated on the interior, 19 x 19
+    # identities made their own); s_quantity calls the relative-entropy core, not
+    # relative_entropy_werner, and delta_s is tabulated on the interior, 19 x 19
     names = ("fidelity_werner", "relative_entropy_werner", "qcb_werner", "s_quantity",
              "one_minus_fidelity_squared", "delta_s")
     calls = dict.fromkeys(names, 0)
@@ -479,7 +479,7 @@ def test_closed_forms_are_tabulated_once_per_grid(monkeypatch):
     assert all(r.points == DEFAULT_POINTS[r.name] for r in results)
     assert calls == {
         "fidelity_werner": 441,
-        "relative_entropy_werner": 882,
+        "relative_entropy_werner": 441,
         "qcb_werner": 361,
         "s_quantity": 441,
         "one_minus_fidelity_squared": 441,
@@ -491,7 +491,7 @@ def test_closed_forms_are_tabulated_once_per_grid(monkeypatch):
 
 
 _werner_fidelity, _werner_relent, _werner_qcb = (
-    metrics.fidelity_werner, metrics.relative_entropy_werner, metrics.qcb_werner
+    metrics.fidelity_werner, metrics._relative_entropy, metrics.qcb_werner
 )
 _s_quantity, _fidelity_gap = metrics.s_quantity, metrics.one_minus_fidelity_squared
 _werner_qs = metrics.werner_qs
@@ -522,9 +522,9 @@ TABLE_MUTANTS = {
         108,
         242,
     ),
-    # s_quantity reads relative_entropy_werner too
+    # the core that relative_entropy_werner and s_quantity both call
     "relative-entropy": (
-        "relative_entropy_werner",
+        "_relative_entropy",
         lambda a, b: _werner_relent(a, b) * (1 + 1e-7),
         ["relative-entropy-oracle", "s-quantity-oracle"],
         180,
@@ -658,13 +658,20 @@ def test_sandwich_ordering_matches_pairwise_sweep():
     assert result.worst == max(deltas)
 
 
-_fidelity, _qcb = discrimination.fidelity_werner, discrimination.qcb_werner
+_fidelity, _qcb = discrimination._fidelity, discrimination._qcb
 
-# closed forms broken a little, each with the worst sandwich-ordering defect it gives
+
+def _scaled_q(factor):
+    # the Chernoff core with q times factor, s* and s_kind kept
+    return lambda *weights: (_qcb(*weights)[0] * factor, *_qcb(*weights)[1:])
+
+
+# the closed-form cores that the sandwich sweep calls, broken a little, each with the
+# worst sandwich-ordering defect it gives
 SANDWICH_MUTANTS = {
-    "fidelity-up": ("fidelity_werner", lambda a, b: _fidelity(a, b) * (1 + 1e-10), 1.0e-9),
-    "q-up": ("qcb_werner", lambda a, b: replace(_qcb(a, b), q=_qcb(a, b).q * (1 + 1e-7)), 1.0e-6),
-    "q-down": ("qcb_werner", lambda a, b: replace(_qcb(a, b), q=_qcb(a, b).q * (1 - 1e-7)), 1.0e-6),
+    "fidelity-up": ("_fidelity", lambda a, b: _fidelity(a, b) * (1 + 1e-10), 1.0e-9),
+    "q-up": ("_qcb", _scaled_q(1 + 1e-7), 1.0e-6),
+    "q-down": ("_qcb", _scaled_q(1 - 1e-7), 1.0e-6),
 }
 
 
@@ -682,7 +689,7 @@ def test_verify_fails_on_a_nan_bound(monkeypatch, capsys):
     def nan_at_one_pair(eta, zeta):
         return math.nan if (eta, zeta) == (0.2, -0.2) else _fidelity(eta, zeta)
 
-    monkeypatch.setattr(discrimination, "fidelity_werner", nan_at_one_pair)
+    monkeypatch.setattr(discrimination, "_fidelity", nan_at_one_pair)
     assert cli.main(["verify", "--grid", "0.2", "--dims", "2..3"]) == 2
     failed = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("FAIL")]
     assert len(failed) == 1
