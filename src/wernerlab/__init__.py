@@ -3,7 +3,7 @@ channel family, cross-validated against dense-matrix numerics."""
 
 __version__ = "0.1.0"
 
-from .discrimination import DiscriminationBounds, bounds, bounds_isotropic, curve_grid
+from .discrimination import DiscriminationBounds, bounds, curve_grid
 from .linalg import (
     EigenDecomposition,
     bures_fidelity_numeric,
@@ -46,7 +46,6 @@ __all__ = [
     "__version__",
     "DiscriminationBounds",
     "bounds",
-    "bounds_isotropic",
     "curve_grid",
     "EigenDecomposition",
     "bures_fidelity_numeric",

@@ -12,7 +12,7 @@ strategy sits between the lower bound and Q^n/2 and is carried along as
 the sharpest internal consistency check.
 
 All four numbers are dimension-free, so grids are generated at a fixed
-nominal d.
+nominal d.  The depolarizing family's one entry point is metrics.qcb_isotropic.
 """
 
 from __future__ import annotations
@@ -33,18 +33,15 @@ from .metrics import (
     _one_minus_f2,
     _qcb,
     _s_quantity,
-    qcb_isotropic,
 )
-from .states import _check_alpha, _check_dim, _check_eta, _check_positive_int
+from .states import _check_dim, _check_eta
 
 __all__ = [
     "CURVE_ROW_CAP",
     "ETA_GRID_CAP",
     "DiscriminationBounds",
-    "IsotropicDiscrimination",
     "Sandwiches",
     "bounds",
-    "bounds_isotropic",
     "curve_grid",
     "eta_grid",
 ]
@@ -78,18 +75,6 @@ class DiscriminationBounds:
 
 # Bound sandwiches as columns: zetas, n, etas, then DiscriminationBounds' four bounds as (zeta, n, eta)
 Sandwiches = namedtuple("Sandwiches", "zetas n etas lower qcb_upper fid_upper helstrom_block")
-
-
-@dataclass(frozen=True)
-class IsotropicDiscrimination:
-    """Chernoff upper bound for a depolarizing-channel pair (no matching
-    closed-form lower bound is assembled for this family)."""
-
-    alpha: float
-    beta: float
-    d: int
-    n: int
-    qcb_upper: float
 
 
 def bounds(eta: float, zeta: float, d: int, n: int) -> DiscriminationBounds:
@@ -141,16 +126,6 @@ def _sandwiches(etas, zetas, n_list) -> Iterator[Sandwiches]:
         helstrom = np.stack([_helstrom_rows(etas, zs, n, b) for n, b in binomials], axis=1)
         yield Sandwiches(np.array(zs), ns, np.array(etas), 0.5 * (1.0 - np.sqrt(m)),
                          0.5 * _libm(pow, q, n_col), 0.5 * _libm(pow, f, n_col), helstrom)
-
-
-def bounds_isotropic(alpha: float, beta: float, d: int, n: int) -> IsotropicDiscrimination:
-    """Chernoff upper bound Q^n/2 for a depolarizing pair."""
-    d = _check_dim(d)
-    alpha = _check_alpha(alpha, d)
-    beta = _check_alpha(beta, d)
-    n = _check_positive_int(n, "use count")
-    q = qcb_isotropic(alpha, beta, d).q
-    return IsotropicDiscrimination(alpha=alpha, beta=beta, d=d, n=n, qcb_upper=0.5 * q**n)
 
 
 def eta_grid(step: float) -> list[float]:

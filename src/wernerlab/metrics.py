@@ -20,8 +20,8 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import DimensionOverflowError, SupportMismatchError
-from .states import _check_alpha, _check_dim, _check_eta, _check_positive_int
+from .errors import SupportMismatchError
+from .states import _check_alpha, _check_dim, _check_eta, _check_in, _check_positive_int
 
 __all__ = [
     "QcbResult",
@@ -117,10 +117,14 @@ def _relative_entropy(eta: float, zeta: float) -> float:
 
 
 def delta_s(eta: float, zeta: float) -> float:
-    """Antisymmetric entropy difference S(eta||zeta) - S(zeta||eta) via
+    """Antisymmetric entropy difference S(eta||zeta) - S(zeta||eta),
 
         (1 + (eta+zeta)/2) log2[(1+eta)/(1+zeta)]
-      + (1 - (eta+zeta)/2) log2[(1-eta)/(1-zeta)].
+      + (1 - (eta+zeta)/2) log2[(1-eta)/(1-zeta)],
+
+    summed per class (a, b) = (1 +/- eta, 1 +/- zeta) as (a+b)(atanh x - x),
+    x = (a-b)/(a+b), whose -(a-b) terms cancel exactly between the classes: the
+    O(gap^3) difference of nearby parameters keeps its sign and relative accuracy.
 
     Both parameters must lie strictly inside (-1, 1); at the endpoints one
     of the directed entropies diverges and the difference is undefined.
@@ -131,10 +135,22 @@ def delta_s(eta: float, zeta: float) -> float:
         raise SupportMismatchError(
             "entropy difference is undefined at the rank-deficient extremes"
         )
-    half_sum = 0.5 * (eta + zeta)
-    return (1.0 + half_sum) * math.log2((1.0 + eta) / (1.0 + zeta)) + (
-        1.0 - half_sum
-    ) * math.log2((1.0 - eta) / (1.0 - zeta))
+    gap = eta - zeta
+    skews = _entropy_skew(1.0 + eta, 1.0 + zeta, gap) + _entropy_skew(1.0 - eta, 1.0 - zeta, -gap)
+    return skews / math.log(2.0)
+
+
+def _entropy_skew(a: float, b: float, gap: float) -> float:
+    # (a+b)/2 ln(a/b) - gap, gap = a - b exactly; below |x| = 0.1 the series of atanh x - x,
+    # at and above it the log form, which loses at most three digits there (atanh itself
+    # is ill-conditioned as x nears +/-1)
+    x = gap / (a + b)
+    if abs(x) >= 0.1:
+        return 0.5 * (a + b) * math.log(a / b) - gap
+    x2 = x * x  # x^3 (1/3 + x^2/5 + ... + x^16/19) in Horner form; the next term is < 1e-18
+    series = 1 / 3 + x2 * (1 / 5 + x2 * (1 / 7 + x2 * (1 / 9 + x2 * (1 / 11 + x2 * (
+        1 / 13 + x2 * (1 / 15 + x2 * (1 / 17 + x2 / 19)))))))
+    return (a + b) * x * x2 * series
 
 
 def s_quantity(eta: float, zeta: float) -> float:
@@ -172,12 +188,13 @@ def _power_term(weight: float, num: float, den: float, s: float) -> float:
 
 
 def werner_qs(eta: float, zeta: float, s: float) -> float:
-    """s-overlap of two flip-expectation spectra:
+    """s-overlap of two flip-expectation spectra, for s in [0, 1]:
 
         Q_s = (1+zeta)/2 * [(1+eta)/(1+zeta)]^s + (1-zeta)/2 * [(1-eta)/(1-zeta)]^s.
     """
     eta = _check_eta(eta)
     zeta = _check_eta(zeta)
+    s = _check_in(s, 0, 1, "overlap exponent s")
     return _qs(1.0 + eta, 1.0 - eta, 1.0 + zeta, 1.0 - zeta, 2.0, s)
 
 
@@ -262,10 +279,7 @@ _EXP_FLOOR = -750.0
 def _check_copies(n: int) -> int:
     """Validate a copy count for the exact block error: a positive integer
     no larger than ``HELSTROM_COPY_CAP``."""
-    n = _check_positive_int(n, "copy count")
-    if n > HELSTROM_COPY_CAP:
-        raise DimensionOverflowError(f"copy count {n} exceeds cap {HELSTROM_COPY_CAP}")
-    return n
+    return _check_positive_int(n, "copy count", HELSTROM_COPY_CAP)
 
 
 def _log_binomials(n: int) -> np.ndarray:

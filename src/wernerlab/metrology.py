@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionOverflowError, InvalidParameterError
+from .errors import InvalidParameterError
 from .states import _check_eta, _check_positive_int, _check_seed
 
 __all__ = [
@@ -89,12 +89,8 @@ def simulate_estimation(eta: float, n: int, trials: int, seed: int) -> Estimatio
     eta = _check_eta(eta)
     if abs(eta) == 1.0:
         raise InvalidParameterError("simulation requires |eta| < 1")
-    n = _check_positive_int(n, "probe count")
-    trials = _check_positive_int(trials, "trial count")
-    if trials > TRIAL_CAP:
-        raise DimensionOverflowError(f"trial count {trials} exceeds cap {TRIAL_CAP}")
-    if n > np.iinfo(np.int64).max:  # numpy's binomial takes a C long
-        raise DimensionOverflowError(f"probe count {n} exceeds cap {np.iinfo(np.int64).max}")
+    n = _check_positive_int(n, "probe count", np.iinfo(np.int64).max)  # binomial takes a C long
+    trials = _check_positive_int(trials, "trial count", TRIAL_CAP)
     seed = _check_seed(seed)
 
     p = (1.0 + eta) / 2.0

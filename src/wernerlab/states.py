@@ -57,10 +57,12 @@ def _check_pair_dim(d: int) -> int:
     return d
 
 
-def _check_positive_int(value: int, what: str) -> int:
+def _check_positive_int(value: int, what: str, cap: int | None = None) -> int:
     if not isinstance(value, (int, np.integer)) or value < 1:
         raise InvalidParameterError(f"{what} must be a positive integer, got {value!r}")
     _check_double_range(value, what)
+    if cap is not None and value > cap:
+        raise DimensionOverflowError(f"{what} {value} exceeds cap {cap}")
     return int(value)
 
 

@@ -396,9 +396,7 @@ def run_verification(
 
 def teleport_check(eta: float, d: int, seed: int, samples: int) -> dict:
     """Worst simulation and covariance defects for one (eta, d)."""
-    samples = states._check_positive_int(samples, "sample count")
-    if samples > TELEPORT_SAMPLE_CAP:
-        raise DimensionOverflowError(f"sample count {samples} exceeds cap {TELEPORT_SAMPLE_CAP}")
+    samples = states._check_positive_int(samples, "sample count", TELEPORT_SAMPLE_CAP)
     work = samples * teleport._check_teleport_dim(states._check_pair_dim(d)) ** 6
     if work > TELEPORT_WORK_CAP:
         raise DimensionOverflowError(f"samples x d^6 = {work} exceeds cap {TELEPORT_WORK_CAP}")

@@ -249,39 +249,35 @@ def test_parameters_are_validated_once_per_grid(monkeypatch, run, checks):
 
 
 class TestIsotropicBounds:
+    # the depolarizing family's one entry point is qcb_isotropic: its q bounds
+    # the n-use error by q^n/2, so these check q itself
     def test_identical_channels(self):
-        assert discrimination.bounds_isotropic(1.3, 1.3, 2, 4).qcb_upper == 0.5
+        assert metrics.qcb_isotropic(1.3, 1.3, 2).q == 1.0
 
     def test_reference_value_against_matrix_oracle(self):
         numeric = linalg.qcb_numeric(
             states.isotropic_state(2.0, 2), states.isotropic_state(1.0, 2)
         )
-        got = discrimination.bounds_isotropic(2.0, 1.0, 2, 5)
-        assert got.qcb_upper == pytest.approx(0.5 * numeric.q**5, abs=1e-6)
+        assert metrics.qcb_isotropic(2.0, 1.0, 2).q == pytest.approx(numeric.q, abs=1e-6)
 
     def test_integers_beyond_a_double_are_rejected(self):
-        # q**n and d - alpha would raise OverflowError on such integers
-        with pytest.raises(DimensionOverflowError, match="use count exceeds the range of a double"):
-            discrimination.bounds_isotropic(1, 0.5, 2, 10**400)
+        # d - alpha would raise OverflowError on such an integer
         with pytest.raises(DimensionOverflowError, match="local dimension exceeds the range"):
-            discrimination.bounds_isotropic(1, 0.5, 10**400, 2)
+            metrics.qcb_isotropic(1, 0.5, 10**400)
 
     def test_largest_double_integers_are_accepted(self):
-        n = int(sys.float_info.max)
-        assert discrimination.bounds_isotropic(1, 0.5, 2, n).qcb_upper == 0.0
-        assert discrimination.bounds_isotropic(1, 1, n, n).qcb_upper == 0.5
+        assert metrics.qcb_isotropic(1, 1, int(sys.float_info.max)).q == 1.0
 
     @pytest.mark.parametrize("d", [2, 3])
-    @pytest.mark.parametrize("n", [1, 5])
-    def test_tighter_than_fidelity_bound(self, d, n):
-        # Chernoff upper bound never exceeds the fidelity upper bound,
-        # with the fidelity computed from explicit matrices
+    def test_tighter_than_fidelity_bound(self, d):
+        # the Chernoff overlap never exceeds the fidelity, with the fidelity computed
+        # from explicit matrices; so q^n/2 <= F^n/2 at every n
         fracs = [i / 10 for i in range(11)]
         for fa in fracs:
             for fb in fracs:
                 alpha, beta = d * fa, d * fb
-                q = discrimination.bounds_isotropic(alpha, beta, d, n).qcb_upper
+                q = metrics.qcb_isotropic(alpha, beta, d).q
                 f = linalg.bures_fidelity_numeric(
                     states.isotropic_state(alpha, d), states.isotropic_state(beta, d)
                 )
-                assert q <= 0.5 * f**n + 1e-10
+                assert q <= f + 1e-10

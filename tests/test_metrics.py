@@ -1,5 +1,6 @@
 import functools
 import math
+import random
 import sys
 
 import mpmath
@@ -31,6 +32,17 @@ def mp_helstrom(w_eta, w_zeta):
     # exact block error as half the summed class minima (Audenaert et al. 2007)
     with mpmath.workdps(60):
         return mpmath.fsum(map(min, w_eta, w_zeta)) / 2
+
+
+def mp_delta_s(eta, zeta):
+    # (1 + h) log2[(1+eta)/(1+zeta)] + (1 - h) log2[(1-eta)/(1-zeta)], h = (eta+zeta)/2, at
+    # 60 digits: the gap-1e-13 pairs cancel 26 of them
+    with mpmath.workdps(60):
+        eta, zeta = mpmath.mpf(eta), mpmath.mpf(zeta)
+        h = (eta + zeta) / 2
+        return (1 + h) * mpmath.log((1 + eta) / (1 + zeta), 2) + (1 - h) * mpmath.log(
+            (1 - eta) / (1 - zeta), 2
+        )
 
 
 def assert_relative(got, exact, rel, where):
@@ -152,6 +164,24 @@ class TestDeltaS:
             for zeta in grid:
                 if abs(eta) > abs(zeta):
                     assert metrics.delta_s(eta, zeta) < 0.0
+
+    def test_nearby_pairs_against_mpmath(self):
+        # the two O(gap) logarithms of a nearby pair cancel to an O(gap^3) difference:
+        # its sign holds at every probe, and its relative error stays below 1e-9 where
+        # eta + zeta is at least 0.1 away from 0, where the two classes do not cancel
+        rng = random.Random(30)
+        probes = [(0.3, 0.3 - 1e-5), (0.3, 0.3 - 1e-8), (-0.7, -0.7 + 1e-6),
+                  (0.9, 0.9 - 1e-6), (0.01, 0.01 - 1e-5)]
+        while len(probes) < 1000:
+            eta, gap = rng.uniform(-0.999, 0.999), 10 ** rng.uniform(-13, 0.2)
+            zeta = eta + rng.choice((-gap, gap))
+            if -1.0 < zeta < 1.0:
+                probes.append((eta, zeta))
+        for eta, zeta in probes:
+            got, exact = metrics.delta_s(eta, zeta), mp_delta_s(eta, zeta)
+            assert mpmath.sign(got) == mpmath.sign(exact), (eta, zeta)
+            if abs(eta + zeta) >= 0.1:
+                assert abs(got - exact) <= 1e-9 * abs(exact), (eta, zeta)
 
     def test_endpoints_rejected(self):
         with pytest.raises(SupportMismatchError):
@@ -312,6 +342,18 @@ class TestWrappersCallTheirCores:
         for call in calls:
             with pytest.raises(InvalidParameterError):
                 call()
+
+
+class TestWernerQs:
+    @pytest.mark.parametrize("bad", [math.nan, -1, 1.5, "x"])
+    def test_rejects_an_exponent_outside_the_unit_interval(self, bad):
+        with pytest.raises(InvalidParameterError, match="overlap exponent s"):
+            metrics.werner_qs(0.3, -0.2, bad)
+
+    def test_accepts_the_unit_interval_ends(self):
+        # Q_0 and Q_1 are the total weights of the two states, both 1
+        assert metrics.werner_qs(0.3, -0.2, 0) == pytest.approx(1.0, abs=1e-15)
+        assert metrics.werner_qs(0.3, -0.2, 1) == pytest.approx(1.0, abs=1e-15)
 
 
 class TestQcbIsotropic:

@@ -30,11 +30,9 @@ COVERAGE = {
     "discrimination.CURVE_ROW_CAP": "an input cap",
     "discrimination.ETA_GRID_CAP": "an input cap",
     "discrimination.DiscriminationBounds": "the result type of bounds",
-    "discrimination.IsotropicDiscrimination": "the result type of bounds_isotropic",
     "discrimination.Sandwiches": "the column type of curve_grid",
     "discrimination.bounds": "the one-entry case of _sandwiches, whose columns "
     "sandwich-ordering checks; its bounds compose closed forms mapped here",
-    "discrimination.bounds_isotropic": "0.5 q^n of qcb_isotropic's q",
     "discrimination.curve_grid": "the one-zeta case of _sandwiches, as bounds",
     "discrimination.eta_grid": "the grid builder both routes share, not a closed form",
     "metrology.TRIAL_CAP": "an input cap",

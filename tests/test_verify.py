@@ -203,7 +203,7 @@ def test_entropy_asymmetry_oracle_worst_is_pinned(default_werner_oracles):
     # bit-identity guard on R - R^T of the sector-summed relative-entropy table
     result = default_werner_oracles["delta-s-oracle"]
     assert result.points == DEFAULT_POINTS["delta-s-oracle"] == 5 * 19 * 19
-    assert result.worst == float.fromhex("0x1.cp-48")
+    assert result.worst == float.fromhex("0x1.c8p-48")
 
 
 def test_default_run_point_counts(monkeypatch):
