@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +28,8 @@ from .metrics import (
     _check_copies,
     _fidelity,
     _helstrom_rows,
-    _log_binomials,
     _one_minus_f2,
-    _qcb,
+    _qcb_werner,
     _s_quantity,
 )
 from .states import _check_dim, _check_eta
@@ -51,8 +49,6 @@ __all__ = [
 ETA_GRID_CAP = 100_000
 # Most rows a curve grid may have: the finest grid at one copy count (72 MB peak RSS as CSV).
 CURVE_ROW_CAP = ETA_GRID_CAP + 1
-# Most entries of one column of a sandwich block, past one zeta's worth
-_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -84,7 +80,7 @@ def bounds(eta: float, zeta: float, d: int, n: int) -> DiscriminationBounds:
     zeta = _check_eta(zeta)
     d = _check_dim(d)
     n = _check_copies(n)
-    cols = next(_sandwiches([eta], [zeta], [n]))
+    cols = _sandwiches([eta], [zeta], [n])
     return DiscriminationBounds(eta, zeta, d, n, *(bound.item() for bound in cols[3:]))
 
 
@@ -97,35 +93,29 @@ def _libm(func, *args) -> np.ndarray:
     return np.fromiter(flat, float, args[0].size).reshape(args[0].shape)
 
 
-def _sandwiches(etas, zetas, n_list) -> Iterator[Sandwiches]:
-    # Blocks of zetas, in order, each of at most about _BLOCK_ENTRIES entries a column (one
-    # zeta at least), so memory is flat in the grid.  The etas and zetas are validated
-    # Python floats, so F, S, 1 - F^2 and Q come from the unvalidated cores in metrics, once
-    # per pair, and no validator runs here; the Helstrom tables come one per n, from
-    # log-binomial tables built once per call.
+def _sandwiches(etas, zetas, n_list) -> Sandwiches:
+    # The columns of every (zeta, n, eta), with one Helstrom table per copy count; a caller
+    # with many zetas cuts them into blocks.  The etas and zetas are validated Python
+    # floats, so F, S, 1 - F^2 and Q come from the unvalidated cores in metrics, once per
+    # pair, and no validator runs here.
     etas, ns = list(etas), np.array(n_list)
     n_col = ns[:, None]
-    binomials = [(n, _log_binomials(n)) for n in ns.tolist()]
-    step = max(1, _BLOCK_ENTRIES // (len(ns) * len(etas)))
-    for at in range(0, len(zetas), step):
-        zs = list(zetas[at : at + step])
-        singles = [
-            (_fidelity(eta, zeta), _s_quantity(eta, zeta),
-             _qcb(1.0 + eta, 1.0 - eta, 1.0 + zeta, 1.0 - zeta, 2.0, eta - zeta)[0],
-             _one_minus_f2(eta, zeta))
-            for zeta in zs for eta in etas
-        ]
-        f, s, q, gap = np.array(singles).T.reshape(4, len(zs), 1, len(etas))
-        # log F^2 = log1p(-(1 - F^2)) from the stable 1 - F^2, once per pair (-inf where
-        # F = 0), and 1 - F^2n = -expm1(n log F^2) per entry: it keeps the lower bound
-        # comparable to the exact block error when F rounds to 1; minimum() picks the
-        # finite branch when S is the +inf sentinel; the 1 - F^2n branch never exceeds 1,
-        # so the root is real
-        log_f2 = np.array([-math.inf if g >= 1.0 else math.log1p(-g) for g in gap.ravel().tolist()])
-        m = np.minimum(-_libm(math.expm1, n_col * log_f2.reshape(gap.shape)), n_col * s)
-        helstrom = np.stack([_helstrom_rows(etas, zs, n, b) for n, b in binomials], axis=1)
-        yield Sandwiches(np.array(zs), ns, np.array(etas), 0.5 * (1.0 - np.sqrt(m)),
-                         0.5 * _libm(pow, q, n_col), 0.5 * _libm(pow, f, n_col), helstrom)
+    singles = [
+        (_fidelity(eta, zeta), _s_quantity(eta, zeta), _qcb_werner(eta, zeta)[0],
+         _one_minus_f2(eta, zeta))
+        for zeta in zetas for eta in etas
+    ]
+    f, s, q, gap = np.array(singles).T.reshape(4, len(zetas), 1, len(etas))
+    # log F^2 = log1p(-(1 - F^2)) from the stable 1 - F^2, once per pair (-inf where
+    # F = 0), and 1 - F^2n = -expm1(n log F^2) per entry: it keeps the lower bound
+    # comparable to the exact block error when F rounds to 1; minimum() picks the
+    # finite branch when S is the +inf sentinel; the 1 - F^2n branch never exceeds 1,
+    # so the root is real
+    log_f2 = np.array([-math.inf if g >= 1.0 else math.log1p(-g) for g in gap.ravel().tolist()])
+    m = np.minimum(-_libm(math.expm1, n_col * log_f2.reshape(gap.shape)), n_col * s)
+    helstrom = np.stack([_helstrom_rows(etas, zetas, n) for n in ns.tolist()], axis=1)
+    return Sandwiches(np.array(zetas), ns, np.array(etas), 0.5 * (1.0 - np.sqrt(m)),
+                      0.5 * _libm(pow, q, n_col), 0.5 * _libm(pow, f, n_col), helstrom)
 
 
 def eta_grid(step: float) -> list[float]:
@@ -165,4 +155,4 @@ def curve_grid(zeta: float, n_list: list[int], eta_step: float) -> Sandwiches:
             f"{len(etas)} grid points x {len(n_values)} copy counts exceed the cap of "
             f"{CURVE_ROW_CAP} rows"
         )
-    return next(_sandwiches(etas, [zeta], n_values))
+    return _sandwiches(etas, [zeta], n_values)

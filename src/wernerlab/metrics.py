@@ -213,9 +213,11 @@ def qcb_werner(eta: float, zeta: float) -> QcbResult:
     there); everywhere else the result is correct to near machine
     precision.
     """
-    eta = _check_eta(eta)
-    zeta = _check_eta(zeta)
-    return QcbResult(*_qcb(1.0 + eta, 1.0 - eta, 1.0 + zeta, 1.0 - zeta, 2.0, eta - zeta))
+    return QcbResult(*_qcb_werner(_check_eta(eta), _check_eta(zeta)))
+
+
+def _qcb_werner(eta: float, zeta: float) -> tuple:
+    return _qcb(1.0 + eta, 1.0 - eta, 1.0 + zeta, 1.0 - zeta, 2.0, eta - zeta)
 
 
 def qcb_isotropic(alpha: float, beta: float, d: int) -> QcbResult:
@@ -293,14 +295,11 @@ def _log_binomials(n: int) -> np.ndarray:
     return np.array(logs + logs[(n - 1) // 2 :: -1])
 
 
-def _helstrom_rows(etas, zetas, n: int, log_binomials=None) -> np.ndarray:
+def _helstrom_rows(etas, zetas, n: int) -> np.ndarray:
     # helstrom_multicopy_werner for every eta against every zeta at one
     # validated copy count, in log space, shape (len(zetas), len(etas)).  k log 0 is
-    # 0 at k = 0, as is (n - k) log 0 at k = n.  A caller holding _log_binomials(n)
-    # passes it in.
-    if log_binomials is None:
-        log_binomials = _log_binomials(n)
-    log_base = log_binomials - n * math.log(2.0)
+    # 0 at k = 0, as is (n - k) log 0 at k = n.
+    log_base = _log_binomials(n) - n * math.log(2.0)
     k = np.arange(n + 1.0)
     rest = n - k
 

@@ -343,14 +343,17 @@ def check_delta_s_sign(tol_scale=1.0) -> CheckResult:
 
 
 def check_sandwich_ordering(grid_step, tol_scale=1.0) -> CheckResult:
-    # Every (zeta, n, eta) of the grid, n = 1..20, from one column sweep reduced a
-    # block of zetas at a time: the largest breach of 0 <= lower <= helstrom_block
-    # <= qcb_upper <= fid_upper <= 1/2, or 0; maximum() keeps a NaN in any column.
-    etas = discrimination.eta_grid(grid_step)
-    chains = (
-        (0.0, c.lower, c.helstrom_block, c.qcb_upper, c.fid_upper, 0.5)
-        for c in discrimination._sandwiches(etas, etas, range(1, 21))
+    # Every (zeta, n, eta) of the grid, n = 1..20, as the columns of blocks of zetas of at
+    # most 2^16 entries a column (linalg._blocks; one zeta at least), each reduced as it is
+    # made, so memory does not grow with the grid: the largest breach of 0 <= lower <=
+    # helstrom_block <= qcb_upper <= fid_upper <= 1/2, or 0; maximum() keeps a NaN in any
+    # column.
+    etas, ns = discrimination.eta_grid(grid_step), range(1, 21)
+    cols = (
+        discrimination._sandwiches(etas, etas[at], ns)
+        for at in linalg._blocks(len(etas), 1, tables=len(ns) * len(etas))
     )
+    chains = ((0.0, c.lower, c.helstrom_block, c.qcb_upper, c.fid_upper, 0.5) for c in cols)
     blocks = (reduce(np.maximum, map(np.subtract, chain, chain[1:]), 0.0) for chain in chains)
     return _collect("sandwich-ordering", blocks, tol_scale)
 

@@ -98,11 +98,13 @@ class TestBounds:
 
 class TestCurveGrid:
     def test_multi_zeta_rows_are_the_curve_grids_in_turn(self, monkeypatch, grid_rows):
-        # blocks of columns by (zeta, n, eta), two zetas a block here: each
-        # zeta's entries are its curve grid, bit for bit
+        # columns by (zeta, n, eta) of the zetas cut as sandwich-ordering cuts them
+        # (linalg._blocks), two zetas a block here: each zeta's entries are its curve
+        # grid, bit for bit
         etas = discrimination.eta_grid(0.25)
-        monkeypatch.setattr(discrimination, "_BLOCK_ENTRIES", 2 * 3 * len(etas) + 1)
-        blocks = list(discrimination._sandwiches(etas, etas, [1, 3, 1000]))
+        monkeypatch.setattr(linalg, "_STACK_ENTRIES", 2 * 3 * len(etas) + 1)
+        cuts = linalg._blocks(len(etas), 1, tables=3 * len(etas))
+        blocks = [discrimination._sandwiches(etas, etas[at], [1, 3, 1000]) for at in cuts]
         assert [len(b.zetas) for b in blocks] == [2, 2, 2, 2, 1]
         rows = [r for b in blocks for r in grid_rows(b)]
         assert rows == [
@@ -110,17 +112,17 @@ class TestCurveGrid:
         ]
 
     def test_log_binomials_are_built_once_per_call(self, monkeypatch):
-        # once per copy count, not once per block of zetas
+        # once per copy count, not once per zeta
         built = []
+        log_binomials = metrics._log_binomials
 
-        def log_binomials(n):
+        def counted(n):
             built.append(n)
-            return metrics._log_binomials(n)
+            return log_binomials(n)
 
         etas = discrimination.eta_grid(0.25)
-        monkeypatch.setattr(discrimination, "_BLOCK_ENTRIES", 2 * 3 * len(etas) + 1)
-        monkeypatch.setattr(discrimination, "_log_binomials", log_binomials)
-        assert len(list(discrimination._sandwiches(etas, etas, [1, 3, 1000]))) == 5
+        monkeypatch.setattr(metrics, "_log_binomials", counted)
+        discrimination._sandwiches(etas, etas, [1, 3, 1000])
         assert built == [1, 3, 1000]
 
     def test_identical_point_is_half(self, grid_rows):
@@ -182,7 +184,7 @@ class TestCurveGrid:
     def test_row_cap_admits_the_finest_grid_and_the_benchmark(self, monkeypatch, n_list, step):
         # count the rows asked for instead of computing them
         monkeypatch.setattr(
-            discrimination, "_sandwiches", lambda etas, zs, ns: iter([len(etas) * len(ns)])
+            discrimination, "_sandwiches", lambda etas, zs, ns: len(etas) * len(ns)
         )
         rows = discrimination.curve_grid(0.0, n_list, step)
         assert rows == len(discrimination.eta_grid(step)) * len(n_list)

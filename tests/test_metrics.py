@@ -560,11 +560,6 @@ class TestHelstromRows:
         for eta, column in zip(etas, table.T):
             assert column.tobytes() == metrics._helstrom_rows([eta], self.ZETAS, n)[:, 0].tobytes()
 
-    def test_passed_log_binomials_are_the_built_ones(self):
-        etas = self.ZETAS[:-1]
-        given = metrics._helstrom_rows(etas, self.ZETAS, 1000, metrics._log_binomials(1000))
-        assert given.tobytes() == metrics._helstrom_rows(etas, self.ZETAS, 1000).tobytes()
-
 
 def full_log_binomials(n):
     # log C(n, k) for every k = 0..n from the full integer recurrence, unmirrored

@@ -658,20 +658,20 @@ def test_sandwich_ordering_matches_pairwise_sweep():
     assert result.worst == max(deltas)
 
 
-_fidelity, _qcb = discrimination._fidelity, discrimination._qcb
+_fidelity, _qcb_werner = discrimination._fidelity, discrimination._qcb_werner
 
 
 def _scaled_q(factor):
-    # the Chernoff core with q times factor, s* and s_kind kept
-    return lambda *weights: (_qcb(*weights)[0] * factor, *_qcb(*weights)[1:])
+    # the Werner Chernoff core with q times factor, s* and s_kind kept
+    return lambda eta, zeta: (_qcb_werner(eta, zeta)[0] * factor, *_qcb_werner(eta, zeta)[1:])
 
 
 # the closed-form cores that the sandwich sweep calls, broken a little, each with the
 # worst sandwich-ordering defect it gives
 SANDWICH_MUTANTS = {
     "fidelity-up": ("_fidelity", lambda a, b: _fidelity(a, b) * (1 + 1e-10), 1.0e-9),
-    "q-up": ("_qcb", _scaled_q(1 + 1e-7), 1.0e-6),
-    "q-down": ("_qcb", _scaled_q(1 - 1e-7), 1.0e-6),
+    "q-up": ("_qcb_werner", _scaled_q(1 + 1e-7), 1.0e-6),
+    "q-down": ("_qcb_werner", _scaled_q(1 - 1e-7), 1.0e-6),
 }
 
 
@@ -716,7 +716,7 @@ def test_sandwich_ordering_memory_does_not_grow_with_the_zetas(monkeypatch):
     # each block of zetas is reduced as it is made; with blocks of 2^12 entries
     # a column (3 blocks at grid 0.1, 11 at 0.05) the traced peak read 0.45 and
     # 0.39 MB, where the row sweep that kept every defect read 0.29 and 0.81 MB
-    monkeypatch.setattr(discrimination, "_BLOCK_ENTRIES", 2**12)
+    monkeypatch.setattr(linalg, "_STACK_ENTRIES", 2**12)
     peaks = []
     for grid_step in (0.1, 0.05):
         tracemalloc.start()
@@ -726,6 +726,18 @@ def test_sandwich_ordering_memory_does_not_grow_with_the_zetas(monkeypatch):
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.1 * peaks[0]
+
+
+def test_sandwich_ordering_is_the_same_in_blocks_of_two_zetas(monkeypatch):
+    # the 21 zetas of the 0.1 grid, n = 1..20: one block by default, 11 blocks of two
+    # zetas (the last of one) when a block holds 2 x 20 x 21 entries
+    whole = verify.check_sandwich_ordering(0.1)
+    assert len(linalg._blocks(21, 1, tables=20 * 21)) == 1
+    monkeypatch.setattr(linalg, "_STACK_ENTRIES", 2 * 20 * 21)
+    assert len(linalg._blocks(21, 1, tables=20 * 21)) == 11
+    split = verify.check_sandwich_ordering(0.1)
+    assert split == whole and split.points == 8820
+    assert split.worst.hex() == whole.worst.hex()
 
 
 def test_every_dimension_is_checked_before_the_first_sweep(monkeypatch):
