@@ -8,7 +8,9 @@ an independent route.  They also take stacks of matrices along leading axes,
 two stacks matched member against member, one float per member then coming
 back as a list (the Chernoff search returns arrays); ``_blocks`` bounds a stack.
 Real input stays real, so real symmetric states run in real arithmetic; a
-stack's dtype picks its one LAPACK driver.
+stack's dtype picks its one LAPACK driver.  A real stack that equals its
+transpose bit for bit goes to that driver as it is; any other is checked for
+Hermiticity (a non-finite entry fails) and symmetrised first.
 The fidelity and trace distance take eigenvalues alone (``eigvalsh``); the
 Chernoff search is a bracketed Newton iteration on the overlap curve's slope.
 """
@@ -33,6 +35,7 @@ PSD_FLOOR = -1e-10
 SUPPORT_TOL = 1e-12
 ZERO_SNAP = 1e-13
 TENSOR_DIM_CAP = 4096
+_HALF_MAX = np.finfo(float).max / 2
 
 # Matrix entries (members x dim^2) of one stack handed to the kernels below,
 # so that a sweep's memory does not grow with its pair count.
@@ -76,31 +79,54 @@ def _first(bad: np.ndarray) -> tuple[int, ...]:
 
 
 def hermiticity_defect(a: np.ndarray):
-    """Largest entrywise deviation of ``a`` from its conjugate transpose, per matrix of a stack."""
-    return np.abs(a - _dagger(a)).max(axis=(-2, -1))
+    """Largest entrywise deviation of ``a`` from its conjugate transpose, per matrix of a stack.
+
+    NaN for a matrix with a NaN entry or an infinity mirrored by the same infinity."""
+    with np.errstate(invalid="ignore"):  # inf - inf
+        return np.abs(a - _dagger(a)).max(axis=(-2, -1))
+
+
+def _exactly_symmetric(a: np.ndarray) -> bool:
+    # a real stack equal to its transpose bit for bit, each entry finite and at most half
+    # the largest double (so doubled without overflow): its defect is 0 and (a + a^T) / 2
+    # is a itself; the bounds fail on a NaN, and +0 against -0 is not bitwise equal
+    return (
+        a.dtype == np.float64
+        and -_HALF_MAX <= a.min(initial=0.0)
+        and a.max(initial=0.0) <= _HALF_MAX
+        and np.array_equal(a.view(np.int64), np.swapaxes(a, -1, -2).view(np.int64))
+    )
 
 
 def _hermitian_spectrum(a, vectors: bool) -> tuple[np.ndarray, ...]:
-    # eigh's checks and its one LAPACK call, with eigenvectors or (vectors=False) without
+    # eigh's checks and its one LAPACK call, with eigenvectors or (vectors=False) without;
+    # an exactly symmetric stack goes to LAPACK as it is
     a = _as_square(a, stack=True)
-    defect = hermiticity_defect(a)
-    if np.any(defect > HERMITIAN_TOL):
-        i = _first(defect > HERMITIAN_TOL)
-        raise NonHermitianError(
-            f"matrix{list(i) or ''} is not Hermitian within {HERMITIAN_TOL:g} "
-            f"(defect {defect[i]:.3e})"
-        )
-    h = (a + _dagger(a)) / 2.0
-    return np.linalg.eigh(h) if vectors else (np.linalg.eigvalsh(h),)
+    if not _exactly_symmetric(a):
+        defect = hermiticity_defect(a)
+        bad = ~(defect <= HERMITIAN_TOL)  # a NaN defect is bad
+        if np.any(bad):
+            i = _first(bad)
+            raise NonHermitianError(
+                f"matrix{list(i) or ''} is not Hermitian within {HERMITIAN_TOL:g} "
+                f"(defect {defect[i]:.3e})"
+            )
+        a = (a + _dagger(a)) / 2.0
+    return np.linalg.eigh(a) if vectors else (np.linalg.eigvalsh(a),)
 
 
 def eigh(a) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, or of a stack in one LAPACK call.
 
     Raises NonHermitianError, naming the first offending stack member, if
-    any deviates from Hermiticity by more than ``HERMITIAN_TOL``.  Output is
-    deterministic for identical input (LAPACK on the symmetrised matrix),
-    eigenvalues ascending.  The dtype picks the driver: a real (float64)
+    any deviates from Hermiticity by more than ``HERMITIAN_TOL`` or has a
+    non-finite entry (its defect is then NaN).  Output is deterministic for
+    identical input (LAPACK on the symmetrised matrix (a + a^dagger)/2),
+    eigenvalues ascending.  A real stack equal to its transpose bit for bit,
+    each entry finite and at most half the largest double, is that
+    symmetrised matrix already and goes to LAPACK as it is, without the
+    check's passes; +0 mirrored by -0 is not bitwise equal, so such a stack is
+    symmetrised.  The dtype picks the driver: a real (float64)
     input goes to the real symmetric one and has real eigenvectors, a
     complex input to the complex Hermitian one, even where its imaginary
     parts are all zero.  A stack member's output equals its own call at the
@@ -110,7 +136,10 @@ def eigh(a) -> EigenDecomposition:
 
 
 def eigvalsh(a) -> np.ndarray:
-    """Ascending eigenvalues alone (``np.linalg.eigvalsh``), with ``eigh``'s checks and driver."""
+    """Ascending eigenvalues alone (``np.linalg.eigvalsh``), with ``eigh``'s checks and driver.
+
+    As for ``eigh``, an exactly symmetric real stack goes to LAPACK as it is, and a
+    member with a non-finite entry raises NonHermitianError."""
     return _hermitian_spectrum(a, vectors=False)[0]
 
 
@@ -265,12 +294,13 @@ def qcb_curve_kernel(dr: EigenDecomposition, ds: EigenDecomposition, s_values) -
     return curve.sum(-1)
 
 
-def _overlap_derivatives(p, q, tables, s) -> np.ndarray:
-    # (f, f', f'') of f(s) = Tr(rho^s sigma^(1-s)) at the points s (pairs,
-    # points), from each pair's tables O, O*D and O*D^2 (pairs, 3, dim, dim)
+def _overlap_derivatives(p, q, tables, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # f, f' and f'' of f(s) = Tr(rho^s sigma^(1-s)) at the points s (pairs, points),
+    # from each pair's tables O, O*D and O*D^2 (pairs, 3, dim, dim): three views of one product
     ps = (p[:, None, :] ** s[..., None])[:, :, None, None, :]
     qs = (q[:, None, :] ** (1.0 - s[..., None]))[:, :, None, :, None]
-    return np.moveaxis(np.matmul(np.matmul(ps, tables[:, None]), qs)[..., 0, 0], -1, 0)
+    fgh = np.matmul(np.matmul(ps, tables[:, None]), qs)
+    return fgh[..., 0, 0, 0], fgh[..., 1, 0, 0], fgh[..., 2, 0, 0]
 
 
 def qcb_kernels(drs: EigenDecomposition, dss: EigenDecomposition) -> QcbNumeric:
@@ -325,8 +355,8 @@ def qcb_kernels(drs: EigenDecomposition, dss: EigenDecomposition) -> QcbNumeric:
             break
         lo, hi = np.where(g < 0.0, s, lo), np.where(g > 0.0, s, hi)
         s = np.where(held, s, np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi)))
-        step = _overlap_derivatives(p, q, tables, s[:, None])[..., 0]
-        f, g, h = (np.where(held, old, new) for old, new in zip((f, g, h), step))
+        step = _overlap_derivatives(p, q, tables, s[:, None])
+        f, g, h = (np.where(held, old, new[:, 0]) for old, new in zip((f, g, h), step))
     return QcbNumeric(q=f, s_star=s)
 
 

@@ -10,6 +10,7 @@ are real (float64) arrays.
 from __future__ import annotations
 
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,8 +58,13 @@ def _check_pair_dim(d: int) -> int:
     return d
 
 
+def _is_int(value) -> bool:
+    # an int or numpy integer, but not a bool (which Python counts as an int)
+    return isinstance(value, (int, np.integer)) and not isinstance(value, (bool, np.bool_))
+
+
 def _check_positive_int(value: int, what: str, cap: int | None = None) -> int:
-    if not isinstance(value, (int, np.integer)) or value < 1:
+    if not _is_int(value) or value < 1:
         raise InvalidParameterError(f"{what} must be a positive integer, got {value!r}")
     _check_double_range(value, what)
     if cap is not None and value > cap:
@@ -67,7 +73,7 @@ def _check_positive_int(value: int, what: str, cap: int | None = None) -> int:
 
 
 def _check_seed(seed: int) -> int:
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         raise InvalidParameterError(f"seed must be a non-negative integer, got {seed!r}")
     return int(seed)
 
@@ -114,25 +120,37 @@ def max_entangled_operator(d: int) -> np.ndarray:
     return _permuted_identity(_check_pair_dim(d), (0, 2, 1, 3))
 
 
-def werner_state(eta: float, d: int) -> np.ndarray:
+def _checked(check, x):
+    # check(x) of a scalar x; of a sequence x (a list, tuple or array), check(v) per member
+    # v in order, as an (n, 1, 1) array that broadcasts over n matrices
+    if isinstance(x, (list, tuple, np.ndarray)) and getattr(x, "ndim", 1) > 0:
+        return np.array([check(v) for v in x], dtype=float).reshape(-1, 1, 1)
+    return check(x)
+
+
+def werner_state(eta: float | Sequence[float], d: int) -> np.ndarray:
     """Two-qudit state with flip expectation eta, invariant under U (x) U.
 
-    W = [(d - eta) I + (d eta - 1) F] / (d^3 - d).
+    W = [(d - eta) I + (d eta - 1) F] / (d^3 - d).  A sequence of eta (a list,
+    tuple or 1-D array) gives the (len, d^2, d^2) stack of its states from one
+    broadcast, each member equal to its scalar call bit for bit, each eta checked
+    as that call checks it, in order; an empty one gives shape (0, d^2, d^2).
     """
-    eta = _check_eta(eta)
+    eta = _checked(_check_eta, eta)
     d = _check_pair_dim(d)
     # times 1 / (d^3 - d), not divided by it: numpy divides a complex array by a real
     # number so, and the entries equal those of the formula in complex arithmetic
     return ((d - eta) * np.eye(d * d) + (d * eta - 1.0) * flip_operator(d)) * (1.0 / (d**3 - d))
 
 
-def isotropic_state(alpha: float, d: int) -> np.ndarray:
+def isotropic_state(alpha: float | Sequence[float], d: int) -> np.ndarray:
     """Two-qudit state with entangled-operator expectation alpha.
 
-    Omega = [(d - alpha) I + (d alpha - 1) M] / (d^3 - d).
+    Omega = [(d - alpha) I + (d alpha - 1) M] / (d^3 - d).  A sequence of alpha
+    gives the (len, d^2, d^2) stack of its states, as for :func:`werner_state`.
     """
     d = _check_pair_dim(d)
-    alpha = _check_alpha(alpha, d)
+    alpha = _checked(lambda a: _check_alpha(a, d), alpha)
     m = max_entangled_operator(d)
     return ((d - alpha) * np.eye(d * d) + (d * alpha - 1.0) * m) * (1.0 / (d**3 - d))
 

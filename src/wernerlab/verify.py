@@ -94,11 +94,6 @@ def max_workers() -> int:
     return 1
 
 
-def _stack(family, params, d: int) -> np.ndarray:
-    # the explicit states family(x, d), one stack member per parameter, in the family's dtype
-    return np.array([family(x, d) for x in params]).reshape(-1, d * d, d * d)
-
-
 def _spectra(mats: np.ndarray) -> linalg.EigenDecomposition:
     # One clamped decomposition per state, from the explicit matrices (never from
     # the closed-form spectra), in bounded blocks; shared by every pair of the sweep.
@@ -232,7 +227,7 @@ def check_werner_oracles(grid_step, dims, iso_dims, tol_scale=1.0) -> tuple[Chec
     dq, ds, sub, qs, residual, asym = [], [], [], [], [], []
     for d in dims:
         u, a = _flip_sectors(d)
-        rot = u.T @ _stack(states.werner_state, etas, d) @ u
+        rot = u.T @ states.werner_state(etas, d) @ u
         corners = (np.abs(x).max((-2, -1), initial=0.0) for x in (rot[:, :a, a:], rot[:, a:, :a]))
         residual.append(np.maximum(*corners))
         blocks = rot[:, :a, :a], rot[:, a:, a:]
@@ -247,7 +242,7 @@ def check_werner_oracles(grid_step, dims, iso_dims, tol_scale=1.0) -> tuple[Chec
         del sectors
         _chernoff_defects(inner, chernoff, dq, ds)
         if d in iso_dims:
-            iso = _spectra(_stack(states.isotropic_state, [d * (1 + e) / 2 for e in etas[1:-1]], d))
+            iso = _spectra(states.isotropic_state([d * (1 + e) / 2 for e in etas[1:-1]], d))
             for i, j in _pairs(len(etas) - 2, d * d, diagonal=False):
                 for r, c in ((i, j), (j, i)):
                     iso_q = linalg.qcb_curve_kernel(iso[r], iso[c], _CURVE_S)
@@ -270,7 +265,7 @@ def check_qcb_isotropic_oracle(dims, tol_scale=1.0) -> tuple[CheckResult, CheckR
     for d in dims:
         alphas = [d * i / 10 for i in range(1, 10)]
         closed = _table(lambda a, b: _q_and_s(metrics.qcb_isotropic(a, b, d)), alphas, 2)
-        _chernoff_defects(_spectra(_stack(states.isotropic_state, alphas, d)), closed, dq, ds)
+        _chernoff_defects(_spectra(states.isotropic_state(alphas, d)), closed, dq, ds)
     return (_collect("qcb-isotropic-oracle", dq, tol_scale),
             _collect("qcb-isotropic-oracle-s", ds, tol_scale))
 
@@ -280,7 +275,7 @@ def _teleport_defects(etas, d, seed, samples) -> list[tuple[list[float], list[fl
     # that channel's own state, and test covariance of the channel under U.  Each
     # bounded block of draws is drawn once and taken as one stack through every
     # step of every eta.  One (simulation, covariance) pair of defect lists per eta.
-    channels = [(states.werner_state(eta, d), states.HWChannel(eta, d)) for eta in etas]
+    channels = list(zip(states.werner_state(etas, d), [states.HWChannel(eta, d) for eta in etas]))
     rng = np.random.default_rng(np.random.SeedSequence((seed, d)))
     defects = [([], []) for _ in channels]
     for at in linalg._blocks(samples, d):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wernerlab import cli, discrimination, metrics, metrology, verify
+from wernerlab import cli, discrimination, metrics, metrology, states, verify
 from wernerlab.errors import DimensionOverflowError, WernerLabError
 
 
@@ -252,7 +252,8 @@ class TestExitCodes:
         # rejected before any sweep, state, curve row, product or dimension
         # range is built: make all of them unreachable
         monkeypatch.setattr(verify, "check_werner_oracles", None)
-        monkeypatch.setattr(verify, "_stack", None)
+        monkeypatch.setattr(states, "werner_state", None)
+        monkeypatch.setattr(states, "isotropic_state", None)
         monkeypatch.setattr(discrimination, "_sandwiches", None)
         monkeypatch.setattr(np, "kron", None)
         monkeypatch.setattr(cli, "range", None, raising=False)

@@ -518,6 +518,113 @@ class TestStacks:
             linalg.tensor_product(np.stack([np.eye(2)] * 2), np.eye(2))
 
 
+_LAPACK = {"eigh": np.linalg.eigh, "eigvalsh": np.linalg.eigvalsh}
+
+
+def _bits(x):
+    # the raw bytes of an array with its dtype and shape: equal only where bit for bit equal
+    return x.dtype, x.shape, np.ascontiguousarray(x).tobytes()
+
+
+def _reaching_lapack(monkeypatch):
+    # every array handed to np.linalg.eigh or eigvalsh, in call order
+    reached = []
+    for name, lapack in _LAPACK.items():
+        monkeypatch.setattr(np.linalg, name, lambda a, f=lapack: reached.append(a) or f(a))
+    return reached
+
+
+def _assert_symmetrised_route(stack, reached, fast):
+    # eigh and eigvalsh of the stack equal LAPACK's on (a + a^T)/2 bit for bit; the stack
+    # itself reaches LAPACK where ``fast``, else its symmetrised copy
+    h = (stack + np.swapaxes(stack.conj(), -1, -2)) / 2.0
+    reached.clear()
+    dec, w = linalg.eigh(stack), linalg.eigvalsh(stack)
+    assert len(reached) == 2
+    for a in reached:
+        assert (a is stack) == fast
+        assert _bits(a) == _bits(h)
+    ref = _LAPACK["eigh"](h)
+    assert _bits(dec.eigenvalues) == _bits(ref.eigenvalues)
+    assert _bits(dec.eigenvectors) == _bits(ref.eigenvectors)
+    assert _bits(w) == _bits(_LAPACK["eigvalsh"](h))
+
+
+class TestExactlySymmetricStacks:
+    # a float64 stack equal to its transpose bit for bit, every entry within half the
+    # largest double, goes to LAPACK as it is; every other stack is checked and symmetrised
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_werner_stacks_sectors_and_differences_go_as_they_are(self, monkeypatch, d):
+        reached = _reaching_lapack(monkeypatch)
+        etas = [(2 * i - 200) / 200 for i in range(201)]
+        ws = states.werner_state(etas, d)
+        flip = linalg.eigh(states.flip_operator(d))
+        u, a = flip.eigenvectors, int(np.count_nonzero(flip.eigenvalues < 0.0))
+        rot = u.T @ ws @ u
+        for stack in (ws, rot[:, :a, :a], rot[:, a:, a:]):
+            for x in (stack, stack[1:] - stack[:-1], stack - stack[::-1]):
+                _assert_symmetrised_route(x, reached, fast=True)
+
+    def test_a_member_off_by_round_off_symmetrises_the_whole_stack(self, monkeypatch):
+        reached = _reaching_lapack(monkeypatch)
+        stack = states.werner_state([-0.5, 0.0, 0.5], 3)
+        stack[1, 0, 3] += 1e-13
+        _assert_symmetrised_route(stack, reached, fast=False)
+
+    def test_a_signed_zero_mirror_pair_is_symmetrised(self, monkeypatch):
+        # +0 and -0 are equal but not the same bits: (a + a^T)/2 makes both +0, and
+        # that, not the -0, reaches LAPACK
+        reached = _reaching_lapack(monkeypatch)
+        stack = np.stack([np.diag([0.25, 0.75, 0.0])] * 2)
+        stack[1, 2, 0] = -0.0
+        _assert_symmetrised_route(stack, reached, fast=False)
+        assert not np.signbit(reached[0][1, 2, 0])
+
+    def test_entries_past_half_the_largest_double_are_symmetrised(self):
+        # a + a^T overflows past max/2, so (a + a^T)/2 is then not a itself
+        half = np.finfo(float).max / 2
+        above = np.nextafter(half, math.inf)
+        assert linalg._exactly_symmetric(np.diag([half, -half]))
+        assert not linalg._exactly_symmetric(np.diag([above, 0.0]))
+        assert not linalg._exactly_symmetric(np.diag([0.0, -above]))
+
+    def test_a_complex_symmetric_stack_is_symmetrised(self, monkeypatch):
+        reached = _reaching_lapack(monkeypatch)
+        stack = states.werner_state([-1.0, 0.2, 1.0], 3).astype(complex)
+        _assert_symmetrised_route(stack, reached, fast=False)
+
+
+_NON_FINITE = {  # entries set in one member of a stack of valid states
+    "nan-diagonal": {(1, 1): math.nan},
+    "nan-off-diagonal": {(0, 2): math.nan},
+    "inf-mirror-pair": {(0, 1): math.inf, (1, 0): math.inf},
+    "minus-inf-mirror-pair": {(2, 1): -math.inf, (1, 2): -math.inf},
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("case", _NON_FINITE)
+def test_non_finite_members_are_rejected(case, dtype):
+    # a NaN defect is not within HERMITIAN_TOL (an inf mirror pair's defect is inf - inf,
+    # taken without a warning): the member is named, and no finite spectrum or distance
+    # comes back for it
+    stack = np.stack([np.eye(3, dtype=dtype) / 3] * 4)
+    for at, value in _NON_FINITE[case].items():
+        stack[(2, *at)] = value
+    message = r"matrix\[2\] is not Hermitian within 1e-12 \(defect nan\)"
+    for decompose in (linalg.eigh, linalg.eigvalsh, linalg.clamped_spectrum):
+        with pytest.raises(NonHermitianError, match=message):
+            decompose(stack)
+        with pytest.raises(NonHermitianError, match=r"^matrix is not Hermitian .*\(defect nan\)"):
+            decompose(stack[2])
+    with pytest.raises(NonHermitianError, match=message):
+        linalg.trace_distance_numeric(stack, np.eye(3) / 3)
+    with pytest.raises(NonHermitianError, match=message):
+        linalg.trace_distance_numeric(np.eye(3) / 3, stack)
+
+
 def _nearly_pure(dim, seed):
     # a random pure state whose other eigenvalues are round-off below ZERO_SNAP
     rng = np.random.default_rng(seed)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wernerlab import linalg, states
+from wernerlab import discrimination, linalg, metrics, metrology, states, verify
 from wernerlab.errors import (
     DimensionMismatchError,
     DimensionOverflowError,
@@ -111,6 +111,69 @@ def test_builders_are_real_and_equal_the_complex_formulas(d):
         isotropic = ((d - alpha) * ident + (d * alpha - 1.0) * m) / (d**3 - d)
         assert _same_bits(states.werner_state(eta, d), werner), eta
         assert _same_bits(states.isotropic_state(alpha, d), isotropic), alpha
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_stacked_builders_equal_their_scalar_calls(d):
+    # every state of the 0.01 grid from one call, Werner at eta and isotropic at alpha =
+    # d(1 + eta)/2, as a list and as an array: each member is its scalar call bit for bit
+    etas = discrimination.eta_grid(0.01)
+    alphas = [d * (1.0 + eta) / 2.0 for eta in etas]
+    for build, params in ((states.werner_state, etas), (states.isotropic_state, alphas)):
+        for given in (params, np.array(params)):
+            stack = build(given, d)
+            assert stack.shape == (201, d * d, d * d) and stack.dtype == np.dtype(float)
+            for x, member in zip(params, stack):
+                assert member.tobytes() == build(x, d).tobytes(), x
+
+
+@pytest.mark.parametrize(
+    "build,params,scalar",
+    [
+        (states.werner_state, [0.5, 1.5, -2.0, "x"], 1.5),
+        (states.werner_state, ("x", 1.5), "x"),
+        (states.isotropic_state, [0.5, 2.0, -1.0, 3.0], -1.0),
+        (states.isotropic_state, np.array([0.0, 4.0]), 4.0),
+    ],
+)
+def test_stacked_builders_reject_the_first_bad_parameter(build, params, scalar):
+    # the first bad parameter raises what its scalar call raises, message and all
+    with pytest.raises(InvalidParameterError) as one:
+        build(scalar, 2)
+    with pytest.raises(InvalidParameterError) as stacked:
+        build(params, 2)
+    assert type(stacked.value) is type(one.value)
+    assert str(stacked.value) == str(one.value)
+
+
+@pytest.mark.parametrize("d", [2, 5])
+def test_stacked_builders_of_no_parameter(d):
+    # an empty sequence gives an empty stack; the dimension is still checked
+    assert states.werner_state([], d).shape == (0, d * d, d * d)
+    assert states.isotropic_state(np.array([]), d).shape == (0, d * d, d * d)
+    with pytest.raises(InvalidDimensionError):
+        states.werner_state([], 1)
+
+
+@pytest.mark.parametrize("flag", [True, False, np.True_])
+def test_integer_checks_reject_booleans(flag):
+    # Python counts a bool as an int; as a count or a seed it is rejected with the
+    # integer message, the same one a non-integer gets
+    def message(what):
+        kind = "non-negative" if what == "seed" else "positive"
+        return rf"^{what} must be a {kind} integer, got {flag!r}$"
+
+    with pytest.raises(InvalidParameterError, match=message("trial count")):
+        metrology.simulate_estimation(0.3, 10, flag, 1)
+    with pytest.raises(InvalidParameterError, match=message("seed")):
+        metrology.simulate_estimation(0.3, 10, 1, flag)
+    with pytest.raises(InvalidParameterError, match=message("seed")):
+        verify.teleport_check(0.5, 2, flag, 3)
+    with pytest.raises(InvalidParameterError, match=message("copy count")):
+        metrics.helstrom_multicopy_werner(0.3, 0.1, 2, flag)
+    # numpy integers are still integers
+    assert states._check_positive_int(np.int64(3), "count") == 3
+    assert states._check_seed(np.uint8(0)) == 0
 
 
 class TestWernerState:

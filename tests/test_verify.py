@@ -155,7 +155,7 @@ def test_sector_decompositions_assemble_the_whole_state(d):
     # rebuilds the rotated state
     etas = discrimination.eta_grid(0.2)
     u, a = verify._flip_sectors(d)
-    rot = u.T @ verify._stack(states.werner_state, etas, d) @ u
+    rot = u.T @ states.werner_state(etas, d) @ u
     whole = verify._block_diagonal(verify._spectra(rot[:, :a, :a]), verify._spectra(rot[:, a:, a:]))
     w, v = whole.eigenvalues, whole.eigenvectors
     assert np.all(np.diff(w, axis=-1) >= 0.0)
@@ -228,13 +228,22 @@ def test_default_run_counted_work(monkeypatch):
     # call per flip sector and stack block (the four Werner oracles built 485 states and
     # made 24 calls when each built and decomposed its own; 180 and 14 while the
     # substitution identity built its own Werner stack; 123 and 11 while each whole
-    # Werner stack was decomposed)
-    built, lapack = [], []
+    # Werner stack was decomposed); a stacked call counts each state it builds, and there
+    # are 15 calls: one stack per Werner sweep and teleport dimension, 8 scalar ones
+    calls, built, lapack = [], [], []
     werner, eigh = states.werner_state, np.linalg.eigh
-    monkeypatch.setattr(states, "werner_state", lambda *a: built.append(a) or werner(*a))
+
+    def counting(eta, d):
+        w = werner(eta, d)
+        calls.append(eta)
+        built.extend(w.reshape(-1, d * d, d * d))
+        return w
+
+    monkeypatch.setattr(states, "werner_state", counting)
     monkeypatch.setattr(np.linalg, "eigh", lambda a: lapack.append(a.shape) or eigh(a))
     verify.run_verification()
     assert len(built) == 123
+    assert len(calls) == 15
     assert len(lapack) == 21
 
 
@@ -442,7 +451,7 @@ def test_mirrored_oracles_are_symmetric_to_round_off(d):
     # most this much (measured: at most 9e-16 here, and on the default grid and dims
     # 1.2e-15 for F, D and q and 7.8e-15 for s* + s*^T - 1)
     etas = discrimination.eta_grid(0.2)
-    ws = verify._stack(states.werner_state, etas, d)
+    ws = states.werner_state(etas, d)
     decs = verify._spectra(ws)
     n, m = len(etas), len(etas) - 2
     i, j = (x.ravel() for x in np.indices((n, n)))
@@ -749,7 +758,8 @@ def test_every_dimension_is_checked_before_the_first_sweep(monkeypatch):
 @pytest.mark.parametrize("grid_step,dims", [(0.1, (64,)), (0.00002, (2,)), (0.02, (6, 7))])
 def test_verify_work_is_bounded_before_the_first_sweep(monkeypatch, grid_step, dims):
     # (grid points)^2 x sum d^4 above 2^25; no state is built
-    monkeypatch.setattr(verify, "_stack", None)
+    monkeypatch.setattr(states, "werner_state", None)
+    monkeypatch.setattr(states, "isotropic_state", None)
     with pytest.raises(DimensionOverflowError, match=f"exceeds cap {verify.VERIFY_WORK_CAP}"):
         verify.run_verification(grid_step=grid_step, dims=dims)
 
