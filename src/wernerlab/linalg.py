@@ -10,7 +10,7 @@ back as a list (the Chernoff search returns arrays); ``_blocks`` bounds a stack.
 Real input stays real, so real symmetric states run in real arithmetic; a
 stack's dtype picks its one LAPACK driver.  A real stack that equals its
 transpose bit for bit goes to that driver as it is; any other is checked for
-Hermiticity (a non-finite entry fails) and symmetrised first.
+Hermiticity (a non-finite entry fails) and symmetrised first, without overflow.
 The fidelity and trace distance take eigenvalues alone (``eigvalsh``); the
 Chernoff search is a bracketed Newton iteration on the overlap curve's slope.
 """
@@ -18,7 +18,9 @@ Chernoff search is a bracketed Newton iteration on the overlap curve's slope.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -81,8 +83,9 @@ def _first(bad: np.ndarray) -> tuple[int, ...]:
 def hermiticity_defect(a: np.ndarray):
     """Largest entrywise deviation of ``a`` from its conjugate transpose, per matrix of a stack.
 
-    NaN for a matrix with a NaN entry or an infinity mirrored by the same infinity."""
-    with np.errstate(invalid="ignore"):  # inf - inf
+    NaN for a matrix with a NaN entry or an infinity mirrored by the same infinity, inf
+    where a difference overflows."""
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, and -max - max
         return np.abs(a - _dagger(a)).max(axis=(-2, -1))
 
 
@@ -111,8 +114,20 @@ def _hermitian_spectrum(a, vectors: bool) -> tuple[np.ndarray, ...]:
                 f"matrix{list(i) or ''} is not Hermitian within {HERMITIAN_TOL:g} "
                 f"(defect {defect[i]:.3e})"
             )
-        a = (a + _dagger(a)) / 2.0
+        a = _symmetrised(a)
     return np.linalg.eigh(a) if vectors else (np.linalg.eigvalsh(a),)
+
+
+def _symmetrised(a: np.ndarray) -> np.ndarray:
+    # (a + a^dagger)/2 of a finite stack; an entry whose sum overflows (past half the
+    # largest double) is halved before adding instead, which is exact there (a complex
+    # inf divided by 2 is inf + nan j: the only invalid value a finite stack can give)
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = (a + _dagger(a)) / 2.0
+    over = ~np.isfinite(h)
+    if over.any():
+        h[over] = (a / 2.0 + _dagger(a) / 2.0)[over]
+    return h
 
 
 def eigh(a) -> EigenDecomposition:
@@ -121,12 +136,13 @@ def eigh(a) -> EigenDecomposition:
     Raises NonHermitianError, naming the first offending stack member, if
     any deviates from Hermiticity by more than ``HERMITIAN_TOL`` or has a
     non-finite entry (its defect is then NaN).  Output is deterministic for
-    identical input (LAPACK on the symmetrised matrix (a + a^dagger)/2),
-    eigenvalues ascending.  A real stack equal to its transpose bit for bit,
-    each entry finite and at most half the largest double, is that
-    symmetrised matrix already and goes to LAPACK as it is, without the
-    check's passes; +0 mirrored by -0 is not bitwise equal, so such a stack is
-    symmetrised.  The dtype picks the driver: a real (float64)
+    identical input (LAPACK on the symmetrised matrix (a + a^dagger)/2, whose
+    entries past half the largest double are halved before adding, so that they
+    do not overflow), eigenvalues ascending.  A real stack equal to its
+    transpose bit for bit, each entry finite and at most half the largest
+    double, is that symmetrised matrix already and goes to LAPACK as it is,
+    without the check's passes; +0 mirrored by -0 is not bitwise equal, so such
+    a stack is symmetrised.  The dtype picks the driver: a real (float64)
     input goes to the real symmetric one and has real eigenvectors, a
     complex input to the complex Hermitian one, even where its imaginary
     parts are all zero.  A stack member's output equals its own call at the
@@ -232,10 +248,11 @@ def trace_distance_numeric(rho, sigma) -> float | list[float]:
     return (0.5 * np.abs(w).sum(-1)).tolist()
 
 
-def _overlap(dr: EigenDecomposition, ds: EigenDecomposition) -> np.ndarray:
-    # |<r_i|s_j>|^2 between the eigenvectors of rho and of sigma; one below dim eps^2
-    # is round-off between orthogonal eigenvectors, and is set to exactly 0
-    o = np.abs(_dagger(dr.eigenvectors) @ ds.eigenvectors) ** 2
+def _overlap(dr: EigenDecomposition, ds: EigenDecomposition, out=None) -> np.ndarray:
+    # |<r_i|s_j>|^2 between the eigenvectors of rho and of sigma, in ``out`` if given; one
+    # below dim eps^2 is round-off between orthogonal eigenvectors, and is set to exactly 0
+    o = np.abs(_dagger(dr.eigenvectors) @ ds.eigenvectors, out=out)
+    np.square(o, out=o)
     o *= o >= o.shape[-1] * np.finfo(float).eps ** 2
     return o
 
@@ -284,61 +301,113 @@ class QcbNumeric(NamedTuple):
 _QCB_LO, _QCB_HI, _QCB_STEP_TOL, _QCB_ITERATIONS = 1e-9, 1.0 - 1e-9, 1e-12, 100
 
 
-def qcb_curve_kernel(dr: EigenDecomposition, ds: EigenDecomposition, s_values) -> np.ndarray:
+def _sectors(decs) -> tuple[EigenDecomposition, ...]:
+    # the sector decompositions of one block-diagonal basis; a whole decomposition is
+    # the one-sector case
+    return (decs,) if isinstance(decs, EigenDecomposition) else tuple(decs)
+
+
+def qcb_curve_kernel(
+    dr: EigenDecomposition | Sequence[EigenDecomposition],
+    ds: EigenDecomposition | Sequence[EigenDecomposition],
+    s_values,
+) -> np.ndarray:
     """Tr(rho^s sigma^(1-s)) per s (last axis) from clamped decompositions; 0^s := 0, s > 0.
 
-    Two stacks are matched, member k of one against member k of the other."""
+    ``dr`` and ``ds`` are each one decomposition or matched sequences of the
+    sector decompositions of one block-diagonal basis, as for :func:`qcb_kernels`:
+    the curve is the sum of the sectors' own curves.  Two stacks are matched,
+    member k of one against member k of the other."""
     s = np.asarray(s_values, dtype=float)[:, None]
-    curve = np.matmul(dr.eigenvalues[..., None, :] ** s, _overlap(dr, ds))
-    curve *= ds.eigenvalues[..., None, :] ** (1.0 - s)
-    return curve.sum(-1)
+    curves = []
+    for r, q in zip(_sectors(dr), _sectors(ds), strict=True):
+        curve = np.matmul(r.eigenvalues[..., None, :] ** s, _overlap(r, q))
+        curve *= q.eigenvalues[..., None, :] ** (1.0 - s)
+        curves.append(curve.sum(-1))
+    return reduce(np.add, curves)
 
 
-def _overlap_derivatives(p, q, tables, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _overlap_derivatives(sectors, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # f, f' and f'' of f(s) = Tr(rho^s sigma^(1-s)) at the points s (pairs, points),
-    # from each pair's tables O, O*D and O*D^2 (pairs, 3, dim, dim): three views of one product
-    ps = (p[:, None, :] ** s[..., None])[:, :, None, None, :]
-    qs = (q[:, None, :] ** (1.0 - s[..., None]))[:, :, None, :, None]
-    fgh = np.matmul(np.matmul(ps, tables[:, None]), qs)
+    # summed over the sectors (p, q, tables) from each pair's tables O, O*D and O*D^2
+    # (pairs, 3, dim, dim) of each sector: three views of one sum of products
+    products = []
+    for p, q, tables in sectors:
+        ps = (p[:, None, :] ** s[..., None])[:, :, None, None, :]
+        qs = (q[:, None, :] ** (1.0 - s[..., None]))[:, :, None, :, None]
+        products.append(np.matmul(np.matmul(ps, tables[:, None]), qs))
+    fgh = reduce(np.add, products)
     return fgh[..., 0, 0, 0], fgh[..., 1, 0, 0], fgh[..., 2, 0, 0]
 
 
-def qcb_kernels(drs: EigenDecomposition, dss: EigenDecomposition) -> QcbNumeric:
-    """Minimise Tr(rho^s sigma^(1-s)) over (0, 1) for each matched pair of two stacks.
-
-    ``drs`` and ``dss`` are equal-length stacks of clamped decompositions of
-    one dimension; member k of one is compared with member k of the other.
-    f(s) = sum_ij O_ij p_i^s q_j^(1-s) is convex; with D_ij = ln p_i - ln q_j
-    (0 where p_i or q_j is 0), a pair's tables O, O*D and O*D^2 give f, f'
-    and f'' in one batched matmul.  An end of [1e-9, 1 - 1e-9] where f' keeps
-    its sign is returned as is; otherwise Newton's method on f' starts at 1/2,
-    narrows the bracket by the sign of f' and bisects where a step would leave
-    it, until a step is at most 1e-12 (and is taken) or f' is within its
-    round-off eps max|D| f (a flat curve, such as a state against itself,
-    stops at once); ``_QCB_ITERATIONS`` caps the steps.  The pairs step in
-    lockstep, a stopped pair held, so each member equals its one-pair call.
-    Memory is three dim x dim tables a pair, linear in the stacks (a caller
-    bounds them with ``_blocks(n, dim, tables=3)``).  Returns 1-D q and s_star.
-    """
-    (m, dim), (m_s, dim_s) = drs.eigenvalues.shape, dss.eigenvalues.shape
-    if (m_s, dim_s) != (m, dim):
-        raise DimensionMismatchError(f"{m} rho of dimension {dim} against {m_s} sigma of {dim_s}")
-    p, q = drs.eigenvalues, dss.eigenvalues
+def _qcb_tables(dr: EigenDecomposition, ds: EigenDecomposition, tables: np.ndarray):
+    # one sector's (p, q, tables): its spectra and, filled in, its tables O, O*D and O*D^2
+    # (pairs, 3, dim, dim), with D_ij = ln p_i - ln q_j (0 where p_i or q_j is 0); and
+    # max|D| per pair
+    p, q = dr.eigenvalues, ds.eigenvalues
     lp, lq = (np.log(np.where(x > 0.0, x, 1.0)) for x in (p, q))
-    tables = np.empty((m, 3, dim, dim))
-    o, od, odd = tables[:, 0], tables[:, 1], tables[:, 2]
-    o[...] = _overlap(drs, dss)
-    # the O*D^2 slot holds D until the products below
+    o, od, odd = _overlap(dr, ds, out=tables[:, 0]), tables[:, 1], tables[:, 2]
+    # the O*D^2 slot holds D, and the O*D slot |D|, until the products below
     np.subtract(lp[:, :, None], lq[:, None, :], out=odd)
-    odd[~((p > 0.0)[:, :, None] & (q > 0.0)[:, None, :])] = 0.0
-    # |f'| <= max|D| f bounds its terms, so its round-off is below eps max|D| f
-    noise = np.finfo(float).eps * np.abs(odd).max((-2, -1))
+    odd[~(p > 0.0)] = 0.0
+    np.swapaxes(odd, -1, -2)[~(q > 0.0)] = 0.0
+    bound = np.abs(odd, out=od).max((-2, -1))
     np.multiply(o, odd, out=od)
     np.multiply(od, odd, out=odd)
+    return (p, q, tables), bound
+
+
+def _described(decs: tuple[EigenDecomposition, ...], name: str) -> str:
+    # "3 rho of dimension 15+21": the member counts and the sector dimensions of one side
+    counts = dict.fromkeys(str(d.eigenvalues.shape[0]) for d in decs)
+    dims = "+".join(str(d.eigenvalues.shape[-1]) for d in decs)
+    return f"{'/'.join(counts)} {name} of dimension {dims}"
+
+
+def qcb_kernels(
+    drs: EigenDecomposition | Sequence[EigenDecomposition],
+    dss: EigenDecomposition | Sequence[EigenDecomposition],
+) -> QcbNumeric:
+    """Minimise Tr(rho^s sigma^(1-s)) over (0, 1) for each matched pair of two stacks.
+
+    ``drs`` and ``dss`` are equal-length stacks of clamped decompositions;
+    member k of one is compared with member k of the other.  Each is one
+    decomposition of the whole state, or a matched sequence of the decompositions
+    of its sectors in one block-diagonal basis with which both states commute
+    (their eigenvectors then overlap only within a sector).  A whole state is
+    the one-sector case.  f(s) = sum over sectors of sum_ij O_ij p_i^s
+    q_j^(1-s) is convex; with D_ij = ln p_i - ln q_j (0 where p_i or q_j is 0),
+    a sector pair's tables O, O*D and O*D^2 give its terms of f, f' and f'' in
+    one batched matmul.  An end of [1e-9, 1 - 1e-9] where f' keeps its sign is
+    returned as is; otherwise Newton's method on f' starts at 1/2, narrows the
+    bracket by the sign of f' and bisects where a step would leave it, until a
+    step is at most 1e-12 (and is taken) or f' is within its round-off eps
+    max|D| f, the max over every sector's live entries (a flat curve, such as a
+    state against itself, stops at once); ``_QCB_ITERATIONS`` caps the steps.
+    The pairs step in lockstep, a stopped pair held, so each member equals its
+    one-pair call.  Memory is three tables a pair and sector, each sector's
+    dimension squared, linear in the stacks (a caller bounds them with
+    ``_blocks(n, 1, tables=3 * sum of the squared sector dimensions)``).
+    Returns 1-D q and s_star.
+    """
+    drs, dss = _sectors(drs), _sectors(dss)
+    shapes = [d.eigenvalues.shape for d in drs]
+    if shapes != [d.eigenvalues.shape for d in dss] or len({m for m, _ in shapes}) != 1:
+        raise DimensionMismatchError(f"{_described(drs, 'rho')} against {_described(dss, 'sigma')}")
+    m = shapes[0][0]
+    # every sector's tables in one allocation, as whole states' were: separate arrays
+    # measured slower, the allocator returning their pages and faulting them in again
+    sizes = [3 * dim * dim for _, dim in shapes]
+    blocks = np.split(np.empty((m, sum(sizes))), np.cumsum(sizes)[:-1], axis=1)
+    tables = [block.reshape(m, 3, dim, dim) for block, (_, dim) in zip(blocks, shapes)]
+    sectors, bounds = zip(*map(_qcb_tables, drs, dss, tables))
+    # |f'| <= max|D| f bounds its terms, so its round-off is below eps max|D| f; D
+    # across sectors, where O is 0, never enters f'
+    noise = np.finfo(float).eps * reduce(np.maximum, bounds)
     # f, f', f'' at both ends and at 1/2; an end where f' does not change
     # sign inside the bracket is the minimiser
     lo, hi = np.full(m, _QCB_LO), np.full(m, _QCB_HI)
-    f, g, h = _overlap_derivatives(p, q, tables, np.stack([lo, hi, np.full(m, 0.5)], -1))
+    f, g, h = _overlap_derivatives(sectors, np.stack([lo, hi, np.full(m, 0.5)], -1))
     k = np.where(g[:, 0] >= 0.0, 0, np.where(g[:, 1] <= 0.0, 1, 2))
     s = np.choose(k, (lo, hi, 0.5))
     f, g, h = (x[np.arange(m), k] for x in (f, g, h))
@@ -355,7 +424,7 @@ def qcb_kernels(drs: EigenDecomposition, dss: EigenDecomposition) -> QcbNumeric:
             break
         lo, hi = np.where(g < 0.0, s, lo), np.where(g > 0.0, s, hi)
         s = np.where(held, s, np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi)))
-        step = _overlap_derivatives(p, q, tables, s[:, None])
+        step = _overlap_derivatives(sectors, s[:, None])
         f, g, h = (np.where(held, old, new[:, 0]) for old, new in zip((f, g, h), step))
     return QcbNumeric(q=f, s_star=s)
 

@@ -11,7 +11,8 @@ sweep a dimension rotates the explicit states into the eigenbasis of the
 explicit flip F, decomposes each flip sector once, and adds the sectors' dense
 kernel values into (n, n) oracle tables, mirrored where symmetric, each compared
 whole with its closed form tabulated once per grid; the Chernoff search and the
-overlap curves read whole decompositions assembled from the sectors'.
+overlap curves read the two sectors' decompositions themselves and sum over the
+sectors, so no d^2 x d^2 table is built for a Werner pair.
 """
 
 from __future__ import annotations
@@ -104,14 +105,15 @@ def _spectra(mats: np.ndarray) -> linalg.EigenDecomposition:
     return dec
 
 
-def _pairs(n: int, dim: int, diagonal: bool = True):
+def _pairs(n: int, dims, diagonal: bool = True):
     # every unordered pair i <= j (i < j unless ``diagonal``) of n members row by row, as
-    # index arrays (rows, cols) in blocks of three dim x dim tables a pair (linalg._blocks),
-    # each block found from its flat range by the row starts alone
+    # index arrays (rows, cols) in blocks of three tables a pair of each sector dimension
+    # of ``dims`` squared (one dimension: a whole state) (linalg._blocks), each block found
+    # from its flat range by the row starts alone
     first = np.arange(n) + (not diagonal)
     lengths = n - first
     starts, total = np.cumsum(lengths) - lengths, int(lengths.sum())
-    for at in linalg._blocks(total, dim, tables=3):
+    for at in linalg._blocks(total, 1, tables=3 * int(np.square(dims).sum())):
         k = np.arange(*at.indices(total))
         rows = np.searchsorted(starts, k, side="right") - 1
         yield rows, k - starts[rows] + first[rows]
@@ -142,14 +144,19 @@ def _collect(name, blocks, tol_scale) -> CheckResult:
     return CheckResult(name=name, points=points, failures=failures, worst=float(worst), tol=tol)
 
 
-def _chernoff_defects(decs, closed, dq, ds) -> None:
+def _take(sectors, at) -> list[linalg.EigenDecomposition]:
+    # the members ``at`` of each sector's decomposition stack
+    return [sector[at] for sector in sectors]
+
+
+def _chernoff_defects(sectors, closed, dq, ds) -> None:
     # appends |numeric - closed| of q to dq and of s* to ds at every off-diagonal pair of the
-    # stack, searched once per unordered pair: q(b, a) = q(a, b), s*(b, a) = 1 - s*(a, b);
-    # ``closed`` is the (n, n, k) table whose first columns are q and s*
-    n = len(decs.eigenvalues)
+    # stack of sector decompositions, searched once per unordered pair: q(b, a) = q(a, b),
+    # s*(b, a) = 1 - s*(a, b); ``closed`` is the (n, n, k) table whose first columns are q and s*
+    n = len(sectors[0].eigenvalues)
     numeric = np.empty((2, n, n))
-    for i, j in _pairs(n, decs.eigenvalues.shape[-1], diagonal=False):
-        q, s = linalg.qcb_kernels(decs[i], decs[j])
+    for i, j in _pairs(n, [x.eigenvalues.shape[-1] for x in sectors], diagonal=False):
+        q, s = linalg.qcb_kernels(_take(sectors, i), _take(sectors, j))
         numeric[:, i, j], numeric[:, j, i] = (q, s), (q, 1.0 - s)
     off = ~np.eye(n, dtype=bool)
     dq.append(_defects(numeric[0], closed[..., 0])[off])
@@ -185,20 +192,6 @@ def _sector_tables(block: np.ndarray, decs) -> np.ndarray:
     return tables
 
 
-def _block_diagonal(lo, hi) -> linalg.EigenDecomposition:
-    # each state's whole decomposition, in the flip eigenbasis, from those of its two
-    # sectors: eigenvalues sorted ascending (stably), block-diagonal eigenvectors whose
-    # columns follow them
-    w = np.concatenate([lo.eigenvalues, hi.eigenvalues], -1)
-    (n, m), a = w.shape, lo.eigenvalues.shape[-1]
-    v = np.zeros((n, m, m))
-    v[:, :a, :a], v[:, a:, a:] = lo.eigenvectors, hi.eigenvectors
-    order = np.argsort(w, axis=-1, kind="stable")
-    return linalg.EigenDecomposition(
-        np.take_along_axis(w, order, -1), np.take_along_axis(v, order[:, None, :], -1)
-    )
-
-
 def check_werner_oracles(grid_step, dims, iso_dims, tol_scale=1.0) -> tuple[CheckResult, ...]:
     # Closed forms tabulated once; per dimension, one explicit Werner stack rotated into
     # the eigenbasis of the explicit flip F, with which a Werner state commutes: its
@@ -206,9 +199,10 @@ def check_werner_oracles(grid_step, dims, iso_dims, tol_scale=1.0) -> tuple[Chec
     # pair tables add the sectors' F, D and R (an inf in either stays inf).  The Chernoff
     # search, and at each of ``iso_dims`` the s-overlap curves (against werner_qs, and
     # against isotropic states at alpha = d(1 + eta)/2: the substitution identity, the
-    # premise of the shared Chernoff core in metrics), read the interior decompositions
-    # assembled from the sectors'.  R - R^T is compared with delta_s on the interior,
-    # sliced before subtracting (inf - inf at +/-1 is NaN).  Results in the CHECKS order.
+    # premise of the shared Chernoff core in metrics), read the two sectors' interior
+    # decompositions and sum over the sectors.  R - R^T is compared with delta_s on the
+    # interior, sliced before subtracting (inf - inf at +/-1 is NaN).  Results in the
+    # CHECKS order.
     etas = discrimination.eta_grid(grid_step)
     pair_tables = {  # each pair table's closed form, and its oracle from (F, D, R) = (f, t, r)
         "fidelity-oracle": (metrics.fidelity_werner, lambda f, t, r: f),
@@ -238,15 +232,14 @@ def check_werner_oracles(grid_step, dims, iso_dims, tol_scale=1.0) -> tuple[Chec
             found[name].append(_defects(oracle(fid, dist, rel), closed[name]))
         inner_rel = rel[1:-1, 1:-1]
         asym.append(_defects(inner_rel - inner_rel.T, asymmetry))
-        inner = _block_diagonal(*(x[1:-1] for x in sectors))
-        del sectors
+        inner = _take(sectors, slice(1, -1))
         _chernoff_defects(inner, chernoff, dq, ds)
         if d in iso_dims:
             iso = _spectra(states.isotropic_state([d * (1 + e) / 2 for e in etas[1:-1]], d))
             for i, j in _pairs(len(etas) - 2, d * d, diagonal=False):
                 for r, c in ((i, j), (j, i)):
                     iso_q = linalg.qcb_curve_kernel(iso[r], iso[c], _CURVE_S)
-                    wer_q = linalg.qcb_curve_kernel(inner[r], inner[c], _CURVE_S)
+                    wer_q = linalg.qcb_curve_kernel(_take(inner, r), _take(inner, c), _CURVE_S)
                     sub.append(np.abs(iso_q - wer_q).max(-1))
                     qs.append(_defects(wer_q, overlaps[r, c]))
     s = chernoff[..., 1]
@@ -265,7 +258,7 @@ def check_qcb_isotropic_oracle(dims, tol_scale=1.0) -> tuple[CheckResult, CheckR
     for d in dims:
         alphas = [d * i / 10 for i in range(1, 10)]
         closed = _table(lambda a, b: _q_and_s(metrics.qcb_isotropic(a, b, d)), alphas, 2)
-        _chernoff_defects(_spectra(states.isotropic_state(alphas, d)), closed, dq, ds)
+        _chernoff_defects([_spectra(states.isotropic_state(alphas, d))], closed, dq, ds)
     return (_collect("qcb-isotropic-oracle", dq, tol_scale),
             _collect("qcb-isotropic-oracle-s", ds, tol_scale))
 

@@ -625,6 +625,35 @@ def test_non_finite_members_are_rejected(case, dtype):
         linalg.trace_distance_numeric(np.eye(3) / 3, stack)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_entries_past_half_the_largest_double_do_not_overflow(dtype):
+    # a Hermitian member with an entry past max/2 is symmetrised with that entry halved
+    # before adding, exact there: its finite spectrum is LAPACK's on the member itself,
+    # and the other members, symmetric within round-off, keep (a + a^dagger)/2 bit for bit
+    huge = np.array([[1.7e308, 1.0], [1.0, 1.0]], dtype=dtype)
+    if dtype is complex:
+        huge[0, 1], huge[1, 0] = 1.0 + 2e307j, 1.0 - 2e307j
+    near = np.array([[0.25, 0.5], [0.5 + 1e-15, 0.75]], dtype=dtype)
+    stack = np.stack([huge, near])
+    dec, w = linalg.eigh(stack), linalg.eigvalsh(stack)
+    assert np.isfinite(w).all() and np.isfinite(dec.eigenvectors).all()
+    ref = np.linalg.eigh(huge)
+    assert _bits(dec.eigenvalues[0]) == _bits(w[0]) == _bits(ref.eigenvalues)
+    assert _bits(dec.eigenvectors[0]) == _bits(ref.eigenvectors)
+    h = (near + near.conj().T) / 2.0
+    assert _bits(dec.eigenvalues[1]) == _bits(np.linalg.eigh(h).eigenvalues)
+    assert _bits(w[1]) == _bits(np.linalg.eigvalsh(h))
+    distance = linalg.trace_distance_numeric(huge, np.eye(2) / 2)
+    assert distance == 0.5 * np.abs(np.linalg.eigvalsh(huge - np.eye(2) / 2)).sum()
+    assert math.isfinite(distance)
+    # a mirror pair of opposite signs past max/2 differs by more than the largest double:
+    # its defect is inf, rejected without a warning
+    opposite = np.array([[1.0, 1.7e308], [-1.7e308, 1.0]], dtype=dtype)
+    with pytest.raises(NonHermitianError, match=r"\(defect inf\)"):
+        linalg.eigvalsh(opposite)
+
+
 def _nearly_pure(dim, seed):
     # a random pure state whose other eigenvalues are round-off below ZERO_SNAP
     rng = np.random.default_rng(seed)
@@ -846,6 +875,20 @@ class TestQcbKernels:
         q, s_star = _mp_qcb(dr[0], ds[0])
         assert abs(got.q - q) <= 1e-14 and abs(got.s_star - s_star) <= 1e-12
         assert type(got.q) is float and type(got.s_star) is float
+
+    def test_mismatched_sectors_are_rejected(self):
+        # sector sequences are matched sector by sector: a differing sector count or
+        # dimension, or sectors of one side with differing member counts, is named
+        a, b = (linalg.clamped_spectrum(np.stack([np.eye(k) / k] * 2)) for k in (3, 6))
+        for drs, dss, message in (
+            ((a, b), (a,), "2 rho of dimension 3\\+6 against 2 sigma of dimension 3$"),
+            ((a, b), (b, a), "against 2 sigma of dimension 6\\+3$"),
+            ((a, b[:1]), (a, b[:1]), "^2/1 rho of dimension 3\\+6"),
+        ):
+            with pytest.raises(DimensionMismatchError, match=message):
+                linalg.qcb_kernels(drs, dss)
+        with pytest.raises(ValueError):
+            linalg.qcb_curve_kernel((a, b), (a,), [0.5])
 
     def test_mismatched_batches(self):
         dr, _ = _batch([(rand_density(4, 1), rand_density(4, 2))])

@@ -108,8 +108,8 @@ def count_eigh(monkeypatch, names=("eigh", "eigvalsh")) -> list:
 
 def test_qcb_sweep_decomposes_each_state_once(monkeypatch):
     # the four Werner oracles share one decomposition per eta and flip sector, the
-    # 3 x 3 antisymmetric and 6 x 6 symmetric blocks (the Chernoff oracle assembles
-    # the 19 interior ones from them), not one per oracle or two per pair; beside
+    # 3 x 3 antisymmetric and 6 x 6 symmetric blocks (the Chernoff oracle reads the
+    # 19 interior ones of each), not one per oracle or two per pair; beside
     # those, the flip itself is decomposed once, and the substitution identity reads
     # the same 19 and decomposes only its isotropic states (21 + 19 decompositions,
     # all 9 x 9, when each whole state was decomposed once)
@@ -148,6 +148,20 @@ def test_werner_pair_kernels_decompose_only_sector_blocks(monkeypatch):
     assert Counter(eigh) == {(15, 15): 21, (21, 21): 21, (36, 36): 1 + 19}
 
 
+def _assembled(lo, hi) -> linalg.EigenDecomposition:
+    # each state's whole decomposition, in the flip eigenbasis, from those of its two
+    # sectors: eigenvalues sorted ascending (stably), block-diagonal eigenvectors whose
+    # columns follow them
+    w = np.concatenate([lo.eigenvalues, hi.eigenvalues], -1)
+    (n, m), a = w.shape, lo.eigenvalues.shape[-1]
+    v = np.zeros((n, m, m))
+    v[:, :a, :a], v[:, a:, a:] = lo.eigenvectors, hi.eigenvectors
+    order = np.argsort(w, axis=-1, kind="stable")
+    return linalg.EigenDecomposition(
+        np.take_along_axis(w, order, -1), np.take_along_axis(v, order[:, None, :], -1)
+    )
+
+
 @pytest.mark.parametrize("d", [2, 3, 6])
 def test_sector_decompositions_assemble_the_whole_state(d):
     # the block-diagonal assembly of the two sectors' decompositions has ascending
@@ -156,12 +170,60 @@ def test_sector_decompositions_assemble_the_whole_state(d):
     etas = discrimination.eta_grid(0.2)
     u, a = verify._flip_sectors(d)
     rot = u.T @ states.werner_state(etas, d) @ u
-    whole = verify._block_diagonal(verify._spectra(rot[:, :a, :a]), verify._spectra(rot[:, a:, a:]))
+    whole = _assembled(verify._spectra(rot[:, :a, :a]), verify._spectra(rot[:, a:, a:]))
     w, v = whole.eigenvalues, whole.eigenvectors
     assert np.all(np.diff(w, axis=-1) >= 0.0)
     assert np.abs(w - verify._spectra(rot).eigenvalues).max() <= 1e-15
     assert np.abs(np.swapaxes(v, -1, -2) @ v - np.eye(d * d)).max() <= 1e-14
     assert np.abs((v * w[:, None, :]) @ np.swapaxes(v, -1, -2) - rot).max() <= 1e-15
+
+
+@pytest.mark.parametrize("d", [2, 3, 6, 8])
+def test_sector_sum_search_equals_the_whole_state_search(d):
+    # every ordered pair of the 0.1 grid, as the sweep reads them (its two flip sectors)
+    # and assembled into whole states: q within 1e-15 and s* within 1e-12; W(+-1), whose
+    # other sector is 0, against a full-rank state ends at the bracket, 1e-9 (1 - 1e-9
+    # the other way round), as the whole search does; W(1) and W(-1) are orthogonal, so
+    # q = 0 and the search stops at 1e-9
+    u, a = verify._flip_sectors(d)
+    rot = u.T @ states.werner_state(discrimination.eta_grid(0.1), d) @ u
+    sectors = [verify._spectra(rot[:, :a, :a]), verify._spectra(rot[:, a:, a:])]
+    whole = _assembled(*sectors)
+    n = len(whole.eigenvalues)
+    i, j = (x.ravel() for x in np.indices((n, n)))
+    q, s, whole_q, whole_s = np.empty((4, n * n))
+    for at in linalg._blocks(n * n, d * d, tables=3):
+        rows, cols = verify._take(sectors, i[at]), verify._take(sectors, j[at])
+        q[at], s[at] = linalg.qcb_kernels(rows, cols)
+        whole_q[at], whole_s[at] = linalg.qcb_kernels(whole[i[at]], whole[j[at]])
+    assert np.abs(q - whole_q).max() <= 1e-15
+    assert np.abs(s - whole_s).max() <= 1e-12
+    q, s, whole_s = (x.reshape(n, n) for x in (q, s, whole_s))
+    inner = slice(1, -1)
+    for end in (0, n - 1):
+        assert np.all(s[end, inner] == 1e-9) and np.all(whole_s[end, inner] == 1e-9)
+        assert np.all(s[inner, end] == 1.0 - 1e-9) and np.all(whole_s[inner, end] == 1.0 - 1e-9)
+    assert q[0, -1] == q[-1, 0] == 0.0
+    assert s[0, -1] == s[-1, 0] == 1e-9
+
+
+def test_chernoff_tables_are_sector_tables(monkeypatch):
+    # at d = 6 every overlap table of the Werner states is a 15 x 15 or 21 x 21 sector
+    # table: per sector, 231 pairs of the relative entropies, 171 of the Chernoff search
+    # and 342 ordered pairs of the overlap curves; the 36 x 36 ones are the isotropic
+    # states' curves alone, 342 ordered pairs
+    tables = Counter()
+    real = linalg._overlap
+
+    def counting(*args, **kwargs):
+        o = real(*args, **kwargs)
+        tables[o.shape[-2:]] += math.prod(o.shape[:-2])
+        return o
+
+    monkeypatch.setattr(linalg, "_overlap", counting)
+    verify.check_werner_oracles(0.1, (6,), (6,))
+    sector = 231 + 171 + 2 * 171
+    assert tables == {(15, 15): sector, (21, 21): sector, (36, 36): 2 * 171}
 
 
 def _sector_coupled(eta, d):
@@ -258,11 +320,12 @@ def test_qcb_oracle_worst_is_pinned(default_werner_oracles):
     # bit-identity guard on the Chernoff search: a change to the search
     # that still passed its tolerances would move these values (s* was
     # 0x1.7c8p-45 while the search also ran on (b, a), not 1 - s*(a, b); q and s*
-    # were 0x1.2p-50 and 0x1.85p-45 while it read whole-state decompositions)
+    # were 0x1.2p-50 and 0x1.85p-45 while it read whole-state decompositions, and
+    # 0x1.cp-51 and 0x1.73p-45 while it read them assembled from the flip sectors')
     q, s = default_werner_oracles["qcb-oracle-q"], default_werner_oracles["qcb-oracle-s"]
     assert q.points == s.points == 1710
-    assert q.worst == float.fromhex("0x1.cp-51")
-    assert s.worst == float.fromhex("0x1.73p-45")
+    assert q.worst == float.fromhex("0x1.8p-51")
+    assert s.worst == float.fromhex("0x1.71p-45")
 
 
 def test_shifted_chernoff_minimiser_is_caught(monkeypatch):
@@ -327,10 +390,11 @@ def test_pair_oracle_worst_is_pinned(default_werner_oracles, name, worst):
 
 def test_substitution_identity_worst_is_pinned(default_werner_oracles):
     # bit-identity guard on the Chernoff overlap curve (qcb_curve_kernel) at
-    # the default grid and isotropic dims (0x1.ap-50 on whole-state decompositions)
+    # the default grid and isotropic dims (0x1.ap-50 on whole-state decompositions,
+    # 0x1.6p-50 on whole ones assembled from the flip sectors')
     result = default_werner_oracles["substitution-identity"]
     assert result.points == DEFAULT_POINTS["substitution-identity"]
-    assert result.worst == float.fromhex("0x1.6p-50")
+    assert result.worst == float.fromhex("0x1.4p-50")
 
 
 def test_qs_oracle_worst_is_pinned(default_werner_oracles):
@@ -427,10 +491,17 @@ def test_pair_blocks_start_mid_row(diagonal, mid_row):
 def test_pair_blocks_of_the_sweeps():
     # the 17 x 18 / 2 pairs i <= j of d^2 = 16 states span two blocks; the d = 6
     # sweep's 190 pairs of 19 states, 12, and the Chernoff sweep's 171 off the
-    # diagonal, 11 (4, 23 and 22 blocks while every ordered pair was taken)
+    # diagonal, 11 (4, 23 and 22 blocks while every ordered pair was taken); on the
+    # flip sectors of 15 and 21 rows, 6, and of 10 and 15 rows (d = 5), 3 (6 on whole
+    # states)
     assert len(list(verify._pairs(17, 16))) == 2
     assert len(list(verify._pairs(19, 36))) == 12
     assert len(list(verify._pairs(19, 36, diagonal=False))) == 11
+    assert len(list(verify._pairs(19, (15, 21), diagonal=False))) == 6
+    assert len(list(verify._pairs(19, (10, 15), diagonal=False))) == 3
+    assert len(list(verify._pairs(19, 25, diagonal=False))) == 6
+    assert all(len(rows) * 3 * (15**2 + 21**2) <= linalg._STACK_ENTRIES
+               for rows, _ in verify._pairs(19, (15, 21), diagonal=False))
 
 
 def test_werner_sweep_does_not_depend_on_the_block_size(monkeypatch):
