@@ -272,9 +272,16 @@ HELSTROM_COPY_CAP = 1000
 # Entries of one (zeta, eta, k) block of _helstrom_rows; sizes the working buffers each call
 # allocates once and reuses for every block, so it bounds the call's working memory.
 _HELSTROM_BLOCK = 1 << 15
-# exp is exactly +0.0 below -745.1332 in float64, so class weights logged at or below this
-# floor are set to 0 without calling exp: numpy's SIMD exp takes a slow path on every
-# vector that holds an underflowing lane, and at n = 1000 up to three quarters do.
+# A class minimum logged at or below max(its row's peak - _WINDOW, _EXP_FLOOR) is set to
+# +0.0 without calling exp.  Each such term is at most e^-60 of the row's peak, which is at
+# most the row's sum, so all of them together are under (n + 1) e^-60 <= 2^-74 of the sum
+# for every n up to 5000, far below half an ulp of it.  At n = 1000 on the 0.01 grid only
+# about 16 % of the terms lie above the cut.
+_WINDOW = 60.0
+# exp is exactly +0.0 below -745.1332 in float64, so terms at or below this floor are 0
+# whatever their row: the floor binds only on rows whose peak lies below -690, which
+# still get their subnormal sum, and on -inf rows.  numpy's SIMD exp takes a slow path on
+# every vector that holds an underflowing lane, so no such lane reaches it.
 _EXP_FLOOR = -750.0
 
 
@@ -298,7 +305,8 @@ def _log_binomials(n: int) -> np.ndarray:
 def _helstrom_rows(etas, zetas, n: int) -> np.ndarray:
     # helstrom_multicopy_werner for every eta against every zeta at one
     # validated copy count, in log space, shape (len(zetas), len(etas)).  k log 0 is
-    # 0 at k = 0, as is (n - k) log 0 at k = n.
+    # 0 at k = 0, as is (n - k) log 0 at k = n.  Each row exponentiates only the class
+    # minima above its cut (see _WINDOW); the rest are +0.0.
     log_base = _log_binomials(n) - n * math.log(2.0)
     k = np.arange(n + 1.0)
     rest = n - k
@@ -334,8 +342,9 @@ def _helstrom_rows(etas, zetas, n: int) -> np.ndarray:
         for z in (slice(j, j + z_step) for j in range(0, len(zetas), z_step)):
             shape = (len(zetas[z]), *block.shape)
             terms = np.minimum(block, log_zetas[z], out=lead(minima, *shape))
-            # a NaN is not below the floor, so it goes through exp
-            floor = np.less_equal(terms, _EXP_FLOOR, out=lead(under, *shape))
+            # a NaN row has a NaN cut: nothing is at or below it, so the NaN goes through exp
+            cut = np.maximum(terms.max(-1, keepdims=True) - _WINDOW, _EXP_FLOOR)
+            floor = np.less_equal(terms, cut, out=lead(under, *shape))
             np.exp(terms, out=terms, where=np.logical_not(floor, out=lead(keep, *shape)))
             np.copyto(terms, 0.0, where=floor)
             rows[z, at] = 0.5 * terms.sum(axis=-1)
@@ -358,9 +367,11 @@ def helstrom_multicopy_werner(eta: float, zeta: float, d: int, n: int) -> float:
         w_k(eta) = C(n,k) ((1+eta)/2)^k ((1-eta)/2)^(n-k).
 
     Unlike 1 - 1/2 sum_k |w_k(eta) - w_k(zeta)|, this sum cannot cancel, so
-    p is never negative and stays accurate in relative terms when tiny.  The
-    value does not depend on d; eta == zeta gives exactly 1/2, and n beyond
-    1000 is rejected.
+    p is never negative and stays accurate in relative terms when tiny.  Terms
+    at most e^-60 of the largest are summed as 0: together they are under
+    (n + 1) e^-60 <= 2^-74 of p, far below half an ulp of it.  The value does
+    not depend on d; eta == zeta gives exactly 1/2, and n beyond 1000 is
+    rejected.
     """
     eta = _check_eta(eta)
     zeta = _check_eta(zeta)

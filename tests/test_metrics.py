@@ -570,29 +570,33 @@ def full_log_binomials(n):
     return logs
 
 
-def unmasked_rows(etas, zetas, n):
-    # the block error table as summed before exact-zero terms were skipped: the full
-    # binomial table, and every class minimum through plain np.exp, one zeta at a time
+def log_class_weights(column, n):
+    # log w_k for every k = 0..n, one row per entry of ``column``, from the full
+    # binomial table
     k = np.arange(n + 1.0)
-    log_base = np.array(full_log_binomials(n)) - n * math.log(2.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        up, down = k * np.log1p(column), (n - k) * np.log1p(-column)
+    up[..., 0] = down[..., -1] = 0.0
+    return np.array(full_log_binomials(n)) - n * math.log(2.0) + up + down
 
-    def log_weights(column):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            up, down = k * np.log1p(column), (n - k) * np.log1p(-column)
-        up[..., 0] = down[..., -1] = 0.0
-        return log_base + up + down
 
+def unmasked_rows(etas, zetas, n):
+    # the block error table as summed before any term was skipped: the full binomial
+    # table, and every class minimum through plain np.exp, one zeta at a time
     etas, zetas = np.asarray(etas, dtype=float), np.asarray(zetas, dtype=float)
-    block = log_weights(etas[:, None])
-    rows = np.array([0.5 * np.exp(np.minimum(block, log_weights(z))).sum(axis=-1) for z in zetas])
+    block = log_class_weights(etas[:, None], n)
+    rows = np.array(
+        [0.5 * np.exp(np.minimum(block, log_class_weights(z, n))).sum(axis=-1) for z in zetas]
+    )
     rows = np.minimum(rows, 0.5)
     rows[zetas[:, None] == etas] = 0.5
     return rows
 
 
 class TestHelstromSkipsExactZeros:
-    """Class minima logged at or below the floor are set to 0 without exp, and the
-    binomial table is mirrored: the block error stays the unmasked sum, bit for bit."""
+    """Class minima logged at or below each row's cut (its peak less ``_WINDOW``, or the
+    exp floor if that is higher) are set to 0 without exp, and the binomial table is
+    mirrored: the block error stays the unmasked sum, bit for bit."""
 
     EDGES = [-1.0, -(1 - 1e-12), 1 - 1e-12, 1.0]
     # the 0.05 grid with the points one 1e-12 inside +/-1
@@ -623,6 +627,32 @@ class TestHelstromSkipsExactZeros:
         for x in (sweep, np.array([below, metrics._EXP_FLOOR, -np.inf])):
             values = np.exp(x)
             assert np.all(values == 0.0) and not np.any(np.signbit(values))
+
+    @pytest.mark.parametrize("n", [100, 1000])
+    def test_the_benchmark_grid_equals_the_unmasked_sum(self, n):
+        # every zeta of the 0.01 grid that `curves` draws from, against every eta
+        grid = discrimination.eta_grid(0.01)
+        got = metrics._helstrom_rows(grid, grid, n)
+        assert got.tobytes() == unmasked_rows(grid, grid, n).tobytes()
+
+    def test_the_window_bounds_the_dropped_mass(self):
+        # the terms dropped from a row are each at most e^-WINDOW of its peak, and the peak
+        # is at most the row's sum: n + 1 of them stay far below half an ulp of it
+        assert (5000 + 1) * math.exp(-metrics._WINDOW) < 2.0**-70
+
+    def test_terms_at_or_below_the_cut_are_negligible(self):
+        # measured, not bounded: on the 0.01 grid at n = 1000 what each row drops is
+        # under 2^-70 of its sum
+        n, grid = 1000, np.array(discrimination.eta_grid(0.01))
+        block, dropping = log_class_weights(grid[:, None], n), 0
+        for zeta in grid:
+            terms = np.minimum(block, log_class_weights(zeta, n))
+            cut = np.maximum(terms.max(-1, keepdims=True) - metrics._WINDOW, metrics._EXP_FLOOR)
+            dropped = np.where(terms <= cut, np.exp(terms), 0.0).sum(axis=-1)
+            total = np.exp(terms).sum(axis=-1)
+            assert np.all((dropped == 0.0) | (dropped < 2.0**-70 * total))
+            dropping += np.count_nonzero(dropped)
+        assert dropping > len(grid) ** 2 // 2  # most rows drop a nonzero mass
 
     def test_a_nan_weight_goes_through_exp(self):
         rows = metrics._helstrom_rows([math.nan, 0.5], [0.3], 1000)
