@@ -18,6 +18,8 @@ real.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from .errors import DimensionMismatchError, DimensionOverflowError, NotUnitaryError
@@ -52,35 +54,44 @@ def _check_teleport_dim(d: int) -> int:
 
 
 def teleport_channel(resource, rho, *, conjugate_corrections: bool = True) -> np.ndarray:
-    """Output state summed over all d^2 measurement branches.
+    """Output state summed over all d^2 measurement branches, per resource.
 
-    ``resource`` is a state on two qudits (d^2 x d^2), ``rho`` the input
-    on one qudit (d x d), or a stack of inputs along leading axes.
-    Projecting the input and the first resource half onto |Phi_ab> leaves
-    the second half in the unnormalised state Tr_1[(M (x) I) resource] with
-    M = U_ab^dag rho U_ab / d; each branch is corrected and the branches are
-    summed.  The d^2 unitaries are built once per call.  Nothing is sampled.
+    ``resource`` is a state on two qudits (d^2 x d^2), or a stack of them
+    along leading axes, ``rho`` the input on one qudit (d x d), or a stack of
+    inputs along leading axes; the output has the resource stack's leading
+    axes, then the input's shape.  Projecting the input and the first
+    resource half onto |Phi_ab> leaves the second half in the unnormalised
+    state Tr_1[(M (x) I) resource] with M = U_ab^dag rho U_ab / d; each branch
+    is corrected and the branches are summed.  The d^2 unitaries and every
+    M are built once per call, whatever the number of resources, and each
+    resource's output equals its one-resource call bit for bit.  Nothing is
+    sampled.
     """
     resource = np.asarray(resource, dtype=complex)
     rho = np.asarray(rho, dtype=complex)
     d = rho.shape[-1]
-    if rho.shape[-2:] != (d, d) or resource.shape != (d * d, d * d):
+    if rho.shape[-2:] != (d, d) or resource.ndim < 2 or resource.shape[-2:] != (d * d, d * d):
         raise DimensionMismatchError(
             f"input {rho.shape} and resource {resource.shape} are incompatible"
         )
     _check_teleport_dim(d)
     # (B, C | B', C') as (B B') x (C C'), B measured: a block's branches are Ms as rows times r
-    r = resource.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    rs = resource.reshape(-1, d, d, d, d).transpose(0, 1, 3, 2, 4).reshape(-1, d * d, d * d)
     us = np.array([weyl_unitary(a, b, d) for a in range(d) for b in range(d)])
     fix = us.conj() if conjugate_corrections else us
-    out = rho.reshape(-1, d, d).copy()
-    for at in _blocks(len(out), d, tables=d * d):
-        m = _dagger(us) @ out[at, None] @ us / d  # (inputs, branches, d, d)
-        out[at] = (fix @ (m.reshape(-1, d * d) @ r).reshape(m.shape) @ _dagger(fix)).sum(axis=1)
-    return out.reshape(rho.shape)
+    inputs = rho.reshape(-1, d, d)
+    out = np.empty((len(rs), *inputs.shape), dtype=complex)
+    for at in _blocks(len(inputs), d, tables=d * d):
+        m = _dagger(us) @ inputs[at, None] @ us / d  # (inputs, branches, d, d)
+        rows = m.reshape(-1, d * d)
+        for r, kept in zip(rs, out):
+            kept[at] = (fix @ (rows @ r).reshape(m.shape) @ _dagger(fix)).sum(axis=1)
+    return out.reshape(resource.shape[:-2] + rho.shape)
 
 
-def covariance_check(channel: HWChannel, unitary, rho) -> float | list[float]:
+def covariance_check(
+    channel: HWChannel | Sequence[HWChannel], unitary, rho
+) -> float | list:
     """Trace-distance defect of the conjugation covariance
 
         E(U rho U^dag)  vs  U* E(rho) (U*)^dag.
@@ -89,9 +100,18 @@ def covariance_check(channel: HWChannel, unitary, rho) -> float | list[float]:
     transpose-depolarizing channel.  Stacks of unitaries and inputs along
     leading axes give one defect per member, as a list; every unitary is
     validated, and the error names the first non-unitary member.
+    ``channel`` is one HWChannel, or a sequence of them of one d, which
+    gives one such result per channel, as a list: U rho U^dag, U* and the
+    unitarity check are then formed once, all the defects come from one
+    trace-distance stack, and each channel's result equals its own call bit
+    for bit.
     """
+    channels = [channel] if isinstance(channel, HWChannel) else list(channel)
+    dims = sorted({c.d for c in channels})
+    if len(dims) != 1:
+        raise DimensionMismatchError(f"channels of dimensions {dims} need one dimension")
     u = np.asarray(unitary, dtype=complex)
-    d = channel.d
+    d = dims[0]
     if u.shape[-2:] != (d, d):
         raise DimensionMismatchError(f"unitary must be {d} x {d}, got {u.shape}")
     bad = np.abs(_dagger(u) @ u - np.eye(d)).max(axis=(-2, -1)) > UNITARY_TOL
@@ -101,6 +121,9 @@ def covariance_check(channel: HWChannel, unitary, rho) -> float | list[float]:
         )
     rho = np.asarray(rho, dtype=complex)
     u_star = u.conj()
-    return trace_distance_numeric(
-        channel.apply(u @ rho @ _dagger(u)), u_star @ channel.apply(rho) @ _dagger(u_star)
+    moved = u @ rho @ _dagger(u)
+    defects = trace_distance_numeric(
+        np.stack([c.apply(moved) for c in channels]),
+        np.stack([u_star @ c.apply(rho) @ _dagger(u_star) for c in channels]),
     )
+    return defects[0] if isinstance(channel, HWChannel) else defects

@@ -67,7 +67,8 @@ CHECKS = {
     "sandwich-ordering": 1e-10,
 }
 
-# the s at which the overlap curves are sampled
+# the s at which the overlap curves are sampled, symmetric about 1/2: Tr(sigma^s rho^(1-s))
+# is Tr(rho^s sigma^(1-s)) at 1 - s, so a pair's reversed curve is its curve read backwards
 _CURVE_S = (0.25, 0.5, 0.75)
 
 _q_and_s = attrgetter("q", "s_star")
@@ -200,7 +201,10 @@ def check_werner_oracles(grid_step, dims, iso_dims, tol_scale=1.0) -> tuple[Chec
     # search, and at each of ``iso_dims`` the s-overlap curves (against werner_qs, and
     # against isotropic states at alpha = d(1 + eta)/2: the substitution identity, the
     # premise of the shared Chernoff core in metrics), read the two sectors' interior
-    # decompositions and sum over the sectors.  R - R^T is compared with delta_s on the
+    # decompositions and sum over the sectors; each unordered pair's curves are taken
+    # once, the (j, i) curves read as the (i, j) curves reversed in s (_CURVE_S), as
+    # _chernoff_defects reads s*(j, i) = 1 - s*(i, j), and every ordered pair is still
+    # gated against its own closed forms.  R - R^T is compared with delta_s on the
     # interior, sliced before subtracting (inf - inf at +/-1 is NaN).  Results in the
     # CHECKS order.
     etas = discrimination.eta_grid(grid_step)
@@ -237,11 +241,11 @@ def check_werner_oracles(grid_step, dims, iso_dims, tol_scale=1.0) -> tuple[Chec
         if d in iso_dims:
             iso = _spectra(states.isotropic_state([d * (1 + e) / 2 for e in etas[1:-1]], d))
             for i, j in _pairs(len(etas) - 2, d * d, diagonal=False):
-                for r, c in ((i, j), (j, i)):
-                    iso_q = linalg.qcb_curve_kernel(iso[r], iso[c], _CURVE_S)
-                    wer_q = linalg.qcb_curve_kernel(_take(inner, r), _take(inner, c), _CURVE_S)
-                    sub.append(np.abs(iso_q - wer_q).max(-1))
-                    qs.append(_defects(wer_q, overlaps[r, c]))
+                iso_q = linalg.qcb_curve_kernel(iso[i], iso[j], _CURVE_S)
+                wer_q = linalg.qcb_curve_kernel(_take(inner, i), _take(inner, j), _CURVE_S)
+                sub.extend([np.abs(iso_q - wer_q).max(-1)] * 2)
+                qs.append(_defects(wer_q, overlaps[i, j]))
+                qs.append(_defects(wer_q[:, ::-1], overlaps[j, i]))
     s = chernoff[..., 1]
     off = ~np.eye(len(s), dtype=bool)
     critical = [np.abs(s + s.T - 1.0)[off], np.where(chernoff[off][:, 2:], 0.0, math.inf)]
@@ -266,9 +270,11 @@ def check_qcb_isotropic_oracle(dims, tol_scale=1.0) -> tuple[CheckResult, CheckR
 def _teleport_defects(etas, d, seed, samples) -> list[tuple[list[float], list[float]]]:
     # Per sample, from one stream: draw rho, then U; for each eta, teleport rho over
     # that channel's own state, and test covariance of the channel under U.  Each
-    # bounded block of draws is drawn once and taken as one stack through every
-    # step of every eta.  One (simulation, covariance) pair of defect lists per eta.
-    channels = list(zip(states.werner_state(etas, d), [states.HWChannel(eta, d) for eta in etas]))
+    # bounded block of draws is drawn once and taken as one stack through one call of
+    # each step for every eta, the simulation defects of all the etas from one trace
+    # distance stack.  One (simulation, covariance) pair of defect lists per eta.
+    resources = states.werner_state(etas, d)
+    channels = [states.HWChannel(eta, d) for eta in etas]
     rng = np.random.default_rng(np.random.SeedSequence((seed, d)))
     defects = [([], []) for _ in channels]
     for at in linalg._blocks(samples, d):
@@ -276,10 +282,12 @@ def _teleport_defects(etas, d, seed, samples) -> list[tuple[list[float], list[fl
         normals = rng.normal(size=(len(range(samples)[at]), 4, d, d))
         rho = linalg.random_density_matrix(d, normals[:, :2])
         u = linalg.random_unitary(d, normals[:, 2:])
-        for (resource, channel), (sim, cov) in zip(channels, defects):
-            teleported = teleport.teleport_channel(resource, rho)
-            sim.extend(linalg.trace_distance_numeric(teleported, channel.apply(rho)))
-            cov.extend(teleport.covariance_check(channel, u, rho))
+        sim = linalg.trace_distance_numeric(
+            teleport.teleport_channel(resources, rho), np.stack([c.apply(rho) for c in channels])
+        )
+        for (sims, covs), s, c in zip(defects, sim, teleport.covariance_check(channels, u, rho)):
+            sims.extend(s)
+            covs.extend(c)
     return defects
 
 

@@ -174,6 +174,61 @@ class TestStacks:
         defects = teleport.covariance_check(channel, us, rhos)
         assert defects == [teleport.covariance_check(channel, u, rho) for u, rho in zip(us, rhos)]
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("conjugate", [True, False])
+    def test_resource_stack_equals_its_single_calls(self, d, conjugate):
+        # a (k, d^2, d^2) stack gives (k, *rho.shape), each member its one-resource call's
+        # bits, on one input and on a stack of inputs; k = 1 is the same code
+        rng = np.random.default_rng(90 + d)
+        resources = np.stack(
+            [*states.werner_state([-1.0, -0.3, 0.5], d), states.isotropic_state(0.8 * d, d)]
+        )
+        for rho in (rand_density(d, seed=d), linalg.random_density_matrix(
+            d, rng.normal(size=(2, 3, 2, d, d))
+        )):
+            out = teleport.teleport_channel(resources, rho, conjugate_corrections=conjugate)
+            assert out.shape == (len(resources), *rho.shape)
+            for resource, kept in zip(resources, out):
+                alone = teleport.teleport_channel(resource, rho, conjugate_corrections=conjugate)
+                assert kept.tobytes() == alone.tobytes()
+                one = teleport.teleport_channel(
+                    resource[None], rho, conjugate_corrections=conjugate
+                )
+                assert one.shape == (1, *rho.shape) and one[0].tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("resource", [np.zeros((3, 9, 9)), np.zeros((3, 4, 9)), np.zeros(16)])
+    def test_mismatched_resource_stack_names_both_shapes(self, resource):
+        with pytest.raises(DimensionMismatchError) as caught:
+            teleport.teleport_channel(resource, np.eye(2) / 2)
+        assert str(caught.value) == f"input (2, 2) and resource {resource.shape} are incompatible"
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_covariance_over_channels(self, d):
+        # a sequence of channels gives one result per channel, each its own call's, on
+        # stacks of pairs and on one pair
+        rng = np.random.default_rng(100 + d)
+        normals = rng.normal(size=(5, 2, d, d))
+        rhos, us = linalg.random_density_matrix(d, normals), linalg.random_unitary(d, normals[::-1])
+        channels = [states.HWChannel(eta, d) for eta in (-1.0, 0.2, 0.6)]
+        for u, rho in ((us, rhos), (us[0], rhos[0])):
+            assert teleport.covariance_check(channels, u, rho) == [
+                teleport.covariance_check(channel, u, rho) for channel in channels
+            ]
+        assert teleport.covariance_check(channels[:1], us, rhos) == [
+            teleport.covariance_check(channels[0], us, rhos)
+        ]
+
+    def test_channels_of_several_dimensions_are_rejected(self):
+        channels = [states.HWChannel(0.1, 2), states.HWChannel(0.1, 3)]
+        with pytest.raises(DimensionMismatchError, match=r"dimensions \[2, 3\] need one"):
+            teleport.covariance_check(channels, np.eye(2), np.eye(2) / 2)
+
+    def test_non_unitary_member_is_named_for_every_channel(self):
+        us = np.stack([np.eye(2), teleport.weyl_unitary(1, 1, 2), 2.0 * np.eye(2)])
+        channels = [states.HWChannel(0.0, 2), states.HWChannel(0.5, 2)]
+        with pytest.raises(NotUnitaryError, match=r"matrix\[2\] is not unitary"):
+            teleport.covariance_check(channels, us, rand_density(2, seed=65))
+
     def test_non_unitary_member_is_named(self):
         us = np.stack([np.eye(2), teleport.weyl_unitary(1, 1, 2), 2.0 * np.eye(2)])
         rho = rand_density(2, seed=65)

@@ -210,8 +210,8 @@ def test_sector_sum_search_equals_the_whole_state_search(d):
 def test_chernoff_tables_are_sector_tables(monkeypatch):
     # at d = 6 every overlap table of the Werner states is a 15 x 15 or 21 x 21 sector
     # table: per sector, 231 pairs of the relative entropies, 171 of the Chernoff search
-    # and 342 ordered pairs of the overlap curves; the 36 x 36 ones are the isotropic
-    # states' curves alone, 342 ordered pairs
+    # and 171 unordered pairs of the overlap curves, each pair's reversed curve read
+    # backwards in s; the 36 x 36 ones are the isotropic states' curves alone, 171 pairs
     tables = Counter()
     real = linalg._overlap
 
@@ -222,8 +222,32 @@ def test_chernoff_tables_are_sector_tables(monkeypatch):
 
     monkeypatch.setattr(linalg, "_overlap", counting)
     verify.check_werner_oracles(0.1, (6,), (6,))
-    sector = 231 + 171 + 2 * 171
-    assert tables == {(15, 15): sector, (21, 21): sector, (36, 36): 2 * 171}
+    sector = 231 + 171 + 171
+    assert tables == {(15, 15): sector, (21, 21): sector, (36, 36): 171}
+
+
+def test_curve_s_is_symmetric_about_one_half():
+    # the premise of reading a pair's reversed curve as its curve read backwards
+    s = np.array(verify._CURVE_S)
+    assert np.array_equal(1.0 - s, s[::-1])
+
+
+@pytest.mark.parametrize("d", [2, 4, 6])
+def test_reversed_curve_is_the_curve_at_one_minus_s(d):
+    # Tr(sigma^s rho^(1-s)) from (sigma, rho) at s against (rho, sigma) at 1 - s, on the
+    # Werner sector stacks and isotropic stacks of the 0.1 grid's interior: at most 8 ulps
+    # apart (4 measured, at d = 6)
+    s = np.array(verify._CURVE_S)
+    etas = discrimination.eta_grid(0.1)[1:-1]
+    i, j = np.triu_indices(len(etas), 1)
+    u, a = verify._flip_sectors(d)
+    rot = u.T @ states.werner_state(etas, d) @ u
+    sectors = [verify._spectra(block) for block in (rot[:, :a, :a], rot[:, a:, a:])]
+    iso = verify._spectra(states.isotropic_state([d * (1 + e) / 2 for e in etas], d))
+    for rho, sigma in ((verify._take(sectors, i), verify._take(sectors, j)), (iso[i], iso[j])):
+        back = linalg.qcb_curve_kernel(sigma, rho, s)
+        mirrored = linalg.qcb_curve_kernel(rho, sigma, 1.0 - s)
+        assert np.all(np.abs(back - mirrored) <= 8 * np.spacing(np.maximum(back, mirrored)))
 
 
 def _sector_coupled(eta, d):
@@ -391,7 +415,8 @@ def test_pair_oracle_worst_is_pinned(default_werner_oracles, name, worst):
 def test_substitution_identity_worst_is_pinned(default_werner_oracles):
     # bit-identity guard on the Chernoff overlap curve (qcb_curve_kernel) at
     # the default grid and isotropic dims (0x1.ap-50 on whole-state decompositions,
-    # 0x1.6p-50 on whole ones assembled from the flip sectors')
+    # 0x1.6p-50 on whole ones assembled from the flip sectors'; unmoved when each pair's
+    # reversed curves became its curves read backwards in s)
     result = default_werner_oracles["substitution-identity"]
     assert result.points == DEFAULT_POINTS["substitution-identity"]
     assert result.worst == float.fromhex("0x1.4p-50")
@@ -399,7 +424,8 @@ def test_substitution_identity_worst_is_pinned(default_werner_oracles):
 
 def test_qs_oracle_worst_is_pinned(default_werner_oracles):
     # bit-identity guard on the Werner overlap curves against werner_qs at s = 0.25,
-    # 0.5 and 0.75, on the substitution identity's 1,026 ordered pairs
+    # 0.5 and 0.75, on the substitution identity's 1,026 ordered pairs (513 curves, each
+    # also read backwards in s for its reversed pair)
     result = default_werner_oracles["qs-oracle"]
     assert result.points == DEFAULT_POINTS["qs-oracle"] == 3 * 1026
     assert result.worst == float.fromhex("0x1.8p-51")
@@ -858,7 +884,8 @@ def test_teleport_work_cap_admits(monkeypatch, d, samples):
 
 def test_teleport_defects_span_several_stacks(monkeypatch):
     # seven draws a stack: 23 samples take four stacked trace distances per
-    # defect kind, each member equal to the per-sample call on the same stream
+    # defect kind, each a (1, 7) stack of the one eta's defects (the last (1, 2)),
+    # each member equal to the per-sample call on the same stream
     eta, seed, samples = 0.4, 5, 23
     real = linalg.trace_distance_numeric
     for d in (2, 3, 5):
@@ -876,15 +903,39 @@ def test_teleport_defects_span_several_stacks(monkeypatch):
         stacks = []
 
         def counting(rho, sigma):
-            stacks.append(len(rho))
+            stacks.append(rho.shape[:-2])
             return real(rho, sigma)
 
         monkeypatch.setattr(linalg, "trace_distance_numeric", counting)
         # the covariance defects come from covariance_check, which calls its own import
         monkeypatch.setattr(teleport, "trace_distance_numeric", counting)
         assert verify._teleport_defects([eta], d, seed, samples) == [(sim, cov)], d
-        assert stacks == [7, 7, 7, 7, 7, 7, 2, 2], d
+        assert stacks == [(1, 7)] * 6 + [(1, 2)] * 2, d
         monkeypatch.undo()
+
+
+def test_check_teleport_takes_one_call_of_each_step_a_dimension(monkeypatch):
+    # the five etas at d = 2 and 3 share each d's one block of 20 draws: one
+    # teleport_channel call over the five resources, one covariance_check over the five
+    # channels, and one simulation trace distance of 5 x 20 defects, 2 calls of each
+    # where one a sample block and eta made 10
+    calls = Counter()
+    for module, name in ((teleport, "teleport_channel"), (teleport, "covariance_check"),
+                         (linalg, "trace_distance_numeric")):
+        real = getattr(module, name)
+
+        def spy(first, *args, _real=real, _name=name, **kwargs):
+            # a stack's leading shape, or the length of the sequence of channels
+            calls[_name, first.shape[:-2] if isinstance(first, np.ndarray) else (len(first),)] += 1
+            return _real(first, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    results = verify.check_teleport(verify.DEFAULT_SEED)
+    assert calls == {
+        ("teleport_channel", (5,)): 2, ("covariance_check", (5,)): 2,
+        ("trace_distance_numeric", (5, 20)): 2,
+    }
+    assert [r.points for r in results] == [2 * 5 * 20] * 2
 
 
 def test_teleport_check_draws_each_dimension_once(monkeypatch):
