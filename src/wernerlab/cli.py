@@ -176,7 +176,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="run the full oracle cross-check suite")
     p.add_argument("--grid", type=float, default=0.1, help="eta grid step")
     p.add_argument("--dims", default="2..6", help="inclusive dimension range, e.g. 2..6")
-    p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
+    p.add_argument(
+        "--seed",
+        type=int,
+        default=verify.DEFAULT_SEED,
+        help="seed of the teleport checks' random states and unitaries, the run's only draws",
+    )
     p.add_argument(
         "--tol-scale",
         type=float,

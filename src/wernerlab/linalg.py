@@ -327,6 +327,30 @@ def qcb_curve_kernel(
     return reduce(np.add, curves)
 
 
+def sld_qfi_kernel(
+    decs: EigenDecomposition | Sequence[EigenDecomposition],
+    d_rhos: np.ndarray | Sequence[np.ndarray],
+) -> np.ndarray:
+    """Quantum Fisher information 2 sum |<i|d_rho|j>|^2 / (l_i + l_j), l_i + l_j > 0, per member.
+
+    The symmetric-logarithmic-derivative sum from clamped decompositions of a
+    stack of states and the derivative d_rho of the family at each (one matrix,
+    or a matching stack).  As for :func:`qcb_kernels`, ``decs`` is one
+    decomposition or a sequence of the sector decompositions of one
+    block-diagonal basis with which d_rho commutes, matched by ``d_rhos``, one
+    block a sector; the information is the sum of the sectors' own sums.
+    Returns a 1-D array, one value per stack member."""
+    one = isinstance(decs, EigenDecomposition)
+    sums = []
+    for dec, d_rho in zip(_sectors(decs), (d_rhos,) if one else d_rhos, strict=True):
+        v, w = dec.eigenvectors, dec.eigenvalues
+        terms = np.square(np.abs(_dagger(v) @ d_rho @ v))
+        den = w[..., :, None] + w[..., None, :]
+        live = den > 0.0
+        sums.append(np.sum(terms / np.where(live, den, 1.0), (-2, -1), where=live))
+    return 2.0 * reduce(np.add, sums)
+
+
 def _overlap_derivatives(sectors, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # f, f' and f'' of f(s) = Tr(rho^s sigma^(1-s)) at the points s (pairs, points),
     # summed over the sectors (p, q, tables) from each pair's tables O, O*D and O*D^2

@@ -1,6 +1,6 @@
 """Cross-validation suite: every closed form against its matrix-level oracle.
 
-``CHECKS`` lists the 20 checks in the printed order, each with its base
+``CHECKS`` lists the 21 checks in the printed order, each with its base
 tolerance, which a run scales by one ``tol_scale`` of at most 1.  Each check
 sweeps a parameter grid, compares an analytic quantity with an independently
 computed reference, and reports the worst defect seen and how many points it
@@ -12,7 +12,10 @@ explicit flip F, decomposes each flip sector once, and adds the sectors' dense
 kernel values into (n, n) oracle tables, mirrored where symmetric, each compared
 whole with its closed form tabulated once per grid; the Chernoff search and the
 overlap curves read the two sectors' decompositions themselves and sum over the
-sectors, so no d^2 x d^2 table is built for a Werner pair.
+sectors, so no d^2 x d^2 table is built for a Werner pair; the Fisher information
+is read off the same interior sector decompositions, by the symmetric-logarithmic-
+derivative sum, and off the traces of the symmetric sector, by the symmetric
+projector's classical information.
 """
 
 from __future__ import annotations
@@ -59,10 +62,11 @@ CHECKS = {
     "fidelity-gap-oracle": 1e-12,
     "flip-sector-residual": 1e-12,
     "delta-s-oracle": 1e-12,
+    "qfi-oracle": 1e-12,
+    "qfi-attained": 1e-12,
     "teleport-simulation": TELEPORT_TOL,
     "teleport-covariance": TELEPORT_TOL,
     "helstrom-explicit": 1e-10,
-    "estimation-saturation": 0.05,
     "delta-s-sign": 0.0,
     "sandwich-ordering": 1e-10,
 }
@@ -205,8 +209,12 @@ def check_werner_oracles(grid_step, dims, iso_dims, tol_scale=1.0) -> tuple[Chec
     # once, the (j, i) curves read as the (i, j) curves reversed in s (_CURVE_S), as
     # _chernoff_defects reads s*(j, i) = 1 - s*(i, j), and every ordered pair is still
     # gated against its own closed forms.  R - R^T is compared with delta_s on the
-    # interior, sliced before subtracting (inf - inf at +/-1 is NaN).  Results in the
-    # CHECKS order.
+    # interior, sliced before subtracting (inf - inf at +/-1 is NaN).  The Fisher
+    # information of each interior state is read twice, each against qfi_werner in
+    # relative terms: the SLD sum on its sector decompositions, with the exact
+    # derivative (W(1) - W(-1))/2 (W is affine in eta) from the stack's own ends, and the
+    # symmetric projector's (dp)^2/(p(1 - p)), p the trace of its symmetric block.
+    # Results in the CHECKS order.
     etas = discrimination.eta_grid(grid_step)
     pair_tables = {  # each pair table's closed form, and its oracle from (F, D, R) = (f, t, r)
         "fidelity-oracle": (metrics.fidelity_werner, lambda f, t, r: f),
@@ -221,8 +229,9 @@ def check_werner_oracles(grid_step, dims, iso_dims, tol_scale=1.0) -> tuple[Chec
     chernoff = _table(_werner_chernoff, etas[1:-1], 4)
     asymmetry = _table(metrics.delta_s, etas[1:-1])
     overlaps = _table(lambda a, b: [metrics.werner_qs(a, b, s) for s in _CURVE_S], etas[1:-1], 3)
+    qfi = np.array([metrology.qfi_werner(eta) for eta in etas[1:-1]])
     found = {name: [] for name in closed}
-    dq, ds, sub, qs, residual, asym = [], [], [], [], [], []
+    dq, ds, sub, qs, residual, asym, sld, attained = [], [], [], [], [], [], [], []
     for d in dims:
         u, a = _flip_sectors(d)
         rot = u.T @ states.werner_state(etas, d) @ u
@@ -231,12 +240,17 @@ def check_werner_oracles(grid_step, dims, iso_dims, tol_scale=1.0) -> tuple[Chec
         blocks = rot[:, :a, :a], rot[:, a:, a:]
         sectors = [_spectra(block) for block in blocks]
         fid, dist, rel = sum(map(_sector_tables, blocks, sectors))
+        inner = _take(sectors, slice(1, -1))
+        d_rho = [(block[-1] - block[0]) / 2.0 for block in blocks]
+        sld.append(np.abs(linalg.sld_qfi_kernel(inner, d_rho) / qfi - 1.0))
+        p = np.trace(blocks[1], axis1=-2, axis2=-1)
+        dp, p = (p[-1] - p[0]) / 2.0, p[1:-1]
+        attained.append(np.abs(dp * dp / (p * (1.0 - p)) / qfi - 1.0))
         del rot, blocks
         for name, (_, oracle) in pair_tables.items():
             found[name].append(_defects(oracle(fid, dist, rel), closed[name]))
         inner_rel = rel[1:-1, 1:-1]
         asym.append(_defects(inner_rel - inner_rel.T, asymmetry))
-        inner = _take(sectors, slice(1, -1))
         _chernoff_defects(inner, chernoff, dq, ds)
         if d in iso_dims:
             iso = _spectra(states.isotropic_state([d * (1 + e) / 2 for e in etas[1:-1]], d))
@@ -251,7 +265,8 @@ def check_werner_oracles(grid_step, dims, iso_dims, tol_scale=1.0) -> tuple[Chec
     critical = [np.abs(s + s.T - 1.0)[off], np.where(chernoff[off][:, 2:], 0.0, math.inf)]
     found.update({"qcb-oracle-q": dq, "qcb-oracle-s": ds, "critical-point-identities": critical,
                   "substitution-identity": sub, "qs-oracle": qs,
-                  "flip-sector-residual": residual, "delta-s-oracle": asym})
+                  "flip-sector-residual": residual, "delta-s-oracle": asym,
+                  "qfi-oracle": sld, "qfi-attained": attained})
     results = {name: _collect(name, blocks, tol_scale) for name, blocks in found.items()}
     return tuple(results[name] for name in CHECKS if name in results)
 
@@ -318,15 +333,6 @@ def check_helstrom_explicit(tol_scale=1.0) -> CheckResult:
     return _collect("helstrom-explicit", [deltas], tol_scale)
 
 
-def check_estimation_saturation(seed, tol_scale=1.0) -> CheckResult:
-    # |empirical variance * QFI - 1| per tested eta.
-    deltas = []
-    for eta in (0.0, 0.3, 0.6, -0.9):
-        report = metrology.simulate_estimation(eta, n=1000, trials=40_000, seed=seed)
-        deltas.append(abs(report.empirical_variance * report.qfi - 1.0))
-    return _collect("estimation-saturation", [deltas], tol_scale)
-
-
 def check_delta_s_sign(tol_scale=1.0) -> CheckResult:
     # Directed-entropy asymmetry must be strictly negative for |eta| > |zeta|.
     etas = discrimination.eta_grid(0.05)[1:-1]
@@ -385,7 +391,6 @@ def run_verification(
         *check_qcb_isotropic_oracle(iso_dims, tol_scale),
         *check_teleport(seed, tol_scale),
         check_helstrom_explicit(tol_scale),
-        check_estimation_saturation(seed, tol_scale),
         check_delta_s_sign(tol_scale),
         check_sandwich_ordering(grid_step, tol_scale),
     )

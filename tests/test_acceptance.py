@@ -106,14 +106,12 @@ def test_criterion_04_substitution_identity():
 
 
 def test_criterion_05_qcrb_reproduction():
-    # QFI against 8 (1 - F) / delta^2, F from explicit d = 3 states: no shared numerics
-    worst_rel, delta = 0.0, 1e-4
-    for eta in [(2 * i - 18) / 20 for i in range(19)]:      # -0.9 .. 0.9
-        f = linalg.bures_fidelity_numeric(
-            states.werner_state(eta, 3), states.werner_state(eta + delta, 3)
-        )
-        fd = 8.0 * (1.0 - f) / (delta * delta)
-        worst_rel = max(worst_rel, abs(fd / metrology.qfi_werner(eta) - 1.0))
+    # QFI against the SLD sum on explicit d = 3 states, whole, with the exact derivative
+    # (W(1) - W(-1))/2 (W is affine in eta): no shared numerics
+    etas = [(2 * i - 18) / 20 for i in range(19)]          # -0.9 .. 0.9
+    d_rho = (states.werner_state(1.0, 3) - states.werner_state(-1.0, 3)) / 2.0
+    sld = linalg.sld_qfi_kernel(linalg.clamped_spectrum(states.werner_state(etas, 3)), d_rho)
+    worst_rel = max(abs(f / metrology.qfi_werner(eta) - 1.0) for f, eta in zip(sld, etas))
     ratios = []
     for eta in (0.0, 0.3, 0.6, -0.9):
         rep = metrology.simulate_estimation(eta, n=1000, trials=10_000, seed=SEED)
@@ -134,8 +132,8 @@ def test_criterion_05_qcrb_reproduction():
     )
     report(
         5,
-        worst_rel <= 1e-3 and saturated and no_dim and cross_d,
-        f"variance floor: matrix finite-difference worst rel err {worst_rel:.3e} (tol 1e-3), "
+        worst_rel <= 1e-12 and saturated and no_dim and cross_d,
+        f"variance floor: matrix SLD worst rel err {worst_rel:.3e} (tol 1e-12), "
         f"Monte-Carlo saturation ratios {[round(r, 4) for r in ratios]} in [0.95, 1.05], "
         f"dimension-free structurally and against the oracle across d",
     )

@@ -895,3 +895,65 @@ class TestQcbKernels:
         _, ds = _batch([(rand_density(9, 1), rand_density(9, 2))])
         with pytest.raises(DimensionMismatchError):
             linalg.qcb_kernels(dr, ds)
+
+
+class TestSldQfiKernel:
+    """The SLD sum 2 sum |<i|d_rho|j>|^2 / (l_i + l_j) against families with known information."""
+
+    def test_commuting_family_is_the_classical_information(self):
+        # diag(p) moved along diag(dp): sum dp^2 / p over the support, an eigenvalue 0
+        # (with dp 0 there) adding nothing
+        p = np.array([0.0, 0.1, 0.2, 0.3, 0.4])
+        dp = np.array([0.0, 0.05, -0.15, 0.02, 0.08])
+        got = linalg.sld_qfi_kernel(linalg.clamped_spectrum(np.diag(p)), np.diag(dp))
+        assert got == pytest.approx(np.sum(dp[1:] ** 2 / p[1:]), rel=1e-14)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.3, 1.2])
+    def test_pure_families(self, theta):
+        # rank one, so only pairs touching the support count: 4 (<d psi|d psi> -
+        # |<psi|d psi>|^2) is 4 for a real rotation in a qutrit and 1 for the phase of
+        # (|0> + e^(i theta)|1>) / sqrt 2
+        for psi, d_psi, info in (
+            ([math.cos(theta), math.sin(theta), 0.0], [-math.sin(theta), math.cos(theta), 0.0], 4.0),
+            (np.array([1.0, np.exp(1j * theta)]) / math.sqrt(2),
+             np.array([0.0, 1j * np.exp(1j * theta)]) / math.sqrt(2), 1.0),
+        ):
+            psi, d_psi = np.asarray(psi), np.asarray(d_psi)
+            d_rho = np.outer(d_psi, psi.conj()) + np.outer(psi, d_psi.conj())
+            got = linalg.sld_qfi_kernel(linalg.clamped_spectrum(np.outer(psi, psi.conj())), d_rho)
+            assert got == pytest.approx(info, rel=1e-14)
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_flip_sectors_sum_to_the_whole_state(self, d):
+        # Werner states decomposed whole and in the eigenbasis of the flip, where the
+        # derivative (W(1) - W(-1))/2 is block-diagonal too: both read 1 / (1 - eta^2)
+        etas = [-0.9, -0.2, 0.0, 1 / 3, 0.8]
+        d_rho = (states.werner_state(1.0, d) - states.werner_state(-1.0, d)) / 2.0
+        whole = linalg.sld_qfi_kernel(linalg.clamped_spectrum(states.werner_state(etas, d)), d_rho)
+        flip = linalg.eigh(states.flip_operator(d))
+        u, a = flip.eigenvectors, int(np.count_nonzero(flip.eigenvalues < 0.0))
+        rot, d_rot = (u.T @ x @ u for x in (states.werner_state(etas, d), d_rho))
+        sectors = linalg.sld_qfi_kernel(
+            [linalg.clamped_spectrum(rot[:, :a, :a]), linalg.clamped_spectrum(rot[:, a:, a:])],
+            [d_rot[:a, :a], d_rot[a:, a:]],
+        )
+        exact = 1.0 / (1.0 - np.square(etas))
+        assert whole.shape == sectors.shape == (len(etas),)
+        assert np.abs(whole / exact - 1.0).max() <= 1e-14
+        assert np.abs(sectors / exact - 1.0).max() <= 1e-14
+
+    def test_stack_members_are_their_own_calls(self):
+        mats = np.stack([rand_density(4, 700 + i) for i in range(5)])
+        d_rho = rand_hermitian(4, 7)
+        d_rho -= np.trace(d_rho) / 4 * np.eye(4)
+        decs = linalg.clamped_spectrum(mats)
+        got = linalg.sld_qfi_kernel(decs, d_rho)
+        assert got.shape == (5,)
+        for k, value in enumerate(got):
+            assert value == linalg.sld_qfi_kernel(decs[k], d_rho)
+
+    def test_empty_stack_and_unmatched_sectors(self):
+        empty = linalg.EigenDecomposition(np.empty((0, 3)), np.empty((0, 3, 3)))
+        assert linalg.sld_qfi_kernel(empty, np.eye(3)).shape == (0,)
+        with pytest.raises(ValueError):
+            linalg.sld_qfi_kernel([empty, empty], [np.eye(3)])

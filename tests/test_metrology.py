@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wernerlab import linalg, metrology, states
+from wernerlab import linalg, metrology, states, verify
 from wernerlab.errors import DimensionOverflowError, InvalidParameterError
 
 SEED = 20260808
@@ -196,6 +196,38 @@ class TestSimulateEstimation:
         monkeypatch.setattr(np.random, "default_rng", None)  # never reached
         with pytest.raises(DimensionOverflowError, match="range of a double"):
             metrology.simulate_estimation(0.5, 10**400, 3, seed=0)
+
+
+# the sampler's saturation check: the points, probes and trials that verify's
+# estimation-saturation check drew on every run before the exact Fisher-information rows
+# replaced it
+SATURATION_ETAS, SATURATION_N, SATURATION_TRIALS = (0.0, 0.3, 0.6, -0.9), 1000, 40_000
+
+
+def saturation_worst(seed) -> float:
+    # the largest |empirical variance x QFI - 1| over the points: a sample variance of
+    # T = 40,000 draws has relative standard error sqrt(2 / (T - 1)) = sqrt(2/39999),
+    # about 0.0071, so the 5 % gate sits 7 standard errors out
+    return max(
+        abs(r.empirical_variance * r.qfi - 1.0)
+        for r in (
+            metrology.simulate_estimation(eta, SATURATION_N, SATURATION_TRIALS, seed)
+            for eta in SATURATION_ETAS
+        )
+    )
+
+
+# 417147895 is a seed at which a 10,000-trial run of this check once failed on working code
+@pytest.mark.parametrize("seed", [verify.DEFAULT_SEED, 417147895])
+def test_estimation_saturates_the_variance_floor(seed):
+    assert saturation_worst(seed) <= 0.05
+
+
+def test_estimation_saturation_worst_is_pinned():
+    # bit-identity guard on the seeded Monte-Carlo stream (one default_rng
+    # per simulation): a stream change that still passed statistically would
+    # move this value, 1.3 standard errors of a 40,000-trial variance ratio
+    assert saturation_worst(verify.DEFAULT_SEED) == 0.009367495297383677
 
 
 class TestSingleStream:

@@ -2,7 +2,7 @@
 
 ``COVERAGE`` names each entry of ``__all__`` of the closed-form modules.  A
 closed form maps to the oracle-backed checks of a run that compare it, or an
-input they read, with a matrix-level or Monte-Carlo route; every other name is
+input they read, with a matrix-level route; every other name is
 an exception, with its reason.  A name that lands in ``__all__`` without an
 entry fails here, so a new closed form cannot ship unchecked by accident.
 """
@@ -37,9 +37,9 @@ COVERAGE = {
     "discrimination.eta_grid": "the grid builder both routes share, not a closed form",
     "metrology.TRIAL_CAP": "an input cap",
     "metrology.EstimationReport": "the result type of simulate_estimation",
-    "metrology.qfi_werner": ("estimation-saturation",),
+    "metrology.qfi_werner": ("qfi-oracle", "qfi-attained"),
     "metrology.qcrb_variance": "1/qfi_werner, (1 - eta^2)/n",
-    "metrology.simulate_estimation": "the Monte-Carlo oracle of estimation-saturation",
+    "metrology.simulate_estimation": "the Monte-Carlo sampler, tested in tier-1 (test_metrology)",
 }
 MAPPED = [name for name, entry in COVERAGE.items() if not isinstance(entry, str)]
 
@@ -65,7 +65,7 @@ def test_mapped_closed_forms_reach_oracle_checks(name, check_names):
 
 @pytest.mark.parametrize("name", MAPPED)
 def test_a_run_calls_each_mapped_closed_form(monkeypatch, name):
-    # the closed form counted where verify and the Monte-Carlo route read it
+    # the closed form counted where verify reads it
     module, attr = name.split(".")
     real, calls = getattr(MODULES[module], attr), []
     monkeypatch.setattr(MODULES[module], attr, lambda *a: calls.append(a) or real(*a))

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wernerlab import cli, discrimination, linalg, metrics, states, teleport, verify
+from wernerlab import cli, discrimination, linalg, metrics, metrology, states, teleport, verify
 from wernerlab.errors import DimensionOverflowError, InvalidParameterError, NotUnitaryError
 
 # points examined by each check of one default run_verification()
@@ -26,10 +26,11 @@ DEFAULT_POINTS = {
     "fidelity-gap-oracle": 2205,
     "flip-sector-residual": 105,
     "delta-s-oracle": 1805,
+    "qfi-oracle": 95,
+    "qfi-attained": 95,
     "teleport-simulation": 200,
     "teleport-covariance": 200,
     "helstrom-explicit": 12,
-    "estimation-saturation": 4,
     "delta-s-sign": 722,
     "sandwich-ordering": 8820,
 }
@@ -58,10 +59,11 @@ def test_the_check_table_is_pinned():
         ("fidelity-gap-oracle", 1e-12),
         ("flip-sector-residual", 1e-12),
         ("delta-s-oracle", 1e-12),
+        ("qfi-oracle", 1e-12),
+        ("qfi-attained", 1e-12),
         ("teleport-simulation", 1e-10),
         ("teleport-covariance", 1e-10),
         ("helstrom-explicit", 1e-10),
-        ("estimation-saturation", 0.05),
         ("delta-s-sign", 0.0),
         ("sandwich-ordering", 1e-10),
     ]
@@ -122,6 +124,8 @@ def test_qcb_sweep_decomposes_each_state_once(monkeypatch):
         "qs-oracle": 3 * 19 * 18,
         "flip-sector-residual": 21,
         "delta-s-oracle": 19 * 19,
+        "qfi-oracle": 19,
+        "qfi-attained": 19,
     }
     assert Counter(calls) == {(3, 3): 21, (6, 6): 21, (9, 9): 1 + 19}
 
@@ -297,14 +301,14 @@ def test_default_run_point_counts(monkeypatch):
     # sector, 5 x 231 x 2 each, and each Werner state is decomposed once per sector,
     # 5 x 21 x 2, beside the five flips: 5,331 smaller matrices (2,911 while each whole
     # state and pair was decomposed, 5,011 while each ordered pair was); the results
-    # come in the table's order at its tolerances, 31,875 points (28,797 before the
-    # Q_s oracle's 3,078, which decomposes nothing)
+    # come in the table's order at its tolerances, 32,061 points; neither the Q_s
+    # oracle's 3,078 nor the Fisher-information rows' 2 x 95 decompose anything
     calls = count_eigh(monkeypatch)
     results = verify.run_verification()
     assert [(r.name, r.points, r.tol) for r in results] == [
         (name, DEFAULT_POINTS[name], tol) for name, tol in verify.CHECKS.items()
     ]
-    assert sum(r.points for r in results) == 31_875
+    assert sum(r.points for r in results) == 32_061
     assert len(calls) == 5331
 
 
@@ -315,7 +319,8 @@ def test_default_run_counted_work(monkeypatch):
     # made 24 calls when each built and decomposed its own; 180 and 14 while the
     # substitution identity built its own Werner stack; 123 and 11 while each whole
     # Werner stack was decomposed); a stacked call counts each state it builds, and there
-    # are 15 calls: one stack per Werner sweep and teleport dimension, 8 scalar ones
+    # are 15 calls: one stack per Werner sweep and teleport dimension, 8 scalar ones; the
+    # Fisher-information rows build and decompose nothing, reading the sweep's own stack
     calls, built, lapack = [], [], []
     werner, eigh = states.werner_state, np.linalg.eigh
 
@@ -333,11 +338,41 @@ def test_default_run_counted_work(monkeypatch):
     assert len(lapack) == 21
 
 
-def test_estimation_saturation_worst_is_pinned():
-    # bit-identity guard on the seeded Monte-Carlo stream (one default_rng
-    # per simulation): a stream change that still passed statistically would
-    # move this value, 1.3 standard errors of a 40,000-trial variance ratio
-    assert verify.check_estimation_saturation(20260808).worst == 0.009367495297383677
+# the two Fisher-information rows: the SLD sum (the bound) and the symmetric projector's
+# classical information (its attainment)
+QFI_ROWS = ("qfi-oracle", "qfi-attained")
+
+
+def test_fisher_information_worsts_are_pinned(default_werner_oracles):
+    # bit-identity guard on both rows at the default grid and dims, 19 interior states
+    # a dimension, each |value / qfi_werner - 1|
+    sld, attained = (default_werner_oracles[name] for name in QFI_ROWS)
+    assert sld.points == attained.points == DEFAULT_POINTS["qfi-oracle"] == 5 * 19
+    assert sld.worst == float.fromhex("0x1.6p-49")
+    assert attained.worst == float.fromhex("0x1.88p-48")
+
+
+def test_scaled_fisher_information_fails_both_rows_alone(monkeypatch):
+    # qfi_werner off by a factor 1 + 1e-9 fails both rows on every interior point (3 a
+    # dimension at grid 0.5), and no other check; the Monte-Carlo check these rows
+    # replaced, gated at 5 %, passed a factor 1.01
+    exact = metrology.qfi_werner
+    monkeypatch.setattr(metrology, "qfi_werner", lambda eta, n=1: exact(eta, n) * (1 + 1e-9))
+    results = verify.run_verification(grid_step=0.5, dims=(2, 3))
+    failed = [r for r in results if not r.passed]
+    assert [r.name for r in failed] == list(QFI_ROWS)
+    assert all(r.failures == r.points == 2 * 3 for r in failed)
+
+
+def test_an_sld_kernel_that_drops_a_sector_fails_the_oracle_alone(monkeypatch):
+    # the symmetric sector's sum alone is 1/(2(1 + eta)), not 1/(1 - eta^2), on every
+    # interior point; the attained row reads no kernel
+    real = linalg.sld_qfi_kernel
+    monkeypatch.setattr(linalg, "sld_qfi_kernel", lambda decs, d_rhos: real(decs[1:], d_rhos[1:]))
+    results = verify.run_verification(grid_step=0.5, dims=(2, 3))
+    failed = [r for r in results if not r.passed]
+    assert [r.name for r in failed] == ["qfi-oracle"]
+    assert failed[0].failures == failed[0].points == 2 * 3
 
 
 def test_qcb_oracle_worst_is_pinned(default_werner_oracles):
@@ -404,9 +439,9 @@ def test_shifted_isotropic_chernoff_minimiser_is_caught(monkeypatch):
 def test_pair_oracle_worst_is_pinned(default_werner_oracles, name, worst):
     # bit-identity guard on the stacked per-pair oracles at the default grid
     # and dims: a change to their numerics that still passed would move these; the
-    # sweep's twelve results come in the table's order
+    # sweep's fourteen results come in the table's order
     names = list(default_werner_oracles)
-    assert len(names) == 12 and names == [n for n in verify.CHECKS if n in names]
+    assert len(names) == 14 and names == [n for n in verify.CHECKS if n in names]
     result = default_werner_oracles[name]
     assert result.points == 2205
     assert result.worst == float.fromhex(worst)
@@ -475,6 +510,15 @@ def test_qcb_checks_without_pairs_fail():
     assert residual.points == 3 and residual.passed
     # the one interior point, eta = 0, against itself
     assert asym.points == 1 and asym.passed
+    # and that point's Fisher information, both ways
+    assert all(results[name].points == 1 and results[name].passed for name in QFI_ROWS)
+
+
+def test_fisher_information_rows_without_an_interior_fail():
+    # grid 2.0 is eta = -1, 1 alone, where the information is infinite: no point, so
+    # both rows fail
+    results = by_name(verify.run_verification(grid_step=2.0, dims=(2,)))
+    assert all(results[name].points == 0 and not results[name].passed for name in QFI_ROWS)
 
 
 def _triangle(blocks) -> list[tuple[int, int]]:
@@ -581,7 +625,7 @@ def test_closed_forms_are_tabulated_once_per_grid(monkeypatch):
 
         monkeypatch.setattr(metrics, name, counting)
     results = verify.check_werner_oracles(0.1, (2, 3, 4, 5, 6), (2, 3, 4))
-    assert len(results) == 12
+    assert len(results) == 14
     assert all(r.points == DEFAULT_POINTS[r.name] for r in results)
     assert calls == {
         "fidelity_werner": 441,
