@@ -8,7 +8,6 @@ from .linalg import (
     EigenDecomposition,
     bures_fidelity_numeric,
     eigh,
-    partial_transpose,
     qcb_numeric,
     relative_entropy_numeric,
     tensor_product,
@@ -36,7 +35,6 @@ from .states import (
     choi_matrix,
     flip_operator,
     isotropic_state,
-    max_entangled_ket,
     max_entangled_operator,
     werner_state,
 )
@@ -50,7 +48,6 @@ __all__ = [
     "EigenDecomposition",
     "bures_fidelity_numeric",
     "eigh",
-    "partial_transpose",
     "qcb_numeric",
     "relative_entropy_numeric",
     "tensor_product",
@@ -72,7 +69,6 @@ __all__ = [
     "choi_matrix",
     "flip_operator",
     "isotropic_state",
-    "max_entangled_ket",
     "max_entangled_operator",
     "werner_state",
     "covariance_check",

@@ -227,16 +227,22 @@ def _cmd_relent(args) -> dict:
 
 
 def _cmd_qcb(args) -> dict:
-    if args.isotropic:
-        if None in (args.alpha, args.beta, args.d):
-            raise WernerLabError("--isotropic requires --alpha, --beta and --d")
-        params = {"alpha": args.alpha, "beta": args.beta, "d": args.d}
-        result = metrics.qcb_isotropic(**params)
-    else:
-        if None in (args.eta, args.zeta):
-            raise WernerLabError("qcb requires --eta and --zeta (or --isotropic)")
-        params = {"eta": args.eta, "zeta": args.zeta}
-        result = metrics.qcb_werner(**params)
+    flip, isotropic = ("eta", "zeta"), ("alpha", "beta", "d")
+    names, other = (isotropic, flip) if args.isotropic else (flip, isotropic)
+    # a flag of the other family would go unread, its value unchecked
+    stray = ", ".join(f"--{k}" for k in other if getattr(args, k) is not None)
+    if stray:
+        raise WernerLabError(
+            f"--isotropic does not read {stray}" if args.isotropic
+            else f"{stray} need --isotropic"
+        )
+    params = {k: getattr(args, k) for k in names}
+    if None in params.values():
+        raise WernerLabError(
+            "--isotropic requires --alpha, --beta and --d" if args.isotropic
+            else "qcb requires --eta and --zeta (or --isotropic)"
+        )
+    result = (metrics.qcb_isotropic if args.isotropic else metrics.qcb_werner)(**params)
     return _record("qcb", params, asdict(result))
 
 
@@ -255,6 +261,7 @@ def _cmd_estimate(args) -> dict:
         "qfi": metrology.qfi_werner(args.eta, args.n),
         "qcrb_variance": metrology.qcrb_variance(args.eta, args.n),
     }
+    metrology._check_draws(args.trials, args.seed)  # unread here, but checked as sim checks them
     return _record("estimate", {"eta": args.eta, "n": args.n}, results)
 
 

@@ -174,19 +174,6 @@ def tensor_product(a, b) -> np.ndarray:
     return np.kron(a, b)
 
 
-def partial_transpose(a, d: int) -> np.ndarray:
-    """Transpose the second factor of an operator on a d x d bipartite space."""
-    a = _as_square(a)
-    if a.shape[0] != d * d:
-        raise DimensionMismatchError(
-            f"expected a {d * d} x {d * d} matrix for local dimension {d}, "
-            f"got {a.shape[0]} x {a.shape[0]}"
-        )
-    return (
-        a.reshape(d, d, d, d).transpose(0, 3, 2, 1).reshape(d * d, d * d).copy()
-    )
-
-
 def clamped_spectrum(rho, name: str = "rho") -> EigenDecomposition:
     """Eigendecomposition of a state with round-off zeros snapped to 0.0.
 

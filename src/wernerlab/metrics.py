@@ -278,13 +278,6 @@ _HELSTROM_BLOCK = 1 << 15
 # for every n up to 5000, far below half an ulp of it.  At n = 1000 on the 0.01 grid only
 # about 16 % of the terms lie above the cut.
 _WINDOW = 60.0
-# Every finite class minimum is at least n log((1 - m)/2), m the largest |eta| < 1 among a
-# call's etas and zetas (eta = +/-1 gives only the finite term 0), and each row's peak is at
-# most 0; so when that bound exceeds -_WINDOW by this slack, nothing finite lies at or below
-# any row's cut and the rows' peaks are not taken.  It can hold only for n < 87 (n log 1/2 >
-# -60), where the computed terms and peaks stay within 1e-11 of their exact values
-# (under 2e-13 measured on the 0.01 grid).
-_WINDOW_SLACK = 1e-9
 # exp is exactly +0.0 below -745.1332 in float64, so terms at or below this floor are 0
 # whatever their row: the floor binds only on rows whose peak lies below -690, which
 # still get their subnormal sum, and on -inf rows.  numpy's SIMD exp takes a slow path on
@@ -309,22 +302,11 @@ def _log_binomials(n: int) -> np.ndarray:
     return np.array(logs + logs[(n - 1) // 2 :: -1])
 
 
-def _floor_only(etas, zetas, n: int) -> bool:
-    # the O(rows) pre-test of _WINDOW_SLACK for one _helstrom_rows call; from n = 87 on,
-    # n log(1/2) alone fails it, and no eta or zeta is read
-    if n * math.log(2.0) >= _WINDOW - _WINDOW_SLACK:
-        return False
-    spread = np.abs(np.concatenate([etas, zetas]))
-    m = spread.max(initial=0.0, where=spread < 1.0)  # a NaN is not below 1
-    return n * (math.log1p(-m) - math.log(2.0)) > _WINDOW_SLACK - _WINDOW
-
-
 def _helstrom_rows(etas, zetas, n: int) -> np.ndarray:
     # helstrom_multicopy_werner for every eta against every zeta at one
     # validated copy count, in log space, shape (len(zetas), len(etas)).  k log 0 is
     # 0 at k = 0, as is (n - k) log 0 at k = n.  Each row exponentiates only the class
-    # minima above its cut (see _WINDOW); the rest are +0.0.  Where the O(rows) pre-test of
-    # _WINDOW_SLACK holds, the cut is the floor alone, which floors the same terms.
+    # minima above its cut (see _WINDOW); the rest are +0.0.
     log_base = _log_binomials(n) - n * math.log(2.0)
     k = np.arange(n + 1.0)
     rest = n - k
@@ -342,7 +324,6 @@ def _helstrom_rows(etas, zetas, n: int) -> np.ndarray:
         return buf[: math.prod(shape)].reshape(shape)
 
     etas, zetas = np.asarray(etas, dtype=float), np.asarray(zetas, dtype=float)
-    floor_only = _floor_only(etas, zetas, n)
     log_zetas = log_weights(zetas[:, None])[:, None, :]
     rows = np.empty((len(zetas), len(etas)))
     # an eta block holds at most ``step`` etas and a (zeta, eta) block at most ``step``
@@ -362,10 +343,7 @@ def _helstrom_rows(etas, zetas, n: int) -> np.ndarray:
             shape = (len(zetas[z]), *block.shape)
             terms = np.minimum(block, log_zetas[z], out=lead(minima, *shape))
             # a NaN row has a NaN cut: nothing is at or below it, so the NaN goes through exp
-            # (under the floor alone only a -inf is floored, whose exp is +0.0 as well)
-            cut = _EXP_FLOOR if floor_only else np.maximum(
-                terms.max(-1, keepdims=True) - _WINDOW, _EXP_FLOOR
-            )
+            cut = np.maximum(terms.max(-1, keepdims=True) - _WINDOW, _EXP_FLOOR)
             floor = np.less_equal(terms, cut, out=lead(under, *shape))
             np.exp(terms, out=terms, where=np.logical_not(floor, out=lead(keep, *shape)))
             np.copyto(terms, 0.0, where=floor)

@@ -71,6 +71,11 @@ class EstimationReport:
     seed: int
 
 
+def _check_draws(trials: int, seed: int) -> tuple[int, int]:
+    # the trial count and seed of a simulation, validated
+    return _check_positive_int(trials, "trial count", TRIAL_CAP), _check_seed(seed)
+
+
 def simulate_estimation(eta: float, n: int, trials: int, seed: int) -> EstimationReport:
     """Monte-Carlo estimation of eta from n symmetric-projector measurements.
 
@@ -90,8 +95,7 @@ def simulate_estimation(eta: float, n: int, trials: int, seed: int) -> Estimatio
     if abs(eta) == 1.0:
         raise InvalidParameterError("simulation requires |eta| < 1")
     n = _check_positive_int(n, "probe count", np.iinfo(np.int64).max)  # binomial takes a C long
-    trials = _check_positive_int(trials, "trial count", TRIAL_CAP)
-    seed = _check_seed(seed)
+    trials, seed = _check_draws(trials, seed)
 
     p = (1.0 + eta) / 2.0
     estimates = np.empty(trials)

@@ -1,10 +1,10 @@
 """Two-qudit exchange-symmetric states and the matching channels.
 
 Basis convention: the computational product basis is ordered |ij> = i*d + j
-throughout the package.  The flip and maximally entangled operators, the
-partial transpose, and the teleportation simulator all rely on it.  The
-flip and maximally entangled operators and the Werner and isotropic states
-are real (float64) arrays.
+throughout the package.  The flip and maximally entangled operators and the
+teleportation simulator rely on it.  The flip and maximally entangled
+operators and the Werner and isotropic states are real (float64) arrays.
+The channels keep the float and int their checks return, not the raw values.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .linalg import TENSOR_DIM_CAP
 
 __all__ = [
     "flip_operator",
-    "max_entangled_ket",
     "max_entangled_operator",
     "werner_state",
     "isotropic_state",
@@ -107,14 +106,6 @@ def flip_operator(d: int) -> np.ndarray:
     return _permuted_identity(_check_pair_dim(d), (0, 1, 3, 2))
 
 
-def max_entangled_ket(d: int) -> np.ndarray:
-    """Normalised maximally entangled vector d^(-1/2) sum_i |ii>."""
-    d = _check_dim(d)
-    phi = np.zeros(d * d)
-    phi[np.arange(d) * d + np.arange(d)] = 1.0 / np.sqrt(d)
-    return phi
-
-
 def max_entangled_operator(d: int) -> np.ndarray:
     """Unnormalised projector M = sum_ij |ii><jj| (= d |Phi><Phi|), exactly 0/1."""
     return _permuted_identity(_check_pair_dim(d), (0, 2, 1, 3))
@@ -185,8 +176,8 @@ class HWChannel:
     d: int
 
     def __post_init__(self):
-        _check_eta(self.eta)
-        _check_dim(self.d)
+        object.__setattr__(self, "eta", _check_eta(self.eta))
+        object.__setattr__(self, "d", _check_dim(self.d))
 
     def apply(self, x) -> np.ndarray:
         x = _check_input_dim(x, self.d)
@@ -209,8 +200,8 @@ class DepolarizingChannel:
     d: int
 
     def __post_init__(self):
-        _check_dim(self.d)
-        _check_alpha(self.alpha, self.d)
+        object.__setattr__(self, "d", _check_dim(self.d))
+        object.__setattr__(self, "alpha", _check_alpha(self.alpha, self.d))
 
     def apply(self, x) -> np.ndarray:
         x = _check_input_dim(x, self.d)

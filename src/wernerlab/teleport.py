@@ -22,9 +22,14 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DimensionOverflowError, NotUnitaryError
+from .errors import (
+    DimensionMismatchError,
+    DimensionOverflowError,
+    InvalidParameterError,
+    NotUnitaryError,
+)
 from .linalg import TENSOR_DIM_CAP, _blocks, _dagger, _first, trace_distance_numeric
-from .states import HWChannel, _check_dim
+from .states import HWChannel, _check_dim, _is_int
 
 __all__ = [
     "weyl_unitary",
@@ -36,8 +41,13 @@ UNITARY_TOL = 1e-10
 
 
 def weyl_unitary(a: int, b: int, d: int) -> np.ndarray:
-    """Shift/phase unitary X^a Z^b with X|j> = |j+1 mod d>, Z|j> = w^j |j>."""
+    """Shift/phase unitary X^a Z^b with X|j> = |j+1 mod d>, Z|j> = w^j |j>.
+
+    The labels a and b are integers (numpy integers too), taken mod d."""
     d = _check_dim(d)
+    for label in (a, b):
+        if not _is_int(label):
+            raise InvalidParameterError(f"Weyl label must be an integer, got {label!r}")
     a, b = int(a) % d, int(b) % d
     omega = np.exp(2j * np.pi / d)
     u = np.zeros((d, d), dtype=complex)

@@ -200,9 +200,35 @@ class TestExitCodes:
         assert cli.main(["qcb", "--isotropic", "--alpha", "1"]) == 1
 
     @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["qcb", "--isotropic", "--alpha", "1", "--beta", "1.5", "--d", "2", "--eta", "5"],
+             "--isotropic does not read --eta"),
+            (["qcb", "--isotropic", "--alpha", "1", "--beta", "1.5", "--d", "2", "--zeta", "0"],
+             "--isotropic does not read --zeta"),
+            (["qcb", "--eta", "0.1", "--zeta", "0.2", "--d", "-3"], "--d need --isotropic"),
+            (["qcb", "--eta", "0.1", "--zeta", "0.2", "--alpha", "99", "--beta", "1"],
+             "--alpha, --beta need --isotropic"),
+            (["estimate", "--eta", "0.3", "--n", "10", "--trials", "0"],
+             "trial count must be a positive integer, got 0"),
+            (["estimate", "--eta", "0.3", "--n", "10", "--trials", "10000001"],
+             "trial count 10000001 exceeds cap 10000000"),
+        ],
+    )
+    def test_a_flag_the_mode_does_not_read_is_still_checked(self, capsys, argv, message):
+        # each exited 0 once: qcb names the other family's flags, and plain estimate
+        # checks --trials (and --seed) as estimate sim does, with its messages
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert message in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["estimate", "sim", "--eta", "0.3", "--n", "100", "--seed", "-1"],
+            ["estimate", "--eta", "0.3", "--n", "100", "--seed", "-1"],
             ["verify", "--seed", "-1"],
             ["teleport-check", "--d", "2", "--eta", "0.5", "--seed", "-1"],
         ],

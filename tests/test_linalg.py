@@ -93,35 +93,6 @@ class TestTensorProduct:
             linalg.tensor_product(np.eye(70), np.eye(70))
 
 
-class TestPartialTranspose:
-    def test_product_state(self):
-        rho = rand_density(3, 1)
-        sigma = rand_density(3, 2)
-        out = linalg.partial_transpose(linalg.tensor_product(rho, sigma), 3)
-        assert np.abs(out - linalg.tensor_product(rho, sigma.T)).max() <= 1e-14
-
-    @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_involution(self, d):
-        a = rand_hermitian(d * d, seed=d)
-        out = linalg.partial_transpose(linalg.partial_transpose(a, d), d)
-        assert np.abs(out - a).max() <= 1e-14
-
-    @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_flip_maps_to_entangled_operator(self, d):
-        got = linalg.partial_transpose(states.flip_operator(d), d)
-        assert np.abs(got - states.max_entangled_operator(d)).max() <= 1e-13
-
-    @pytest.mark.parametrize("d", [2, 3])
-    @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
-    def test_werner_pt_is_isotropic_below_one(self, alpha, d):
-        got = linalg.partial_transpose(states.werner_state(alpha, d), d)
-        assert np.abs(got - states.isotropic_state(alpha, d)).max() <= 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            linalg.partial_transpose(np.eye(6), 2)
-
-
 class TestDensityMatrixValidation:
     """The state checks that every matrix oracle runs, in ``clamped_spectrum``."""
 

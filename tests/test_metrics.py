@@ -657,61 +657,20 @@ class TestHelstromSkipsExactZeros:
     @pytest.mark.parametrize("step, n", [*((0.1, n) for n in range(1, 22)),
                                          *((0.01, n) for n in (1, 10, 11, 12, 20, 21))])
     def test_grid_rows_equal_the_unmasked_sum(self, step, n):
-        # with (n <= 20 at 0.1, n <= 11 at 0.01) and without the floor-only pre-test
+        # n <= 20 at 0.1 and n <= 11 at 0.01, where no finite term reaches a cut, and beyond
         grid = discrimination.eta_grid(step)
         got = metrics._helstrom_rows(grid, grid, n)
         assert got.tobytes() == unmasked_rows(grid, grid, n).tobytes()
-
-    @pytest.mark.parametrize(
-        "params, holds, fails",
-        [
-            ([0.9, -0.9, 0.0, 1.0, -1.0], 20, 21),  # 20 log 0.05 = -59.9, 21 log 0.05 = -62.9
-            (discrimination.eta_grid(0.01), 11, 12),  # the largest |eta| < 1 is 0.99
-            ([0.0, 1.0, math.nan, 2.0], 86, 87),  # only |eta| < 1 counts: n log(1/2) > -60
-        ],
-    )
-    def test_the_pre_test_holds_below_its_bound(self, params, holds, fails):
-        assert metrics._floor_only(params[:2], params[2:], holds)
-        assert not metrics._floor_only(params[:2], params[2:], fails)
-        assert not metrics._floor_only([0.0], [0.0], 100)
-
-    @pytest.mark.parametrize("n", [1, 2, 20, 21, 50, 86])
-    def test_log_weights_are_within_the_slack(self, n):
-        # the pre-test's premise: below n = 87 the log weights, built as the kernel builds
-        # them, are within 1e-11 of their exact values (measured on the 0.1 grid)
-        etas = np.array(discrimination.eta_grid(0.1)[1:-1])
-        got = log_class_weights(etas[:, None], n)
-        with mpmath.workdps(40):
-            exact = [
-                [float(mpmath.log(mpmath.binomial(n, k)) + k * mpmath.log((1 + mpmath.mpf(e)) / 2)
-                       + (n - k) * mpmath.log((1 - mpmath.mpf(e)) / 2)) for k in range(n + 1)]
-                for e in etas.tolist()
-            ]
-        assert np.abs(got - np.array(exact)).max() < 1e-11 < metrics._WINDOW_SLACK
-
-    def test_under_the_pre_test_no_finite_term_reaches_a_cut(self):
-        # where it holds, every row's cut lies below its finite class minima, so the floor
-        # alone floors the same (infinite) terms
-        for step, ns in ((0.1, range(1, 21)), (0.01, range(1, 12))):
-            grid = np.array(discrimination.eta_grid(step))
-            for n in ns:
-                assert metrics._floor_only(grid, grid, n)
-                block = log_class_weights(grid[:, None], n)
-                for zeta in grid:
-                    terms = np.minimum(block, log_class_weights(zeta, n))
-                    cut = terms.max(-1, keepdims=True) - metrics._WINDOW
-                    assert not np.any(np.isfinite(terms) & (terms <= cut))
 
     def test_a_nan_weight_goes_through_exp(self):
         rows = metrics._helstrom_rows([math.nan, 0.5], [0.3], 1000)
         assert math.isnan(rows[0, 0])
         assert rows[0, 1] == unmasked_rows([0.5], [0.3], 1000)[0, 0]
 
-    def test_a_nan_weight_goes_through_exp_under_the_pre_test(self):
-        # n = 5 passes the floor-only pre-test: the NaN row stays NaN and the rest, a -inf
+    def test_a_nan_weight_goes_through_exp_at_small_n(self):
+        # at n = 5 no finite term reaches a cut: the NaN row stays NaN and the rest, a -inf
         # minimum at eta = 1 against zeta = -1 among them, are the unmasked sums
         rows = metrics._helstrom_rows([math.nan, 0.5, 1.0], [0.3, -1.0], 5)
-        assert metrics._floor_only([math.nan, 0.5, 1.0], [0.3, -1.0], 5)
         assert np.isnan(rows[:, 0]).all()
         assert rows[:, 1:].tobytes() == unmasked_rows([0.5, 1.0], [0.3, -1.0], 5).tobytes()
 

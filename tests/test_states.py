@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,18 @@ class _IdentityChannel:
 
     def apply(self, x):
         return np.asarray(x, dtype=complex)
+
+
+def _phi(d):
+    # the normalised maximally entangled ket d^(-1/2) sum_i |ii>
+    phi = np.zeros(d * d)
+    phi[np.arange(d) * d + np.arange(d)] = 1.0 / np.sqrt(d)
+    return phi
+
+
+def _partial_transpose(a, d):
+    # the transpose of the second factor of a d^2 x d^2 operator
+    return a.reshape(d, d, d, d).transpose(0, 3, 2, 1).reshape(d * d, d * d)
 
 
 class TestOperators:
@@ -48,7 +62,7 @@ class TestOperators:
     @pytest.mark.parametrize("d", range(2, 17))
     def test_flip_partial_transpose(self, d):
         # both are exact 0/1 matrices, so they agree bit for bit
-        got = linalg.partial_transpose(states.flip_operator(d), d)
+        got = _partial_transpose(states.flip_operator(d), d)
         assert np.array_equal(got, states.max_entangled_operator(d))
 
     def test_rejects_small_dimension(self):
@@ -75,17 +89,15 @@ class TestOperators:
 
 
 def _complex_operators(d):
-    # the flip and maximally entangled operators and ket, built in complex arithmetic;
-    # F and M entry by entry, exactly 0/1
+    # the flip and maximally entangled operators, built in complex arithmetic entry by
+    # entry, exactly 0/1
     f = np.zeros((d * d, d * d), dtype=complex)
     m = np.zeros((d * d, d * d), dtype=complex)
     for i in range(d):
         for j in range(d):
             f[i * d + j, j * d + i] = 1.0
             m[i * d + i, j * d + j] = 1.0
-    phi = np.zeros(d * d, dtype=complex)
-    phi[np.arange(d) * d + np.arange(d)] = 1.0 / np.sqrt(d)
-    return f, phi, m
+    return f, m
 
 
 def _same_bits(real, formula):
@@ -99,10 +111,9 @@ def _same_bits(real, formula):
 @pytest.mark.parametrize("d", range(2, 17))
 def test_builders_are_real_and_equal_the_complex_formulas(d):
     # every state of the 0.01 grid, Werner at eta and isotropic at alpha = d(1 + eta)/2
-    f, phi, m = _complex_operators(d)
+    f, m = _complex_operators(d)
     ident = np.eye(d * d, dtype=complex)
     assert _same_bits(states.flip_operator(d), f)
-    assert _same_bits(states.max_entangled_ket(d), phi)
     assert _same_bits(states.max_entangled_operator(d), m)
     for i in range(201):
         eta = (2 * i - 200) / 200
@@ -212,10 +223,14 @@ class TestWernerState:
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_positive_partial_transpose_iff_nonnegative_eta(self, d):
+        # the partial transpose of the Werner state at eta is the isotropic state at
+        # alpha = eta where eta >= 0, and has a negative eigenvalue where eta < 0
         for eta in ETA_GRID:
-            pt = linalg.partial_transpose(states.werner_state(eta, d), d)
+            pt = _partial_transpose(states.werner_state(eta, d), d)
             min_eig = linalg.eigh(pt).eigenvalues.min()
             assert (min_eig >= -1e-10) == (eta >= 0.0)
+            if eta >= 0.0:
+                assert np.abs(pt - states.isotropic_state(eta, d)).max() <= 1e-12
 
     def test_rejects_out_of_range(self):
         with pytest.raises(InvalidParameterError):
@@ -257,7 +272,7 @@ class TestWernerSpectrum:
 class TestIsotropicState:
     def test_maximally_entangled_extreme(self):
         d = 3
-        phi = states.max_entangled_ket(d)
+        phi = _phi(d)
         got = states.isotropic_state(float(d), d)
         assert np.abs(got - np.outer(phi, phi.conj())).max() <= 1e-13
 
@@ -277,7 +292,7 @@ class TestIsotropicState:
     def test_p_form_roundtrip(self, d):
         # the mixing form p I/d^2 + (1 - p) |Phi><Phi| with
         # p = d (d - alpha) / (d^2 - 1)
-        phi = states.max_entangled_ket(d)
+        phi = _phi(d)
         for alpha in (0.0, 0.4, 1.0, 1.8, float(d)):
             p = d * (d - alpha) / (d * d - 1.0)
             via_p = p * np.eye(d * d) / (d * d) + (1.0 - p) * np.outer(phi, phi.conj())
@@ -338,6 +353,17 @@ class TestChannels:
         with pytest.raises(DimensionMismatchError):
             states.HWChannel(0.5, 3).apply(np.eye(2) / 2)
 
+    @pytest.mark.parametrize("channel", [states.HWChannel, states.DepolarizingChannel])
+    @pytest.mark.parametrize("value, d", [("0.5", 2), (np.float32(0.5), np.int64(2))])
+    def test_keeps_the_values_it_validated(self, channel, value, d):
+        # a channel stores the float and int its checks return, so a string or numpy
+        # parameter acts as the plain one, bit for bit
+        x = linalg.random_density_matrix(2, np.random.default_rng(7).normal(size=(2, 2, 2)))
+        got = channel(value, d)
+        assert type(getattr(got, fields(got)[0].name)) is float and type(got.d) is int
+        assert got == channel(0.5, 2)
+        assert got.apply(x).tobytes() == channel(0.5, 2).apply(x).tobytes()
+
 
 class TestChoiMatrix:
     @pytest.mark.parametrize("d", [2, 3])
@@ -355,7 +381,7 @@ class TestChoiMatrix:
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_identity_channel_choi_is_max_entangled(self, d):
-        phi = states.max_entangled_ket(d)
+        phi = _phi(d)
         got = states.choi_matrix(_IdentityChannel(d))
         assert np.abs(got - np.outer(phi, phi.conj())).max() <= 1e-13
 

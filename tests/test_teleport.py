@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from wernerlab import linalg, states, teleport
-from wernerlab.errors import DimensionMismatchError, DimensionOverflowError, NotUnitaryError
+from wernerlab.errors import (
+    DimensionMismatchError,
+    DimensionOverflowError,
+    InvalidParameterError,
+    NotUnitaryError,
+)
 
 
 def rand_density(dim, seed):
@@ -10,8 +15,10 @@ def rand_density(dim, seed):
 
 
 def phi_projector(d):
-    phi = states.max_entangled_ket(d)
-    return np.outer(phi, phi.conj())
+    # |Phi><Phi| for the normalised maximally entangled ket d^(-1/2) sum_i |ii>
+    phi = np.zeros(d * d)
+    phi[np.arange(d) * d + np.arange(d)] = 1.0 / np.sqrt(d)
+    return np.outer(phi, phi)
 
 
 class TestWeylUnitaries:
@@ -31,6 +38,16 @@ class TestWeylUnitaries:
         z = teleport.weyl_unitary(0, 1, 3)
         omega = np.exp(2j * np.pi / 3)
         assert np.allclose(np.diag(z), [1.0, omega, omega**2])
+
+    @pytest.mark.parametrize("a, b", [(1.5, 0), (0.5, 0), (0, float("nan")), (True, 0), ("1", 0)])
+    def test_non_integer_labels_are_rejected(self, a, b):
+        # once truncated: (1.5, 0) gave X and (0.5, 0) gave I at d = 2
+        with pytest.raises(InvalidParameterError, match="Weyl label must be an integer"):
+            teleport.weyl_unitary(a, b, 2)
+
+    def test_numpy_integer_labels_equal_python_ones(self):
+        got = teleport.weyl_unitary(np.int64(4), np.uint8(2), 3)
+        assert got.tobytes() == teleport.weyl_unitary(1, 2, 3).tobytes()
 
     def test_qubit_unitaries_are_real(self):
         # the correction families coincide at d = 2
