@@ -203,8 +203,10 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     try:
         if ".." in text:
             lo, hi = (int(x) for x in text.split(".."))
+            if lo > hi:
+                raise WernerLabError(f"dimension range {text!r} is empty")
             # the ends are checked before the range is built
-            dims = tuple(range(lo, states._check_pair_dim(hi) + 1)) if 2 <= lo <= hi else ()
+            dims = tuple(range(lo, states._check_pair_dim(hi) + 1)) if lo >= 2 else ()
         else:
             dims = tuple(int(x) for x in text.split(","))
     except WernerLabError:

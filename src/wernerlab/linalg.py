@@ -5,7 +5,8 @@ metrics (fidelity, trace distance, relative entropy, Chernoff overlap)
 are deliberately computed straight from eigendecompositions so that the
 closed-form formulas elsewhere in the package can be validated against
 an independent route.  They also take stacks of matrices along leading axes,
-two stacks matched member against member, one float per member then coming
+two stacks (the spectral kernels: lists of sector stacks) set member against
+member after one pairing check, ``_paired``, one float per member then coming
 back as a list (the Chernoff search returns arrays); ``_blocks`` bounds a stack.
 Real input stays real, so real symmetric states run in real arithmetic; a
 stack's dtype picks its one LAPACK driver.  A real stack that equals its
@@ -59,6 +60,8 @@ class EigenDecomposition:
 
     def __getitem__(self, at) -> "EigenDecomposition":
         return EigenDecomposition(self.eigenvalues[at], self.eigenvectors[at])
+
+    __iter__ = None  # not a list of sectors: a kernel given one raises, not iterating members
 
 
 def _as_square(a, name: str = "matrix", stack: bool = False) -> np.ndarray:
@@ -180,10 +183,20 @@ def clamped_spectrum(rho, name: str = "rho") -> EigenDecomposition:
     This is the validate-and-decompose half of the matrix-level fidelity,
     relative entropy and Chernoff overlap below; their spectra-level
     ``*_kernel`` functions take its output, so a sweep can decompose each
-    state once and reuse it for every pair; errors name the first failing member.
+    state once and reuse it for every pair.  A stack goes to ``eigh`` a block at
+    a time (``_blocks``); errors name the first failing member in the whole stack.
     """
-    dec = eigh(rho)
-    return EigenDecomposition(_clamp(dec.eigenvalues, name), dec.eigenvectors)
+    rho = _as_square(rho, stack=True)
+    flat = rho.reshape(math.prod(rho.shape[:-2]), *rho.shape[-2:])
+    w, v = np.empty(flat.shape[:-1]), np.empty_like(flat)
+    for at in _blocks(len(flat), rho.shape[-1]):
+        try:
+            dec = eigh(flat[at])
+        except NonHermitianError:
+            eigh(rho)  # raises again, naming that member by its index in the whole stack
+            raise
+        w[at], v[at] = dec.eigenvalues, dec.eigenvectors
+    return EigenDecomposition(_clamp(w.reshape(rho.shape[:-1]), name), v.reshape(rho.shape))
 
 
 def _clamp(w: np.ndarray, name: str) -> np.ndarray:
@@ -203,11 +216,25 @@ def _clamp(w: np.ndarray, name: str) -> np.ndarray:
 def _square_pair(rho, sigma, stack: bool = False) -> tuple[np.ndarray, np.ndarray]:
     rho = _as_square(rho, "rho", stack)
     sigma = _as_square(sigma, "sigma", stack)
-    if rho.shape[-1] != sigma.shape[-1]:
-        raise DimensionMismatchError(
-            f"operands have different shapes {rho.shape} and {sigma.shape}"
-        )
+    _paired([rho], [sigma])
     return rho, sigma
+
+
+def _described(xs, name: str) -> str:
+    # "3 rho of dimension 15+21": one side's member counts (leading shapes, "one" for a
+    # bare matrix) and sector dimensions; "no rho" for no sector
+    counts = "/".join(dict.fromkeys("x".join(map(str, np.shape(x)[:-2])) or "one" for x in xs))
+    dims = "+".join(str(np.shape(x)[-1]) for x in xs)
+    return f"{counts} {name} of dimension {dims}" if xs else f"no {name}"
+
+
+def _paired(rs, ss, names: tuple[str, str] = ("rho", "sigma")) -> None:
+    # the one check of every kernel that sets two stacks member against member, each side
+    # a list of its sectors' matrix stacks (a whole state is one sector): at least one
+    # sector, one shape sector for sector, and one member count across a side's sectors
+    shapes = [np.shape(x) for x in rs]
+    if not shapes or shapes != [np.shape(x) for x in ss] or len({s[:-2] for s in shapes}) > 1:
+        raise DimensionMismatchError(" against ".join(map(_described, (rs, ss), names)))
 
 
 def spectral_sqrt(dec: EigenDecomposition) -> np.ndarray:
@@ -218,6 +245,7 @@ def spectral_sqrt(dec: EigenDecomposition) -> np.ndarray:
 
 def bures_fidelity_kernel(rho: np.ndarray, sqrt_sigma: np.ndarray) -> float | list[float]:
     """Tr sqrt(sqrt_sigma rho sqrt_sigma), given sqrt(sigma) from ``spectral_sqrt``."""
+    _paired([rho], [sqrt_sigma], ("rho", "sqrt(sigma)"))
     w = _clamp(eigvalsh(sqrt_sigma @ rho @ sqrt_sigma), "sqrt(sigma) rho sqrt(sigma)")
     return np.sqrt(w).sum(-1).tolist()
 
@@ -288,48 +316,35 @@ class QcbNumeric(NamedTuple):
 _QCB_LO, _QCB_HI, _QCB_STEP_TOL, _QCB_ITERATIONS = 1e-9, 1.0 - 1e-9, 1e-12, 100
 
 
-def _sectors(decs) -> tuple[EigenDecomposition, ...]:
-    # the sector decompositions of one block-diagonal basis; a whole decomposition is
-    # the one-sector case
-    return (decs,) if isinstance(decs, EigenDecomposition) else tuple(decs)
-
-
 def qcb_curve_kernel(
-    dr: EigenDecomposition | Sequence[EigenDecomposition],
-    ds: EigenDecomposition | Sequence[EigenDecomposition],
-    s_values,
+    drs: Sequence[EigenDecomposition], dss: Sequence[EigenDecomposition], s_values
 ) -> np.ndarray:
     """Tr(rho^s sigma^(1-s)) per s (last axis) from clamped decompositions; 0^s := 0, s > 0.
 
-    ``dr`` and ``ds`` are each one decomposition or matched sequences of the
-    sector decompositions of one block-diagonal basis, as for :func:`qcb_kernels`:
-    the curve is the sum of the sectors' own curves.  Two stacks are matched,
-    member k of one against member k of the other."""
+    ``drs`` and ``dss`` are matched lists of sector decompositions, as for
+    :func:`qcb_kernels`: the curve is the sum of the sectors' own curves."""
+    _paired([d.eigenvectors for d in drs], [d.eigenvectors for d in dss])
     s = np.asarray(s_values, dtype=float)[:, None]
     curves = []
-    for r, q in zip(_sectors(dr), _sectors(ds), strict=True):
+    for r, q in zip(drs, dss):
         curve = np.matmul(r.eigenvalues[..., None, :] ** s, _overlap(r, q))
         curve *= q.eigenvalues[..., None, :] ** (1.0 - s)
         curves.append(curve.sum(-1))
     return reduce(np.add, curves)
 
 
-def sld_qfi_kernel(
-    decs: EigenDecomposition | Sequence[EigenDecomposition],
-    d_rhos: np.ndarray | Sequence[np.ndarray],
-) -> np.ndarray:
+def sld_qfi_kernel(decs: Sequence[EigenDecomposition], d_rhos: Sequence[np.ndarray]) -> np.ndarray:
     """Quantum Fisher information 2 sum |<i|d_rho|j>|^2 / (l_i + l_j), l_i + l_j > 0, per member.
 
     The symmetric-logarithmic-derivative sum from clamped decompositions of a
-    stack of states and the derivative d_rho of the family at each (one matrix,
-    or a matching stack).  As for :func:`qcb_kernels`, ``decs`` is one
-    decomposition or a sequence of the sector decompositions of one
+    stack of states and the derivative d_rho of the family at each member (one
+    shared derivative goes in as an ``np.broadcast_to`` view).  As for
+    :func:`qcb_kernels`, ``decs`` is a list of sector decompositions of one
     block-diagonal basis with which d_rho commutes, matched by ``d_rhos``, one
-    block a sector; the information is the sum of the sectors' own sums.
-    Returns a 1-D array, one value per stack member."""
-    one = isinstance(decs, EigenDecomposition)
+    block a sector; the information is the sum of the sectors' own sums."""
+    _paired([dec.eigenvectors for dec in decs], d_rhos, ("rho", "d_rho"))
     sums = []
-    for dec, d_rho in zip(_sectors(decs), (d_rhos,) if one else d_rhos, strict=True):
+    for dec, d_rho in zip(decs, d_rhos):
         v, w = dec.eigenvectors, dec.eigenvalues
         terms = np.square(np.abs(_dagger(v) @ d_rho @ v))
         den = w[..., :, None] + w[..., None, :]
@@ -368,43 +383,32 @@ def _qcb_tables(dr: EigenDecomposition, ds: EigenDecomposition, tables: np.ndarr
     return (p, q, tables), bound
 
 
-def _described(decs: tuple[EigenDecomposition, ...], name: str) -> str:
-    # "3 rho of dimension 15+21": the member counts and the sector dimensions of one side
-    counts = dict.fromkeys(str(d.eigenvalues.shape[0]) for d in decs)
-    dims = "+".join(str(d.eigenvalues.shape[-1]) for d in decs)
-    return f"{'/'.join(counts)} {name} of dimension {dims}"
-
-
 def qcb_kernels(
-    drs: EigenDecomposition | Sequence[EigenDecomposition],
-    dss: EigenDecomposition | Sequence[EigenDecomposition],
+    drs: Sequence[EigenDecomposition], dss: Sequence[EigenDecomposition]
 ) -> QcbNumeric:
     """Minimise Tr(rho^s sigma^(1-s)) over (0, 1) for each matched pair of two stacks.
 
-    ``drs`` and ``dss`` are equal-length stacks of clamped decompositions;
-    member k of one is compared with member k of the other.  Each is one
-    decomposition of the whole state, or a matched sequence of the decompositions
-    of its sectors in one block-diagonal basis with which both states commute
-    (their eigenvectors then overlap only within a sector).  A whole state is
-    the one-sector case.  f(s) = sum over sectors of sum_ij O_ij p_i^s
-    q_j^(1-s) is convex; with D_ij = ln p_i - ln q_j (0 where p_i or q_j is 0),
-    a sector pair's tables O, O*D and O*D^2 give its terms of f, f' and f'' in
-    one batched matmul.  An end of [1e-9, 1 - 1e-9] where f' keeps its sign is
-    returned as is; otherwise Newton's method on f' starts at 1/2, narrows the
-    bracket by the sign of f' and bisects where a step would leave it, until a
-    step is at most 1e-12 (and is taken) or f' is within its round-off eps
-    max|D| f, the max over every sector's live entries (a flat curve, such as a
-    state against itself, stops at once); ``_QCB_ITERATIONS`` caps the steps.
-    The pairs step in lockstep, a stopped pair held, so each member equals its
+    ``drs`` and ``dss`` are matched lists of the clamped decompositions of the
+    sectors of one block-diagonal basis with which both states commute (their
+    eigenvectors then overlap only within a sector), each a 1-D stack; member k
+    of one side is compared with member k of the other.  A whole state is the
+    one-sector case, a one-item list.  f(s) = sum over sectors of sum_ij O_ij
+    p_i^s q_j^(1-s) is convex; with D_ij = ln p_i - ln q_j (0 where p_i or q_j
+    is 0), a sector pair's tables O, O*D and O*D^2 give its terms of f, f' and
+    f'' in one batched matmul.  An end of [1e-9, 1 - 1e-9] where f' keeps its
+    sign is returned as is; otherwise Newton's method on f' starts at 1/2,
+    narrows the bracket by the sign of f' and bisects where a step would leave
+    it, until a step is at most 1e-12 (and is taken) or f' is within its
+    round-off eps max|D| f, the max over every sector's live entries (a flat
+    curve, such as a state against itself, stops at once); ``_QCB_ITERATIONS``
+    caps the steps.  The pairs step in lockstep, a stopped pair held, so each member equals its
     one-pair call.  Memory is three tables a pair and sector, each sector's
     dimension squared, linear in the stacks (a caller bounds them with
     ``_blocks(n, 1, tables=3 * sum of the squared sector dimensions)``).
     Returns 1-D q and s_star.
     """
-    drs, dss = _sectors(drs), _sectors(dss)
+    _paired([d.eigenvectors for d in drs], [d.eigenvectors for d in dss])
     shapes = [d.eigenvalues.shape for d in drs]
-    if shapes != [d.eigenvalues.shape for d in dss] or len({m for m, _ in shapes}) != 1:
-        raise DimensionMismatchError(f"{_described(drs, 'rho')} against {_described(dss, 'sigma')}")
     m = shapes[0][0]
     # every sector's tables in one allocation, as whole states' were: separate arrays
     # measured slower, the allocator returning their pages and faulting them in again
@@ -449,7 +453,7 @@ def qcb_numeric(rho, sigma) -> QcbNumeric:
     search stops at exactly 1e-9 or 1 - 1e-9.
     """
     rho, sigma = _square_pair(rho, sigma)
-    r = qcb_kernels(clamped_spectrum(rho, "rho")[None], clamped_spectrum(sigma, "sigma")[None])
+    r = qcb_kernels([clamped_spectrum(rho, "rho")[None]], [clamped_spectrum(sigma, "sigma")[None]])
     return QcbNumeric(q=float(r.q[0]), s_star=float(r.s_star[0]))
 
 

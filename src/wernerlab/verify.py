@@ -48,12 +48,12 @@ VERIFY_WORK_CAP = 2**25
 
 # every check of a run, in the printed order, with its base tolerance
 CHECKS = {
-    "fidelity-oracle": 1e-9,
+    "fidelity-oracle": 1e-12,
     "trace-distance-oracle": 1e-10,
     "relative-entropy-oracle": 1e-9,
-    "qcb-oracle-q": 1e-6,
+    "qcb-oracle-q": 1e-12,
     "qcb-oracle-s": 1e-8,
-    "qcb-isotropic-oracle": 1e-6,
+    "qcb-isotropic-oracle": 1e-12,
     "qcb-isotropic-oracle-s": 1e-8,
     "critical-point-identities": 1e-12,
     "substitution-identity": 1e-12,
@@ -98,16 +98,6 @@ class CheckResult:
 def max_workers() -> int:
     """Always 1: kept only for ``perfbench/run.py``'s metadata, until the benchmark-only refresh."""
     return 1
-
-
-def _spectra(mats: np.ndarray) -> linalg.EigenDecomposition:
-    # One clamped decomposition per state, from the explicit matrices (never from
-    # the closed-form spectra), in bounded blocks; shared by every pair of the sweep.
-    dec = linalg.EigenDecomposition(np.empty(mats.shape[:-1]), np.empty_like(mats))
-    for at in linalg._blocks(len(mats), mats.shape[-1]):
-        block = linalg.clamped_spectrum(mats[at])
-        dec.eigenvalues[at], dec.eigenvectors[at] = block.eigenvalues, block.eigenvectors
-    return dec
 
 
 def _pairs(n: int, dims, diagonal: bool = True):
@@ -238,10 +228,10 @@ def check_werner_oracles(grid_step, dims, iso_dims, tol_scale=1.0) -> tuple[Chec
         corners = (np.abs(x).max((-2, -1), initial=0.0) for x in (rot[:, :a, a:], rot[:, a:, :a]))
         residual.append(np.maximum(*corners))
         blocks = rot[:, :a, :a], rot[:, a:, a:]
-        sectors = [_spectra(block) for block in blocks]
+        sectors = [linalg.clamped_spectrum(block) for block in blocks]
         fid, dist, rel = sum(map(_sector_tables, blocks, sectors))
         inner = _take(sectors, slice(1, -1))
-        d_rho = [(block[-1] - block[0]) / 2.0 for block in blocks]
+        d_rho = [np.broadcast_to((b[-1] - b[0]) / 2.0, b[1:-1].shape) for b in blocks]
         sld.append(np.abs(linalg.sld_qfi_kernel(inner, d_rho) / qfi - 1.0))
         p = np.trace(blocks[1], axis1=-2, axis2=-1)
         dp, p = (p[-1] - p[0]) / 2.0, p[1:-1]
@@ -253,9 +243,10 @@ def check_werner_oracles(grid_step, dims, iso_dims, tol_scale=1.0) -> tuple[Chec
         asym.append(_defects(inner_rel - inner_rel.T, asymmetry))
         _chernoff_defects(inner, chernoff, dq, ds)
         if d in iso_dims:
-            iso = _spectra(states.isotropic_state([d * (1 + e) / 2 for e in etas[1:-1]], d))
+            alphas = [d * (1 + e) / 2 for e in etas[1:-1]]
+            iso = [linalg.clamped_spectrum(states.isotropic_state(alphas, d))]
             for i, j in _pairs(len(etas) - 2, d * d, diagonal=False):
-                iso_q = linalg.qcb_curve_kernel(iso[i], iso[j], _CURVE_S)
+                iso_q = linalg.qcb_curve_kernel(_take(iso, i), _take(iso, j), _CURVE_S)
                 wer_q = linalg.qcb_curve_kernel(_take(inner, i), _take(inner, j), _CURVE_S)
                 sub.extend([np.abs(iso_q - wer_q).max(-1)] * 2)
                 qs.append(_defects(wer_q, overlaps[i, j]))
@@ -277,7 +268,8 @@ def check_qcb_isotropic_oracle(dims, tol_scale=1.0) -> tuple[CheckResult, CheckR
     for d in dims:
         alphas = [d * i / 10 for i in range(1, 10)]
         closed = _table(lambda a, b: _q_and_s(metrics.qcb_isotropic(a, b, d)), alphas, 2)
-        _chernoff_defects([_spectra(states.isotropic_state(alphas, d))], closed, dq, ds)
+        iso = [linalg.clamped_spectrum(states.isotropic_state(alphas, d))]
+        _chernoff_defects(iso, closed, dq, ds)
     return (_collect("qcb-isotropic-oracle", dq, tol_scale),
             _collect("qcb-isotropic-oracle-s", ds, tol_scale))
 

@@ -9,6 +9,7 @@ import inspect
 import math
 import time
 
+import numpy as np
 import pytest
 
 from wernerlab import cli, discrimination, linalg, metrics, metrology, states, verify
@@ -36,9 +37,9 @@ def test_criterion_01_fidelity_oracle_agreement():
     elapsed = time.monotonic() - t0
     report(
         1,
-        r.passed and r.tol == 1e-9 and elapsed < 30.0,
+        r.passed and r.tol == 1e-12 and elapsed < 30.0,
         f"fidelity closed form vs matrix oracle, d=2..6, 21x21 grid: "
-        f"worst |diff| {r.worst:.3e} (tol 1e-9), {elapsed:.1f}s (limit 30s)",
+        f"worst |diff| {r.worst:.3e} (tol 1e-12), {elapsed:.1f}s (limit 30s)",
     )
 
 
@@ -50,12 +51,12 @@ def test_criterion_02_qcb_oracle_agreement():
     elapsed = time.monotonic() - t0
     q, s = results["qcb-oracle-q"], results["qcb-oracle-s"]
     iso_q, iso_s = results["qcb-isotropic-oracle"], results["qcb-isotropic-oracle-s"]
-    tols = (q.tol, s.tol, iso_q.tol, iso_s.tol) == (1e-6, 1e-8, 1e-6, 1e-8)
+    tols = (q.tol, s.tol, iso_q.tol, iso_s.tol) == (1e-12, 1e-8, 1e-12, 1e-8)
     report(
         2,
         q.passed and s.passed and iso_q.passed and iso_s.passed and tols and elapsed < 120.0,
         f"Chernoff closed form vs numeric search (endpoints analytic): "
-        f"worst |dq| {q.worst:.3e} (tol 1e-6), worst |ds| {s.worst:.3e} (tol 1e-8), "
+        f"worst |dq| {q.worst:.3e} (tol 1e-12), worst |ds| {s.worst:.3e} (tol 1e-8), "
         f"isotropic worst |dq| {iso_q.worst:.3e}, |ds| {iso_s.worst:.3e}, "
         f"{elapsed:.1f}s (limit 120s)",
     )
@@ -110,7 +111,10 @@ def test_criterion_05_qcrb_reproduction():
     # (W(1) - W(-1))/2 (W is affine in eta): no shared numerics
     etas = [(2 * i - 18) / 20 for i in range(19)]          # -0.9 .. 0.9
     d_rho = (states.werner_state(1.0, 3) - states.werner_state(-1.0, 3)) / 2.0
-    sld = linalg.sld_qfi_kernel(linalg.clamped_spectrum(states.werner_state(etas, 3)), d_rho)
+    sld = linalg.sld_qfi_kernel(
+        [linalg.clamped_spectrum(states.werner_state(etas, 3))],
+        [np.broadcast_to(d_rho, (len(etas), 9, 9))],
+    )
     worst_rel = max(abs(f / metrology.qfi_werner(eta) - 1.0) for f, eta in zip(sld, etas))
     ratios = []
     for eta in (0.0, 0.3, 0.6, -0.9):

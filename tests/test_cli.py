@@ -532,6 +532,23 @@ class TestVerificationCommands:
     def test_verify_rejects_bad_dims(self, capsys):
         assert cli.main(["verify", "--dims", "nope"]) == 1
 
+    @pytest.mark.parametrize(
+        "dims,message",
+        [
+            ("3..2", "dimension range '3..2' is empty"),
+            ("7..1", "dimension range '7..1' is empty"),
+            ("1..3", "dimension range '1..3' must contain integers >= 2"),
+            ("1", "dimension range '1' must contain integers >= 2"),
+            ("2..x", "cannot parse dimension range '2..x'"),
+        ],
+    )
+    def test_verify_names_what_is_wrong_with_the_dims(self, monkeypatch, capsys, dims, message):
+        monkeypatch.setattr(verify, "check_werner_oracles", None)  # never reached
+        assert cli.main(["verify", "--dims", dims]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
     def test_verify_rejects_a_repeated_dimension(self, monkeypatch, capsys):
         # d = 2 twice would sweep it twice and count 50 fidelity points for 25 pairs
         monkeypatch.setattr(verify, "check_werner_oracles", None)  # never reached

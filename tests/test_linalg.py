@@ -201,7 +201,7 @@ class TestQcbNumeric:
         # the whole overlap curve is flat at 1
         grid = np.arange(1, 200) * 0.005
         dec = linalg.clamped_spectrum(rho)
-        assert np.abs(linalg.qcb_curve_kernel(dec, dec, grid) - 1.0).max() <= 1e-12
+        assert np.abs(linalg.qcb_curve_kernel([dec], [dec], grid) - 1.0).max() <= 1e-12
 
     def test_antisymmetric_pair(self):
         got = linalg.qcb_numeric(
@@ -259,7 +259,7 @@ class TestSpectraKernels:
     @pytest.mark.parametrize("rho,sigma", _kernel_cases())
     def test_qcb(self, rho, sigma):
         dr, ds = linalg.clamped_spectrum(rho), linalg.clamped_spectrum(sigma)
-        r = linalg.qcb_kernels(dr[None], ds[None])
+        r = linalg.qcb_kernels([dr[None]], [ds[None]])
         assert r.q.shape == r.s_star.shape == (1,)
         assert linalg.qcb_numeric(rho, sigma) == (r.q[0], r.s_star[0])
 
@@ -267,10 +267,10 @@ class TestSpectraKernels:
     def test_qcb_curve_is_the_coarse_pass(self, rho, sigma):
         dr, ds = linalg.clamped_spectrum(rho), linalg.clamped_spectrum(sigma)
         grid = np.arange(1, 200) * 0.005
-        curve = linalg.qcb_curve_kernel(dr, ds, grid)
+        curve = linalg.qcb_curve_kernel([dr], [ds], grid)
         # the curve is convex, so the searched minimiser lies within one grid
         # step of the sampled curve's minimum
-        s_star = linalg.qcb_kernels(dr[None], ds[None]).s_star[0]
+        s_star = linalg.qcb_kernels([dr[None]], [ds[None]]).s_star[0]
         assert abs(s_star - grid[np.argmin(curve)]) <= 0.005
 
 
@@ -314,17 +314,18 @@ class TestStacks:
         roots = linalg.spectral_sqrt(decs)
         grid = np.array([0.25, 0.5, 0.75])
         for i, rho in enumerate(mats):
-            fid = linalg.bures_fidelity_kernel(rho, roots)
+            rhos = np.broadcast_to(rho, mats.shape)
+            fid = linalg.bures_fidelity_kernel(rhos, roots)
             assert fid == [linalg.bures_fidelity_numeric(rho, s) for s in mats]
-            dist = linalg.trace_distance_numeric(rho, mats)
+            dist = linalg.trace_distance_numeric(rhos, mats)
             assert dist == [linalg.trace_distance_numeric(rho, s) for s in mats]
             rel = linalg._relative_entropies(decs[i], decs)[0].tolist()
             members = [decs[j] for j in range(len(mats))]
             assert rel == [_scalar_relative_entropy(decs[i], ds) for ds in members]
             assert rel == [linalg._relative_entropies(decs[i], ds)[0].tolist() for ds in members]
-            curves = linalg.qcb_curve_kernel(decs[i], decs, grid)
+            curves = linalg.qcb_curve_kernel([decs[[i] * len(mats)]], [decs], grid)
             for j, row in enumerate(curves):
-                assert np.array_equal(row, linalg.qcb_curve_kernel(decs[i], decs[j], grid))
+                assert np.array_equal(row, linalg.qcb_curve_kernel([decs[i]], [decs[j]], grid))
         # rank-deficient Werner ends: support mismatches come out infinite
         assert math.inf in linalg._relative_entropies(decs[0], decs)[0]
 
@@ -354,11 +355,11 @@ class TestStacks:
         decs = linalg.clamped_spectrum(mats)
         roots = linalg.spectral_sqrt(decs)
         rho = mats[17]
-        assert linalg.bures_fidelity_kernel(rho, roots) == [
+        assert linalg.bures_fidelity_kernel(np.broadcast_to(rho, mats.shape), roots) == [
             linalg.bures_fidelity_kernel(rho, linalg.spectral_sqrt(linalg.clamped_spectrum(m)))
             for m in mats
         ]
-        assert linalg.trace_distance_numeric(rho, mats) == [
+        assert linalg.trace_distance_numeric(np.broadcast_to(rho, mats.shape), mats) == [
             linalg.trace_distance_numeric(rho, m) for m in mats
         ]
         assert linalg._relative_entropies(decs[17], decs)[0].tolist() == [
@@ -432,12 +433,14 @@ class TestStacks:
         with pytest.raises(NonHermitianError, match=r"matrix\[5\] is not Hermitian"):
             linalg.trace_distance_numeric(mats, np.zeros((12, 4, 4)))
         with pytest.raises(NonHermitianError, match=r"matrix\[1, 1\] is not Hermitian"):
-            linalg.trace_distance_numeric(mats.reshape(3, 4, 4, 4), np.eye(4) / 4)
+            linalg.trace_distance_numeric(
+                mats.reshape(3, 4, 4, 4), np.broadcast_to(np.eye(4) / 4, (3, 4, 4, 4))
+            )
         # a non-Hermitian root makes that member's inner matrix non-Hermitian
         roots = np.stack([np.eye(4)] * 12)
         roots[5, 0, 1] = 0.5
         with pytest.raises(NonHermitianError, match=r"matrix\[5\] is not Hermitian"):
-            linalg.bures_fidelity_kernel(mats[0], roots)
+            linalg.bures_fidelity_kernel(np.broadcast_to(mats[0], roots.shape), roots)
 
     def test_eigenvalue_route_keeps_the_psd_floor_and_zero_snap(self):
         # eigenvalues in [PSD_FLOOR, ZERO_SNAP) of the fidelity's inner matrix
@@ -472,7 +475,7 @@ class TestStacks:
         roots = np.zeros((12, 4, 4))
         roots[7] = np.eye(4)
         with pytest.raises(NotDensityMatrixError, match=r"sqrt\(sigma\) rho sqrt\(sigma\)\[7\]"):
-            linalg.bures_fidelity_kernel(mats[7], roots)
+            linalg.bures_fidelity_kernel(np.broadcast_to(mats[7], roots.shape), roots)
 
     def test_single_matrix_messages_carry_no_index(self):
         with pytest.raises(NonHermitianError, match=r"^matrix is not Hermitian"):
@@ -591,9 +594,9 @@ def test_non_finite_members_are_rejected(case, dtype):
         with pytest.raises(NonHermitianError, match=r"^matrix is not Hermitian .*\(defect nan\)"):
             decompose(stack[2])
     with pytest.raises(NonHermitianError, match=message):
-        linalg.trace_distance_numeric(stack, np.eye(3) / 3)
+        linalg.trace_distance_numeric(stack, np.broadcast_to(np.eye(3) / 3, stack.shape))
     with pytest.raises(NonHermitianError, match=message):
-        linalg.trace_distance_numeric(np.eye(3) / 3, stack)
+        linalg.trace_distance_numeric(np.broadcast_to(np.eye(3) / 3, stack.shape), stack)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -649,12 +652,17 @@ def _cross(drs, dss):
     return drs[rows], dss[cols]
 
 
+def _search(drs, dss):
+    # the Chernoff search on two stacks of whole states, each a one-sector list
+    return linalg.qcb_kernels([drs], [dss])
+
+
 def _assert_matched_pairs_are_per_pair(got, drs, dss):
     # member k of the matched search equals the search on (rho_k, sigma_k)
     # alone, bit for bit
     n = len(drs.eigenvalues)
     assert got.q.shape == got.s_star.shape == (n,)
-    expected = [linalg.qcb_kernels(drs[k][None], dss[k][None]) for k in range(n)]
+    expected = [linalg.qcb_kernels([drs[k][None]], [dss[k][None]]) for k in range(n)]
     assert got.q.tolist() == [r.q[0] for r in expected]
     assert got.s_star.tolist() == [r.s_star[0] for r in expected]
 
@@ -663,7 +671,7 @@ def _assert_cross_product_is_per_pair(drs, dss):
     # every (rho, sigma) of the two stacks, not only the matched pairs, equals
     # the search on that pair alone, bit for bit
     pairs = _cross(drs, dss)
-    _assert_matched_pairs_are_per_pair(linalg.qcb_kernels(*pairs), *pairs)
+    _assert_matched_pairs_are_per_pair(_search(*pairs), *pairs)
 
 
 def _rank_deficient(dim, rank, seed):
@@ -721,7 +729,7 @@ class TestQcbKernels:
         mixed = np.eye(dim) / dim
         pairs += [(_nearly_pure(dim, dim), mixed), (mixed, _nearly_pure(dim, dim))]
         drs, dss = _batch(pairs)
-        got = linalg.qcb_kernels(drs, dss)
+        got = _search(drs, dss)
         _assert_matched_pairs_are_per_pair(got, drs, dss)
         _assert_cross_product_is_per_pair(drs, dss)
         assert got.s_star[-2] == 1e-9
@@ -748,9 +756,9 @@ class TestQcbKernels:
         drs = linalg.clamped_spectrum(np.stack([rand_density(9, 6000 + i) for i in range(3)]))
         dss = linalg.clamped_spectrum(np.stack([rand_density(9, 6100 + i) for i in range(4)]))
         with pytest.raises(DimensionMismatchError, match="3 rho of dimension 9 against 4 sigma"):
-            linalg.qcb_kernels(drs, dss)
+            _search(drs, dss)
         with pytest.raises(DimensionMismatchError, match="1 rho of dimension 9 against 0 sigma"):
-            linalg.qcb_kernels(drs[:1], drs[:0])
+            _search(drs[:1], drs[:0])
 
     def test_matches_a_50_digit_root(self):
         # Werner pairs, random full-rank pairs and random rank-deficient pairs
@@ -783,8 +791,8 @@ class TestQcbKernels:
         deficient.append(states.isotropic_state(float(d), d))
         full = [states.werner_state(z, d) for z in (-0.6, 0.0, 0.3, 0.9)]
         full.append(states.isotropic_state(0.5, d))
-        low = linalg.qcb_kernels(*_batch([(r, s) for r in deficient for s in full]))
-        high = linalg.qcb_kernels(*_batch([(s, r) for r in deficient for s in full]))
+        low = _search(*_batch([(r, s) for r in deficient for s in full]))
+        high = _search(*_batch([(s, r) for r in deficient for s in full]))
         assert np.all(low.s_star == 1e-9)
         assert np.all(high.s_star == 1.0 - 1e-9)
         orthogonal = _batch(
@@ -793,7 +801,7 @@ class TestQcbKernels:
                 (states.isotropic_state(0.0, d), states.isotropic_state(float(d), d)),
             ]
         )
-        got = linalg.qcb_kernels(*orthogonal)
+        got = _search(*orthogonal)
         assert got.s_star.tolist() == [1e-9, 1e-9]
         assert got.q.tolist() == [0.0, 0.0]
 
@@ -827,21 +835,21 @@ class TestQcbKernels:
         pairs += [(states.werner_state(0.3, 6), states.werner_state(-0.6, 6))] if dim == 36 else []
         grid = np.arange(1, 200) * 0.005
         for drs, dss in (_batch(pairs), _cross(*_batch(pairs))):
-            matched = linalg.qcb_curve_kernel(drs, dss, grid)
+            matched = linalg.qcb_curve_kernel([drs], [dss], grid)
             assert matched.shape == (len(drs.eigenvalues), len(grid))
             for k, row in enumerate(matched):
-                assert np.array_equal(row, linalg.qcb_curve_kernel(drs[k], dss[k], grid))
+                assert np.array_equal(row, linalg.qcb_curve_kernel([drs[k]], [dss[k]], grid))
 
     def test_empty_batch(self):
         empty = linalg.EigenDecomposition(np.empty((0, 4)), np.empty((0, 4, 4)))
-        got = linalg.qcb_kernels(empty, empty)
+        got = _search(empty, empty)
         assert got.q.shape == got.s_star.shape == (0,)
 
     def test_one_pair_call(self):
         rho, sigma = rand_density(9, 41), rand_density(9, 42)
         dr, ds = _batch([(rho, sigma)])
         got = linalg.qcb_numeric(rho, sigma)
-        r = linalg.qcb_kernels(dr, ds)
+        r = _search(dr, ds)
         assert (got.q, got.s_star) == (r.q[0], r.s_star[0])
         q, s_star = _mp_qcb(dr[0], ds[0])
         assert abs(got.q - q) <= 1e-14 and abs(got.s_star - s_star) <= 1e-12
@@ -865,7 +873,7 @@ class TestQcbKernels:
         dr, _ = _batch([(rand_density(4, 1), rand_density(4, 2))])
         _, ds = _batch([(rand_density(9, 1), rand_density(9, 2))])
         with pytest.raises(DimensionMismatchError):
-            linalg.qcb_kernels(dr, ds)
+            _search(dr, ds)
 
 
 class TestSldQfiKernel:
@@ -876,7 +884,7 @@ class TestSldQfiKernel:
         # (with dp 0 there) adding nothing
         p = np.array([0.0, 0.1, 0.2, 0.3, 0.4])
         dp = np.array([0.0, 0.05, -0.15, 0.02, 0.08])
-        got = linalg.sld_qfi_kernel(linalg.clamped_spectrum(np.diag(p)), np.diag(dp))
+        got = linalg.sld_qfi_kernel([linalg.clamped_spectrum(np.diag(p))], [np.diag(dp)])
         assert got == pytest.approx(np.sum(dp[1:] ** 2 / p[1:]), rel=1e-14)
 
     @pytest.mark.parametrize("theta", [0.0, 0.3, 1.2])
@@ -891,7 +899,8 @@ class TestSldQfiKernel:
         ):
             psi, d_psi = np.asarray(psi), np.asarray(d_psi)
             d_rho = np.outer(d_psi, psi.conj()) + np.outer(psi, d_psi.conj())
-            got = linalg.sld_qfi_kernel(linalg.clamped_spectrum(np.outer(psi, psi.conj())), d_rho)
+            dec = linalg.clamped_spectrum(np.outer(psi, psi.conj()))
+            got = linalg.sld_qfi_kernel([dec], [d_rho])
             assert got == pytest.approx(info, rel=1e-14)
 
     @pytest.mark.parametrize("d", [2, 3, 5])
@@ -900,13 +909,16 @@ class TestSldQfiKernel:
         # derivative (W(1) - W(-1))/2 is block-diagonal too: both read 1 / (1 - eta^2)
         etas = [-0.9, -0.2, 0.0, 1 / 3, 0.8]
         d_rho = (states.werner_state(1.0, d) - states.werner_state(-1.0, d)) / 2.0
-        whole = linalg.sld_qfi_kernel(linalg.clamped_spectrum(states.werner_state(etas, d)), d_rho)
+        whole = linalg.sld_qfi_kernel(
+            [linalg.clamped_spectrum(states.werner_state(etas, d))],
+            [np.broadcast_to(d_rho, (len(etas), *d_rho.shape))],
+        )
         flip = linalg.eigh(states.flip_operator(d))
         u, a = flip.eigenvectors, int(np.count_nonzero(flip.eigenvalues < 0.0))
         rot, d_rot = (u.T @ x @ u for x in (states.werner_state(etas, d), d_rho))
         sectors = linalg.sld_qfi_kernel(
             [linalg.clamped_spectrum(rot[:, :a, :a]), linalg.clamped_spectrum(rot[:, a:, a:])],
-            [d_rot[:a, :a], d_rot[a:, a:]],
+            [np.broadcast_to(x, (len(etas), *x.shape)) for x in (d_rot[:a, :a], d_rot[a:, a:])],
         )
         exact = 1.0 / (1.0 - np.square(etas))
         assert whole.shape == sectors.shape == (len(etas),)
@@ -918,13 +930,96 @@ class TestSldQfiKernel:
         d_rho = rand_hermitian(4, 7)
         d_rho -= np.trace(d_rho) / 4 * np.eye(4)
         decs = linalg.clamped_spectrum(mats)
-        got = linalg.sld_qfi_kernel(decs, d_rho)
+        got = linalg.sld_qfi_kernel([decs], [np.broadcast_to(d_rho, mats.shape)])
         assert got.shape == (5,)
         for k, value in enumerate(got):
-            assert value == linalg.sld_qfi_kernel(decs[k], d_rho)
+            assert value == linalg.sld_qfi_kernel([decs[k]], [d_rho])
 
     def test_empty_stack_and_unmatched_sectors(self):
         empty = linalg.EigenDecomposition(np.empty((0, 3)), np.empty((0, 3, 3)))
-        assert linalg.sld_qfi_kernel(empty, np.eye(3)).shape == (0,)
+        assert linalg.sld_qfi_kernel([empty], [np.empty((0, 3, 3))]).shape == (0,)
         with pytest.raises(ValueError):
             linalg.sld_qfi_kernel([empty, empty], [np.eye(3)])
+
+
+class TestOnePairingCheck:
+    """Every kernel that sets two stacks member against member rejects an unmatched pair,
+    naming both sides; the spectral kernels take lists of sector stacks only."""
+
+    @staticmethod
+    def _stack(dim, members):
+        return np.stack([np.eye(dim) / dim] * members)
+
+    def test_unmatched_member_counts(self):
+        three, four, six = self._stack(3, 3), self._stack(3, 4), self._stack(3, 6)
+        d3, d4 = linalg.clamped_spectrum(three), linalg.clamped_spectrum(four)
+        cases = [
+            (lambda: linalg.qcb_kernels([d3], [d4]), "3 rho of dimension 3 against 4 sigma"),
+            # one member against two was paired with each of them
+            (lambda: linalg.qcb_curve_kernel([d3[:1]], [d3[:2]], [0.5]),
+             "1 rho of dimension 3 against 2 sigma of dimension 3"),
+            (lambda: linalg.sld_qfi_kernel([d3], [four]), "3 rho of dimension 3 against 4 d_rho"),
+            (lambda: linalg.bures_fidelity_kernel(three, four),
+             "3 rho of dimension 3 against 4 sqrt\\(sigma\\) of dimension 3"),
+            (lambda: linalg.trace_distance_numeric(three, four),
+             "3 rho of dimension 3 against 4 sigma"),
+            # a bare matrix against a stack was broadcast over it
+            (lambda: linalg.trace_distance_numeric(np.eye(3) / 3, four),
+             "one rho of dimension 3 against 4 sigma of dimension 3"),
+            (lambda: linalg.bures_fidelity_kernel(np.eye(3) / 3, four),
+             "one rho of dimension 3 against 4 sqrt\\(sigma\\)"),
+            (lambda: linalg.trace_distance_numeric(six.reshape(2, 3, 3, 3), six),
+             "2x3 rho of dimension 3 against 6 sigma"),
+        ]
+        for call, message in cases:
+            with pytest.raises(DimensionMismatchError, match=message):
+                call()
+
+    def test_unmatched_sector_counts_and_dimensions(self):
+        a, b = self._stack(3, 2), self._stack(6, 2)
+        da, db = linalg.clamped_spectrum(a), linalg.clamped_spectrum(b)
+        kernels = [
+            (lambda rs, ss: linalg.qcb_kernels(rs, ss), (da, db), "sigma"),
+            (lambda rs, ss: linalg.qcb_curve_kernel(rs, ss, [0.5]), (da, db), "sigma"),
+            (lambda rs, ss: linalg.sld_qfi_kernel(rs, ss), (a, b), "d_rho"),
+        ]
+        for kernel, (x, y), other in kernels:
+            for right, dims in (([x], "3"), ([y, x], "6\\+3"), ([x, y, x], "3\\+6\\+3")):
+                message = f"^2 rho of dimension 3\\+6 against 2 {other} of dimension {dims}$"
+                with pytest.raises(DimensionMismatchError, match=message):
+                    kernel([da, db], right)
+            with pytest.raises(DimensionMismatchError, match=f"^no rho against no {other}$"):
+                kernel([], [])
+
+    def test_a_bare_decomposition_is_not_a_sector_list(self):
+        # it would iterate member by member, each member taken for a sector
+        dec = linalg.clamped_spectrum(self._stack(3, 3))
+        with pytest.raises(TypeError):
+            linalg.qcb_kernels(dec, dec)
+        with pytest.raises(TypeError):
+            linalg.qcb_curve_kernel(dec, dec, [0.5])
+        with pytest.raises(TypeError):
+            linalg.sld_qfi_kernel(dec, [self._stack(3, 3)])
+
+    def test_clamped_spectrum_names_a_member_past_the_first_block(self):
+        # 5,000 4 x 4 states span two blocks of 4,096; member 4,500 is the 404th of the
+        # second, and is named by its index in the whole stack, flat or shaped
+        stack = self._stack(4, 5000)
+        assert len(linalg._blocks(len(stack), 4)) == 2
+        bad = stack.copy()
+        bad[4500] = np.diag([1.5, -0.5, 0.0, 0.0])
+        with pytest.raises(NotDensityMatrixError, match=r"^rho\[4500\]: minimum eigenvalue"):
+            linalg.clamped_spectrum(bad)
+        with pytest.raises(NotDensityMatrixError, match=r"^rho\[45, 0\]: minimum eigenvalue"):
+            linalg.clamped_spectrum(bad.reshape(50, 100, 4, 4))
+        skew = stack.copy()
+        skew[4500, 0, 1] += 1e-6
+        with pytest.raises(NonHermitianError, match=r"^matrix\[4500\] is not Hermitian"):
+            linalg.clamped_spectrum(skew)
+        with pytest.raises(NonHermitianError, match=r"^matrix\[45, 0\] is not Hermitian"):
+            linalg.clamped_spectrum(skew.reshape(50, 100, 4, 4))
+        # the blocks' decompositions are the whole stack's, member for member
+        whole, blocked = linalg.eigh(stack), linalg.clamped_spectrum(stack)
+        assert np.array_equal(whole.eigenvectors, blocked.eigenvectors)
+        w = whole.eigenvalues
+        assert np.array_equal(np.where(w < linalg.ZERO_SNAP, 0.0, w), blocked.eigenvalues)

@@ -45,12 +45,12 @@ def test_the_check_table_is_pinned():
     # every check's name, printed place and base tolerance, written out, so that a
     # loosened or moved row fails here; the point counts above follow the same order
     assert list(verify.CHECKS.items()) == [
-        ("fidelity-oracle", 1e-9),
+        ("fidelity-oracle", 1e-12),
         ("trace-distance-oracle", 1e-10),
         ("relative-entropy-oracle", 1e-9),
-        ("qcb-oracle-q", 1e-6),
+        ("qcb-oracle-q", 1e-12),
         ("qcb-oracle-s", 1e-8),
-        ("qcb-isotropic-oracle", 1e-6),
+        ("qcb-isotropic-oracle", 1e-12),
         ("qcb-isotropic-oracle-s", 1e-8),
         ("critical-point-identities", 1e-12),
         ("substitution-identity", 1e-12),
@@ -174,10 +174,10 @@ def test_sector_decompositions_assemble_the_whole_state(d):
     etas = discrimination.eta_grid(0.2)
     u, a = verify._flip_sectors(d)
     rot = u.T @ states.werner_state(etas, d) @ u
-    whole = _assembled(verify._spectra(rot[:, :a, :a]), verify._spectra(rot[:, a:, a:]))
+    whole = _assembled(*(linalg.clamped_spectrum(x) for x in (rot[:, :a, :a], rot[:, a:, a:])))
     w, v = whole.eigenvalues, whole.eigenvectors
     assert np.all(np.diff(w, axis=-1) >= 0.0)
-    assert np.abs(w - verify._spectra(rot).eigenvalues).max() <= 1e-15
+    assert np.abs(w - linalg.clamped_spectrum(rot).eigenvalues).max() <= 1e-15
     assert np.abs(np.swapaxes(v, -1, -2) @ v - np.eye(d * d)).max() <= 1e-14
     assert np.abs((v * w[:, None, :]) @ np.swapaxes(v, -1, -2) - rot).max() <= 1e-15
 
@@ -191,7 +191,7 @@ def test_sector_sum_search_equals_the_whole_state_search(d):
     # q = 0 and the search stops at 1e-9
     u, a = verify._flip_sectors(d)
     rot = u.T @ states.werner_state(discrimination.eta_grid(0.1), d) @ u
-    sectors = [verify._spectra(rot[:, :a, :a]), verify._spectra(rot[:, a:, a:])]
+    sectors = [linalg.clamped_spectrum(rot[:, :a, :a]), linalg.clamped_spectrum(rot[:, a:, a:])]
     whole = _assembled(*sectors)
     n = len(whole.eigenvalues)
     i, j = (x.ravel() for x in np.indices((n, n)))
@@ -199,7 +199,7 @@ def test_sector_sum_search_equals_the_whole_state_search(d):
     for at in linalg._blocks(n * n, d * d, tables=3):
         rows, cols = verify._take(sectors, i[at]), verify._take(sectors, j[at])
         q[at], s[at] = linalg.qcb_kernels(rows, cols)
-        whole_q[at], whole_s[at] = linalg.qcb_kernels(whole[i[at]], whole[j[at]])
+        whole_q[at], whole_s[at] = linalg.qcb_kernels([whole[i[at]]], [whole[j[at]]])
     assert np.abs(q - whole_q).max() <= 1e-15
     assert np.abs(s - whole_s).max() <= 1e-12
     q, s, whole_s = (x.reshape(n, n) for x in (q, s, whole_s))
@@ -246,9 +246,9 @@ def test_reversed_curve_is_the_curve_at_one_minus_s(d):
     i, j = np.triu_indices(len(etas), 1)
     u, a = verify._flip_sectors(d)
     rot = u.T @ states.werner_state(etas, d) @ u
-    sectors = [verify._spectra(block) for block in (rot[:, :a, :a], rot[:, a:, a:])]
-    iso = verify._spectra(states.isotropic_state([d * (1 + e) / 2 for e in etas], d))
-    for rho, sigma in ((verify._take(sectors, i), verify._take(sectors, j)), (iso[i], iso[j])):
+    sectors = [linalg.clamped_spectrum(block) for block in (rot[:, :a, :a], rot[:, a:, a:])]
+    iso = linalg.clamped_spectrum(states.isotropic_state([d * (1 + e) / 2 for e in etas], d))
+    for rho, sigma in ((verify._take(sectors, i), verify._take(sectors, j)), ([iso[i]], [iso[j]])):
         back = linalg.qcb_curve_kernel(sigma, rho, s)
         mirrored = linalg.qcb_curve_kernel(rho, sigma, 1.0 - s)
         assert np.all(np.abs(back - mirrored) <= 8 * np.spacing(np.maximum(back, mirrored)))
@@ -593,13 +593,13 @@ def test_mirrored_oracles_are_symmetric_to_round_off(d):
     # 1.2e-15 for F, D and q and 7.8e-15 for s* + s*^T - 1)
     etas = discrimination.eta_grid(0.2)
     ws = states.werner_state(etas, d)
-    decs = verify._spectra(ws)
+    decs = linalg.clamped_spectrum(ws)
     n, m = len(etas), len(etas) - 2
     i, j = (x.ravel() for x in np.indices((n, n)))
     fid = np.reshape(linalg.bures_fidelity_kernel(ws[i], linalg.spectral_sqrt(decs)[j]), (n, n))
     dist = np.reshape(linalg.trace_distance_numeric(ws[i], ws[j]), (n, n))
     i, j = (x.ravel() for x in np.indices((m, m)))
-    q, s = (np.reshape(x, (m, m)) for x in linalg.qcb_kernels(decs[1:-1][i], decs[1:-1][j]))
+    q, s = (np.reshape(x, (m, m)) for x in linalg.qcb_kernels([decs[1:-1][i]], [decs[1:-1][j]]))
     assert np.abs(fid - fid.T).max() <= 1e-13
     assert np.abs(dist - dist.T).max() <= 1e-13
     assert np.abs(q - q.T).max() <= 1e-13
@@ -754,6 +754,75 @@ def test_critical_point_identities_catch_a_broken_minimiser(monkeypatch, mutant)
     monkeypatch.setattr(metrics, name, broken)
     results = verify.run_verification(grid_step=0.2, dims=(2, 3))
     assert [r.name for r in results if not r.passed] == ["critical-point-identities", *others]
+
+
+def _fidelity_scaled(monkeypatch):
+    exact = metrics._fidelity
+    for module in (metrics, discrimination):  # discrimination binds the name itself
+        monkeypatch.setattr(module, "_fidelity", lambda a, b: exact(a, b) * (1 + 1e-11))
+
+
+def _isotropic_q_scaled(monkeypatch):
+    exact = metrics.qcb_isotropic
+
+    def broken(a, b, d):
+        r = exact(a, b, d)
+        return replace(r, q=r.q * (1 + 1e-9))
+
+    monkeypatch.setattr(metrics, "qcb_isotropic", broken)
+
+
+def _broken_core(monkeypatch, change):
+    # the Chernoff core of both families, each (q, s*, kind) it returns passed through change
+    exact = metrics._qcb
+    monkeypatch.setattr(metrics, "_qcb", lambda *args: change(*exact(*args)))
+
+
+def _core_q_scaled(monkeypatch):
+    _broken_core(monkeypatch, lambda q, s, kind: (q * (1 + 1e-11), s, kind))
+
+
+# closed forms scaled below the former gates of their oracle rows (1e-9 for the fidelity,
+# 1e-6 for q), which every CI verify grid meets within 1.0e-15: each fails its oracle row
+# at 1e-12 (sandwich-ordering, closed form against closed form, caught two of them before)
+TIGHT_GATE_MUTANTS = {
+    "fidelity": (_fidelity_scaled, "fidelity-oracle", 1e-9,
+                 ["fidelity-oracle", "sandwich-ordering"]),
+    "isotropic-q": (_isotropic_q_scaled, "qcb-isotropic-oracle", 1e-6, ["qcb-isotropic-oracle"]),
+    "core-q": (_core_q_scaled, "qcb-oracle-q", 1e-6,
+               ["qcb-oracle-q", "qcb-isotropic-oracle", "sandwich-ordering"]),
+}
+
+
+@pytest.mark.parametrize("mutant", TIGHT_GATE_MUTANTS)
+def test_tightened_gates_catch_what_the_former_ones_passed(monkeypatch, mutant):
+    scale, row, former, failed = TIGHT_GATE_MUTANTS[mutant]
+    scale(monkeypatch)
+    results = verify.run_verification(grid_step=0.2, dims=(2, 3))
+    assert [r.name for r in results if not r.passed] == failed
+    monkeypatch.setitem(verify.CHECKS, row, former)
+    assert by_name(verify.run_verification(grid_step=0.2, dims=(2, 3)))[row].passed
+
+
+# the Chernoff core's endpoint-limit returns (eta or zeta = +-1, alpha in {0, d}), broken:
+# no oracle reads them yet, so both pass every check (measured at grids 0.1, 0.2 and 0.5)
+ENDPOINT_MUTANTS = {
+    "limit-q-scaled": lambda q, s, kind: (q * 1.01 if kind.endswith("_limit") else q, s, kind),
+    "left-limit-s-moved": lambda q, s, kind: (q, 0.3 if kind == "left_limit" else s, kind),
+}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 24: no oracle reads the endpoint branches")
+@pytest.mark.parametrize("mutant", ENDPOINT_MUTANTS)
+def test_endpoint_branches_are_checked_by_an_oracle(monkeypatch, mutant):
+    exact = metrics.qcb_werner(1.0, 0.0)  # eta = 1: a left limit
+    _broken_core(monkeypatch, ENDPOINT_MUTANTS[mutant])
+    if metrics.qcb_werner(1.0, 0.0) == exact:
+        pytest.fail("the mutant does not reach the endpoint branches")
+    results = verify.run_verification(grid_step=0.2, dims=(2, 3))
+    assert any(r.name.startswith(("qcb-oracle-", "qcb-isotropic-oracle")) and not r.passed
+               for r in results)
 
 
 def test_isotropic_checks_fall_back_to_the_smallest_dimension(monkeypatch):
