@@ -205,16 +205,18 @@ def _parse_dims(text: str) -> tuple[int, ...]:
             lo, hi = (int(x) for x in text.split(".."))
             if lo > hi:
                 raise WernerLabError(f"dimension range {text!r} is empty")
+            if lo < 2:
+                raise WernerLabError(f"dimension range {text!r} starts below 2")
             # the ends are checked before the range is built
-            dims = tuple(range(lo, states._check_pair_dim(hi) + 1)) if lo >= 2 else ()
+            dims = tuple(range(lo, states._check_pair_dim(hi) + 1))
         else:
             dims = tuple(int(x) for x in text.split(","))
     except WernerLabError:
         raise
     except ValueError as exc:
         raise WernerLabError(f"cannot parse dimension range {text!r}") from exc
-    if not dims or min(dims) < 2:
-        raise WernerLabError(f"dimension range {text!r} must contain integers >= 2")
+    if min(dims) < 2:
+        raise WernerLabError(f"dimension {min(dims)} in {text!r} is below 2")
     return dims
 
 

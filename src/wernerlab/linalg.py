@@ -68,8 +68,8 @@ def _as_square(a, name: str = "matrix", stack: bool = False) -> np.ndarray:
     # real input stays real (float64), anything complex becomes complex128
     a = np.asarray(a)
     a = a.astype(np.result_type(a.dtype, float), copy=False)
-    if a.ndim < 2 or (a.ndim > 2 and not stack) or a.shape[-1] != a.shape[-2]:
-        raise DimensionMismatchError(f"{name} must be square, got shape {a.shape}")
+    if a.ndim < 2 or (a.ndim > 2 and not stack) or a.shape[-1] != a.shape[-2] or not a.shape[-1]:
+        raise DimensionMismatchError(f"{name} must be square and nonempty, got shape {a.shape}")
     return a
 
 
@@ -263,10 +263,10 @@ def trace_distance_numeric(rho, sigma) -> float | list[float]:
     return (0.5 * np.abs(w).sum(-1)).tolist()
 
 
-def _overlap(dr: EigenDecomposition, ds: EigenDecomposition, out=None) -> np.ndarray:
-    # |<r_i|s_j>|^2 between the eigenvectors of rho and of sigma, in ``out`` if given; one
-    # below dim eps^2 is round-off between orthogonal eigenvectors, and is set to exactly 0
-    o = np.abs(_dagger(dr.eigenvectors) @ ds.eigenvectors, out=out)
+def _overlap(dr: EigenDecomposition, ds: EigenDecomposition) -> np.ndarray:
+    # |<r_i|s_j>|^2 between the eigenvectors of rho and of sigma; one below dim eps^2 is
+    # round-off between orthogonal eigenvectors, and is set to exactly 0
+    o = np.abs(_dagger(dr.eigenvectors) @ ds.eigenvectors)
     np.square(o, out=o)
     o *= o >= o.shape[-1] * np.finfo(float).eps ** 2
     return o
@@ -372,7 +372,8 @@ def _qcb_tables(dr: EigenDecomposition, ds: EigenDecomposition, tables: np.ndarr
     # max|D| per pair
     p, q = dr.eigenvalues, ds.eigenvalues
     lp, lq = (np.log(np.where(x > 0.0, x, 1.0)) for x in (p, q))
-    o, od, odd = _overlap(dr, ds, out=tables[:, 0]), tables[:, 1], tables[:, 2]
+    o, od, odd = _overlap(dr, ds), tables[:, 1], tables[:, 2]
+    tables[:, 0] = o
     # the O*D^2 slot holds D, and the O*D slot |D|, until the products below
     np.subtract(lp[:, :, None], lq[:, None, :], out=odd)
     odd[~(p > 0.0)] = 0.0
@@ -457,34 +458,34 @@ def qcb_numeric(rho, sigma) -> QcbNumeric:
     return QcbNumeric(q=float(r.q[0]), s_star=float(r.s_star[0]))
 
 
-def _complex_gaussian(dim: int, normals) -> np.ndarray:
-    # real then imaginary parts: drawn standard normals of shape (..., 2, dim, dim),
-    # one stack member per matrix
+def _complex_gaussian(normals) -> np.ndarray:
+    # real then imaginary parts: drawn standard normals of shape (..., 2, d, d), one
+    # stack member per matrix
     g = np.asarray(normals, dtype=float)
-    if g.shape[-3:] != (2, dim, dim):
-        raise DimensionMismatchError(f"need normals of shape (..., 2, {dim}, {dim}), got {g.shape}")
+    if g.ndim < 3 or g.shape[-3] != 2 or g.shape[-1] != g.shape[-2]:
+        raise DimensionMismatchError(f"need normals of shape (..., 2, d, d), got {g.shape}")
     return g[..., 0, :, :] + 1j * g[..., 1, :, :]
 
 
-def random_density_matrix(dim: int, normals) -> np.ndarray:
+def random_density_matrix(normals) -> np.ndarray:
     """Full-rank random density matrix from a complex Gaussian square root.
 
-    ``normals`` are standard normals of shape (..., 2, dim, dim), drawn for
-    example by ``rng.normal(size=(2, dim, dim))``: the real and imaginary
-    parts of the root, one state per stack member.
+    ``normals`` are standard normals of shape (..., 2, d, d), drawn for
+    example by ``rng.normal(size=(2, d, d))``: the real and imaginary
+    parts of the root, one d x d state per stack member.
     """
-    g = _complex_gaussian(dim, normals)
+    g = _complex_gaussian(normals)
     rho = g @ _dagger(g)
     rho /= np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
     return (rho + _dagger(rho)) / 2.0
 
 
-def random_unitary(dim: int, normals) -> np.ndarray:
+def random_unitary(normals) -> np.ndarray:
     """Haar-ish random unitary via QR of a complex Gaussian matrix.
 
-    ``normals`` are standard normals of shape (..., 2, dim, dim), as for
-    :func:`random_density_matrix`, one unitary per stack member.
+    ``normals`` are standard normals of shape (..., 2, d, d), as for
+    :func:`random_density_matrix`, one d x d unitary per stack member.
     """
-    qmat, r = np.linalg.qr(_complex_gaussian(dim, normals))
+    qmat, r = np.linalg.qr(_complex_gaussian(normals))
     phases = np.diagonal(r, axis1=-2, axis2=-1)
     return qmat * (phases / np.abs(phases))[..., None, :]

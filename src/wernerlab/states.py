@@ -42,8 +42,13 @@ def _check_double_range(value: int, what: str) -> None:
         )
 
 
+def _is_int(value) -> bool:
+    # an int or numpy integer, but not a bool (which Python counts as an int)
+    return isinstance(value, (int, np.integer)) and not isinstance(value, (bool, np.bool_))
+
+
 def _check_dim(d: int) -> int:
-    if not isinstance(d, (int, np.integer)) or d < 2:
+    if not _is_int(d) or d < 2:
         raise InvalidDimensionError(f"local dimension must be an integer >= 2, got {d!r}")
     _check_double_range(d, "local dimension")
     return int(d)
@@ -55,11 +60,6 @@ def _check_pair_dim(d: int) -> int:
     if d * d > TENSOR_DIM_CAP:
         raise DimensionOverflowError(f"two-qudit dimension {d * d} exceeds cap {TENSOR_DIM_CAP}")
     return d
-
-
-def _is_int(value) -> bool:
-    # an int or numpy integer, but not a bool (which Python counts as an int)
-    return isinstance(value, (int, np.integer)) and not isinstance(value, (bool, np.bool_))
 
 
 def _check_positive_int(value: int, what: str, cap: int | None = None) -> int:

@@ -99,29 +99,25 @@ def teleport_channel(resource, rho, *, conjugate_corrections: bool = True) -> np
     return out.reshape(resource.shape[:-2] + rho.shape)
 
 
-def covariance_check(
-    channel: HWChannel | Sequence[HWChannel], unitary, rho
-) -> float | list:
-    """Trace-distance defect of the conjugation covariance
+def covariance_check(channels: Sequence[HWChannel], unitary, rho) -> list[list[float]]:
+    """Trace-distance defects of the conjugation covariance, one list per channel E
 
-        E(U rho U^dag)  vs  U* E(rho) (U*)^dag.
+        E(U rho U^dag)  vs  U* E(rho) (U*)^dag,
 
-    Zero (up to round-off) for every unitary when E is a
-    transpose-depolarizing channel.  Stacks of unitaries and inputs along
-    leading axes give one defect per member, as a list; every unitary is
-    validated, and the error names the first non-unitary member.
-    ``channel`` is one HWChannel, or a sequence of them of one d, which
-    gives one such result per channel, as a list: U rho U^dag, U* and the
-    unitarity check are then formed once, all the defects come from one
-    trace-distance stack, and each channel's result equals its own call bit
-    for bit.
+    zero (up to round-off) for every unitary when E is a transpose-depolarizing
+    channel.  ``channels`` is a sequence of HWChannels of one d.  Stacks of
+    unitaries and inputs along leading axes broadcast against each other, and
+    each list holds one defect per member, in C order (one unitary and one
+    input give one defect).  U rho U^dag, U* and the unitarity check are formed
+    once and all the defects come from one trace-distance stack, so each list
+    equals its one-channel call bit for bit.  Every unitary is validated, and
+    the error names the first non-unitary member.
     """
-    channels = [channel] if isinstance(channel, HWChannel) else list(channel)
     dims = sorted({c.d for c in channels})
     if len(dims) != 1:
         raise DimensionMismatchError(f"channels of dimensions {dims} need one dimension")
-    u = np.asarray(unitary, dtype=complex)
-    d = dims[0]
+    [d] = dims
+    u, rho = np.asarray(unitary, dtype=complex), np.asarray(rho, dtype=complex)
     if u.shape[-2:] != (d, d):
         raise DimensionMismatchError(f"unitary must be {d} x {d}, got {u.shape}")
     bad = np.abs(_dagger(u) @ u - np.eye(d)).max(axis=(-2, -1)) > UNITARY_TOL
@@ -129,11 +125,10 @@ def covariance_check(
         raise NotUnitaryError(
             f"matrix{list(_first(bad)) or ''} is not unitary within {UNITARY_TOL:g}"
         )
-    rho = np.asarray(rho, dtype=complex)
+    u, rho = (x.reshape(-1, d, d) for x in np.broadcast_arrays(u, rho))
     u_star = u.conj()
     moved = u @ rho @ _dagger(u)
-    defects = trace_distance_numeric(
+    return trace_distance_numeric(
         np.stack([c.apply(moved) for c in channels]),
         np.stack([u_star @ c.apply(rho) @ _dagger(u_star) for c in channels]),
     )
-    return defects[0] if isinstance(channel, HWChannel) else defects

@@ -287,8 +287,8 @@ def _teleport_defects(etas, d, seed, samples) -> list[tuple[list[float], list[fl
     for at in linalg._blocks(samples, d):
         # per draw, rho's two d x d Gaussians come first, then U's two
         normals = rng.normal(size=(len(range(samples)[at]), 4, d, d))
-        rho = linalg.random_density_matrix(d, normals[:, :2])
-        u = linalg.random_unitary(d, normals[:, 2:])
+        rho = linalg.random_density_matrix(normals[:, :2])
+        u = linalg.random_unitary(normals[:, 2:])
         sim = linalg.trace_distance_numeric(
             teleport.teleport_channel(resources, rho), np.stack([c.apply(rho) for c in channels])
         )

@@ -537,8 +537,11 @@ class TestVerificationCommands:
         [
             ("3..2", "dimension range '3..2' is empty"),
             ("7..1", "dimension range '7..1' is empty"),
-            ("1..3", "dimension range '1..3' must contain integers >= 2"),
-            ("1", "dimension range '1' must contain integers >= 2"),
+            ("1..3", "dimension range '1..3' starts below 2"),
+            ("0..4", "dimension range '0..4' starts below 2"),
+            ("1", "dimension 1 in '1' is below 2"),
+            ("0,3", "dimension 0 in '0,3' is below 2"),
+            ("3,-1,0", "dimension -1 in '3,-1,0' is below 2"),
             ("2..x", "cannot parse dimension range '2..x'"),
         ],
     )

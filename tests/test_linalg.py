@@ -21,7 +21,7 @@ def rand_hermitian(dim, seed):
 
 
 def rand_density(dim, seed):
-    return linalg.random_density_matrix(dim, np.random.default_rng(seed).normal(size=(2, dim, dim)))
+    return linalg.random_density_matrix(np.random.default_rng(seed).normal(size=(2, dim, dim)))
 
 
 class TestEigh:
@@ -371,19 +371,27 @@ class TestStacks:
         # a stack of drawn normals, one state and one unitary per member; the
         # same Generator's (2, d, d) draws give each one-input call the same normals
         normals = np.random.default_rng(d).normal(size=(6, 2, d, d))
-        rhos, us = linalg.random_density_matrix(d, normals), linalg.random_unitary(d, normals)
+        rhos, us = linalg.random_density_matrix(normals), linalg.random_unitary(normals)
         rng = np.random.default_rng(d)
         for k in range(len(normals)):
-            assert np.array_equal(rhos[k], linalg.random_density_matrix(d, normals[k]))
-            assert np.array_equal(us[k], linalg.random_unitary(d, normals[k]))
+            assert np.array_equal(rhos[k], linalg.random_density_matrix(normals[k]))
+            assert np.array_equal(us[k], linalg.random_unitary(normals[k]))
             drawn = linalg.random_density_matrix if k % 2 == 0 else linalg.random_unitary
-            assert np.array_equal(drawn(d, rng.normal(size=(2, d, d))), (rhos if k % 2 == 0 else us)[k])
-        grid = linalg.random_unitary(d, normals.reshape(2, 3, 2, d, d))
+            assert np.array_equal(drawn(rng.normal(size=(2, d, d))), (rhos if k % 2 == 0 else us)[k])
+        grid = linalg.random_unitary(normals.reshape(2, 3, 2, d, d))
         assert np.array_equal(grid.reshape(us.shape), us)
 
     def test_random_draws_check_the_normals_shape(self):
-        with pytest.raises(DimensionMismatchError, match=r"\(\.\.\., 2, 3, 3\)"):
-            linalg.random_unitary(3, np.zeros((4, 3, 3)))
+        with pytest.raises(DimensionMismatchError, match=r"\(\.\.\., 2, d, d\), got \(4, 3, 3\)"):
+            linalg.random_unitary(np.zeros((4, 3, 3)))
+
+    @pytest.mark.parametrize("shape", [(3, 3, 3), (4, 1, 3, 3), (2, 3, 4), (5, 2, 2, 3), (2, 2), (2,)])
+    @pytest.mark.parametrize("draw", [linalg.random_density_matrix, linalg.random_unitary])
+    def test_random_draws_read_d_from_the_normals(self, draw, shape):
+        # d is the normals' last axis: the third-last axis must be 2 and the last two equal
+        with pytest.raises(DimensionMismatchError, match=rf"got \({', '.join(map(str, shape))},?\)$"):
+            draw(np.zeros(shape))
+        assert draw(np.random.default_rng(5).normal(size=(2, 5, 5))).shape == (5, 5)
 
     def test_scalar_calls_return_floats(self):
         rho, sigma = rand_density(4, 1), rand_density(4, 2)
@@ -482,6 +490,28 @@ class TestStacks:
             linalg.eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(NotDensityMatrixError, match=r"^sigma: minimum eigenvalue"):
             linalg.clamped_spectrum(np.diag([1.5, -0.5]), "sigma")
+
+    @pytest.mark.parametrize("call", [
+        linalg.eigh, linalg.eigvalsh, linalg.clamped_spectrum,
+        lambda m: linalg.tensor_product(m, np.eye(2)),
+        lambda m: linalg.bures_fidelity_numeric(m, m),
+        lambda m: linalg.trace_distance_numeric(m, m),
+        lambda m: linalg.relative_entropy_numeric(m, m),
+        lambda m: linalg.qcb_numeric(m, m),
+    ])
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0)])
+    def test_empty_matrices_are_rejected_by_shape(self, call, shape):
+        # a 0 x 0 matrix has no state: it is named, not divided by in the block size
+        named = rf"nonempty, got shape \({', '.join(map(str, shape))}\)$"
+        with pytest.raises(DimensionMismatchError, match=named):
+            call(np.zeros(shape))
+
+    def test_empty_stacks_of_matrices_pass(self):
+        # no member at all is not a 0 x 0 member: an empty sweep decomposes nothing
+        empty = np.zeros((0, 3, 3))
+        assert linalg.eigh(empty).eigenvalues.shape == (0, 3)
+        assert linalg.clamped_spectrum(empty).eigenvectors.shape == (0, 3, 3)
+        assert linalg.trace_distance_numeric(empty, empty) == []
 
     def test_stacks_must_be_square(self):
         with pytest.raises(DimensionMismatchError):

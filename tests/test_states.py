@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -187,6 +188,19 @@ def test_integer_checks_reject_booleans(flag):
     assert states._check_seed(np.uint8(0)) == 0
 
 
+@pytest.mark.parametrize("d", [True, False, np.True_, 1, np.int8(0), 2.0, "3", None])
+def test_dimension_check_rejects_non_integers_and_small_ones(d):
+    # the one integer test: a bool is refused with the same ">= 2" message as a float
+    message = f"local dimension must be an integer >= 2, got {d!r}"
+    with pytest.raises(InvalidDimensionError, match=f"^{re.escape(message)}$"):
+        states._check_dim(d)
+
+
+def test_dimension_check_accepts_numpy_integers():
+    assert [states._check_dim(d) for d in (2, np.int64(3), np.uint8(4))] == [2, 3, 4]
+    assert all(type(states._check_dim(d)) is int for d in (2, np.int64(3)))
+
+
 class TestWernerState:
     def test_singlet_at_minus_one(self):
         w = states.werner_state(-1.0, 2)
@@ -217,7 +231,7 @@ class TestWernerState:
         rng = np.random.default_rng(d)
         w = states.werner_state(0.6, d)
         for _ in range(5):
-            u = linalg.random_unitary(d, rng.normal(size=(2, d, d)))
+            u = linalg.random_unitary(rng.normal(size=(2, d, d)))
             uu = linalg.tensor_product(u, u)
             assert np.abs(uu @ w @ uu.conj().T - w).max() <= 1e-10
 
@@ -306,7 +320,7 @@ class TestIsotropicState:
 
 class TestChannels:
     def test_extremal_channel(self):
-        rho = linalg.random_density_matrix(3, np.random.default_rng(0).normal(size=(2, 3, 3)))
+        rho = linalg.random_density_matrix(np.random.default_rng(0).normal(size=(2, 3, 3)))
         got = states.HWChannel(-1.0, 3).apply(rho)
         assert np.abs(got - (np.eye(3) - rho.T) / 2).max() <= 1e-13
 
@@ -324,14 +338,14 @@ class TestChannels:
     def test_depolarizing_is_transposed_channel(self, alpha):
         # for alpha <= 1 the two families share parameters
         d = 3
-        rho = linalg.random_density_matrix(d, np.random.default_rng(4).normal(size=(2, d, d)))
+        rho = linalg.random_density_matrix(np.random.default_rng(4).normal(size=(2, d, d)))
         via_transpose = states.HWChannel(alpha, d).apply(rho.T)
         direct = states.DepolarizingChannel(alpha, d).apply(rho)
         assert np.abs(direct - via_transpose).max() <= 1e-12
 
     def test_depolarizing_identity_extreme(self):
         d = 3
-        rho = linalg.random_density_matrix(d, np.random.default_rng(5).normal(size=(2, d, d)))
+        rho = linalg.random_density_matrix(np.random.default_rng(5).normal(size=(2, d, d)))
         got = states.DepolarizingChannel(float(d), d).apply(rho)
         assert np.abs(got - rho).max() <= 1e-13
 
@@ -344,7 +358,7 @@ class TestChannels:
     @pytest.mark.parametrize("eta", [-1.0, -0.3, 0.0, 0.5, 1.0])
     def test_trace_preserving_and_positive(self, eta):
         d = 3
-        rho = linalg.random_density_matrix(d, np.random.default_rng(6).normal(size=(2, d, d)))
+        rho = linalg.random_density_matrix(np.random.default_rng(6).normal(size=(2, d, d)))
         out = states.HWChannel(eta, d).apply(rho)
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
         assert linalg.eigh(out).eigenvalues.min() >= -1e-12
@@ -358,7 +372,7 @@ class TestChannels:
     def test_keeps_the_values_it_validated(self, channel, value, d):
         # a channel stores the float and int its checks return, so a string or numpy
         # parameter acts as the plain one, bit for bit
-        x = linalg.random_density_matrix(2, np.random.default_rng(7).normal(size=(2, 2, 2)))
+        x = linalg.random_density_matrix(np.random.default_rng(7).normal(size=(2, 2, 2)))
         got = channel(value, d)
         assert type(getattr(got, fields(got)[0].name)) is float and type(got.d) is int
         assert got == channel(0.5, 2)

@@ -11,7 +11,13 @@ from wernerlab.errors import (
 
 
 def rand_density(dim, seed):
-    return linalg.random_density_matrix(dim, np.random.default_rng(seed).normal(size=(2, dim, dim)))
+    return linalg.random_density_matrix(np.random.default_rng(seed).normal(size=(2, dim, dim)))
+
+
+def one_defect(channel, u, rho):
+    # the covariance defect of one channel on one unitary and one input
+    [[defect]] = teleport.covariance_check([channel], u, rho)
+    return defect
 
 
 def phi_projector(d):
@@ -115,7 +121,7 @@ class TestTeleportChannel:
         channel = states.HWChannel(eta, d)
         rng = np.random.default_rng(17)
         for _ in range(5):
-            rho = linalg.random_density_matrix(d, rng.normal(size=(2, d, d)))
+            rho = linalg.random_density_matrix(rng.normal(size=(2, d, d)))
             out = teleport.teleport_channel(resource, rho)
             assert linalg.trace_distance_numeric(out, channel.apply(rho)) <= 1e-10
 
@@ -166,7 +172,7 @@ class TestStacks:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_teleport_channel_and_apply(self, d):
         rng = np.random.default_rng(70 + d)
-        rhos = linalg.random_density_matrix(d, rng.normal(size=(2, 3, 2, d, d)))
+        rhos = linalg.random_density_matrix(rng.normal(size=(2, 3, 2, d, d)))
         resource, channel = states.werner_state(-0.3, d), states.HWChannel(-0.3, d)
         plain = states.isotropic_state(0.8 * d, d)
         out = teleport.teleport_channel(resource, rhos)
@@ -186,10 +192,10 @@ class TestStacks:
     def test_covariance_pairs(self, d):
         rng = np.random.default_rng(80 + d)
         normals = rng.normal(size=(5, 2, d, d))
-        rhos, us = linalg.random_density_matrix(d, normals), linalg.random_unitary(d, normals[::-1])
+        rhos, us = linalg.random_density_matrix(normals), linalg.random_unitary(normals[::-1])
         channel = states.HWChannel(0.6, d)
-        defects = teleport.covariance_check(channel, us, rhos)
-        assert defects == [teleport.covariance_check(channel, u, rho) for u, rho in zip(us, rhos)]
+        [defects] = teleport.covariance_check([channel], us, rhos)
+        assert defects == [one_defect(channel, u, rho) for u, rho in zip(us, rhos)]
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("conjugate", [True, False])
@@ -200,9 +206,8 @@ class TestStacks:
         resources = np.stack(
             [*states.werner_state([-1.0, -0.3, 0.5], d), states.isotropic_state(0.8 * d, d)]
         )
-        for rho in (rand_density(d, seed=d), linalg.random_density_matrix(
-            d, rng.normal(size=(2, 3, 2, d, d))
-        )):
+        stacked = linalg.random_density_matrix(rng.normal(size=(2, 3, 2, d, d)))
+        for rho in (rand_density(d, seed=d), stacked):
             out = teleport.teleport_channel(resources, rho, conjugate_corrections=conjugate)
             assert out.shape == (len(resources), *rho.shape)
             for resource, kept in zip(resources, out):
@@ -221,19 +226,28 @@ class TestStacks:
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_covariance_over_channels(self, d):
-        # a sequence of channels gives one result per channel, each its own call's, on
-        # stacks of pairs and on one pair
+        # a sequence of channels gives one defect list per channel, each its own call's, on
+        # stacks of pairs and on one pair; one unitary broadcasts over a stack of inputs,
+        # and a shaped stack's defects come flat, in C order
         rng = np.random.default_rng(100 + d)
         normals = rng.normal(size=(5, 2, d, d))
-        rhos, us = linalg.random_density_matrix(d, normals), linalg.random_unitary(d, normals[::-1])
+        rhos, us = linalg.random_density_matrix(normals), linalg.random_unitary(normals[::-1])
         channels = [states.HWChannel(eta, d) for eta in (-1.0, 0.2, 0.6)]
         for u, rho in ((us, rhos), (us[0], rhos[0])):
             assert teleport.covariance_check(channels, u, rho) == [
-                teleport.covariance_check(channel, u, rho) for channel in channels
+                teleport.covariance_check([channel], u, rho)[0] for channel in channels
             ]
-        assert teleport.covariance_check(channels[:1], us, rhos) == [
-            teleport.covariance_check(channels[0], us, rhos)
+        assert teleport.covariance_check(channels, us[0], rhos) == [
+            [one_defect(channel, us[0], rho) for rho in rhos] for channel in channels
         ]
+        shaped = (a[:4].reshape(2, 2, d, d) for a in (us, rhos))
+        assert teleport.covariance_check(channels, *shaped) == teleport.covariance_check(
+            channels, us[:4], rhos[:4]
+        )
+
+    def test_a_bare_channel_is_not_a_sequence(self):
+        with pytest.raises(TypeError):
+            teleport.covariance_check(states.HWChannel(0.5, 2), np.eye(2), np.eye(2) / 2)
 
     def test_channels_of_several_dimensions_are_rejected(self):
         channels = [states.HWChannel(0.1, 2), states.HWChannel(0.1, 3)]
@@ -250,29 +264,29 @@ class TestStacks:
         us = np.stack([np.eye(2), teleport.weyl_unitary(1, 1, 2), 2.0 * np.eye(2)])
         rho = rand_density(2, seed=65)
         with pytest.raises(NotUnitaryError, match=r"matrix\[2\] is not unitary"):
-            teleport.covariance_check(states.HWChannel(0.0, 2), us, rho)
+            teleport.covariance_check([states.HWChannel(0.0, 2)], us, rho)
 
 
 class TestCovariance:
     def test_identity_unitary(self):
         rho = rand_density(3, seed=51)
-        defect = teleport.covariance_check(states.HWChannel(0.7, 3), np.eye(3), rho)
+        defect = one_defect(states.HWChannel(0.7, 3), np.eye(3), rho)
         assert defect <= 1e-14
 
     def test_random_unitary(self):
         rng = np.random.default_rng(53)
-        u = linalg.random_unitary(3, rng.normal(size=(2, 3, 3)))
-        rho = linalg.random_density_matrix(3, rng.normal(size=(2, 3, 3)))
-        defect = teleport.covariance_check(states.HWChannel(0.7, 3), u, rho)
+        u = linalg.random_unitary(rng.normal(size=(2, 3, 3)))
+        rho = linalg.random_density_matrix(rng.normal(size=(2, 3, 3)))
+        defect = one_defect(states.HWChannel(0.7, 3), u, rho)
         assert defect <= 1e-10
 
     def test_shift_unitary_extremal_channel(self):
         x = teleport.weyl_unitary(1, 0, 2)
         rho = rand_density(2, seed=59)
-        defect = teleport.covariance_check(states.HWChannel(-1.0, 2), x, rho)
+        defect = one_defect(states.HWChannel(-1.0, 2), x, rho)
         assert defect <= 1e-12
 
     def test_rejects_non_unitary(self):
         rho = rand_density(2, seed=61)
         with pytest.raises(NotUnitaryError, match="^matrix is not unitary"):
-            teleport.covariance_check(states.HWChannel(0.0, 2), np.ones((2, 2)), rho)
+            teleport.covariance_check([states.HWChannel(0.0, 2)], np.ones((2, 2)), rho)

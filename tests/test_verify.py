@@ -1006,11 +1006,11 @@ def test_teleport_defects_span_several_stacks(monkeypatch):
         resource, channel = states.werner_state(eta, d), states.HWChannel(eta, d)
         sim, cov = [], []
         for _ in range(samples):
-            rho = linalg.random_density_matrix(d, rng.normal(size=(2, d, d)))
-            u = linalg.random_unitary(d, rng.normal(size=(2, d, d)))
+            rho = linalg.random_density_matrix(rng.normal(size=(2, d, d)))
+            u = linalg.random_unitary(rng.normal(size=(2, d, d)))
             out = teleport.teleport_channel(resource, rho)
             sim.append(real(out, channel.apply(rho)))
-            cov.append(teleport.covariance_check(channel, u, rho))
+            cov += teleport.covariance_check([channel], u, rho)[0]
 
         monkeypatch.setattr(linalg, "_STACK_ENTRIES", 7 * d * d)
         stacks = []
@@ -1060,7 +1060,7 @@ def test_teleport_check_draws_each_dimension_once(monkeypatch):
         assert shared == [verify._teleport_defects([eta], d, seed, 20)[0] for eta in etas]
     drawn = []
     real = linalg.random_density_matrix
-    monkeypatch.setattr(linalg, "random_density_matrix", lambda d, g: drawn.append(len(g)) or real(d, g))
+    monkeypatch.setattr(linalg, "random_density_matrix", lambda g: drawn.append(len(g)) or real(g))
     results = verify.check_teleport(seed)
     assert drawn == [20, 20]
     assert {r.name: r.points for r in results} == {
@@ -1073,8 +1073,8 @@ def test_teleport_sweep_checks_every_unitary(monkeypatch):
     # the error names the first non-unitary one: the fifth draw, index 4
     real = linalg.random_unitary
 
-    def fifth_is_not_unitary(d, normals):
-        u = real(d, normals)
+    def fifth_is_not_unitary(normals):
+        u = real(normals)
         u[4] *= 2.0
         return u
 
