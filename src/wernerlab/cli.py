@@ -22,9 +22,16 @@ import math
 import sys
 from dataclasses import asdict, fields
 from operator import attrgetter
+from typing import TYPE_CHECKING
 
-from . import __version__, discrimination, metrics, metrology, states, verify
+# discrimination, states and verify load numpy, so the commands that use them import
+# them: fidelity, relent, qcb and estimate (but for its sim mode) run without numpy
+from . import __version__, metrics, metrology
 from .errors import WernerLabError
+from .validate import DEFAULT_SEED
+
+if TYPE_CHECKING:
+    from . import discrimination
 
 SCHEMA_VERSION = "1"
 
@@ -98,6 +105,8 @@ def format_curves_csv(rows) -> str:
 def parse_curves_csv(text: str) -> list[discrimination.DiscriminationBounds]:
     """Inverse of :func:`format_curves_csv` (nominal d = 2, matching
     curve_grid); a malformed line raises WernerLabError naming its number."""
+    from . import discrimination
+
     (first, header), *lines = [
         (i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()
     ] or [(1, "")]
@@ -151,7 +160,7 @@ def build_parser() -> _Parser:
     p.add_argument("--eta", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_format(p)
 
     p = sub.add_parser("discriminate", parents=[pair], help="error-probability bound sandwich")
@@ -169,7 +178,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("teleport-check", help="teleportation simulation and covariance defects")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--samples", type=int, default=20)
     _add_format(p)
 
@@ -179,7 +188,7 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--seed",
         type=int,
-        default=verify.DEFAULT_SEED,
+        default=DEFAULT_SEED,
         help="seed of the teleport checks' random states and unitaries, the run's only draws",
     )
     p.add_argument(
@@ -200,6 +209,8 @@ def _parser() -> _Parser:
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
+    from . import states
+
     try:
         if ".." in text:
             lo, hi = (int(x) for x in text.split(".."))
@@ -270,11 +281,15 @@ def _cmd_estimate(args) -> dict:
 
 
 def _cmd_discriminate(args) -> dict:
+    from . import discrimination
+
     sandwich = discrimination.bounds(args.eta, args.zeta, args.d, args.n)
     return _split_record("discriminate", sandwich, ("eta", "zeta", "d", "n"))
 
 
 def _cmd_curves(args) -> int:
+    from . import discrimination
+
     try:
         n_list = [int(x) for x in args.n.split(",") if x.strip()]
     except ValueError as exc:
@@ -301,6 +316,8 @@ def _curves_json(record: dict, cells):
     # json.dumps(record, indent=2) + "\n" with the rows of ``cells`` (never empty) in
     # place of the record's empty row list, each with the fields of DiscriminationBounds
     # in order (d = 2), one chunk per row, so no whole document is held
+    from . import discrimination
+
     head, tail = json.dumps(_jsonify(record), indent=2).rsplit("[]", 1)
     yield head
     names = [f.name for f in fields(discrimination.DiscriminationBounds)]
@@ -313,6 +330,8 @@ def _curves_json(record: dict, cells):
 
 
 def _cmd_teleport_check(args) -> int:
+    from . import verify
+
     results = verify.teleport_check(args.eta, args.d, args.seed, args.samples)
     params = {"d": args.d, "eta": args.eta, "seed": args.seed, "samples": args.samples}
     _emit_record(_record("teleport-check", params, results), args.format)
@@ -321,6 +340,8 @@ def _cmd_teleport_check(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
+
     dims = _parse_dims(args.dims)
     results = verify.run_verification(
         grid_step=args.grid, dims=dims, seed=args.seed, tol_scale=args.tol_scale

@@ -186,7 +186,7 @@ def clamped_spectrum(rho, name: str = "rho") -> EigenDecomposition:
     state once and reuse it for every pair.  A stack goes to ``eigh`` a block at
     a time (``_blocks``); errors name the first failing member in the whole stack.
     """
-    rho = _as_square(rho, stack=True)
+    rho = _as_square(rho, name, stack=True)
     flat = rho.reshape(math.prod(rho.shape[:-2]), *rho.shape[-2:])
     w, v = np.empty(flat.shape[:-1]), np.empty_like(flat)
     for at in _blocks(len(flat), rho.shape[-1]):

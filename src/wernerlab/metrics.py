@@ -4,6 +4,7 @@ All quantities in this module are parameter-in/number-out: they depend on
 the flip expectations (eta, zeta) or entangled-operator expectations
 (alpha, beta) alone, never on explicit matrices.  The matrix-level
 counterparts in :mod:`wernerlab.linalg` serve as independent cross-checks.
+The module is pure :mod:`math`, so a scalar closed form loads no numpy.
 Each public closed form validates its parameters and then calls a private
 core, which callers holding validated floats call directly.
 
@@ -18,10 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
-import numpy as np
-
 from .errors import SupportMismatchError
-from .states import _check_alpha, _check_dim, _check_eta, _check_in, _check_positive_int
+from .validate import _check_alpha, _check_dim, _check_eta, _check_in
 
 __all__ = [
     "QcbResult",
@@ -33,7 +32,6 @@ __all__ = [
     "werner_qs",
     "qcb_werner",
     "qcb_isotropic",
-    "helstrom_multicopy_werner",
 ]
 
 LN_SQRT2 = 0.5 * math.log(2.0)
@@ -266,115 +264,3 @@ def _qcb(a1: float, a2: float, b1: float, b2: float, t: float, gap: float) -> tu
         return a2 / t, 1.0, "right_limit"
     s = _critical_s(a1, a2, b1, b2, gap)
     return _qs(a1, a2, b1, b2, t, s), s, "interior"
-
-
-HELSTROM_COPY_CAP = 1000
-# Entries of one (zeta, eta, k) block of _helstrom_rows; sizes the working buffers each call
-# allocates once and reuses for every block, so it bounds the call's working memory.
-_HELSTROM_BLOCK = 1 << 15
-# A class minimum logged at or below max(its row's peak - _WINDOW, _EXP_FLOOR) is set to
-# +0.0 without calling exp.  Each such term is at most e^-60 of the row's peak, which is at
-# most the row's sum, so all of them together are under (n + 1) e^-60 <= 2^-74 of the sum
-# for every n up to 5000, far below half an ulp of it.  At n = 1000 on the 0.01 grid only
-# about 16 % of the terms lie above the cut.
-_WINDOW = 60.0
-# exp is exactly +0.0 below -745.1332 in float64, so terms at or below this floor are 0
-# whatever their row: the floor binds only on rows whose peak lies below -690, which
-# still get their subnormal sum, and on -inf rows.  numpy's SIMD exp takes a slow path on
-# every vector that holds an underflowing lane, so no such lane reaches it.
-_EXP_FLOOR = -750.0
-
-
-def _check_copies(n: int) -> int:
-    """Validate a copy count for the exact block error: a positive integer
-    no larger than ``HELSTROM_COPY_CAP``."""
-    return _check_positive_int(n, "copy count", HELSTROM_COPY_CAP)
-
-
-def _log_binomials(n: int) -> np.ndarray:
-    # log C(n, k), k = 0..n, each from the exact integer, so the table is right to an ulp
-    # (a float cumulative sum drifts by 1e-12 at n = 1000, lgamma differences by 2e-12);
-    # the integers are built up to k = n/2 and mirrored, C(n, k) = C(n, n - k)
-    binom, logs = 1, [0.0]
-    for i in range(1, n // 2 + 1):
-        binom = binom * (n + 1 - i) // i
-        logs.append(math.log(binom))
-    return np.array(logs + logs[(n - 1) // 2 :: -1])
-
-
-def _helstrom_rows(etas, zetas, n: int) -> np.ndarray:
-    # helstrom_multicopy_werner for every eta against every zeta at one
-    # validated copy count, in log space, shape (len(zetas), len(etas)).  k log 0 is
-    # 0 at k = 0, as is (n - k) log 0 at k = n.  Each row exponentiates only the class
-    # minima above its cut (see _WINDOW); the rest are +0.0.
-    log_base = _log_binomials(n) - n * math.log(2.0)
-    k = np.arange(n + 1.0)
-    rest = n - k
-
-    def log_weights(column, up=None, down=None):
-        # log[C(n,k) ((1+eta)/2)^k ((1-eta)/2)^(n-k)], one row per eta, into ``up``
-        with np.errstate(divide="ignore", invalid="ignore"):
-            up = np.multiply(k, np.log1p(column), out=up)
-            down = np.multiply(rest, np.log1p(-column), out=down)
-        up[..., 0] = down[..., -1] = 0.0
-        return np.add(np.add(log_base, up, out=up), down, out=up)
-
-    def lead(buf, *shape):
-        # the leading entries of a flat buffer, shaped as one block: a contiguous view
-        return buf[: math.prod(shape)].reshape(shape)
-
-    etas, zetas = np.asarray(etas, dtype=float), np.asarray(zetas, dtype=float)
-    log_zetas = log_weights(zetas[:, None])[:, None, :]
-    rows = np.empty((len(zetas), len(etas)))
-    # an eta block holds at most ``step`` etas and a (zeta, eta) block at most ``step``
-    # pairs: the buffers are allocated once, for the largest block, and every block is a
-    # view of them
-    step = max(1, _HELSTROM_BLOCK // (n + 1))
-    up, down = np.empty((2, min(step, len(etas)), n + 1))
-    minima = np.empty(min(step, len(zetas) * len(etas)) * (n + 1))
-    under, keep = np.empty((2, minima.size), dtype=bool)
-    for at in (slice(j, j + step) for j in range(0, len(etas), step)):
-        # each eta block's weights are logged once and set against every zeta,
-        # as many zetas at a time as keep the minima within the block bound
-        column = etas[at, None]
-        block = log_weights(column, up[: len(column)], down[: len(column)])
-        z_step = max(1, _HELSTROM_BLOCK // block.size)
-        for z in (slice(j, j + z_step) for j in range(0, len(zetas), z_step)):
-            shape = (len(zetas[z]), *block.shape)
-            terms = np.minimum(block, log_zetas[z], out=lead(minima, *shape))
-            # a NaN row has a NaN cut: nothing is at or below it, so the NaN goes through exp
-            cut = np.maximum(terms.max(-1, keepdims=True) - _WINDOW, _EXP_FLOOR)
-            floor = np.less_equal(terms, cut, out=lead(under, *shape))
-            np.exp(terms, out=terms, where=np.logical_not(floor, out=lead(keep, *shape)))
-            np.copyto(terms, 0.0, where=floor)
-            rows[z, at] = 0.5 * terms.sum(axis=-1)
-    # The true sum of minima is at most 1, and exactly 1 for equal parameters;
-    # rounded weights can miss either by a few ulps per term.
-    rows = np.minimum(rows, 0.5)
-    rows[zetas[:, None] == etas] = 0.5
-    return rows
-
-
-def helstrom_multicopy_werner(eta: float, zeta: float, d: int, n: int) -> float:
-    """Exact minimum error probability for discriminating two equiprobable
-    n-fold tensor powers of flip-expectation states.
-
-    Both spectra live in one eigenbasis, so the error reduces to a sum over
-    the shared multiplicity classes k = 0..n (Audenaert et al., PRL 98,
-    160501 (2007)):
-
-        p = 1/2 sum_k min(w_k(eta), w_k(zeta)),
-        w_k(eta) = C(n,k) ((1+eta)/2)^k ((1-eta)/2)^(n-k).
-
-    Unlike 1 - 1/2 sum_k |w_k(eta) - w_k(zeta)|, this sum cannot cancel, so
-    p is never negative and stays accurate in relative terms when tiny.  Terms
-    at most e^-60 of the largest are summed as 0: together they are under
-    (n + 1) e^-60 <= 2^-74 of p, far below half an ulp of it.  The value does
-    not depend on d; eta == zeta gives exactly 1/2, and n beyond 1000 is
-    rejected.
-    """
-    eta = _check_eta(eta)
-    zeta = _check_eta(zeta)
-    d = _check_dim(d)
-    n = _check_copies(n)
-    return float(_helstrom_rows([eta], [zeta], n)[0, 0])

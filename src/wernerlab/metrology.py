@@ -13,10 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidParameterError
-from .states import _check_eta, _check_positive_int, _check_seed
+from .validate import _check_eta, _check_positive_int, _check_seed
 
 __all__ = [
     "TRIAL_CAP",
@@ -91,10 +89,12 @@ def simulate_estimation(eta: float, n: int, trials: int, seed: int) -> Estimatio
     full-length integer array.  The seed must be a non-negative integer,
     ``trials`` at most ``TRIAL_CAP`` and ``n`` at most 2**63 - 1.
     """
+    import numpy as np
+
     eta = _check_eta(eta)
     if abs(eta) == 1.0:
         raise InvalidParameterError("simulation requires |eta| < 1")
-    n = _check_positive_int(n, "probe count", np.iinfo(np.int64).max)  # binomial takes a C long
+    n = _check_positive_int(n, "probe count", 2**63 - 1)  # binomial takes a C long
     trials, seed = _check_draws(trials, seed)
 
     p = (1.0 + eta) / 2.0

@@ -9,19 +9,14 @@ The channels keep the float and int their checks return, not the raw values.
 
 from __future__ import annotations
 
-import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    DimensionOverflowError,
-    InvalidDimensionError,
-    InvalidParameterError,
-)
+from .errors import DimensionMismatchError, DimensionOverflowError
 from .linalg import TENSOR_DIM_CAP
+from .validate import _check_alpha, _check_dim, _check_eta
 
 __all__ = [
     "flip_operator",
@@ -34,65 +29,12 @@ __all__ = [
 ]
 
 
-def _check_double_range(value: int, what: str) -> None:
-    # Closed forms turn integers into floats; beyond a double that overflows.
-    if value > sys.float_info.max:
-        raise DimensionOverflowError(
-            f"{what} exceeds the range of a double ({sys.float_info.max:.6g})"
-        )
-
-
-def _is_int(value) -> bool:
-    # an int or numpy integer, but not a bool (which Python counts as an int)
-    return isinstance(value, (int, np.integer)) and not isinstance(value, (bool, np.bool_))
-
-
-def _check_dim(d: int) -> int:
-    if not _is_int(d) or d < 2:
-        raise InvalidDimensionError(f"local dimension must be an integer >= 2, got {d!r}")
-    _check_double_range(d, "local dimension")
-    return int(d)
-
-
 def _check_pair_dim(d: int) -> int:
     # Two-qudit operators are d^2 x d^2: reject oversized ones before building.
     d = _check_dim(d)
     if d * d > TENSOR_DIM_CAP:
         raise DimensionOverflowError(f"two-qudit dimension {d * d} exceeds cap {TENSOR_DIM_CAP}")
     return d
-
-
-def _check_positive_int(value: int, what: str, cap: int | None = None) -> int:
-    if not _is_int(value) or value < 1:
-        raise InvalidParameterError(f"{what} must be a positive integer, got {value!r}")
-    _check_double_range(value, what)
-    if cap is not None and value > cap:
-        raise DimensionOverflowError(f"{what} {value} exceeds cap {cap}")
-    return int(value)
-
-
-def _check_seed(seed: int) -> int:
-    if not _is_int(seed) or seed < 0:
-        raise InvalidParameterError(f"seed must be a non-negative integer, got {seed!r}")
-    return int(seed)
-
-
-def _check_in(value, lo: int, hi: int, what: str) -> float:
-    try:
-        value = float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidParameterError(f"{what} must be a number, got {value!r}") from None
-    if not lo <= value <= hi:
-        raise InvalidParameterError(f"{what} must lie in [{lo}, {hi}], got {value}")
-    return value
-
-
-def _check_eta(eta: float) -> float:
-    return _check_in(eta, -1, 1, "flip expectation")
-
-
-def _check_alpha(alpha: float, d: int) -> float:
-    return _check_in(alpha, 0, d, "entangled-operator expectation")
 
 
 def _permuted_identity(d: int, axes: tuple[int, ...]) -> np.ndarray:

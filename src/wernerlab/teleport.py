@@ -29,7 +29,8 @@ from .errors import (
     NotUnitaryError,
 )
 from .linalg import TENSOR_DIM_CAP, _blocks, _dagger, _first, trace_distance_numeric
-from .states import HWChannel, _check_dim, _is_int
+from .states import HWChannel
+from .validate import _check_dim, _is_int
 
 __all__ = [
     "weyl_unitary",
@@ -108,10 +109,12 @@ def covariance_check(channels: Sequence[HWChannel], unitary, rho) -> list[list[f
     channel.  ``channels`` is a sequence of HWChannels of one d.  Stacks of
     unitaries and inputs along leading axes broadcast against each other, and
     each list holds one defect per member, in C order (one unitary and one
-    input give one defect).  U rho U^dag, U* and the unitarity check are formed
-    once and all the defects come from one trace-distance stack, so each list
-    equals its one-channel call bit for bit.  Every unitary is validated, and
-    the error names the first non-unitary member.
+    input give one defect); inputs that are not d x d, or stacks that do not
+    broadcast, are rejected naming both shapes.  U rho U^dag, U* and the
+    unitarity check are formed once and all the defects come from one
+    trace-distance stack, so each list equals its one-channel call bit for bit.
+    Every unitary is validated, and the error names the first non-unitary
+    member.
     """
     dims = sorted({c.d for c in channels})
     if len(dims) != 1:
@@ -120,6 +123,16 @@ def covariance_check(channels: Sequence[HWChannel], unitary, rho) -> list[list[f
     u, rho = np.asarray(unitary, dtype=complex), np.asarray(rho, dtype=complex)
     if u.shape[-2:] != (d, d):
         raise DimensionMismatchError(f"unitary must be {d} x {d}, got {u.shape}")
+    try:
+        np.broadcast_shapes(u.shape, rho.shape)
+        fits = rho.shape[-2:] == (d, d)
+    except ValueError:
+        fits = False
+    if not fits:
+        raise DimensionMismatchError(
+            f"input {rho.shape} and unitary {u.shape} are incompatible: the inputs must be "
+            f"{d} x {d} and their stack must broadcast with the unitaries'"
+        )
     bad = np.abs(_dagger(u) @ u - np.eye(d)).max(axis=(-2, -1)) > UNITARY_TOL
     if np.any(bad):
         raise NotUnitaryError(

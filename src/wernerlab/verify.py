@@ -29,11 +29,9 @@ import numpy as np
 
 from . import discrimination, linalg, metrics, metrology, states, teleport
 from .errors import DimensionOverflowError, InvalidParameterError
+from .validate import DEFAULT_SEED, _check_positive_int, _check_seed
 
 __all__ = ["CHECKS", "DEFAULT_SEED", "CheckResult", "run_verification", "teleport_check"]
-
-# the seed of every seeded run (verify, teleport-check, estimate sim) unless one is given
-DEFAULT_SEED = 20260808
 
 TELEPORT_TOL = 1e-10
 # the teleport sweep keeps one defect per sample, so memory grows with the count
@@ -317,7 +315,7 @@ def check_helstrom_explicit(tol_scale=1.0) -> CheckResult:
         rho_n, sigma_n = rho, sigma
         for n in (1, 2, 3):
             explicit = 0.5 * (1.0 - linalg.trace_distance_numeric(rho_n, sigma_n))
-            combinatorial = metrics.helstrom_multicopy_werner(eta, zeta, 2, n)
+            combinatorial = discrimination.helstrom_multicopy_werner(eta, zeta, 2, n)
             deltas.append(abs(explicit - combinatorial))
             if n < 3:
                 rho_n = linalg.tensor_product(rho_n, rho)
@@ -359,7 +357,7 @@ def run_verification(
     tol_scale: float = 1.0,
 ) -> list[CheckResult]:
     """Run every check of CHECKS, in its order, each tolerance times ``tol_scale`` in (0, 1]."""
-    seed = states._check_seed(seed)
+    seed = _check_seed(seed)
     dims = tuple(states._check_pair_dim(d) for d in dims)
     if not dims:
         raise InvalidParameterError("no dimension to verify")
@@ -392,11 +390,11 @@ def run_verification(
 
 def teleport_check(eta: float, d: int, seed: int, samples: int) -> dict:
     """Worst simulation and covariance defects for one (eta, d)."""
-    samples = states._check_positive_int(samples, "sample count", TELEPORT_SAMPLE_CAP)
+    samples = _check_positive_int(samples, "sample count", TELEPORT_SAMPLE_CAP)
     work = samples * teleport._check_teleport_dim(states._check_pair_dim(d)) ** 6
     if work > TELEPORT_WORK_CAP:
         raise DimensionOverflowError(f"samples x d^6 = {work} exceeds cap {TELEPORT_WORK_CAP}")
-    seed = states._check_seed(seed)
+    seed = _check_seed(seed)
     [(sim, cov)] = _teleport_defects([eta], d, seed, samples)
     return {
         "simulation_defect": float(np.max(sim)),  # a NaN defect is the maximum

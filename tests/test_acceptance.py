@@ -181,7 +181,7 @@ def test_criterion_07_discrimination_sandwich():
                         powers[a][n - 1], powers[b][n - 1]
                     )
                 )
-                combinatorial = metrics.helstrom_multicopy_werner(a, b, 2, n)
+                combinatorial = discrimination.helstrom_multicopy_werner(a, b, 2, n)
                 worst_hel = max(worst_hel, abs(explicit - combinatorial))
     report(
         7,

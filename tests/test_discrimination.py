@@ -114,14 +114,14 @@ class TestCurveGrid:
     def test_log_binomials_are_built_once_per_call(self, monkeypatch):
         # once per copy count, not once per zeta
         built = []
-        log_binomials = metrics._log_binomials
+        log_binomials = discrimination._log_binomials
 
         def counted(n):
             built.append(n)
             return log_binomials(n)
 
         etas = discrimination.eta_grid(0.25)
-        monkeypatch.setattr(metrics, "_log_binomials", counted)
+        monkeypatch.setattr(discrimination, "_log_binomials", counted)
         discrimination._sandwiches(etas, etas, [1, 3, 1000])
         assert built == [1, 3, 1000]
 

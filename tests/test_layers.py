@@ -2,9 +2,10 @@
 
 The closed-form modules (``metrics``, ``discrimination``, ``metrology``) take
 from the package only the errors, the metrics and the ``_check_*`` validators
-of ``states``; they never reach ``linalg`` or ``teleport``.  The oracle
-modules (``linalg``, ``states``, ``teleport``) never reach a closed form, nor
-``verify`` or ``cli``, which set the two routes against each other.
+of ``validate``; they never reach ``linalg``, ``states`` or ``teleport``.  The
+oracle modules (``linalg``, ``states``, ``teleport``) never reach a closed form,
+nor ``verify`` or ``cli``, which set the two routes against each other.  The
+validators both routes share take nothing from the package but the errors.
 """
 
 import ast
@@ -48,16 +49,17 @@ def package_imports(module: str) -> list[tuple[str, str]]:
 
 def test_the_parser_sees_the_imports():
     assert ("errors", "SupportMismatchError") in package_imports("metrics")
-    assert ("states", "_check_eta") in package_imports("metrics")
+    assert ("validate", "_check_eta") in package_imports("metrics")
     assert ("linalg", "_blocks") in package_imports("teleport")
     assert ("metrics", "*") in package_imports("verify")
+    assert ("discrimination", "*") in package_imports("cli")  # imported inside a command
 
 
 @pytest.mark.parametrize("module", CLOSED_FORM)
 def test_closed_forms_take_only_errors_metrics_and_validators(module):
     for source, name in package_imports(module):
-        assert source in {"errors", "metrics", "states"}, (module, source, name)
-        if source == "states":
+        assert source in {"errors", "metrics", "validate"}, (module, source, name)
+        if source == "validate":
             assert name.startswith("_check_"), (module, source, name)
 
 
@@ -65,3 +67,7 @@ def test_closed_forms_take_only_errors_metrics_and_validators(module):
 def test_oracles_reach_no_closed_form(module):
     for source, name in package_imports(module):
         assert source not in ABOVE_THE_ORACLES, (module, source, name)
+
+
+def test_the_validators_take_only_errors():
+    assert {source for source, _name in package_imports("validate")} == {"errors"}

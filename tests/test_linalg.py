@@ -506,6 +506,12 @@ class TestStacks:
         with pytest.raises(DimensionMismatchError, match=named):
             call(np.zeros(shape))
 
+    @pytest.mark.parametrize("shape", [(0, 0), (2, 3), (3, 0, 0)])
+    def test_a_bad_shape_is_named_by_the_state(self, shape):
+        # the name that clamped_spectrum's PSD error gives is the one its shape error gives
+        with pytest.raises(DimensionMismatchError, match=r"^sigma must be square and nonempty"):
+            linalg.clamped_spectrum(np.zeros(shape), "sigma")
+
     def test_empty_stacks_of_matrices_pass(self):
         # no member at all is not a 0 x 0 member: an empty sweep decomposes nothing
         empty = np.zeros((0, 3, 3))

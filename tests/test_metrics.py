@@ -429,13 +429,13 @@ class TestHelstromMulticopy:
                     states.werner_state(eta, d), states.werner_state(zeta, d)
                 )
             )
-            got = metrics.helstrom_multicopy_werner(eta, zeta, d, 1)
+            got = discrimination.helstrom_multicopy_werner(eta, zeta, d, 1)
             assert got == pytest.approx(expected, abs=1e-12)
 
     @given(etas, st.integers(1, 40))
     @settings(max_examples=100)
     def test_indistinguishable_pair(self, eta, n):
-        assert metrics.helstrom_multicopy_werner(eta, eta, 3, n) == 0.5
+        assert discrimination.helstrom_multicopy_werner(eta, eta, 3, n) == 0.5
 
     def test_three_copies_against_explicit_matrices(self):
         eta, zeta = 0.5, 0.0
@@ -444,7 +444,7 @@ class TestHelstromMulticopy:
         rho3 = linalg.tensor_product(linalg.tensor_product(rho, rho), rho)
         sigma3 = linalg.tensor_product(linalg.tensor_product(sigma, sigma), sigma)
         explicit = 0.5 * (1.0 - linalg.trace_distance_numeric(rho3, sigma3))
-        got = metrics.helstrom_multicopy_werner(eta, zeta, 2, 3)
+        got = discrimination.helstrom_multicopy_werner(eta, zeta, 2, 3)
         assert got == pytest.approx(explicit, abs=1e-10)
 
     def test_log_space_matches_direct_products(self):
@@ -463,7 +463,7 @@ class TestHelstromMulticopy:
             return 0.5 * (1.0 - dist)
 
         for n in (51, 60, 200):
-            assert metrics.helstrom_multicopy_werner(0.5, 0.2, 2, n) == pytest.approx(
+            assert discrimination.helstrom_multicopy_werner(0.5, 0.2, 2, n) == pytest.approx(
                 direct(0.5, 0.2, n), abs=1e-12
             )
 
@@ -484,7 +484,7 @@ class TestHelstromMulticopy:
                 dist = mpmath.fsum(abs(a - b) for a, b in zip(w_eta, w_zeta)) / 2
                 if exact > 1e-40:
                     assert abs((1 - dist) / 2 - exact) <= 1e-18 * exact, (eta, zeta)
-            got = metrics.helstrom_multicopy_werner(eta, zeta, 2, n)
+            got = discrimination.helstrom_multicopy_werner(eta, zeta, 2, n)
             assert_relative(got, exact, 3e-12, (eta, zeta))
 
     @pytest.mark.parametrize("n", [1, 7, 50, 51, 100, 1000])
@@ -497,26 +497,26 @@ class TestHelstromMulticopy:
             for zeta in points:
                 exact = mp_helstrom(mp_class_weights(eta, n), mp_class_weights(zeta, n))
                 for d in (2, 5):
-                    got = metrics.helstrom_multicopy_werner(eta, zeta, d, n)
+                    got = discrimination.helstrom_multicopy_werner(eta, zeta, d, n)
                     assert_relative(got, exact, 3e-12, (eta, zeta, d))
 
     def test_extreme_parameters_large_n(self):
-        assert metrics.helstrom_multicopy_werner(1.0, -1.0, 2, 100) == pytest.approx(
+        assert discrimination.helstrom_multicopy_werner(1.0, -1.0, 2, 100) == pytest.approx(
             0.0, abs=1e-15
         )
-        assert metrics.helstrom_multicopy_werner(1.0, 1.0, 2, 100) == pytest.approx(0.5)
+        assert discrimination.helstrom_multicopy_werner(1.0, 1.0, 2, 100) == pytest.approx(0.5)
 
     def test_monotone_in_copies(self):
         values = [
-            metrics.helstrom_multicopy_werner(0.5, 0.0, 2, n) for n in range(1, 30)
+            discrimination.helstrom_multicopy_werner(0.5, 0.0, 2, n) for n in range(1, 30)
         ]
         assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
 
     def test_copy_cap(self):
         with pytest.raises(DimensionOverflowError):
-            metrics.helstrom_multicopy_werner(0.5, 0.0, 2, 1001)
+            discrimination.helstrom_multicopy_werner(0.5, 0.0, 2, 1001)
         with pytest.raises(InvalidParameterError):
-            metrics.helstrom_multicopy_werner(0.5, 0.0, 2, 0)
+            discrimination.helstrom_multicopy_werner(0.5, 0.0, 2, 0)
 
 
 class TestHelstromRows:
@@ -528,22 +528,22 @@ class TestHelstromRows:
     @pytest.mark.parametrize("n", [1, 2, 20, 1000])
     def test_every_zeta_row_is_its_own_call(self, n):
         etas = self.ZETAS[:-1]
-        table = metrics._helstrom_rows(etas, self.ZETAS, n)
+        table = discrimination._helstrom_rows(etas, self.ZETAS, n)
         assert table.shape == (len(self.ZETAS), len(etas))
         for zeta, row in zip(self.ZETAS, table.tolist()):
-            assert row == metrics._helstrom_rows(etas, [zeta], n)[0].tolist()
+            assert row == discrimination._helstrom_rows(etas, [zeta], n)[0].tolist()
 
     @pytest.mark.parametrize("n", [1, 2, 20, 1000])
     def test_eta_split_over_several_blocks(self, monkeypatch, n):
         # four eta rows a block: 21 etas take six blocks, the last of one row,
         # which four zetas at a time are set against
         etas = self.ZETAS[:-1]
-        whole = metrics._helstrom_rows(etas, self.ZETAS, n).tolist()
-        monkeypatch.setattr(metrics, "_HELSTROM_BLOCK", 4 * (n + 1))
-        split = metrics._helstrom_rows(etas, self.ZETAS, n).tolist()
+        whole = discrimination._helstrom_rows(etas, self.ZETAS, n).tolist()
+        monkeypatch.setattr(discrimination, "_HELSTROM_BLOCK", 4 * (n + 1))
+        split = discrimination._helstrom_rows(etas, self.ZETAS, n).tolist()
         assert split == whole
         off_grid = self.ZETAS[-1]
-        assert split[-1] == [metrics.helstrom_multicopy_werner(e, off_grid, 2, n) for e in etas]
+        assert split[-1] == [discrimination.helstrom_multicopy_werner(e, off_grid, 2, n) for e in etas]
 
     @pytest.mark.parametrize("n", [1, 7, 1000])
     def test_buffers_are_reused_across_blocks(self, monkeypatch, n):
@@ -551,14 +551,14 @@ class TestHelstromRows:
         # NaN in the first, the last of one row; the full blocks meet one zeta at a time,
         # the last three, so its 22 zetas end in a block of one, shorter than the buffers
         etas = [math.nan, *self.ZETAS[:-1]]
-        monkeypatch.setattr(metrics, "_HELSTROM_BLOCK", 3 * (n + 1))
-        table = metrics._helstrom_rows(etas, self.ZETAS, n)
+        monkeypatch.setattr(discrimination, "_HELSTROM_BLOCK", 3 * (n + 1))
+        table = discrimination._helstrom_rows(etas, self.ZETAS, n)
         assert np.isnan(table[:, 0]).all() and not np.isnan(table[:, 1:]).any()
         assert table.tobytes() == unmasked_rows(etas, self.ZETAS, n).tobytes()
         for zeta, row in zip(self.ZETAS, table):
-            assert row.tobytes() == metrics._helstrom_rows(etas, [zeta], n)[0].tobytes()
+            assert row.tobytes() == discrimination._helstrom_rows(etas, [zeta], n)[0].tobytes()
         for eta, column in zip(etas, table.T):
-            assert column.tobytes() == metrics._helstrom_rows([eta], self.ZETAS, n)[:, 0].tobytes()
+            assert column.tobytes() == discrimination._helstrom_rows([eta], self.ZETAS, n)[:, 0].tobytes()
 
 
 def full_log_binomials(n):
@@ -608,7 +608,7 @@ class TestHelstromSkipsExactZeros:
     @pytest.mark.parametrize("n", [1, 2, 3, 20, 999, 1000, 5000])
     def test_rows_equal_the_unmasked_sum(self, n):
         # n = 5000 is above the public cap: the kernel itself takes any validated n
-        got = metrics._helstrom_rows(self.ETAS, self.ZETAS, n)
+        got = discrimination._helstrom_rows(self.ETAS, self.ZETAS, n)
         assert got.tobytes() == unmasked_rows(self.ETAS, self.ZETAS, n).tobytes()
         if n >= 999:
             positive = got[got > 0.0]
@@ -617,14 +617,14 @@ class TestHelstromSkipsExactZeros:
 
     @pytest.mark.parametrize("n", [*range(1, 65), 999, 1000])
     def test_mirrored_binomials_equal_the_full_recurrence(self, n):
-        assert metrics._log_binomials(n).tolist() == full_log_binomials(n)
+        assert discrimination._log_binomials(n).tolist() == full_log_binomials(n)
 
     def test_exp_is_exactly_zero_below_the_floor(self):
         # the premise of skipping: float64 exp underflows to +0.0 below -745.1332
-        sweep = np.linspace(-1e5, metrics._EXP_FLOOR, 1_000_001)
-        below = np.nextafter(metrics._EXP_FLOOR, -np.inf)
-        assert sweep[-1] == metrics._EXP_FLOOR
-        for x in (sweep, np.array([below, metrics._EXP_FLOOR, -np.inf])):
+        sweep = np.linspace(-1e5, discrimination._EXP_FLOOR, 1_000_001)
+        below = np.nextafter(discrimination._EXP_FLOOR, -np.inf)
+        assert sweep[-1] == discrimination._EXP_FLOOR
+        for x in (sweep, np.array([below, discrimination._EXP_FLOOR, -np.inf])):
             values = np.exp(x)
             assert np.all(values == 0.0) and not np.any(np.signbit(values))
 
@@ -632,13 +632,13 @@ class TestHelstromSkipsExactZeros:
     def test_the_benchmark_grid_equals_the_unmasked_sum(self, n):
         # every zeta of the 0.01 grid that `curves` draws from, against every eta
         grid = discrimination.eta_grid(0.01)
-        got = metrics._helstrom_rows(grid, grid, n)
+        got = discrimination._helstrom_rows(grid, grid, n)
         assert got.tobytes() == unmasked_rows(grid, grid, n).tobytes()
 
     def test_the_window_bounds_the_dropped_mass(self):
         # the terms dropped from a row are each at most e^-WINDOW of its peak, and the peak
         # is at most the row's sum: n + 1 of them stay far below half an ulp of it
-        assert (5000 + 1) * math.exp(-metrics._WINDOW) < 2.0**-70
+        assert (5000 + 1) * math.exp(-discrimination._WINDOW) < 2.0**-70
 
     def test_terms_at_or_below_the_cut_are_negligible(self):
         # measured, not bounded: on the 0.01 grid at n = 1000 what each row drops is
@@ -647,7 +647,7 @@ class TestHelstromSkipsExactZeros:
         block, dropping = log_class_weights(grid[:, None], n), 0
         for zeta in grid:
             terms = np.minimum(block, log_class_weights(zeta, n))
-            cut = np.maximum(terms.max(-1, keepdims=True) - metrics._WINDOW, metrics._EXP_FLOOR)
+            cut = np.maximum(terms.max(-1, keepdims=True) - discrimination._WINDOW, discrimination._EXP_FLOOR)
             dropped = np.where(terms <= cut, np.exp(terms), 0.0).sum(axis=-1)
             total = np.exp(terms).sum(axis=-1)
             assert np.all((dropped == 0.0) | (dropped < 2.0**-70 * total))
@@ -659,18 +659,18 @@ class TestHelstromSkipsExactZeros:
     def test_grid_rows_equal_the_unmasked_sum(self, step, n):
         # n <= 20 at 0.1 and n <= 11 at 0.01, where no finite term reaches a cut, and beyond
         grid = discrimination.eta_grid(step)
-        got = metrics._helstrom_rows(grid, grid, n)
+        got = discrimination._helstrom_rows(grid, grid, n)
         assert got.tobytes() == unmasked_rows(grid, grid, n).tobytes()
 
     def test_a_nan_weight_goes_through_exp(self):
-        rows = metrics._helstrom_rows([math.nan, 0.5], [0.3], 1000)
+        rows = discrimination._helstrom_rows([math.nan, 0.5], [0.3], 1000)
         assert math.isnan(rows[0, 0])
         assert rows[0, 1] == unmasked_rows([0.5], [0.3], 1000)[0, 0]
 
     def test_a_nan_weight_goes_through_exp_at_small_n(self):
         # at n = 5 no finite term reaches a cut: the NaN row stays NaN and the rest, a -inf
         # minimum at eta = 1 against zeta = -1 among them, are the unmasked sums
-        rows = metrics._helstrom_rows([math.nan, 0.5, 1.0], [0.3, -1.0], 5)
+        rows = discrimination._helstrom_rows([math.nan, 0.5, 1.0], [0.3, -1.0], 5)
         assert np.isnan(rows[:, 0]).all()
         assert rows[:, 1:].tobytes() == unmasked_rows([0.5, 1.0], [0.3, -1.0], 5).tobytes()
 

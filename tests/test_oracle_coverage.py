@@ -37,7 +37,6 @@ COVERAGE = {
     "metrics.werner_qs": ("qs-oracle",),
     "metrics.qcb_werner": ("qcb-oracle-q", "qcb-oracle-s"),
     "metrics.qcb_isotropic": ("qcb-isotropic-oracle", "qcb-isotropic-oracle-s"),
-    "metrics.helstrom_multicopy_werner": ("helstrom-explicit",),
     "discrimination.CURVE_ROW_CAP": "an input cap",
     "discrimination.ETA_GRID_CAP": "an input cap",
     "discrimination.DiscriminationBounds": "the result type of bounds",
@@ -46,6 +45,7 @@ COVERAGE = {
     "sandwich-ordering checks; its bounds compose closed forms mapped here",
     "discrimination.curve_grid": "the one-zeta case of _sandwiches, as bounds",
     "discrimination.eta_grid": "the grid builder both routes share, not a closed form",
+    "discrimination.helstrom_multicopy_werner": ("helstrom-explicit",),
     "metrology.TRIAL_CAP": "an input cap",
     "metrology.EstimationReport": "the result type of simulate_estimation",
     "metrology.qfi_werner": ("qfi-oracle", "qfi-attained"),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wernerlab import discrimination, linalg, metrics, metrology, states, verify
+from wernerlab import discrimination, linalg, metrics, metrology, states, validate, verify
 from wernerlab.errors import (
     DimensionMismatchError,
     DimensionOverflowError,
@@ -182,10 +182,10 @@ def test_integer_checks_reject_booleans(flag):
     with pytest.raises(InvalidParameterError, match=message("seed")):
         verify.teleport_check(0.5, 2, flag, 3)
     with pytest.raises(InvalidParameterError, match=message("copy count")):
-        metrics.helstrom_multicopy_werner(0.3, 0.1, 2, flag)
+        discrimination.helstrom_multicopy_werner(0.3, 0.1, 2, flag)
     # numpy integers are still integers
-    assert states._check_positive_int(np.int64(3), "count") == 3
-    assert states._check_seed(np.uint8(0)) == 0
+    assert validate._check_positive_int(np.int64(3), "count") == 3
+    assert validate._check_seed(np.uint8(0)) == 0
 
 
 @pytest.mark.parametrize("d", [True, False, np.True_, 1, np.int8(0), 2.0, "3", None])
@@ -193,12 +193,12 @@ def test_dimension_check_rejects_non_integers_and_small_ones(d):
     # the one integer test: a bool is refused with the same ">= 2" message as a float
     message = f"local dimension must be an integer >= 2, got {d!r}"
     with pytest.raises(InvalidDimensionError, match=f"^{re.escape(message)}$"):
-        states._check_dim(d)
+        validate._check_dim(d)
 
 
 def test_dimension_check_accepts_numpy_integers():
-    assert [states._check_dim(d) for d in (2, np.int64(3), np.uint8(4))] == [2, 3, 4]
-    assert all(type(states._check_dim(d)) is int for d in (2, np.int64(3)))
+    assert [validate._check_dim(d) for d in (2, np.int64(3), np.uint8(4))] == [2, 3, 4]
+    assert all(type(validate._check_dim(d)) is int for d in (2, np.int64(3)))
 
 
 class TestWernerState:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -248,6 +250,18 @@ class TestStacks:
     def test_a_bare_channel_is_not_a_sequence(self):
         with pytest.raises(TypeError):
             teleport.covariance_check(states.HWChannel(0.5, 2), np.eye(2), np.eye(2) / 2)
+
+    @pytest.mark.parametrize("u, rho", [
+        (np.eye(2), np.eye(3)),  # an input of another dimension
+        (np.eye(2), np.ones(2)),  # not a matrix
+        (np.eye(2), np.ones((2, 3))),  # not square
+        (np.stack([np.eye(2)] * 3), np.stack([np.eye(2) / 2] * 2)),  # stacks of 3 and 2
+    ])
+    def test_inputs_that_do_not_fit_are_named(self, u, rho):
+        # named with both shapes, not left to numpy's broadcasting error
+        shapes = re.escape(f"input {rho.shape} and unitary {u.shape} are incompatible")
+        with pytest.raises(DimensionMismatchError, match=shapes):
+            teleport.covariance_check([states.HWChannel(0.5, 2)], u, rho)
 
     def test_channels_of_several_dimensions_are_rejected(self):
         channels = [states.HWChannel(0.1, 2), states.HWChannel(0.1, 3)]
